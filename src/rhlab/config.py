@@ -2,6 +2,12 @@
 validation of every physical constraint, and construction of the solver
 objects a run needs.
 
+The field metadata of ``RunConfig`` is the single declaration of the schema:
+each field names its section, INI key, conversion kind and default.  The
+known keys, the per-key conversion and its message, and every line of
+``serialize_config`` derive from it.  The two derived defaults
+(``slab_length`` and the CFL-based ``dt``) and the checks are explicit code.
+
 Every violation is collected (not just the first) and reported with its line
 number.  A parsed config serializes back to text that re-parses to an equal
 config.
@@ -9,7 +15,7 @@ config.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -21,69 +27,70 @@ from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
 from .picard import DeltaSchedule, SlabConfig
 from .scenarios import builtin_scenarios
 
-_KNOWN_KEYS = {
-    "grid": {"dim", "cells", "lengths", "boundary", "rho_bar"},
-    "radiation": {"ordinates", "band_edges"},
-    "physics": {"eos", "A", "gamma", "rho_table", "p_table", "mu", "lambda",
-                "c", "q"},
-    "model": {"kind", "sigma0", "kernel0", "emission0", "D1", "D2", "v0", "theta"},
-    "scenario": {"name", "amplitude", "width", "emission0", "vacuum_radius",
-                 "transition_width", "phi_amplitude", "u_amplitude", "center",
-                 "intensity", "rho_bar", "rho0", "u0", "I0", "rho0_value",
-                 "u0_amplitude", "I0_value"},
-    "run": {"t_final", "slab_length", "dt", "max_iters", "gamma_tol",
-            "halve_on_stall", "max_halvings", "transport_cfl", "continuity",
-            "snapshot_stride", "output_dir", "deltas", "extrapolate"},
-}
 
-_SCENARIO_FLOAT_KEYS = {"amplitude", "width", "emission0", "vacuum_radius",
-                        "transition_width", "phi_amplitude", "u_amplitude",
-                        "center", "intensity", "rho_bar", "rho0_value",
-                        "u0_amplitude", "I0_value"}
+def _key(section: str, key: str, kind: str, default):
+    """A field read from ``key = value`` in ``[section]``; see ``_KINDS``."""
+    return field(default=default,
+                 metadata={"section": section, "key": key, "kind": kind})
+
+
+def _params(section: str, kinds: dict):
+    """Optional keys of ``section`` ({key: kind}), kept as (key, value) pairs in that order."""
+    return field(default=(), metadata={"section": section, "params": kinds})
+
+
+_COMPTON_KEYS = ("D1", "D2", "v0", "theta")
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Validated run description; see ``parse_config``."""
 
-    dim: int = 1
-    cells: tuple = (128,)
-    lengths: tuple = (1.0,)
-    boundary: str = "periodic"
-    rho_bar: float = 1.0
+    dim: int = _key("grid", "dim", "int", 1)
+    cells: tuple = _key("grid", "cells", "ints", (128,))
+    lengths: tuple = _key("grid", "lengths", "floats", (1.0,))
+    boundary: str = _key("grid", "boundary", "str", "periodic")
+    rho_bar: float = _key("grid", "rho_bar", "float", 1.0)
 
-    ordinates: str = "8"
-    band_edges: tuple = (0.5, 1.0, 2.0, 3.0, 4.5)
+    ordinates: str = _key("radiation", "ordinates", "str", "8")
+    band_edges: tuple = _key("radiation", "band_edges", "floats",
+                             (0.5, 1.0, 2.0, 3.0, 4.5))
 
-    eos_kind: str = "polytropic"
-    A: float = 1.0
-    gamma: float = 2.0
-    rho_table: tuple = ()
-    p_table: tuple = ()
-    mu: float = 1.0
-    lam: float = 0.0
-    c: float = 1.0
-    q: float = 4.0
+    eos_kind: str = _key("physics", "eos", "str", "polytropic")
+    A: float = _key("physics", "A", "float", 1.0)
+    gamma: float = _key("physics", "gamma", "float", 2.0)
+    rho_table: tuple = _key("physics", "rho_table", "floats", ())
+    p_table: tuple = _key("physics", "p_table", "floats", ())
+    mu: float = _key("physics", "mu", "float", 1.0)
+    lam: float = _key("physics", "lambda", "float", 0.0)
+    c: float = _key("physics", "c", "float", 1.0)
+    q: float = _key("physics", "q", "float", 4.0)
 
-    model_kind: str = "constant"
-    model_params: tuple = ()          # sorted (key, value) pairs
+    model_kind: str = _key("model", "kind", "str", "constant")
+    model_params: tuple = _params("model", dict.fromkeys(
+        ("sigma0", "kernel0", "emission0") + _COMPTON_KEYS, "float"))
 
-    scenario: str = "equilibrium"
-    scenario_params: tuple = ()       # sorted (key, value) pairs
+    scenario: str = _key("scenario", "name", "str", "equilibrium")
+    scenario_params: tuple = _params("scenario", {
+        **dict.fromkeys(sorted(("amplitude", "width", "emission0", "vacuum_radius",
+                                "transition_width", "phi_amplitude", "u_amplitude", "center",
+                                "intensity", "rho_bar", "rho0_value", "u0_amplitude",
+                                "I0_value")), "float"),
+        **dict.fromkeys(("rho0", "u0", "I0"), "str")})
 
-    t_final: float = 0.01
-    slab_length: float = 0.01
-    dt: float = 0.002
-    max_iters: int = 30
-    gamma_tol: float = 1e-8
-    halve_on_stall: bool = True
-    max_halvings: int = 2
-    transport_cfl: float = 0.9
-    continuity: str = "fv"
-    snapshot_stride: int = 1
-    output_dir: str = "out"
-    deltas: tuple = ()
-    extrapolate: bool = False
+    t_final: float = _key("run", "t_final", "float", 0.01)
+    slab_length: float = _key("run", "slab_length", "float", 0.01)
+    dt: float = _key("run", "dt", "float", 0.002)
+    max_iters: int = _key("run", "max_iters", "int", 30)
+    gamma_tol: float = _key("run", "gamma_tol", "float", 1e-8)
+    halve_on_stall: bool = _key("run", "halve_on_stall", "bool", True)
+    max_halvings: int = _key("run", "max_halvings", "int", 2)
+    transport_cfl: float = _key("run", "transport_cfl", "float", 0.9)
+    continuity: str = _key("run", "continuity", "str", "fv")
+    snapshot_stride: int = _key("run", "snapshot_stride", "int", 1)
+    output_dir: str = _key("run", "output_dir", "str", "out")
+    deltas: tuple = _key("run", "deltas", "floats", ())
+    extrapolate: bool = _key("run", "extrapolate", "bool", False)
 
     # -- constructors of solver objects ------------------------------------
 
@@ -137,33 +144,57 @@ class RunConfig:
         if k0 > 0:
             def profile(v_from, v_to, mu):
                 return np.full_like(np.asarray(mu, dtype=float), k0)
-        return compton_model(params.get("D1", 1.0), params.get("D2", 1.0),
-                             params.get("v0", 1.0), params.get("theta", 1.0),
+        return compton_model(*(params.get(k, 1.0) for k in _COMPTON_KEYS),
                              sigma_s_profile=profile)
 
     def build_slab_config(self) -> SlabConfig:
-        return SlabConfig(slab_length=self.slab_length, dt=self.dt,
-                          max_iters=self.max_iters, gamma_tol=self.gamma_tol,
-                          halve_on_stall=self.halve_on_stall,
-                          max_halvings=self.max_halvings,
-                          transport_cfl=self.transport_cfl,
-                          continuity=self.continuity)
+        # every SlabConfig field is a [run] field of the same name
+        return SlabConfig(**{f.name: getattr(self, f.name) for f in fields(SlabConfig)})
 
     def build_delta_schedule(self) -> DeltaSchedule | None:
-        if not self.deltas:
-            return None
-        return DeltaSchedule(self.deltas, extrapolate=self.extrapolate)
+        return DeltaSchedule(self.deltas, extrapolate=self.extrapolate) if self.deltas else None
 
 
-# ---------------------------------------------------------------------------
-# parsing
-# ---------------------------------------------------------------------------
+# -- schema derived from the field metadata ---------------------------------
+
+_BOOLS = {**dict.fromkeys(("true", "yes", "on", "1"), True),
+          **dict.fromkeys(("false", "no", "off", "0"), False)}
+
+
+def _list(conv):
+    return lambda s: tuple(conv(p) for p in s.replace(",", " ").split())
+
+
+# kind -> (converter of the raw value, what the error message expects)
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "a string"),
+    "bool": (lambda s: _BOOLS[s.strip().lower()], "a boolean"),
+    "ints": (_list(int), "an integer list"),
+    "floats": (_list(float), "a number list"),
+}
+
+
+def _field_keys(f) -> dict:
+    """{key: kind} of the INI keys a RunConfig field reads."""
+    m = f.metadata
+    return m["params"] if "params" in m else {m["key"]: m["kind"]}
+
+
+_KNOWN_KEYS: dict = {}      # section -> the keys it accepts
+_WHERE: dict = {}           # field name -> (section, key or None for pairs)
+for _f in fields(RunConfig):
+    _KNOWN_KEYS.setdefault(_f.metadata["section"], set()).update(_field_keys(_f))
+    _WHERE[_f.name] = (_f.metadata["section"], _f.metadata.get("key"))
+
+
+# -- parsing and serialization ----------------------------------------------
 
 def _tokenize(text: str):
-    """Yield (line_number, section, key, raw_value); collect syntax errors."""
-    entries = []
-    errors = []
-    section = None
+    """{(section, key): (line_number, raw_value)} of the known keys, and the
+    syntax errors; a key set twice keeps its last value."""
+    data, errors, section = {}, [], None
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -184,240 +215,138 @@ def _tokenize(text: str):
         if key not in _KNOWN_KEYS[section]:
             errors.append((ln, f"unknown key {key!r} in section [{section}]"))
             continue
-        entries.append((ln, section, key, value))
-    return entries, errors
+        data[(section, key)] = (ln, value)
+    return data, errors
 
 
-class _Reader:
-    def __init__(self, entries):
-        self.data = {}
-        for ln, section, key, value in entries:
-            self.data[(section, key)] = (ln, value)
-        self.errors = []
+def _read(data: dict, errors: list) -> dict:
+    """Converted values of the keys the text sets, by RunConfig field name.
+    A value that fails to convert is reported and left out."""
+    values = {}
+    for f in fields(RunConfig):
+        section, read = f.metadata["section"], {}
+        for key, kind in _field_keys(f).items():
+            if (section, key) in data:
+                ln, raw = data[(section, key)]
+                conv, what = _KINDS[kind]
+                try:
+                    read[key] = conv(raw)
+                except (KeyError, TypeError, ValueError):
+                    errors.append((ln, f"{section}.{key}: expected {what}, got {raw!r}"))
+        if "params" in f.metadata:
+            values[f.name] = tuple(read.items())
+        elif read:
+            values[f.name] = read[f.metadata["key"]]
+    return values
 
-    def line(self, section, key, default=0):
-        return self.data.get((section, key), (default, None))[0]
 
-    def has(self, section, key):
-        return (section, key) in self.data
-
-    def raw(self, section, key, default=None):
-        return self.data.get((section, key), (0, default))[1]
-
-    def _convert(self, section, key, default, conv, what):
-        if (section, key) not in self.data:
-            return default
-        ln, value = self.data[(section, key)]
+def _checks(cfg: RunConfig, min_h: float) -> list:
+    """((section, key), whether the check fails, message) for the constraints
+    on single keys and on keys that must agree with each other."""
+    dim, cells, lengths, ordinates = cfg.dim, cfg.cells, cfg.lengths, cfg.ordinates
+    edges, mu, lam, c, dt = cfg.band_edges, cfg.mu, cfg.lam, cfg.c, cfg.dt
+    slab = cfg.slab_length
+    rho_table, deltas = cfg.rho_table, cfg.deltas
+    poly = cfg.eos_kind == "polytropic"
+    ord_msg = None
+    if dim != 1 and ordinates not in ("6", "8", "14"):
+        ord_msg = f"3D ordinate sets are 6, 8 or 14 points, got {ordinates!r}"
+    elif dim == 1 and ordinates != "beams":
         try:
-            return conv(value)
-        except (TypeError, ValueError):
-            self.errors.append((ln, f"{section}.{key}: expected {what}, got {value!r}"))
-            return default
-
-    def get_int(self, section, key, default):
-        return self._convert(section, key, default, lambda s: int(s), "an integer")
-
-    def get_float(self, section, key, default):
-        return self._convert(section, key, default, lambda s: float(s), "a number")
-
-    def get_str(self, section, key, default):
-        return self._convert(section, key, default, lambda s: s, "a string")
-
-    def get_bool(self, section, key, default):
-        def conv(s):
-            t = s.strip().lower()
-            if t in ("true", "yes", "on", "1"):
-                return True
-            if t in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(t)
-        return self._convert(section, key, default, conv, "a boolean")
-
-    def get_floats(self, section, key, default):
-        def conv(s):
-            items = [p for p in s.replace(",", " ").split() if p]
-            return tuple(float(p) for p in items)
-        return self._convert(section, key, default, conv, "a number list")
-
-    def get_ints(self, section, key, default):
-        def conv(s):
-            items = [p for p in s.replace(",", " ").split() if p]
-            return tuple(int(p) for p in items)
-        return self._convert(section, key, default, conv, "an integer list")
+            if int(ordinates) < 2:
+                ord_msg = "need at least 2 slab ordinates"
+        except ValueError:
+            ord_msg = f"slab ordinates must be a count or 'beams', got {ordinates!r}"
+    cfl = dim and cells and lengths and len(cells) == len(lengths) and c > 0 and dt > 0
+    checks = [
+        ("dim", dim not in (1, 2, 3), f"dim must be 1, 2 or 3, got {dim}"),
+        ("cells", len(cells) != dim, f"need {dim} cell counts, got {len(cells)}"),
+        ("cells", any(n < 4 for n in cells), f"need at least 4 cells per axis, got {cells}"),
+        ("lengths", len(lengths) != dim, f"need {dim} lengths, got {len(lengths)}"),
+        ("lengths", any(L <= 0 for L in lengths), "domain lengths must be positive"),
+        ("boundary", cfg.boundary not in ("periodic", "farfield"),
+         f"boundary must be periodic or farfield, got {cfg.boundary!r}"),
+        ("rho_bar", cfg.rho_bar < 0, "far-field density must be >= 0"),
+        ("ordinates", ord_msg is not None, ord_msg),
+        ("band_edges", len(edges) < 2, "need at least two band edges"),
+        ("band_edges", len(edges) >= 2 and (
+            edges[0] <= 0 or any(b <= a for a, b in zip(edges, edges[1:]))),
+         "band edges must be positive and increasing"),
+        ("A", poly and cfg.A <= 0, f"A must be positive, got {cfg.A}"),
+        ("gamma", poly and cfg.gamma <= 1, f"gamma must exceed 1, got {cfg.gamma}"),
+        ("rho_table", cfg.eos_kind == "barotropic_table" and (
+            len(rho_table) < 4 or len(rho_table) != len(cfg.p_table)),
+         "table EOS needs matching sample lists (>= 4)"),
+        ("eos_kind", cfg.eos_kind not in ("polytropic", "barotropic_table"),
+         f"eos must be polytropic or barotropic_table, got {cfg.eos_kind!r}"),
+        ("mu", mu <= 0, f"shear viscosity must be positive, got {mu}"),
+        ("lam", lam + 2.0 * mu / 3.0 < 0,
+         f"need lambda + (2/3) mu >= 0, got {lam + 2.0 * mu / 3.0}"),
+        ("c", c <= 0, f"light speed must be positive, got {c}"),
+        ("q", not 3.0 < cfg.q <= 6.0, f"q must lie in (3, 6], got {cfg.q}"),
+        ("model_kind", cfg.model_kind not in ("zero", "constant", "compton"),
+         f"model kind must be zero, constant or compton, got {cfg.model_kind!r}"),
+        ("scenario", cfg.scenario not in builtin_scenarios(),
+         f"unknown scenario {cfg.scenario!r}; see 'rhlab list-scenarios'"),
+        ("t_final", cfg.t_final <= 0, f"t_final must be positive, got {cfg.t_final}"),
+        ("slab_length", slab <= 0, f"slab_length must be positive, got {slab}"),
+        ("dt", dt <= 0 or (slab > 0 and dt > slab),
+         f"need 0 < dt <= slab_length, got dt={dt}"),
+        ("dt", cfl and c * dt > min_h * (1.0 + 1e-12),
+         f"dt violates the transport CFL bound: c*dt = {c * dt:.3g} "
+         f"exceeds the smallest cell width {min_h:.3g}"),
+        ("max_iters", cfg.max_iters < 1, "max_iters must be >= 1"),
+        ("gamma_tol", cfg.gamma_tol <= 0, "gamma_tol must be positive"),
+        ("max_halvings", cfg.max_halvings < 0, "max_halvings must be >= 0"),
+        ("transport_cfl", not 0 < cfg.transport_cfl <= 1, "transport_cfl must lie in (0, 1]"),
+        ("continuity", cfg.continuity not in ("fv", "characteristics"),
+         f"continuity must be fv or characteristics, got {cfg.continuity!r}"),
+        ("snapshot_stride", cfg.snapshot_stride < 1, "snapshot_stride must be >= 1"),
+        ("deltas", bool(deltas) and (
+            any(d <= 0 for d in deltas) or any(b >= a for a, b in zip(deltas, deltas[1:]))),
+         "deltas must be positive and strictly decreasing"),
+    ]
+    located = [(_WHERE[name], failed, msg) for name, failed, msg in checks]
+    section = _WHERE["model_params"][0]
+    for key, value in cfg.model_params:
+        located += [((section, key), value < 0,
+                     f"model parameter {key} must be >= 0, got {value}"),
+                    ((section, key), cfg.model_kind == "compton" and key in _COMPTON_KEYS
+                     and value <= 0, f"Compton parameter {key} must be positive, got {value}")]
+    return located
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate; raises ConfigError listing every violation with
     its line number."""
-    entries, errors = _tokenize(text)
-    r = _Reader(entries)
-    r.errors.extend(errors)
+    data, errors = _tokenize(text)
+    values = _read(data, errors)
 
-    dim = r.get_int("grid", "dim", 1)
-    cells = r.get_ints("grid", "cells", (128,))
-    lengths = r.get_floats("grid", "lengths", (1.0,))
-    boundary = r.get_str("grid", "boundary", "periodic")
-    rho_bar = r.get_float("grid", "rho_bar", 1.0)
-    ordinates = r.get_str("radiation", "ordinates", "8")
-    band_edges = r.get_floats("radiation", "band_edges", (0.5, 1.0, 2.0, 3.0, 4.5))
-
-    eos_kind = r.get_str("physics", "eos", "polytropic")
-    A = r.get_float("physics", "A", 1.0)
-    gamma = r.get_float("physics", "gamma", 2.0)
-    rho_table = r.get_floats("physics", "rho_table", ())
-    p_table = r.get_floats("physics", "p_table", ())
-    mu = r.get_float("physics", "mu", 1.0)
-    lam = r.get_float("physics", "lambda", 0.0)
-    c = r.get_float("physics", "c", 1.0)
-    q = r.get_float("physics", "q", 4.0)
-
-    model_kind = r.get_str("model", "kind", "constant")
-    model_params = []
-    for key in ("sigma0", "kernel0", "emission0", "D1", "D2", "v0", "theta"):
-        if r.has("model", key):
-            model_params.append((key, r.get_float("model", key, 0.0)))
-
-    scenario = r.get_str("scenario", "name", "equilibrium")
-    scenario_params = []
-    for key in sorted(_SCENARIO_FLOAT_KEYS):
-        if r.has("scenario", key):
-            scenario_params.append((key, r.get_float("scenario", key, 0.0)))
-    for key in ("rho0", "u0", "I0"):
-        if r.has("scenario", key):
-            scenario_params.append((key, r.get_str("scenario", key, "")))
-
-    t_final = r.get_float("run", "t_final", 0.01)
-    slab_length = r.get_float("run", "slab_length", min(t_final, 0.01))
+    cfg = RunConfig(**values)
+    if "slab_length" not in values:
+        cfg = replace(cfg, slab_length=min(cfg.t_final, 0.01))
+    cells, lengths, slab = cfg.cells, cfg.lengths, cfg.slab_length
     min_h = min(L / n for L, n in zip(lengths, cells)) if cells and lengths \
         and len(cells) == len(lengths) and all(n > 0 for n in cells) else 1.0
-    dt_default = min(slab_length, 0.4 * min_h / max(c, 1e-300)) if slab_length > 0 else 0.0
-    dt = r.get_float("run", "dt", dt_default)
-    max_iters = r.get_int("run", "max_iters", 30)
-    gamma_tol = r.get_float("run", "gamma_tol", 1e-8)
-    halve_on_stall = r.get_bool("run", "halve_on_stall", True)
-    max_halvings = r.get_int("run", "max_halvings", 2)
-    transport_cfl = r.get_float("run", "transport_cfl", 0.9)
-    continuity = r.get_str("run", "continuity", "fv")
-    snapshot_stride = r.get_int("run", "snapshot_stride", 1)
-    output_dir = r.get_str("run", "output_dir", "out")
-    deltas = r.get_floats("run", "deltas", ())
-    extrapolate = r.get_bool("run", "extrapolate", False)
+    if "dt" not in values:
+        cfg = replace(cfg, dt=min(slab, 0.4 * min_h / max(cfg.c, 1e-300))
+                      if slab > 0 else 0.0)
 
-    v = r.errors
+    errors += [(data.get(where, (0,))[0], msg)
+               for where, failed, msg in _checks(cfg, min_h) if failed]
 
-    def bad(section, key, msg):
-        v.append((r.line(section, key), msg))
-
-    if dim not in (1, 2, 3):
-        bad("grid", "dim", f"dim must be 1, 2 or 3, got {dim}")
-    if len(cells) != dim:
-        bad("grid", "cells", f"need {dim} cell counts, got {len(cells)}")
-    if any(n < 4 for n in cells):
-        bad("grid", "cells", f"need at least 4 cells per axis, got {cells}")
-    if len(lengths) != dim:
-        bad("grid", "lengths", f"need {dim} lengths, got {len(lengths)}")
-    if any(L <= 0 for L in lengths):
-        bad("grid", "lengths", "domain lengths must be positive")
-    if boundary not in ("periodic", "farfield"):
-        bad("grid", "boundary", f"boundary must be periodic or farfield, got {boundary!r}")
-    if rho_bar < 0:
-        bad("grid", "rho_bar", "far-field density must be >= 0")
-
-    if dim == 1:
-        if ordinates != "beams":
-            try:
-                if int(ordinates) < 2:
-                    bad("radiation", "ordinates", "need at least 2 slab ordinates")
-            except ValueError:
-                bad("radiation", "ordinates",
-                    f"slab ordinates must be a count or 'beams', got {ordinates!r}")
-    elif ordinates not in ("6", "8", "14"):
-        bad("radiation", "ordinates",
-            f"3D ordinate sets are 6, 8 or 14 points, got {ordinates!r}")
-    if len(band_edges) < 2:
-        bad("radiation", "band_edges", "need at least two band edges")
-    elif band_edges[0] <= 0 or any(b <= a for a, b in zip(band_edges, band_edges[1:])):
-        bad("radiation", "band_edges", "band edges must be positive and increasing")
-
-    if eos_kind == "polytropic":
-        if A <= 0:
-            bad("physics", "A", f"A must be positive, got {A}")
-        if gamma <= 1:
-            bad("physics", "gamma", f"gamma must exceed 1, got {gamma}")
-    elif eos_kind == "barotropic_table":
-        if len(rho_table) < 4 or len(rho_table) != len(p_table):
-            bad("physics", "rho_table", "table EOS needs matching sample lists (>= 4)")
-    else:
-        bad("physics", "eos", f"eos must be polytropic or barotropic_table, got {eos_kind!r}")
-    if mu <= 0:
-        bad("physics", "mu", f"shear viscosity must be positive, got {mu}")
-    if lam + 2.0 * mu / 3.0 < 0:
-        bad("physics", "lambda",
-            f"need lambda + (2/3) mu >= 0, got {lam + 2.0 * mu / 3.0}")
-    if c <= 0:
-        bad("physics", "c", f"light speed must be positive, got {c}")
-    if not 3.0 < q <= 6.0:
-        bad("physics", "q", f"q must lie in (3, 6], got {q}")
-
-    if model_kind not in ("zero", "constant", "compton"):
-        bad("model", "kind", f"model kind must be zero, constant or compton, got {model_kind!r}")
-    for key, value in model_params:
-        if value < 0:
-            bad("model", key, f"model parameter {key} must be >= 0, got {value}")
-        if model_kind == "compton" and key in ("D1", "D2", "v0", "theta") and value <= 0:
-            bad("model", key, f"Compton parameter {key} must be positive, got {value}")
-
-    if scenario not in builtin_scenarios():
-        bad("scenario", "name", f"unknown scenario {scenario!r}; "
-            f"see 'rhlab list-scenarios'")
-
-    if t_final <= 0:
-        bad("run", "t_final", f"t_final must be positive, got {t_final}")
-    if slab_length <= 0:
-        bad("run", "slab_length", f"slab_length must be positive, got {slab_length}")
-    if dt <= 0 or (slab_length > 0 and dt > slab_length):
-        bad("run", "dt", f"need 0 < dt <= slab_length, got dt={dt}")
-    if dim and cells and lengths and len(cells) == len(lengths) and c > 0 and dt > 0:
-        if c * dt > min_h * (1.0 + 1e-12):
-            bad("run", "dt", f"dt violates the transport CFL bound: "
-                f"c*dt = {c * dt:.3g} exceeds the smallest cell width {min_h:.3g}")
-    if max_iters < 1:
-        bad("run", "max_iters", "max_iters must be >= 1")
-    if gamma_tol <= 0:
-        bad("run", "gamma_tol", "gamma_tol must be positive")
-    if max_halvings < 0:
-        bad("run", "max_halvings", "max_halvings must be >= 0")
-    if not 0 < transport_cfl <= 1:
-        bad("run", "transport_cfl", "transport_cfl must lie in (0, 1]")
-    if continuity not in ("fv", "characteristics"):
-        bad("run", "continuity", f"continuity must be fv or characteristics, got {continuity!r}")
-    if snapshot_stride < 1:
-        bad("run", "snapshot_stride", "snapshot_stride must be >= 1")
-    if deltas and (any(d <= 0 for d in deltas)
-                   or any(b >= a for a, b in zip(deltas, deltas[1:]))):
-        bad("run", "deltas", "deltas must be positive and strictly decreasing")
-
-    if v:
-        v = sorted(v)
-        lines = "; ".join(f"line {ln}: {msg}" for ln, msg in v)
-        raise ConfigError(f"invalid configuration: {lines}", violations=v)
-
-    return RunConfig(
-        dim=dim, cells=tuple(cells), lengths=tuple(lengths), boundary=boundary,
-        rho_bar=rho_bar, ordinates=ordinates, band_edges=tuple(band_edges),
-        eos_kind=eos_kind, A=A, gamma=gamma, rho_table=tuple(rho_table),
-        p_table=tuple(p_table), mu=mu, lam=lam, c=c, q=q,
-        model_kind=model_kind, model_params=tuple(model_params),
-        scenario=scenario, scenario_params=tuple(scenario_params),
-        t_final=t_final, slab_length=slab_length, dt=dt, max_iters=max_iters,
-        gamma_tol=gamma_tol, halve_on_stall=halve_on_stall,
-        max_halvings=max_halvings, transport_cfl=transport_cfl,
-        continuity=continuity, snapshot_stride=snapshot_stride,
-        output_dir=output_dir, deltas=tuple(deltas), extrapolate=extrapolate)
+    if errors:
+        errors = sorted(errors)
+        lines = "; ".join(f"line {ln}: {msg}" for ln, msg in errors)
+        raise ConfigError(f"invalid configuration: {lines}", violations=errors)
+    return cfg
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse_config(serialize_config(c)) == c."""
+    """Canonical text form; parse_config(serialize_config(c)) == c.
+
+    Fields are written in declaration order; an empty list is written as the
+    key's absence, which parses back to the same empty default."""
     def fmt(x):
         if isinstance(x, bool):
             return "true" if x else "false"
@@ -427,52 +356,14 @@ def serialize_config(cfg: RunConfig) -> str:
             return ", ".join(fmt(v) for v in x)
         return str(x)
 
-    lines = ["[grid]"]
-    lines.append(f"dim = {cfg.dim}")
-    lines.append(f"cells = {fmt(cfg.cells)}")
-    lines.append(f"lengths = {fmt(cfg.lengths)}")
-    lines.append(f"boundary = {cfg.boundary}")
-    lines.append(f"rho_bar = {fmt(cfg.rho_bar)}")
-    lines.append("")
-    lines.append("[radiation]")
-    lines.append(f"ordinates = {cfg.ordinates}")
-    lines.append(f"band_edges = {fmt(cfg.band_edges)}")
-    lines.append("")
-    lines.append("[physics]")
-    lines.append(f"eos = {cfg.eos_kind}")
-    lines.append(f"A = {fmt(cfg.A)}")
-    lines.append(f"gamma = {fmt(cfg.gamma)}")
-    if cfg.rho_table:
-        lines.append(f"rho_table = {fmt(cfg.rho_table)}")
-        lines.append(f"p_table = {fmt(cfg.p_table)}")
-    lines.append(f"mu = {fmt(cfg.mu)}")
-    lines.append(f"lambda = {fmt(cfg.lam)}")
-    lines.append(f"c = {fmt(cfg.c)}")
-    lines.append(f"q = {fmt(cfg.q)}")
-    lines.append("")
-    lines.append("[model]")
-    lines.append(f"kind = {cfg.model_kind}")
-    for key, value in cfg.model_params:
-        lines.append(f"{key} = {fmt(value)}")
-    lines.append("")
-    lines.append("[scenario]")
-    lines.append(f"name = {cfg.scenario}")
-    for key, value in cfg.scenario_params:
-        lines.append(f"{key} = {fmt(value)}")
-    lines.append("")
-    lines.append("[run]")
-    lines.append(f"t_final = {fmt(cfg.t_final)}")
-    lines.append(f"slab_length = {fmt(cfg.slab_length)}")
-    lines.append(f"dt = {fmt(cfg.dt)}")
-    lines.append(f"max_iters = {cfg.max_iters}")
-    lines.append(f"gamma_tol = {fmt(cfg.gamma_tol)}")
-    lines.append(f"halve_on_stall = {fmt(cfg.halve_on_stall)}")
-    lines.append(f"max_halvings = {cfg.max_halvings}")
-    lines.append(f"transport_cfl = {fmt(cfg.transport_cfl)}")
-    lines.append(f"continuity = {cfg.continuity}")
-    lines.append(f"snapshot_stride = {cfg.snapshot_stride}")
-    lines.append(f"output_dir = {cfg.output_dir}")
-    if cfg.deltas:
-        lines.append(f"deltas = {fmt(cfg.deltas)}")
-    lines.append(f"extrapolate = {fmt(cfg.extrapolate)}")
+    lines, section = [], None
+    for f in fields(cfg):
+        if f.metadata["section"] != section:
+            section = f.metadata["section"]
+            lines += [""] * bool(lines) + [f"[{section}]"]
+        value = getattr(cfg, f.name)
+        if "params" in f.metadata:
+            lines += [f"{key} = {fmt(v)}" for key, v in value]
+        elif value != ():
+            lines.append(f"{f.metadata['key']} = {fmt(value)}")
     return "\n".join(lines) + "\n"

@@ -188,7 +188,8 @@ class BlowupReport:
 
     ``flags`` records monitor findings; in particular a Theta overflow while
     Phi sits under the cap contradicts the bound tying Theta to Phi and is
-    flagged explicitly.
+    flagged explicitly.  ``flag_snapshots[k]`` is the snapshot index at which
+    ``flags[k]`` was raised.
     """
 
     times: list
@@ -197,6 +198,7 @@ class BlowupReport:
     phi_components: list
     phi_cap: float
     flags: list = field(default_factory=list)
+    flag_snapshots: list = field(default_factory=list)
     first_phi_overflow: float | None = None
     first_theta_overflow: float | None = None
 
@@ -223,7 +225,7 @@ def blowup_monitor(traj: Trajectory, grids: Grids, settings: NormSettings,
     grid = grids.spatial
     times, phis, thetas, comps = [], [], [], []
     history = ThetaHistory()
-    report_flags = []
+    report_flags, flag_snapshots = [], []
     first_phi_of = first_theta_of = None
     phi0 = phi(traj.states[0], grids, settings)
     cap = phi_cap if phi_cap is not None else 10.0 * phi0
@@ -255,8 +257,9 @@ def blowup_monitor(traj: Trajectory, grids: Grids, settings: NormSettings,
             if phi_under_cap:
                 report_flags.append(
                     f"theta overflow at t={t:.6g} while phi stayed under cap {cap:.6g}")
+                flag_snapshots.append(i)
     return BlowupReport(times=times, phi=phis, theta=thetas, phi_components=comps,
-                        phi_cap=cap, flags=report_flags,
+                        phi_cap=cap, flags=report_flags, flag_snapshots=flag_snapshots,
                         first_phi_overflow=first_phi_of,
                         first_theta_overflow=first_theta_of)
 

@@ -85,6 +85,22 @@ class VelocityHistory:
 # multilinear interpolation
 # ---------------------------------------------------------------------------
 
+def _clamp_points(pts: Array, grid: SpatialGrid) -> tuple[Array, int]:
+    """Keep points inside the one-ghost-layer padded far-field domain;
+    returns the number of clamped coordinates.  Periodic grids never clamp."""
+    if grid.boundary == "periodic":
+        return pts, 0
+    clamped = 0
+    out = pts.copy()
+    for a in range(grid.dim):
+        h = grid.spacing[a]
+        lo, hi = -0.5 * h, (grid.extents[a] + 0.5) * h
+        bad = (out[a] < lo) | (out[a] > hi)
+        clamped += int(np.count_nonzero(bad))
+        out[a] = np.clip(out[a], lo, hi)
+    return out, clamped
+
+
 def interp_field(f: Array, grid: SpatialGrid, points: Array,
                  farfield_value: float = 0.0) -> tuple[Array, int]:
     """Multilinear interpolation of a scalar field at physical points.
@@ -99,19 +115,14 @@ def interp_field(f: Array, grid: SpatialGrid, points: Array,
         raise ShapeError(f"points must have leading axis {grid.dim}")
     fp = pad_ghost(f, grid, farfield_value)
     batch = points.shape[1:]
+    points, clamped = _clamp_points(points, grid)
     base, frac = [], []
-    clamped = 0
     for a in range(grid.dim):
         h = grid.spacing[a]
         n = grid.extents[a]
         x = points[a]
         if grid.boundary == "periodic":
             x = np.mod(x, n * h)
-        else:
-            lo, hi = -0.5 * h, (n + 0.5) * h
-            out = (x < lo) | (x > hi)
-            clamped += int(np.count_nonzero(out))
-            x = np.clip(x, lo, hi)
         t = x / h - 0.5
         i0 = np.clip(np.floor(t).astype(int), -1, n - 1)
         base.append(i0 + 1)          # shift into padded indexing
@@ -139,22 +150,6 @@ def _interp_vector(u: Array, grid: SpatialGrid, points: Array) -> tuple[Array, i
 # ---------------------------------------------------------------------------
 # backward characteristics
 # ---------------------------------------------------------------------------
-
-def _clamp_points(pts: Array, grid: SpatialGrid) -> tuple[Array, int]:
-    """Keep traced points inside the one-ghost-layer padded far-field domain;
-    returns the number of clamped coordinates.  Periodic grids never clamp."""
-    if grid.boundary == "periodic":
-        return pts, 0
-    clamped = 0
-    out = pts.copy()
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        lo, hi = -0.5 * h, (grid.extents[a] + 0.5) * h
-        bad = (out[a] < lo) | (out[a] > hi)
-        clamped += int(np.count_nonzero(bad))
-        out[a] = np.clip(out[a], lo, hi)
-    return out, clamped
-
 
 def _trace_backward(w_hist: VelocityHistory, t: float, grid: SpatialGrid,
                     substeps: int | None, want_div: bool):
@@ -318,25 +313,24 @@ def heat_smooth(u: Array, grid: SpatialGrid, duration: float) -> Array:
 # sparse operator assembly
 # ---------------------------------------------------------------------------
 
-def _roll_matrix(n: int, off: int) -> sp.spmatrix:
-    rows = np.arange(n)
-    cols = (rows + off) % n
-    return sp.csr_matrix((np.ones(n), (rows, cols)), shape=(n, n))
+def _shift(n: int, off: int, periodic: bool) -> sp.spmatrix:
+    """(E f)_i = f_{i+off}: wraps around on periodic grids, drops the
+    out-of-range neighbour (zero ghost) otherwise."""
+    if periodic:
+        rows = np.arange(n)
+        return sp.csr_matrix((np.ones(n), (rows, (rows + off) % n)), shape=(n, n))
+    return sp.diags([np.ones(n - 1)], [off], (n, n))
 
 
 def _centered_diff_1d(n: int, h: float, periodic: bool) -> sp.spmatrix:
-    ep = _roll_matrix(n, +1) if periodic else sp.diags([np.ones(n - 1)], [1], (n, n))
-    em = _roll_matrix(n, -1) if periodic else sp.diags([np.ones(n - 1)], [-1], (n, n))
-    return ((ep - em) / (2.0 * h)).tocsr()
+    return ((_shift(n, +1, periodic) - _shift(n, -1, periodic)) / (2.0 * h)).tocsr()
 
 
 def _one_sided_diff_1d(n: int, h: float, periodic: bool, forward: bool) -> sp.spmatrix:
     eye = sp.eye(n, format="csr")
     if forward:
-        ep = _roll_matrix(n, +1) if periodic else sp.diags([np.ones(n - 1)], [1], (n, n))
-        return ((ep - eye) / h).tocsr()
-    em = _roll_matrix(n, -1) if periodic else sp.diags([np.ones(n - 1)], [-1], (n, n))
-    return ((eye - em) / h).tocsr()
+        return ((_shift(n, +1, periodic) - eye) / h).tocsr()
+    return ((eye - _shift(n, -1, periodic)) / h).tocsr()
 
 
 def _lift(mat: sp.spmatrix, grid: SpatialGrid, axis: int) -> sp.spmatrix:

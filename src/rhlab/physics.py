@@ -17,7 +17,8 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, DomainError, ParameterError
-from .grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, check_scalar
+from .grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, check_scalar,
+                   gradient)
 from .norms import NormSettings, lp_norm
 
 Array = np.ndarray
@@ -178,12 +179,14 @@ class CoefficientModel:
         return out
 
     def kernels(self, freq: FrequencyGrid, ang: AngularQuadrature) -> tuple[Array, Array]:
-        """Dense kernel tables over (band, ordinate)^2, cached per quadrature.
+        """Dense kernel tables over (band, ordinate)^2, cached by the values of
+        the quadratures (band edges and centers, ordinates and weights).
 
         K_in[b, m, b', m']  = sigma_s_bar(v_b' -> v_b, Omega_m' . Omega_m)
         K_out[b, m, b', m'] = sigma_s_bar_prime(v_b -> v_b', Omega_m . Omega_m')
         """
-        key = (id(freq), id(ang))
+        key = tuple((a.shape, a.tobytes()) for a in (
+            freq.band_edges, freq.band_centers, ang.ordinates, ang.weights))
         if key not in self._kernel_cache:
             v = freq.band_centers
             mu = ang.ordinates @ ang.ordinates.T
@@ -356,15 +359,12 @@ def _mixed_l2_linf(field_bm: Array, w: Array, spatial_reduce) -> tuple[float, fl
     return l2, linf
 
 
-def validate_sigma_regularity(model: CoefficientModel, rho: Array, rho_t: Array,
-                              settings: NormSettings, grids: Grids,
-                              t: float = 0.0) -> ValidationReport:
-    """Check the declared majorant against the discrete mixed norms of sigma,
-    grad sigma, and sigma_t over the phase-space quadrature.
-
-    sigma_t is the total time derivative along the flow, estimated by a
-    centered difference in (t, rho) using the supplied rho_t.
-    """
+def _validate_regularity(model: CoefficientModel, evaluate, name: str, rho: Array,
+                         rho_t: Array, settings: NormSettings, grids: Grids, t: float,
+                         lipschitz: Callable | None = None) -> ValidationReport:
+    """Mixed phase-space norms of a coefficient f = ``evaluate(grids, t, rho)``,
+    of grad f and of f_t against the declared majorant; entries are named
+    after ``name``.  ``lipschitz`` adds the Lipschitz-in-rho line."""
     if model.majorant is None:
         raise ConfigError("coefficient model declares no majorant M(.)")
     grid = grids.spatial
@@ -379,92 +379,62 @@ def validate_sigma_regularity(model: CoefficientModel, rho: Array, rho_t: Array,
     if M_rho < 1.0:
         raise ConfigError(f"majorant must map into [1, inf), got M({rho_inf}) = {M_rho}")
 
-    sig = model.sigma_bm(grids, t, rho)
+    f0 = evaluate(grids, t, rho)
     entries = []
-    if not np.all(np.isfinite(sig)):
-        loc = tuple(int(i) for i in np.argwhere(~np.isfinite(sig))[0])
-        entries.append(ValidationEntry("sigma_finite", np.nan, M_rho, False, loc))
+    if not np.all(np.isfinite(f0)):
+        loc = tuple(int(i) for i in np.argwhere(~np.isfinite(f0))[0])
+        entries.append(ValidationEntry(f"{name}_finite", np.nan, M_rho, False, loc))
         return ValidationReport(entries)
 
-    # line 1: || sigma ||_{L2 cap Linf (phase); Linf(x)} <= M(|rho|_inf)
-    l2, linf = _mixed_l2_linf(sig, w, lambda f: float(np.max(np.abs(f))))
+    # line 1: || f ||_{L2 cap Linf (phase); Linf(x)} <= M(|rho|_inf)
+    l2, linf = _mixed_l2_linf(f0, w, lambda f: float(np.max(np.abs(f))))
     val1 = l2 + linf
-    entries.append(ValidationEntry("sigma_mixed_sup", val1, M_rho, val1 <= M_rho))
+    entries.append(ValidationEntry(f"{name}_mixed_sup", val1, M_rho, val1 <= M_rho))
 
-    # line 2: || grad sigma ||_{L2 cap Linf (phase); Lr(x)} <= M (|grad rho|_r + 1)
-    from .grid import gradient as _grad
-    grad_rho = _grad(rho, grid, farfield_value=0.0)
+    # line 2: || grad f ||_{L2 cap Linf (phase); Lr(x)} <= M (|grad rho|_r + 1)
+    grad_rho = gradient(rho, grid, farfield_value=0.0)
     for r in (2.0, settings.q):
         bound = M_rho * (lp_norm(grad_rho, r, grid) + 1.0)
-        l2r, linfr = _mixed_l2_linf(
-            sig, w, lambda f: lp_norm(_grad(f, grid), r, grid))
+        l2r, linfr = _mixed_l2_linf(f0, w, lambda f: lp_norm(gradient(f, grid), r, grid))
         val = l2r + linfr
-        entries.append(ValidationEntry(f"grad_sigma_L{r:g}", val, bound, val <= bound))
+        entries.append(ValidationEntry(f"grad_{name}_L{r:g}", val, bound, val <= bound))
 
-    # line 3: || sigma_t ||_{L2(phase); L2(x)} <= M (|rho_t|_2 + 1)
+    # line 3: || f_t ||_{L2(phase); L2(x)} <= M (|rho_t|_2 + 1), where f_t is the
+    # total time derivative along the flow by a centered difference in (t, rho)
     eps = 1e-6 * max(1.0, rho_inf)
-    sig_plus = model.sigma_bm(grids, t + eps, rho + eps * rho_t)
-    sig_minus = model.sigma_bm(grids, t - eps, rho - eps * rho_t)
-    sig_t = (sig_plus - sig_minus) / (2.0 * eps)
-    l2t, _ = _mixed_l2_linf(sig_t, w, lambda f: lp_norm(f, 2.0, grid))
+    f_plus = evaluate(grids, t + eps, rho + eps * rho_t)
+    f_minus = evaluate(grids, t - eps, rho - eps * rho_t)
+    f_t = (f_plus - f_minus) / (2.0 * eps)
+    l2t, _ = _mixed_l2_linf(f_t, w, lambda f: lp_norm(f, 2.0, grid))
     bound3 = M_rho * (lp_norm(rho_t, 2.0, grid) + 1.0)
-    entries.append(ValidationEntry("sigma_t_mixed", l2t, bound3, l2t <= bound3))
+    entries.append(ValidationEntry(f"{name}_t_mixed", l2t, bound3, l2t <= bound3))
 
-    # optional Lipschitz-in-rho check for models that declare a bound
-    if model.sigma_lipschitz is not None:
+    if lipschitz is not None:
         drho = 0.1 * max(1.0, rho_inf)
-        sig_pert = model.sigma_bm(grids, t, rho + drho)
-        lip = float(np.max(np.abs(sig_pert - sig))) / drho
-        bound_l = float(model.sigma_lipschitz(rho_inf + drho)) * M_rho
-        entries.append(ValidationEntry("sigma_lipschitz", lip, bound_l, lip <= bound_l))
+        lip = float(np.max(np.abs(evaluate(grids, t, rho + drho) - f0))) / drho
+        bound_l = float(lipschitz(rho_inf + drho)) * M_rho
+        entries.append(ValidationEntry(f"{name}_lipschitz", lip, bound_l, lip <= bound_l))
 
     scale = max((e.value / e.bound for e in entries if e.bound > 0), default=1.0)
     return ValidationReport(entries, suggested_scale=max(scale, 1.0))
+
+
+def validate_sigma_regularity(model: CoefficientModel, rho: Array, rho_t: Array,
+                              settings: NormSettings, grids: Grids,
+                              t: float = 0.0) -> ValidationReport:
+    """Check the declared majorant against the discrete mixed norms of sigma,
+    grad sigma, and sigma_t over the phase-space quadrature, plus the
+    Lipschitz-in-rho bound when the model declares one."""
+    return _validate_regularity(model, model.sigma_bm, "sigma", rho, rho_t, settings,
+                                grids, t, lipschitz=model.sigma_lipschitz)
 
 
 def validate_emission_regularity(model: CoefficientModel, rho: Array, rho_t: Array,
                                  settings: NormSettings, grids: Grids,
                                  t: float = 0.0) -> ValidationReport:
-    """Regularity checks for a density-dependent emission rate, following the
-    same pattern as the absorption-coefficient validator: mixed phase-space
-    norms of S, grad S, and S_t against the declared majorant."""
+    """The same checks for a density-dependent emission rate S: mixed
+    phase-space norms of S, grad S, and S_t against the declared majorant."""
     if not model.emission_depends_rho:
         raise ConfigError("emission is density-independent; nothing to validate")
-    if model.majorant is None:
-        raise ConfigError("coefficient model declares no majorant M(.)")
-    grid = grids.spatial
-    rho = check_scalar(rho, grid)
-    rho_t = check_scalar(rho_t, grid)
-    w = np.multiply.outer(grids.freq.band_weights, grids.ang.weights)
-    rho_inf = float(np.max(np.abs(rho)))
-    M_rho = float(model.majorant(rho_inf))
-
-    S = model.emission_bm(grids, t, rho)
-    entries = []
-    if not np.all(np.isfinite(S)):
-        loc = tuple(int(i) for i in np.argwhere(~np.isfinite(S))[0])
-        entries.append(ValidationEntry("emission_finite", np.nan, M_rho, False, loc))
-        return ValidationReport(entries)
-
-    l2, linf = _mixed_l2_linf(S, w, lambda f: float(np.max(np.abs(f))))
-    val1 = l2 + linf
-    entries.append(ValidationEntry("emission_mixed_sup", val1, M_rho, val1 <= M_rho))
-
-    from .grid import gradient as _grad
-    grad_rho = _grad(rho, grid, farfield_value=0.0)
-    for r in (2.0, settings.q):
-        bound = M_rho * (lp_norm(grad_rho, r, grid) + 1.0)
-        l2r, linfr = _mixed_l2_linf(S, w, lambda f: lp_norm(_grad(f, grid), r, grid))
-        val = l2r + linfr
-        entries.append(ValidationEntry(f"grad_emission_L{r:g}", val, bound,
-                                       val <= bound))
-
-    eps = 1e-6 * max(1.0, rho_inf)
-    S_t = (model.emission_bm(grids, t + eps, rho + eps * rho_t)
-           - model.emission_bm(grids, t - eps, rho - eps * rho_t)) / (2.0 * eps)
-    l2t, _ = _mixed_l2_linf(S_t, w, lambda f: lp_norm(f, 2.0, grid))
-    bound3 = M_rho * (lp_norm(rho_t, 2.0, grid) + 1.0)
-    entries.append(ValidationEntry("emission_t_mixed", l2t, bound3, l2t <= bound3))
-
-    scale = max((e.value / e.bound for e in entries if e.bound > 0), default=1.0)
-    return ValidationReport(entries, suggested_scale=max(scale, 1.0))
+    return _validate_regularity(model, model.emission_bm, "emission", rho, rho_t,
+                                settings, grids, t)

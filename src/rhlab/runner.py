@@ -117,7 +117,8 @@ def _write_monitor_csv(path, report, masses, min_rhos) -> None:
         fh.write("time,phi,theta,phi_I,phi_rho,phi_u,mass,min_rho,flags\n")
         for i, t in enumerate(report.times):
             ci = report.phi_components[i]
-            flags = ";".join(f for f in report.flags if f"t={t:.6g}" in f)
+            flags = ";".join(f for f, j in zip(report.flags, report.flag_snapshots)
+                             if j == i)
             fh.write(",".join([_fmt(t), _fmt(report.phi[i]), _fmt(report.theta[i]),
                                _fmt(ci[0]), _fmt(ci[1]), _fmt(ci[2]),
                                _fmt(masses[i]), _fmt(min_rhos[i]), flags]) + "\n")

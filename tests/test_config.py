@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from rhlab.config import parse_config, serialize_config
 from rhlab.errors import ConfigError
+from rhlab.scenarios import builtin_scenarios
 
 MINIMAL = """
 [grid]
@@ -12,6 +15,178 @@ lengths = 1.0
 [run]
 t_final = 0.01
 """
+
+
+RICH = """
+[grid]
+dim = 1
+cells = 96
+lengths = 2.0
+boundary = farfield
+rho_bar = 0.7
+
+[radiation]
+ordinates = 4
+band_edges = 0.25, 1.0, 3.0
+
+[physics]
+eos = polytropic
+A = 0.9
+gamma = 1.4
+mu = 0.8
+lambda = -0.3
+c = 2.0
+q = 5.5
+
+[model]
+kind = constant
+sigma0 = 0.4
+kernel0 = 0.1
+emission0 = 0.02
+
+[scenario]
+name = smooth-bump
+amplitude = 0.25
+
+[run]
+t_final = 0.008
+slab_length = 0.004
+dt = 0.002
+max_iters = 25
+gamma_tol = 1e-7
+halve_on_stall = false
+max_halvings = 4
+continuity = characteristics
+snapshot_stride = 2
+output_dir = results
+deltas = 1e-2, 1e-4
+extrapolate = true
+"""
+
+RICH_SERIALIZED = """\
+[grid]
+dim = 1
+cells = 96
+lengths = 2
+boundary = farfield
+rho_bar = 0.69999999999999996
+
+[radiation]
+ordinates = 4
+band_edges = 0.25, 1, 3
+
+[physics]
+eos = polytropic
+A = 0.90000000000000002
+gamma = 1.3999999999999999
+mu = 0.80000000000000004
+lambda = -0.29999999999999999
+c = 2
+q = 5.5
+
+[model]
+kind = constant
+sigma0 = 0.40000000000000002
+kernel0 = 0.10000000000000001
+emission0 = 0.02
+
+[scenario]
+name = smooth-bump
+amplitude = 0.25
+
+[run]
+t_final = 0.0080000000000000002
+slab_length = 0.0040000000000000001
+dt = 0.002
+max_iters = 25
+gamma_tol = 9.9999999999999995e-08
+halve_on_stall = false
+max_halvings = 4
+transport_cfl = 0.90000000000000002
+continuity = characteristics
+snapshot_stride = 2
+output_dir = results
+deltas = 0.01, 0.0001
+extrapolate = true
+"""
+
+_NAMES = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_size=12)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _fmt(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return ", ".join(_fmt(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+@st.composite
+def config_texts(draw):
+    """Config text over every section; each key is present or left to its
+    default, and values mostly satisfy the constraints."""
+    def maybe(strategy):
+        return draw(st.one_of(st.none(), strategy))
+
+    dim = draw(st.sampled_from([1, 2, 3]))
+    cells = draw(st.lists(st.integers(4, 64), min_size=dim, max_size=dim))
+    lengths = draw(st.lists(_floats(0.5, 4.0), min_size=dim, max_size=dim))
+    eos = draw(st.sampled_from(["polytropic", "barotropic_table"]))
+    if eos == "barotropic_table":
+        n = draw(st.integers(4, 6))
+        rho_table = draw(st.lists(_floats(0.0, 10.0), min_size=n, max_size=n))
+        p_table = draw(st.lists(_floats(0.0, 10.0), min_size=n, max_size=n))
+    else:
+        rho_table = maybe(st.lists(_floats(0.0, 10.0), max_size=3))
+        p_table = maybe(st.lists(_floats(0.0, 10.0), max_size=3))
+    kind = draw(st.sampled_from(["zero", "constant", "compton"]))
+    slab = maybe(_floats(1e-4, 0.1))
+    min_h = min(L / n for L, n in zip(lengths, cells))
+    sections = {
+        "grid": {"dim": dim, "cells": cells, "lengths": lengths,
+                 "boundary": maybe(st.sampled_from(["periodic", "farfield"])),
+                 "rho_bar": maybe(_floats(0.0, 2.0))},
+        "radiation": {
+            "ordinates": maybe(st.sampled_from(["beams", "2", "4", "8"] if dim == 1
+                                               else ["6", "8", "14"])),
+            "band_edges": maybe(st.lists(_floats(0.1, 10.0), min_size=2, max_size=5,
+                                         unique=True).map(sorted))},
+        "physics": {"eos": eos, "A": maybe(_floats(0.1, 5.0)),
+                    "gamma": maybe(_floats(1.01, 3.0)), "rho_table": rho_table,
+                    "p_table": p_table, "mu": maybe(_floats(0.1, 5.0)),
+                    "lambda": maybe(_floats(0.0, 3.0)), "c": maybe(_floats(0.5, 2.0)),
+                    "q": maybe(_floats(3.01, 6.0))},
+        "model": {"kind": kind, **{key: maybe(_floats(0.01, 5.0)) for key in
+                                   ("sigma0", "kernel0", "emission0", "D1", "D2", "v0",
+                                    "theta")}},
+        "scenario": {"name": maybe(st.sampled_from(sorted(builtin_scenarios()))),
+                     **{key: maybe(_floats(-2.0, 2.0)) for key in
+                        ("amplitude", "width", "center", "I0_value", "rho_bar")},
+                     **{key: maybe(_NAMES) for key in ("rho0", "u0", "I0")}},
+        "run": {"t_final": maybe(_floats(1e-4, 1.0)), "slab_length": slab,
+                "dt": maybe(_floats(0.1, 1.0).map(
+                    lambda f: f * min(slab or 0.01, 0.5 * min_h))),
+                "max_iters": maybe(st.integers(1, 50)),
+                "gamma_tol": maybe(_floats(1e-12, 1e-2)),
+                "halve_on_stall": maybe(st.booleans()),
+                "max_halvings": maybe(st.integers(0, 5)),
+                "transport_cfl": maybe(_floats(0.1, 1.0)),
+                "continuity": maybe(st.sampled_from(["fv", "characteristics"])),
+                "snapshot_stride": maybe(st.integers(1, 5)),
+                "output_dir": maybe(_NAMES),
+                "deltas": maybe(st.lists(_floats(1e-6, 1.0), max_size=3, unique=True)
+                                .map(lambda d: sorted(d, reverse=True))),
+                "extrapolate": maybe(st.booleans())},
+    }
+    lines = []
+    for section, body in sections.items():
+        lines.append(f"[{section}]")
+        lines += [f"{key} = {_fmt(v)}" for key, v in body.items() if v is not None]
+    return "\n".join(lines) + "\n"
 
 
 class TestParsing:
@@ -83,6 +258,12 @@ t_final = -3
             parse_config(MINIMAL + "\n[physics]\nmu = fast\n")
         assert any("expected a number" in msg for _, msg in ei.value.violations)
 
+    def test_bad_parameter_value_reported_once(self):
+        # a value that fails to convert is not checked again as a default
+        with pytest.raises(ConfigError) as ei:
+            parse_config(MINIMAL + "\n[model]\nkind = compton\nD1 = x\n")
+        assert [m for _, m in ei.value.violations] == ["model.D1: expected a number, got 'x'"]
+
     def test_malformed_line(self):
         with pytest.raises(ConfigError) as ei:
             parse_config(MINIMAL + "\njust some words\n")
@@ -126,51 +307,21 @@ class TestRoundTrip:
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_rich_round_trip(self):
-        cfg = parse_config("""
-[grid]
-dim = 1
-cells = 96
-lengths = 2.0
-boundary = farfield
-rho_bar = 0.7
+        cfg = parse_config(RICH)
+        assert parse_config(serialize_config(cfg)) == cfg
 
-[radiation]
-ordinates = 4
-band_edges = 0.25, 1.0, 3.0
+    def test_rich_serialized_text(self):
+        # pins the byte form written to config.echo
+        assert serialize_config(parse_config(RICH)) == RICH_SERIALIZED
 
-[physics]
-eos = polytropic
-A = 0.9
-gamma = 1.4
-mu = 0.8
-lambda = -0.3
-c = 2.0
-q = 5.5
-
-[model]
-kind = constant
-sigma0 = 0.4
-kernel0 = 0.1
-emission0 = 0.02
-
-[scenario]
-name = smooth-bump
-amplitude = 0.25
-
-[run]
-t_final = 0.008
-slab_length = 0.004
-dt = 0.002
-max_iters = 25
-gamma_tol = 1e-7
-halve_on_stall = false
-max_halvings = 4
-continuity = characteristics
-snapshot_stride = 2
-output_dir = results
-deltas = 1e-2, 1e-4
-extrapolate = true
-""")
+    @settings(deadline=None)
+    @given(config_texts())
+    @example("[physics]\np_table = 1, 2\n")  # a table list with no densities
+    def test_generated_round_trip(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            reject()
         assert parse_config(serialize_config(cfg)) == cfg
 
     def test_builders_construct(self):

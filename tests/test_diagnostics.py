@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rhlab.diagnostics import (StateTimeDerivatives, ThetaHistory,
+from rhlab.diagnostics import (BlowupReport, StateTimeDerivatives, ThetaHistory,
                                blowup_monitor, compatibility_check,
                                compatibility_residual, farfield_bounds_check,
                                initial_force_imbalance, mass_total, phi, theta)
@@ -12,6 +12,7 @@ from rhlab.norms import NormSettings
 from rhlab.physics import (EquationOfState, PhysicalConstants, ViscosityParams,
                            constant_model, zero_model)
 from rhlab.picard import SlabConfig, State, Trajectory, solve
+from rhlab.runner import _write_monitor_csv
 from rhlab.scenarios import ScenarioContext, builtin_scenarios
 
 from conftest import random_smooth_field
@@ -232,6 +233,19 @@ class TestBlowupMonitor:
         rep = blowup_monitor(traj, grids, settings, phi_cap=np.inf)
         assert rep.first_theta_overflow == 0.001
         assert rep.flags  # theta overflow while phi under cap
+        assert rep.flag_snapshots == [1]
+
+    def test_monitor_csv_attaches_flags_by_snapshot(self, tmp_path):
+        # the flag raised at t=0.012 names a time whose text contains "t=0.01";
+        # it must land on the t=0.012 row only
+        flag = "theta overflow at t=0.012 while phi stayed under cap 10"
+        rep = BlowupReport(times=[0.0, 0.01, 0.012], phi=[1.0] * 3, theta=[1.0] * 3,
+                           phi_components=[(0.0, 0.0, 0.0)] * 3, phi_cap=10.0,
+                           flags=[flag], flag_snapshots=[2])
+        path = tmp_path / "monitor.csv"
+        _write_monitor_csv(path, rep, [1.0] * 3, [1.0] * 3)
+        flags = [row.split(",")[-1] for row in path.read_text().splitlines()[1:]]
+        assert flags == ["", "", flag]
 
 
 class TestFarfieldBounds:

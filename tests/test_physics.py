@@ -195,6 +195,32 @@ class TestKernelIntegrability:
             validate_kernel_integrability(zero_model(), bands4, slab8, lambda2=3.0)
 
 
+class TestKernelCache:
+    @staticmethod
+    def center_kernel(v_from, v_to, mu):
+        return np.full_like(np.asarray(mu, dtype=float), v_to)
+
+    def test_fresh_band_sets_get_their_own_tables(self, slab8):
+        # grids built and dropped in a loop reuse memory addresses; the cache
+        # must still return each band set's own table
+        model = constant_model()
+        model.sigma_s_bar = self.center_kernel
+        for k in range(50):
+            lo = 0.5 + 0.01 * k
+            k_in, _ = model.kernels(FrequencyGrid.from_edges([lo, lo + 1.0]), slab8)
+            assert k_in[0, 0, 0, 0] == lo + 0.5
+
+    def test_equal_quadratures_share_one_entry(self, slab8):
+        model = constant_model(kernel0=0.2)
+        first = model.kernels(FrequencyGrid.from_edges([0.5, 1.0, 2.0]), slab8)
+        again = model.kernels(FrequencyGrid.from_edges([0.5, 1.0, 2.0]),
+                              AngularQuadrature.gauss_legendre_slab(8))
+        assert again is first
+        assert len(model._kernel_cache) == 1
+        model.kernels(FrequencyGrid.from_edges([0.5, 1.0]), slab8)
+        assert len(model._kernel_cache) == 2
+
+
 class TestSigmaRegularity:
     def test_zero_sigma_passes(self, grids128, settings):
         model = zero_model()
@@ -282,6 +308,11 @@ class TestEmissionHook:
             validate_emission_regularity(constant_model(0.0, 0.0, 0.1),
                                          np.ones(128), np.zeros(128),
                                          settings, grids128)
+
+    def test_validator_checks_majorant_range(self, grids128, settings):
+        with pytest.raises(ConfigError, match="majorant must map into"):
+            validate_emission_regularity(self.make_rho_dependent(scale=0.1),
+                                         np.ones(128), np.zeros(128), settings, grids128)
 
     def test_validator_scale_mechanism(self, grids128, settings):
         grid = grids128.spatial
