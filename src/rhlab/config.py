@@ -15,6 +15,7 @@ config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -165,14 +166,20 @@ def _list(conv):
     return lambda s: tuple(conv(p) for p in s.replace(",", " ").split())
 
 
+def _finite(s: str) -> float:
+    if not math.isfinite(x := float(s)):
+        raise ValueError(f"non-finite value {s!r}")
+    return x
+
+
 # kind -> (converter of the raw value, what the error message expects)
 _KINDS = {
     "int": (int, "an integer"),
-    "float": (float, "a number"),
+    "float": (_finite, "a number"),
     "str": (str, "a string"),
     "bool": (lambda s: _BOOLS[s.strip().lower()], "a boolean"),
     "ints": (_list(int), "an integer list"),
-    "floats": (_list(float), "a number list"),
+    "floats": (_list(_finite), "a number list"),
 }
 
 
@@ -321,18 +328,23 @@ def parse_config(text: str) -> RunConfig:
     its line number."""
     data, errors = _tokenize(text)
     values = _read(data, errors)
+    # line of each key; a derived default cites the line of the key it comes from
+    line = {where: ln for where, (ln, _) in data.items()}
 
     cfg = RunConfig(**values)
     if "slab_length" not in values:
         cfg = replace(cfg, slab_length=min(cfg.t_final, 0.01))
+        line[_WHERE["slab_length"]] = line.get(_WHERE["t_final"], 0)
     cells, lengths, slab = cfg.cells, cfg.lengths, cfg.slab_length
     min_h = min(L / n for L, n in zip(lengths, cells)) if cells and lengths \
         and len(cells) == len(lengths) and all(n > 0 for n in cells) else 1.0
     if "dt" not in values:
-        cfg = replace(cfg, dt=min(slab, 0.4 * min_h / max(cfg.c, 1e-300))
-                      if slab > 0 else 0.0)
+        cfl_dt = 0.4 * min_h / max(cfg.c, 1e-300)
+        cfg = replace(cfg, dt=min(slab, cfl_dt) if slab > 0 else 0.0)
+        source = "slab_length" if slab <= 0 or slab <= cfl_dt else "lengths"
+        line[_WHERE["dt"]] = line.get(_WHERE[source], 0)
 
-    errors += [(data.get(where, (0,))[0], msg)
+    errors += [(line.get(where, 0), msg)
                for where, failed, msg in _checks(cfg, min_h) if failed]
 
     if errors:

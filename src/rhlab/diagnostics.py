@@ -168,15 +168,21 @@ def theta(state: State, deriv: StateTimeDerivatives, history: ThetaHistory,
     """Theta = 1 + ||I|| + ||I_t||_{L2(phase; L2 cap Lq)} + ||rho - ref|| +
     |rho_t|_{L2 cap Lq} + |u|_{D1 cap D2} + |sqrt(rho) u_t|_2 + accumulated
     int (|u|^2_{D2q} + |u_t|^2_{D1})."""
+    return _theta(phi_components(state, grids, settings), state, deriv, history,
+                  grids, settings)
+
+
+def _theta(components: tuple, state: State, deriv: StateTimeDerivatives,
+           history: ThetaHistory, grids: Grids, settings: NormSettings) -> float:
+    """Theta given ``phi_components(state, ...)``, the norms it shares with Phi."""
+    n_I, n_rho, n_u = components
     grid = grids.spatial
-    total = 1.0
-    total += mixed_radiation_norm(state.I, "H1W1q", grids, settings)
+    total = 1.0 + n_I
     total += (mixed_radiation_norm(deriv.I_t, "L2", grids, settings)
               + mixed_radiation_norm(deriv.I_t, "Lq", grids, settings))
-    total += sobolev_norm(state.rho, "H1W1q", settings, grid, reference=settings.rho_ref)
+    total += n_rho
     total += lp_norm(deriv.rho_t, 2.0, grid) + lp_norm(deriv.rho_t, settings.q, grid)
-    total += (sobolev_norm(state.u, "D1", settings, grid)
-              + sobolev_norm(state.u, "D2", settings, grid))
+    total += n_u + sobolev_norm(state.u, "D2", settings, grid)
     total += lp_norm(np.sqrt(np.maximum(state.rho, 0.0))[None] * deriv.u_t, 2.0, grid)
     total += history.int_u_d2q_sq + history.int_ut_d1_sq
     return float(total)
@@ -243,7 +249,7 @@ def blowup_monitor(traj: Trajectory, grids: Grids, settings: NormSettings,
             history.int_ut_d1_sq += dt * sobolev_norm(deriv.u_t, "D1", settings, grid) ** 2
         c = phi_components(state, grids, settings)
         p = 1.0 + sum(c)
-        th = theta(state, deriv, history, grids, settings)
+        th = _theta(c, state, deriv, history, grids, settings)
         times.append(float(t))
         phis.append(p)
         thetas.append(th)

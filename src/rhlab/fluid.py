@@ -301,11 +301,10 @@ def heat_smooth(u: Array, grid: SpatialGrid, duration: float) -> Array:
     dt = duration / n
     out = u.copy()
     for _ in range(n):
-        for j in range(grid.dim):
-            lap = np.zeros(grid.extents)
-            for a in range(grid.dim):
-                lap += second_difference(out[j], grid, a, 0.0)
-            out[j] = out[j] + dt * lap
+        lap = np.zeros(out.shape)
+        for a in range(grid.dim):
+            lap += second_difference(out, grid, a, 0.0)
+        out = out + dt * lap
     return out
 
 
@@ -422,11 +421,10 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
         A = A + _convection_matrix(rho_new, w, grid)
     A = A.tocsr()
 
-    precond = None
     try:
         ilu = spla.spilu(A.tocsc(), drop_tol=1e-5, fill_factor=10)
         precond = spla.LinearOperator((n, n), ilu.solve)
-    except Exception:
+    except RuntimeError:    # SuperLU: the incomplete factor is singular
         precond = None
 
     x0 = u_n.reshape(-1)

@@ -7,6 +7,9 @@ Fields are plain float64 numpy arrays:
 * vector field  -- shape ``(k,) + grid.extents`` with ``k`` components
 * radiation field -- shape ``(n_bands, n_ordinates) + grid.extents``
 
+``pad_ghost`` and ``gradient`` act on the trailing ``grid.dim`` axes and carry
+any leading axes through: one call covers a whole radiation field.
+
 Operations are pure functions of their inputs.  All reductions go through
 numpy with a fixed summation order, so repeated evaluation is bit-identical.
 """
@@ -276,6 +279,14 @@ def check_radiation(I: Array, grids: Grids) -> Array:
     return I
 
 
+def check_cells(f: Array, grid: SpatialGrid) -> Array:
+    """``f`` as a float array whose trailing ``grid.dim`` axes are the cells."""
+    f = np.asarray(f, dtype=float)
+    if f.shape[f.ndim - grid.dim:] != grid.extents:
+        raise ShapeError(f"field shape {f.shape} incompatible with grid {grid.extents}")
+    return f
+
+
 def pad_ghost(f: Array, grid: SpatialGrid, farfield_value: float = 0.0) -> Array:
     """Add one ghost layer per spatial axis (trailing ``grid.dim`` axes).
 
@@ -303,14 +314,14 @@ def _view(fp: Array, dim: int, axis: int, off: int) -> Array:
 def gradient(f: Array, grid: SpatialGrid, farfield_value: float = 0.0) -> Array:
     """Second-order centered gradient; ghost cells by the boundary rule.
 
-    Exact for affine fields away from boundary influence.
+    A field of shape ``lead + grid.extents`` (any leading axes) gives shape
+    ``lead + (grid.dim,) + grid.extents``.  Exact for affine fields away from
+    boundary influence.
     """
-    f = check_scalar(f, grid)
+    f = check_cells(f, grid)
     fp = pad_ghost(f, grid, farfield_value)
-    out = np.empty((grid.dim,) + grid.extents)
-    for a in range(grid.dim):
-        out[a] = (_view(fp, grid.dim, a, +1) - _view(fp, grid.dim, a, -1)) / (2.0 * grid.spacing[a])
-    return out
+    return np.stack([(_view(fp, grid.dim, a, +1) - _view(fp, grid.dim, a, -1))
+                     / (2.0 * grid.spacing[a]) for a in range(grid.dim)], axis=f.ndim - grid.dim)
 
 
 def divergence(u: Array, grid: SpatialGrid, farfield_value: float = 0.0) -> Array:
@@ -325,8 +336,9 @@ def divergence(u: Array, grid: SpatialGrid, farfield_value: float = 0.0) -> Arra
 
 def second_difference(f: Array, grid: SpatialGrid, axis: int,
                       farfield_value: float = 0.0) -> Array:
-    """Compact 3-point second difference along one axis."""
-    f = check_scalar(f, grid)
+    """Compact 3-point second difference along one axis; leading axes are
+    carried through."""
+    f = check_cells(f, grid)
     fp = pad_ghost(f, grid, farfield_value)
     h = grid.spacing[axis]
     return (_view(fp, grid.dim, axis, +1) - 2.0 * _view(fp, grid.dim, axis, 0)

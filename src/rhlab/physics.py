@@ -19,7 +19,7 @@ from scipy.interpolate import PchipInterpolator
 from .errors import ConfigError, DomainError, ParameterError
 from .grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, check_scalar,
                    gradient)
-from .norms import NormSettings, lp_norm
+from .norms import NormSettings, _lp_cells, lp_norm
 
 Array = np.ndarray
 
@@ -151,32 +151,26 @@ class CoefficientModel:
 
     # -- vectorized evaluation over the discrete phase space ---------------
 
+    @staticmethod
+    def _tabulate(fn: Callable, grids: Grids, *args) -> Array:
+        """fn(v, omega, *args) at every (band, ordinate) pair: shape (B, M) + extents."""
+        out = np.empty(grids.radiation_shape())
+        for b, v in enumerate(grids.freq.band_centers):
+            for m, omega in enumerate(grids.ang.ordinates):
+                out[b, m] = np.broadcast_to(fn(v, omega, *args), grids.spatial.extents)
+        return out
+
     def sigma_bm(self, grids: Grids, t: float, rho: Array) -> Array:
         """sigma at every (band, ordinate) pair: shape (B, M) + extents."""
         rho = check_scalar(rho, grids.spatial)
-        x = grids.spatial.coords()
-        out = np.empty(grids.radiation_shape())
-        for b, v in enumerate(grids.freq.band_centers):
-            for m in range(grids.ang.n_ordinates):
-                omega = grids.ang.ordinates[m]
-                out[b, m] = np.broadcast_to(self.sigma(v, omega, t, x, rho),
-                                            grids.spatial.extents)
-        return out
+        return self._tabulate(self.sigma, grids, t, grids.spatial.coords(), rho)
 
     def emission_bm(self, grids: Grids, t: float, rho: Array | None = None) -> Array:
-        out = np.empty(grids.radiation_shape())
-        x = grids.spatial.coords()
-        for b, v in enumerate(grids.freq.band_centers):
-            for m in range(grids.ang.n_ordinates):
-                omega = grids.ang.ordinates[m]
-                if self.emission_depends_rho:
-                    if rho is None:
-                        raise ConfigError("density-dependent emission needs rho")
-                    value = self.emission(v, omega, t, x, rho)
-                else:
-                    value = self.emission(v, omega, t, x)
-                out[b, m] = np.broadcast_to(value, grids.spatial.extents)
-        return out
+        if not self.emission_depends_rho:
+            return self._tabulate(self.emission, grids, t, grids.spatial.coords())
+        if rho is None:
+            raise ConfigError("density-dependent emission needs rho")
+        return self._tabulate(self.emission, grids, t, grids.spatial.coords(), rho)
 
     def kernels(self, freq: FrequencyGrid, ang: AngularQuadrature) -> tuple[Array, Array]:
         """Dense kernel tables over (band, ordinate)^2, cached by the values of
@@ -317,23 +311,17 @@ def validate_kernel_integrability(model: CoefficientModel, freq: FrequencyGrid,
         raise ParameterError("lambda2 must be 1 or 2")
     k_in, k_out = model.kernels(freq, ang)
     entries = []
-    bad = np.argwhere(~np.isfinite(k_in))
-    if bad.size:
-        entries.append(ValidationEntry("kernel_in_finite", np.nan, cap, False,
-                                       tuple(int(i) for i in bad[0])))
-    bad = np.argwhere(~np.isfinite(k_out))
-    if bad.size:
-        entries.append(ValidationEntry("kernel_out_finite", np.nan, cap, False,
-                                       tuple(int(i) for i in bad[0])))
+    for name, k in (("kernel_in_finite", k_in), ("kernel_out_finite", k_out)):
+        bad = np.argwhere(~np.isfinite(k))
+        if bad.size:
+            entries.append(ValidationEntry(name, np.nan, cap, False,
+                                           tuple(int(i) for i in bad[0])))
     if entries:
         return ValidationReport(entries)
 
     w = np.multiply.outer(freq.band_weights, ang.weights)   # (B, M)
     v = freq.band_centers
-    ratio2 = np.zeros_like(k_in)
-    for b in range(freq.n_bands):
-        for bp in range(freq.n_bands):
-            ratio2[b, :, bp, :] = (v[b] / v[bp]) ** 2
+    ratio2 = ((v[:, None] / v[None, :]) ** 2)[:, None, :, None]   # (v_b / v_b')^2
 
     inner_in = np.tensordot(ratio2 * k_in * k_in, w, axes=([2, 3], [0, 1]))
     int_in = float(np.sum(w * inner_in ** lambda1))
@@ -350,13 +338,11 @@ def validate_kernel_integrability(model: CoefficientModel, freq: FrequencyGrid,
     return ValidationReport(entries, suggested_scale=max(scale, 1.0))
 
 
-def _mixed_l2_linf(field_bm: Array, w: Array, spatial_reduce) -> tuple[float, float]:
-    """L2 and Linf over (band, ordinate) of a per-(b, m) spatial reduction."""
-    vals = np.array([[spatial_reduce(field_bm[b, m]) for m in range(field_bm.shape[1])]
-                     for b in range(field_bm.shape[0])])
-    l2 = float(np.sqrt(np.sum(w * vals * vals)))
-    linf = float(np.max(vals)) if vals.size else 0.0
-    return l2, linf
+def _mixed_l2_linf(f: Array, p: float, grid: SpatialGrid, w: Array) -> tuple[float, float]:
+    """L2 and Linf over (band, ordinate) of the spatial Lp norms of a
+    (B, M) + components + cells field."""
+    vals = _lp_cells(f, p, grid, lead=2)
+    return float(np.sqrt(np.sum(w * vals * vals))), float(np.max(vals))
 
 
 def _validate_regularity(model: CoefficientModel, evaluate, name: str, rho: Array,
@@ -387,15 +373,16 @@ def _validate_regularity(model: CoefficientModel, evaluate, name: str, rho: Arra
         return ValidationReport(entries)
 
     # line 1: || f ||_{L2 cap Linf (phase); Linf(x)} <= M(|rho|_inf)
-    l2, linf = _mixed_l2_linf(f0, w, lambda f: float(np.max(np.abs(f))))
+    l2, linf = _mixed_l2_linf(f0, np.inf, grid, w)
     val1 = l2 + linf
     entries.append(ValidationEntry(f"{name}_mixed_sup", val1, M_rho, val1 <= M_rho))
 
     # line 2: || grad f ||_{L2 cap Linf (phase); Lr(x)} <= M (|grad rho|_r + 1)
     grad_rho = gradient(rho, grid, farfield_value=0.0)
+    grad_f0 = gradient(f0, grid)
     for r in (2.0, settings.q):
         bound = M_rho * (lp_norm(grad_rho, r, grid) + 1.0)
-        l2r, linfr = _mixed_l2_linf(f0, w, lambda f: lp_norm(gradient(f, grid), r, grid))
+        l2r, linfr = _mixed_l2_linf(grad_f0, r, grid, w)
         val = l2r + linfr
         entries.append(ValidationEntry(f"grad_{name}_L{r:g}", val, bound, val <= bound))
 
@@ -405,7 +392,7 @@ def _validate_regularity(model: CoefficientModel, evaluate, name: str, rho: Arra
     f_plus = evaluate(grids, t + eps, rho + eps * rho_t)
     f_minus = evaluate(grids, t - eps, rho - eps * rho_t)
     f_t = (f_plus - f_minus) / (2.0 * eps)
-    l2t, _ = _mixed_l2_linf(f_t, w, lambda f: lp_norm(f, 2.0, grid))
+    l2t, _ = _mixed_l2_linf(f_t, 2.0, grid, w)
     bound3 = M_rho * (lp_norm(rho_t, 2.0, grid) + 1.0)
     entries.append(ValidationEntry(f"{name}_t_mixed", l2t, bound3, l2t <= bound3))
 

@@ -22,8 +22,8 @@ from .grid import Grids, check_radiation, check_scalar, check_vector
 from .norms import NormSettings, lp_norm, mixed_radiation_norm
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
                       ViscosityParams, pressure)
-from .transport import free_streaming_step, momentum_source, substep_transport, \
-    transport_cfl_limit
+from .transport import (free_streaming_step, momentum_source, substep_transport,
+                        transport_substeps)
 
 Array = np.ndarray
 
@@ -171,17 +171,14 @@ def _initial_iterate(state0: State, grids: Grids, consts: PhysicalConstants,
                      cfg: SlabConfig, times: np.ndarray) -> list:
     """Iterate 0: frozen density; velocity mollified by explicit heat flow;
     intensity advanced by collisionless free streaming."""
-    grid = grids.spatial
-    limit = transport_cfl_limit(grids, consts.c)
     states = [state0]
     for j in range(1, times.size):
         dt = float(times[j] - times[j - 1])
-        u = heat_smooth(states[-1].u, grid, dt)
+        u = heat_smooth(states[-1].u, grids.spatial, dt)
         I = states[-1].I
-        n_sub = max(1, int(np.ceil(dt / (cfg.transport_cfl * limit)))
-                    if np.isfinite(limit) else 1)
+        n_sub, sub = transport_substeps(grids, dt, consts.c, cfg.transport_cfl)
         for _ in range(n_sub):
-            I = free_streaming_step(I, grids, dt / n_sub, consts.c)
+            I = free_streaming_step(I, grids, sub, consts.c)
         states.append(State(I=I, rho=state0.rho, u=u))
     return states
 

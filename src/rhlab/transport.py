@@ -67,8 +67,7 @@ def collision_term(I: Array, rho: Array, model: CoefficientModel,
                    grids: Grids, t: float) -> Array:
     """Full collision term A_r = S - sigma_a I + int int ((v/v') sigma_s I'
     - sigma_s' I) dOmega' dv' by quadrature over the primed phase space."""
-    dec = collision_decomposition(I, rho, model, grids, t)
-    return dec.gain - dec.removal * check_radiation(I, grids)
+    return linearized_collision_term(I, I, rho, model, grids, t)
 
 
 def linearized_collision_term(I: Array, psi: Array, rho: Array,
@@ -86,10 +85,9 @@ def radiation_flux(I: Array, grids: Grids) -> Array:
     """F_r = int int I Omega dOmega dv; one component per ordinate dimension."""
     I = check_radiation(I, grids)
     w = phase_weights(grids.freq, grids.ang)
-    wI = np.tensordot(w[..., None] * grids.ang.ordinates[None, :, :], I,
-                      axes=([0, 1], [0, 1]))
-    # tensordot contracted (b, m); remaining axes are (component,) + cells
-    return wI
+    # contracts (b, m); the remaining axes are (component,) + cells
+    return np.tensordot(w[..., None] * grids.ang.ordinates[None, :, :], I,
+                        axes=([0, 1], [0, 1]))
 
 
 def radiation_pressure_tensor(I: Array, grids: Grids, c: float) -> Array:
@@ -105,10 +103,7 @@ def radiation_pressure_tensor(I: Array, grids: Grids, c: float) -> Array:
 def momentum_source(I: Array, rho: Array, model: CoefficientModel, grids: Grids,
                     t: float, c: float) -> Array:
     """Radiative force on the fluid: -(1/c) int int A_r Omega dOmega dv."""
-    ar = collision_term(I, rho, model, grids, t)
-    w = phase_weights(grids.freq, grids.ang)
-    womega = w[..., None] * grids.ang.ordinates[None, :, :]
-    return -np.tensordot(womega, ar, axes=([0, 1], [0, 1])) / c
+    return -radiation_flux(collision_term(I, rho, model, grids, t), grids) / c
 
 
 # ---------------------------------------------------------------------------
@@ -125,22 +120,32 @@ def transport_cfl_limit(grids: Grids, c: float) -> float:
     return 1.0 / (c * worst)
 
 
-def _upwind_streaming(I_bm: Array, speeds: Array, grids: Grids) -> Array:
-    """Sum over axes of s_a * one-sided difference, upwinded by sign(s_a).
-    Ghost intensities are zero on far-field grids (no incoming radiation)."""
+def transport_substeps(grids: Grids, dt: float, c: float, cfl: float) -> tuple[int, float]:
+    """Number and size of the equal substeps of at most cfl x the CFL limit covering dt."""
+    limit = transport_cfl_limit(grids, c)
+    n_sub = max(1, int(np.ceil(dt / (cfl * limit)))) if np.isfinite(limit) else 1
+    return n_sub, dt / n_sub
+
+
+def _streaming(I: Array, grids: Grids, dt: float, c: float) -> Array:
+    """Upwind streaming term c Omega . grad I of a whole (B, M) + cells field,
+    after checking dt against the CFL limit.  Per axis, a positive speed takes
+    the backward difference, a negative one the forward difference, a zero
+    speed adds nothing.  Ghost intensities are zero on far-field grids (no
+    incoming radiation)."""
+    limit = transport_cfl_limit(grids, c)
+    if dt > limit * (1.0 + 1e-12):
+        raise StepSizeError(f"transport CFL violated: dt={dt} > limit={limit}")
     grid = grids.spatial
-    fp = pad_ghost(I_bm, grid, 0.0)
-    out = np.zeros(grid.extents)
-    for a in range(grid.dim):
-        s = float(speeds[a])
-        if s == 0.0:
-            continue
-        h = grid.spacing[a]
-        ctr = _view(fp, grid.dim, a, 0)
-        if s > 0:
-            out += s * (ctr - _view(fp, grid.dim, a, -1)) / h
-        else:
-            out += s * (_view(fp, grid.dim, a, +1) - ctr) / h
+    dim = grid.dim
+    fp = pad_ghost(I, grid, 0.0)
+    out = np.zeros(I.shape)
+    for a, h in enumerate(grid.spacing):
+        # speed of every ordinate along axis a, broadcast over (B, M) + cells
+        s = (c * grids.ang.ordinates[:, a]).reshape((-1,) + (1,) * dim)
+        ctr = _view(fp, dim, a, 0)
+        out += np.where(s > 0, s * (ctr - _view(fp, dim, a, -1)) / h,
+                        np.where(s < 0, s * (_view(fp, dim, a, +1) - ctr) / h, 0.0))
     return out
 
 
@@ -154,43 +159,22 @@ def transport_step(I_n: Array, psi: Array, rho_new: Array, model: CoefficientMod
     """
     I_n = check_radiation(I_n, grids)
     rho_new = check_scalar(rho_new, grids.spatial)
-    limit = transport_cfl_limit(grids, c)
-    if dt > limit * (1.0 + 1e-12):
-        raise StepSizeError(f"transport CFL violated: dt={dt} > limit={limit}")
+    stream = _streaming(I_n, grids, dt, c)
     dec = collision_decomposition(psi, rho_new, model, grids, t)
-    out = np.empty_like(I_n)
-    dim = grids.spatial.dim
-    for b in range(grids.freq.n_bands):
-        for m in range(grids.ang.n_ordinates):
-            speeds = c * grids.ang.ordinates[m, :dim]
-            stream = _upwind_streaming(I_n[b, m], speeds, grids)
-            out[b, m] = (I_n[b, m] + c * dt * (dec.gain[b, m] - stream)) \
-                / (1.0 + c * dt * dec.removal[b, m])
-    return out
+    return (I_n + c * dt * (dec.gain - stream)) / (1.0 + c * dt * dec.removal)
 
 
 def free_streaming_step(I_n: Array, grids: Grids, dt: float, c: float) -> Array:
     """Collisionless streaming step (removal = 0, gain = 0)."""
     I_n = check_radiation(I_n, grids)
-    limit = transport_cfl_limit(grids, c)
-    if dt > limit * (1.0 + 1e-12):
-        raise StepSizeError(f"transport CFL violated: dt={dt} > limit={limit}")
-    out = np.empty_like(I_n)
-    dim = grids.spatial.dim
-    for b in range(grids.freq.n_bands):
-        for m in range(grids.ang.n_ordinates):
-            speeds = c * grids.ang.ordinates[m, :dim]
-            out[b, m] = I_n[b, m] - c * dt * _upwind_streaming(I_n[b, m], speeds, grids)
-    return out
+    return I_n - c * dt * _streaming(I_n, grids, dt, c)
 
 
 def substep_transport(I_n: Array, psi: Array, rho_new: Array, model: CoefficientModel,
                       grids: Grids, dt: float, t: float, c: float,
                       cfl: float = 0.9) -> Array:
     """Advance dt by chaining CFL-safe transport steps."""
-    limit = transport_cfl_limit(grids, c)
-    n_sub = max(1, int(np.ceil(dt / (cfl * limit))) if np.isfinite(limit) else 1)
-    sub = dt / n_sub
+    n_sub, sub = transport_substeps(grids, dt, c, cfl)
     I = I_n
     for k in range(n_sub):
         I = transport_step(I, psi, rho_new, model, grids, sub, t + k * sub, c)

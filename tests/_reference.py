@@ -1,14 +1,16 @@
-"""Independent oracles: brute-force quadrature of the collision term and a
-monolithic (no fixed-point) coupled integrator.  These deliberately avoid the
+"""Independent oracles: brute-force quadrature of the collision term, a
+monolithic (no fixed-point) coupled integrator, and per-(band, ordinate) loop
+versions of the batched phase-space operators.  These deliberately avoid the
 vectorized/precomputed paths of the package so they can check them.
 """
 
 import numpy as np
 
 from rhlab.fluid import continuity_step_fv, momentum_step
+from rhlab.grid import _view, pad_ghost
 from rhlab.physics import pressure
 from rhlab.picard import State
-from rhlab.transport import momentum_source, substep_transport
+from rhlab.transport import collision_decomposition, momentum_source, substep_transport
 
 
 def brute_force_collision(I, rho, model, grids, t):
@@ -61,3 +63,96 @@ def solve_monolithic(state0, model, grids, visc, eos, consts, dt, t_final):
         state = State(I=I_new, rho=rho_new, u=u_new)
         t += dt
     return state
+
+
+# ---------------------------------------------------------------------------
+# loop versions of the batched phase-space operators
+# ---------------------------------------------------------------------------
+
+def loop_gradient(f, grid, farfield_value=0.0):
+    """Centered gradient of every leading-axis slice, one scalar field at a time."""
+    f = np.asarray(f, dtype=float)
+    lead = f.shape[:f.ndim - grid.dim]
+    out = np.empty(lead + (grid.dim,) + grid.extents)
+    for idx in np.ndindex(*lead):
+        fp = pad_ghost(f[idx], grid, farfield_value)
+        for a in range(grid.dim):
+            out[idx + (a,)] = (_view(fp, grid.dim, a, +1) - _view(fp, grid.dim, a, -1)) \
+                / (2.0 * grid.spacing[a])
+    return out
+
+
+def _loop_lp(f, p, grid):
+    """Whole-field Lp norm; component axes use the pointwise magnitude."""
+    if f.ndim == grid.dim:
+        mag = np.abs(f)
+    else:
+        comps = f.reshape((-1,) + grid.extents)
+        mag = np.sqrt(np.sum(comps * comps, axis=0))
+    return float(np.sum(mag ** p) * grid.cell_volume) ** (1.0 / p)
+
+
+def _loop_inner_norm(f, inner, settings, grid):
+    q = settings.q
+    if inner == "L2":
+        return _loop_lp(f, 2.0, grid)
+    if inner == "Lq":
+        return _loop_lp(f, q, grid)
+    grad = loop_gradient(f, grid)
+    h1 = _loop_lp(f, 2.0, grid) + _loop_lp(grad, 2.0, grid)
+    w1q = _loop_lp(f, q, grid) + _loop_lp(grad, q, grid)
+    return {"H1": h1, "W1q": w1q, "H1W1q": h1 + w1q}[inner]
+
+
+def loop_mixed_radiation_norm(I, inner, grids, settings):
+    """(sum_b sum_m w_b w_m ||I[b, m]||_inner^2)^(1/2), one (b, m) at a time."""
+    total = 0.0
+    for b in range(grids.freq.n_bands):
+        wb = grids.freq.band_weights[b]
+        for m in range(grids.ang.n_ordinates):
+            nbm = _loop_inner_norm(I[b, m], inner, settings, grids.spatial)
+            total += wb * grids.ang.weights[m] * nbm * nbm
+    return float(np.sqrt(total))
+
+
+def _loop_streaming(I_bm, speeds, grid):
+    """Upwind streaming of one (b, m) field; zero ghosts on far-field grids."""
+    fp = pad_ghost(I_bm, grid, 0.0)
+    out = np.zeros(grid.extents)
+    for a in range(grid.dim):
+        s = float(speeds[a])
+        if s == 0.0:
+            continue
+        h = grid.spacing[a]
+        ctr = _view(fp, grid.dim, a, 0)
+        if s > 0:
+            out += s * (ctr - _view(fp, grid.dim, a, -1)) / h
+        else:
+            out += s * (_view(fp, grid.dim, a, +1) - ctr) / h
+    return out
+
+
+def loop_transport_step(I_n, psi, rho_new, model, grids, dt, t, c):
+    """Linearized transport step, one (b, m) at a time (no CFL check)."""
+    dec = collision_decomposition(psi, rho_new, model, grids, t)
+    out = np.empty_like(I_n)
+    dim = grids.spatial.dim
+    for b in range(grids.freq.n_bands):
+        for m in range(grids.ang.n_ordinates):
+            stream = _loop_streaming(I_n[b, m], c * grids.ang.ordinates[m, :dim],
+                                     grids.spatial)
+            out[b, m] = (I_n[b, m] + c * dt * (dec.gain[b, m] - stream)) \
+                / (1.0 + c * dt * dec.removal[b, m])
+    return out
+
+
+def loop_free_streaming_step(I_n, grids, dt, c):
+    """Collisionless streaming step, one (b, m) at a time (no CFL check)."""
+    out = np.empty_like(I_n)
+    dim = grids.spatial.dim
+    for b in range(grids.freq.n_bands):
+        for m in range(grids.ang.n_ordinates):
+            stream = _loop_streaming(I_n[b, m], c * grids.ang.ordinates[m, :dim],
+                                     grids.spatial)
+            out[b, m] = I_n[b, m] - c * dt * stream
+    return out

@@ -245,6 +245,11 @@ t_final = -3
         assert any("gamma must exceed 1" in m for m in msgs)
         assert any("q must lie in" in m for m in msgs)
         assert any("t_final" in m for m in msgs)
+        # the derived slab_length and dt defaults cite the t_final line they come from
+        t_line = text.splitlines().index("t_final = -3") + 1
+        assert (t_line, "slab_length must be positive, got -3.0") in ei.value.violations
+        assert (t_line, "need 0 < dt <= slab_length, got dt=0.0") in ei.value.violations
+        assert all(ln > 0 for ln, _ in ei.value.violations)
 
     def test_cfl_inconsistent_dt_rejected(self):
         text = MINIMAL + "\n[run]\nslab_length = 0.01\ndt = 0.01\n"
@@ -257,6 +262,18 @@ t_final = -3
         with pytest.raises(ConfigError) as ei:
             parse_config(MINIMAL + "\n[physics]\nmu = fast\n")
         assert any("expected a number" in msg for _, msg in ei.value.violations)
+
+    def test_non_finite_numbers_rejected_with_line(self):
+        text = (MINIMAL + "\n[physics]\nmu = nan\n\n[run]\ndt = inf\n"
+                "\n[radiation]\nband_edges = 0.5, nan\n")
+        with pytest.raises(ConfigError) as ei:
+            parse_config(text)
+        lines = text.splitlines()
+        assert ei.value.violations == [
+            (lines.index("mu = nan") + 1, "physics.mu: expected a number, got 'nan'"),
+            (lines.index("dt = inf") + 1, "run.dt: expected a number, got 'inf'"),
+            (lines.index("band_edges = 0.5, nan") + 1,
+             "radiation.band_edges: expected a number list, got '0.5, nan'")]
 
     def test_bad_parameter_value_reported_once(self):
         # a value that fails to convert is not checked again as a default

@@ -1,5 +1,9 @@
+import types
+
 import numpy as np
 import pytest
+
+from rhlab import fluid
 
 from rhlab.errors import DomainError, StepSizeError
 from rhlab.fluid import (FluidState, VelocityHistory,
@@ -283,6 +287,28 @@ class TestMomentumStep:
         lhs = rho[None] * (out - u_n) / dt + conv + lame_apply(out, visc, grid128)
         rhs = -gradient(p, grid128)
         assert np.max(np.abs(lhs - rhs)) < 1e-7
+
+    @pytest.mark.parametrize("error", [RuntimeError, ValueError, TypeError])
+    def test_spilu_failure(self, grid128, visc, monkeypatch, error):
+        # SuperLU signals a singular incomplete factor by RuntimeError: the solve
+        # goes on unpreconditioned.  Any other exception from spilu propagates.
+        def spilu(*args, **kwargs):
+            raise error("factor is exactly singular")
+
+        fake = types.SimpleNamespace(spilu=spilu, **{
+            name: getattr(fluid.spla, name)
+            for name in ("LinearOperator", "cg", "bicgstab", "lgmres")})
+        monkeypatch.setattr(fluid, "spla", fake)
+        ustar = np.sin(2 * np.pi * grid128.axis_coords(0))[None]
+        rho, dt = np.ones(128), 0.01
+        forcing = rho[None] * ustar / dt + lame_apply(ustar, visc, grid128)
+        args = (np.zeros((1, 128)), rho, None, np.ones(128), forcing, visc, dt, grid128)
+        if error is not RuntimeError:
+            with pytest.raises(error):
+                momentum_step(*args)
+            return
+        out = momentum_step(*args)
+        assert np.max(np.abs(out - ustar)) < 1e-8
 
     def test_negative_density_rejected(self, grid128, visc):
         with pytest.raises(DomainError):
