@@ -3,7 +3,9 @@
 Commands: ``run <config>``, ``check-compat <config>``, ``validate-model
 <config>``, ``list-scenarios``.  The environment variable RHLAB_OUTPUT_DIR
 overrides the configured output directory.  Error exit codes: config 2,
-CFL/step size 3, linear solver 4, fixed-point iteration 5.
+CFL/step size 3, linear solver 4, fixed-point iteration 5, and 6 when ``run``
+finishes but its own summary fails (positivity violated or a Picard slab not
+converged).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from .errors import RHLabError
 from .runner import check_compat, run_scenario, validate_model
 from .scenarios import builtin_scenarios
 
+SUMMARY_FAILED_EXIT = 6     # the run finished, but its summary reports a failure
+
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
@@ -24,10 +28,18 @@ def _load(path: str):
 
 def _cmd_run(args) -> int:
     summary = run_scenario(_load(args.config))
-    ok = summary["positivity"]["ok"] and summary["picard"]["all_converged"]
+    positive = summary["positivity"]["ok"]
+    converged = summary["picard"]["all_converged"]
     print(f"run finished: {summary['snapshots']} snapshots, "
           f"mass drift {summary['conservation']['relative_drift']:.3e}, "
-          f"positivity {'ok' if ok else 'VIOLATED'}")
+          f"positivity {'ok' if positive else 'VIOLATED'}, "
+          f"picard {'converged' if converged else 'NOT CONVERGED'}")
+    failed = [text for ok, text in ((positive, "positivity violated"),
+                                    (converged, "a Picard slab did not converge"))
+              if not ok]
+    if failed:
+        print(f"error: run summary failed: {'; '.join(failed)}", file=sys.stderr)
+        return SUMMARY_FAILED_EXIT
     return 0
 
 

@@ -3,6 +3,8 @@
 Every error the package raises belongs to exactly one of the categories
 below; the CLI maps each category to a documented exit code
 (config -> 2, step size / CFL -> 3, linear solver -> 4, iteration -> 5).
+A run that finishes without an error but whose summary reports a positivity
+violation or an unconverged Picard slab exits with 6.
 """
 
 

@@ -128,8 +128,9 @@ def transport_substeps(grids: Grids, dt: float, c: float, cfl: float) -> tuple[i
 
 
 def _streaming(I: Array, grids: Grids, dt: float, c: float) -> Array:
-    """Upwind streaming term c Omega . grad I of a whole (B, M) + cells field,
-    after checking dt against the CFL limit.  Per axis, a positive speed takes
+    """Upwind streaming term Omega . grad I of a whole (B, M) + cells field,
+    after checking dt against the CFL limit; callers scale it by c dt, so the
+    speeds are the ordinate components alone.  Per axis, a positive speed takes
     the backward difference, a negative one the forward difference, a zero
     speed adds nothing.  Ghost intensities are zero on far-field grids (no
     incoming radiation)."""
@@ -142,7 +143,7 @@ def _streaming(I: Array, grids: Grids, dt: float, c: float) -> Array:
     out = np.zeros(I.shape)
     for a, h in enumerate(grid.spacing):
         # speed of every ordinate along axis a, broadcast over (B, M) + cells
-        s = (c * grids.ang.ordinates[:, a]).reshape((-1,) + (1,) * dim)
+        s = grids.ang.ordinates[:, a].reshape((-1,) + (1,) * dim)
         ctr = _view(fp, dim, a, 0)
         out += np.where(s > 0, s * (ctr - _view(fp, dim, a, -1)) / h,
                         np.where(s < 0, s * (_view(fp, dim, a, +1) - ctr) / h, 0.0))

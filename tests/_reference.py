@@ -1,12 +1,14 @@
 """Independent oracles: brute-force quadrature of the collision term, a
 monolithic (no fixed-point) coupled integrator, and per-(band, ordinate) loop
-versions of the batched phase-space operators.  These deliberately avoid the
+versions of the batched phase-space operators, and the momentum matrix
+assembled from whole sparse blocks.  These deliberately avoid the
 vectorized/precomputed paths of the package so they can check them.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
-from rhlab.fluid import continuity_step_fv, momentum_step
+from rhlab.fluid import _axis_operators, continuity_step_fv, lame_matrix, momentum_step
 from rhlab.grid import _view, pad_ghost
 from rhlab.physics import pressure
 from rhlab.picard import State
@@ -139,7 +141,7 @@ def loop_transport_step(I_n, psi, rho_new, model, grids, dt, t, c):
     dim = grids.spatial.dim
     for b in range(grids.freq.n_bands):
         for m in range(grids.ang.n_ordinates):
-            stream = _loop_streaming(I_n[b, m], c * grids.ang.ordinates[m, :dim],
+            stream = _loop_streaming(I_n[b, m], grids.ang.ordinates[m, :dim],
                                      grids.spatial)
             out[b, m] = (I_n[b, m] + c * dt * (dec.gain[b, m] - stream)) \
                 / (1.0 + c * dt * dec.removal[b, m])
@@ -152,7 +154,34 @@ def loop_free_streaming_step(I_n, grids, dt, c):
     dim = grids.spatial.dim
     for b in range(grids.freq.n_bands):
         for m in range(grids.ang.n_ordinates):
-            stream = _loop_streaming(I_n[b, m], c * grids.ang.ordinates[m, :dim],
+            stream = _loop_streaming(I_n[b, m], grids.ang.ordinates[m, :dim],
                                      grids.spatial)
             out[b, m] = I_n[b, m] - c * dt * stream
     return out
+
+
+# ---------------------------------------------------------------------------
+# momentum matrix from whole sparse blocks
+# ---------------------------------------------------------------------------
+
+def convection_matrix(rho, w, grid):
+    """Implicit upwind rho w . grad, block-diagonal over velocity components."""
+    _, fwd, bwd = _axis_operators(grid)
+    n = int(np.prod(grid.extents))
+    conv = sp.csr_matrix((n, n))
+    rho_flat = rho.ravel()
+    for a in range(grid.dim):
+        wa = w[a].ravel()
+        pos = sp.diags(rho_flat * np.maximum(wa, 0.0))
+        neg = sp.diags(rho_flat * np.minimum(wa, 0.0))
+        conv = conv + pos @ bwd[a] + neg @ fwd[a]
+    return sp.block_diag([conv] * grid.dim, format="csr")
+
+
+def momentum_matrix(rho, w, visc, dt, grid):
+    """lame_matrix + diag(rho/dt) + upwind convection (none when w is None)."""
+    A = lame_matrix(grid, visc) + sp.block_diag(
+        [sp.diags(rho.ravel() / dt)] * grid.dim, format="csr")
+    if w is not None:
+        A = A + convection_matrix(rho, w, grid)
+    return A.tocsr()

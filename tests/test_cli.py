@@ -248,3 +248,24 @@ output_dir = {tmp_path / "out"}
         monkeypatch.setattr(runner_mod, "run_scenario", boom)
         monkeypatch.setattr("rhlab.cli.run_scenario", boom)
         assert main(["run", cfg]) == code
+
+    @pytest.mark.parametrize("positive,converged,reported", [
+        (False, True, ["positivity violated"]),
+        (True, False, ["a Picard slab did not converge"]),
+        (False, False, ["positivity violated", "a Picard slab did not converge"]),
+    ])
+    def test_failed_summary_exit_6(self, tmp_path, monkeypatch, capsys,
+                                   positive, converged, reported):
+        cfg = equilibrium_cfg(tmp_path, tmp_path / "out")
+
+        def finished(_cfg):
+            return {"snapshots": 3, "conservation": {"relative_drift": 0.0},
+                    "positivity": {"ok": positive},
+                    "picard": {"all_converged": converged}}
+
+        monkeypatch.setattr("rhlab.cli.run_scenario", finished)
+        assert main(["run", cfg]) == 6
+        err = capsys.readouterr().err
+        assert err.startswith("error: run summary failed: ")
+        for text in ("positivity violated", "a Picard slab did not converge"):
+            assert (text in err) == (text in reported)

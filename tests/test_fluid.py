@@ -2,6 +2,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhlab import fluid
 
@@ -15,6 +17,7 @@ from rhlab.norms import lp_norm
 from rhlab.physics import ViscosityParams
 
 from conftest import random_smooth_field, random_smooth_vector
+from _reference import convection_matrix, momentum_matrix
 
 
 class TestFluidState:
@@ -282,20 +285,20 @@ class TestMomentumStep:
         dt = 0.01
         out = momentum_step(u_n, rho, w, p, np.zeros_like(u_n), visc, dt, grid128)
         # residual check in operator form
-        from rhlab.fluid import _convection_matrix
-        conv = (_convection_matrix(rho, w, grid128) @ out.reshape(-1)).reshape(out.shape)
+        conv = (convection_matrix(rho, w, grid128) @ out.reshape(-1)).reshape(out.shape)
         lhs = rho[None] * (out - u_n) / dt + conv + lame_apply(out, visc, grid128)
         rhs = -gradient(p, grid128)
         assert np.max(np.abs(lhs - rhs)) < 1e-7
 
     @pytest.mark.parametrize("error", [RuntimeError, ValueError, TypeError])
-    def test_spilu_failure(self, grid128, visc, monkeypatch, error):
-        # SuperLU signals a singular incomplete factor by RuntimeError: the solve
-        # goes on unpreconditioned.  Any other exception from spilu propagates.
-        def spilu(*args, **kwargs):
+    def test_splu_failure(self, grid128, visc, monkeypatch, error):
+        # SuperLU signals an exactly singular factor by RuntimeError: the 1D
+        # solve goes on with the Jacobi preconditioner.  Any other exception
+        # from splu propagates.
+        def splu(*args, **kwargs):
             raise error("factor is exactly singular")
 
-        fake = types.SimpleNamespace(spilu=spilu, **{
+        fake = types.SimpleNamespace(splu=splu, **{
             name: getattr(fluid.spla, name)
             for name in ("LinearOperator", "cg", "bicgstab", "lgmres")})
         monkeypatch.setattr(fluid, "spla", fake)
@@ -309,6 +312,28 @@ class TestMomentumStep:
             return
         out = momentum_step(*args)
         assert np.max(np.abs(out - ustar)) < 1e-8
+
+    @pytest.mark.parametrize("cells", [(32, 32), (8, 8, 8)])
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_vacuum_core_jacobi_krylov(self, visc, rng, monkeypatch, cells, with_w):
+        # a far-field grid whose center ball is vacuum: the Jacobi-preconditioned
+        # cg/bicgstab meets the residual bound without the lgmres retry
+        def lgmres(*args, **kwargs):
+            raise AssertionError("lgmres retry used")
+
+        monkeypatch.setattr(fluid.spla, "lgmres", lgmres)
+        grid = SpatialGrid.farfield(cells, (1.0,) * len(cells), 1.0)
+        r2 = sum((x - 0.5) ** 2 for x in grid.coords())
+        rho = np.where(r2 < 0.2 ** 2, 0.0, 1.0)
+        w = random_smooth_vector(grid, rng, amplitude=0.3) if with_w else None
+        u_n = random_smooth_vector(grid, rng, amplitude=0.2)
+        p = np.abs(random_smooth_field(grid, rng)) + 1.0
+        f = random_smooth_vector(grid, rng, amplitude=0.1)
+        dt = 0.01
+        out = momentum_step(u_n, rho, w, p, f, visc, dt, grid, p_ref=1.0)
+        b = (rho[None] * u_n / dt - gradient(p, grid, farfield_value=1.0) + f).reshape(-1)
+        A = momentum_matrix(rho, w, visc, dt, grid)
+        assert np.linalg.norm(b - A @ out.reshape(-1)) <= 1e-10 * np.linalg.norm(b)
 
     def test_negative_density_rejected(self, grid128, visc):
         with pytest.raises(DomainError):
@@ -327,6 +352,44 @@ class TestMomentumStep:
         out = momentum_step(np.zeros_like(ustar), rho, None,
                             np.ones(grid.extents), forcing, visc, dt, grid)
         assert np.max(np.abs(out - ustar)) < 1e-8
+
+
+@st.composite
+def momentum_grids(draw):
+    family = draw(st.sampled_from(["periodic1d", "farfield2d", "periodic3d"]))
+    if family == "periodic1d":
+        return SpatialGrid.periodic(draw(st.integers(4, 40)), draw(st.floats(0.5, 2.0)))
+    if family == "farfield2d":
+        cells = tuple(draw(st.lists(st.integers(4, 9), min_size=2, max_size=2)))
+        return SpatialGrid.farfield(cells, (1.0, draw(st.floats(0.5, 2.0))),
+                                    draw(st.floats(0.0, 2.0)))
+    cells = tuple(draw(st.lists(st.integers(4, 5), min_size=3, max_size=3)))
+    return SpatialGrid.periodic(cells, (1.0, 1.0, draw(st.floats(0.5, 2.0))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=momentum_grids(), seed=st.integers(0, 2**32 - 1),
+       mu=st.floats(0.1, 2.0), lam_excess=st.floats(0.01, 2.0),
+       dt=st.floats(1e-4, 1e-1), convect=st.booleans(), vacuum=st.booleans())
+def test_layout_matrix_matches_block_assembly(grid, seed, mu, lam_excess, dt,
+                                              convect, vacuum):
+    # the matrix filled into the cached layout equals lame_matrix + diag(rho/dt)
+    # + upwind convection built from whole sparse blocks; a first call with
+    # other coefficients shows that filling one matrix leaves the layout intact
+    rng = np.random.default_rng(seed)
+    visc = ViscosityParams(mu=mu, lam=lam_excess - 2.0 * mu / 3.0)
+    rho = rng.uniform(0.0, 3.0, grid.extents)
+    if vacuum:
+        rho[rng.random(grid.extents) < 0.3] = 0.0
+    w = rng.normal(size=(grid.dim,) + grid.extents) if convect else None
+    if convect and vacuum:
+        w[rng.random(w.shape) < 0.3] = 0.0
+    fluid._momentum_matrix(rng.uniform(0.0, 3.0, grid.extents),
+                           rng.normal(size=(grid.dim,) + grid.extents), visc, dt, grid)
+    got = fluid._momentum_matrix(rho, w, visc, dt, grid)
+    np.testing.assert_allclose(got.toarray(),
+                               momentum_matrix(rho, w, visc, dt, grid).toarray(),
+                               rtol=1e-14, atol=0.0)
 
 
 class TestPositivityRandomized:

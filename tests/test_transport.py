@@ -6,8 +6,8 @@ from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from rhlab.physics import CoefficientModel, compton_model, constant_model, zero_model
 from rhlab.transport import (collision_term, linearized_collision_term,
                              momentum_source, radiation_flux,
-                             radiation_pressure_tensor, transport_cfl_limit,
-                             transport_step)
+                             free_streaming_step, radiation_pressure_tensor,
+                             transport_cfl_limit, transport_step)
 
 from _reference import brute_force_collision
 
@@ -194,6 +194,22 @@ class TestTransportStep:
                                k * dt, c)
         shifted = np.roll(pulse, steps)
         assert np.max(np.abs(I[0, 1] - shifted)) < 1e-13
+
+    def test_spike_at_cfl_limit_with_c2(self):
+        # the update is I - c dt Omega . grad I with one factor of c, the one
+        # transport_cfl_limit assumes: at the limit a spike moves one cell
+        # per step, stays nonnegative and keeps its total on a periodic grid
+        grids = Grids(SpatialGrid.periodic(16, 1.0),
+                      FrequencyGrid.from_edges([1.0, 2.0]),
+                      AngularQuadrature.beams_slab())
+        c = 2.0
+        dt = transport_cfl_limit(grids, c)
+        I = np.zeros(grids.radiation_shape())
+        I[:, :, 5] = 1.0
+        for out in (free_streaming_step(I, grids, dt, c),
+                    transport_step(I, I, np.ones(16), zero_model(), grids, dt, 0.0, c)):
+            assert np.min(out) >= 0.0
+            assert np.sum(out[0], axis=-1) == pytest.approx([1.0, 1.0], rel=1e-14)
 
     def test_cfl_violation_raises(self, grids_small):
         I = np.ones(grids_small.radiation_shape())
