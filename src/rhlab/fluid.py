@@ -1,6 +1,16 @@
 """Fluid half of the system: continuity by backward characteristics and by
 conservative upwind finite volumes, the Lame operator of the viscous stress,
-and the implicit (backward-Euler) linearized momentum step.
+the heat-flow mollifier of the initial velocity iterate, and the implicit
+(backward-Euler) linearized momentum step.
+
+Continuity by characteristics represents the density with vacuum as
+
+    rho(t, x) = rho0(U(0; t, x)) exp(-int_0^t div w(s, U(s; t, x)) ds),
+
+so rho stays zero wherever rho0 is zero.  The start time ``t`` may be a 1-D
+array: all start times are traced back together (RK2, one interpolation of
+the stacked, once-padded velocity and divergence samples per substep and
+point set), so a Picard sweep traces every one of its steps in one call.
 
 The momentum system per step is
 
@@ -31,9 +41,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import DomainError, ShapeError, SolverError, StepSizeError
-from .grid import (SpatialGrid, check_scalar, check_vector, divergence,
-                   gradient, pad_ghost, second_difference)
+from .errors import DomainError, ParameterError, ShapeError, SolverError, StepSizeError
+from .grid import (SpatialGrid, _view, check_scalar, check_vector, divergence,
+                   gradient, pad_ghost)
 from .physics import ViscosityParams
 
 Array = np.ndarray
@@ -61,7 +71,7 @@ class FlowMap:
     """Backward-traced departure points U(0; t, x) per cell, plus the count of
     trace points that left the padded domain and were clamped."""
 
-    departure: Array      # (dim,) + extents
+    departure: Array      # (dim,) + extents; (dim, B) + extents for B start times
     clamped: int = 0
 
 
@@ -73,6 +83,11 @@ class VelocityHistory:
         self.fields = [np.asarray(f, dtype=float) for f in fields]
         if self.times.ndim != 1 or len(self.fields) != self.times.size or self.times.size < 1:
             raise ShapeError("history needs one field per sample time")
+        if any(f.shape != self.fields[0].shape for f in self.fields):
+            raise ShapeError("history fields must share one shape")
+        if not (np.all(np.isfinite(self.times))
+                and all(np.all(np.isfinite(f)) for f in self.fields)):
+            raise DomainError("history times and fields must be finite")
         if self.times.size > 1 and np.any(np.diff(self.times) <= 0):
             raise ShapeError("history times must be strictly increasing")
 
@@ -89,6 +104,20 @@ class VelocityHistory:
         j = int(np.searchsorted(t, s, side="right")) - 1
         a = (s - t[j]) / (t[j + 1] - t[j])
         return (1.0 - a) * self.fields[j] + a * self.fields[j + 1]
+
+
+def _at_times(stack: Array, times: Array, s: Array) -> Array:
+    """``VelocityHistory.__call__`` at every time in the 1-D ``s`` at once, on
+    the samples stacked along axis 0 of ``stack``; bit for bit the same values,
+    shape (s.size,) + stack.shape[1:]."""
+    if times.size == 1:
+        return np.broadcast_to(stack[0], s.shape + stack.shape[1:])
+    j = np.clip(np.searchsorted(times, s, side="right") - 1, 0, times.size - 2)
+    per_time = s.shape + (1,) * (stack.ndim - 1)
+    a = ((s - times[j]) / (times[j + 1] - times[j])).reshape(per_time)
+    mixed = (1.0 - a) * stack[j] + a * stack[j + 1]
+    return np.where((s <= times[0]).reshape(per_time), stack[0],
+                    np.where((s >= times[-1]).reshape(per_time), stack[-1], mixed))
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +140,41 @@ def _clamp_points(pts: Array, grid: SpatialGrid) -> tuple[Array, int]:
     return out, clamped
 
 
+def _interp(fp: Array, grid: SpatialGrid, points: Array, index: tuple = ()) -> Array:
+    """Multilinear interpolation of a ghost-padded field at points inside the
+    padded domain (periodic coordinates wrap).
+
+    ``points`` has shape (dim,) + batch.  ``fp`` has shape
+    lead + paired + padded extents: each ``paired`` axis is indexed per point
+    by the matching array of ``index`` (broadcast against the batch), and the
+    ``lead`` axes are carried through, so the result has shape lead + batch.
+    """
+    batch = points.shape[1:]
+    base, weights = [], []
+    for a in range(grid.dim):
+        h = grid.spacing[a]
+        n = grid.extents[a]
+        x = points[a]
+        if grid.boundary == "periodic":
+            x = np.mod(x, n * h)
+        # the clip keeps both weights in [0, 1] where x / h rounds past the
+        # padded domain's far edge
+        t = np.clip(x / h - 0.5, -1.0, n)
+        i0 = np.clip(np.floor(t).astype(int), -1, n - 1)
+        base.append(i0 + 1)          # shift into padded indexing
+        frac = t - i0
+        weights.append((1.0 - frac, frac))
+    out = np.zeros(fp.shape[:fp.ndim - grid.dim - len(index)] + batch)
+    for corner in itertools.product((0, 1), repeat=grid.dim):
+        wgt = 1.0
+        ix = list(index)
+        for a in range(grid.dim):
+            wgt = wgt * weights[a][corner[a]]
+            ix.append(base[a] + corner[a])
+        out += wgt * fp[(Ellipsis,) + tuple(ix)]
+    return out
+
+
 def interp_field(f: Array, grid: SpatialGrid, points: Array,
                  farfield_value: float = 0.0) -> tuple[Array, int]:
     """Multilinear interpolation of a scalar field at physical points.
@@ -123,93 +187,98 @@ def interp_field(f: Array, grid: SpatialGrid, points: Array,
     points = np.asarray(points, dtype=float)
     if points.shape[0] != grid.dim:
         raise ShapeError(f"points must have leading axis {grid.dim}")
-    fp = pad_ghost(f, grid, farfield_value)
-    batch = points.shape[1:]
     points, clamped = _clamp_points(points, grid)
-    base, frac = [], []
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        n = grid.extents[a]
-        x = points[a]
-        if grid.boundary == "periodic":
-            x = np.mod(x, n * h)
-        t = x / h - 0.5
-        i0 = np.clip(np.floor(t).astype(int), -1, n - 1)
-        base.append(i0 + 1)          # shift into padded indexing
-        frac.append(t - i0)
-    out = np.zeros(batch)
-    for corner in itertools.product((0, 1), repeat=grid.dim):
-        wgt = np.ones(batch)
-        ix = []
-        for a in range(grid.dim):
-            wgt = wgt * (frac[a] if corner[a] else 1.0 - frac[a])
-            ix.append(base[a] + corner[a])
-        out += wgt * fp[tuple(ix)]
-    return out, clamped
-
-
-def _interp_vector(u: Array, grid: SpatialGrid, points: Array) -> tuple[Array, int]:
-    vals = np.empty((grid.dim,) + points.shape[1:])
-    clamped = 0
-    for a in range(grid.dim):
-        vals[a], c = interp_field(u[a], grid, points, farfield_value=0.0)
-        clamped += c
-    return vals, clamped
+    return _interp(pad_ghost(f, grid, farfield_value), grid, points), clamped
 
 
 # ---------------------------------------------------------------------------
 # backward characteristics
 # ---------------------------------------------------------------------------
 
-def _trace_backward(w_hist: VelocityHistory, t: float, grid: SpatialGrid,
+def _start_times(t, substeps: int | None) -> Array:
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ShapeError(f"start time must be a float or a 1-D array, got shape {t.shape}")
+    if not np.all(np.isfinite(t)) or np.any(t < 0):
+        raise ParameterError(f"start times must be finite and >= 0, got {t}")
+    if substeps is not None and substeps < 1:
+        raise ParameterError(f"substeps must be >= 1, got {substeps}")
+    return t
+
+
+def _trace_backward(w_hist: VelocityHistory, t: Array, grid: SpatialGrid,
                     substeps: int | None, want_div: bool):
-    """RK2 (midpoint) backward trace of all cell centers from s = t to s = 0,
-    optionally accumulating the trapezoidal integral of div w along the path.
-    Traced points leaving the padded far-field domain are clamped and counted."""
+    """RK2 (midpoint) backward trace of all cell centers from s = t_b to s = 0,
+    for every start time t_b of the 1-D ``t`` at once, optionally accumulating
+    the trapezoidal integral of div w along each path.  Traced points leaving
+    the padded far-field domain are clamped and counted.
+
+    The velocity samples (with their divergence) are stacked and padded once.
+    Each substep interpolates twice: the velocity at the midpoints, and
+    velocity and divergence at the new points, which serve the next substep
+    as its k1 and the trapezoid's left value.
+    """
     if substeps is None:
         substeps = max(1, w_hist.times.size - 1)
-    ds = t / substeps if substeps else 0.0
-    pts = np.stack(np.meshgrid(*[grid.axis_coords(a) for a in range(grid.dim)],
-                               indexing="ij"))
-    clamped = 0
-    div_hist = None
-    divint = np.zeros(grid.extents) if want_div else None
+    stack = np.stack(w_hist.fields)
+    if stack.shape[1:] != (grid.dim,) + grid.extents:
+        raise ShapeError(f"velocity history shape {stack.shape[1:]} incompatible "
+                         f"with grid {grid.extents}")
     if want_div:
-        div_hist = VelocityHistory(
-            w_hist.times, [divergence(f, grid, 0.0) for f in w_hist.fields])
+        stack = np.concatenate([stack, divergence(stack, grid, 0.0)[:, None]], axis=1)
+    stack = pad_ghost(stack, grid, 0.0)          # (T, dim [+1]) + padded extents
+    per_time = (t.size,) + (1,) * grid.dim
+    index = (np.arange(t.size).reshape(per_time),)
 
-    def div_at(s, p):
-        val, _ = interp_field(div_hist(s), grid, p, farfield_value=0.0)
-        return val
+    def sample(s, pts, fields):
+        return _interp(_at_times(fields, w_hist.times, s).swapaxes(0, 1), grid, pts, index)
 
+    ds = t / substeps
+    half, full = (0.5 * ds).reshape(per_time), ds.reshape(per_time)
+    centers = np.stack(np.meshgrid(*[grid.axis_coords(a) for a in range(grid.dim)],
+                                   indexing="ij"))
+    pts = np.broadcast_to(centers[:, None], (grid.dim, t.size) + grid.extents)
+    clamped = 0
+    divint = np.zeros((t.size,) + grid.extents) if want_div else None
     s = t
+    vals = sample(s, pts, stack)
     for _ in range(substeps):
-        if want_div:
-            g0 = div_at(s, pts)
-        k1, _ = _interp_vector(w_hist(s), grid, pts)
-        mid = pts - 0.5 * ds * k1
-        k2, _ = _interp_vector(w_hist(s - 0.5 * ds), grid, mid)
-        pts, n_bad = _clamp_points(pts - ds * k2, grid)
+        mid, _ = _clamp_points(pts - half * vals[:grid.dim], grid)
+        k2 = sample(s - 0.5 * ds, mid, stack[:, :grid.dim])
+        pts, n_bad = _clamp_points(pts - full * k2, grid)
         clamped += n_bad
-        s -= ds
+        s = s - ds
+        new = sample(s, pts, stack)
         if want_div:
-            g1 = div_at(s, pts)
-            divint += 0.5 * ds * (g0 + g1)
+            divint += half * (vals[grid.dim] + new[grid.dim])
+        vals = new
     return pts, clamped, divint
 
 
-def integrate_flow_map(w_hist: VelocityHistory, t: float, grid: SpatialGrid,
+def integrate_flow_map(w_hist: VelocityHistory, t, grid: SpatialGrid,
                        substeps: int | None = None) -> FlowMap:
-    """Departure points of the flow ODE dU/ds = w(s, U), U(t) = cell center."""
-    pts, clamped, _ = _trace_backward(w_hist, t, grid, substeps, want_div=False)
-    return FlowMap(departure=pts, clamped=clamped)
+    """Departure points of the flow ODE dU/ds = w(s, U), U(t) = cell center.
+
+    ``t`` is a float (departure shape (dim,) + extents) or a 1-D array of
+    start times traced together (departure shape (dim, B) + extents).
+    """
+    times = _start_times(t, substeps)
+    pts, clamped, _ = _trace_backward(w_hist, times.reshape(-1), grid, substeps,
+                                      want_div=False)
+    return FlowMap(departure=pts[:, 0] if times.ndim == 0 else pts, clamped=clamped)
 
 
-def continuity_step_characteristics(rho0: Array, w_hist: VelocityHistory, t: float,
+def continuity_step_characteristics(rho0: Array, w_hist: VelocityHistory, t,
                                     grid: SpatialGrid,
                                     substeps: int | None = None) -> Array:
     """Density along characteristics:
     rho(t, x) = rho0(U(0; t, x)) exp(-int_0^t div w(s, U(s; t, x)) ds).
+
+    ``t`` is a float (result shape ``grid.extents``) or a 1-D array of start
+    times (result shape (B,) + extents, row b for t[b]).  All start times are
+    traced in one pass, so one call gives every step of a Picard sweep; each
+    row is bit for bit the float-``t`` result.  ``substeps`` RK2 steps (by
+    default one per history interval) trace each start time back to 0.
 
     Nonnegative by construction: linear interpolation of rho0 >= 0 times an
     exponential.
@@ -217,10 +286,12 @@ def continuity_step_characteristics(rho0: Array, w_hist: VelocityHistory, t: flo
     rho0 = check_scalar(rho0, grid)
     if np.any(rho0 < 0):
         raise DomainError("initial density must be >= 0")
-    pts, _, divint = _trace_backward(w_hist, t, grid, substeps, want_div=True)
+    times = _start_times(t, substeps)
+    pts, _, divint = _trace_backward(w_hist, times.reshape(-1), grid, substeps,
+                                     want_div=True)
     ghost = grid.farfield_rho if grid.boundary == "farfield" else 0.0
-    rho_dep, _ = interp_field(rho0, grid, pts, farfield_value=ghost)
-    return rho_dep * np.exp(-divint)
+    rho = _interp(pad_ghost(rho0, grid, ghost), grid, pts) * np.exp(-divint)
+    return rho[0] if times.ndim == 0 else rho
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +333,10 @@ def continuity_step_fv(rho_n: Array, w: Array, dt: float, grid: SpatialGrid) -> 
         raise StepSizeError(f"continuity CFL violated: dt * max outflow rate "
                             f"= {worst:.3g} > 1")
     ghost_rho = grid.farfield_rho if grid.boundary == "farfield" else 0.0
+    rp = pad_ghost(rho_n, grid, ghost_rho)
     out = rho_n.copy()
     for a in range(grid.dim):
         wf = faces[a]
-        rp = pad_ghost(rho_n, grid, ghost_rho)
         lo = [slice(1, -1)] * grid.dim
         hi = [slice(1, -1)] * grid.dim
         lo[a] = slice(0, -1)
@@ -301,21 +372,46 @@ def lame_apply(u: Array, visc: ViscosityParams, grid: SpatialGrid) -> Array:
 
 def heat_smooth(u: Array, grid: SpatialGrid, duration: float) -> Array:
     """Explicit diffusion u_t = lap u over ``duration`` (unit diffusivity);
-    used to mollify the initial velocity iterate."""
+    used to mollify the initial velocity iterate.
+
+    Runs in place on one ghost-padded copy of u (zero far-field ghosts,
+    periodic ghosts refreshed after every step) with the arithmetic of
+    ``second_difference``, summed over the axes from 0.0.
+    """
     u = check_vector(u, grid)
+    if not np.isfinite(duration):
+        raise ParameterError(f"heat-flow duration must be finite, got {duration}")
     if duration <= 0:
         return u.copy()
     stiff = sum(1.0 / h ** 2 for h in grid.spacing)
     dt_stable = 0.4 / stiff
     n = max(1, int(np.ceil(duration / dt_stable)))
     dt = duration / n
-    out = u.copy()
+    fp = pad_ghost(u, grid, 0.0)
+    out = _view(fp, grid.dim, 0, 0)
+    stencils = [(_view(fp, grid.dim, a, +1), _view(fp, grid.dim, a, -1), h * h)
+                for a, h in enumerate(grid.spacing)]
+    wrap = []             # (ghost, source) index pairs of the periodic layers
+    if grid.boundary == "periodic":
+        for a, m in enumerate(grid.extents):
+            for ghost, source in ((0, m), (m + 1, 1)):
+                g, src = [slice(None)] * fp.ndim, [slice(None)] * fp.ndim
+                g[1 + a], src[1 + a] = ghost, source
+                wrap.append((tuple(g), tuple(src)))
+    lap, term = np.empty(u.shape), np.empty(u.shape)
     for _ in range(n):
-        lap = np.zeros(out.shape)
-        for a in range(grid.dim):
-            lap += second_difference(out, grid, a, 0.0)
-        out = out + dt * lap
-    return out
+        lap.fill(0.0)
+        for plus, minus, hh in stencils:
+            np.multiply(out, 2.0, out=term)
+            np.subtract(plus, term, out=term)
+            np.add(term, minus, out=term)
+            np.divide(term, hh, out=term)
+            lap += term
+        lap *= dt
+        out += lap
+        for g, src in wrap:
+            fp[g] = fp[src]
+    return out.copy()
 
 
 # ---------------------------------------------------------------------------

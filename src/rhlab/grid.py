@@ -7,8 +7,9 @@ Fields are plain float64 numpy arrays:
 * vector field  -- shape ``(k,) + grid.extents`` with ``k`` components
 * radiation field -- shape ``(n_bands, n_ordinates) + grid.extents``
 
-``pad_ghost`` and ``gradient`` act on the trailing ``grid.dim`` axes and carry
-any leading axes through: one call covers a whole radiation field.
+``pad_ghost``, ``gradient``, ``divergence`` and ``second_difference`` act on
+the trailing ``grid.dim`` axes and carry any leading axes through: one call
+covers a whole radiation field or a whole velocity history.
 
 Operations are pure functions of their inputs.  All reductions go through
 numpy with a fixed summation order, so repeated evaluation is bit-identical.
@@ -325,12 +326,19 @@ def gradient(f: Array, grid: SpatialGrid, farfield_value: float = 0.0) -> Array:
 
 
 def divergence(u: Array, grid: SpatialGrid, farfield_value: float = 0.0) -> Array:
-    """Centered divergence of a vector field (componentwise trace of the gradient)."""
-    u = check_vector(u, grid)
-    out = np.zeros(grid.extents)
+    """Centered divergence of a vector field (componentwise trace of the gradient).
+
+    A field of shape ``lead + (grid.dim,) + grid.extents`` (any leading axes)
+    gives shape ``lead + grid.extents``.
+    """
+    u = check_cells(u, grid)
+    if u.ndim == grid.dim or u.shape[-grid.dim - 1] != grid.dim:
+        raise ShapeError(f"vector field shape {u.shape} incompatible with grid {grid.extents}")
+    fp = pad_ghost(u, grid, farfield_value)
+    out = np.zeros(u.shape[:-grid.dim - 1] + grid.extents)
     for a in range(grid.dim):
-        fp = pad_ghost(u[a], grid, farfield_value)
-        out += (_view(fp, grid.dim, a, +1) - _view(fp, grid.dim, a, -1)) / (2.0 * grid.spacing[a])
+        fa = fp[(Ellipsis, a) + (slice(None),) * grid.dim]
+        out += (_view(fa, grid.dim, a, +1) - _view(fa, grid.dim, a, -1)) / (2.0 * grid.spacing[a])
     return out
 
 

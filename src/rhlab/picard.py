@@ -192,8 +192,12 @@ def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Gri
     grid = grids.spatial
     dim = grid.dim
     p_ref = eos.reference_pressure(grid.farfield_rho) if grid.boundary == "farfield" else 0.0
-    rel_times = times - times[0]
-    w_hist = VelocityHistory(rel_times, [s.u for s in prev])
+    if cfg.continuity == "characteristics":
+        # each step's density depends only on state0.rho and the previous
+        # iterate's velocities, so one trace covers the whole sweep
+        rel_times = times - times[0]
+        w_hist = VelocityHistory(rel_times, [s.u for s in prev])
+        rho_char = continuity_step_characteristics(state0.rho, w_hist, rel_times[1:], grid)
 
     new_states = [state0]
     for j in range(1, times.size):
@@ -202,8 +206,7 @@ def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Gri
         if cfg.continuity == "fv":
             rho_new = continuity_step_fv(new_states[-1].rho, prev[j - 1].u, dt, grid)
         else:
-            rho_new = continuity_step_characteristics(
-                state0.rho, w_hist, float(rel_times[j]), grid)
+            rho_new = rho_char[j - 1]
         I_new = substep_transport(new_states[-1].I, prev[j - 1].I, rho_new, model,
                                   grids, dt, float(times[j - 1]), consts.c,
                                   cfl=cfg.transport_cfl)

@@ -1,15 +1,19 @@
 """Independent oracles: brute-force quadrature of the collision term, a
 monolithic (no fixed-point) coupled integrator, and per-(band, ordinate) loop
-versions of the batched phase-space operators, and the momentum matrix
-assembled from whole sparse blocks.  These deliberately avoid the
+versions of the batched phase-space operators, the momentum matrix
+assembled from whole sparse blocks, and the one-start-time characteristics
+trace and heat-flow mollifier.  These deliberately avoid the
 vectorized/precomputed paths of the package so they can check them.
 """
+
+import itertools
 
 import numpy as np
 import scipy.sparse as sp
 
-from rhlab.fluid import _axis_operators, continuity_step_fv, lame_matrix, momentum_step
-from rhlab.grid import _view, pad_ghost
+from rhlab.fluid import (VelocityHistory, _axis_operators, _clamp_points,
+                         continuity_step_fv, lame_matrix, momentum_step)
+from rhlab.grid import _view, divergence, pad_ghost, second_difference
 from rhlab.physics import pressure
 from rhlab.picard import State
 from rhlab.transport import collision_decomposition, momentum_source, substep_transport
@@ -185,3 +189,88 @@ def momentum_matrix(rho, w, visc, dt, grid):
     if w is not None:
         A = A + convection_matrix(rho, w, grid)
     return A.tocsr()
+
+
+# ---------------------------------------------------------------------------
+# backward characteristics, one start time and one component at a time
+# ---------------------------------------------------------------------------
+
+def loop_interp_field(f, grid, points, farfield_value=0.0):
+    """Multilinear interpolation of one scalar field, padded on every call."""
+    fp = pad_ghost(np.asarray(f, dtype=float), grid, farfield_value)
+    batch = points.shape[1:]
+    points, _ = _clamp_points(np.asarray(points, dtype=float), grid)
+    base, frac = [], []
+    for a in range(grid.dim):
+        h = grid.spacing[a]
+        n = grid.extents[a]
+        x = points[a]
+        if grid.boundary == "periodic":
+            x = np.mod(x, n * h)
+        t = np.clip(x / h - 0.5, -1.0, n)
+        i0 = np.clip(np.floor(t).astype(int), -1, n - 1)
+        base.append(i0 + 1)
+        frac.append(t - i0)
+    out = np.zeros(batch)
+    for corner in itertools.product((0, 1), repeat=grid.dim):
+        wgt = np.ones(batch)
+        ix = []
+        for a in range(grid.dim):
+            wgt = wgt * (frac[a] if corner[a] else 1.0 - frac[a])
+            ix.append(base[a] + corner[a])
+        out += wgt * fp[tuple(ix)]
+    return out
+
+
+def _loop_interp_vector(u, grid, points):
+    return np.stack([loop_interp_field(u[a], grid, points) for a in range(grid.dim)])
+
+
+def loop_trace_backward(w_hist, t, grid, substeps=None):
+    """RK2 (midpoint) trace of the cell centers from s = t back to s = 0 with
+    the trapezoidal integral of div w, every value interpolated afresh."""
+    if substeps is None:
+        substeps = max(1, w_hist.times.size - 1)
+    ds = t / substeps
+    pts = np.stack(np.meshgrid(*[grid.axis_coords(a) for a in range(grid.dim)],
+                               indexing="ij"))
+    clamped = 0
+    divint = np.zeros(grid.extents)
+    div_hist = VelocityHistory(w_hist.times,
+                               [divergence(f, grid, 0.0) for f in w_hist.fields])
+    s = t
+    for _ in range(substeps):
+        g0 = loop_interp_field(div_hist(s), grid, pts)
+        k1 = _loop_interp_vector(w_hist(s), grid, pts)
+        mid = pts - 0.5 * ds * k1
+        k2 = _loop_interp_vector(w_hist(s - 0.5 * ds), grid, mid)
+        pts, n_bad = _clamp_points(pts - ds * k2, grid)
+        clamped += n_bad
+        s -= ds
+        g1 = loop_interp_field(div_hist(s), grid, pts)
+        divint += 0.5 * ds * (g0 + g1)
+    return pts, clamped, divint
+
+
+def loop_continuity_step_characteristics(rho0, w_hist, t, grid, substeps=None):
+    """rho0 at the departure point times exp(-int div w), for one start time."""
+    pts, _, divint = loop_trace_backward(w_hist, t, grid, substeps)
+    ghost = grid.farfield_rho if grid.boundary == "farfield" else 0.0
+    return loop_interp_field(rho0, grid, pts, ghost) * np.exp(-divint)
+
+
+def loop_heat_smooth(u, grid, duration):
+    """Explicit heat flow with a freshly padded second difference per axis
+    and step."""
+    if duration <= 0:
+        return u.copy()
+    stiff = sum(1.0 / h ** 2 for h in grid.spacing)
+    n = max(1, int(np.ceil(duration / (0.4 / stiff))))
+    dt = duration / n
+    out = u.copy()
+    for _ in range(n):
+        lap = np.zeros(out.shape)
+        for a in range(grid.dim):
+            lap += second_difference(out, grid, a, 0.0)
+        out = out + dt * lap
+    return out

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from rhlab import fluid
 
-from rhlab.errors import DomainError, StepSizeError
+from rhlab.errors import DomainError, ParameterError, ShapeError, StepSizeError
 from rhlab.fluid import (FluidState, VelocityHistory,
                          continuity_step_characteristics, continuity_step_fv,
-                         integrate_flow_map, lame_apply, lame_matrix,
-                         momentum_step)
+                         heat_smooth, integrate_flow_map, lame_apply,
+                         lame_matrix, momentum_step)
 from rhlab.grid import SpatialGrid, divergence, gradient, inner_product
 from rhlab.norms import lp_norm
 from rhlab.physics import ViscosityParams
@@ -99,10 +99,73 @@ class TestContinuityCharacteristics:
         center = np.abs(x - 0.5) < 0.05
         assert np.all(out[center] == 0.0)
 
+    def test_clamped_at_far_edge_nonnegative(self):
+        # with 26 cells on [0, 1), x / h - 0.5 at the padded domain's right
+        # edge rounds past 26, which used to give the last cell a weight of
+        # -3.6e-15 and ten cells a negative density
+        grid = SpatialGrid.farfield(26, 1.0, 0.0)
+        hist = VelocityHistory.constant(np.full((1, 26), -5.0))
+        out = continuity_step_characteristics(np.ones(26), hist, 1.0, grid, substeps=4)
+        assert np.min(out) >= 0.0
+        assert np.all(out[:10] == 0.0)
+
     def test_negative_initial_density_rejected(self, grid128):
         hist = VelocityHistory.constant(np.zeros((1, 128)), 0.0, 1.0)
         with pytest.raises(DomainError):
             continuity_step_characteristics(-np.ones(128), hist, 0.1, grid128)
+
+
+class TestTraceValidation:
+    """Start times and substep counts are checked before any tracing."""
+
+    @pytest.fixture
+    def hist(self):
+        return VelocityHistory.constant(np.full((1, 16), 3.0), 0.0, 1.0)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -0.5, [0.1, np.nan], [0.2, -0.1]])
+    @pytest.mark.parametrize("trace", [integrate_flow_map, continuity_step_characteristics])
+    def test_bad_start_time(self, hist, t, trace):
+        grid = SpatialGrid.periodic(16, 1.0)
+        args = (hist, t, grid) if trace is integrate_flow_map \
+            else (np.ones(16), hist, t, grid)
+        with pytest.raises(ParameterError):
+            trace(*args)
+
+    @pytest.mark.parametrize("substeps", [0, -3])
+    @pytest.mark.parametrize("trace", [integrate_flow_map, continuity_step_characteristics])
+    def test_bad_substeps(self, hist, substeps, trace):
+        grid = SpatialGrid.periodic(16, 1.0)
+        args = (hist, 0.5, grid) if trace is integrate_flow_map \
+            else (np.ones(16), hist, 0.5, grid)
+        with pytest.raises(ParameterError):
+            trace(*args, substeps=substeps)
+
+    def test_two_dimensional_start_times_rejected(self, hist):
+        with pytest.raises(ShapeError):
+            integrate_flow_map(hist, np.zeros((2, 2)), SpatialGrid.periodic(16, 1.0))
+
+
+class TestVelocityHistoryValidation:
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [np.nan, 1.0], [0.0, np.inf]])
+    def test_non_finite_times(self, times):
+        with pytest.raises(DomainError):
+            VelocityHistory(times, [np.zeros((1, 8))] * 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field(self, bad):
+        w = np.zeros((1, 8))
+        w[0, 3] = bad
+        with pytest.raises(DomainError):
+            VelocityHistory([0.0, 1.0], [np.zeros((1, 8)), w])
+
+    def test_unequal_field_shapes(self):
+        with pytest.raises(ShapeError):
+            VelocityHistory([0.0, 1.0], [np.zeros((1, 8)), np.zeros((1, 9))])
+
+    @pytest.mark.parametrize("duration", [np.nan, np.inf])
+    def test_heat_smooth_non_finite_duration(self, duration):
+        with pytest.raises(ParameterError):
+            heat_smooth(np.zeros((1, 8)), SpatialGrid.periodic(8, 1.0), duration)
 
 
 class TestContinuityFV:
@@ -413,3 +476,48 @@ class TestPositivityRandomized:
             dt = 0.9 * grid128.spacing[0] / (np.max(np.abs(w)) + 1e-12)
             out = continuity_step_fv(rho0, w, dt, grid128)
             assert np.min(out) >= 0.0
+
+
+@st.composite
+def transport_fields(draw):
+    """A grid, a density >= 0 with vacuum patches and a finite velocity
+    history on it."""
+    dim = draw(st.integers(1, 3))
+    cells = tuple(draw(st.lists(st.integers(4, 12 if dim == 1 else 5),
+                                min_size=dim, max_size=dim)))
+    lengths = tuple(draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        grid = SpatialGrid.periodic(cells, lengths)
+    else:
+        grid = SpatialGrid.farfield(cells, lengths, draw(st.floats(0.0, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = rng.uniform(0.0, 3.0, cells)
+    rho[rng.random(cells) < 0.3] = 0.0
+    n = draw(st.integers(1, 4))
+    speed = draw(st.one_of(st.just(0.0), st.floats(0.01, 5.0)))
+    fields = [speed * rng.uniform(-1.0, 1.0, (dim,) + cells) for _ in range(n)]
+    return grid, rho, VelocityHistory(np.linspace(0.0, 1.0, n + 1)[1:], fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=transport_fields(), t=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=4),
+       substeps=st.sampled_from([None, 1, 5]))
+def test_characteristics_density_nonnegative(data, t, substeps):
+    grid, rho0, hist = data
+    out = continuity_step_characteristics(rho0, hist, np.array(t), grid, substeps)
+    assert out.shape == (len(t),) + grid.extents
+    assert np.all(np.isfinite(out)) and np.min(out) >= 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=transport_fields(), cfl=st.floats(0.05, 1.0))
+def test_fv_mass_conserved_periodic(data, cfl):
+    grid, rho, hist = data
+    grid = SpatialGrid.periodic(grid.extents, grid.lengths)
+    w = hist.fields[-1]
+    # dt * sum_a (outflow_a / h_a) <= 1 for outflow_a <= 2 max|w_a|
+    rate = sum(2.0 * np.max(np.abs(w[a])) / h for a, h in enumerate(grid.spacing))
+    dt = cfl / rate if rate > 0 else 1.0
+    out = continuity_step_fv(rho, w, dt, grid)
+    assert np.min(out) >= 0.0
+    assert abs(out.sum() - rho.sum()) <= 8 * rho.size * np.finfo(float).eps * rho.sum()

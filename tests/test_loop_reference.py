@@ -6,19 +6,26 @@ norms must be ``==``, never within a tolerance.
 Three grid families: 1D periodic with slab ordinates, 2D far field with 3D
 ordinate sets (the ordinates along z have zero speed on both grid axes), and
 3D periodic.
+
+The same holds for the characteristics trace of many start times at once
+against one start time at a time, and for the in-place heat-flow mollifier
+against its freshly padded loop version.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhlab.fluid import (VelocityHistory, continuity_step_characteristics,
+                         heat_smooth, integrate_flow_map)
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, gradient
 from rhlab.norms import MIXED_INNER_KINDS, NormSettings, mixed_radiation_norm
 from rhlab.physics import constant_model
 from rhlab.transport import free_streaming_step, transport_cfl_limit, transport_step
 
-from _reference import (loop_free_streaming_step, loop_gradient,
-                        loop_mixed_radiation_norm, loop_transport_step)
+from _reference import (loop_continuity_step_characteristics, loop_free_streaming_step,
+                        loop_gradient, loop_heat_smooth, loop_mixed_radiation_norm,
+                        loop_trace_backward, loop_transport_step)
 
 _EDGES = (0.5, 1.0, 2.0, 3.5)
 
@@ -111,3 +118,69 @@ def test_free_streaming_step(grids, seed, c, cfl, zeros):
     dt = cfl * transport_cfl_limit(grids, c)
     assert _identical(free_streaming_step(I_n, grids, dt, c),
                       loop_free_streaming_step(I_n, grids, dt, c))
+
+
+@st.composite
+def trace_cases(draw):
+    """A grid, a density >= 0, a velocity history, start times including 0
+    and one past the history's end, and a substep count.  On the 1D far-field
+    family the speeds carry most paths out of the padded domain."""
+    family = draw(st.sampled_from(["periodic1d", "farfield1d", "farfield2d", "periodic3d"]))
+    if family == "periodic1d":
+        grid = SpatialGrid.periodic(draw(st.integers(4, 12)), draw(st.floats(0.5, 2.0)))
+        speed = draw(st.floats(0.1, 3.0))
+    elif family == "farfield1d":
+        grid = SpatialGrid.farfield(draw(st.integers(4, 30)), draw(st.floats(0.5, 2.0)),
+                                    draw(st.floats(0.0, 2.0)))
+        speed = draw(st.floats(10.0, 40.0))
+    elif family == "farfield2d":
+        cells = tuple(draw(st.lists(st.integers(4, 7), min_size=2, max_size=2)))
+        grid = SpatialGrid.farfield(cells, (1.0, draw(st.floats(0.5, 2.0))),
+                                    draw(st.floats(0.0, 2.0)))
+        speed = draw(st.floats(0.1, 3.0))
+    else:
+        cells = tuple(draw(st.lists(st.integers(4, 5), min_size=3, max_size=3)))
+        grid = SpatialGrid.periodic(cells, (1.0, 1.0, draw(st.floats(0.5, 2.0))))
+        speed = draw(st.floats(0.1, 3.0))
+    rng = np.random.default_rng(draw(seeds))
+    zeros = draw(st.booleans())
+    steps = draw(st.lists(st.floats(0.01, 0.3), min_size=0, max_size=5))
+    times = draw(st.floats(0.0, 0.2)) + np.cumsum([0.0] + steps)
+    fields = [speed * _field(rng, (grid.dim,) + grid.extents, True, zeros) for _ in times]
+    rho0 = _field(rng, grid.extents, False, zeros)
+    end = float(times[-1])
+    t = draw(st.permutations([0.0, 1.25 * end + 0.1]
+                             + draw(st.lists(st.floats(0.0, 1.5 * end + 0.1), max_size=3))))
+    substeps = draw(st.sampled_from([None, 1, 2, 7]))
+    return grid, rho0, VelocityHistory(times, fields), t, substeps
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=trace_cases())
+def test_characteristics_array_t(case):
+    grid, rho0, hist, t, substeps = case
+    got = continuity_step_characteristics(rho0, hist, np.array(t), grid, substeps)
+    assert _identical(got, np.stack([continuity_step_characteristics(
+        rho0, hist, tb, grid, substeps) for tb in t]))
+    assert _identical(got, np.stack([loop_continuity_step_characteristics(
+        rho0, hist, tb, grid, substeps) for tb in t]))
+    fm = integrate_flow_map(hist, np.array(t), grid, substeps)
+    traced = [loop_trace_backward(hist, tb, grid, substeps) for tb in t]
+    assert _identical(fm.departure, np.stack([pts for pts, _, _ in traced], axis=1))
+    assert fm.clamped == sum(n for _, n, _ in traced)
+    for b, tb in enumerate(t):
+        one = integrate_flow_map(hist, tb, grid, substeps)
+        assert _identical(one.departure, fm.departure[:, b])
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.integers(1, 3), periodic=st.booleans(), seed=seeds,
+       duration=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)), zeros=st.booleans())
+def test_heat_smooth(dim, periodic, seed, duration, zeros):
+    rng = np.random.default_rng(seed)
+    cells = tuple(int(n) for n in rng.integers(4, 12 if dim == 1 else 6, dim))
+    lengths = tuple(rng.uniform(0.5, 2.0, dim))
+    grid = SpatialGrid.periodic(cells, lengths) if periodic \
+        else SpatialGrid.farfield(cells, lengths, 1.0)
+    u = _field(rng, (dim,) + cells, True, zeros)
+    assert _identical(heat_smooth(u, grid, duration), loop_heat_smooth(u, grid, duration))
