@@ -397,8 +397,7 @@ def write_field_snapshot(path, f: Array, grid: SpatialGrid) -> None:
         header = [str(grid.dim)] + [str(n) for n in grid.extents] \
             + [format(h, ".17g") for h in grid.spacing]
         fh.write(" ".join(header) + "\n")
-        for v in f.ravel(order="C"):
-            fh.write(format(v, ".17g") + "\n")
+        fh.write(("%.17g\n" * f.size) % tuple(f.ravel(order="C").tolist()))
 
 
 def read_field_snapshot(path) -> tuple[Array, tuple[int, ...], tuple[float, ...]]:
@@ -407,7 +406,7 @@ def read_field_snapshot(path) -> tuple[Array, tuple[int, ...], tuple[float, ...]
         dim = int(head[0])
         extents = tuple(int(x) for x in head[1:1 + dim])
         spacing = tuple(float(x) for x in head[1 + dim:1 + 2 * dim])
-        values = np.array([float(line) for line in fh if line.strip()])
+        values = np.fromiter(map(float, fh.read().split()), dtype=float)
     if values.size != int(np.prod(extents)):
         raise ShapeError(f"snapshot has {values.size} values, expected {np.prod(extents)}")
     return values.reshape(extents, order="C"), extents, spacing

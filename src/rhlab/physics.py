@@ -18,7 +18,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, DomainError, ParameterError
 from .grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, check_scalar,
-                   gradient)
+                   gradient, phase_weights)
 from .norms import NormSettings, _lp_cells, lp_norm
 
 Array = np.ndarray
@@ -138,6 +138,18 @@ class CoefficientModel:
     ``emission_depends_rho`` switches its signature to
     emission(v, omega, t, x, rho) and makes it eligible for
     ``validate_emission_regularity``.
+
+    A coefficient callable may carry a whole-array form as its ``table``
+    attribute, as every built-in one does.  ``sigma.table(v, rho)`` and
+    ``emission.table(v)`` (``emission.table(v, rho)`` when the emission
+    depends on rho) take the band-centre column ``v`` of shape
+    ``(B, 1) + (1,) * dim`` and the density of shape ``extents``, and return
+    one array broadcastable to ``(B, M) + extents``.  By contract a table is
+    independent of t, x and Omega, and its values are byte-identical to the
+    callable's at every (band, ordinate) pair.  ``sigma_bm``/``emission_bm``
+    use the table when there is one and call the callable B x M times
+    otherwise; as the table lives on the callable, reassigning ``sigma`` or
+    ``emission`` replaces both at once.
     """
 
     sigma: Callable
@@ -148,29 +160,49 @@ class CoefficientModel:
     sigma_lipschitz: Callable | None = None
     emission_depends_rho: bool = False
     _kernel_cache: dict = field(default_factory=dict, repr=False)
+    _scattering_cache: dict = field(default_factory=dict, repr=False)
 
     # -- vectorized evaluation over the discrete phase space ---------------
 
     @staticmethod
-    def _tabulate(fn: Callable, grids: Grids, *args) -> Array:
-        """fn(v, omega, *args) at every (band, ordinate) pair: shape (B, M) + extents."""
+    def _tabulate(fn: Callable, grids: Grids, t: float, *rho: Array) -> Array:
+        """fn(v, omega, t, x, *rho) at every (band, ordinate) pair: shape
+        (B, M) + extents; one ``fn.table`` expression when fn carries one."""
         out = np.empty(grids.radiation_shape())
+        table = getattr(fn, "table", None)
+        if table is not None:
+            v = grids.freq.band_centers.reshape((-1, 1) + (1,) * grids.spatial.dim)
+            out[...] = table(v, *rho)
+            return out
+        x = grids.spatial.coords()
         for b, v in enumerate(grids.freq.band_centers):
             for m, omega in enumerate(grids.ang.ordinates):
-                out[b, m] = np.broadcast_to(fn(v, omega, *args), grids.spatial.extents)
+                out[b, m] = np.broadcast_to(fn(v, omega, t, x, *rho), grids.spatial.extents)
         return out
 
     def sigma_bm(self, grids: Grids, t: float, rho: Array) -> Array:
         """sigma at every (band, ordinate) pair: shape (B, M) + extents."""
         rho = check_scalar(rho, grids.spatial)
-        return self._tabulate(self.sigma, grids, t, grids.spatial.coords(), rho)
+        return self._tabulate(self.sigma, grids, t, rho)
 
     def emission_bm(self, grids: Grids, t: float, rho: Array | None = None) -> Array:
         if not self.emission_depends_rho:
-            return self._tabulate(self.emission, grids, t, grids.spatial.coords())
+            return self._tabulate(self.emission, grids, t)
         if rho is None:
             raise ConfigError("density-dependent emission needs rho")
-        return self._tabulate(self.emission, grids, t, grids.spatial.coords(), rho)
+        return self._tabulate(self.emission, grids, t, rho)
+
+    @property
+    def tabulated(self) -> bool:
+        """True when sigma and the emission both carry a ``table``, so that
+        neither depends on t."""
+        return all(getattr(fn, "table", None) is not None
+                   for fn in (self.sigma, self.emission))
+
+    @staticmethod
+    def _quadrature_key(freq: FrequencyGrid, ang: AngularQuadrature) -> tuple:
+        return tuple((a.shape, a.tobytes()) for a in (
+            freq.band_edges, freq.band_centers, ang.ordinates, ang.weights))
 
     def kernels(self, freq: FrequencyGrid, ang: AngularQuadrature) -> tuple[Array, Array]:
         """Dense kernel tables over (band, ordinate)^2, cached by the values of
@@ -179,8 +211,7 @@ class CoefficientModel:
         K_in[b, m, b', m']  = sigma_s_bar(v_b' -> v_b, Omega_m' . Omega_m)
         K_out[b, m, b', m'] = sigma_s_bar_prime(v_b -> v_b', Omega_m . Omega_m')
         """
-        key = tuple((a.shape, a.tobytes()) for a in (
-            freq.band_edges, freq.band_centers, ang.ordinates, ang.weights))
+        key = self._quadrature_key(freq, ang)
         if key not in self._kernel_cache:
             v = freq.band_centers
             mu = ang.ordinates @ ang.ordinates.T
@@ -194,6 +225,40 @@ class CoefficientModel:
             self._kernel_cache[key] = (k_in, k_out)
         return self._kernel_cache[key]
 
+    def scattering_tables(self, freq: FrequencyGrid,
+                          ang: AngularQuadrature) -> tuple[Array, Array]:
+        """Gain matrix W[b,m,b',m'] = w_b' w_m' (v_b / v_b') K_in[b,m,b',m'] and
+        total out-scattering rate per unit density Lam_s[b,m], cached by the
+        same quadrature values as ``kernels``."""
+        key = self._quadrature_key(freq, ang)
+        if key not in self._scattering_cache:
+            k_in, k_out = self.kernels(freq, ang)
+            w = phase_weights(freq, ang)
+            v = freq.band_centers
+            ratio = (v[:, None] / v[None, :])  # v_b / v_b'
+            gain_matrix = k_in * ratio[:, None, :, None] * w[None, None, :, :]
+            lam_s = np.tensordot(k_out, w, axes=([2, 3], [0, 1]))
+            self._scattering_cache[key] = (gain_matrix, lam_s)
+        return self._scattering_cache[key]
+
+
+def _tabulated_sigma(table: Callable) -> Callable:
+    """The pointwise sigma(v, omega, t, x, rho) of a whole-array
+    ``table(v, rho)``, carrying it as its ``table``."""
+    def sigma(v, omega, t, x, rho):
+        return np.full_like(rho, table(v, rho))
+    sigma.table = table
+    return sigma
+
+
+def _tabulated_emission(table: Callable) -> Callable:
+    """The pointwise emission(v, omega, t, x) of a whole-array ``table(v)``,
+    carrying it as its ``table``."""
+    def emission(v, omega, t, x):
+        return table(v)
+    emission.table = table
+    return emission
+
 
 def _zero_kernel(v_from, v_to, mu):
     return np.zeros_like(np.asarray(mu, dtype=float))
@@ -202,10 +267,10 @@ def _zero_kernel(v_from, v_to, mu):
 def zero_model() -> CoefficientModel:
     """No absorption, no scattering, no emission."""
     return CoefficientModel(
-        sigma=lambda v, omega, t, x, rho: np.zeros_like(rho),
+        sigma=_tabulated_sigma(lambda v, rho: 0.0),
         sigma_s_bar=_zero_kernel,
         sigma_s_bar_prime=_zero_kernel,
-        emission=lambda v, omega, t, x: 0.0,
+        emission=_tabulated_emission(lambda v: 0.0),
         majorant=lambda s: 1.0 + s,
     )
 
@@ -220,10 +285,10 @@ def constant_model(sigma0: float = 0.0, kernel0: float = 0.0,
         return np.full_like(np.asarray(mu, dtype=float), kernel0)
 
     return CoefficientModel(
-        sigma=lambda v, omega, t, x, rho: np.full_like(rho, sigma0),
+        sigma=_tabulated_sigma(lambda v, rho: sigma0),
         sigma_s_bar=kern,
         sigma_s_bar_prime=kern,
-        emission=lambda v, omega, t, x: emission0,
+        emission=_tabulated_emission(lambda v: emission0),
         majorant=lambda s: (1.0 + max(sigma0, 1.0)) * (1.0 + s),
         sigma_lipschitz=lambda s: 1.0 + s,
     )
@@ -244,9 +309,9 @@ def compton_model(D1: float, D2: float, v0: float, theta: float,
             raise ParameterError(f"Compton parameter {name} must be positive, got {val}")
     amp = D1 * theta ** -0.5
 
-    def sig(v, omega, t, x, rho):
+    def sig(v, rho):
         z = (v - v0) / v0
-        return np.full_like(rho, amp * np.exp(-D2 * theta ** -0.5 * z * z))
+        return amp * np.exp(-D2 * theta ** -0.5 * z * z)
 
     profile = sigma_s_profile if sigma_s_profile is not None else _zero_kernel
 
@@ -259,10 +324,10 @@ def compton_model(D1: float, D2: float, v0: float, theta: float,
     c0 = max(1.0, 2.0 * amp * (1.0 + np.sqrt(4.0 * np.pi * gauss_mass)))
 
     return CoefficientModel(
-        sigma=sig,
+        sigma=_tabulated_sigma(sig),
         sigma_s_bar=profile,
         sigma_s_bar_prime=kern_prime,
-        emission=emission if emission is not None else (lambda v, omega, t, x: 0.0),
+        emission=emission if emission is not None else _tabulated_emission(lambda v: 0.0),
         majorant=lambda s: c0 * (1.0 + s),
         sigma_lipschitz=lambda s: 1.0 + s,  # sigma is rho-independent
     )

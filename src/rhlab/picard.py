@@ -22,8 +22,8 @@ from .grid import Grids, check_radiation, check_scalar, check_vector
 from .norms import NormSettings, lp_norm, mixed_radiation_norm
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
                       ViscosityParams, pressure)
-from .transport import (free_streaming_step, momentum_source, substep_transport,
-                        transport_substeps)
+from .transport import (_momentum_source, _substep_transport, _tables_at,
+                        free_streaming_step, transport_substeps)
 
 Array = np.ndarray
 
@@ -207,11 +207,14 @@ def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Gri
             rho_new = continuity_step_fv(new_states[-1].rho, prev[j - 1].u, dt, grid)
         else:
             rho_new = rho_char[j - 1]
-        I_new = substep_transport(new_states[-1].I, prev[j - 1].I, rho_new, model,
-                                  grids, dt, float(times[j - 1]), consts.c,
-                                  cfl=cfg.transport_cfl)
+        # removal and emission depend on rho_new alone: one build serves every
+        # transport substep and the momentum source (per time if untabulated)
+        t_prev = float(times[j - 1])
+        tables_at = _tables_at(model, grids, t_prev, rho_new)
+        I_new = _substep_transport(new_states[-1].I, prev[j - 1].I, rho_new, tables_at,
+                                   grids, dt, t_prev, consts.c, cfg.transport_cfl)
         p_new = pressure(eos, rho_new, grid)
-        f_rad = momentum_source(I_new, rho_new, model, grids, t_new, consts.c)[:dim]
+        f_rad = _momentum_source(I_new, rho_new, tables_at(t_new), grids, consts.c)[:dim]
         u_new = momentum_step(new_states[-1].u, rho_new, prev[j].u, p_new, f_rad,
                               visc, dt, grid, p_ref=p_ref)
         new_states.append(State(I=I_new, rho=rho_new, u=u_new))

@@ -17,7 +17,8 @@ import numpy as np
 from .errors import ConfigError, ParameterError
 from .grid import Grids
 from .norms import NormSettings
-from .physics import EquationOfState, PhysicalConstants, ViscosityParams
+from .physics import (EquationOfState, PhysicalConstants, ViscosityParams,
+                      _tabulated_emission)
 from .picard import State
 
 Array = np.ndarray
@@ -253,11 +254,7 @@ def _custom(ctx: ScenarioContext) -> ScenarioData:
 def _const_emission(value: float):
     if value < 0:
         raise ParameterError("emission rate must be >= 0")
-
-    def emission(v, omega, t, x):
-        return value
-
-    return emission
+    return _tabulated_emission(lambda v: value)
 
 
 _BUILTINS = [

@@ -30,22 +30,48 @@ Array = np.ndarray
 @dataclass(frozen=True, eq=False)
 class CollisionDecomposition:
     """Removal rate Lambda = sigma_a + int int sigma_s' dOmega' dv' and gain
-    F = S + int int (v/v') sigma_s psi dOmega' dv', per (band, ordinate, cell)."""
+    F = S + int int (v/v') sigma_s psi dOmega' dv', per (band, ordinate, cell).
+
+    The removal and the emission S depend on the density alone; only the
+    scattering-in term of the gain depends on the radiation field psi."""
 
     removal: Array
     gain: Array
 
 
-def _scattering_tables(model: CoefficientModel, grids: Grids) -> tuple[Array, Array]:
-    """Gain matrix W[b,m,b',m'] = w_b' w_m' (v_b / v_b') K_in[b,m,b',m'] and
-    total out-scattering rate per unit density Lam_s[b,m]."""
-    k_in, k_out = model.kernels(grids.freq, grids.ang)
-    w = phase_weights(grids.freq, grids.ang)
-    v = grids.freq.band_centers
-    ratio = (v[:, None] / v[None, :])  # v_b / v_b'
-    gain_matrix = k_in * ratio[:, None, :, None] * w[None, None, :, :]
-    lam_s = np.tensordot(k_out, w, axes=([2, 3], [0, 1]))
-    return gain_matrix, lam_s
+@dataclass(frozen=True, eq=False)
+class _CoefficientTables:
+    """The field-independent half of the collision decomposition at one
+    density and time: removal, emission, and the scattering-in gain matrix."""
+
+    removal: Array
+    emission: Array
+    gain_matrix: Array
+
+
+def _coefficient_tables(model: CoefficientModel, grids: Grids, t: float,
+                        rho: Array) -> _CoefficientTables:
+    gain_matrix, lam_s = model.scattering_tables(grids.freq, grids.ang)
+    sigma = model.sigma_bm(grids, t, rho)
+    ext = grids.spatial.extents
+    removal = (sigma + lam_s.reshape(lam_s.shape + (1,) * len(ext))) * rho
+    return _CoefficientTables(removal, model.emission_bm(grids, t, rho), gain_matrix)
+
+
+def _tables_at(model: CoefficientModel, grids: Grids, t: float, rho: Array):
+    """t -> the coefficient tables at density rho.  A tabulated model's tables
+    do not depend on t, so they are built once, at ``t``; any other model is
+    evaluated at each requested time."""
+    if model.tabulated:
+        tables = _coefficient_tables(model, grids, t, rho)
+        return lambda _t: tables
+    return lambda t_k: _coefficient_tables(model, grids, t_k, rho)
+
+
+def _decompose(tables: _CoefficientTables, psi: Array, rho: Array) -> CollisionDecomposition:
+    """Add the scattering-in from the known field psi to the tables."""
+    scatter_in = np.tensordot(tables.gain_matrix, psi, axes=([2, 3], [0, 1])) * rho
+    return CollisionDecomposition(removal=tables.removal, gain=tables.emission + scatter_in)
 
 
 def collision_decomposition(psi: Array, rho: Array, model: CoefficientModel,
@@ -54,13 +80,7 @@ def collision_decomposition(psi: Array, rho: Array, model: CoefficientModel,
     from the known field psi (the previous iterate)."""
     psi = check_radiation(psi, grids)
     rho = check_scalar(rho, grids.spatial)
-    gain_matrix, lam_s = _scattering_tables(model, grids)
-    sigma = model.sigma_bm(grids, t, rho)
-    ext = grids.spatial.extents
-    removal = (sigma + lam_s.reshape(lam_s.shape + (1,) * len(ext))) * rho
-    scatter_in = np.tensordot(gain_matrix, psi, axes=([2, 3], [0, 1])) * rho
-    gain = model.emission_bm(grids, t, rho) + scatter_in
-    return CollisionDecomposition(removal=removal, gain=gain)
+    return _decompose(_coefficient_tables(model, grids, t, rho), psi, rho)
 
 
 def collision_term(I: Array, rho: Array, model: CoefficientModel,
@@ -100,10 +120,18 @@ def radiation_pressure_tensor(I: Array, grids: Grids, c: float) -> Array:
     return np.tensordot(woo, I, axes=([0, 1], [0, 1])) / c
 
 
+def _momentum_source(I: Array, rho: Array, tables: _CoefficientTables, grids: Grids,
+                     c: float) -> Array:
+    dec = _decompose(tables, I, rho)
+    return -radiation_flux(dec.gain - dec.removal * I, grids) / c
+
+
 def momentum_source(I: Array, rho: Array, model: CoefficientModel, grids: Grids,
                     t: float, c: float) -> Array:
     """Radiative force on the fluid: -(1/c) int int A_r Omega dOmega dv."""
-    return -radiation_flux(collision_term(I, rho, model, grids, t), grids) / c
+    I = check_radiation(I, grids)
+    rho = check_scalar(rho, grids.spatial)
+    return _momentum_source(I, rho, _coefficient_tables(model, grids, t, rho), grids, c)
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +178,13 @@ def _streaming(I: Array, grids: Grids, dt: float, c: float) -> Array:
     return out
 
 
+def _transport_step(I_n: Array, psi: Array, rho_new: Array, tables: _CoefficientTables,
+                    grids: Grids, dt: float, c: float) -> Array:
+    stream = _streaming(I_n, grids, dt, c)
+    dec = _decompose(tables, psi, rho_new)
+    return (I_n + c * dt * (dec.gain - stream)) / (1.0 + c * dt * dec.removal)
+
+
 def transport_step(I_n: Array, psi: Array, rho_new: Array, model: CoefficientModel,
                    grids: Grids, dt: float, t: float, c: float) -> Array:
     """One linearized transport step of size dt.
@@ -159,10 +194,10 @@ def transport_step(I_n: Array, psi: Array, rho_new: Array, model: CoefficientMod
     c dt sum_a |Omega_a| / h_a <= 1 (checked, never clamped).
     """
     I_n = check_radiation(I_n, grids)
+    psi = check_radiation(psi, grids)
     rho_new = check_scalar(rho_new, grids.spatial)
-    stream = _streaming(I_n, grids, dt, c)
-    dec = collision_decomposition(psi, rho_new, model, grids, t)
-    return (I_n + c * dt * (dec.gain - stream)) / (1.0 + c * dt * dec.removal)
+    return _transport_step(I_n, psi, rho_new, _coefficient_tables(model, grids, t, rho_new),
+                           grids, dt, c)
 
 
 def free_streaming_step(I_n: Array, grids: Grids, dt: float, c: float) -> Array:
@@ -171,12 +206,21 @@ def free_streaming_step(I_n: Array, grids: Grids, dt: float, c: float) -> Array:
     return I_n - c * dt * _streaming(I_n, grids, dt, c)
 
 
+def _substep_transport(I_n: Array, psi: Array, rho_new: Array, tables_at, grids: Grids,
+                       dt: float, t: float, c: float, cfl: float) -> Array:
+    n_sub, sub = transport_substeps(grids, dt, c, cfl)
+    I = I_n
+    for k in range(n_sub):
+        I = _transport_step(I, psi, rho_new, tables_at(t + k * sub), grids, sub, c)
+    return I
+
+
 def substep_transport(I_n: Array, psi: Array, rho_new: Array, model: CoefficientModel,
                       grids: Grids, dt: float, t: float, c: float,
                       cfl: float = 0.9) -> Array:
     """Advance dt by chaining CFL-safe transport steps."""
-    n_sub, sub = transport_substeps(grids, dt, c, cfl)
-    I = I_n
-    for k in range(n_sub):
-        I = transport_step(I, psi, rho_new, model, grids, sub, t + k * sub, c)
-    return I
+    I_n = check_radiation(I_n, grids)
+    psi = check_radiation(psi, grids)
+    rho_new = check_scalar(rho_new, grids.spatial)
+    return _substep_transport(I_n, psi, rho_new, _tables_at(model, grids, t, rho_new),
+                              grids, dt, t, c, cfl)

@@ -1,8 +1,9 @@
 """Independent oracles: brute-force quadrature of the collision term, a
 monolithic (no fixed-point) coupled integrator, and per-(band, ordinate) loop
-versions of the batched phase-space operators, the momentum matrix
-assembled from whole sparse blocks, and the one-start-time characteristics
-trace and heat-flow mollifier.  These deliberately avoid the
+versions of the batched phase-space operators and of the coefficient
+tables, the momentum matrix assembled from whole sparse blocks, the
+one-start-time characteristics trace and heat-flow mollifier, and the
+per-value snapshot writer.  These deliberately avoid the
 vectorized/precomputed paths of the package so they can check them.
 """
 
@@ -135,6 +136,17 @@ def _loop_streaming(I_bm, speeds, grid):
             out += s * (ctr - _view(fp, grid.dim, a, -1)) / h
         else:
             out += s * (_view(fp, grid.dim, a, +1) - ctr) / h
+    return out
+
+
+def loop_tabulate(fn, grids, t, *rho):
+    """fn(v, omega, t, x, *rho) at every (band, ordinate) pair, one callable
+    call each (any ``fn.table`` is ignored)."""
+    out = np.empty(grids.radiation_shape())
+    x = grids.spatial.coords()
+    for b, v in enumerate(grids.freq.band_centers):
+        for m, omega in enumerate(grids.ang.ordinates):
+            out[b, m] = np.broadcast_to(fn(v, omega, t, x, *rho), grids.spatial.extents)
     return out
 
 
@@ -274,3 +286,17 @@ def loop_heat_smooth(u, grid, duration):
             lap += second_difference(out, grid, a, 0.0)
         out = out + dt * lap
     return out
+
+
+# ---------------------------------------------------------------------------
+# field snapshot, one value per write
+# ---------------------------------------------------------------------------
+
+def loop_write_field_snapshot(path, f, grid):
+    """Header line, then each value formatted and written on its own."""
+    with open(path, "w", encoding="utf-8") as fh:
+        header = [str(grid.dim)] + [str(n) for n in grid.extents] \
+            + [format(h, ".17g") for h in grid.spacing]
+        fh.write(" ".join(header) + "\n")
+        for v in np.asarray(f, dtype=float).ravel(order="C"):
+            fh.write(format(v, ".17g") + "\n")

@@ -8,8 +8,10 @@ ordinate sets (the ordinates along z have zero speed on both grid axes), and
 3D periodic.
 
 The same holds for the characteristics trace of many start times at once
-against one start time at a time, and for the in-place heat-flow mollifier
-against its freshly padded loop version.
+against one start time at a time, for the in-place heat-flow mollifier
+against its freshly padded loop version, for the whole-array coefficient
+tables of the built-in models against one callable call per (band,
+ordinate), and for the one-write snapshot writer against the per-value one.
 """
 
 import numpy as np
@@ -18,14 +20,17 @@ from hypothesis import strategies as st
 
 from rhlab.fluid import (VelocityHistory, continuity_step_characteristics,
                          heat_smooth, integrate_flow_map)
-from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, gradient
+from rhlab.grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, gradient,
+                        read_field_snapshot, write_field_snapshot)
 from rhlab.norms import MIXED_INNER_KINDS, NormSettings, mixed_radiation_norm
-from rhlab.physics import constant_model
+from rhlab.physics import compton_model, constant_model, zero_model
+from rhlab.scenarios import _const_emission
 from rhlab.transport import free_streaming_step, transport_cfl_limit, transport_step
 
 from _reference import (loop_continuity_step_characteristics, loop_free_streaming_step,
                         loop_gradient, loop_heat_smooth, loop_mixed_radiation_norm,
-                        loop_trace_backward, loop_transport_step)
+                        loop_tabulate, loop_trace_backward, loop_transport_step,
+                        loop_write_field_snapshot)
 
 _EDGES = (0.5, 1.0, 2.0, 3.5)
 
@@ -184,3 +189,79 @@ def test_heat_smooth(dim, periodic, seed, duration, zeros):
         else SpatialGrid.farfield(cells, lengths, 1.0)
     u = _field(rng, (dim,) + cells, True, zeros)
     assert _identical(heat_smooth(u, grid, duration), loop_heat_smooth(u, grid, duration))
+
+
+positive = st.floats(0.05, 20.0)
+
+
+def _compton_sigma(D1, D2, v0, theta):
+    """The Compton sigma as a pointwise callable, written out independently."""
+    def sigma(v, omega, t, x, rho):
+        z = (v - v0) / v0
+        return np.full_like(rho, D1 * theta ** -0.5 * np.exp(-D2 * theta ** -0.5 * z * z))
+    return sigma
+
+
+@st.composite
+def coefficient_cases(draw):
+    """A built-in model on a 1D, 2D or 3D grid with random band edges, and
+    pointwise callables written out independently for its sigma and emission.
+    The Compton parameters and edges spread the exponent over many decades,
+    down to results that underflow to zero."""
+    dim = draw(st.integers(1, 3))
+    cells = tuple(draw(st.lists(st.integers(4, 6), min_size=dim, max_size=dim)))
+    spatial = SpatialGrid.periodic(cells, (1.0,) * dim)
+    widths = draw(st.lists(st.floats(1e-3, 5.0), min_size=1, max_size=5))
+    edges = draw(st.floats(1e-3, 5.0)) + np.cumsum([0.0] + widths)
+    ang = {1: AngularQuadrature.gauss_legendre_slab(4), 2: AngularQuadrature.axes3d(),
+           3: AngularQuadrature.corners3d()}[dim]
+    grids = Grids(spatial, FrequencyGrid.from_edges(edges), ang)
+    kind = draw(st.sampled_from(["zero", "constant", "compton"]))
+    if kind == "zero":
+        model = zero_model()
+        sigma, e0 = (lambda v, omega, t, x, rho: np.zeros_like(rho)), 0.0
+    elif kind == "constant":
+        s0, e0 = draw(positive), draw(positive)
+        model = constant_model(s0, draw(positive), e0)
+        sigma = lambda v, omega, t, x, rho: np.full_like(rho, s0)
+    else:
+        params = [draw(positive) for _ in range(4)]
+        model = compton_model(*params)
+        sigma, e0 = _compton_sigma(*params), 0.0
+    if draw(st.booleans()):
+        e0 = draw(positive)
+        model.emission = _const_emission(e0)
+    return grids, model, sigma, lambda v, omega, t, x: e0
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=coefficient_cases(), seed=seeds, t=st.floats(-1.0, 1.0), zeros=st.booleans())
+def test_coefficient_tables(case, seed, t, zeros):
+    grids, model, sigma, emission = case
+    assert model.tabulated
+    rho = _field(np.random.default_rng(seed), grids.spatial.extents, False, zeros)
+    got = model.sigma_bm(grids, t, rho)
+    assert _identical(got, loop_tabulate(model.sigma, grids, t, rho))
+    assert _identical(got, loop_tabulate(sigma, grids, t, rho))
+    got = model.emission_bm(grids, t, rho)
+    assert _identical(got, loop_tabulate(model.emission, grids, t))
+    assert _identical(got, loop_tabulate(emission, grids, t))
+
+
+@settings(max_examples=50, deadline=None)
+@given(dim=st.integers(1, 3), seed=seeds, zeros=st.booleans())
+def test_field_snapshot(tmp_path_factory, dim, seed, zeros):
+    rng = np.random.default_rng(seed)
+    cells = tuple(int(n) for n in rng.integers(4, 9 if dim == 1 else 6, dim))
+    grid = SpatialGrid.periodic(cells, tuple(rng.uniform(0.1, 3.0, dim)))
+    # signed values of magnitude 1e-9 to 1e7, with 0.0 and -0.0
+    f = rng.choice([-1.0, 1.0], cells) * 10.0 ** rng.uniform(-9.0, 7.0, cells)
+    if zeros:
+        f[rng.random(cells) < 0.2] = 0.0
+        f[rng.random(cells) < 0.2] = -0.0
+    d = tmp_path_factory.mktemp("snap")
+    write_field_snapshot(d / "new.dat", f, grid)
+    loop_write_field_snapshot(d / "old.dat", f, grid)
+    assert (d / "new.dat").read_bytes() == (d / "old.dat").read_bytes()
+    g, extents, spacing = read_field_snapshot(d / "new.dat")
+    assert _identical(g, f) and extents == cells and spacing == grid.spacing

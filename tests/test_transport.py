@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhlab.errors import StepSizeError
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from rhlab.physics import CoefficientModel, compton_model, constant_model, zero_model
-from rhlab.transport import (collision_term, linearized_collision_term,
-                             momentum_source, radiation_flux,
+from rhlab.transport import (collision_decomposition, collision_term,
+                             linearized_collision_term, momentum_source, radiation_flux,
                              free_streaming_step, radiation_pressure_tensor,
-                             transport_cfl_limit, transport_step)
+                             substep_transport, transport_cfl_limit, transport_step,
+                             transport_substeps)
 
-from _reference import brute_force_collision
+from _reference import brute_force_collision, loop_transport_step
 
 
 @pytest.fixture
@@ -293,3 +296,89 @@ class TestTransportStep:
         w = np.multiply.outer(grids.freq.band_weights, grids.ang.weights)
         net = np.tensordot(w, ar, axes=([0, 1], [0, 1]))
         assert np.max(np.abs(net)) < 1e-8
+
+
+def _same(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestCoefficientTables:
+    """The tables live on the coefficient callables, so nothing built from an
+    earlier model state can be reused after a coefficient is replaced."""
+
+    @pytest.mark.parametrize("attr", ["sigma", "emission"])
+    def test_reassigned_coefficient_takes_effect(self, grids_small, rng, attr):
+        model = constant_model(0.2, 0.05, 0.05)
+        shape = grids_small.radiation_shape()
+        I, psi, rho = rng.random(shape), rng.random(shape), rng.random(8)
+        dt = 0.9 * transport_cfl_limit(grids_small, 1.0)
+        collision_decomposition(psi, rho, model, grids_small, 0.0)
+        transport_step(I, psi, rho, model, grids_small, dt, 0.0, 1.0)
+        if attr == "sigma":
+            model.sigma = lambda v, omega, t, x, rho: np.full_like(rho, 0.7)
+            expected = constant_model(0.7, 0.05, 0.05)
+        else:
+            model.emission = lambda v, omega, t, x: 0.3
+            expected = constant_model(0.2, 0.05, 0.3)
+        assert not model.tabulated and expected.tabulated
+        got = collision_decomposition(psi, rho, model, grids_small, 0.0)
+        want = collision_decomposition(psi, rho, expected, grids_small, 0.0)
+        assert _same(got.removal, want.removal) and _same(got.gain, want.gain)
+        assert _same(transport_step(I, psi, rho, model, grids_small, dt, 0.0, 1.0),
+                     transport_step(I, psi, rho, expected, grids_small, dt, 0.0, 1.0))
+        assert _same(substep_transport(I, psi, rho, model, grids_small, 3 * dt, 0.0, 1.0),
+                     substep_transport(I, psi, rho, expected, grids_small, 3 * dt, 0.0, 1.0))
+        assert _same(momentum_source(I, rho, model, grids_small, 0.0, 1.0),
+                     momentum_source(I, rho, expected, grids_small, 0.0, 1.0))
+
+    def test_time_dependent_sigma_at_every_substep(self, grids_small, rng):
+        seen = set()
+
+        def sigma(v, omega, t, x, rho):
+            seen.add(t)
+            return np.full_like(rho, 1.0 + t * t)
+
+        model = constant_model(0.0, 0.05, 0.05)
+        model.sigma = sigma
+        shape = grids_small.radiation_shape()
+        I, psi, rho = rng.random(shape), rng.random(shape), rng.random(8)
+        c, cfl, t0 = 1.0, 0.9, 0.3
+        dt = 3.5 * cfl * transport_cfl_limit(grids_small, c)
+        n_sub, sub = transport_substeps(grids_small, dt, c, cfl)
+        assert n_sub == 4
+        got = substep_transport(I, psi, rho, model, grids_small, dt, t0, c, cfl)
+        assert seen == {t0 + k * sub for k in range(n_sub)}
+        want = I
+        for k in range(n_sub):
+            want = loop_transport_step(want, psi, rho, model, grids_small, sub,
+                                       t0 + k * sub, c)
+        assert _same(got, want)
+
+
+_SPATIAL = {1: lambda: SpatialGrid.periodic(16, 1.0),
+            2: lambda: SpatialGrid.farfield((6, 6), (1.0, 1.0), 0.5)}
+_ORDINATES = {1: lambda: AngularQuadrature.gauss_legendre_slab(4),
+              2: AngularQuadrature.combined14}
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 2), c=st.floats(0.1, 10.0), cfl=st.floats(0.05, 1.0),
+       frac=st.floats(0.01, 1.0), steps=st.integers(1, 3),
+       kind=st.sampled_from(["constant", "compton"]), seed=st.integers(0, 2**32 - 1))
+def test_substep_transport_positive(dim, c, cfl, frac, steps, kind, seed):
+    # each substep is at most cfl x the CFL limit, whatever c is
+    grids = Grids(_SPATIAL[dim](), FrequencyGrid.from_edges([0.5, 1.0, 2.0]),
+                  _ORDINATES[dim]())
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        model = constant_model(*rng.uniform(0.0, 2.0, 3))
+    else:
+        model = compton_model(*rng.uniform(0.1, 3.0, 4), sigma_s_profile=lambda vf, vt, mu:
+                              np.full_like(np.asarray(mu, dtype=float), 0.3))
+    shape = grids.radiation_shape()
+    I, psi = rng.uniform(0.0, 5.0, shape), rng.uniform(0.0, 5.0, shape)
+    I[rng.random(shape) < 0.3] = 0.0
+    rho = rng.uniform(0.0, 3.0, grids.spatial.extents)
+    dt = steps * frac * cfl * transport_cfl_limit(grids, c)
+    out = substep_transport(I, psi, rho, model, grids, dt, 0.0, c, cfl)
+    assert np.min(out) >= 0.0
