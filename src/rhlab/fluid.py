@@ -42,8 +42,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import DomainError, ParameterError, ShapeError, SolverError, StepSizeError
-from .grid import (SpatialGrid, _view, check_scalar, check_vector, divergence,
-                   gradient, pad_ghost)
+from .grid import (SpatialGrid, _fill_ghosts, _view, check_scalar, check_vector,
+                   divergence, gradient, pad_ghost)
 from .physics import ViscosityParams
 
 Array = np.ndarray
@@ -391,13 +391,6 @@ def heat_smooth(u: Array, grid: SpatialGrid, duration: float) -> Array:
     out = _view(fp, grid.dim, 0, 0)
     stencils = [(_view(fp, grid.dim, a, +1), _view(fp, grid.dim, a, -1), h * h)
                 for a, h in enumerate(grid.spacing)]
-    wrap = []             # (ghost, source) index pairs of the periodic layers
-    if grid.boundary == "periodic":
-        for a, m in enumerate(grid.extents):
-            for ghost, source in ((0, m), (m + 1, 1)):
-                g, src = [slice(None)] * fp.ndim, [slice(None)] * fp.ndim
-                g[1 + a], src[1 + a] = ghost, source
-                wrap.append((tuple(g), tuple(src)))
     lap, term = np.empty(u.shape), np.empty(u.shape)
     for _ in range(n):
         lap.fill(0.0)
@@ -409,8 +402,8 @@ def heat_smooth(u: Array, grid: SpatialGrid, duration: float) -> Array:
             lap += term
         lap *= dt
         out += lap
-        for g, src in wrap:
-            fp[g] = fp[src]
+        if grid.boundary == "periodic":
+            _fill_ghosts(fp, grid)
     return out.copy()
 
 

@@ -291,13 +291,31 @@ def check_cells(f: Array, grid: SpatialGrid) -> Array:
 def pad_ghost(f: Array, grid: SpatialGrid, farfield_value: float = 0.0) -> Array:
     """Add one ghost layer per spatial axis (trailing ``grid.dim`` axes).
 
-    Periodic grids wrap; far-field grids pad with the given constant.
+    Periodic grids wrap; far-field grids pad with the given constant.  The
+    values, corners included, and the memory order are those of ``np.pad``.
     """
+    f = np.asarray(f)
     lead = f.ndim - grid.dim
-    width = [(0, 0)] * lead + [(1, 1)] * grid.dim
-    if grid.boundary == "periodic":
-        return np.pad(f, width, mode="wrap")
-    return np.pad(f, width, mode="constant", constant_values=farfield_value)
+    fp = np.empty(f.shape[:lead] + tuple(n + 2 for n in f.shape[lead:]), f.dtype,
+                  order="F" if f.flags.fnc else "C")
+    fp[(Ellipsis,) + (slice(1, -1),) * grid.dim] = f
+    _fill_ghosts(fp, grid, farfield_value)
+    return fp
+
+
+def _fill_ghosts(fp: Array, grid: SpatialGrid, farfield_value: float = 0.0) -> None:
+    """Set the ghost layers of a once-padded array in place, axis by axis:
+    periodic axes copy the opposite interior layer, far-field axes get the
+    constant.  Each axis's layers span the whole padded extent of the others."""
+    lead = fp.ndim - grid.dim
+    for a in range(grid.dim):
+        before = (slice(None),) * (lead + a)
+        m = fp.shape[lead + a] - 2
+        for ghost, source in ((0, m), (m + 1, 1)):
+            if grid.boundary == "periodic":
+                fp[before + (ghost,)] = fp[before + (source,)]
+            else:
+                fp[before + (ghost,)] = farfield_value
 
 
 def _view(fp: Array, dim: int, axis: int, off: int) -> Array:

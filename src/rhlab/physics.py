@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, DomainError, ParameterError
 from .grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, check_scalar,
@@ -57,7 +56,11 @@ class PhysicalConstants:
 
 class EquationOfState:
     """Barotropic pressure law: polytropic p = A rho^gamma, or a monotone C1
-    interpolation of tabulated (rho, p) samples."""
+    interpolation of tabulated (rho, p) samples.
+
+    The table interpolant is SciPy's ``PchipInterpolator``; it is imported
+    the first time a table EOS is built, not when ``rhlab`` is imported.
+    """
 
     def __init__(self, kind: str, A: float | None = None, gamma: float | None = None,
                  table: tuple[Array, Array] | None = None):
@@ -77,6 +80,8 @@ class EquationOfState:
             p_s = np.asarray(table[1], dtype=float)
             if rho_s.ndim != 1 or rho_s.size < 4 or p_s.shape != rho_s.shape:
                 raise ParameterError("table needs matching 1D sample arrays (>= 4 points)")
+            if not (np.all(np.isfinite(rho_s)) and np.all(np.isfinite(p_s))):
+                raise ParameterError("table samples must be finite")
             if np.any(np.diff(rho_s) <= 0):
                 raise ParameterError("table densities must be strictly increasing")
             if np.any(np.diff(p_s) < 0):
@@ -85,6 +90,8 @@ class EquationOfState:
                 raise ParameterError("table densities must be >= 0")
             self.A = None
             self.gamma = None
+            # imported here: it costs about 0.3 s and polytropic runs never use it
+            from scipy.interpolate import PchipInterpolator
             # monotone cubic keeps p in C1 with p' >= 0 between samples
             self._interp = PchipInterpolator(rho_s, p_s, extrapolate=True)
         else:

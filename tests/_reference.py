@@ -2,9 +2,10 @@
 monolithic (no fixed-point) coupled integrator, and per-(band, ordinate) loop
 versions of the batched phase-space operators and of the coefficient
 tables, the momentum matrix assembled from whole sparse blocks, the
-one-start-time characteristics trace and heat-flow mollifier, and the
-per-value snapshot writer.  These deliberately avoid the
-vectorized/precomputed paths of the package so they can check them.
+one-start-time characteristics trace and heat-flow mollifier, the
+per-value snapshot writer, and the ``np.pad`` ghost layers.  These
+deliberately avoid the vectorized/precomputed paths of the package so they
+can check them.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import scipy.sparse as sp
 
 from rhlab.fluid import (VelocityHistory, _axis_operators, _clamp_points,
                          continuity_step_fv, lame_matrix, momentum_step)
-from rhlab.grid import _view, divergence, pad_ghost, second_difference
+from rhlab.grid import _view, divergence, second_difference
 from rhlab.physics import pressure
 from rhlab.picard import State
 from rhlab.transport import collision_decomposition, momentum_source, substep_transport
@@ -73,6 +74,20 @@ def solve_monolithic(state0, model, grids, visc, eos, consts, dt, t_final):
 
 
 # ---------------------------------------------------------------------------
+# ghost layers by np.pad
+# ---------------------------------------------------------------------------
+
+def loop_pad_ghost(f, grid, farfield_value=0.0):
+    """One ghost layer per trailing spatial axis through ``np.pad``: wrap on
+    periodic grids, the constant on far-field ones."""
+    lead = f.ndim - grid.dim
+    width = [(0, 0)] * lead + [(1, 1)] * grid.dim
+    if grid.boundary == "periodic":
+        return np.pad(f, width, mode="wrap")
+    return np.pad(f, width, mode="constant", constant_values=farfield_value)
+
+
+# ---------------------------------------------------------------------------
 # loop versions of the batched phase-space operators
 # ---------------------------------------------------------------------------
 
@@ -82,7 +97,7 @@ def loop_gradient(f, grid, farfield_value=0.0):
     lead = f.shape[:f.ndim - grid.dim]
     out = np.empty(lead + (grid.dim,) + grid.extents)
     for idx in np.ndindex(*lead):
-        fp = pad_ghost(f[idx], grid, farfield_value)
+        fp = loop_pad_ghost(f[idx], grid, farfield_value)
         for a in range(grid.dim):
             out[idx + (a,)] = (_view(fp, grid.dim, a, +1) - _view(fp, grid.dim, a, -1)) \
                 / (2.0 * grid.spacing[a])
@@ -124,7 +139,7 @@ def loop_mixed_radiation_norm(I, inner, grids, settings):
 
 def _loop_streaming(I_bm, speeds, grid):
     """Upwind streaming of one (b, m) field; zero ghosts on far-field grids."""
-    fp = pad_ghost(I_bm, grid, 0.0)
+    fp = loop_pad_ghost(I_bm, grid, 0.0)
     out = np.zeros(grid.extents)
     for a in range(grid.dim):
         s = float(speeds[a])
@@ -209,7 +224,7 @@ def momentum_matrix(rho, w, visc, dt, grid):
 
 def loop_interp_field(f, grid, points, farfield_value=0.0):
     """Multilinear interpolation of one scalar field, padded on every call."""
-    fp = pad_ghost(np.asarray(f, dtype=float), grid, farfield_value)
+    fp = loop_pad_ghost(np.asarray(f, dtype=float), grid, farfield_value)
     batch = points.shape[1:]
     points, _ = _clamp_points(np.asarray(points, dtype=float), grid)
     base, frac = [], []

@@ -260,6 +260,29 @@ class TestLame:
             rhs = visc.mu * grad_sq + (visc.lam + visc.mu) * div_sq
             assert abs(lhs - rhs) < 1e-9
 
+    @settings(max_examples=100, deadline=None)
+    @given(dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           mu=st.floats(1e-3, 1e3), lam_excess=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+           log_amplitude=st.floats(-4.0, 4.0), smooth=st.booleans())
+    def test_energy_identity_property(self, dim, seed, mu, lam_excess, log_amplitude,
+                                      smooth):
+        # <L u, u> = mu |grad u|^2 + (lam + mu) |div u|^2 on any periodic grid,
+        # for any admissible lam >= -2 mu / 3, up to rounding in the sums
+        rng = np.random.default_rng(seed)
+        cells = tuple(int(n) for n in rng.integers(4, {1: 40, 2: 12, 3: 7}[dim], dim))
+        grid = SpatialGrid.periodic(cells, tuple(rng.uniform(0.2, 5.0, dim)))
+        visc = ViscosityParams(mu=mu, lam=lam_excess - 2.0 * mu / 3.0)
+        u = random_smooth_vector(grid, rng) if smooth \
+            else rng.normal(size=(dim,) + cells)
+        u *= 10.0 ** log_amplitude
+        Lu = lame_apply(u, visc, grid)
+        lhs = inner_product(Lu, u, grid)
+        grad_sq = sum(lp_norm(gradient(u[j], grid), 2.0, grid) ** 2 for j in range(dim))
+        div_sq = lp_norm(divergence(u, grid), 2.0, grid) ** 2
+        rhs = visc.mu * grad_sq + (visc.lam + visc.mu) * div_sq
+        terms = rhs + inner_product(np.abs(Lu), np.abs(u), grid)
+        assert abs(lhs - rhs) <= 1e-13 * terms
+
     def test_ellipticity(self, grid128, rng):
         visc = ViscosityParams(mu=1.0, lam=-0.6)  # lam + 2mu/3 > 0
         for _ in range(10):

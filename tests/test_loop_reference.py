@@ -11,7 +11,8 @@ The same holds for the characteristics trace of many start times at once
 against one start time at a time, for the in-place heat-flow mollifier
 against its freshly padded loop version, for the whole-array coefficient
 tables of the built-in models against one callable call per (band,
-ordinate), and for the one-write snapshot writer against the per-value one.
+ordinate), for the one-write snapshot writer against the per-value one, and
+for the ghost layers against ``np.pad``.
 """
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from rhlab.fluid import (VelocityHistory, continuity_step_characteristics,
                          heat_smooth, integrate_flow_map)
 from rhlab.grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, gradient,
-                        read_field_snapshot, write_field_snapshot)
+                        pad_ghost, read_field_snapshot, write_field_snapshot)
 from rhlab.norms import MIXED_INNER_KINDS, NormSettings, mixed_radiation_norm
 from rhlab.physics import compton_model, constant_model, zero_model
 from rhlab.scenarios import _const_emission
@@ -29,8 +30,8 @@ from rhlab.transport import free_streaming_step, transport_cfl_limit, transport_
 
 from _reference import (loop_continuity_step_characteristics, loop_free_streaming_step,
                         loop_gradient, loop_heat_smooth, loop_mixed_radiation_norm,
-                        loop_tabulate, loop_trace_backward, loop_transport_step,
-                        loop_write_field_snapshot)
+                        loop_pad_ghost, loop_tabulate, loop_trace_backward,
+                        loop_transport_step, loop_write_field_snapshot)
 
 _EDGES = (0.5, 1.0, 2.0, 3.5)
 
@@ -74,6 +75,25 @@ def _identical(a, b):
 
 
 seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 3), periodic=st.booleans(), seed=seeds, n_lead=st.integers(0, 2),
+       farfield_value=st.sampled_from([0.0, -0.0, 0.7, -3.5]), zeros=st.booleans(),
+       fortran=st.booleans())
+def test_pad_ghost(dim, periodic, seed, n_lead, farfield_value, zeros, fortran):
+    rng = np.random.default_rng(seed)
+    cells = tuple(int(n) for n in rng.integers(4, 10 if dim == 1 else 6, dim))
+    lengths = tuple(rng.uniform(0.5, 2.0, dim))
+    grid = SpatialGrid.periodic(cells, lengths) if periodic \
+        else SpatialGrid.farfield(cells, lengths, 1.0)
+    f = _field(rng, (2, 3)[:n_lead] + cells, True, zeros)
+    if fortran:
+        f = np.asfortranarray(f)
+    got, want = pad_ghost(f, grid, farfield_value), loop_pad_ghost(f, grid, farfield_value)
+    assert _identical(got, want)
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert got.flags.f_contiguous == want.flags.f_contiguous
 
 
 @settings(max_examples=50, deadline=None)

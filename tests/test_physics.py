@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import rhlab
 from rhlab.errors import ConfigError, DomainError, ParameterError
 from rhlab.grid import AngularQuadrature, FrequencyGrid
 from rhlab.physics import (CoefficientModel, EquationOfState, PhysicalConstants,
@@ -59,6 +64,30 @@ class TestEquationOfState:
             EquationOfState.barotropic_table([0.0, 1.0, 1.0, 2.0], [0, 1, 2, 3])
         with pytest.raises(ParameterError):
             EquationOfState.barotropic_table([0.0, 1.0, 2.0, 3.0], [0, 2, 1, 3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column", ["rho", "p"])
+    def test_table_rejects_non_finite(self, bad, column):
+        rho_s, p_s = np.array([0.0, 1.0, 2.0, 3.0]), np.array([0.0, 1.0, 2.0, 3.0])
+        (rho_s if column == "rho" else p_s)[2] = bad
+        with pytest.raises(ParameterError, match="finite"):
+            EquationOfState.barotropic_table(rho_s, p_s)
+
+    def test_table_interpolant_imported_on_first_table(self):
+        # a fresh interpreter: this session has imported scipy.interpolate already
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "import rhlab\n"
+                "print('scipy.interpolate' in sys.modules)\n"
+                "rho_s = np.linspace(0.0, 4.0, 50)\n"
+                "eos = rhlab.EquationOfState.barotropic_table(rho_s, rho_s ** 1.4)\n"
+                "print(float(eos(np.array(2.3))).hex())\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rhlab.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        rho_s = np.linspace(0.0, 4.0, 50)
+        here = EquationOfState.barotropic_table(rho_s, rho_s ** 1.4)
+        assert out == ["False", float(here(np.array(2.3))).hex()]
 
     def test_pressure_negative_density(self, grid128, eos):
         rho = np.ones(128)
