@@ -16,19 +16,25 @@ The momentum system per step is
 
     rho (u_new - u_old)/dt + rho w . grad u_new + L u_new = -grad p + f_rad,
 
-filled into a sparse pattern computed once per (grid, viscosity) and solved
-by a preconditioned Krylov iteration (cg when symmetric, bicgstab with
-convection).  Where rho = 0 the time and convection terms vanish and the same
-solve degenerates to the elliptic balance L u_new = rhs.
+filled into a sparse pattern computed once per (grid, viscosity).  Where
+rho = 0 the time and convection terms vanish and the same solve degenerates
+to the elliptic balance L u_new = rhs.
 
-The preconditioner depends on the dimension.  In 1D it is the exact sparse LU
-factor: the matrix is banded, so the fill is O(n), and Jacobi is slow there
+How the system is solved depends on the dimension.  In 1D it is banded
+(half-bandwidth 2 on far-field grids, 4 on periodic ones once the ring is
+folded), so LAPACK's banded LU (``dgbsv``) solves it directly in O(n): a
+128-cell periodic step with convection costs about 0.1 ms, against about
+0.5 ms for SuperLU plus one factor-preconditioned Krylov iteration, nearly
+all of it scipy's set-up.  Jacobi-preconditioned Krylov is no alternative there,
 because vacuum rows leave only the stiff Lame block (one 1D vacuum run with
-160 solves took 20,283 Jacobi iterations, against 40 with the exact factor).
-In 2D and 3D it is Jacobi, v / diag(A): on the 2D 32x32 far-field system the
-exact factor cost 39 ms per solve against 4 ms for Jacobi, and Jacobi solves
-a 3D 16^3 vacuum-plateau system in about 20 ms, where incomplete LU plus
-Krylov took 3.6 s (one thread of a 2-vCPU Xeon).
+160 solves took 20,283 Jacobi iterations); it is kept only as the fallback
+for a singular band factor or one whose residual fails the check.  In 2D and
+3D the system is solved by a Jacobi (v / diag(A)) preconditioned Krylov
+iteration (cg when symmetric, bicgstab with convection): on the 2D 32x32
+far-field system the exact factor cost 39 ms per solve against 4 ms for
+Jacobi, and Jacobi solves a 3D 16^3 vacuum-plateau system in about 20 ms,
+where incomplete LU plus Krylov took 3.6 s.  All timings on one thread of a
+2-vCPU Xeon.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import DomainError, ParameterError, ShapeError, SolverError, StepSizeError
 from .grid import (SpatialGrid, _fill_ghosts, _view, check_scalar, check_vector,
@@ -473,18 +480,54 @@ def lame_matrix(grid: SpatialGrid, visc: ViscosityParams) -> sp.spmatrix:
 
 
 @dataclass(frozen=True, eq=False)
+class _BandMap:
+    """Where a 1D momentum matrix sits in LAPACK ``gbsv`` band storage.  The
+    unknowns are reordered by ``perm`` (unknown i of the reordered system is
+    unknown perm[i]); in that order every entry lies within ``kl`` of the
+    diagonal, and ``pos`` gives each CSR entry's flat position in the
+    Fortran-ordered (3*kl + 1, n) band array, whose first kl rows hold the
+    factor's fill."""
+
+    perm: Array
+    kl: int
+    pos: Array
+
+
+@dataclass(frozen=True, eq=False)
 class _MomentumLayout:
     """CSR pattern of the momentum matrix on the flattened (component, cell)
     vector: the union of the Lame, diagonal and upwind entries.  Holds the
     Lame values on that pattern, the data position of each component's
-    diagonal, and per axis the backward and forward upwind blocks as
-    (positions per component, cell of each entry's row, difference weight)."""
+    diagonal, per axis the backward and forward upwind blocks as (positions
+    per component, cell of each entry's row, difference weight), and in 1D
+    the band map of the pattern (None in 2D and 3D)."""
 
     indptr: Array
     indices: Array
     lame_data: Array
     diag_pos: Array                                   # (dim, cells)
     upwind: tuple[tuple[tuple[Array, Array, Array], ...], ...]
+    band: _BandMap | None
+
+    def matrix(self, data: Array) -> sp.csr_matrix:
+        size = self.indptr.size - 1
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(size, size))
+
+
+def _band_map(grid: SpatialGrid, rows: Array, cols: Array) -> _BandMap:
+    """Band map of a 1D pattern.  Periodic grids fold the ring into the order
+    0, n-1, 1, n-2, ..., so the wrap-around entries sit next to the diagonal
+    (half-bandwidth 4 for the +-2 Lame neighbours); far-field grids keep the
+    natural order (half-bandwidth 2)."""
+    n = grid.extents[0]
+    perm = np.arange(n)
+    if grid.boundary == "periodic":
+        perm[0::2] = np.arange((n + 1) // 2)
+        perm[1::2] = n - 1 - np.arange(n // 2)
+    where = np.argsort(perm)
+    i, j = where[rows], where[cols]
+    kl = int(np.max(np.abs(i - j)))
+    return _BandMap(perm=perm, kl=kl, pos=j * (3 * kl + 1) + 2 * kl + i - j)
 
 
 @functools.lru_cache(maxsize=16)
@@ -518,20 +561,20 @@ def _momentum_layout(grid: SpatialGrid, visc: ViscosityParams) -> _MomentumLayou
         tuple((position(offsets + blk.row, offsets + blk.col), blk.row, blk.data)
               for blk in pair)
         for pair in blocks)
+    band = _band_map(grid, keys // size, pattern.indices) if grid.dim == 1 else None
     for a in (pattern.indptr, pattern.indices):
         a.setflags(write=False)     # shared by every matrix built on the layout
     return _MomentumLayout(indptr=pattern.indptr, indices=pattern.indices,
                            lame_data=lame_data, diag_pos=position(diag, diag),
-                           upwind=upwind)
+                           upwind=upwind, band=band)
 
 
-def _momentum_matrix(rho: Array, w: Array | None, visc: ViscosityParams, dt: float,
-                     grid: SpatialGrid) -> sp.csr_matrix:
-    """L + rho/dt + implicit upwind rho w . grad (block-diagonal over velocity
-    components), filled into the cached layout of the grid: a positive w_a
-    scales the backward difference along axis a, a negative one the forward
+def _momentum_data(lay: _MomentumLayout, rho: Array, w: Array | None,
+                   dt: float) -> Array:
+    """CSR data of L + rho/dt + implicit upwind rho w . grad (block-diagonal
+    over velocity components) on the layout: a positive w_a scales the
+    backward difference along axis a, a negative one the forward
     difference."""
-    lay = _momentum_layout(grid, visc)
     rho = rho.ravel()
     data = lay.lame_data.copy()
     data[lay.diag_pos] += rho / dt
@@ -541,8 +584,45 @@ def _momentum_matrix(rho: Array, w: Array | None, visc: ViscosityParams, dt: flo
             for scale, (pos, cells, weight) in zip(
                     (rho * np.maximum(wa, 0.0), rho * np.minimum(wa, 0.0)), pair):
                 data[pos] += scale[cells] * weight
-    size = lay.indptr.size - 1
-    return sp.csr_matrix((data, lay.indices, lay.indptr), shape=(size, size))
+    return data
+
+
+def _momentum_matrix(rho: Array, w: Array | None, visc: ViscosityParams, dt: float,
+                     grid: SpatialGrid) -> sp.csr_matrix:
+    """The momentum matrix filled into the cached layout of the grid."""
+    lay = _momentum_layout(grid, visc)
+    return lay.matrix(_momentum_data(lay, rho, w, dt))
+
+
+def _band_storage(band: _BandMap, data: Array) -> Array:
+    """The matrix with CSR ``data`` in ``gbsv`` band storage of the reordered
+    system: a Fortran-ordered (3*kl + 1, n) array, zero outside the band."""
+    n = band.perm.size
+    flat = np.zeros(n * (3 * band.kl + 1))
+    flat[band.pos] = data
+    return flat.reshape(n, 3 * band.kl + 1).T
+
+
+def _band_solve(lay: _MomentumLayout, data: Array, b: Array,
+                rtol: float) -> tuple[Array | None, str]:
+    """Direct banded LU solve of the 1D system.  Returns (x, "") when x is
+    finite with relative residual <= rtol, else (None, why it was left)."""
+    band = lay.band
+    _, _, y, info = lapack.dgbsv(band.kl, band.kl, _band_storage(band, data),
+                                 b[band.perm], overwrite_ab=True, overwrite_b=True)
+    if info < 0:
+        raise SolverError(f"dgbsv rejected its argument {-info}")
+    if info > 0:
+        return None, f"singular, dgbsv info {info}"
+    x = np.empty_like(y)
+    x[band.perm] = y
+    if not np.all(np.isfinite(x)):
+        return None, "non-finite solution"
+    ax = np.add.reduceat(data * x[lay.indices], lay.indptr[:-1])    # A @ x
+    res = float(np.linalg.norm(b - ax)) / float(np.linalg.norm(b))
+    if res > rtol:
+        return None, f"relative residual {res:.3e}"
+    return x, ""
 
 
 # ---------------------------------------------------------------------------
@@ -558,12 +638,14 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     Vacuum cells need no special casing: the rho-weighted terms drop out of
     their rows and the solve reduces to the elliptic balance there.
 
-    The matrix is filled into the cached layout of the grid.  cg (symmetric)
-    or bicgstab (with convection) runs to a 1e-13 relative residual,
-    preconditioned by the exact LU factor in 1D (Jacobi if SuperLU finds the
-    factor singular) and by Jacobi in 2D and 3D; see the module docstring for
-    why.  If the residual still exceeds ``rtol``, lgmres retries from there;
-    a residual above ``rtol`` after that raises SolverError.
+    The matrix is filled into the cached layout of the grid.  In 1D one
+    banded LU factorization (LAPACK ``dgbsv``) solves it, and its solution is
+    kept when it is finite with relative residual <= ``rtol``.  Otherwise, and
+    always in 2D and 3D, cg (symmetric) or bicgstab (with convection),
+    preconditioned by Jacobi, runs to a 1e-13 relative residual; see the
+    module docstring for why.  If the residual still exceeds ``rtol``, lgmres
+    retries from there; a residual above ``rtol`` after that raises
+    SolverError, whose message names every path tried and why it was left.
     """
     u_n = check_vector(u_n, grid)
     rho_new = check_scalar(rho_new, grid)
@@ -581,29 +663,35 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     symmetric = w is None or not np.any(w)
     if not symmetric:
         w = check_vector(w, grid)
-    A = _momentum_matrix(rho_new, None if symmetric else w, visc, dt, grid)
-    precond = None
-    if grid.dim == 1:
-        try:
-            precond = spla.LinearOperator((n, n), spla.splu(A.tocsc()).solve)
-        except RuntimeError:    # SuperLU: the factor is exactly singular
-            pass
-    if precond is None:
-        diag = A.diagonal()
-        precond = spla.LinearOperator((n, n), lambda v: v / diag)
+    lay = _momentum_layout(grid, visc)
+    data = _momentum_data(lay, rho_new, None if symmetric else w, dt)
+    tried = []
+    if lay.band is not None:
+        x, why = _band_solve(lay, data, b, rtol)
+        if x is not None:
+            return x.reshape(u_n.shape)
+        tried.append(f"band LU ({why})")
 
+    A = lay.matrix(data)
+    diag = A.diagonal()
+    precond = spla.LinearOperator((n, n), lambda v: v / diag)
     x0 = u_n.reshape(-1)
     krylov = spla.cg if symmetric else spla.bicgstab
+    path = "Jacobi-cg" if symmetric else "Jacobi-bicgstab"
     x, info = krylov(A, b, x0=x0, rtol=1e-13, atol=0.0, maxiter=maxiter, M=precond)
     bnorm = float(np.linalg.norm(b))
     res = float(np.linalg.norm(b - A @ x)) / bnorm
     if res > rtol:
+        tried.append(f"{path} (relative residual {res:.3e})")
+        path = "lgmres"
         x, info = spla.lgmres(A, b, x0=x, rtol=1e-13, atol=0.0, maxiter=maxiter, M=precond)
         res = float(np.linalg.norm(b - A @ x)) / bnorm
-        if res > rtol:
-            raise SolverError(f"momentum solve stalled at relative residual {res:.3e}",
-                              residual=res, iterations=maxiter)
     out = x.reshape(u_n.shape)
     if not np.all(np.isfinite(out)):
-        raise SolverError("momentum solve produced non-finite values", residual=res)
-    return out
+        tried.append(f"{path} (non-finite values)")
+    elif res > rtol:
+        tried.append(f"{path} (relative residual {res:.3e})")
+    else:
+        return out
+    raise SolverError(f"momentum solve failed to reach relative residual {rtol:.1e}; "
+                      f"tried {', '.join(tried)}", residual=res, iterations=maxiter)

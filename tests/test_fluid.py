@@ -1,13 +1,12 @@
-import types
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rhlab import fluid
 
-from rhlab.errors import DomainError, ParameterError, ShapeError, StepSizeError
+from rhlab.errors import (DomainError, ParameterError, ShapeError, SolverError,
+                          StepSizeError)
 from rhlab.fluid import (FluidState, VelocityHistory,
                          continuity_step_characteristics, continuity_step_fv,
                          heat_smooth, integrate_flow_map, lame_apply,
@@ -376,28 +375,100 @@ class TestMomentumStep:
         rhs = -gradient(p, grid128)
         assert np.max(np.abs(lhs - rhs)) < 1e-7
 
-    @pytest.mark.parametrize("error", [RuntimeError, ValueError, TypeError])
-    def test_splu_failure(self, grid128, visc, monkeypatch, error):
-        # SuperLU signals an exactly singular factor by RuntimeError: the 1D
-        # solve goes on with the Jacobi preconditioner.  Any other exception
-        # from splu propagates.
-        def splu(*args, **kwargs):
-            raise error("factor is exactly singular")
+    @pytest.mark.parametrize("case", ["singular", "residual", "illegal"])
+    def test_band_factor_fallback(self, grid128, visc, monkeypatch, case):
+        # dgbsv reporting an exactly singular factor (info > 0), or returning
+        # an x whose residual exceeds rtol, sends the 1D solve on to the
+        # Jacobi-preconditioned Krylov path; info < 0 (an illegal argument)
+        # raises
+        dgbsv, cg, calls = fluid.lapack.dgbsv, fluid.spla.cg, []
 
-        fake = types.SimpleNamespace(splu=splu, **{
-            name: getattr(fluid.spla, name)
-            for name in ("LinearOperator", "cg", "bicgstab", "lgmres")})
-        monkeypatch.setattr(fluid, "spla", fake)
+        def fake_dgbsv(*args, **kwargs):
+            calls.append("dgbsv")
+            lub, piv, x, info = dgbsv(*args, **kwargs)
+            if case == "singular":
+                return lub, piv, x, 3
+            if case == "residual":
+                return lub, piv, x * (1.0 + 1e-6), info
+            return lub, piv, x, -4
+
+        def counted_cg(*args, **kwargs):
+            calls.append("cg")
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(fluid.lapack, "dgbsv", fake_dgbsv)
+        monkeypatch.setattr(fluid.spla, "cg", counted_cg)
         ustar = np.sin(2 * np.pi * grid128.axis_coords(0))[None]
         rho, dt = np.ones(128), 0.01
         forcing = rho[None] * ustar / dt + lame_apply(ustar, visc, grid128)
         args = (np.zeros((1, 128)), rho, None, np.ones(128), forcing, visc, dt, grid128)
-        if error is not RuntimeError:
-            with pytest.raises(error):
+        if case == "illegal":
+            with pytest.raises(SolverError, match="argument 4"):
                 momentum_step(*args)
+            assert calls == ["dgbsv"]
             return
         out = momentum_step(*args)
+        assert calls == ["dgbsv", "cg"]
         assert np.max(np.abs(out - ustar)) < 1e-8
+        A = momentum_matrix(rho, None, visc, dt, grid128)
+        b = forcing.reshape(-1)
+        assert np.linalg.norm(b - A @ out.reshape(-1)) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_band_solve_without_krylov(self, visc, rng, monkeypatch, with_w):
+        # the 1D solves, periodic (with or without convection) and far field
+        # with a vacuum core, never reach Krylov: a slide back to it fails here
+        def krylov(*args, **kwargs):
+            raise AssertionError("Krylov path used")
+
+        for name in ("cg", "bicgstab", "lgmres"):
+            monkeypatch.setattr(fluid.spla, name, krylov)
+        grid = SpatialGrid.periodic(128, 1.0)
+        rho = np.abs(random_smooth_field(grid, rng)) + 0.5
+        w = random_smooth_vector(grid, rng, amplitude=0.3) if with_w else None
+        u_n = random_smooth_vector(grid, rng, amplitude=0.2)
+        out = momentum_step(u_n, rho, w, np.ones(128), np.zeros_like(u_n), visc, 0.01, grid)
+        A = momentum_matrix(rho, w, visc, 0.01, grid)
+        b = (rho[None] * u_n / 0.01).reshape(-1)
+        assert np.linalg.norm(b - A @ out.reshape(-1)) <= 1e-10 * np.linalg.norm(b)
+
+        grid = SpatialGrid.farfield(64, 1.0, 1.0)
+        x = grid.axis_coords(0)
+        rho = np.where(np.abs(x - 0.5) < 0.2, 0.0, 1.0)
+        f = 0.1 * np.sin(2 * np.pi * x)[None]
+        out = momentum_step(np.zeros((1, 64)), rho, None, np.ones(64), f,
+                            visc, 0.01, grid, p_ref=1.0)
+        residual = lame_apply(out, visc, grid) + rho[None] * out / 0.01 - f
+        assert np.max(np.abs(residual)) < 1e-7
+
+    @pytest.mark.parametrize("grid, band", [
+        (SpatialGrid.periodic(128, 1.0), "band LU (singular, dgbsv info 3), "),
+        (SpatialGrid.periodic(128, 1.0), "band LU (relative residual 1.000e+00), "),
+        (SpatialGrid.periodic((8, 8), (1.0, 1.0)), "")], ids=["singular", "residual", "2d"])
+    def test_solver_error_names_every_path(self, visc, monkeypatch, grid, band):
+        # when every path fails, the error says which were tried and why each
+        # was left
+        dgbsv = fluid.lapack.dgbsv
+
+        def fake_dgbsv(*args, **kwargs):
+            lub, piv, x, info = dgbsv(*args, **kwargs)
+            return (lub, piv, x, 3) if "singular" in band else (lub, piv, 2.0 * x, info)
+
+        def krylov(A, b, x0, **kwargs):
+            return np.zeros_like(b), 1
+
+        monkeypatch.setattr(fluid.lapack, "dgbsv", fake_dgbsv)
+        monkeypatch.setattr(fluid.spla, "cg", krylov)
+        monkeypatch.setattr(fluid.spla, "lgmres", krylov)
+        # u = 1 solves the system, so the doubled x leaves residual 1
+        u_n = np.ones((grid.dim,) + grid.extents)
+        with pytest.raises(SolverError) as err:
+            momentum_step(u_n, np.ones(grid.extents), None, np.ones(grid.extents),
+                          np.zeros_like(u_n), visc, 0.01, grid)
+        assert str(err.value) == (
+            "momentum solve failed to reach relative residual 1.0e-10; tried " + band
+            + "Jacobi-cg (relative residual 1.000e+00), lgmres (relative residual 1.000e+00)")
+        assert err.value.residual == 1.0
 
     @pytest.mark.parametrize("cells", [(32, 32), (8, 8, 8)])
     @pytest.mark.parametrize("with_w", [False, True])
@@ -476,6 +547,54 @@ def test_layout_matrix_matches_block_assembly(grid, seed, mu, lam_excess, dt,
     np.testing.assert_allclose(got.toarray(),
                                momentum_matrix(rho, w, visc, dt, grid).toarray(),
                                rtol=1e-14, atol=0.0)
+
+
+@st.composite
+def band_grids(draw):
+    cells, length = draw(st.integers(4, 40)), draw(st.floats(0.5, 2.0))
+    if draw(st.booleans()):
+        return SpatialGrid.periodic(cells, length)
+    return SpatialGrid.farfield(cells, length, draw(st.floats(0.0, 2.0)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=band_grids(), seed=st.integers(0, 2**32 - 1),
+       mu=st.floats(0.1, 2.0), lam_excess=st.floats(0.0, 2.0),
+       dt=st.floats(1e-4, 1e-1), convect=st.booleans(), vacuum=st.booleans())
+@example(grid=SpatialGrid.periodic(4, 1.0), seed=0, mu=1.0, lam_excess=0.0, dt=0.01,
+         convect=True, vacuum=True)
+def test_band_map_unfolds_to_matrix(grid, seed, mu, lam_excess, dt, convect, vacuum):
+    # the gbsv band storage of the reordered system, read back through the
+    # permutation, is the momentum matrix; the direct solve on it meets a
+    # 1e-12 relative residual.  n = 4 periodic makes the +-2 neighbours coincide.
+    rng = np.random.default_rng(seed)
+    n = grid.extents[0]
+    visc = ViscosityParams(mu=mu, lam=lam_excess - 2.0 * mu / 3.0)
+    rho = rng.uniform(0.0, 3.0, n)
+    if vacuum:
+        rho[rng.random(n) < 0.5] = 0.0
+    # without convection the Lame block couples only cells two apart, so a
+    # dense cell of either parity keeps the system nonsingular
+    rho[:2] = rng.uniform(0.5, 3.0, 2)
+    w = rng.normal(size=(1, n)) if convect else None
+    lay = fluid._momentum_layout(grid, visc)
+    data = fluid._momentum_data(lay, rho, w, dt)
+    band = lay.band
+    assert band.kl == min(4 if grid.boundary == "periodic" else 2, n - 1)
+    ab = fluid._band_storage(band, data)
+    assert ab.shape == (3 * band.kl + 1, n) and ab.flags.f_contiguous
+    assert not np.any(ab[:band.kl])
+    i, j = np.indices((n, n))
+    inside = np.abs(i - j) <= band.kl
+    reordered = np.where(inside, ab[np.where(inside, 2 * band.kl + i - j, 0), j], 0.0)
+    unfolded = np.empty((n, n))
+    unfolded[np.ix_(band.perm, band.perm)] = reordered
+    A = momentum_matrix(rho, w, visc, dt, grid).toarray()
+    np.testing.assert_allclose(unfolded, A, rtol=1e-14, atol=0.0)
+    b = rng.normal(size=n)
+    x, why = fluid._band_solve(lay, data, b, rtol=1e-12)
+    assert why == ""
+    assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
 class TestPositivityRandomized:
