@@ -95,7 +95,8 @@ def compatibility_check(I0: Array, rho0: Array, u0: Array, eos: EquationOfState,
                         grids: Grids, consts: PhysicalConstants,
                         cuts: list | None = None,
                         cauchy_rtol: float = 0.05) -> CompatReport:
-    """Run the residual along a decreasing cut schedule and classify the trend.
+    """Run the residual along a cut schedule (strictly decreasing, at least
+    two cuts) and classify the trend.
 
     Verdicts: "vacuous" when no cell lies at or below the largest cut (single
     finite value), "satisfied" when the last two g_l2 values agree within
@@ -105,8 +106,10 @@ def compatibility_check(I0: Array, rho0: Array, u0: Array, eos: EquationOfState,
     if cuts is None:
         cuts = default_cut_schedule(rho0)
     cuts = [float(c) for c in cuts]
-    if any(b >= a for a, b in zip(cuts, cuts[1:])) or not cuts:
-        raise ParameterError("cut schedule must be strictly decreasing and nonempty")
+    # b < a rather than b >= a, so that a NaN cut fails the order check
+    if len(cuts) < 2 or not all(b < a for a, b in zip(cuts, cuts[1:])):
+        raise ParameterError(f"cut schedule must be strictly decreasing with at least "
+                             f"two cuts, got {cuts}")
     trace = []
     last = None
     for cut in cuts:

@@ -31,10 +31,18 @@ because vacuum rows leave only the stiff Lame block (one 1D vacuum run with
 for a singular band factor or one whose residual fails the check.  In 2D and
 3D the system is solved by a Jacobi (v / diag(A)) preconditioned Krylov
 iteration (cg when symmetric, bicgstab with convection): on the 2D 32x32
-far-field system the exact factor cost 39 ms per solve against 4 ms for
-Jacobi, and Jacobi solves a 3D 16^3 vacuum-plateau system in about 20 ms,
-where incomplete LU plus Krylov took 3.6 s.  All timings on one thread of a
-2-vCPU Xeon.
+far-field system with convection ``splu`` costs about 27 ms per solve
+against 2 to 4 ms for Jacobi-bicgstab, and Jacobi solves a 3D 16^3
+vacuum-plateau system in about 20 ms, where incomplete LU plus Krylov took
+3.6 s.  All timings on one thread of a 2-vCPU Xeon.
+
+The Krylov iteration starts from whichever of u_old and the convecting
+velocity w has the smaller residual |b - A x|.  Inside a Picard sweep w is
+the previous iterate's velocity at the same step, within one Picard
+increment of the answer, so it is usually the better start (on the 2D
+32x32 far-field benchmark run, 711 Krylov iterations over 40 solves
+instead of 992 from u_old).  The choice costs two residual evaluations.
+Without convection the start is u_old.
 """
 
 from __future__ import annotations
@@ -643,9 +651,13 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     kept when it is finite with relative residual <= ``rtol``.  Otherwise, and
     always in 2D and 3D, cg (symmetric) or bicgstab (with convection),
     preconditioned by Jacobi, runs to a 1e-13 relative residual; see the
-    module docstring for why.  If the residual still exceeds ``rtol``, lgmres
-    retries from there; a residual above ``rtol`` after that raises
-    SolverError, whose message names every path tried and why it was left.
+    module docstring for why.  It starts from ``u_n``, or from ``w`` when
+    there is convection and ``w`` has the strictly smaller residual
+    |b - A w|.  If the residual still exceeds ``rtol``, lgmres retries from
+    there; a residual above ``rtol`` after that raises SolverError, whose
+    message names every path tried and why it was left, and whose
+    ``iterations`` is the last routine's count when it stopped at
+    ``maxiter`` (None when that count is unknown).
     """
     u_n = check_vector(u_n, grid)
     rho_new = check_scalar(rho_new, grid)
@@ -676,6 +688,10 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     diag = A.diagonal()
     precond = spla.LinearOperator((n, n), lambda v: v / diag)
     x0 = u_n.reshape(-1)
+    if not symmetric:
+        guess = w.reshape(-1)
+        if np.linalg.norm(b - A @ guess) < np.linalg.norm(b - A @ x0):
+            x0 = guess
     krylov = spla.cg if symmetric else spla.bicgstab
     path = "Jacobi-cg" if symmetric else "Jacobi-bicgstab"
     x, info = krylov(A, b, x0=x0, rtol=1e-13, atol=0.0, maxiter=maxiter, M=precond)
@@ -694,4 +710,5 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     else:
         return out
     raise SolverError(f"momentum solve failed to reach relative residual {rtol:.1e}; "
-                      f"tried {', '.join(tried)}", residual=res, iterations=maxiter)
+                      f"tried {', '.join(tried)}", residual=res,
+                      iterations=info if info > 0 else None)

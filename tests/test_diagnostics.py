@@ -132,6 +132,19 @@ class TestCompatibilityCheck:
             compatibility_check(st.I, st.rho, st.u, EOS, VISC, zero_model(),
                                 grids, CONSTS, cuts=[1e-3, 1e-2])
 
+    @pytest.mark.parametrize("name", ["compat-diverging", "smooth-bump"])
+    @pytest.mark.parametrize("cuts", [[1e-3], [], [np.nan, 1e-3], [1e-2, np.nan]],
+                             ids=["one", "none", "nan-first", "nan-last"])
+    def test_schedule_rejected_up_front(self, name, cuts):
+        # one cut leaves no pair to compare, and a NaN cut orders with
+        # nothing; either is rejected up front (exit code 2) whether or not a
+        # cell lies at or below the cuts
+        grids, st = self.build(name)
+        with pytest.raises(ParameterError, match="at least two cuts") as err:
+            compatibility_check(st.I, st.rho, st.u, EOS, VISC, zero_model(),
+                                grids, CONSTS, cuts=cuts)
+        assert err.value.exit_code == 2
+
 
 class TestPhiTheta:
     def test_phi_equilibrium_is_one(self):

@@ -454,12 +454,12 @@ class TestMomentumStep:
             lub, piv, x, info = dgbsv(*args, **kwargs)
             return (lub, piv, x, 3) if "singular" in band else (lub, piv, 2.0 * x, info)
 
-        def krylov(A, b, x0, **kwargs):
-            return np.zeros_like(b), 1
+        def krylov(info):
+            return lambda A, b, x0, **kwargs: (np.zeros_like(b), info)
 
         monkeypatch.setattr(fluid.lapack, "dgbsv", fake_dgbsv)
-        monkeypatch.setattr(fluid.spla, "cg", krylov)
-        monkeypatch.setattr(fluid.spla, "lgmres", krylov)
+        monkeypatch.setattr(fluid.spla, "cg", krylov(7))
+        monkeypatch.setattr(fluid.spla, "lgmres", krylov(11))
         # u = 1 solves the system, so the doubled x leaves residual 1
         u_n = np.ones((grid.dim,) + grid.extents)
         with pytest.raises(SolverError) as err:
@@ -469,6 +469,64 @@ class TestMomentumStep:
             "momentum solve failed to reach relative residual 1.0e-10; tried " + band
             + "Jacobi-cg (relative residual 1.000e+00), lgmres (relative residual 1.000e+00)")
         assert err.value.residual == 1.0
+        assert err.value.iterations == 11      # the last routine's count, not maxiter
+
+    @pytest.mark.parametrize("info", [0, -1])
+    def test_solver_error_iterations_unknown(self, visc, monkeypatch, info):
+        # a routine that claims convergence (0) or breaks down (< 0) gives no
+        # iteration count
+        monkeypatch.setattr(fluid.spla, "cg",
+                            lambda A, b, x0, **kwargs: (np.zeros_like(b), info))
+        monkeypatch.setattr(fluid.spla, "lgmres",
+                            lambda A, b, x0, **kwargs: (np.zeros_like(b), info))
+        grid = SpatialGrid.periodic((8, 8), (1.0, 1.0))
+        u_n = np.ones((2, 8, 8))
+        with pytest.raises(SolverError) as err:
+            momentum_step(u_n, np.ones((8, 8)), None, np.ones((8, 8)),
+                          np.zeros_like(u_n), visc, 0.01, grid)
+        assert err.value.iterations is None
+
+    @pytest.mark.parametrize("case", ["w exact", "w far off", "w zero"])
+    def test_krylov_start(self, visc, rng, monkeypatch, case):
+        # the 2D Krylov solve starts from whichever of u_n and w has the
+        # smaller residual, and from u_n without convection
+        starts = {}
+
+        def recording(name):
+            routine = getattr(fluid.spla, name)
+
+            def solve(A, b, x0, **kwargs):
+                starts[name] = x0.copy()
+                return routine(A, b, x0=x0, **kwargs)
+            return solve
+
+        for name in ("cg", "bicgstab"):
+            monkeypatch.setattr(fluid.spla, name, recording(name))
+        # a far-field grid with a vacuum core; f is chosen so that ustar
+        # solves the system, and u_n lies near it
+        grid = SpatialGrid.farfield((32, 32), (1.0, 1.0), 1.0)
+        r2 = sum((x - 0.5) ** 2 for x in grid.coords())
+        rho = np.where(r2 < 0.2 ** 2, 0.0, 1.0 + 0.5 * np.exp(-r2 / 0.1))
+        ustar = random_smooth_vector(grid, rng, amplitude=0.3)
+        u_n = ustar + random_smooth_vector(grid, rng, amplitude=0.01)
+        w = {"w exact": ustar,
+             "w far off": random_smooth_vector(grid, rng, amplitude=0.6),
+             "w zero": np.zeros_like(ustar)}[case]
+        p = np.abs(random_smooth_field(grid, rng)) + 1.0
+        dt = 0.002
+        A = momentum_matrix(rho, w, visc, dt, grid)
+        b = A @ ustar.reshape(-1)
+        f = b.reshape(ustar.shape) - (rho[None] * u_n / dt
+                                      - gradient(p, grid, farfield_value=1.0))
+        out = momentum_step(u_n, rho, w, p, f, visc, dt, grid, p_ref=1.0)
+        assert np.linalg.norm(b - A @ out.reshape(-1)) <= 1e-10 * np.linalg.norm(b)
+        if case == "w exact":
+            assert list(starts) == ["bicgstab"]
+            np.testing.assert_array_equal(starts["bicgstab"], ustar.reshape(-1))
+            np.testing.assert_allclose(out, ustar, rtol=0.0, atol=1e-12)
+        else:
+            assert list(starts) == ["cg" if case == "w zero" else "bicgstab"]
+            np.testing.assert_array_equal(starts.popitem()[1], u_n.reshape(-1))
 
     @pytest.mark.parametrize("cells", [(32, 32), (8, 8, 8)])
     @pytest.mark.parametrize("with_w", [False, True])
@@ -512,8 +570,8 @@ class TestMomentumStep:
 
 
 @st.composite
-def momentum_grids(draw):
-    family = draw(st.sampled_from(["periodic1d", "farfield2d", "periodic3d"]))
+def momentum_grids(draw, families=("periodic1d", "farfield2d", "periodic3d")):
+    family = draw(st.sampled_from(families))
     if family == "periodic1d":
         return SpatialGrid.periodic(draw(st.integers(4, 40)), draw(st.floats(0.5, 2.0)))
     if family == "farfield2d":
@@ -547,6 +605,38 @@ def test_layout_matrix_matches_block_assembly(grid, seed, mu, lam_excess, dt,
     np.testing.assert_allclose(got.toarray(),
                                momentum_matrix(rho, w, visc, dt, grid).toarray(),
                                rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=momentum_grids(families=("farfield2d", "periodic3d")),
+       seed=st.integers(0, 2**32 - 1), mu=st.floats(0.1, 2.0),
+       lam_excess=st.floats(0.01, 2.0), dt=st.floats(1e-4, 1e-1),
+       w_scale=st.floats(0.0, 1.0), vacuum=st.floats(0.0, 0.5))
+# without the dense corner below, this draw leaves a parity class all vacuum
+@example(grid=SpatialGrid.periodic((4, 4, 4), (1.0, 1.0, 1.8343786811684191)), seed=2009,
+         mu=1.5734112641791798, lam_excess=0.9335298404542721, dt=0.056176347509939294,
+         w_scale=0.0, vacuum=0.49865992066300924)
+def test_krylov_solve_meets_residual(grid, seed, mu, lam_excess, dt, w_scale, vacuum):
+    # on 2D and 3D grids with vacuum cells the Krylov solve returns x with
+    # |b - A x| <= 1e-10 |b|, whichever of the random u_n and w it starts
+    # from; w near u_n makes either start the better one
+    rng = np.random.default_rng(seed)
+    visc = ViscosityParams(mu=mu, lam=lam_excess - 2.0 * mu / 3.0)
+    shape = (grid.dim,) + grid.extents
+    rho = rng.uniform(0.0, 3.0, grid.extents)
+    rho[rng.random(grid.extents) < vacuum] = 0.0
+    # the periodic Lame block couples only cells two apart along each axis, so
+    # a parity class that is all vacuum would leave the system singular; a
+    # dense 2^dim corner keeps a dense cell in every class
+    rho[(slice(0, 2),) * grid.dim] = rng.uniform(0.5, 3.0, (2,) * grid.dim)
+    u_n = rng.normal(size=shape)
+    w = w_scale * (u_n + rng.normal(scale=rng.uniform(0.0, 2.0), size=shape))
+    p = rng.uniform(0.5, 2.0, grid.extents)
+    f = rng.normal(size=shape)
+    out = momentum_step(u_n, rho, w, p, f, visc, dt, grid, p_ref=1.0)
+    b = (rho[None] * u_n / dt - gradient(p, grid, farfield_value=1.0) + f).reshape(-1)
+    A = momentum_matrix(rho, w, visc, dt, grid)
+    assert np.linalg.norm(b - A @ out.reshape(-1)) <= 1e-10 * np.linalg.norm(b)
 
 
 @st.composite
