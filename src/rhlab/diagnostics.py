@@ -236,12 +236,12 @@ def blowup_monitor(traj: Trajectory, grids: Grids, settings: NormSettings,
     history = ThetaHistory()
     report_flags, flag_snapshots = [], []
     first_phi_of = first_theta_of = None
-    phi0 = phi(traj.states[0], grids, settings)
-    cap = phi_cap if phi_cap is not None else 10.0 * phi0
+    c = phi_components(traj.states[0], grids, settings)
+    cap = phi_cap if phi_cap is not None else 10.0 * (1.0 + sum(c))
     phi_under_cap = True
     for i, (t, state) in enumerate(zip(traj.times, traj.states)):
         if i == 0:
-            deriv = _zero_derivatives(state)
+            deriv = _zero_derivatives(state)      # c: snapshot 0, computed for the cap
         else:
             dt = float(traj.times[i] - traj.times[i - 1])
             prev = traj.states[i - 1]
@@ -250,7 +250,7 @@ def blowup_monitor(traj: Trajectory, grids: Grids, settings: NormSettings,
                                          u_t=(state.u - prev.u) / dt)
             history.int_u_d2q_sq += dt * d2q_seminorm(state.u, settings, grid) ** 2
             history.int_ut_d1_sq += dt * sobolev_norm(deriv.u_t, "D1", settings, grid) ** 2
-        c = phi_components(state, grids, settings)
+            c = phi_components(state, grids, settings)
         p = 1.0 + sum(c)
         th = _theta(c, state, deriv, history, grids, settings)
         times.append(float(t))

@@ -11,6 +11,7 @@ far-field density vanishes the L^{3/2} density term joins the metric.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import DomainError, IterationError, ParameterError
 from .fluid import (VelocityHistory, continuity_step_characteristics,
                     continuity_step_fv, heat_smooth, momentum_step)
-from .grid import Grids, check_radiation, check_scalar, check_vector
+from .grid import Grids, SpatialGrid, check_radiation, check_scalar, check_vector
 from .norms import NormSettings, lp_norm, mixed_radiation_norm
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
                       ViscosityParams, pressure)
@@ -69,8 +70,12 @@ class SlabConfig:
                                  f"slab_length={self.slab_length}")
         if self.max_iters < 1:
             raise ParameterError("max_iters must be >= 1")
-        if self.gamma_tol <= 0:
-            raise ParameterError("gamma_tol must be positive")
+        if not (np.isfinite(self.gamma_tol) and self.gamma_tol > 0):
+            raise ParameterError(f"gamma_tol must be finite and positive, got {self.gamma_tol}")
+        if self.max_halvings < 0:
+            raise ParameterError(f"max_halvings must be >= 0, got {self.max_halvings}")
+        if not 0 < self.transport_cfl <= 1:
+            raise ParameterError(f"transport_cfl must lie in (0, 1], got {self.transport_cfl}")
         if self.continuity not in ("fv", "characteristics"):
             raise ParameterError(f"unknown continuity scheme {self.continuity!r}")
 
@@ -89,7 +94,8 @@ class PicardDiagnostics:
 
 @dataclass(frozen=True)
 class DeltaSchedule:
-    """Strictly decreasing positive density lifts for vacuum regularization."""
+    """Strictly decreasing, finite, positive density lifts for vacuum
+    regularization."""
 
     deltas: tuple
     extrapolate: bool = False
@@ -97,8 +103,8 @@ class DeltaSchedule:
     def __post_init__(self):
         d = tuple(float(x) for x in self.deltas)
         object.__setattr__(self, "deltas", d)
-        if len(d) < 1 or any(x <= 0 for x in d):
-            raise ParameterError("delta schedule must contain positive values")
+        if len(d) < 1 or not all(np.isfinite(x) and x > 0 for x in d):
+            raise ParameterError(f"delta schedule must contain finite positive values, got {d}")
         if any(b >= a for a, b in zip(d, d[1:])):
             raise ParameterError("delta schedule must be strictly decreasing")
 
@@ -167,14 +173,41 @@ def _slab_times(t0: float, T: float, dt: float) -> np.ndarray:
     return t0 + np.linspace(0.0, T, n + 1)
 
 
+@functools.lru_cache(maxsize=1)
+def _heat_flow_chain(u0_bytes: bytes, shape: tuple, times_bytes: bytes,
+                     extents: tuple, spacing: tuple, boundary: str) -> tuple:
+    """The mollified velocities of iterate 0 at ``times[1:]``: u0 carried by
+    explicit heat flow over each step in turn, as read-only arrays.
+
+    Keyed by value.  The heat flow pads with zero velocity whatever the
+    far-field density, so the key leaves ``farfield_rho`` out, and the main
+    solve and every density-lifted solve of the same slab share one chain.
+    """
+    grid = SpatialGrid(extents, spacing, boundary,
+                       0.0 if boundary == "farfield" else None)
+    u = np.frombuffer(u0_bytes).reshape(shape)
+    times = np.frombuffer(times_bytes)
+    chain = []
+    for j in range(1, times.size):
+        u = heat_smooth(u, grid, float(times[j] - times[j - 1]))
+        u.flags.writeable = False
+        chain.append(u)
+    return tuple(chain)
+
+
 def _initial_iterate(state0: State, grids: Grids, consts: PhysicalConstants,
                      cfg: SlabConfig, times: np.ndarray) -> list:
-    """Iterate 0: frozen density; velocity mollified by explicit heat flow;
-    intensity advanced by collisionless free streaming."""
+    """Iterate 0: frozen density; velocity mollified by explicit heat flow,
+    from the one-slab cache ``_heat_flow_chain``; intensity advanced by
+    collisionless free streaming, recomputed on every call (caching it too
+    would keep a slab of intensities alive)."""
+    grid = grids.spatial
+    u0 = np.ascontiguousarray(state0.u, dtype=float)
+    velocities = _heat_flow_chain(u0.tobytes(), u0.shape, times.tobytes(),
+                                  grid.extents, grid.spacing, grid.boundary)
     states = [state0]
-    for j in range(1, times.size):
+    for j, u in enumerate(velocities, start=1):
         dt = float(times[j] - times[j - 1])
-        u = heat_smooth(states[-1].u, grids.spatial, dt)
         I = states[-1].I
         n_sub, sub = transport_substeps(grids, dt, consts.c, cfg.transport_cfl)
         for _ in range(n_sub):

@@ -232,6 +232,27 @@ class TestBlowupMonitor:
         assert rep.max_phi <= rep.phi_cap
         assert rep.flags == []
 
+    def test_phi_components_once_per_snapshot(self, monkeypatch):
+        # snapshot 0's components give both the cap and row 0
+        import rhlab.diagnostics as diagnostics
+        grids = make_grids(n=32)
+        x = grids.spatial.axis_coords(0)
+        st = State(I=np.zeros(grids.radiation_shape()),
+                   rho=1.0 + 0.3 * np.exp(-((x - 0.5) / 0.1) ** 2),
+                   u=np.zeros((1, 32)))
+        cfg = SlabConfig(slab_length=0.002, dt=0.001)
+        traj = solve(st, constant_model(0.3, 0.05, 0.1), grids, VISC, EOS, CONSTS,
+                     cfg, 0.004)
+        settings = NormSettings(rho_ref=1.0)
+        calls = []
+        real = diagnostics.phi_components
+        monkeypatch.setattr(diagnostics, "phi_components",
+                            lambda state, *a: calls.append(state) or real(state, *a))
+        rep = blowup_monitor(traj, grids, settings)
+        assert calls == traj.states
+        assert rep.phi_cap == 10.0 * phi(traj.states[0], grids, settings)
+        assert rep.phi_components == [real(s, grids, settings) for s in traj.states]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_theta_overflow_flagged_under_cap(self):
         grids = make_grids(n=8, n_ord=2)

@@ -7,20 +7,25 @@ Three grid families: 1D periodic with slab ordinates, 2D far field with 3D
 ordinate sets (the ordinates along z have zero speed on both grid axes), and
 3D periodic.
 
-The same holds for the characteristics trace of many start times at once
-against one start time at a time, for the in-place heat-flow mollifier
+The same holds for multilinear interpolation (the flat-index gather against
+the per-point loop, and with lead and paired-index axes against one call per
+slice), for the characteristics trace of many start times at once against
+one start time at a time, for the in-place heat-flow mollifier
 against its freshly padded loop version, for the whole-array coefficient
 tables of the built-in models against one callable call per (band,
 ordinate), for the one-write snapshot writer against the per-value one, and
 for the ghost layers against ``np.pad``.
 """
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rhlab.fluid import (VelocityHistory, continuity_step_characteristics,
-                         heat_smooth, integrate_flow_map)
+from rhlab.fluid import (VelocityHistory, _clamp_points, _interp,
+                         continuity_step_characteristics, heat_smooth,
+                         integrate_flow_map, interp_field)
 from rhlab.grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, gradient,
                         pad_ghost, read_field_snapshot, write_field_snapshot)
 from rhlab.norms import MIXED_INNER_KINDS, NormSettings, mixed_radiation_norm
@@ -29,8 +34,9 @@ from rhlab.scenarios import _const_emission
 from rhlab.transport import free_streaming_step, transport_cfl_limit, transport_step
 
 from _reference import (loop_continuity_step_characteristics, loop_free_streaming_step,
-                        loop_gradient, loop_heat_smooth, loop_mixed_radiation_norm,
-                        loop_pad_ghost, loop_tabulate, loop_trace_backward,
+                        loop_gradient, loop_heat_smooth, loop_interp_field,
+                        loop_mixed_radiation_norm, loop_pad_ghost, loop_tabulate,
+                        loop_trace_backward,
                         loop_transport_step, loop_write_field_snapshot)
 
 _EDGES = (0.5, 1.0, 2.0, 3.5)
@@ -196,6 +202,78 @@ def test_characteristics_array_t(case):
     for b, tb in enumerate(t):
         one = integrate_flow_map(hist, tb, grid, substeps)
         assert _identical(one.departure, fm.departure[:, b])
+
+
+def _grid_and_points(rng, dim, periodic, batch):
+    """A grid and points spread over three domain lengths per axis, with the
+    padded domain's edges, and points just past them, mixed in."""
+    cells = tuple(int(n) for n in rng.integers(4, 12 if dim == 1 else 6, dim))
+    lengths = tuple(rng.uniform(0.5, 2.0, dim))
+    grid = SpatialGrid.periodic(cells, lengths) if periodic \
+        else SpatialGrid.farfield(cells, lengths, 1.0)
+    points = np.empty((dim,) + batch)
+    for a, (n, h) in enumerate(zip(cells, grid.spacing)):
+        edges = [-0.5 * h, (n + 0.5) * h, np.nextafter(-0.5 * h, -1.0),
+                 np.nextafter((n + 0.5) * h, np.inf), 0.0, n * h]
+        x = rng.uniform(-n * h, 2 * n * h, batch)
+        pick = rng.random(batch) < 0.3
+        x[pick] = rng.choice(edges, size=int(pick.sum()))
+        points[a] = x
+    return grid, points
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 3), periodic=st.booleans(), seed=seeds, zeros=st.booleans(),
+       farfield_value=st.sampled_from([0.0, -0.0, 0.7]), n_batch=st.integers(0, 2))
+def test_interp_field(dim, periodic, seed, zeros, farfield_value, n_batch):
+    rng = np.random.default_rng(seed)
+    grid, points = _grid_and_points(rng, dim, periodic, (5, 3)[:n_batch] + (7,))
+    f = _field(rng, grid.extents, True, zeros)
+    got, clamped = interp_field(f, grid, points, farfield_value)
+    assert _identical(got, loop_interp_field(f, grid, points, farfield_value))
+    # the clamp is np.clip to the padded domain, bit for bit, and counts
+    kept, n_clamped = _clamp_points(points, grid)
+    assert n_clamped == clamped
+    if periodic:
+        assert clamped == 0 and _identical(kept, points)
+    else:
+        per_axis = (dim,) + (1,) * (points.ndim - 1)
+        lo = (-0.5 * np.array(grid.spacing)).reshape(per_axis)
+        hi = ((np.array(grid.extents) + 0.5) * np.array(grid.spacing)).reshape(per_axis)
+        assert _identical(kept, np.clip(points, lo, hi))
+        assert clamped == int(((points < lo) | (points > hi)).sum())
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 3), periodic=st.booleans(), seed=seeds, zeros=st.booleans(),
+       n_lead=st.integers(0, 2), n_paired=st.integers(0, 2), swapped=st.booleans())
+def test_interp_lead_and_paired_axes(dim, periodic, seed, zeros, n_lead, n_paired, swapped):
+    """Each lead slice and each point's paired slice interpolate as one call
+    on that slice alone; ``swapped`` passes a non-contiguous view, as the
+    characteristics trace does."""
+    rng = np.random.default_rng(seed)
+    batch = (4, 5)
+    grid, points = _grid_and_points(rng, dim, periodic, batch)
+    points, _ = _clamp_points(points, grid)          # as every caller does
+    lead, paired = (2, 3)[:n_lead], (3, 2)[:n_paired]
+    padded = tuple(n + 2 for n in grid.extents)
+    if swapped:
+        fp = np.moveaxis(_field(rng, paired + lead + padded, True, zeros),
+                         range(n_paired, n_paired + n_lead), range(n_lead))
+    else:
+        fp = _field(rng, lead + paired + padded, True, zeros)
+    index = tuple(rng.integers(0, p, (4, 1) if k == 0 else batch)
+                  for k, p in enumerate(paired))
+    got = _interp(fp, grid, points, index)
+    assert got.shape == lead + batch
+    want = np.zeros(lead + batch)
+    for ld in itertools.product(*map(range, lead)):
+        for pv in itertools.product(*map(range, paired)):
+            hit = np.ones(batch, bool)
+            for ix, v in zip(index, pv):
+                hit &= np.broadcast_to(ix, batch) == v
+            want[ld] = np.where(hit, _interp(fp[ld + pv], grid, points), want[ld])
+    assert _identical(got, want)
 
 
 @settings(max_examples=50, deadline=None)

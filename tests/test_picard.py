@@ -1,13 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import rhlab.picard as picard
+from rhlab.config import parse_config
 from rhlab.errors import DomainError, IterationError, ParameterError
+from rhlab.fluid import heat_smooth
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from rhlab.norms import lp_norm
 from rhlab.physics import (EquationOfState, PhysicalConstants, ViscosityParams,
                            constant_model, zero_model)
-from rhlab.picard import (DeltaSchedule, SlabConfig, State, delta_continuation,
-                          gamma_increment, gamma_metric, solve, solve_slab)
+from rhlab.picard import (DeltaSchedule, SlabConfig, State, _initial_iterate, _slab_times,
+                          delta_continuation, gamma_increment, gamma_metric, solve,
+                          solve_slab)
+from rhlab.runner import run_scenario
 
 from _reference import solve_monolithic
 
@@ -58,6 +65,22 @@ class TestSlabConfig:
         with pytest.raises(ParameterError):
             SlabConfig(slab_length=0.01, dt=0.01, continuity="weno")
 
+    @pytest.mark.parametrize("bad", [
+        dict(transport_cfl=0.0), dict(transport_cfl=-0.5), dict(transport_cfl=1.5),
+        dict(transport_cfl=float("nan")), dict(max_halvings=-1),
+        dict(gamma_tol=0.0), dict(gamma_tol=-1e-8), dict(gamma_tol=float("nan")),
+        dict(gamma_tol=float("inf"))])
+    def test_iteration_policy_checked_like_the_config(self, bad):
+        # before, transport_cfl=0 raised ZeroDivisionError in the first slab
+        # and max_halvings=-1 an IterationError without solving anything
+        with pytest.raises(ParameterError) as err:
+            SlabConfig(slab_length=0.01, dt=0.01, **bad)
+        assert err.value.exit_code == 2
+
+    def test_iteration_policy_edges_accepted(self):
+        cfg = SlabConfig(slab_length=0.01, dt=0.01, transport_cfl=1.0, max_halvings=0)
+        assert (cfg.transport_cfl, cfg.max_halvings) == (1.0, 0)
+
 
 class TestDeltaSchedule:
     def test_must_decrease(self):
@@ -67,6 +90,14 @@ class TestDeltaSchedule:
     def test_must_be_positive(self):
         with pytest.raises(ParameterError):
             DeltaSchedule((1e-2, 0.0))
+
+    @pytest.mark.parametrize("deltas", [(1e-2, float("nan")), (float("nan"),),
+                                        (float("inf"), 1.0), (float("inf"),),
+                                        (1e-2, -float("inf"))])
+    def test_must_be_finite(self, deltas):
+        with pytest.raises(ParameterError) as err:
+            DeltaSchedule(deltas)
+        assert err.value.exit_code == 2
 
 
 class TestGammaMetric:
@@ -355,3 +386,105 @@ class TestStateValidation:
                    u=np.zeros((1, 8)))
         with pytest.raises(DomainError):
             st.validate(grids)
+
+
+# a 32-cell version of the vacuum far-field continuation run: the main solve
+# and three density-lifted solves of the same single slab [0, 0.002]
+_CONTINUATION_RUN = """
+[grid]
+dim = 1
+cells = 32
+lengths = 1.0
+boundary = farfield
+rho_bar = 0
+
+[radiation]
+ordinates = 4
+band_edges = 0.5, 1.0, 2.0
+
+[model]
+kind = compton
+D1 = 1
+D2 = 1
+v0 = 1
+theta = 1
+kernel0 = 0.05
+
+[scenario]
+name = vacuum-farfield
+
+[run]
+t_final = 0.002
+slab_length = 0.002
+dt = 0.001
+continuity = characteristics
+deltas = 1e-2, 1e-3, 1e-4
+output_dir = {out}
+"""
+
+
+class TestHeatFlowChain:
+    """The mollified velocities of iterate 0 are computed once per slab and
+    shared, by value, by every solve that starts from the same data."""
+
+    @pytest.fixture
+    def heat_calls(self, monkeypatch):
+        calls = []
+        real = picard.heat_smooth
+
+        def counted(u, grid, duration):
+            calls.append(duration)
+            return real(u, grid, duration)
+
+        picard._heat_flow_chain.cache_clear()
+        monkeypatch.setattr(picard, "heat_smooth", counted)
+        yield calls
+        picard._heat_flow_chain.cache_clear()
+
+    def test_one_chain_per_slab_in_a_continuation_run(self, heat_calls, tmp_path):
+        summary = run_scenario(parse_config(_CONTINUATION_RUN.format(out=tmp_path)))
+        assert summary["picard"]["slabs"] == 1
+        # two steps of one slab: once, not once per solve (4 solves)
+        assert heat_calls == [0.001, 0.001]
+
+    def test_keyed_by_value(self, heat_calls):
+        grids = make_grids(n=16, rho_bar=0.0, n_ord=2, n_bands=1)
+        x = grids.spatial.axis_coords(0)
+        st = State(I=np.zeros(grids.radiation_shape()), rho=np.ones(16),
+                   u=np.sin(2 * np.pi * x)[None])
+        cfg = SlabConfig(slab_length=0.002, dt=0.001)
+        times = _slab_times(0.0, 0.002, 0.001)
+
+        def chain(state=st, g=grids, t=times):
+            before = len(heat_calls)
+            states = _initial_iterate(state, g, PHYS["consts"], cfg, t)
+            return [s.u for s in states[1:]], len(heat_calls) - before
+
+        first, n = chain()
+        assert n == 2
+        assert all(not u.flags.writeable for u in first)
+        with pytest.raises(ValueError):
+            first[0][0, 0] = 1.0
+        # the chain is the heat flow applied step by step, bit for bit
+        u = st.u
+        for got in first:
+            u = heat_smooth(u, grids.spatial, 0.001)
+            assert got.tobytes() == u.tobytes()
+
+        # equal values in new objects, and another far-field density: no work
+        same = State(I=st.I.copy(), rho=st.rho + 1e-3, u=st.u.copy())
+        lifted = Grids(replace(grids.spatial, farfield_rho=1e-3), grids.freq, grids.ang)
+        for kwargs in (dict(state=same), dict(g=lifted), dict(t=times.copy())):
+            again, n = chain(**kwargs)
+            assert n == 0 and all(a is b for a, b in zip(again, first))
+
+        # a changed u0, slab times, spacing or boundary recomputes
+        moved = State(I=st.I, rho=st.rho, u=0.5 * st.u)
+        wider = make_grids(n=16, rho_bar=0.0, n_ord=2, n_bands=1)
+        wider = Grids(replace(wider.spatial, spacing=(0.125,)), wider.freq, wider.ang)
+        periodic = make_grids(n=16, boundary="periodic", n_ord=2, n_bands=1)
+        for kwargs in (dict(state=moved), dict(t=_slab_times(0.001, 0.002, 0.001)),
+                       dict(g=wider), dict(g=periodic)):
+            _, n = chain(**kwargs)
+            assert n == 2
+            chain()                                   # back to the first key
