@@ -1,18 +1,25 @@
 """Diagnostics: initial-layer compatibility residual and its vacuum-refinement
 verdict, the blow-up monitor quantities Phi/Theta, far-field density bounds,
 and conservation audits.
+
+The monitor takes its norms over chunks of stacked snapshots, sized by
+``norms.CHUNK_BYTES`` (see ``rhlab.norms`` for the budget and its measured
+time/RSS trade-off); ``phi_components`` and ``theta`` are the one-snapshot
+case of the same helpers, so every value is bit-identical either way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ParameterError
 from .fluid import lame_apply
 from .grid import Grids, SpatialGrid, check_scalar, gradient, integrate_space
-from .norms import NormSettings, d2q_seminorm, lp_norm, mixed_radiation_norm, sobolev_norm
+from .norms import (NormSettings, _hessian_stack, _lp_cells, _lp_multi, _phase_l2,
+                    _sobolev_cells, snapshot_chunks)
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
                       ViscosityParams, pressure)
 from .picard import State, Trajectory
@@ -134,13 +141,23 @@ def compatibility_check(I0: Array, rho0: Array, u0: Array, eos: EquationOfState,
 # blow-up monitor quantities
 # ---------------------------------------------------------------------------
 
+def _phi_cells(I: Array, rho: Array, u: Array, grids: Grids,
+               settings: NormSettings) -> tuple:
+    """(radiation, density, velocity) summands of Phi for every snapshot of
+    the stacks I (T, B, M) + cells, rho (T,) + cells and u (T, dim) + cells:
+    three arrays of shape (T,).  The I stack is scratch and is clobbered."""
+    grid = grids.spatial
+    return (_phase_l2(_sobolev_cells(I, "H1W1q", settings, grid, lead=3, overwrite=True),
+                      grids),
+            _sobolev_cells(rho - settings.rho_ref, "H1W1q", settings, grid, lead=1,
+                           overwrite=True),
+            _sobolev_cells(u, "D1", settings, grid, lead=1))
+
+
 def phi_components(state: State, grids: Grids, settings: NormSettings) -> tuple:
     """(radiation, density, velocity) summands of Phi."""
-    n_I = mixed_radiation_norm(state.I, "H1W1q", grids, settings)
-    n_rho = sobolev_norm(state.rho, "H1W1q", settings, grids.spatial,
-                         reference=settings.rho_ref)
-    n_u = sobolev_norm(state.u, "D1", settings, grids.spatial)
-    return (float(n_I), float(n_rho), float(n_u))
+    cells = _phi_cells(_one(state.I), _one(state.rho), _one(state.u), grids, settings)
+    return tuple(float(c[0]) for c in cells)
 
 
 def phi(state: State, grids: Grids, settings: NormSettings) -> float:
@@ -166,29 +183,77 @@ class ThetaHistory:
     int_ut_d1_sq: float = 0.0
 
 
+class _ThetaTerms(NamedTuple):
+    """The norms Theta adds to Phi's at one snapshot, and the integrands of
+    its time integrals (``u_d2q``, ``u_t_d1``)."""
+
+    I_t_l2: float
+    I_t_lq: float
+    rho_t_l2: float
+    rho_t_lq: float
+    u_d2: float
+    sqrt_rho_u_t: float
+    u_d2q: float
+    u_t_d1: float
+
+
+def _theta_cells(rho: Array, u: Array, I_t: Array, rho_t: Array, u_t: Array,
+                 grids: Grids, settings: NormSettings) -> list:
+    """``_ThetaTerms`` of every snapshot of the stacks (shapes as in
+    ``_phi_cells``).  The velocity Hessian and each magnitude are formed once
+    and shared by their L2 and Lq sums.  The I_t and rho_t stacks are
+    scratch and are clobbered."""
+    grid, q = grids.spatial, settings.q
+    cells = [_phase_l2(v, grids)
+             for v in _lp_multi(I_t, (2.0, q), grid, lead=3, overwrite=True)]
+    cells += _lp_multi(rho_t, (2.0, q), grid, lead=1, overwrite=True)
+    d2, d2q = _lp_multi(_hessian_stack(u, grid, lead=1), (2.0, q), grid, lead=1,
+                        overwrite=True)
+    weighted = np.sqrt(np.maximum(rho, 0.0))[:, None] * u_t
+    cells += [d2, _lp_cells(weighted, 2.0, grid, lead=1, overwrite=True),
+              d2q, _sobolev_cells(u_t, "D1", settings, grid, lead=1)]
+    return [_ThetaTerms(*row) for row in zip(*(c.tolist() for c in cells))]
+
+
+def _theta_total(components: tuple, terms: _ThetaTerms, history: ThetaHistory) -> float:
+    """Theta from Phi's summands, the snapshot's own terms and the integrals."""
+    n_I, n_rho, n_u = components
+    total = 1.0 + n_I
+    total += terms.I_t_l2 + terms.I_t_lq
+    total += n_rho
+    total += terms.rho_t_l2 + terms.rho_t_lq
+    total += n_u + terms.u_d2
+    total += terms.sqrt_rho_u_t
+    total += history.int_u_d2q_sq + history.int_ut_d1_sq
+    return float(total)
+
+
 def theta(state: State, deriv: StateTimeDerivatives, history: ThetaHistory,
           grids: Grids, settings: NormSettings) -> float:
     """Theta = 1 + ||I|| + ||I_t||_{L2(phase; L2 cap Lq)} + ||rho - ref|| +
     |rho_t|_{L2 cap Lq} + |u|_{D1 cap D2} + |sqrt(rho) u_t|_2 + accumulated
     int (|u|^2_{D2q} + |u_t|^2_{D1})."""
-    return _theta(phi_components(state, grids, settings), state, deriv, history,
-                  grids, settings)
+    terms = _theta_cells(_one(state.rho), _one(state.u), _one(deriv.I_t),
+                         _one(deriv.rho_t), _one(deriv.u_t), grids, settings)[0]
+    return _theta_total(phi_components(state, grids, settings), terms, history)
 
 
-def _theta(components: tuple, state: State, deriv: StateTimeDerivatives,
-           history: ThetaHistory, grids: Grids, settings: NormSettings) -> float:
-    """Theta given ``phi_components(state, ...)``, the norms it shares with Phi."""
-    n_I, n_rho, n_u = components
-    grid = grids.spatial
-    total = 1.0 + n_I
-    total += (mixed_radiation_norm(deriv.I_t, "L2", grids, settings)
-              + mixed_radiation_norm(deriv.I_t, "Lq", grids, settings))
-    total += n_rho
-    total += lp_norm(deriv.rho_t, 2.0, grid) + lp_norm(deriv.rho_t, settings.q, grid)
-    total += n_u + sobolev_norm(state.u, "D2", settings, grid)
-    total += lp_norm(np.sqrt(np.maximum(state.rho, 0.0))[None] * deriv.u_t, 2.0, grid)
-    total += history.int_u_d2q_sq + history.int_ut_d1_sq
-    return float(total)
+def _one(f: Array) -> Array:
+    """A one-snapshot stack of a copy of f."""
+    return np.array(f, dtype=float)[None]
+
+
+def _backward_differences(fields: list, times: list, start: int, stop: int) -> Array:
+    """Rows (f_i - f_{i-1}) / (t_i - t_{i-1}) for i in [start, stop); the
+    row of snapshot 0 is zero."""
+    out = np.empty((stop - start,) + fields[start].shape)
+    for row, i in zip(out, range(start, stop)):
+        if i == 0:
+            row[...] = 0.0
+        else:
+            np.subtract(fields[i], fields[i - 1], out=row)
+            row /= float(times[i] - times[i - 1])
+    return out
 
 
 @dataclass
@@ -217,12 +282,6 @@ class BlowupReport:
         return max(finite) if finite else np.inf
 
 
-def _zero_derivatives(state: State) -> StateTimeDerivatives:
-    return StateTimeDerivatives(I_t=np.zeros_like(state.I),
-                                rho_t=np.zeros_like(state.rho),
-                                u_t=np.zeros_like(state.u))
-
-
 def blowup_monitor(traj: Trajectory, grids: Grids, settings: NormSettings,
                    phi_cap: float | None = None) -> BlowupReport:
     """Evaluate Phi and Theta along a trajectory.
@@ -230,33 +289,36 @@ def blowup_monitor(traj: Trajectory, grids: Grids, settings: NormSettings,
     Time derivatives use backward differences of consecutive snapshots (zero
     at the first snapshot); the Theta time integrals accumulate by the
     rectangle rule.  Overflow is data, never an error.
+
+    The norms are taken over chunks of stacked snapshots (``snapshot_chunks``),
+    each radiation stack released as soon as its norms are taken.  The integrals, the cap and the flags then
+    accumulate snapshot by snapshot, so every value is bit-identical to
+    evaluating ``phi_components`` and ``theta`` one snapshot at a time.
     """
-    grid = grids.spatial
-    times, phis, thetas, comps = [], [], [], []
+    times, states = traj.times, traj.states
+    I_all, rho_all, u_all = ([getattr(s, k) for s in states] for k in ("I", "rho", "u"))
+    comps, terms = [], []
+    for start, stop in snapshot_chunks(len(states), states[0].I.nbytes):
+        rho, u = np.stack(rho_all[start:stop]), np.stack(u_all[start:stop])
+        terms += _theta_cells(rho, u, *(_backward_differences(f, times, start, stop)
+                                        for f in (I_all, rho_all, u_all)), grids, settings)
+        comps += zip(*(c.tolist() for c in _phi_cells(np.stack(I_all[start:stop]),
+                                                      rho, u, grids, settings)))
+    cap = phi_cap if phi_cap is not None else 10.0 * (1.0 + sum(comps[0]))
     history = ThetaHistory()
+    phis, thetas = [], []
     report_flags, flag_snapshots = [], []
     first_phi_of = first_theta_of = None
-    c = phi_components(traj.states[0], grids, settings)
-    cap = phi_cap if phi_cap is not None else 10.0 * (1.0 + sum(c))
     phi_under_cap = True
-    for i, (t, state) in enumerate(zip(traj.times, traj.states)):
-        if i == 0:
-            deriv = _zero_derivatives(state)      # c: snapshot 0, computed for the cap
-        else:
-            dt = float(traj.times[i] - traj.times[i - 1])
-            prev = traj.states[i - 1]
-            deriv = StateTimeDerivatives(I_t=(state.I - prev.I) / dt,
-                                         rho_t=(state.rho - prev.rho) / dt,
-                                         u_t=(state.u - prev.u) / dt)
-            history.int_u_d2q_sq += dt * d2q_seminorm(state.u, settings, grid) ** 2
-            history.int_ut_d1_sq += dt * sobolev_norm(deriv.u_t, "D1", settings, grid) ** 2
-            c = phi_components(state, grids, settings)
+    for i, (t, c, x) in enumerate(zip(times, comps, terms)):
+        if i > 0:
+            dt = float(times[i] - times[i - 1])
+            history.int_u_d2q_sq += dt * x.u_d2q ** 2
+            history.int_ut_d1_sq += dt * x.u_t_d1 ** 2
         p = 1.0 + sum(c)
-        th = _theta(c, state, deriv, history, grids, settings)
-        times.append(float(t))
+        th = _theta_total(c, x, history)
         phis.append(p)
         thetas.append(th)
-        comps.append(c)
         if not np.isfinite(p) and first_phi_of is None:
             first_phi_of = float(t)
         if p > cap:
@@ -267,9 +329,9 @@ def blowup_monitor(traj: Trajectory, grids: Grids, settings: NormSettings,
                 report_flags.append(
                     f"theta overflow at t={t:.6g} while phi stayed under cap {cap:.6g}")
                 flag_snapshots.append(i)
-    return BlowupReport(times=times, phi=phis, theta=thetas, phi_components=comps,
-                        phi_cap=cap, flags=report_flags, flag_snapshots=flag_snapshots,
-                        first_phi_overflow=first_phi_of,
+    return BlowupReport(times=[float(t) for t in times], phi=phis, theta=thetas,
+                        phi_components=comps, phi_cap=cap, flags=report_flags,
+                        flag_snapshots=flag_snapshots, first_phi_overflow=first_phi_of,
                         first_theta_overflow=first_theta_of)
 
 

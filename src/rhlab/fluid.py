@@ -491,39 +491,53 @@ def _one_sided_diff_1d(n: int, h: float, periodic: bool, forward: bool) -> sp.sp
     return ((eye - _shift(n, -1, periodic)) / h).tocsr()
 
 
-def _lift(mat: sp.spmatrix, grid: SpatialGrid, axis: int) -> sp.spmatrix:
+def _lift(mat: sp.spmatrix, extents: tuple, axis: int) -> sp.spmatrix:
     """Kronecker-lift a 1D operator on ``axis`` to the full grid."""
     out = None
-    for a in range(grid.dim):
-        block = mat if a == axis else sp.eye(grid.extents[a], format="csr")
+    for a, n in enumerate(extents):
+        block = mat if a == axis else sp.eye(n, format="csr")
         out = block if out is None else sp.kron(out, block, format="csr")
     return out
 
 
+# The sparse operators below depend on a grid's extents, spacing and boundary
+# only, never on its far-field density.  Their caches are keyed by those
+# values, so a density-lifted grid (``picard._lift_grids``) shares them.
+
+def _layout_key(grid: SpatialGrid) -> tuple:
+    return grid.extents, grid.spacing, grid.boundary
+
+
 @functools.lru_cache(maxsize=16)
-def _axis_operators(grid: SpatialGrid):
-    periodic = grid.boundary == "periodic"
+def _axis_operators(extents: tuple, spacing: tuple, boundary: str):
+    """Per axis, the centered, forward and backward difference matrices."""
+    periodic = boundary == "periodic"
     cen, fwd, bwd = [], [], []
-    for a in range(grid.dim):
-        n, h = grid.extents[a], grid.spacing[a]
-        cen.append(_lift(_centered_diff_1d(n, h, periodic), grid, a))
-        fwd.append(_lift(_one_sided_diff_1d(n, h, periodic, True), grid, a))
-        bwd.append(_lift(_one_sided_diff_1d(n, h, periodic, False), grid, a))
+    for a, (n, h) in enumerate(zip(extents, spacing)):
+        cen.append(_lift(_centered_diff_1d(n, h, periodic), extents, a))
+        fwd.append(_lift(_one_sided_diff_1d(n, h, periodic, True), extents, a))
+        bwd.append(_lift(_one_sided_diff_1d(n, h, periodic, False), extents, a))
     return cen, fwd, bwd
 
 
-@functools.lru_cache(maxsize=16)
 def lame_matrix(grid: SpatialGrid, visc: ViscosityParams) -> sp.spmatrix:
     """Sparse matrix of lame_apply on the flattened (component, cell) vector."""
-    cen, _, _ = _axis_operators(grid)
+    return _lame_matrix_of(*_layout_key(grid), visc)
+
+
+@functools.lru_cache(maxsize=16)
+def _lame_matrix_of(extents: tuple, spacing: tuple, boundary: str,
+                    visc: ViscosityParams) -> sp.spmatrix:
+    dim = len(extents)
+    cen, _, _ = _axis_operators(extents, spacing, boundary)
     lap = None
     for d in cen:
         dd = (d @ d).tocsr()
         lap = dd if lap is None else lap + dd
     blocks = []
-    for j in range(grid.dim):
+    for j in range(dim):
         row = []
-        for k in range(grid.dim):
+        for k in range(dim):
             block = -(visc.lam + visc.mu) * (cen[j] @ cen[k])
             if j == k:
                 block = block - visc.mu * lap
@@ -567,14 +581,13 @@ class _MomentumLayout:
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(size, size))
 
 
-def _band_map(grid: SpatialGrid, rows: Array, cols: Array) -> _BandMap:
-    """Band map of a 1D pattern.  Periodic grids fold the ring into the order
-    0, n-1, 1, n-2, ..., so the wrap-around entries sit next to the diagonal
-    (half-bandwidth 4 for the +-2 Lame neighbours); far-field grids keep the
-    natural order (half-bandwidth 2)."""
-    n = grid.extents[0]
+def _band_map(n: int, periodic: bool, rows: Array, cols: Array) -> _BandMap:
+    """Band map of a 1D pattern on n cells.  Periodic grids fold the ring
+    into the order 0, n-1, 1, n-2, ..., so the wrap-around entries sit next
+    to the diagonal (half-bandwidth 4 for the +-2 Lame neighbours); far-field
+    grids keep the natural order (half-bandwidth 2)."""
     perm = np.arange(n)
-    if grid.boundary == "periodic":
+    if periodic:
         perm[0::2] = np.arange((n + 1) // 2)
         perm[1::2] = n - 1 - np.arange(n // 2)
     where = np.argsort(perm)
@@ -583,14 +596,20 @@ def _band_map(grid: SpatialGrid, rows: Array, cols: Array) -> _BandMap:
     return _BandMap(perm=perm, kl=kl, pos=j * (3 * kl + 1) + 2 * kl + i - j)
 
 
-@functools.lru_cache(maxsize=16)
 def _momentum_layout(grid: SpatialGrid, visc: ViscosityParams) -> _MomentumLayout:
-    _, fwd, bwd = _axis_operators(grid)
-    n = int(np.prod(grid.extents))
-    size = grid.dim * n
-    lame = lame_matrix(grid, visc).tocoo()
+    return _momentum_layout_of(*_layout_key(grid), visc)
+
+
+@functools.lru_cache(maxsize=16)
+def _momentum_layout_of(extents: tuple, spacing: tuple, boundary: str,
+                        visc: ViscosityParams) -> _MomentumLayout:
+    dim = len(extents)
+    _, fwd, bwd = _axis_operators(extents, spacing, boundary)
+    n = int(np.prod(extents))
+    size = dim * n
+    lame = _lame_matrix_of(extents, spacing, boundary, visc).tocoo()
     blocks = [(b.tocoo(), f.tocoo()) for b, f in zip(bwd, fwd)]
-    offsets = n * np.arange(grid.dim)[:, None]
+    offsets = n * np.arange(dim)[:, None]
     rows = [lame.row, np.arange(size)]
     cols = [lame.col, np.arange(size)]
     for pair in blocks:
@@ -609,12 +628,13 @@ def _momentum_layout(grid: SpatialGrid, visc: ViscosityParams) -> _MomentumLayou
 
     lame_data = np.zeros(keys.size)
     np.add.at(lame_data, position(lame.row, lame.col), lame.data)
-    diag = np.arange(size).reshape(grid.dim, n)
+    diag = np.arange(size).reshape(dim, n)
     upwind = tuple(
         tuple((position(offsets + blk.row, offsets + blk.col), blk.row, blk.data)
               for blk in pair)
         for pair in blocks)
-    band = _band_map(grid, keys // size, pattern.indices) if grid.dim == 1 else None
+    band = _band_map(n, boundary == "periodic", keys // size, pattern.indices) \
+        if dim == 1 else None
     for a in (pattern.indptr, pattern.indices):
         a.setflags(write=False)     # shared by every matrix built on the layout
     return _MomentumLayout(indptr=pattern.indptr, indices=pattern.indices,

@@ -17,6 +17,7 @@ numpy with a fixed summation order, so repeated evaluation is bit-identical.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,8 @@ class SpatialGrid:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        # math.prod multiplies left to right, as np.prod does, at a tenth of the cost
+        return float(math.prod(self.spacing))
 
     @property
     def lengths(self) -> tuple[float, ...]:
@@ -339,8 +341,12 @@ def gradient(f: Array, grid: SpatialGrid, farfield_value: float = 0.0) -> Array:
     """
     f = check_cells(f, grid)
     fp = pad_ghost(f, grid, farfield_value)
-    return np.stack([(_view(fp, grid.dim, a, +1) - _view(fp, grid.dim, a, -1))
-                     / (2.0 * grid.spacing[a]) for a in range(grid.dim)], axis=f.ndim - grid.dim)
+    out = np.empty(f.shape[:f.ndim - grid.dim] + (grid.dim,) + grid.extents)
+    for a in range(grid.dim):
+        row = out[(Ellipsis, a) + (slice(None),) * grid.dim]
+        np.subtract(_view(fp, grid.dim, a, +1), _view(fp, grid.dim, a, -1), out=row)
+        row /= 2.0 * grid.spacing[a]
+    return out
 
 
 def divergence(u: Array, grid: SpatialGrid, farfield_value: float = 0.0) -> Array:

@@ -6,7 +6,12 @@ intensity by linearized transport with scattering-in from the previous
 intensity iterate, velocity by the implicit momentum step.  Convergence is
 measured by the slab-sup energy of consecutive iterate differences
 (radiation L2 + density L2 + sqrt(rho)-weighted velocity L2); when the
-far-field density vanishes the L^{3/2} density term joins the metric.
+far-field density vanishes the L^{3/2} density term joins the metric.  The
+metric takes its norms over chunks of stacked state pairs, sized by
+``norms.CHUNK_BYTES`` (see ``rhlab.norms`` for the budget and its measured
+time/RSS trade-off); ``gamma_increment`` is the one-pair case of the same
+helper, and the sup runs in snapshot order, so the value is bit-identical
+to one pair at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .errors import DomainError, IterationError, ParameterError
 from .fluid import (VelocityHistory, continuity_step_characteristics,
                     continuity_step_fv, heat_smooth, momentum_step)
 from .grid import Grids, SpatialGrid, check_radiation, check_scalar, check_vector
-from .norms import NormSettings, lp_norm, mixed_radiation_norm
+from .norms import _lp_cells, _lp_multi, _phase_l2, lp_norm, snapshot_chunks
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
                       ViscosityParams, pressure)
 from .transport import (_momentum_source, _substep_transport, _tables_at,
@@ -131,7 +136,39 @@ class Trajectory:
 # contraction metric
 # ---------------------------------------------------------------------------
 
-_metric_settings = NormSettings(q=4.0)
+def _differences(prev: list, nxt: list) -> Array:
+    """Rows nxt[j] - prev[j], stacked."""
+    out = np.empty((len(nxt),) + np.shape(nxt[0]))
+    for row, a, b in zip(out, prev, nxt):
+        np.subtract(b, a, out=row)
+    return out
+
+
+def _increment_norms(prev_states: list, next_states: list, rho_weights: list,
+                     grids: Grids, include_l32: bool) -> list:
+    """Per state pair: (||dI||_{L2(phase; L2)}, |d rho|_2, |sqrt(rho_w) du|_2)
+    and, with ``include_l32``, |d rho|_{3/2}; each pair's radiation
+    difference is stacked with the others, and released once normed."""
+    grid = grids.spatial
+    inner = _lp_cells(_differences([s.I for s in prev_states], [s.I for s in next_states]),
+                      2.0, grid, lead=3, overwrite=True)
+    cells = [_phase_l2(inner, grids)]
+    drho = _differences([s.rho for s in prev_states], [s.rho for s in next_states])
+    du = np.sqrt(np.maximum(np.stack(rho_weights), 0.0))[:, None] \
+        * _differences([s.u for s in prev_states], [s.u for s in next_states])
+    rho2, *rho32 = _lp_multi(drho, (2.0, 1.5) if include_l32 else (2.0,), grid, lead=1,
+                             overwrite=True)
+    cells += [rho2, _lp_cells(du, 2.0, grid, lead=1, overwrite=True)] + rho32
+    return list(zip(*(c.tolist() for c in cells)))
+
+
+def _gamma_total(n_I: float, n_rho: float, n_u: float, n_rho32: float | None = None) -> float:
+    total = n_I ** 2
+    total += n_rho ** 2
+    total += n_u ** 2
+    if n_rho32 is not None:
+        total += n_rho32 ** 2
+    return float(total)
 
 
 def gamma_increment(prev_state: State, next_state: State, grids: Grids,
@@ -142,25 +179,25 @@ def gamma_increment(prev_state: State, next_state: State, grids: Grids,
     (+ |d rho|_{3/2}^2 when the far-field density vanishes)."""
     if rho_weight is None:
         rho_weight = next_state.rho
-    dI = next_state.I - prev_state.I
-    drho = next_state.rho - prev_state.rho
-    du = np.sqrt(np.maximum(rho_weight, 0.0))[None] * (next_state.u - prev_state.u)
-    total = mixed_radiation_norm(dI, "L2", grids, _metric_settings) ** 2
-    total += lp_norm(drho, 2.0, grids.spatial) ** 2
-    total += lp_norm(du, 2.0, grids.spatial) ** 2
-    if include_l32:
-        total += lp_norm(drho, 1.5, grids.spatial) ** 2
-    return float(total)
+    norms = _increment_norms([prev_state], [next_state], [rho_weight], grids, include_l32)
+    return _gamma_total(*norms[0])
 
 
 def gamma_metric(prev_states: list, next_states: list, grids: Grids,
                  include_l32: bool = False) -> float:
-    """Sup over slab snapshots of gamma_increment."""
+    """Sup over slab snapshots of gamma_increment, with the norms taken over
+    chunks of stacked state pairs (``snapshot_chunks``) and the sup in
+    snapshot order."""
     if len(prev_states) != len(next_states):
         raise ParameterError("iterate trajectories must share snapshot times")
     worst = 0.0
-    for p, q in zip(prev_states, next_states):
-        worst = max(worst, gamma_increment(p, q, grids, include_l32=include_l32))
+    if not next_states:
+        return worst
+    for start, stop in snapshot_chunks(len(next_states), next_states[0].I.nbytes):
+        nxt = next_states[start:stop]
+        for norms in _increment_norms(prev_states[start:stop], nxt, [s.rho for s in nxt],
+                                      grids, include_l32):
+            worst = max(worst, _gamma_total(*norms))
     return worst
 
 

@@ -11,13 +11,13 @@ which keeps I >= 0 exactly for nonnegative data, sources and kernels.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import StepSizeError
-from .grid import (Grids, check_radiation, check_scalar, pad_ghost,
-                   phase_weights, _view)
+from .grid import Grids, check_radiation, check_scalar, pad_ghost, phase_weights
 from .physics import CoefficientModel
 
 Array = np.ndarray
@@ -148,39 +148,69 @@ def transport_cfl_limit(grids: Grids, c: float) -> float:
     return 1.0 / (c * worst)
 
 
-def transport_substeps(grids: Grids, dt: float, c: float, cfl: float) -> tuple[int, float]:
-    """Number and size of the equal substeps of at most cfl x the CFL limit covering dt."""
-    limit = transport_cfl_limit(grids, c)
+def _substeps(limit: float, dt: float, cfl: float) -> tuple[int, float]:
     n_sub = max(1, int(np.ceil(dt / (cfl * limit)))) if np.isfinite(limit) else 1
     return n_sub, dt / n_sub
 
 
-def _streaming(I: Array, grids: Grids, dt: float, c: float) -> Array:
-    """Upwind streaming term Omega . grad I of a whole (B, M) + cells field,
-    after checking dt against the CFL limit; callers scale it by c dt, so the
-    speeds are the ordinate components alone.  Per axis, a positive speed takes
-    the backward difference, a negative one the forward difference, a zero
-    speed adds nothing.  Ghost intensities are zero on far-field grids (no
-    incoming radiation)."""
-    limit = transport_cfl_limit(grids, c)
+def transport_substeps(grids: Grids, dt: float, c: float, cfl: float) -> tuple[int, float]:
+    """Number and size of the equal substeps of at most cfl x the CFL limit covering dt."""
+    return _substeps(transport_cfl_limit(grids, c), dt, cfl)
+
+
+def _check_cfl(dt: float, limit: float) -> None:
     if dt > limit * (1.0 + 1e-12):
         raise StepSizeError(f"transport CFL violated: dt={dt} > limit={limit}")
+
+
+@functools.lru_cache(maxsize=8)
+def _speed_splits(ordinates: bytes, n_ordinates: int, dim: int) -> tuple:
+    """Per spatial axis, the positive and the negative part of every
+    ordinate's speed, shaped (M,) + (1,) * dim to broadcast over
+    (B, M) + cells.  Keyed by the ordinate values."""
+    speeds = np.frombuffer(ordinates).reshape(n_ordinates, -1)[:, :dim]
+    shape = (-1,) + (1,) * dim
+    splits = []
+    for s in speeds.T:
+        pos = np.where(s > 0, s, 0.0).reshape(shape)
+        neg = np.where(s < 0, s, 0.0).reshape(shape)
+        pos.flags.writeable = neg.flags.writeable = False
+        splits.append((pos, neg))
+    return tuple(splits)
+
+
+def _streaming(I: Array, grids: Grids) -> Array:
+    """Upwind streaming term Omega . grad I of a whole (B, M) + cells field.
+    Callers check dt against the CFL limit and scale the term by c dt, so the
+    speeds are the ordinate components alone.  Per axis, one difference per
+    face serves both sides: a positive speed takes the backward difference,
+    a negative one the forward difference, a zero speed adds nothing.  Ghost
+    intensities are zero on far-field grids (no incoming radiation)."""
     grid = grids.spatial
     dim = grid.dim
+    ords = grids.ang.ordinates
+    splits = _speed_splits(ords.tobytes(), ords.shape[0], dim)
     fp = pad_ghost(I, grid, 0.0)
+    lead = I.ndim - dim
     out = np.zeros(I.shape)
-    for a, h in enumerate(grid.spacing):
-        # speed of every ordinate along axis a, broadcast over (B, M) + cells
-        s = grids.ang.ordinates[:, a].reshape((-1,) + (1,) * dim)
-        ctr = _view(fp, dim, a, 0)
-        out += np.where(s > 0, s * (ctr - _view(fp, dim, a, -1)) / h,
-                        np.where(s < 0, s * (_view(fp, dim, a, +1) - ctr) / h, 0.0))
+    for a, (h, (pos, neg)) in enumerate(zip(grid.spacing, splits)):
+        # d[j] = fp[j + 1] - fp[j] along a: face j of the padded row
+        hi = [slice(None)] * lead + [slice(1, -1)] * dim
+        lo = list(hi)
+        hi[lead + a], lo[lead + a] = slice(1, None), slice(0, -1)
+        d = fp[tuple(hi)] - fp[tuple(lo)]
+        before = (slice(None),) * (lead + a)
+        # (pos * backward + neg * forward) / h, with the temporaries reused
+        term = pos * d[before + (slice(0, -1),)]
+        term += neg * d[before + (slice(1, None),)]
+        term /= h
+        out += term
     return out
 
 
 def _transport_step(I_n: Array, psi: Array, rho_new: Array, tables: _CoefficientTables,
                     grids: Grids, dt: float, c: float) -> Array:
-    stream = _streaming(I_n, grids, dt, c)
+    stream = _streaming(I_n, grids)
     dec = _decompose(tables, psi, rho_new)
     return (I_n + c * dt * (dec.gain - stream)) / (1.0 + c * dt * dec.removal)
 
@@ -196,6 +226,7 @@ def transport_step(I_n: Array, psi: Array, rho_new: Array, model: CoefficientMod
     I_n = check_radiation(I_n, grids)
     psi = check_radiation(psi, grids)
     rho_new = check_scalar(rho_new, grids.spatial)
+    _check_cfl(dt, transport_cfl_limit(grids, c))
     return _transport_step(I_n, psi, rho_new, _coefficient_tables(model, grids, t, rho_new),
                            grids, dt, c)
 
@@ -203,12 +234,15 @@ def transport_step(I_n: Array, psi: Array, rho_new: Array, model: CoefficientMod
 def free_streaming_step(I_n: Array, grids: Grids, dt: float, c: float) -> Array:
     """Collisionless streaming step (removal = 0, gain = 0)."""
     I_n = check_radiation(I_n, grids)
-    return I_n - c * dt * _streaming(I_n, grids, dt, c)
+    _check_cfl(dt, transport_cfl_limit(grids, c))
+    return I_n - c * dt * _streaming(I_n, grids)
 
 
 def _substep_transport(I_n: Array, psi: Array, rho_new: Array, tables_at, grids: Grids,
                        dt: float, t: float, c: float, cfl: float) -> Array:
-    n_sub, sub = transport_substeps(grids, dt, c, cfl)
+    limit = transport_cfl_limit(grids, c)
+    n_sub, sub = _substeps(limit, dt, cfl)
+    _check_cfl(sub, limit)
     I = I_n
     for k in range(n_sub):
         I = _transport_step(I, psi, rho_new, tables_at(t + k * sub), grids, sub, c)

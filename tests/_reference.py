@@ -2,10 +2,11 @@
 monolithic (no fixed-point) coupled integrator, and per-(band, ordinate) loop
 versions of the batched phase-space operators and of the coefficient
 tables, the momentum matrix assembled from whole sparse blocks, the
-one-start-time characteristics trace and heat-flow mollifier, the
-per-value snapshot writer, and the ``np.pad`` ghost layers.  These
-deliberately avoid the vectorized/precomputed paths of the package so they
-can check them.
+one-start-time characteristics trace (with its own point clamp) and
+heat-flow mollifier, the per-value snapshot writer, the ``np.pad`` ghost
+layers, and the one-snapshot-at-a-time Phi/Theta monitor and Picard metric.
+These deliberately avoid the vectorized/precomputed paths of the package so
+they can check them.
 """
 
 import itertools
@@ -13,9 +14,11 @@ import itertools
 import numpy as np
 import scipy.sparse as sp
 
-from rhlab.fluid import (VelocityHistory, _axis_operators, _clamp_points,
-                         continuity_step_fv, lame_matrix, momentum_step)
+from rhlab.diagnostics import BlowupReport
+from rhlab.fluid import (VelocityHistory, _axis_operators, continuity_step_fv,
+                         lame_matrix, momentum_step)
 from rhlab.grid import _view, divergence, second_difference
+from rhlab.norms import NormSettings
 from rhlab.physics import pressure
 from rhlab.picard import State
 from rhlab.transport import collision_decomposition, momentum_source, substep_transport
@@ -197,7 +200,7 @@ def loop_free_streaming_step(I_n, grids, dt, c):
 
 def convection_matrix(rho, w, grid):
     """Implicit upwind rho w . grad, block-diagonal over velocity components."""
-    _, fwd, bwd = _axis_operators(grid)
+    _, fwd, bwd = _axis_operators(grid.extents, grid.spacing, grid.boundary)
     n = int(np.prod(grid.extents))
     conv = sp.csr_matrix((n, n))
     rho_flat = rho.ravel()
@@ -222,11 +225,28 @@ def momentum_matrix(rho, w, visc, dt, grid):
 # backward characteristics, one start time and one component at a time
 # ---------------------------------------------------------------------------
 
+def loop_clamp_points(pts, grid):
+    """Every coordinate moved into the one-ghost-layer padded far-field
+    domain, axis by axis, and the number of coordinates moved.  Periodic
+    grids never clamp."""
+    out = np.array(pts, dtype=float)
+    if grid.boundary == "periodic":
+        return out, 0
+    clamped = 0
+    for a in range(grid.dim):
+        h = grid.spacing[a]
+        lo, hi = -0.5 * h, (grid.extents[a] + 0.5) * h
+        below, above = out[a] < lo, out[a] > hi
+        clamped += int(below.sum() + above.sum())
+        out[a] = np.where(below, lo, np.where(above, hi, out[a]))
+    return out, clamped
+
+
 def loop_interp_field(f, grid, points, farfield_value=0.0):
     """Multilinear interpolation of one scalar field, padded on every call."""
     fp = loop_pad_ghost(np.asarray(f, dtype=float), grid, farfield_value)
     batch = points.shape[1:]
-    points, _ = _clamp_points(np.asarray(points, dtype=float), grid)
+    points, _ = loop_clamp_points(points, grid)
     base, frac = [], []
     for a in range(grid.dim):
         h = grid.spacing[a]
@@ -271,7 +291,7 @@ def loop_trace_backward(w_hist, t, grid, substeps=None):
         k1 = _loop_interp_vector(w_hist(s), grid, pts)
         mid = pts - 0.5 * ds * k1
         k2 = _loop_interp_vector(w_hist(s - 0.5 * ds), grid, mid)
-        pts, n_bad = _clamp_points(pts - ds * k2, grid)
+        pts, n_bad = loop_clamp_points(pts - ds * k2, grid)
         clamped += n_bad
         s -= ds
         g1 = loop_interp_field(div_hist(s), grid, pts)
@@ -315,3 +335,108 @@ def loop_write_field_snapshot(path, f, grid):
         fh.write(" ".join(header) + "\n")
         for v in np.asarray(f, dtype=float).ravel(order="C"):
             fh.write(format(v, ".17g") + "\n")
+
+
+# ---------------------------------------------------------------------------
+# Phi/Theta monitor and Picard metric, one snapshot at a time
+# ---------------------------------------------------------------------------
+
+def _loop_hessian(f, grid):
+    """Second differences D_a D_b of every component, one component at a
+    time, in the row order of ``norms._hessian_stack``."""
+    rows = []
+    for c in np.asarray(f, dtype=float).reshape((-1,) + grid.extents):
+        fp = loop_pad_ghost(c, grid)
+        grad = loop_gradient(c, grid)
+        for a in range(grid.dim):
+            h = grid.spacing[a]
+            rows.append((_view(fp, grid.dim, a, +1) - 2.0 * _view(fp, grid.dim, a, 0)
+                         + _view(fp, grid.dim, a, -1)) / (h * h))
+            for b in range(a + 1, grid.dim):
+                mixed = loop_gradient(grad[a], grid)[b]        # D_b D_a c
+                rows += [mixed, mixed]
+    return np.stack(rows)
+
+
+def _loop_phi_components(state, grids, settings):
+    grid = grids.spatial
+    return (loop_mixed_radiation_norm(state.I, "H1W1q", grids, settings),
+            _loop_inner_norm(state.rho - settings.rho_ref, "H1W1q", settings, grid),
+            _loop_lp(loop_gradient(state.u, grid), 2.0, grid))
+
+
+def _loop_theta(c, state, I_t, rho_t, u_t, int_d2q, int_d1, grids, settings):
+    grid, q = grids.spatial, settings.q
+    n_I, n_rho, n_u = c
+    total = 1.0 + n_I
+    total += (loop_mixed_radiation_norm(I_t, "L2", grids, settings)
+              + loop_mixed_radiation_norm(I_t, "Lq", grids, settings))
+    total += n_rho
+    total += _loop_lp(rho_t, 2.0, grid) + _loop_lp(rho_t, q, grid)
+    total += n_u + _loop_lp(_loop_hessian(state.u, grid), 2.0, grid)
+    total += _loop_lp(np.sqrt(np.maximum(state.rho, 0.0))[None] * u_t, 2.0, grid)
+    total += int_d2q + int_d1
+    return float(total)
+
+
+def loop_blowup_monitor(traj, grids, settings, phi_cap=None):
+    """``diagnostics.blowup_monitor`` evaluated one snapshot at a time: the
+    norms of each snapshot and its backward differences in turn, the Theta
+    integrals by the rectangle rule, the cap from snapshot 0."""
+    grid = grids.spatial
+    states, times = traj.states, traj.times
+    comps = [_loop_phi_components(s, grids, settings) for s in states]
+    cap = phi_cap if phi_cap is not None else 10.0 * (1.0 + sum(comps[0]))
+    int_d2q = int_d1 = 0.0
+    phis, thetas, flags, flag_snapshots = [], [], [], []
+    first_phi = first_theta = None
+    under_cap = True
+    for i, (t, state, c) in enumerate(zip(times, states, comps)):
+        if i == 0:
+            I_t, rho_t, u_t = (np.zeros_like(f) for f in (state.I, state.rho, state.u))
+        else:
+            dt = float(times[i] - times[i - 1])
+            prev = states[i - 1]
+            I_t, rho_t, u_t = ((f - g) / dt for f, g in ((state.I, prev.I),
+                                                           (state.rho, prev.rho),
+                                                           (state.u, prev.u)))
+            int_d2q += dt * _loop_lp(_loop_hessian(state.u, grid), settings.q, grid) ** 2
+            int_d1 += dt * _loop_lp(loop_gradient(u_t, grid), 2.0, grid) ** 2
+        p = 1.0 + sum(c)
+        th = _loop_theta(c, state, I_t, rho_t, u_t, int_d2q, int_d1, grids, settings)
+        phis.append(p)
+        thetas.append(th)
+        if not np.isfinite(p) and first_phi is None:
+            first_phi = float(t)
+        if p > cap:
+            under_cap = False
+        if not np.isfinite(th) and first_theta is None:
+            first_theta = float(t)
+            if under_cap:
+                flags.append(f"theta overflow at t={t:.6g} while phi stayed under cap {cap:.6g}")
+                flag_snapshots.append(i)
+    return BlowupReport(times=[float(t) for t in times], phi=phis, theta=thetas,
+                        phi_components=comps, phi_cap=cap, flags=flags,
+                        flag_snapshots=flag_snapshots, first_phi_overflow=first_phi,
+                        first_theta_overflow=first_theta)
+
+
+def loop_gamma_increment(prev, nxt, grids, include_l32=False):
+    """Squared-energy distance of one state pair, weighted by nxt.rho."""
+    grid = grids.spatial
+    drho = nxt.rho - prev.rho
+    du = np.sqrt(np.maximum(nxt.rho, 0.0))[None] * (nxt.u - prev.u)
+    total = loop_mixed_radiation_norm(nxt.I - prev.I, "L2", grids, NormSettings()) ** 2
+    total += _loop_lp(drho, 2.0, grid) ** 2
+    total += _loop_lp(du, 2.0, grid) ** 2
+    if include_l32:
+        total += _loop_lp(drho, 1.5, grid) ** 2
+    return float(total)
+
+
+def loop_gamma_metric(prev_states, next_states, grids, include_l32=False):
+    """Sup of ``loop_gamma_increment`` over the pairs, in order."""
+    worst = 0.0
+    for p, q in zip(prev_states, next_states):
+        worst = max(worst, loop_gamma_increment(p, q, grids, include_l32))
+    return worst

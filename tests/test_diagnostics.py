@@ -4,7 +4,8 @@ import pytest
 from rhlab.diagnostics import (BlowupReport, StateTimeDerivatives, ThetaHistory,
                                blowup_monitor, compatibility_check,
                                compatibility_residual, farfield_bounds_check,
-                               initial_force_imbalance, mass_total, phi, theta)
+                               initial_force_imbalance, mass_total, phi,
+                               phi_components, theta)
 from rhlab.errors import ParameterError
 from rhlab.fluid import continuity_step_fv
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
@@ -233,8 +234,10 @@ class TestBlowupMonitor:
         assert rep.flags == []
 
     def test_phi_components_once_per_snapshot(self, monkeypatch):
-        # snapshot 0's components give both the cap and row 0
+        # every snapshot enters the Phi and the Theta norms exactly once, in
+        # order, whatever the chunking; snapshot 0's Phi gives the cap
         import rhlab.diagnostics as diagnostics
+        import rhlab.norms as norms
         grids = make_grids(n=32)
         x = grids.spatial.axis_coords(0)
         st = State(I=np.zeros(grids.radiation_shape()),
@@ -244,14 +247,22 @@ class TestBlowupMonitor:
         traj = solve(st, constant_model(0.3, 0.05, 0.1), grids, VISC, EOS, CONSTS,
                      cfg, 0.004)
         settings = NormSettings(rho_ref=1.0)
-        calls = []
-        real = diagnostics.phi_components
-        monkeypatch.setattr(diagnostics, "phi_components",
-                            lambda state, *a: calls.append(state) or real(state, *a))
+        # two snapshots per chunk: the five snapshots split 2, 2, 1
+        monkeypatch.setattr(norms, "CHUNK_BYTES", 2 * traj.states[0].I.nbytes)
+        phi_rho, theta_rho = [], []
+        # the density stack is argument 1 of _phi_cells, 0 of _theta_cells
+        for name, k, seen in (("_phi_cells", 1, phi_rho), ("_theta_cells", 0, theta_rho)):
+            real = getattr(diagnostics, name)
+            monkeypatch.setattr(diagnostics, name,
+                                lambda *a, real=real, k=k, seen=seen:
+                                seen.append(a[k].copy()) or real(*a))
         rep = blowup_monitor(traj, grids, settings)
-        assert calls == traj.states
+        want = np.stack([s.rho for s in traj.states])
+        assert [len(r) for r in phi_rho] == [2, 2, 1]
+        for seen in (phi_rho, theta_rho):
+            assert np.array_equal(np.concatenate(seen), want)
         assert rep.phi_cap == 10.0 * phi(traj.states[0], grids, settings)
-        assert rep.phi_components == [real(s, grids, settings) for s in traj.states]
+        assert rep.phi_components == [phi_components(s, grids, settings) for s in traj.states]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_theta_overflow_flagged_under_cap(self):

@@ -15,14 +15,21 @@ against its freshly padded loop version, for the whole-array coefficient
 tables of the built-in models against one callable call per (band,
 ordinate), for the one-write snapshot writer against the per-value one, and
 for the ghost layers against ``np.pad``.
+
+The Phi/Theta monitor and the Picard metric, which take their norms over
+chunks of stacked snapshots, agree with their one-snapshot-at-a-time loop
+versions for every chunk budget.
 """
 
+import contextlib
 import itertools
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rhlab.norms
+from rhlab.diagnostics import blowup_monitor
 from rhlab.fluid import (VelocityHistory, _clamp_points, _interp,
                          continuity_step_characteristics, heat_smooth,
                          integrate_flow_map, interp_field)
@@ -30,13 +37,15 @@ from rhlab.grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, gr
                         pad_ghost, read_field_snapshot, write_field_snapshot)
 from rhlab.norms import MIXED_INNER_KINDS, NormSettings, mixed_radiation_norm
 from rhlab.physics import compton_model, constant_model, zero_model
+from rhlab.picard import State, Trajectory, gamma_increment, gamma_metric
 from rhlab.scenarios import _const_emission
 from rhlab.transport import free_streaming_step, transport_cfl_limit, transport_step
 
-from _reference import (loop_continuity_step_characteristics, loop_free_streaming_step,
-                        loop_gradient, loop_heat_smooth, loop_interp_field,
-                        loop_mixed_radiation_norm, loop_pad_ghost, loop_tabulate,
-                        loop_trace_backward,
+from _reference import (loop_blowup_monitor, loop_clamp_points,
+                        loop_continuity_step_characteristics, loop_free_streaming_step,
+                        loop_gamma_increment, loop_gamma_metric, loop_gradient,
+                        loop_heat_smooth, loop_interp_field, loop_mixed_radiation_norm,
+                        loop_pad_ghost, loop_tabulate, loop_trace_backward,
                         loop_transport_step, loop_write_field_snapshot)
 
 _EDGES = (0.5, 1.0, 2.0, 3.5)
@@ -234,6 +243,8 @@ def test_interp_field(dim, periodic, seed, zeros, farfield_value, n_batch):
     # the clamp is np.clip to the padded domain, bit for bit, and counts
     kept, n_clamped = _clamp_points(points, grid)
     assert n_clamped == clamped
+    ref_kept, ref_clamped = loop_clamp_points(points, grid)
+    assert _identical(kept, ref_kept) and ref_clamped == clamped
     if periodic:
         assert clamped == 0 and _identical(kept, points)
     else:
@@ -363,3 +374,84 @@ def test_field_snapshot(tmp_path_factory, dim, seed, zeros):
     assert (d / "new.dat").read_bytes() == (d / "old.dat").read_bytes()
     g, extents, spacing = read_field_snapshot(d / "new.dat")
     assert _identical(g, f) and extents == cells and spacing == grid.spacing
+
+
+@contextlib.contextmanager
+def _chunk_budget(nbytes):
+    saved = rhlab.norms.CHUNK_BYTES
+    rhlab.norms.CHUNK_BYTES = nbytes
+    try:
+        yield
+    finally:
+        rhlab.norms.CHUNK_BYTES = saved
+
+
+@st.composite
+def snapshot_cases(draw):
+    """Grids of every dimension and boundary kind, 1 to 9 snapshot times
+    with non-uniform steps, a seed for the fields, and a chunk budget of 1
+    to 4 radiation fields plus a remainder, so counts split unevenly."""
+    dim = draw(st.integers(1, 3))
+    cells = tuple(draw(st.lists(st.integers(4, 9 if dim == 1 else 5),
+                                min_size=dim, max_size=dim)))
+    lengths = tuple(draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim)))
+    spatial = SpatialGrid.periodic(cells, lengths) if draw(st.booleans()) \
+        else SpatialGrid.farfield(cells, lengths, draw(st.sampled_from([0.0, 1.0])))
+    ang = AngularQuadrature.gauss_legendre_slab(draw(st.sampled_from([2, 4]))) \
+        if dim == 1 else draw(st.sampled_from([AngularQuadrature.axes3d,
+                                               AngularQuadrature.corners3d]))()
+    grids = Grids(spatial, FrequencyGrid.from_edges(_EDGES[:draw(st.integers(2, 3))]), ang)
+    steps = draw(st.lists(st.floats(1e-3, 0.3), min_size=0, max_size=8))
+    times = [float(t) for t in draw(st.floats(0.0, 1.0)) + np.cumsum([0.0] + steps)]
+    nbytes = 8 * int(np.prod(grids.radiation_shape()))
+    budget = draw(st.integers(1, 4)) * nbytes + draw(st.integers(0, nbytes - 1))
+    return grids, times, draw(seeds), draw(st.booleans()), budget
+
+
+def _states(rng, grids, count, zeros):
+    grid = grids.spatial
+    return [State(I=_field(rng, grids.radiation_shape(), False, zeros),
+                  rho=_field(rng, grid.extents, False, zeros),
+                  u=_field(rng, (grid.dim,) + grid.extents, True, zeros))
+            for _ in range(count)]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=snapshot_cases(), q=st.floats(3.01, 6.0), rho_ref=st.sampled_from([0.0, 0.8]),
+       phi_cap=st.sampled_from([None, 0.5, np.inf]), overflow=st.booleans())
+def test_blowup_monitor(case, q, rho_ref, phi_cap, overflow):
+    grids, times, seed, zeros, budget = case
+    states = _states(np.random.default_rng(seed), grids, len(times), zeros)
+    if overflow:                       # Theta overflows at the last snapshot
+        states[-1].u[(0,) * states[-1].u.ndim] = np.inf
+    traj = Trajectory(times=times, states=states)
+    settings_ = NormSettings(q=q, rho_ref=rho_ref)
+    with _chunk_budget(budget), np.errstate(all="ignore"):
+        got = blowup_monitor(traj, grids, settings_, phi_cap)
+        want = loop_blowup_monitor(traj, grids, settings_, phi_cap)
+    assert _hex(got.times) == _hex(want.times)
+    assert _hex(got.phi) == _hex(want.phi)
+    assert _hex(got.theta) == _hex(want.theta)
+    assert [_hex(c) for c in got.phi_components] == [_hex(c) for c in want.phi_components]
+    assert float(got.phi_cap).hex() == float(want.phi_cap).hex()
+    assert (got.flags, got.flag_snapshots) == (want.flags, want.flag_snapshots)
+    assert (got.first_phi_overflow, got.first_theta_overflow) \
+        == (want.first_phi_overflow, want.first_theta_overflow)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=snapshot_cases(), include_l32=st.booleans())
+def test_gamma_metric(case, include_l32):
+    grids, times, seed, zeros, budget = case
+    rng = np.random.default_rng(seed)
+    prev, nxt = (_states(rng, grids, len(times), zeros) for _ in range(2))
+    with _chunk_budget(budget):
+        got = gamma_metric(prev, nxt, grids, include_l32=include_l32)
+    assert got.hex() == loop_gamma_metric(prev, nxt, grids, include_l32).hex()
+    for p, q in zip(prev, nxt):
+        assert gamma_increment(p, q, grids, include_l32=include_l32).hex() \
+            == loop_gamma_increment(p, q, grids, include_l32).hex()

@@ -296,6 +296,24 @@ class TestDeltaContinuation:
         assert rep.differences[1] < rep.differences[0]
         assert rep.warning is None
 
+    def test_lifted_grids_add_no_layout_cache_miss(self):
+        # w4's grid: 256 far-field cells with rho_bar = 0.  The lifted grids
+        # differ only in farfield_rho, so they reuse the layout built for it
+        import rhlab.fluid as fluid
+        grids = make_grids(n=256, rho_bar=0.0)
+        st = self.make_plateau(grids)
+        cfg = SlabConfig(slab_length=0.001, dt=0.001)
+        caches = (fluid._axis_operators, fluid._lame_matrix_of, fluid._momentum_layout_of)
+        solve_slab(st, self.MODEL, grids, PHYS["visc"], PHYS["eos"], PHYS["consts"], cfg)
+        misses = [c.cache_info().misses for c in caches]
+        delta_continuation(st, self.MODEL, grids, PHYS["visc"], PHYS["eos"], PHYS["consts"],
+                           cfg, DeltaSchedule((1e-2, 1e-3, 1e-4)))
+        assert [c.cache_info().misses for c in caches] == misses
+        lifted = picard._lift_grids(grids, 1e-2).spatial
+        assert lifted.farfield_rho == 1e-2
+        assert fluid.lame_matrix(lifted, PHYS["visc"]) \
+            is fluid.lame_matrix(grids.spatial, PHYS["visc"])
+
     def test_positive_data_first_order_in_delta(self):
         grids = make_grids(n=64)
         st = bump_state(grids)
