@@ -128,9 +128,7 @@ class RunConfig:
         return PhysicalConstants(self.c)
 
     def build_norm_settings(self) -> NormSettings:
-        eos = self.build_eos()
-        return NormSettings(q=self.q, rho_ref=self.rho_bar,
-                            p_ref=eos.reference_pressure(self.rho_bar))
+        return NormSettings(q=self.q, rho_ref=self.rho_bar)
 
     def build_model(self) -> CoefficientModel:
         params = dict(self.model_params)

@@ -18,10 +18,10 @@ import numpy as np
 from .errors import ParameterError
 from .fluid import lame_apply
 from .grid import Grids, SpatialGrid, check_scalar, gradient, integrate_space
-from .norms import (NormSettings, _hessian_stack, _lp_cells, _lp_multi, _phase_l2,
-                    _sobolev_cells, snapshot_chunks)
+from .norms import (NormSettings, _differences, _hessian_stack, _lp_cells, _lp_multi,
+                    _phase_l2, _sobolev_cells, snapshot_chunks)
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
-                      ViscosityParams, pressure)
+                      ViscosityParams, farfield_pressure, pressure)
 from .picard import State, Trajectory
 from .transport import momentum_source
 
@@ -62,8 +62,8 @@ def initial_force_imbalance(I0: Array, rho0: Array, u0: Array,
     """L u0 + grad p(rho0) + (1/c) int int A_r0 Omega dOmega dv, per cell."""
     grid = grids.spatial
     p0 = pressure(eos, rho0, grid)
-    p_ref = eos.reference_pressure(grid.farfield_rho) if grid.boundary == "farfield" else 0.0
-    out = lame_apply(u0, visc, grid) + gradient(p0, grid, farfield_value=p_ref)
+    out = lame_apply(u0, visc, grid) + gradient(p0, grid,
+                                                farfield_value=farfield_pressure(eos, grid))
     # momentum_source already carries the minus sign of the force term
     out = out - momentum_source(I0, rho0, model, grids, t, consts.c)[:grid.dim]
     return out
@@ -78,9 +78,15 @@ def compatibility_residual(I0: Array, rho0: Array, u0: Array, eos: EquationOfSta
     residual is always finite."""
     if rho_cut <= 0:
         raise ParameterError("rho_cut must be positive")
-    grid = grids.spatial
-    rho0 = check_scalar(rho0, grid)
+    rho0 = check_scalar(rho0, grids.spatial)
     phi0 = initial_force_imbalance(I0, rho0, u0, eos, visc, model, grids, consts)
+    return _weighted_residual(phi0, rho0, rho_cut, grids.spatial)
+
+
+def _weighted_residual(phi0: Array, rho0: Array, rho_cut: float,
+                       grid: SpatialGrid) -> CompatReport:
+    """The report of ``compatibility_residual`` from the force imbalance
+    ``phi0``, weighted by rho0^(-1/2) on the cells above the cut."""
     mask = rho0 > rho_cut
     g = np.zeros_like(phi0)
     g[:, mask] = phi0[:, mask] / np.sqrt(rho0[mask])[None]
@@ -109,6 +115,7 @@ def compatibility_check(I0: Array, rho0: Array, u0: Array, eos: EquationOfState,
     finite value), "satisfied" when the last two g_l2 values agree within
     ``cauchy_rtol``, "diverging" otherwise (a last ratio > 2 is the clear
     signature of a non-square-integrable residual at the vacuum boundary).
+    The force imbalance is computed once and weighted per cut.
     """
     if cuts is None:
         cuts = default_cut_schedule(rho0)
@@ -117,11 +124,13 @@ def compatibility_check(I0: Array, rho0: Array, u0: Array, eos: EquationOfState,
     if len(cuts) < 2 or not all(b < a for a, b in zip(cuts, cuts[1:])):
         raise ParameterError(f"cut schedule must be strictly decreasing with at least "
                              f"two cuts, got {cuts}")
+    if cuts[-1] <= 0:
+        raise ParameterError("rho_cut must be positive")
+    rho0 = check_scalar(rho0, grids.spatial)
+    phi0 = initial_force_imbalance(I0, rho0, u0, eos, visc, model, grids, consts)
     trace = []
-    last = None
     for cut in cuts:
-        last = compatibility_residual(I0, rho0, u0, eos, visc, model, grids,
-                                      consts, cut)
+        last = _weighted_residual(phi0, rho0, cut, grids.spatial)
         trace.append((cut, last.g_l2))
     report = CompatReport(g_field=last.g_field, g_l2=last.g_l2, refinement_trace=trace)
     if np.all(np.asarray(rho0) > cuts[0]):
@@ -243,19 +252,6 @@ def _one(f: Array) -> Array:
     return np.array(f, dtype=float)[None]
 
 
-def _backward_differences(fields: list, times: list, start: int, stop: int) -> Array:
-    """Rows (f_i - f_{i-1}) / (t_i - t_{i-1}) for i in [start, stop); the
-    row of snapshot 0 is zero."""
-    out = np.empty((stop - start,) + fields[start].shape)
-    for row, i in zip(out, range(start, stop)):
-        if i == 0:
-            row[...] = 0.0
-        else:
-            np.subtract(fields[i], fields[i - 1], out=row)
-            row /= float(times[i] - times[i - 1])
-    return out
-
-
 @dataclass
 class BlowupReport:
     """Phi/Theta series with overflow bookkeeping.
@@ -300,8 +296,12 @@ def blowup_monitor(traj: Trajectory, grids: Grids, settings: NormSettings,
     comps, terms = [], []
     for start, stop in snapshot_chunks(len(states), states[0].I.nbytes):
         rho, u = np.stack(rho_all[start:stop]), np.stack(u_all[start:stop])
-        terms += _theta_cells(rho, u, *(_backward_differences(f, times, start, stop)
-                                        for f in (I_all, rho_all, u_all)), grids, settings)
+        # backward differences, zero at snapshot 0
+        rows = range(start, stop)
+        steps = [float(times[i] - times[i - 1]) if i else None for i in rows]
+        derivs = (_differences([f[i - 1] if i else None for i in rows], f[start:stop], steps)
+                  for f in (I_all, rho_all, u_all))
+        terms += _theta_cells(rho, u, *derivs, grids, settings)
         comps += zip(*(c.tolist() for c in _phi_cells(np.stack(I_all[start:stop]),
                                                       rho, u, grids, settings)))
     cap = phi_cap if phi_cap is not None else 10.0 * (1.0 + sum(comps[0]))

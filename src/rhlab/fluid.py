@@ -34,16 +34,20 @@ How the system is solved depends on the dimension.  In 1D it is banded
 folded), so LAPACK's banded LU (``dgbsv``) solves it directly in O(n): a
 128-cell periodic step with convection costs about 0.1 ms, against about
 0.5 ms for SuperLU plus one factor-preconditioned Krylov iteration, nearly
-all of it scipy's set-up.  Jacobi-preconditioned Krylov is no alternative there,
-because vacuum rows leave only the stiff Lame block (one 1D vacuum run with
-160 solves took 20,283 Jacobi iterations); it is kept only as the fallback
-for a singular band factor or one whose residual fails the check.  In 2D and
-3D the system is solved by a Jacobi (v / diag(A)) preconditioned Krylov
-iteration (cg when symmetric, bicgstab with convection): on the 2D 32x32
-far-field system with convection ``splu`` costs about 27 ms per solve
-against 2 to 4 ms for Jacobi-bicgstab, and Jacobi solves a 3D 16^3
-vacuum-plateau system in about 20 ms, where incomplete LU plus Krylov took
-3.6 s.  All timings on one thread of a 2-vCPU Xeon.
+all of it scipy's set-up.  It is the only 1D path: a singular factor, or a
+solution that is not finite or misses the residual bound, raises
+SolverError.  Of 4,000 random 1D systems the band LU failed on 337, each
+with one parity class of cells entirely in vacuum (the centered-square Lame
+stencil couples only cells two apart); Jacobi-Krylov plus lgmres failed on
+each one tried too, after 3.5 to 11 s, and in 1D vacuum leaves it only the
+stiff Lame block (one vacuum run with 160 solves took 20,283 Jacobi
+iterations).  In 2D and 3D the system is solved by a Jacobi (v / diag(A))
+preconditioned Krylov iteration (cg when symmetric, bicgstab with
+convection): on the 2D 32x32 far-field system with convection ``splu``
+costs about 27 ms per solve against 2 to 4 ms for Jacobi-bicgstab, and
+Jacobi solves a 3D 16^3 vacuum-plateau system in about 20 ms, where
+incomplete LU plus Krylov took 3.6 s.  All timings on one thread of a
+2-vCPU Xeon.
 
 The Krylov iteration starts from whichever of u_old and the convecting
 velocity w has the smaller residual |b - A x|.  Inside a Picard sweep w is
@@ -71,6 +75,9 @@ from .grid import (SpatialGrid, _fill_ghosts, _view, check_scalar, check_vector,
 from .physics import ViscosityParams
 
 Array = np.ndarray
+
+RTOL = 1e-10        # relative residual every momentum solve must reach
+MAXITER = 10_000    # iteration cap of each 2D/3D Krylov routine
 
 
 @dataclass(frozen=True, eq=False)
@@ -480,10 +487,6 @@ def _shift(n: int, off: int, periodic: bool) -> sp.spmatrix:
     return sp.diags([np.ones(n - 1)], [off], (n, n))
 
 
-def _centered_diff_1d(n: int, h: float, periodic: bool) -> sp.spmatrix:
-    return ((_shift(n, +1, periodic) - _shift(n, -1, periodic)) / (2.0 * h)).tocsr()
-
-
 def _one_sided_diff_1d(n: int, h: float, periodic: bool, forward: bool) -> sp.spmatrix:
     eye = sp.eye(n, format="csr")
     if forward:
@@ -500,50 +503,28 @@ def _lift(mat: sp.spmatrix, extents: tuple, axis: int) -> sp.spmatrix:
     return out
 
 
-# The sparse operators below depend on a grid's extents, spacing and boundary
-# only, never on its far-field density.  Their caches are keyed by those
-# values, so a density-lifted grid (``picard._lift_grids``) shares them.
-
-def _layout_key(grid: SpatialGrid) -> tuple:
-    return grid.extents, grid.spacing, grid.boundary
-
-
-@functools.lru_cache(maxsize=16)
 def _axis_operators(extents: tuple, spacing: tuple, boundary: str):
-    """Per axis, the centered, forward and backward difference matrices."""
+    """Per axis, the forward and the backward difference matrices."""
     periodic = boundary == "periodic"
-    cen, fwd, bwd = [], [], []
-    for a, (n, h) in enumerate(zip(extents, spacing)):
-        cen.append(_lift(_centered_diff_1d(n, h, periodic), extents, a))
-        fwd.append(_lift(_one_sided_diff_1d(n, h, periodic, True), extents, a))
-        bwd.append(_lift(_one_sided_diff_1d(n, h, periodic, False), extents, a))
-    return cen, fwd, bwd
+    return tuple([_lift(_one_sided_diff_1d(n, h, periodic, forward), extents, a)
+                  for a, (n, h) in enumerate(zip(extents, spacing))]
+                 for forward in (True, False))
 
 
-def lame_matrix(grid: SpatialGrid, visc: ViscosityParams) -> sp.spmatrix:
-    """Sparse matrix of lame_apply on the flattened (component, cell) vector."""
-    return _lame_matrix_of(*_layout_key(grid), visc)
-
-
-@functools.lru_cache(maxsize=16)
-def _lame_matrix_of(extents: tuple, spacing: tuple, boundary: str,
-                    visc: ViscosityParams) -> sp.spmatrix:
-    dim = len(extents)
-    cen, _, _ = _axis_operators(extents, spacing, boundary)
-    lap = None
-    for d in cen:
-        dd = (d @ d).tocsr()
-        lap = dd if lap is None else lap + dd
-    blocks = []
-    for j in range(dim):
-        row = []
-        for k in range(dim):
-            block = -(visc.lam + visc.mu) * (cen[j] @ cen[k])
-            if j == k:
-                block = block - visc.mu * lap
-            row.append(block.tocsr())
-        blocks.append(row)
+def _lame_matrix_of(fwd: list, bwd: list, visc: ViscosityParams) -> sp.csr_matrix:
+    """The Lame matrix from the centered differences (fwd + bwd) / 2, bit for
+    bit (E+ - E-) / 2h: the diagonals cancel, and 1/h halves exactly."""
+    cen = [(f + b) / 2 for f, b in zip(fwd, bwd)]
+    lap = sum(d @ d for d in cen)
+    blocks = [[-(visc.lam + visc.mu) * (cj @ ck) for ck in cen] for cj in cen]
+    for j in range(len(cen)):
+        blocks[j][j] = blocks[j][j] - visc.mu * lap
     return sp.bmat(blocks, format="csr")
+
+
+def lame_matrix(grid: SpatialGrid, visc: ViscosityParams) -> sp.csr_matrix:
+    """Sparse matrix of lame_apply on the flattened (component, cell) vector."""
+    return _momentum_layout(grid, visc).lame
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,10 +548,11 @@ class _MomentumLayout:
     Lame values on that pattern, the data position of each component's
     diagonal, per axis the backward and forward upwind blocks as (positions
     per component, cell of each entry's row, difference weight), and in 1D
-    the band map of the pattern (None in 2D and 3D)."""
+    the band map of the pattern (None in 2D and 3D); ``lame`` is the Lame matrix."""
 
     indptr: Array
     indices: Array
+    lame: sp.csr_matrix
     lame_data: Array
     diag_pos: Array                                   # (dim, cells)
     upwind: tuple[tuple[tuple[Array, Array, Array], ...], ...]
@@ -597,17 +579,22 @@ def _band_map(n: int, periodic: bool, rows: Array, cols: Array) -> _BandMap:
 
 
 def _momentum_layout(grid: SpatialGrid, visc: ViscosityParams) -> _MomentumLayout:
-    return _momentum_layout_of(*_layout_key(grid), visc)
+    return _momentum_layout_of(grid.extents, grid.spacing, grid.boundary, visc)
 
 
+# The one operator cache of the module.  The layout depends on a grid's
+# extents, spacing and boundary only, never on its far-field density, and is
+# keyed by those values, so a density-lifted grid (``picard._lift_grids``)
+# shares it.
 @functools.lru_cache(maxsize=16)
 def _momentum_layout_of(extents: tuple, spacing: tuple, boundary: str,
                         visc: ViscosityParams) -> _MomentumLayout:
     dim = len(extents)
-    _, fwd, bwd = _axis_operators(extents, spacing, boundary)
+    fwd, bwd = _axis_operators(extents, spacing, boundary)
     n = int(np.prod(extents))
     size = dim * n
-    lame = _lame_matrix_of(extents, spacing, boundary, visc).tocoo()
+    lame_csr = _lame_matrix_of(fwd, bwd, visc)
+    lame = lame_csr.tocoo()
     blocks = [(b.tocoo(), f.tocoo()) for b, f in zip(bwd, fwd)]
     offsets = n * np.arange(dim)[:, None]
     rows = [lame.row, np.arange(size)]
@@ -638,7 +625,7 @@ def _momentum_layout_of(extents: tuple, spacing: tuple, boundary: str,
     for a in (pattern.indptr, pattern.indices):
         a.setflags(write=False)     # shared by every matrix built on the layout
     return _MomentumLayout(indptr=pattern.indptr, indices=pattern.indices,
-                           lame_data=lame_data, diag_pos=position(diag, diag),
+                           lame=lame_csr, lame_data=lame_data, diag_pos=position(diag, diag),
                            upwind=upwind, band=band)
 
 
@@ -660,13 +647,6 @@ def _momentum_data(lay: _MomentumLayout, rho: Array, w: Array | None,
     return data
 
 
-def _momentum_matrix(rho: Array, w: Array | None, visc: ViscosityParams, dt: float,
-                     grid: SpatialGrid) -> sp.csr_matrix:
-    """The momentum matrix filled into the cached layout of the grid."""
-    lay = _momentum_layout(grid, visc)
-    return lay.matrix(_momentum_data(lay, rho, w, dt))
-
-
 def _band_storage(band: _BandMap, data: Array) -> Array:
     """The matrix with CSR ``data`` in ``gbsv`` band storage of the reordered
     system: a Fortran-ordered (3*kl + 1, n) array, zero outside the band."""
@@ -676,26 +656,31 @@ def _band_storage(band: _BandMap, data: Array) -> Array:
     return flat.reshape(n, 3 * band.kl + 1).T
 
 
-def _band_solve(lay: _MomentumLayout, data: Array, b: Array,
-                rtol: float) -> tuple[Array | None, str]:
-    """Direct banded LU solve of the 1D system.  Returns (x, "") when x is
-    finite with relative residual <= rtol, else (None, why it was left)."""
+def _solve_failed(tried: list, residual=None, iterations=None) -> SolverError:
+    return SolverError(f"momentum solve failed to reach relative residual {RTOL:.1e}; "
+                       f"tried {', '.join(tried)}", residual, iterations)
+
+
+def _band_solve(lay: _MomentumLayout, data: Array, b: Array) -> Array:
+    """Direct banded LU solve of the 1D system.  Returns x when it is finite
+    with relative residual <= RTOL; raises SolverError naming band LU and
+    why otherwise."""
     band = lay.band
     _, _, y, info = lapack.dgbsv(band.kl, band.kl, _band_storage(band, data),
                                  b[band.perm], overwrite_ab=True, overwrite_b=True)
     if info < 0:
-        raise SolverError(f"dgbsv rejected its argument {-info}")
+        raise SolverError(f"band LU: dgbsv rejected its argument {-info}")
     if info > 0:
-        return None, f"singular, dgbsv info {info}"
+        raise _solve_failed([f"band LU (singular, dgbsv info {info})"])
     x = np.empty_like(y)
     x[band.perm] = y
     if not np.all(np.isfinite(x)):
-        return None, "non-finite solution"
+        raise _solve_failed(["band LU (non-finite solution)"])
     ax = np.add.reduceat(data * x[lay.indices], lay.indptr[:-1])    # A @ x
     res = float(np.linalg.norm(b - ax)) / float(np.linalg.norm(b))
-    if res > rtol:
-        return None, f"relative residual {res:.3e}"
-    return x, ""
+    if res > RTOL:
+        raise _solve_failed([f"band LU (relative residual {res:.3e})"], residual=res)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -704,25 +689,26 @@ def _band_solve(lay: _MomentumLayout, data: Array, b: Array,
 
 def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
                   rad_source: Array, visc: ViscosityParams, dt: float,
-                  grid: SpatialGrid, p_ref: float = 0.0, rtol: float = 1e-10,
-                  maxiter: int = 10_000) -> Array:
-    """Backward-Euler solve of the linearized momentum balance.
+                  grid: SpatialGrid, p_ref: float = 0.0) -> Array:
+    """Backward-Euler solve of the linearized momentum balance to relative
+    residual ``RTOL``.
 
     Vacuum cells need no special casing: the rho-weighted terms drop out of
     their rows and the solve reduces to the elliptic balance there.
 
     The matrix is filled into the cached layout of the grid.  In 1D one
-    banded LU factorization (LAPACK ``dgbsv``) solves it, and its solution is
-    kept when it is finite with relative residual <= ``rtol``.  Otherwise, and
-    always in 2D and 3D, cg (symmetric) or bicgstab (with convection),
-    preconditioned by Jacobi, runs to a 1e-13 relative residual; see the
-    module docstring for why.  It starts from ``u_n``, or from ``w`` when
+    banded LU factorization (LAPACK ``dgbsv``) solves it; a singular factor,
+    or a solution that is not finite or misses ``RTOL``, raises SolverError
+    naming band LU and why (with ``residual`` set when it is known).  In 2D
+    and 3D cg (symmetric) or bicgstab (with convection), preconditioned by
+    Jacobi, runs to a 1e-13 relative residual or ``MAXITER`` iterations; see
+    the module docstring for why.  It starts from ``u_n``, or from ``w`` when
     there is convection and ``w`` has the strictly smaller residual
-    |b - A w|.  If the residual still exceeds ``rtol``, lgmres retries from
-    there; a residual above ``rtol`` after that raises SolverError, whose
+    |b - A w|.  If the residual still exceeds ``RTOL``, lgmres retries from
+    there; a residual above ``RTOL`` after that raises SolverError, whose
     message names every path tried and why it was left, and whose
     ``iterations`` is the last routine's count when it stopped at
-    ``maxiter`` (None when that count is unknown).
+    ``MAXITER`` (None when that count is unknown).
     """
     u_n = check_vector(u_n, grid)
     rho_new = check_scalar(rho_new, grid)
@@ -742,12 +728,8 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
         w = check_vector(w, grid)
     lay = _momentum_layout(grid, visc)
     data = _momentum_data(lay, rho_new, None if symmetric else w, dt)
-    tried = []
     if lay.band is not None:
-        x, why = _band_solve(lay, data, b, rtol)
-        if x is not None:
-            return x.reshape(u_n.shape)
-        tried.append(f"band LU ({why})")
+        return _band_solve(lay, data, b).reshape(u_n.shape)
 
     A = lay.matrix(data)
     diag = A.diagonal()
@@ -759,21 +741,20 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
             x0 = guess
     krylov = spla.cg if symmetric else spla.bicgstab
     path = "Jacobi-cg" if symmetric else "Jacobi-bicgstab"
-    x, info = krylov(A, b, x0=x0, rtol=1e-13, atol=0.0, maxiter=maxiter, M=precond)
+    x, info = krylov(A, b, x0=x0, rtol=1e-13, atol=0.0, maxiter=MAXITER, M=precond)
     bnorm = float(np.linalg.norm(b))
     res = float(np.linalg.norm(b - A @ x)) / bnorm
-    if res > rtol:
+    tried = []
+    if res > RTOL:
         tried.append(f"{path} (relative residual {res:.3e})")
         path = "lgmres"
-        x, info = spla.lgmres(A, b, x0=x, rtol=1e-13, atol=0.0, maxiter=maxiter, M=precond)
+        x, info = spla.lgmres(A, b, x0=x, rtol=1e-13, atol=0.0, maxiter=MAXITER, M=precond)
         res = float(np.linalg.norm(b - A @ x)) / bnorm
     out = x.reshape(u_n.shape)
     if not np.all(np.isfinite(out)):
         tried.append(f"{path} (non-finite values)")
-    elif res > rtol:
+    elif res > RTOL:
         tried.append(f"{path} (relative residual {res:.3e})")
     else:
         return out
-    raise SolverError(f"momentum solve failed to reach relative residual {rtol:.1e}; "
-                      f"tried {', '.join(tried)}", residual=res,
-                      iterations=info if info > 0 else None)
+    raise _solve_failed(tried, residual=res, iterations=info if info > 0 else None)

@@ -44,12 +44,11 @@ CHUNK_BYTES = 256 * 1024
 
 @dataclass(frozen=True)
 class NormSettings:
-    """Lebesgue exponent q in (3, 6] and the reference state subtracted from
-    density/pressure before norming."""
+    """Lebesgue exponent q in (3, 6] and the reference density subtracted
+    before norming."""
 
     q: float = 4.0
     rho_ref: float = 0.0
-    p_ref: float = 0.0
 
     def __post_init__(self):
         if not 3.0 < self.q <= 6.0:
@@ -194,3 +193,18 @@ def snapshot_chunks(count: int, snapshot_bytes: int) -> list:
     ``snapshot_bytes`` each, and at least one."""
     size = max(1, CHUNK_BYTES // snapshot_bytes)
     return [(s, min(s + size, count)) for s in range(0, count, size)]
+
+
+def _differences(prev: list, nxt: list, steps: list | None = None) -> Array:
+    """Rows nxt[j] - prev[j] in one preallocated stack, each divided by
+    ``steps[j]`` when steps are given; a row whose ``prev`` is None is
+    zero."""
+    out = np.empty((len(nxt),) + np.shape(nxt[0]))
+    for j, (row, a, b) in enumerate(zip(out, prev, nxt)):
+        if a is None:
+            row[...] = 0.0
+            continue
+        np.subtract(b, a, out=row)
+        if steps is not None:
+            row /= steps[j]
+    return out

@@ -25,9 +25,9 @@ from .errors import DomainError, IterationError, ParameterError
 from .fluid import (VelocityHistory, continuity_step_characteristics,
                     continuity_step_fv, heat_smooth, momentum_step)
 from .grid import Grids, SpatialGrid, check_radiation, check_scalar, check_vector
-from .norms import _lp_cells, _lp_multi, _phase_l2, lp_norm, snapshot_chunks
+from .norms import _differences, _lp_cells, _lp_multi, _phase_l2, lp_norm, snapshot_chunks
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
-                      ViscosityParams, pressure)
+                      ViscosityParams, farfield_pressure, pressure)
 from .transport import (_momentum_source, _substep_transport, _tables_at,
                         free_streaming_step, transport_substeps)
 
@@ -135,14 +135,6 @@ class Trajectory:
 # ---------------------------------------------------------------------------
 # contraction metric
 # ---------------------------------------------------------------------------
-
-def _differences(prev: list, nxt: list) -> Array:
-    """Rows nxt[j] - prev[j], stacked."""
-    out = np.empty((len(nxt),) + np.shape(nxt[0]))
-    for row, a, b in zip(out, prev, nxt):
-        np.subtract(b, a, out=row)
-    return out
-
 
 def _increment_norms(prev_states: list, next_states: list, rho_weights: list,
                      grids: Grids, include_l32: bool) -> list:
@@ -261,7 +253,7 @@ def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Gri
     previous iterate (w, psi) = (u^k, I^k)."""
     grid = grids.spatial
     dim = grid.dim
-    p_ref = eos.reference_pressure(grid.farfield_rho) if grid.boundary == "farfield" else 0.0
+    p_ref = farfield_pressure(eos, grid)
     if cfg.continuity == "characteristics":
         # each step's density depends only on state0.rho and the previous
         # iterate's velocities, so one trace covers the whole sweep
@@ -374,7 +366,8 @@ def solve(state0: State, model: CoefficientModel, grids: Grids,
         sub_cfg = replace(cfg, slab_length=T, dt=min(cfg.dt, T))
         states, diag = solve_slab_full(traj.states[-1], model, grids, visc, eos,
                                        consts, sub_cfg, t0=t)
-        times = np.linspace(t, t + diag.slab_length, len(states))
+        # the times the slab stepped through (solve_slab_full's last attempt)
+        times = _slab_times(t, diag.slab_length, min(cfg.dt, diag.slab_length))
         traj.times.extend(float(s) for s in times[1:])
         traj.states.extend(states[1:])
         traj.diagnostics.append(diag)

@@ -1,10 +1,11 @@
 """Independent oracles: brute-force quadrature of the collision term, a
 monolithic (no fixed-point) coupled integrator, and per-(band, ordinate) loop
 versions of the batched phase-space operators and of the coefficient
-tables, the momentum matrix assembled from whole sparse blocks, the
-one-start-time characteristics trace (with its own point clamp) and
-heat-flow mollifier, the per-value snapshot writer, the ``np.pad`` ghost
-layers, and the one-snapshot-at-a-time Phi/Theta monitor and Picard metric.
+tables, the momentum matrix assembled from whole sparse blocks on its own
+difference and Lame matrices, the one-start-time characteristics trace
+(with its own point clamp) and heat-flow mollifier, the per-value snapshot
+writer, the ``np.pad`` ghost layers, and the one-snapshot-at-a-time
+Phi/Theta monitor and Picard metric.
 These deliberately avoid the vectorized/precomputed paths of the package so
 they can check them.
 """
@@ -15,8 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from rhlab.diagnostics import BlowupReport
-from rhlab.fluid import (VelocityHistory, _axis_operators, continuity_step_fv,
-                         lame_matrix, momentum_step)
+from rhlab.fluid import VelocityHistory, continuity_step_fv, momentum_step
 from rhlab.grid import _view, divergence, second_difference
 from rhlab.norms import NormSettings
 from rhlab.physics import pressure
@@ -198,9 +198,53 @@ def loop_free_streaming_step(I_n, grids, dt, c):
 # momentum matrix from whole sparse blocks
 # ---------------------------------------------------------------------------
 
+def _difference_matrix(grid, axis, stencil):
+    """sum_k c_k f_{i+k} along ``axis`` for the (offset k, weight c) pairs of
+    ``stencil``, entry by entry: periodic grids wrap, far-field grids drop the
+    neighbours outside (zero ghosts).  Lifted to the grid by Kronecker
+    products with identities."""
+    n = grid.extents[axis]
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        for k, c in stencil:
+            j = i + k
+            if grid.boundary == "periodic":
+                j %= n
+            elif not 0 <= j < n:
+                continue
+            rows.append(i)
+            cols.append(j)
+            vals.append(c)
+    # duplicates (wrapped neighbours on tiny rings) are summed
+    diff = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    before = sp.identity(int(np.prod(grid.extents[:axis])))
+    after = sp.identity(int(np.prod(grid.extents[axis + 1:])))
+    return sp.kron(sp.kron(before, diff), after, format="csr")
+
+
+def _differences(grid, kind):
+    """Per axis the forward, backward or centered difference matrix."""
+    return [_difference_matrix(grid, a, {
+        "forward": ((0, -1.0 / h), (1, 1.0 / h)),
+        "backward": ((-1, -1.0 / h), (0, 1.0 / h)),
+        "centered": ((-1, -0.5 / h), (1, 0.5 / h))}[kind])
+        for a, h in enumerate(grid.spacing)]
+
+
+def lame_matrix(grid, visc):
+    """L = -mu sum_a C_a C_a - (lam + mu) grad div with the centered
+    differences C_a, as a (component, component) block matrix."""
+    cen = _differences(grid, "centered")
+    blocks = [[-(visc.lam + visc.mu) * (cj @ ck) for ck in cen] for cj in cen]
+    lap = sum(c @ c for c in cen)
+    for j in range(grid.dim):
+        blocks[j][j] = blocks[j][j] - visc.mu * lap
+    return sp.bmat(blocks, format="csr")
+
+
 def convection_matrix(rho, w, grid):
     """Implicit upwind rho w . grad, block-diagonal over velocity components."""
-    _, fwd, bwd = _axis_operators(grid.extents, grid.spacing, grid.boundary)
+    fwd, bwd = _differences(grid, "forward"), _differences(grid, "backward")
     n = int(np.prod(grid.extents))
     conv = sp.csr_matrix((n, n))
     rho_flat = rho.ravel()

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -375,13 +377,13 @@ class TestMomentumStep:
         rhs = -gradient(p, grid128)
         assert np.max(np.abs(lhs - rhs)) < 1e-7
 
-    @pytest.mark.parametrize("case", ["singular", "residual", "illegal"])
+    @pytest.mark.parametrize("case", ["singular", "residual", "non-finite", "illegal"])
     def test_band_factor_fallback(self, grid128, visc, monkeypatch, case):
-        # dgbsv reporting an exactly singular factor (info > 0), or returning
-        # an x whose residual exceeds rtol, sends the 1D solve on to the
-        # Jacobi-preconditioned Krylov path; info < 0 (an illegal argument)
-        # raises
-        dgbsv, cg, calls = fluid.lapack.dgbsv, fluid.spla.cg, []
+        # the 1D band LU has no fallback: dgbsv reporting an exactly singular
+        # factor (info > 0), an x whose residual exceeds RTOL or that is not
+        # finite, or an illegal argument (info < 0) raises SolverError naming
+        # band LU, and no Krylov routine is called
+        dgbsv, calls = fluid.lapack.dgbsv, []
 
         def fake_dgbsv(*args, **kwargs):
             calls.append("dgbsv")
@@ -390,29 +392,60 @@ class TestMomentumStep:
                 return lub, piv, x, 3
             if case == "residual":
                 return lub, piv, x * (1.0 + 1e-6), info
+            if case == "non-finite":
+                return lub, piv, np.where(np.arange(x.size) == 5, np.nan, x), info
             return lub, piv, x, -4
 
-        def counted_cg(*args, **kwargs):
-            calls.append("cg")
-            return cg(*args, **kwargs)
+        def krylov(*args, **kwargs):
+            raise AssertionError("Krylov path used")
 
         monkeypatch.setattr(fluid.lapack, "dgbsv", fake_dgbsv)
-        monkeypatch.setattr(fluid.spla, "cg", counted_cg)
+        for name in ("cg", "bicgstab", "lgmres"):
+            monkeypatch.setattr(fluid.spla, name, krylov)
         ustar = np.sin(2 * np.pi * grid128.axis_coords(0))[None]
         rho, dt = np.ones(128), 0.01
         forcing = rho[None] * ustar / dt + lame_apply(ustar, visc, grid128)
-        args = (np.zeros((1, 128)), rho, None, np.ones(128), forcing, visc, dt, grid128)
+        with pytest.raises(SolverError) as err:
+            momentum_step(np.zeros((1, 128)), rho, None, np.ones(128), forcing, visc, dt,
+                          grid128)
+        assert calls == ["dgbsv"]
+        assert err.value.iterations is None
         if case == "illegal":
-            with pytest.raises(SolverError, match="argument 4"):
-                momentum_step(*args)
-            assert calls == ["dgbsv"]
+            assert str(err.value) == "band LU: dgbsv rejected its argument 4"
+            assert err.value.residual is None
             return
-        out = momentum_step(*args)
-        assert calls == ["dgbsv", "cg"]
-        assert np.max(np.abs(out - ustar)) < 1e-8
-        A = momentum_matrix(rho, None, visc, dt, grid128)
-        b = forcing.reshape(-1)
-        assert np.linalg.norm(b - A @ out.reshape(-1)) <= 1e-10 * np.linalg.norm(b)
+        if case == "residual":
+            assert 1e-7 < err.value.residual < 1e-5
+            why = f"relative residual {err.value.residual:.3e}"
+        else:
+            assert err.value.residual is None
+            why = "singular, dgbsv info 3" if case == "singular" else "non-finite solution"
+        assert str(err.value) == ("momentum solve failed to reach relative residual "
+                                  f"1.0e-10; tried band LU ({why})")
+
+    @pytest.mark.parametrize("boundary", ["periodic", "farfield"])
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_parity_vacuum_singular(self, visc, rng, monkeypatch, boundary, with_w):
+        # the centered-square Lame stencil couples only cells two apart, so a
+        # parity class entirely in vacuum leaves the 1D system singular (on
+        # far-field grids when that class is the larger one, n odd): the band
+        # LU says so at once, without a Krylov retry
+        def krylov(*args, **kwargs):
+            raise AssertionError("Krylov path used")
+
+        for name in ("cg", "bicgstab", "lgmres"):
+            monkeypatch.setattr(fluid.spla, name, krylov)
+        grid = SpatialGrid.periodic(64, 1.0) if boundary == "periodic" \
+            else SpatialGrid.farfield(63, 1.0, 1.0)
+        n = grid.extents[0]
+        rho = rng.uniform(0.5, 2.0, n)
+        rho[0::2] = 0.0
+        w = rng.normal(size=(1, n)) if with_w else None
+        start = time.perf_counter()
+        with pytest.raises(SolverError, match=r"; tried band LU \("):
+            momentum_step(np.zeros((1, n)), rho, w, np.ones(n), rng.normal(size=(1, n)),
+                          visc, 0.01, grid)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("with_w", [False, True])
     def test_band_solve_without_krylov(self, visc, rng, monkeypatch, with_w):
@@ -441,18 +474,20 @@ class TestMomentumStep:
         residual = lame_apply(out, visc, grid) + rho[None] * out / 0.01 - f
         assert np.max(np.abs(residual)) < 1e-7
 
-    @pytest.mark.parametrize("grid, band", [
-        (SpatialGrid.periodic(128, 1.0), "band LU (singular, dgbsv info 3), "),
-        (SpatialGrid.periodic(128, 1.0), "band LU (relative residual 1.000e+00), "),
-        (SpatialGrid.periodic((8, 8), (1.0, 1.0)), "")], ids=["singular", "residual", "2d"])
-    def test_solver_error_names_every_path(self, visc, monkeypatch, grid, band):
-        # when every path fails, the error says which were tried and why each
-        # was left
+    @pytest.mark.parametrize("grid, tried, iterations", [
+        (SpatialGrid.periodic(128, 1.0), "band LU (singular, dgbsv info 3)", None),
+        (SpatialGrid.periodic(128, 1.0), "band LU (relative residual 1.000e+00)", None),
+        (SpatialGrid.periodic((8, 8), (1.0, 1.0)),
+         "Jacobi-cg (relative residual 1.000e+00), lgmres (relative residual 1.000e+00)", 11)],
+        ids=["singular", "residual", "2d"])
+    def test_solver_error_names_every_path(self, visc, monkeypatch, grid, tried, iterations):
+        # when the solve fails, the error names every path tried and why each
+        # was left: band LU alone in 1D, Krylov then lgmres in 2D
         dgbsv = fluid.lapack.dgbsv
 
         def fake_dgbsv(*args, **kwargs):
             lub, piv, x, info = dgbsv(*args, **kwargs)
-            return (lub, piv, x, 3) if "singular" in band else (lub, piv, 2.0 * x, info)
+            return (lub, piv, x, 3) if "singular" in tried else (lub, piv, 2.0 * x, info)
 
         def krylov(info):
             return lambda A, b, x0, **kwargs: (np.zeros_like(b), info)
@@ -466,10 +501,12 @@ class TestMomentumStep:
             momentum_step(u_n, np.ones(grid.extents), None, np.ones(grid.extents),
                           np.zeros_like(u_n), visc, 0.01, grid)
         assert str(err.value) == (
-            "momentum solve failed to reach relative residual 1.0e-10; tried " + band
-            + "Jacobi-cg (relative residual 1.000e+00), lgmres (relative residual 1.000e+00)")
-        assert err.value.residual == 1.0
-        assert err.value.iterations == 11      # the last routine's count, not maxiter
+            "momentum solve failed to reach relative residual 1.0e-10; tried " + tried)
+        if "singular" in tried:
+            assert err.value.residual is None
+        else:
+            assert err.value.residual == pytest.approx(1.0, rel=1e-12)
+        assert err.value.iterations == iterations   # the last routine's count, not MAXITER
 
     @pytest.mark.parametrize("info", [0, -1])
     def test_solver_error_iterations_unknown(self, visc, monkeypatch, info):
@@ -599,9 +636,10 @@ def test_layout_matrix_matches_block_assembly(grid, seed, mu, lam_excess, dt,
     w = rng.normal(size=(grid.dim,) + grid.extents) if convect else None
     if convect and vacuum:
         w[rng.random(w.shape) < 0.3] = 0.0
-    fluid._momentum_matrix(rng.uniform(0.0, 3.0, grid.extents),
-                           rng.normal(size=(grid.dim,) + grid.extents), visc, dt, grid)
-    got = fluid._momentum_matrix(rho, w, visc, dt, grid)
+    lay = fluid._momentum_layout(grid, visc)
+    fluid._momentum_data(lay, rng.uniform(0.0, 3.0, grid.extents),
+                         rng.normal(size=(grid.dim,) + grid.extents), dt)
+    got = lay.matrix(fluid._momentum_data(lay, rho, w, dt))
     np.testing.assert_allclose(got.toarray(),
                                momentum_matrix(rho, w, visc, dt, grid).toarray(),
                                rtol=1e-14, atol=0.0)
@@ -682,8 +720,7 @@ def test_band_map_unfolds_to_matrix(grid, seed, mu, lam_excess, dt, convect, vac
     A = momentum_matrix(rho, w, visc, dt, grid).toarray()
     np.testing.assert_allclose(unfolded, A, rtol=1e-14, atol=0.0)
     b = rng.normal(size=n)
-    x, why = fluid._band_solve(lay, data, b, rtol=1e-12)
-    assert why == ""
+    x = fluid._band_solve(lay, data, b)
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 

@@ -230,6 +230,30 @@ class TestSolveTrajectory:
         assert np.array_equal(traj.states[-1].u, final.u)
         assert traj.times[-1] == pytest.approx(0.004)
 
+    def test_times_are_the_slab_step_times(self, monkeypatch):
+        # the trajectory records the times each slab stepped through, bit for
+        # bit, also after a halving: slab length 0.01 stalls once, the run
+        # goes on with 0.005, and the slab from 0.01 has t0 + linspace(0, T)
+        # one ulp off linspace(t0, t0 + T) at its third step
+        run_picard = picard._run_picard
+
+        def first_length_stalls(*args):
+            states, diag, failed = run_picard(*args)
+            return states, diag, failed or args[-1] == 0.01
+
+        monkeypatch.setattr(picard, "_run_picard", first_length_stalls)
+        grids = make_grids(n=16, n_ord=2, n_bands=1)
+        cfg = SlabConfig(slab_length=0.01, dt=0.001)
+        traj = solve(zero_state(grids), zero_model(), grids, PHYS["visc"], PHYS["eos"],
+                     PHYS["consts"], cfg, t_final=0.02)
+        assert [d.halvings for d in traj.diagnostics] == [1, 0, 0, 0]
+        expected, t = [0.0], 0.0
+        for _ in range(4):
+            expected += _slab_times(t, 0.005, 0.001)[1:].tolist()
+            t += 0.005
+        assert [x.hex() for x in traj.times] == [x.hex() for x in expected]
+        assert _slab_times(0.01, 0.005, 0.001)[3] != np.linspace(0.01, 0.015, 6)[3]
+
     def test_equilibrium_drift_over_ten_slabs(self):
         grids = make_grids()
         st = zero_state(grids)
@@ -303,12 +327,15 @@ class TestDeltaContinuation:
         grids = make_grids(n=256, rho_bar=0.0)
         st = self.make_plateau(grids)
         cfg = SlabConfig(slab_length=0.001, dt=0.001)
-        caches = (fluid._axis_operators, fluid._lame_matrix_of, fluid._momentum_layout_of)
+        # the layout is the one operator cache of the module
+        assert [f for f in vars(fluid).values() if hasattr(f, "cache_info")] \
+            == [fluid._momentum_layout_of]
+        cache = fluid._momentum_layout_of
         solve_slab(st, self.MODEL, grids, PHYS["visc"], PHYS["eos"], PHYS["consts"], cfg)
-        misses = [c.cache_info().misses for c in caches]
+        misses = cache.cache_info().misses
         delta_continuation(st, self.MODEL, grids, PHYS["visc"], PHYS["eos"], PHYS["consts"],
                            cfg, DeltaSchedule((1e-2, 1e-3, 1e-4)))
-        assert [c.cache_info().misses for c in caches] == misses
+        assert cache.cache_info().misses == misses
         lifted = picard._lift_grids(grids, 1e-2).spatial
         assert lifted.farfield_rho == 1e-2
         assert fluid.lame_matrix(lifted, PHYS["visc"]) \
