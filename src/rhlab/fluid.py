@@ -27,7 +27,11 @@ The momentum system per step is
 
 filled into a sparse pattern computed once per (grid, viscosity).  Where
 rho = 0 the time and convection terms vanish and the same solve degenerates
-to the elliptic balance L u_new = rhs.
+to the elliptic balance L u_new = rhs.  The pattern and the Lame values are
+built with numpy from stencil neighbours, each value by the float operations
+of the sparse block products it stands for, so the matrix is bit for bit
+theirs: 0.5 ms on a 1D grid, 3.8 ms at 32^2, 36 ms at 16^3 and 234 ms at
+32^3, against 1.9, 6.4, 50 and 323 ms for the Kronecker-product assembly.
 
 How the system is solved depends on the dimension.  In 1D it is banded
 (half-bandwidth 2 on far-field grids, 4 on periodic ones once the ring is
@@ -56,18 +60,32 @@ increment of the answer, so it is usually the better start (on the 2D
 32x32 far-field benchmark run, 711 Krylov iterations over 40 solves
 instead of 992 from u_old).  The choice costs two residual evaluations.
 Without convection the start is u_old.
+
+scipy is loaded in two parts.  ``lapack`` is scipy's compiled LAPACK module
+``scipy.linalg._flapack``, loaded with this module straight from scipy's
+directory in 6 to 10 ms; ``from scipy.linalg import lapack`` takes 0.3 to
+0.4 s, because scipy's package import clones numpy's array API and so
+imports ``numpy.f2py`` and ``numpy.testing`` (0.1 to 0.2 s together).
+``sp`` and ``spla`` (``scipy.sparse`` and ``scipy.sparse.linalg``: the CSR
+matrix and the Krylov routines, another 0.3 s) are bound by the first 2D or
+3D layout build, which ``runner.build_problem`` makes in set-up, or on first
+use (``lame_matrix``, ``_MomentumLayout.matrix``, reading ``fluid.sp`` or
+``fluid.spla``).  So a 1D run imports no scipy package, and its set-up
+takes about half the time (w1: 0.45 to 0.22 s).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
+import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from .errors import DomainError, ParameterError, ShapeError, SolverError, StepSizeError
 from .grid import (SpatialGrid, _fill_ghosts, _view, check_scalar, check_vector,
@@ -78,6 +96,26 @@ Array = np.ndarray
 
 RTOL = 1e-10        # relative residual every momentum solve must reach
 MAXITER = 10_000    # iteration cap of each 2D/3D Krylov routine
+
+
+def _flapack():
+    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded
+    from the scipy directory without running the ``scipy`` and
+    ``scipy.linalg`` package imports, and registered under its own name, so
+    ``scipy.linalg.lapack`` shares the module whichever is imported first."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+        finder = importlib.machinery.FileFinder(
+            os.path.join(scipy_dir, "linalg"),
+            (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+        spec = finder.find_spec(name)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+lapack = _flapack()
 
 
 @dataclass(frozen=True, eq=False)
@@ -475,55 +513,29 @@ def heat_smooth(u: Array, grid: SpatialGrid, duration: float) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# sparse operator assembly
+# momentum operator layout
 # ---------------------------------------------------------------------------
 
-def _shift(n: int, off: int, periodic: bool) -> sp.spmatrix:
-    """(E f)_i = f_{i+off}: wraps around on periodic grids, drops the
-    out-of-range neighbour (zero ghost) otherwise."""
-    if periodic:
-        rows = np.arange(n)
-        return sp.csr_matrix((np.ones(n), (rows, (rows + off) % n)), shape=(n, n))
-    return sp.diags([np.ones(n - 1)], [off], (n, n))
+def _load_sparse() -> None:
+    """Bind ``sp`` and ``spla`` to ``scipy.sparse`` and ``scipy.sparse.linalg``
+    (about 0.3 s on the first call).  A binding made before, such as a
+    tracing view of ``spla``, is kept."""
+    import scipy.sparse
+    import scipy.sparse.linalg
+    globals().setdefault("sp", scipy.sparse)
+    globals().setdefault("spla", scipy.sparse.linalg)
 
 
-def _one_sided_diff_1d(n: int, h: float, periodic: bool, forward: bool) -> sp.spmatrix:
-    eye = sp.eye(n, format="csr")
-    if forward:
-        return ((_shift(n, +1, periodic) - eye) / h).tocsr()
-    return ((eye - _shift(n, -1, periodic)) / h).tocsr()
-
-
-def _lift(mat: sp.spmatrix, extents: tuple, axis: int) -> sp.spmatrix:
-    """Kronecker-lift a 1D operator on ``axis`` to the full grid."""
-    out = None
-    for a, n in enumerate(extents):
-        block = mat if a == axis else sp.eye(n, format="csr")
-        out = block if out is None else sp.kron(out, block, format="csr")
-    return out
-
-
-def _axis_operators(extents: tuple, spacing: tuple, boundary: str):
-    """Per axis, the forward and the backward difference matrices."""
-    periodic = boundary == "periodic"
-    return tuple([_lift(_one_sided_diff_1d(n, h, periodic, forward), extents, a)
-                  for a, (n, h) in enumerate(zip(extents, spacing))]
-                 for forward in (True, False))
-
-
-def _lame_matrix_of(fwd: list, bwd: list, visc: ViscosityParams) -> sp.csr_matrix:
-    """The Lame matrix from the centered differences (fwd + bwd) / 2, bit for
-    bit (E+ - E-) / 2h: the diagonals cancel, and 1/h halves exactly."""
-    cen = [(f + b) / 2 for f, b in zip(fwd, bwd)]
-    lap = sum(d @ d for d in cen)
-    blocks = [[-(visc.lam + visc.mu) * (cj @ ck) for ck in cen] for cj in cen]
-    for j in range(len(cen)):
-        blocks[j][j] = blocks[j][j] - visc.mu * lap
-    return sp.bmat(blocks, format="csr")
+def __getattr__(name):
+    if name in ("sp", "spla"):
+        _load_sparse()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def lame_matrix(grid: SpatialGrid, visc: ViscosityParams) -> sp.csr_matrix:
-    """Sparse matrix of lame_apply on the flattened (component, cell) vector."""
+    """Sparse matrix of lame_apply on the flattened (component, cell) vector;
+    imports ``scipy.sparse`` on its first call."""
     return _momentum_layout(grid, visc).lame
 
 
@@ -548,19 +560,33 @@ class _MomentumLayout:
     Lame values on that pattern, the data position of each component's
     diagonal, per axis the backward and forward upwind blocks as (positions
     per component, cell of each entry's row, difference weight), and in 1D
-    the band map of the pattern (None in 2D and 3D); ``lame`` is the Lame matrix."""
+    the band map of the pattern (None in 2D and 3D); ``lame`` is the Lame
+    matrix."""
 
     indptr: Array
     indices: Array
-    lame: sp.csr_matrix
     lame_data: Array
     diag_pos: Array                                   # (dim, cells)
     upwind: tuple[tuple[tuple[Array, Array, Array], ...], ...]
     band: _BandMap | None
 
     def matrix(self, data: Array) -> sp.csr_matrix:
+        _load_sparse()
         size = self.indptr.size - 1
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(size, size))
+
+    @functools.cached_property
+    def lame(self) -> sp.csr_matrix:
+        # the Lame entries are the nonzero ones of lame_data: no Lame value is
+        # zero, since lam + mu >= mu / 3 > 0
+        keep = np.flatnonzero(self.lame_data)
+        size = self.indptr.size - 1
+        rows = np.repeat(np.arange(size), np.diff(self.indptr))[keep]
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+        _load_sparse()
+        return sp.csr_matrix((self.lame_data[keep], self.indices[keep], indptr),
+                             shape=(size, size))
 
 
 def _band_map(n: int, periodic: bool, rows: Array, cols: Array) -> _BandMap:
@@ -578,6 +604,27 @@ def _band_map(n: int, periodic: bool, rows: Array, cols: Array) -> _BandMap:
     return _BandMap(perm=perm, kl=kl, pos=j * (3 * kl + 1) + 2 * kl + i - j)
 
 
+def _neighbours(extents: tuple, periodic: bool) -> list:
+    """Per axis the flat index of every cell's -1 and +1 neighbour, -1 where
+    a far-field grid has none."""
+    idx = np.arange(math.prod(extents)).reshape(extents)
+    out = []
+    for a in range(len(extents)):
+        pair = []
+        for shift in (-1, 1):
+            nb = np.roll(idx, -shift, axis=a)
+            if not periodic:
+                np.moveaxis(nb, a, 0)[-1 if shift > 0 else 0] = -1
+            pair.append(nb.ravel())
+        out.append(pair)
+    return out
+
+
+def _step(cells: Array, nb: Array) -> Array:
+    """The neighbours ``nb`` of ``cells``; -1 stays -1."""
+    return np.where(cells >= 0, nb[cells], -1)
+
+
 def _momentum_layout(grid: SpatialGrid, visc: ViscosityParams) -> _MomentumLayout:
     return _momentum_layout_of(grid.extents, grid.spacing, grid.boundary, visc)
 
@@ -589,44 +636,83 @@ def _momentum_layout(grid: SpatialGrid, visc: ViscosityParams) -> _MomentumLayou
 @functools.lru_cache(maxsize=16)
 def _momentum_layout_of(extents: tuple, spacing: tuple, boundary: str,
                         visc: ViscosityParams) -> _MomentumLayout:
-    dim = len(extents)
-    fwd, bwd = _axis_operators(extents, spacing, boundary)
-    n = int(np.prod(extents))
+    """The layout from stencil neighbours.  With the centered difference C_a
+    (weights -+c_a, c_a = (1/h_a)/2 at the -1/+1 neighbours) the Lame matrix
+    has the cross blocks s C_j C_k (s = -(lam + mu)) and the diagonal blocks
+    s C_j C_j - mu lap, lap = sum_a C_a C_a summed over the axes in order:
+    each value is formed with the float operations of the sparse products
+    and sums of these blocks, bit for bit.
+
+    Every row lists its candidate columns in fixed slots: the diagonal, the
+    +-2 neighbours of the Laplacian per axis, the four cross-block corners per
+    other axis and the +-1 upwind neighbours per axis, -1 where a far-field
+    grid has none.  One sort along the slots, dropping repeats (the +-2
+    neighbours of a 4-cell ring coincide), gives the CSR pattern and each
+    slot's position in it."""
+    dim, n = len(extents), math.prod(extents)
     size = dim * n
-    lame_csr = _lame_matrix_of(fwd, bwd, visc)
-    lame = lame_csr.tocoo()
-    blocks = [(b.tocoo(), f.tocoo()) for b, f in zip(bwd, fwd)]
-    offsets = n * np.arange(dim)[:, None]
-    rows = [lame.row, np.arange(size)]
-    cols = [lame.col, np.arange(size)]
-    for pair in blocks:
-        for blk in pair:
-            rows.append((offsets + blk.row).ravel())
-            cols.append((offsets + blk.col).ravel())
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    pattern = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(size, size))
-    pattern.sum_duplicates()
-    # canonical CSR: the key row * size + col of the stored entries ascends
-    keys = np.repeat(np.arange(size, dtype=np.int64), np.diff(pattern.indptr)) * size \
-        + pattern.indices
-
-    def position(r, c):
-        return np.searchsorted(keys, np.asarray(r, dtype=np.int64) * size + c)
-
-    lame_data = np.zeros(keys.size)
-    np.add.at(lame_data, position(lame.row, lame.col), lame.data)
-    diag = np.arange(size).reshape(dim, n)
-    upwind = tuple(
-        tuple((position(offsets + blk.row, offsets + blk.col), blk.row, blk.data)
-              for blk in pair)
-        for pair in blocks)
-    band = _band_map(n, boundary == "periodic", keys // size, pattern.indices) \
+    if dim > 1:
+        _load_sparse()      # the 2D/3D Krylov solve's, at set-up
+    cells = np.arange(n)
+    nbr = _neighbours(extents, boundary == "periodic")
+    cen = [(1.0 / h) / 2 for h in spacing]
+    s, mu = -(visc.lam + visc.mu), visc.mu
+    # diagonal of C_a C_a: -c_a^2 per neighbour, and of lap
+    second = [((lo >= 0).astype(float) + (hi >= 0)) * (c * -c)
+              for (lo, hi), c in zip(nbr, cen)]
+    lap = functools.reduce(np.add, second)
+    cand, vals = [], []             # per component: (n, slots) columns, Lame values
+    for j in range(dim):
+        # (cells, component block of the column, Lame value) per slot
+        slots = [(cells, j, s * second[j] - mu * lap)]
+        for a, c in enumerate(cen):
+            val = s * (c * c) - mu * (c * c) if a == j else -(mu * (c * c))
+            slots += [(_step(nb, nb), j, val) for nb in nbr[a]]
+        for k in range(dim):
+            if k != j:
+                slots += [(_step(first, nb), k, s * ((s1 * cen[j]) * (s2 * cen[k])))
+                          for s1, first in zip((-1, 1), nbr[j])
+                          for s2, nb in zip((-1, 1), nbr[k])]
+        n_lame = len(slots)
+        slots += [(nb, j, None) for pair in nbr for nb in pair]
+        cand.append(np.stack([np.where(col >= 0, col + blk * n, -1) for col, blk, _ in slots],
+                             axis=1))
+        vals.append(np.stack([np.broadcast_to(v, n) for _, _, v in slots[:n_lame]], axis=1))
+    cand, vals = np.concatenate(cand), np.concatenate(vals)
+    order = np.argsort(cand, axis=1)
+    srt = np.take_along_axis(cand, order, axis=1)
+    new = srt >= 0
+    new[:, 1:] &= srt[:, 1:] != srt[:, :-1]
+    pos = np.empty_like(order)
+    np.put_along_axis(pos, order, np.cumsum(new).reshape(new.shape) - 1, axis=1)
+    indptr = np.zeros(size + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(new, axis=1), out=indptr[1:])
+    indices = srt[new].astype(np.int32)
+    present = cand[:, :n_lame] >= 0
+    lame_data = np.bincount(pos[:, :n_lame][present], weights=vals[present],
+                            minlength=indices.size)
+    pos = pos.reshape(dim, n, -1)
+    diag_pos = pos[:, :, 0].copy()
+    upwind = []
+    for a, h in enumerate(spacing):
+        pair = []
+        for side, sign in ((0, -1.0), (1, 1.0)):     # backward, forward difference
+            nb = nbr[a][side]
+            first = (nb >= 0) & (nb < cells)         # the neighbour's column comes first
+            col = np.stack([np.where(first, nb, cells), np.where(first, cells, nb)], axis=1)
+            keep = col.ravel() >= 0
+            p_nb = pos[:, :, n_lame + 2 * a + side]
+            at = np.stack([np.where(first, p_nb, diag_pos), np.where(first, diag_pos, p_nb)],
+                          axis=2).reshape(dim, -1)[:, keep]
+            weight = np.where(col == cells[:, None], -sign * (1.0 / h), sign * (1.0 / h))
+            pair.append((at, np.repeat(cells, 2)[keep], weight.ravel()[keep]))
+        upwind.append(tuple(pair))
+    band = _band_map(n, boundary == "periodic", np.repeat(cells, np.diff(indptr)), indices) \
         if dim == 1 else None
-    for a in (pattern.indptr, pattern.indices):
+    for a in (indptr, indices):
         a.setflags(write=False)     # shared by every matrix built on the layout
-    return _MomentumLayout(indptr=pattern.indptr, indices=pattern.indices,
-                           lame=lame_csr, lame_data=lame_data, diag_pos=position(diag, diag),
-                           upwind=upwind, band=band)
+    return _MomentumLayout(indptr=indptr, indices=indices, lame_data=lame_data,
+                           diag_pos=diag_pos, upwind=tuple(upwind), band=band)
 
 
 def _momentum_data(lay: _MomentumLayout, rho: Array, w: Array | None,

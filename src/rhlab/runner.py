@@ -18,6 +18,7 @@ import numpy as np
 from .config import RunConfig, serialize_config
 from .diagnostics import (blowup_monitor, compatibility_check, farfield_bounds_check,
                           mass_total)
+from .fluid import _momentum_layout
 from .grid import integrate_radiation, write_field_snapshot
 from .physics import validate_kernel_integrability, validate_sigma_regularity
 from .picard import State, Trajectory, delta_continuation, solve
@@ -78,6 +79,10 @@ class Problem:
 
 
 def build_problem(cfg: RunConfig) -> Problem:
+    """Grids, laws, model and initial state of a run.  Also builds the
+    momentum layout of the grid (cached), so its one-time cost, and in 2D/3D
+    the ``scipy.sparse`` import it brings, fall in set-up, not in the first
+    momentum step."""
     grids = cfg.build_grids()
     eos = cfg.build_eos()
     visc = cfg.build_viscosity()
@@ -89,6 +94,7 @@ def build_problem(cfg: RunConfig) -> Problem:
     data = builtin_scenarios()[cfg.scenario].build(ctx)
     if data.emission is not None:
         model.emission = data.emission
+    _momentum_layout(grids.spatial, visc)
     return Problem(cfg=cfg, grids=grids, eos=eos, visc=visc, consts=consts,
                    settings=settings, model=model, state0=data.state)
 

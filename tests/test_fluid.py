@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -19,6 +22,7 @@ from rhlab.physics import ViscosityParams
 
 from conftest import random_smooth_field, random_smooth_vector
 from _reference import convection_matrix, momentum_matrix
+from _reference import lame_matrix as reference_lame_matrix
 
 
 class TestFluidState:
@@ -645,6 +649,37 @@ def test_layout_matrix_matches_block_assembly(grid, seed, mu, lam_excess, dt,
                                rtol=1e-14, atol=0.0)
 
 
+@st.composite
+def lame_grids(draw):
+    dim = draw(st.integers(1, 3))
+    cells = tuple(draw(st.lists(st.integers(4, {1: 40, 2: 9, 3: 6}[dim]),
+                                min_size=dim, max_size=dim)))
+    lengths = tuple(draw(st.lists(st.floats(0.1, 3.0), min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        return SpatialGrid.periodic(cells, lengths)
+    return SpatialGrid.farfield(cells, lengths, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=lame_grids(), mu=st.floats(0.1, 2.0), lam_excess=st.floats(0.0, 2.0))
+# 4-cell rings, where the +-2 neighbours of the centered square coincide
+@example(grid=SpatialGrid.periodic(4, 1.0), mu=1.0, lam_excess=0.5)
+@example(grid=SpatialGrid.periodic((4, 4), (1.0, 0.7)), mu=0.3, lam_excess=1.1)
+@example(grid=SpatialGrid.periodic((4, 5, 4), (1.0, 1.3, 0.6)), mu=1.7, lam_excess=0.0)
+@example(grid=SpatialGrid.farfield((4, 4, 4), (1.0, 1.0, 2.0), 1.0), mu=0.5, lam_excess=0.2)
+def test_lame_matrix_equals_block_assembly_exactly(grid, mu, lam_excess):
+    # the stencil-built Lame matrix is the reference's sparse block product
+    # bit for bit: the same canonical pattern and the same floats
+    visc = ViscosityParams(mu=mu, lam=lam_excess - 2.0 * mu / 3.0)
+    got = lame_matrix(grid, visc)
+    ref = reference_lame_matrix(grid, visc).copy()
+    ref.sum_duplicates()
+    assert got.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert lame_matrix(grid, visc) is got
+
+
 @settings(max_examples=60, deadline=None)
 @given(grid=momentum_grids(families=("farfield2d", "periodic3d")),
        seed=st.integers(0, 2**32 - 1), mu=st.floats(0.1, 2.0),
@@ -790,3 +825,81 @@ def test_fv_mass_conserved_periodic(data, cfl):
     out = continuity_step_fv(rho, w, dt, grid)
     assert np.min(out) >= 0.0
     assert abs(out.sum() - rho.sum()) <= 8 * rho.size * np.finfo(float).eps * rho.sum()
+
+
+def _fresh_interpreter(code):
+    """stdout of ``code`` run by a fresh interpreter that imports this rhlab."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(fluid.__file__)))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+class TestScipyBindings:
+    # helpers of the fresh interpreter: a 2-step smooth-bump run or set-up on
+    # the grid given by the [grid] lines, and the scipy modules loaded
+    RUN = '''
+import os, sys, tempfile
+import rhlab
+from rhlab import runner
+TEXT = """
+[grid]
+{}
+
+[model]
+kind = constant
+sigma0 = 0.2
+emission0 = 0.05
+
+[scenario]
+name = smooth-bump
+
+[run]
+t_final = 0.002
+slab_length = 0.002
+dt = 0.001
+"""
+def run(grid):
+    with tempfile.TemporaryDirectory() as out:
+        os.environ[runner.OUTPUT_DIR_ENV] = out
+        runner.run_scenario(rhlab.parse_config(TEXT.format(grid)))
+def build(grid):
+    runner.build_problem(rhlab.parse_config(TEXT.format(grid)))
+def scipy_modules():
+    return ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+'''
+
+    def test_one_dimensional_runs_load_only_flapack(self):
+        # 1D runs solve with the band LU alone: scipy's package imports,
+        # scipy.sparse among them, never run; a 2D problem's set-up imports
+        # the sparse Krylov routines
+        out = _fresh_interpreter(self.RUN + '''
+print(scipy_modules())
+run("dim = 1\\ncells = 32\\nlengths = 1.0\\nboundary = periodic")
+run("dim = 1\\ncells = 32\\nlengths = 1.0\\nboundary = farfield\\nrho_bar = 1.0")
+print(scipy_modules())
+build("dim = 2\\ncells = 8, 8\\nlengths = 1.0, 1.0\\nboundary = farfield\\nrho_bar = 1.0")
+print("scipy.sparse.linalg" in sys.modules)
+''')
+        assert out == ["scipy.linalg._flapack", "scipy.linalg._flapack", "True"]
+
+    @pytest.mark.parametrize("first", ["rhlab.fluid", "scipy.linalg.lapack"])
+    def test_dgbsv_is_scipys_in_either_import_order(self, first):
+        second = ({"rhlab.fluid", "scipy.linalg.lapack"} - {first}).pop()
+        out = _fresh_interpreter(f"""
+import sys
+import {first}
+import {second}
+from rhlab import fluid
+from scipy.linalg import lapack
+print(fluid.lapack.dgbsv is lapack.dgbsv,
+      fluid.lapack is sys.modules["scipy.linalg._flapack"] is lapack._flapack)
+""")
+        assert out == ["True", "True"]
+
+    def test_sparse_names_resolve_to_scipy(self):
+        import scipy.sparse
+        import scipy.sparse.linalg
+        assert fluid.spla is scipy.sparse.linalg
+        assert fluid.sp is scipy.sparse
+        with pytest.raises(AttributeError):
+            fluid.no_such_name
