@@ -51,7 +51,10 @@ convection): on the 2D 32x32 far-field system with convection ``splu``
 costs about 27 ms per solve against 2 to 4 ms for Jacobi-bicgstab, and
 Jacobi solves a 3D 16^3 vacuum-plateau system in about 20 ms, where
 incomplete LU plus Krylov took 3.6 s.  All timings on one thread of a
-2-vCPU Xeon.
+2-vCPU Xeon.  ``_cg`` and ``_bicgstab`` are scipy 1.17's ``cg`` and
+``bicgstab`` loops, operation for operation, on the compiled CSR product
+``_matvec``, so every result is bit for bit scipy's; lgmres, scipy's own,
+retries a solve either leaves above the residual bound.
 
 The Krylov iteration starts from whichever of u_old and the convecting
 velocity w has the smaller residual |b - A x|.  Inside a Picard sweep w is
@@ -61,17 +64,19 @@ increment of the answer, so it is usually the better start (on the 2D
 instead of 992 from u_old).  The choice costs two residual evaluations.
 Without convection the start is u_old.
 
-scipy is loaded in two parts.  ``lapack`` is scipy's compiled LAPACK module
-``scipy.linalg._flapack``, loaded with this module straight from scipy's
-directory in 6 to 10 ms; ``from scipy.linalg import lapack`` takes 0.3 to
-0.4 s, because scipy's package import clones numpy's array API and so
-imports ``numpy.f2py`` and ``numpy.testing`` (0.1 to 0.2 s together).
-``sp`` and ``spla`` (``scipy.sparse`` and ``scipy.sparse.linalg``: the CSR
-matrix and the Krylov routines, another 0.3 s) are bound by the first 2D or
-3D layout build, which ``runner.build_problem`` makes in set-up, or on first
-use (``lame_matrix``, ``_MomentumLayout.matrix``, reading ``fluid.sp`` or
-``fluid.spla``).  So a 1D run imports no scipy package, and its set-up
-takes about half the time (w1: 0.45 to 0.22 s).
+scipy is loaded in parts.  Two compiled modules are loaded with this module
+straight from scipy's directory: ``lapack``, scipy's LAPACK wrappers
+``scipy.linalg._flapack`` (6 to 10 ms), and ``sparsetools``, scipy's sparse
+kernels ``scipy.sparse._sparsetools`` (about 0.5 ms).  ``from scipy.linalg
+import lapack`` takes 0.3 to 0.4 s, because scipy's package import clones
+numpy's array API and so imports ``numpy.f2py`` and ``numpy.testing`` (0.1
+to 0.2 s together), and ``scipy.sparse.linalg`` costs another 0.3 s.
+``sp`` and ``spla`` (``scipy.sparse`` and ``scipy.sparse.linalg``) are bound
+on first use only: by the lgmres retry, ``lame_matrix``,
+``_MomentumLayout.matrix``, or reading ``fluid.sp`` or ``fluid.spla``.  So
+a run in any dimension imports no scipy package unless a solve needs the
+lgmres retry; w1 set-up fell from about 0.45 to 0.22 s, and w2 from about
+0.48 to 0.23 s.
 """
 
 from __future__ import annotations
@@ -94,20 +99,20 @@ from .physics import ViscosityParams
 
 Array = np.ndarray
 
-RTOL = 1e-10        # relative residual every momentum solve must reach
-MAXITER = 10_000    # iteration cap of each 2D/3D Krylov routine
+RTOL = 1e-10            # relative residual every momentum solve must reach
+KRYLOV_RTOL = 1e-13     # relative residual each 2D/3D Krylov routine aims at
+MAXITER = 10_000        # iteration cap of each 2D/3D Krylov routine
 
 
-def _flapack():
-    """scipy's compiled LAPACK wrappers, ``scipy.linalg._flapack``, loaded
-    from the scipy directory without running the ``scipy`` and
-    ``scipy.linalg`` package imports, and registered under its own name, so
-    ``scipy.linalg.lapack`` shares the module whichever is imported first."""
-    name = "scipy.linalg._flapack"
+def _scipy_extension(name: str):
+    """scipy's compiled module ``name`` (such as ``scipy.linalg._flapack``),
+    loaded from the scipy directory without running scipy's package
+    imports, and registered under its own name, so scipy shares the module
+    whichever is imported first."""
     if name not in sys.modules:
         scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
         finder = importlib.machinery.FileFinder(
-            os.path.join(scipy_dir, "linalg"),
+            os.path.join(scipy_dir, *name.split(".")[1:-1]),
             (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
         spec = finder.find_spec(name)
         sys.modules[name] = importlib.util.module_from_spec(spec)
@@ -115,7 +120,8 @@ def _flapack():
     return sys.modules[name]
 
 
-lapack = _flapack()
+lapack = _scipy_extension("scipy.linalg._flapack")
+sparsetools = _scipy_extension("scipy.sparse._sparsetools")
 
 
 @dataclass(frozen=True, eq=False)
@@ -651,8 +657,6 @@ def _momentum_layout_of(extents: tuple, spacing: tuple, boundary: str,
     slot's position in it."""
     dim, n = len(extents), math.prod(extents)
     size = dim * n
-    if dim > 1:
-        _load_sparse()      # the 2D/3D Krylov solve's, at set-up
     cells = np.arange(n)
     nbr = _neighbours(extents, boundary == "periodic")
     cen = [(1.0 / h) / 2 for h in spacing]
@@ -747,6 +751,20 @@ def _solve_failed(tried: list, residual=None, iterations=None) -> SolverError:
                        f"tried {', '.join(tried)}", residual, iterations)
 
 
+def _matvec(lay: _MomentumLayout, data: Array, x: Array) -> Array:
+    """A @ x for the matrix with CSR ``data`` on the layout: scipy's compiled
+    ``csr_matvec`` on the layout's pattern, the call ``csr_matrix @ x`` makes,
+    so bit for bit its product.  The compiled loop reads x at every column
+    index unchecked, so x must have one entry per unknown."""
+    size = lay.indptr.size - 1
+    if x.shape != (size,):
+        raise ShapeError(f"matrix-vector product needs a vector of {size} entries, "
+                         f"got shape {x.shape}")
+    out = np.zeros(size)
+    sparsetools.csr_matvec(size, size, lay.indptr, lay.indices, data, x, out)
+    return out
+
+
 def _band_solve(lay: _MomentumLayout, data: Array, b: Array) -> Array:
     """Direct banded LU solve of the 1D system.  Returns x when it is finite
     with relative residual <= RTOL; raises SolverError naming band LU and
@@ -762,11 +780,95 @@ def _band_solve(lay: _MomentumLayout, data: Array, b: Array) -> Array:
     x[band.perm] = y
     if not np.all(np.isfinite(x)):
         raise _solve_failed(["band LU (non-finite solution)"])
-    ax = np.add.reduceat(data * x[lay.indices], lay.indptr[:-1])    # A @ x
-    res = float(np.linalg.norm(b - ax)) / float(np.linalg.norm(b))
+    res = float(np.linalg.norm(b - _matvec(lay, data, x))) / float(np.linalg.norm(b))
     if res > RTOL:
         raise _solve_failed([f"band LU (relative residual {res:.3e})"], residual=res)
     return x
+
+
+# ---------------------------------------------------------------------------
+# Jacobi-preconditioned Krylov routines
+# ---------------------------------------------------------------------------
+# Both are scipy 1.17's ``cg`` and ``bicgstab`` run with rtol=KRYLOV_RTOL,
+# atol=0, maxiter=MAXITER and the preconditioner M v = v / diag, operation for
+# operation (the same np.dot, np.linalg.norm and in-place updates, in the same
+# order), so (x, info) is bit for bit scipy's.  ``matvec`` applies A.  info is
+# 0 on convergence, MAXITER when the cap is hit, and -10/-11 on a bicgstab
+# breakdown.  MAXITER is read at each call.
+
+def _cg(matvec, b: Array, x0: Array, diag: Array) -> tuple[Array, int]:
+    """Preconditioned conjugate gradients (Hestenes-Stiefel)."""
+    x = np.array(x0, dtype=float)
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b, 0
+    atol = max(0.0, KRYLOV_RTOL * float(bnrm2))
+    r = b - matvec(x) if x.any() else b.copy()
+    p = rho_prev = None
+    for iteration in range(MAXITER):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        z = r / diag
+        rho = np.dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z               # scipy copies z; z is new every iteration
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, MAXITER
+
+
+def _bicgstab(matvec, b: Array, x0: Array, diag: Array) -> tuple[Array, int]:
+    """Preconditioned BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13,
+    1992)."""
+    x = np.array(x0, dtype=float)
+    bnrm2 = np.linalg.norm(b)
+    if bnrm2 == 0:
+        return b, 0
+    atol = max(0.0, KRYLOV_RTOL * float(bnrm2))
+    breakdown = np.finfo(float).eps ** 2      # scipy's rho and omega bound
+    r = b - matvec(x) if x.any() else b.copy()
+    rtilde = r.copy()
+    p = v = rho_prev = alpha = omega = None
+    for iteration in range(MAXITER):
+        if np.linalg.norm(r) < atol:
+            return x, 0
+        rho = np.dot(rtilde, r)
+        if np.abs(rho) < breakdown:
+            return x, -10
+        if iteration > 0:
+            if np.abs(omega) < breakdown:
+                return x, -11
+            beta = (rho / rho_prev) * (alpha / omega)
+            p -= omega * v
+            p *= beta
+            p += r
+        else:
+            p = r.copy()
+        phat = p / diag
+        v = matvec(phat)
+        rv = np.dot(rtilde, v)
+        if rv == 0:
+            return x, -11
+        alpha = rho / rv
+        r -= alpha * v
+        # scipy's s is a copy of r here; r is read-only until its next update
+        if np.linalg.norm(r) < atol:
+            x += alpha * phat
+            return x, 0
+        shat = r / diag
+        t = matvec(shat)
+        omega = np.dot(t, r) / np.dot(t, t)
+        x += alpha * phat
+        x += omega * shat
+        r -= omega * t
+        rho_prev = rho
+    return x, MAXITER
 
 
 # ---------------------------------------------------------------------------
@@ -786,12 +888,12 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     banded LU factorization (LAPACK ``dgbsv``) solves it; a singular factor,
     or a solution that is not finite or misses ``RTOL``, raises SolverError
     naming band LU and why (with ``residual`` set when it is known).  In 2D
-    and 3D cg (symmetric) or bicgstab (with convection), preconditioned by
-    Jacobi, runs to a 1e-13 relative residual or ``MAXITER`` iterations; see
-    the module docstring for why.  It starts from ``u_n``, or from ``w`` when
-    there is convection and ``w`` has the strictly smaller residual
-    |b - A w|.  If the residual still exceeds ``RTOL``, lgmres retries from
-    there; a residual above ``RTOL`` after that raises SolverError, whose
+    and 3D ``_cg`` (symmetric) or ``_bicgstab`` (with convection), scipy's
+    loops preconditioned by Jacobi, runs to a ``KRYLOV_RTOL`` relative
+    residual or ``MAXITER`` iterations; see the module docstring for why.
+    It starts from ``u_n``, or from ``w`` when there is convection and ``w``
+    has the strictly smaller residual |b - A w|.  If the residual still
+    exceeds ``RTOL``, lgmres retries from there; a residual above ``RTOL`` after that raises SolverError, whose
     message names every path tried and why it was left, and whose
     ``iterations`` is the last routine's count when it stopped at
     ``MAXITER`` (None when that count is unknown).
@@ -805,7 +907,6 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
 
     rhs = rho_new[None] * u_n / dt - gradient(p_m, grid, farfield_value=p_ref) + rad_source
     b = rhs.reshape(-1)
-    n = b.size
     if not np.any(b):
         return np.zeros_like(u_n)
 
@@ -817,25 +918,29 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     if lay.band is not None:
         return _band_solve(lay, data, b).reshape(u_n.shape)
 
-    A = lay.matrix(data)
-    diag = A.diagonal()
-    precond = spla.LinearOperator((n, n), lambda v: v / diag)
+    diag = data[lay.diag_pos.ravel()]       # the pattern has no duplicate entries
+
+    def matvec(v):
+        return _matvec(lay, data, v)
+
     x0 = u_n.reshape(-1)
     if not symmetric:
         guess = w.reshape(-1)
-        if np.linalg.norm(b - A @ guess) < np.linalg.norm(b - A @ x0):
+        if np.linalg.norm(b - matvec(guess)) < np.linalg.norm(b - matvec(x0)):
             x0 = guess
-    krylov = spla.cg if symmetric else spla.bicgstab
-    path = "Jacobi-cg" if symmetric else "Jacobi-bicgstab"
-    x, info = krylov(A, b, x0=x0, rtol=1e-13, atol=0.0, maxiter=MAXITER, M=precond)
+    krylov, path = (_cg, "Jacobi-cg") if symmetric else (_bicgstab, "Jacobi-bicgstab")
+    x, info = krylov(matvec, b, x0, diag)
     bnorm = float(np.linalg.norm(b))
-    res = float(np.linalg.norm(b - A @ x)) / bnorm
+    res = float(np.linalg.norm(b - matvec(x))) / bnorm
     tried = []
     if res > RTOL:
         tried.append(f"{path} (relative residual {res:.3e})")
         path = "lgmres"
-        x, info = spla.lgmres(A, b, x0=x, rtol=1e-13, atol=0.0, maxiter=MAXITER, M=precond)
-        res = float(np.linalg.norm(b - A @ x)) / bnorm
+        _load_sparse()
+        precond = spla.LinearOperator((b.size, b.size), lambda v: v / diag)
+        x, info = spla.lgmres(lay.matrix(data), b, x0=x, rtol=KRYLOV_RTOL, atol=0.0,
+                              maxiter=MAXITER, M=precond)
+        res = float(np.linalg.norm(b - matvec(x))) / bnorm
     out = x.reshape(u_n.shape)
     if not np.all(np.isfinite(out)):
         tried.append(f"{path} (non-finite values)")

@@ -88,7 +88,11 @@ def _lp_multi(f: Array, ps: tuple, grid: SpatialGrid, lead: int = 0,
             continue
         if p < 1:
             raise ParameterError(f"Lebesgue exponent must be >= 1 or inf, got {p}")
-        if k == len(ps) - 1:
+        last = k == len(ps) - 1
+        if p == 2:
+            # bit for bit mag ** 2.0, without numpy's general power loop
+            powered = np.square(mag, out=mag if last else None)
+        elif last:
             mag **= p                   # the same power as mag ** p, in place
             powered = mag
         else:

@@ -80,9 +80,8 @@ class Problem:
 
 def build_problem(cfg: RunConfig) -> Problem:
     """Grids, laws, model and initial state of a run.  Also builds the
-    momentum layout of the grid (cached), so its one-time cost, and in 2D/3D
-    the ``scipy.sparse`` import it brings, fall in set-up, not in the first
-    momentum step."""
+    momentum layout of the grid (cached), so its one-time cost falls in
+    set-up, not in the first momentum step."""
     grids = cfg.build_grids()
     eos = cfg.build_eos()
     visc = cfg.build_viscosity()

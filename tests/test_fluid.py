@@ -404,8 +404,8 @@ class TestMomentumStep:
             raise AssertionError("Krylov path used")
 
         monkeypatch.setattr(fluid.lapack, "dgbsv", fake_dgbsv)
-        for name in ("cg", "bicgstab", "lgmres"):
-            monkeypatch.setattr(fluid.spla, name, krylov)
+        for owner, name in ((fluid, "_cg"), (fluid, "_bicgstab"), (fluid.spla, "lgmres")):
+            monkeypatch.setattr(owner, name, krylov)
         ustar = np.sin(2 * np.pi * grid128.axis_coords(0))[None]
         rho, dt = np.ones(128), 0.01
         forcing = rho[None] * ustar / dt + lame_apply(ustar, visc, grid128)
@@ -437,8 +437,8 @@ class TestMomentumStep:
         def krylov(*args, **kwargs):
             raise AssertionError("Krylov path used")
 
-        for name in ("cg", "bicgstab", "lgmres"):
-            monkeypatch.setattr(fluid.spla, name, krylov)
+        for owner, name in ((fluid, "_cg"), (fluid, "_bicgstab"), (fluid.spla, "lgmres")):
+            monkeypatch.setattr(owner, name, krylov)
         grid = SpatialGrid.periodic(64, 1.0) if boundary == "periodic" \
             else SpatialGrid.farfield(63, 1.0, 1.0)
         n = grid.extents[0]
@@ -458,8 +458,8 @@ class TestMomentumStep:
         def krylov(*args, **kwargs):
             raise AssertionError("Krylov path used")
 
-        for name in ("cg", "bicgstab", "lgmres"):
-            monkeypatch.setattr(fluid.spla, name, krylov)
+        for owner, name in ((fluid, "_cg"), (fluid, "_bicgstab"), (fluid.spla, "lgmres")):
+            monkeypatch.setattr(owner, name, krylov)
         grid = SpatialGrid.periodic(128, 1.0)
         rho = np.abs(random_smooth_field(grid, rng)) + 0.5
         w = random_smooth_vector(grid, rng, amplitude=0.3) if with_w else None
@@ -494,10 +494,10 @@ class TestMomentumStep:
             return (lub, piv, x, 3) if "singular" in tried else (lub, piv, 2.0 * x, info)
 
         def krylov(info):
-            return lambda A, b, x0, **kwargs: (np.zeros_like(b), info)
+            return lambda operator, b, *args, **kwargs: (np.zeros_like(b), info)
 
         monkeypatch.setattr(fluid.lapack, "dgbsv", fake_dgbsv)
-        monkeypatch.setattr(fluid.spla, "cg", krylov(7))
+        monkeypatch.setattr(fluid, "_cg", krylov(7))
         monkeypatch.setattr(fluid.spla, "lgmres", krylov(11))
         # u = 1 solves the system, so the doubled x leaves residual 1
         u_n = np.ones((grid.dim,) + grid.extents)
@@ -516,8 +516,8 @@ class TestMomentumStep:
     def test_solver_error_iterations_unknown(self, visc, monkeypatch, info):
         # a routine that claims convergence (0) or breaks down (< 0) gives no
         # iteration count
-        monkeypatch.setattr(fluid.spla, "cg",
-                            lambda A, b, x0, **kwargs: (np.zeros_like(b), info))
+        monkeypatch.setattr(fluid, "_cg",
+                            lambda matvec, b, x0, diag: (np.zeros_like(b), info))
         monkeypatch.setattr(fluid.spla, "lgmres",
                             lambda A, b, x0, **kwargs: (np.zeros_like(b), info))
         grid = SpatialGrid.periodic((8, 8), (1.0, 1.0))
@@ -534,15 +534,15 @@ class TestMomentumStep:
         starts = {}
 
         def recording(name):
-            routine = getattr(fluid.spla, name)
+            routine = getattr(fluid, "_" + name)
 
-            def solve(A, b, x0, **kwargs):
+            def solve(matvec, b, x0, diag):
                 starts[name] = x0.copy()
-                return routine(A, b, x0=x0, **kwargs)
+                return routine(matvec, b, x0, diag)
             return solve
 
         for name in ("cg", "bicgstab"):
-            monkeypatch.setattr(fluid.spla, name, recording(name))
+            monkeypatch.setattr(fluid, "_" + name, recording(name))
         # a far-field grid with a vacuum core; f is chosen so that ustar
         # solves the system, and u_n lies near it
         grid = SpatialGrid.farfield((32, 32), (1.0, 1.0), 1.0)
@@ -713,6 +713,64 @@ def test_krylov_solve_meets_residual(grid, seed, mu, lam_excess, dt, w_scale, va
 
 
 @st.composite
+def krylov_grids(draw):
+    dim = draw(st.integers(2, 3))
+    cells = tuple(draw(st.lists(st.integers(4, 9 if dim == 2 else 5), min_size=dim,
+                                max_size=dim)))
+    lengths = (1.0,) * (dim - 1) + (draw(st.floats(0.5, 2.0)),)
+    if draw(st.booleans()):
+        return SpatialGrid.periodic(cells, lengths)
+    return SpatialGrid.farfield(cells, lengths, draw(st.floats(0.0, 2.0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=krylov_grids(), seed=st.integers(0, 2**32 - 1), mu=st.floats(0.1, 2.0),
+       lam_excess=st.floats(0.01, 2.0), dt=st.floats(1e-4, 1e-1), convect=st.booleans(),
+       vacuum=st.floats(0.0, 0.5), start=st.sampled_from(["zero", "u_n", "w"]),
+       maxiter=st.sampled_from([None, 3]))
+@example(grid=SpatialGrid.farfield((8, 8), (1.0, 1.0), 1.0), seed=1, mu=1.0, lam_excess=0.5,
+         dt=0.01, convect=True, vacuum=0.5, start="w", maxiter=3)
+@example(grid=SpatialGrid.periodic((4, 4, 4), (1.0, 1.0, 1.0)), seed=2, mu=1.0,
+         lam_excess=0.5, dt=0.01, convect=False, vacuum=0.5, start="u_n", maxiter=3)
+def test_krylov_routines_are_scipys_bit_for_bit(grid, seed, mu, lam_excess, dt, convect,
+                                                vacuum, start, maxiter):
+    # _matvec is csr_matrix @ x, and _cg/_bicgstab return scipy's cg/bicgstab
+    # (x, info) to the byte with the same tolerances, cap and Jacobi
+    # preconditioner, from a zero, u_n or w start; maxiter 3 checks the
+    # capped return
+    import scipy.sparse.linalg as spla
+    rng = np.random.default_rng(seed)
+    visc = ViscosityParams(mu=mu, lam=lam_excess - 2.0 * mu / 3.0)
+    shape = (grid.dim,) + grid.extents
+    rho = rng.uniform(0.0, 3.0, grid.extents)
+    rho[rng.random(grid.extents) < vacuum] = 0.0
+    rho[(slice(0, 2),) * grid.dim] = rng.uniform(0.5, 3.0, (2,) * grid.dim)
+    u_n, w = rng.normal(size=shape), rng.normal(size=shape)
+    lay = fluid._momentum_layout(grid, visc)
+    data = fluid._momentum_data(lay, rho, w if convect else None, dt)
+    A = lay.matrix(data)
+    diag = data[lay.diag_pos.ravel()]
+    assert np.array_equal(diag, A.diagonal())
+    x = rng.normal(size=A.shape[0])
+    assert fluid._matvec(lay, data, x).tobytes() == (A @ x).tobytes()
+    b = rng.normal(size=A.shape[0])
+    x0 = {"zero": np.zeros(b.size), "u_n": u_n.reshape(-1), "w": w.reshape(-1)}[start]
+    kept = x0.copy()
+    precond = spla.LinearOperator(A.shape, lambda v: v / diag)
+    with pytest.MonkeyPatch.context() as mp:
+        if maxiter is not None:
+            mp.setattr(fluid, "MAXITER", maxiter)
+        for ours, theirs in ((fluid._cg, spla.cg), (fluid._bicgstab, spla.bicgstab)):
+            got, info = ours(lambda v: fluid._matvec(lay, data, v), b, x0, diag)
+            want, want_info = theirs(A, b, x0=x0, rtol=fluid.KRYLOV_RTOL, atol=0.0,
+                                     maxiter=fluid.MAXITER, M=precond)
+            assert (got.tobytes(), info) == (want.tobytes(), want_info), ours.__name__
+            if maxiter is not None:
+                assert info in (0, maxiter, -10, -11)
+    assert np.array_equal(x0, kept)
+
+
+@st.composite
 def band_grids(draw):
     cells, length = draw(st.integers(4, 40)), draw(st.floats(0.5, 2.0))
     if draw(st.booleans()):
@@ -868,19 +926,31 @@ def scipy_modules():
     return ",".join(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 '''
 
-    def test_one_dimensional_runs_load_only_flapack(self):
-        # 1D runs solve with the band LU alone: scipy's package imports,
-        # scipy.sparse among them, never run; a 2D problem's set-up imports
-        # the sparse Krylov routines
+    def test_runs_load_only_compiled_scipy_modules(self):
+        # 1D, 2D and 3D runs load scipy's compiled LAPACK and sparsetools
+        # modules only, none of scipy's package imports; a forced lgmres
+        # retry imports scipy.sparse.linalg
         out = _fresh_interpreter(self.RUN + '''
 print(scipy_modules())
 run("dim = 1\\ncells = 32\\nlengths = 1.0\\nboundary = periodic")
 run("dim = 1\\ncells = 32\\nlengths = 1.0\\nboundary = farfield\\nrho_bar = 1.0")
+run("dim = 2\\ncells = 8, 8\\nlengths = 1.0, 1.0\\nboundary = farfield\\nrho_bar = 1.0")
+run("dim = 3\\ncells = 4, 4, 4\\nlengths = 1.0, 1.0, 1.0\\nboundary = periodic")
 print(scipy_modules())
-build("dim = 2\\ncells = 8, 8\\nlengths = 1.0, 1.0\\nboundary = farfield\\nrho_bar = 1.0")
-print("scipy.sparse.linalg" in sys.modules)
+import numpy as np
+from rhlab import fluid
+from rhlab.errors import SolverError
+from rhlab.grid import SpatialGrid
+from rhlab.physics import ViscosityParams
+fluid.RTOL = -1.0       # no residual meets it, so the Krylov solve is retried
+grid = SpatialGrid.periodic((8, 8), (1.0, 1.0))
+try:
+    fluid.momentum_step(np.ones((2, 8, 8)), np.ones((8, 8)), None, np.ones((8, 8)),
+                        np.ones((2, 8, 8)), ViscosityParams(mu=1.0, lam=0.0), 0.01, grid)
+except SolverError as err:
+    print("lgmres" in str(err), "scipy.sparse.linalg" in sys.modules)
 ''')
-        assert out == ["scipy.linalg._flapack", "scipy.linalg._flapack", "True"]
+        assert out == ["scipy.linalg._flapack,scipy.sparse._sparsetools"] * 2 + ["True", "True"]
 
     @pytest.mark.parametrize("first", ["rhlab.fluid", "scipy.linalg.lapack"])
     def test_dgbsv_is_scipys_in_either_import_order(self, first):
@@ -893,6 +963,20 @@ from rhlab import fluid
 from scipy.linalg import lapack
 print(fluid.lapack.dgbsv is lapack.dgbsv,
       fluid.lapack is sys.modules["scipy.linalg._flapack"] is lapack._flapack)
+""")
+        assert out == ["True", "True"]
+
+    @pytest.mark.parametrize("first", ["rhlab.fluid", "scipy.sparse"])
+    def test_sparsetools_is_scipys_in_either_import_order(self, first):
+        second = ({"rhlab.fluid", "scipy.sparse"} - {first}).pop()
+        out = _fresh_interpreter(f"""
+import sys
+import {first}
+import {second}
+from rhlab import fluid
+from scipy.sparse import _compressed
+print(fluid.sparsetools.csr_matvec is _compressed._sparsetools.csr_matvec,
+      fluid.sparsetools is sys.modules["scipy.sparse._sparsetools"] is _compressed._sparsetools)
 """)
         assert out == ["True", "True"]
 

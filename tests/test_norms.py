@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rhlab.errors import ParameterError
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
@@ -153,3 +155,16 @@ class TestMixedRadiationNorm:
         with pytest.raises(ParameterError):
             mixed_radiation_norm(np.zeros(grids128.radiation_shape()), "L7",
                                  grids128, settings)
+
+
+@given(values=st.lists(st.one_of(st.floats(), st.floats(1e-170, 1e-150), st.floats(1e150, 1e160)),
+                       min_size=1, max_size=64))
+@example(values=[0.0, -0.0, 5e-324, 2.2e-308, 1.5e-162, 1.49e-154, 1e150, 1.34e154,
+                 1.7e308, np.inf, -np.inf, np.nan])
+def test_square_is_the_power_two_bit_for_bit(values):
+    # the L2 norms square with np.square where they took ** 2.0: every
+    # double, subnormal, zero, huge, infinite or nan, squares to the same bits
+    x = np.array(values)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        got, want = np.square(x), x ** 2.0
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
