@@ -896,7 +896,9 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     exceeds ``RTOL``, lgmres retries from there; a residual above ``RTOL`` after that raises SolverError, whose
     message names every path tried and why it was left, and whose
     ``iterations`` is the last routine's count when it stopped at
-    ``MAXITER`` (None when that count is unknown).
+    ``MAXITER`` (None when that count is unknown).  The Jacobi routines run
+    with numpy's floating-point warnings off: iterates that overflow raise
+    that SolverError as non-finite values, with no RuntimeWarning.
     """
     u_n = check_vector(u_n, grid)
     rho_new = check_scalar(rho_new, grid)
@@ -929,9 +931,12 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
         if np.linalg.norm(b - matvec(guess)) < np.linalg.norm(b - matvec(x0)):
             x0 = guess
     krylov, path = (_cg, "Jacobi-cg") if symmetric else (_bicgstab, "Jacobi-bicgstab")
-    x, info = krylov(matvec, b, x0, diag)
     bnorm = float(np.linalg.norm(b))
-    res = float(np.linalg.norm(b - matvec(x))) / bnorm
+    # iterates that overflow end in the non-finite SolverError below, not in
+    # RuntimeWarnings; the values computed are the same either way
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x, info = krylov(matvec, b, x0, diag)
+        res = float(np.linalg.norm(b - matvec(x))) / bnorm
     tried = []
     if res > RTOL:
         tried.append(f"{path} (relative residual {res:.3e})")

@@ -12,6 +12,16 @@ metric takes its norms over chunks of stacked state pairs, sized by
 time/RSS trade-off); ``gamma_increment`` is the one-pair case of the same
 helper, and the sup runs in snapshot order, so the value is bit-identical
 to one pair at a time.
+
+A slab accepts iterate k (``_stop_rule``) when gamma_k is below the absolute
+``_GAMMA_FLOOR`` ("floor"), when gamma_k <= gamma_tol * gamma_1 ("step"), or,
+from the second sweep on, when the contraction's a-posteriori bound says the
+fixed point is already that close ("bound").  gamma is a squared energy, so
+with ratio_k = gamma_k / gamma_{k-1} the contraction constant is estimated
+by q = sqrt(ratio_k), and Banach's estimate |x* - x_k| <= q / (1 - q) *
+|x_k - x_{k-1}| gives |x* - x_k|^2 <= ratio_k / (1 - q)^2 * gamma_k.  The
+bound is trusted only while ratio_k <= ``_RATIO_MAX``, where the estimate of
+q is far from 1; it saves the sweep that would only confirm convergence.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from .transport import (_momentum_source, _substep_transport, _tables_at,
 Array = np.ndarray
 
 _GAMMA_FLOOR = 1e-28
+_RATIO_MAX = 1e-2        # largest per-sweep ratio the a-posteriori bound trusts
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,6 +106,7 @@ class PicardDiagnostics:
     iterations: int = 0
     slab_length: float = 0.0
     halvings: int = 0
+    stop_rule: str | None = None     # "floor" | "step" | "bound"; None if not accepted
 
 
 @dataclass(frozen=True)
@@ -283,6 +295,27 @@ def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Gri
     return new_states
 
 
+def _stop_rule(gamma_history: list, gamma_tol: float) -> str | None:
+    """The rule that accepts the last iterate of ``gamma_history``, or None.
+
+    "floor": its gamma is at most ``_GAMMA_FLOOR``; "step": at most
+    gamma_tol * gamma_1; "bound": the a-posteriori bound ratio / (1 -
+    sqrt(ratio))^2 * gamma on its squared distance to the fixed point is at
+    most gamma_tol * gamma_1, with the last ratio at most ``_RATIO_MAX``.
+    """
+    gamma = gamma_history[-1]
+    target = gamma_tol * gamma_history[0]
+    if gamma <= _GAMMA_FLOOR:
+        return "floor"
+    if gamma <= target:
+        return "step"
+    if len(gamma_history) >= 2 and gamma_history[-2] > 0.0:
+        ratio = gamma / gamma_history[-2]
+        if ratio <= _RATIO_MAX and ratio / (1.0 - np.sqrt(ratio)) ** 2 * gamma <= target:
+            return "bound"
+    return None
+
+
 def _run_picard(state0: State, model, grids, visc, eos, consts, cfg: SlabConfig,
                 t0: float, T: float):
     """Picard loop over one slab of length T.  Returns (states, diag, stalled)."""
@@ -290,7 +323,6 @@ def _run_picard(state0: State, model, grids, visc, eos, consts, cfg: SlabConfig,
     times = _slab_times(t0, T, cfg.dt)
     diag = PicardDiagnostics(slab_length=T)
     prev = _initial_iterate(state0, grids, consts, cfg, times)
-    gamma1 = None
     stalled = False
     for k in range(1, cfg.max_iters + 1):
         current = _iterate_once(prev, state0, model, grids, visc, eos, consts, cfg, times)
@@ -304,10 +336,9 @@ def _run_picard(state0: State, model, grids, visc, eos, consts, cfg: SlabConfig,
                 diag.contraction_ratios.append(ratio)
                 if ratio >= 1.0:
                     stalled = True
-        if gamma1 is None:
-            gamma1 = gamma
         prev = current
-        if gamma <= _GAMMA_FLOOR or gamma <= cfg.gamma_tol * gamma1:
+        diag.stop_rule = _stop_rule(diag.gamma_history, cfg.gamma_tol)
+        if diag.stop_rule is not None:
             diag.converged = True
             break
         if stalled:
@@ -320,7 +351,9 @@ def solve_slab(state0: State, model: CoefficientModel, grids: Grids,
                consts: PhysicalConstants, cfg: SlabConfig,
                t0: float = 0.0) -> tuple[State, PicardDiagnostics]:
     """Iterate the linearized system on one slab until the contraction metric
-    drops below gamma_tol relative to its first value.
+    drops below gamma_tol relative to its first value, or until the
+    contraction's a-posteriori bound puts the iterate that close to the
+    fixed point (per-sweep ratio at most ``_RATIO_MAX``; see ``_stop_rule``).
 
     On stall the slab is halved (at most ``cfg.max_halvings`` times when
     ``halve_on_stall``); persistent non-convergence raises IterationError

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -526,6 +527,24 @@ class TestMomentumStep:
             momentum_step(u_n, np.ones((8, 8)), None, np.ones((8, 8)),
                           np.zeros_like(u_n), visc, 0.01, grid)
         assert err.value.iterations is None
+
+    def test_overflowing_bicgstab_raises_without_warnings(self, visc, recwarn):
+        # a checkerboard-vacuum 4x4 periodic system with strong convection:
+        # Jacobi-bicgstab's iterates overflow to non-finite values, which end
+        # in the non-finite SolverError and leak no RuntimeWarning
+        grid = SpatialGrid.periodic((4, 4), (1.0, 1.0))
+        rho = np.ones((4, 4))
+        rho[::2, ::2] = rho[1::2, 1::2] = 0.0
+        rng = np.random.default_rng(0)
+        w = rng.normal(0.0, 10.0, (2, 4, 4))
+        f = rng.normal(size=(2, 4, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError) as err:
+                momentum_step(np.zeros((2, 4, 4)), rho, w, np.zeros((4, 4)), f,
+                              visc, 1e-3, grid)
+        assert str(err.value).endswith("tried Jacobi-bicgstab (non-finite values)")
+        assert len(recwarn) == 0
 
     @pytest.mark.parametrize("case", ["w exact", "w far off", "w zero"])
     def test_krylov_start(self, visc, rng, monkeypatch, case):

@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 import rhlab.picard as picard
 from rhlab.config import parse_config
@@ -12,6 +14,7 @@ from rhlab.norms import lp_norm
 from rhlab.physics import (EquationOfState, PhysicalConstants, ViscosityParams,
                            constant_model, zero_model)
 from rhlab.picard import (DeltaSchedule, SlabConfig, State, _initial_iterate, _slab_times,
+                          _stop_rule,
                           delta_continuation, gamma_increment, gamma_metric, solve,
                           solve_slab)
 from rhlab.runner import run_scenario
@@ -150,6 +153,13 @@ class TestSolveSlabEquilibrium:
         assert np.array_equal(final.u, st.u)
         assert np.array_equal(final.I, st.I)
 
+    def test_fixed_point_stops_on_the_floor(self):
+        # the equilibrium slab's first gamma is below the absolute floor
+        grids = make_grids()
+        cfg = SlabConfig(slab_length=0.01, dt=0.002)
+        _, diag = run_slab(zero_state(grids), zero_model(), grids, cfg)
+        assert diag.stop_rule == "floor"
+
 
 class TestSolveSlabContraction:
     MODEL = constant_model(0.5, 0.1, 0.05)
@@ -214,6 +224,87 @@ class TestSolveSlabContraction:
         assert diag is not None
         assert diag.halvings == 2
         assert diag.gamma_history
+
+
+# a w1-like periodic bump slab and its far-field counterpart
+_BUMP_SLABS = {"periodic": (128, 0.01, 5e-4), "farfield": (64, 0.01, 0.002)}
+
+
+class TestStopRule:
+    MODEL = constant_model(0.2, 0.05, 0.05)
+
+    def test_w1_gamma_history(self):
+        # sweep 3 of a w1 slab: ratio 9.7e-6, bound 3.5e-17 <= tol * gamma_1
+        history = [8.2e-5, 3.7e-7, 3.6e-12]
+        assert _stop_rule(history[:2], 1e-8) is None
+        assert _stop_rule(history, 1e-8) == "bound"
+        assert _stop_rule(history + [1.7e-17], 1e-8) == "step"
+        assert _stop_rule(history + [1e-29], 1e-8) == "floor"
+
+    def test_bound_needs_ratio_at_most_ratio_max(self):
+        # gamma_3 = 1.5 * tol * gamma_1 in both; the bound is 4.1e-10 at ratio
+        # 2e-2 (above _RATIO_MAX, so not trusted) and 8.7e-11 at ratio 5e-3
+        assert _stop_rule([1.0, 7.5e-7, 1.5e-8], 1e-8) is None
+        assert _stop_rule([1.0, 3e-6, 1.5e-8], 1e-8) == "bound"
+
+    @pytest.mark.parametrize("boundary", sorted(_BUMP_SLABS))
+    def test_bump_slab_stops_on_the_bound(self, boundary):
+        n, T, dt = _BUMP_SLABS[boundary]
+        grids = make_grids(n=n, boundary=boundary)
+        cfg = SlabConfig(slab_length=T, dt=dt)
+        _, diag = run_slab(bump_state(grids), self.MODEL, grids, cfg)
+        assert diag.converged and diag.stop_rule == "bound"
+        assert diag.iterations == 3
+
+    @pytest.mark.parametrize("boundary", sorted(_BUMP_SLABS))
+    def test_confirming_sweep_meets_the_step_rule(self, boundary):
+        # the sweep the step rule alone would run after a "bound" acceptance
+        # would have accepted too: its gamma is within gamma_tol * gamma_1
+        n, T, dt = _BUMP_SLABS[boundary]
+        grids = make_grids(n=n, boundary=boundary)
+        state0 = bump_state(grids)
+        cfg = SlabConfig(slab_length=T, dt=dt)
+        states, diag = picard.solve_slab_full(state0, self.MODEL, grids, PHYS["visc"],
+                                              PHYS["eos"], PHYS["consts"], cfg)
+        assert diag.stop_rule == "bound" and diag.halvings == 0
+        times = _slab_times(0.0, T, dt)
+        confirm = picard._iterate_once(states, state0, self.MODEL, grids, PHYS["visc"],
+                                       PHYS["eos"], PHYS["consts"], cfg, times)
+        gamma = gamma_metric(states, confirm, grids)
+        assert gamma <= cfg.gamma_tol * diag.gamma_history[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(dim=hst.integers(1, 8), seed=hst.integers(0, 2**32 - 1),
+           q=hst.floats(0.0, 0.1, exclude_min=True), tol=hst.floats(1e-12, 1e-4),
+           scale=hst.floats(1e-2, 1e2))
+    def test_accepted_iterates_are_within_tolerance(self, dim, seed, q, tol, scale):
+        # x -> q Q x + b with Q orthogonal contracts every increment by q
+        # exactly, so the per-sweep ratio is q^2; every iterate the rule
+        # accepts lies within sqrt(tol * gamma_1) of the fixed point
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        x_star = rng.uniform(-10.0, 10.0, dim)
+        b = x_star - q * (Q @ x_star)
+        e0 = rng.normal(size=dim)
+        x = x_star + scale * e0 / np.linalg.norm(e0)
+        history, rule = [], None
+        while rule is None and len(history) < 60:
+            x_new = q * (Q @ x) + b
+            history.append(float(np.sum((x_new - x) ** 2)))
+            x = x_new
+            rule = _stop_rule(history, tol)
+        assert rule is not None
+        # b carries round-off, so x_star is the map's fixed point to ~1e-14
+        assert np.linalg.norm(x - x_star) <= np.sqrt(tol * history[0]) + 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(history=hst.lists(hst.floats(0.0, 1e3), min_size=1, max_size=6),
+           tol=hst.floats(1e-12, 10.0))
+    @example(history=[8.2e-5, 3.7e-7, 3.6e-12], tol=1e-8)
+    def test_bound_only_on_a_small_ratio(self, history, tol):
+        if _stop_rule(history, tol) == "bound":
+            ratio = history[-1] / history[-2]
+            assert ratio <= picard._RATIO_MAX and ratio < 1.0
 
 
 class TestSolveTrajectory:
