@@ -53,8 +53,11 @@ Jacobi solves a 3D 16^3 vacuum-plateau system in about 20 ms, where
 incomplete LU plus Krylov took 3.6 s.  All timings on one thread of a
 2-vCPU Xeon.  ``_cg`` and ``_bicgstab`` are scipy 1.17's ``cg`` and
 ``bicgstab`` loops, operation for operation, on the compiled CSR product
-``_matvec``, so every result is bit for bit scipy's; lgmres, scipy's own,
-retries a solve either leaves above the residual bound.
+``_matvec``, so every result is bit for bit scipy's.  They are the only 2D/3D
+path, as band LU is in 1D: a solve they leave above the residual bound
+raises SolverError.  Of 5,200 random 2D/3D systems 183 failed, each with
+one parity class of cells entirely in vacuum; an lgmres retry, run on 124
+of them, rescued none and took 21 to 45 s each.
 
 The Krylov iteration starts from whichever of u_old and the convecting
 velocity w has the smaller residual |b - A x|.  Inside a Picard sweep w is
@@ -71,12 +74,9 @@ kernels ``scipy.sparse._sparsetools`` (about 0.5 ms).  ``from scipy.linalg
 import lapack`` takes 0.3 to 0.4 s, because scipy's package import clones
 numpy's array API and so imports ``numpy.f2py`` and ``numpy.testing`` (0.1
 to 0.2 s together), and ``scipy.sparse.linalg`` costs another 0.3 s.
-``sp`` and ``spla`` (``scipy.sparse`` and ``scipy.sparse.linalg``) are bound
-on first use only: by the lgmres retry, ``lame_matrix``,
-``_MomentumLayout.matrix``, or reading ``fluid.sp`` or ``fluid.spla``.  So
-a run in any dimension imports no scipy package unless a solve needs the
-lgmres retry; w1 set-up fell from about 0.45 to 0.22 s, and w2 from about
-0.48 to 0.23 s.
+So a run in any dimension imports no scipy package: w1 set-up fell from
+about 0.45 to 0.22 s, and w2 from about 0.48 to 0.23 s.  Only reading
+``fluid.spla`` imports ``scipy.sparse.linalg``.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ Array = np.ndarray
 RTOL = 1e-10            # relative residual every momentum solve must reach
 KRYLOV_RTOL = 1e-13     # relative residual each 2D/3D Krylov routine aims at
 MAXITER = 10_000        # iteration cap of each 2D/3D Krylov routine
+NONFINITE = -1          # info of a Krylov routine stopped by a non-finite residual
 
 
 def _scipy_extension(name: str):
@@ -122,6 +123,14 @@ def _scipy_extension(name: str):
 
 lapack = _scipy_extension("scipy.linalg._flapack")
 sparsetools = _scipy_extension("scipy.sparse._sparsetools")
+
+
+# perfbench/tracing.py is the only reader of ``spla``; ROADMAP item 1 removes it
+def __getattr__(name):
+    if name == "spla":
+        import scipy.sparse.linalg
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,7 +401,7 @@ def continuity_step_characteristics(rho0: Array, w_hist: VelocityHistory, t,
     default one per history interval) trace each start time back to 0.
 
     Nonnegative by construction: linear interpolation of rho0 >= 0 times an
-    exponential.
+    exponential, and exactly 0 where that interpolation is 0.
     """
     rho0 = check_scalar(rho0, grid)
     if np.any(rho0 < 0):
@@ -401,7 +410,9 @@ def continuity_step_characteristics(rho0: Array, w_hist: VelocityHistory, t,
     pts, _, divint = _trace_backward(w_hist, times.reshape(-1), grid, substeps,
                                      want_div=True)
     ghost = grid.farfield_rho if grid.boundary == "farfield" else 0.0
-    rho = _interp(pad_ghost(rho0, grid, ghost), grid, pts) * np.exp(-divint)
+    rho = _interp(pad_ghost(rho0, grid, ghost), grid, pts)
+    # vacuum stays 0 where exp overflows (0 * inf would be NaN)
+    np.multiply(rho, np.exp(-divint), out=rho, where=rho != 0.0)
     return rho[0] if times.ndim == 0 else rho
 
 
@@ -522,29 +533,6 @@ def heat_smooth(u: Array, grid: SpatialGrid, duration: float) -> Array:
 # momentum operator layout
 # ---------------------------------------------------------------------------
 
-def _load_sparse() -> None:
-    """Bind ``sp`` and ``spla`` to ``scipy.sparse`` and ``scipy.sparse.linalg``
-    (about 0.3 s on the first call).  A binding made before, such as a
-    tracing view of ``spla``, is kept."""
-    import scipy.sparse
-    import scipy.sparse.linalg
-    globals().setdefault("sp", scipy.sparse)
-    globals().setdefault("spla", scipy.sparse.linalg)
-
-
-def __getattr__(name):
-    if name in ("sp", "spla"):
-        _load_sparse()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def lame_matrix(grid: SpatialGrid, visc: ViscosityParams) -> sp.csr_matrix:
-    """Sparse matrix of lame_apply on the flattened (component, cell) vector;
-    imports ``scipy.sparse`` on its first call."""
-    return _momentum_layout(grid, visc).lame
-
-
 @dataclass(frozen=True, eq=False)
 class _BandMap:
     """Where a 1D momentum matrix sits in LAPACK ``gbsv`` band storage.  The
@@ -566,8 +554,7 @@ class _MomentumLayout:
     Lame values on that pattern, the data position of each component's
     diagonal, per axis the backward and forward upwind blocks as (positions
     per component, cell of each entry's row, difference weight), and in 1D
-    the band map of the pattern (None in 2D and 3D); ``lame`` is the Lame
-    matrix."""
+    the band map of the pattern (None in 2D and 3D)."""
 
     indptr: Array
     indices: Array
@@ -575,24 +562,6 @@ class _MomentumLayout:
     diag_pos: Array                                   # (dim, cells)
     upwind: tuple[tuple[tuple[Array, Array, Array], ...], ...]
     band: _BandMap | None
-
-    def matrix(self, data: Array) -> sp.csr_matrix:
-        _load_sparse()
-        size = self.indptr.size - 1
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(size, size))
-
-    @functools.cached_property
-    def lame(self) -> sp.csr_matrix:
-        # the Lame entries are the nonzero ones of lame_data: no Lame value is
-        # zero, since lam + mu >= mu / 3 > 0
-        keep = np.flatnonzero(self.lame_data)
-        size = self.indptr.size - 1
-        rows = np.repeat(np.arange(size), np.diff(self.indptr))[keep]
-        indptr = np.zeros_like(self.indptr)
-        np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-        _load_sparse()
-        return sp.csr_matrix((self.lame_data[keep], self.indices[keep], indptr),
-                             shape=(size, size))
 
 
 def _band_map(n: int, periodic: bool, rows: Array, cols: Array) -> _BandMap:
@@ -746,9 +715,9 @@ def _band_storage(band: _BandMap, data: Array) -> Array:
     return flat.reshape(n, 3 * band.kl + 1).T
 
 
-def _solve_failed(tried: list, residual=None, iterations=None) -> SolverError:
+def _solve_failed(path: str, why: str, residual=None, iterations=None) -> SolverError:
     return SolverError(f"momentum solve failed to reach relative residual {RTOL:.1e}; "
-                       f"tried {', '.join(tried)}", residual, iterations)
+                       f"tried {path} ({why})", residual, iterations)
 
 
 def _matvec(lay: _MomentumLayout, data: Array, x: Array) -> Array:
@@ -775,14 +744,14 @@ def _band_solve(lay: _MomentumLayout, data: Array, b: Array) -> Array:
     if info < 0:
         raise SolverError(f"band LU: dgbsv rejected its argument {-info}")
     if info > 0:
-        raise _solve_failed([f"band LU (singular, dgbsv info {info})"])
+        raise _solve_failed("band LU", f"singular, dgbsv info {info}")
     x = np.empty_like(y)
     x[band.perm] = y
     if not np.all(np.isfinite(x)):
-        raise _solve_failed(["band LU (non-finite solution)"])
+        raise _solve_failed("band LU", "non-finite solution")
     res = float(np.linalg.norm(b - _matvec(lay, data, x))) / float(np.linalg.norm(b))
     if res > RTOL:
-        raise _solve_failed([f"band LU (relative residual {res:.3e})"], residual=res)
+        raise _solve_failed("band LU", f"relative residual {res:.3e}", residual=res)
     return x
 
 
@@ -794,7 +763,9 @@ def _band_solve(lay: _MomentumLayout, data: Array, b: Array) -> Array:
 # operation (the same np.dot, np.linalg.norm and in-place updates, in the same
 # order), so (x, info) is bit for bit scipy's.  ``matvec`` applies A.  info is
 # 0 on convergence, MAXITER when the cap is hit, and -10/-11 on a bicgstab
-# breakdown.  MAXITER is read at each call.
+# breakdown.  MAXITER is read at each call.  Unlike scipy, both return
+# NONFINITE at the first residual norm that is not finite, where scipy runs on
+# to MAXITER (NaN fails every test of its loops).
 
 def _cg(matvec, b: Array, x0: Array, diag: Array) -> tuple[Array, int]:
     """Preconditioned conjugate gradients (Hestenes-Stiefel)."""
@@ -806,8 +777,11 @@ def _cg(matvec, b: Array, x0: Array, diag: Array) -> tuple[Array, int]:
     r = b - matvec(x) if x.any() else b.copy()
     p = rho_prev = None
     for iteration in range(MAXITER):
-        if np.linalg.norm(r) < atol:
+        rnorm = np.linalg.norm(r)
+        if rnorm < atol:
             return x, 0
+        if not math.isfinite(rnorm):
+            return x, NONFINITE
         z = r / diag
         rho = np.dot(r, z)
         if iteration > 0:
@@ -836,8 +810,11 @@ def _bicgstab(matvec, b: Array, x0: Array, diag: Array) -> tuple[Array, int]:
     rtilde = r.copy()
     p = v = rho_prev = alpha = omega = None
     for iteration in range(MAXITER):
-        if np.linalg.norm(r) < atol:
+        rnorm = np.linalg.norm(r)
+        if rnorm < atol:
             return x, 0
+        if not math.isfinite(rnorm):
+            return x, NONFINITE
         rho = np.dot(rtilde, r)
         if np.abs(rho) < breakdown:
             return x, -10
@@ -858,9 +835,12 @@ def _bicgstab(matvec, b: Array, x0: Array, diag: Array) -> tuple[Array, int]:
         alpha = rho / rv
         r -= alpha * v
         # scipy's s is a copy of r here; r is read-only until its next update
-        if np.linalg.norm(r) < atol:
+        rnorm = np.linalg.norm(r)
+        if rnorm < atol:
             x += alpha * phat
             return x, 0
+        if not math.isfinite(rnorm):
+            return x, NONFINITE
         shat = r / diag
         t = matvec(shat)
         omega = np.dot(t, r) / np.dot(t, t)
@@ -892,13 +872,13 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     loops preconditioned by Jacobi, runs to a ``KRYLOV_RTOL`` relative
     residual or ``MAXITER`` iterations; see the module docstring for why.
     It starts from ``u_n``, or from ``w`` when there is convection and ``w``
-    has the strictly smaller residual |b - A w|.  If the residual still
-    exceeds ``RTOL``, lgmres retries from there; a residual above ``RTOL`` after that raises SolverError, whose
-    message names every path tried and why it was left, and whose
-    ``iterations`` is the last routine's count when it stopped at
-    ``MAXITER`` (None when that count is unknown).  The Jacobi routines run
-    with numpy's floating-point warnings off: iterates that overflow raise
-    that SolverError as non-finite values, with no RuntimeWarning.
+    has the strictly smaller residual |b - A w|.  It is the only 2D/3D path:
+    a result above ``RTOL``, or a routine that met non-finite values, raises
+    SolverError naming the routine and why, with ``residual`` set and
+    ``iterations`` the routine's count when it stopped at ``MAXITER`` (None
+    otherwise).  The routines run with numpy's floating-point warnings off:
+    iterates that overflow raise that SolverError as non-finite values, with
+    no RuntimeWarning.
     """
     u_n = check_vector(u_n, grid)
     rho_new = check_scalar(rho_new, grid)
@@ -931,26 +911,14 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
         if np.linalg.norm(b - matvec(guess)) < np.linalg.norm(b - matvec(x0)):
             x0 = guess
     krylov, path = (_cg, "Jacobi-cg") if symmetric else (_bicgstab, "Jacobi-bicgstab")
-    bnorm = float(np.linalg.norm(b))
     # iterates that overflow end in the non-finite SolverError below, not in
     # RuntimeWarnings; the values computed are the same either way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, info = krylov(matvec, b, x0, diag)
-        res = float(np.linalg.norm(b - matvec(x))) / bnorm
-    tried = []
+        res = float(np.linalg.norm(b - matvec(x))) / float(np.linalg.norm(b))
+    iterations = info if info > 0 else None
+    if info == NONFINITE or not np.all(np.isfinite(x)):
+        raise _solve_failed(path, "non-finite values", res, iterations)
     if res > RTOL:
-        tried.append(f"{path} (relative residual {res:.3e})")
-        path = "lgmres"
-        _load_sparse()
-        precond = spla.LinearOperator((b.size, b.size), lambda v: v / diag)
-        x, info = spla.lgmres(lay.matrix(data), b, x0=x, rtol=KRYLOV_RTOL, atol=0.0,
-                              maxiter=MAXITER, M=precond)
-        res = float(np.linalg.norm(b - matvec(x))) / bnorm
-    out = x.reshape(u_n.shape)
-    if not np.all(np.isfinite(out)):
-        tried.append(f"{path} (non-finite values)")
-    elif res > RTOL:
-        tried.append(f"{path} (relative residual {res:.3e})")
-    else:
-        return out
-    raise _solve_failed(tried, residual=res, iterations=info if info > 0 else None)
+        raise _solve_failed(path, f"relative residual {res:.3e}", res, iterations)
+    return x.reshape(u_n.shape)

@@ -2,7 +2,8 @@
 monolithic (no fixed-point) coupled integrator, and per-(band, ordinate) loop
 versions of the batched phase-space operators and of the coefficient
 tables, the momentum matrix assembled from whole sparse blocks on its own
-difference and Lame matrices, the one-start-time characteristics trace
+difference and Lame matrices, the CSR matrices on a momentum layout's
+pattern, the one-start-time characteristics trace
 (with its own point clamp) and heat-flow mollifier, the per-value snapshot
 writer, the ``np.pad`` ghost layers, and the one-snapshot-at-a-time
 Phi/Theta monitor and Picard metric.
@@ -242,6 +243,22 @@ def lame_matrix(grid, visc):
     return sp.bmat(blocks, format="csr")
 
 
+def layout_matrix(lay, data):
+    """The CSR matrix with ``data`` on the pattern of the momentum layout
+    ``lay``."""
+    size = lay.indptr.size - 1
+    return sp.csr_matrix((data, lay.indices, lay.indptr), shape=(size, size))
+
+
+def layout_lame_matrix(lay):
+    """The Lame matrix of the momentum layout ``lay``: its Lame values with
+    the zeros at the pattern's diagonal-only and upwind-only entries dropped
+    (no Lame value is zero, since lam + mu >= mu / 3 > 0)."""
+    A = layout_matrix(lay, lay.lame_data).copy()
+    A.eliminate_zeros()
+    return A
+
+
 def convection_matrix(rho, w, grid):
     """Implicit upwind rho w . grad, block-diagonal over velocity components."""
     fwd, bwd = _differences(grid, "forward"), _differences(grid, "backward")
@@ -344,10 +361,12 @@ def loop_trace_backward(w_hist, t, grid, substeps=None):
 
 
 def loop_continuity_step_characteristics(rho0, w_hist, t, grid, substeps=None):
-    """rho0 at the departure point times exp(-int div w), for one start time."""
+    """rho0 at the departure point times exp(-int div w), for one start time;
+    0 where rho0 at the departure point is 0, even where exp overflows."""
     pts, _, divint = loop_trace_backward(w_hist, t, grid, substeps)
     ghost = grid.farfield_rho if grid.boundary == "farfield" else 0.0
-    return loop_interp_field(rho0, grid, pts, ghost) * np.exp(-divint)
+    rho0_at = loop_interp_field(rho0, grid, pts, ghost)
+    return np.where(rho0_at == 0.0, 0.0, rho0_at * np.exp(-divint))
 
 
 def loop_heat_smooth(u, grid, duration):

@@ -15,14 +15,15 @@ from rhlab.errors import (DomainError, ParameterError, ShapeError, SolverError,
                           StepSizeError)
 from rhlab.fluid import (FluidState, VelocityHistory,
                          continuity_step_characteristics, continuity_step_fv,
-                         heat_smooth, integrate_flow_map, lame_apply,
-                         lame_matrix, momentum_step)
+                         heat_smooth, integrate_flow_map, interp_field,
+                         lame_apply, momentum_step)
 from rhlab.grid import SpatialGrid, divergence, gradient, inner_product
 from rhlab.norms import lp_norm
 from rhlab.physics import ViscosityParams
 
 from conftest import random_smooth_field, random_smooth_vector
-from _reference import convection_matrix, momentum_matrix
+from _reference import (convection_matrix, layout_lame_matrix, layout_matrix,
+                        loop_continuity_step_characteristics, momentum_matrix)
 from _reference import lame_matrix as reference_lame_matrix
 
 
@@ -114,6 +115,24 @@ class TestContinuityCharacteristics:
         out = continuity_step_characteristics(np.ones(26), hist, 1.0, grid, substeps=4)
         assert np.min(out) >= 0.0
         assert np.all(out[:10] == 0.0)
+
+    def test_vacuum_stays_zero_where_exp_overflows(self):
+        # strong compression, w = -1000 (x - 1/2): exp(-int div w) overflows
+        # to inf, and where rho0 at the departure point is 0 the density is
+        # still 0 (0 * inf used to make 18 of the 20 vacuum cells NaN)
+        grid = SpatialGrid.farfield(32, 1.0, 0.0)
+        x = grid.axis_coords(0)
+        rho0 = np.where(np.abs(x - 0.5) < 0.2, 1.0, 0.0)
+        hist = VelocityHistory.constant(-1000.0 * (x - 0.5)[None])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = continuity_step_characteristics(rho0, hist, 1.0, grid, substeps=4)
+            ref = loop_continuity_step_characteristics(rho0, hist, 1.0, grid, substeps=4)
+        departure = integrate_flow_map(hist, 1.0, grid, substeps=4).departure
+        vacuum = interp_field(rho0, grid, departure)[0] == 0.0
+        assert np.count_nonzero(vacuum) == 20 and np.any(np.isinf(out))
+        assert not np.any(np.isnan(out))
+        assert np.all(out[vacuum] == 0.0)
+        assert out.tobytes() == ref.tobytes()
 
     def test_negative_initial_density_rejected(self, grid128):
         hist = VelocityHistory.constant(np.zeros((1, 128)), 0.0, 1.0)
@@ -297,7 +316,7 @@ class TestLame:
 
     def test_matrix_matches_operator(self, grid128, visc, rng):
         u = random_smooth_vector(grid128, rng)
-        A = lame_matrix(grid128, visc)
+        A = layout_lame_matrix(fluid._momentum_layout(grid128, visc))
         direct = lame_apply(u, visc, grid128)
         via_matrix = (A @ u.reshape(-1)).reshape(u.shape)
         assert np.max(np.abs(direct - via_matrix)) < 1e-12
@@ -306,7 +325,7 @@ class TestLame:
         grid = SpatialGrid.farfield(64, 1.0, 1.0)
         u = np.zeros((1, 64))
         u[0] = rng.standard_normal(64)
-        A = lame_matrix(grid, visc)
+        A = layout_lame_matrix(fluid._momentum_layout(grid, visc))
         direct = lame_apply(u, visc, grid)
         via_matrix = (A @ u.reshape(-1)).reshape(u.shape)
         assert np.allclose(direct, via_matrix, rtol=1e-12, atol=1e-11)
@@ -405,8 +424,8 @@ class TestMomentumStep:
             raise AssertionError("Krylov path used")
 
         monkeypatch.setattr(fluid.lapack, "dgbsv", fake_dgbsv)
-        for owner, name in ((fluid, "_cg"), (fluid, "_bicgstab"), (fluid.spla, "lgmres")):
-            monkeypatch.setattr(owner, name, krylov)
+        for name in ("_cg", "_bicgstab"):
+            monkeypatch.setattr(fluid, name, krylov)
         ustar = np.sin(2 * np.pi * grid128.axis_coords(0))[None]
         rho, dt = np.ones(128), 0.01
         forcing = rho[None] * ustar / dt + lame_apply(ustar, visc, grid128)
@@ -438,8 +457,8 @@ class TestMomentumStep:
         def krylov(*args, **kwargs):
             raise AssertionError("Krylov path used")
 
-        for owner, name in ((fluid, "_cg"), (fluid, "_bicgstab"), (fluid.spla, "lgmres")):
-            monkeypatch.setattr(owner, name, krylov)
+        for name in ("_cg", "_bicgstab"):
+            monkeypatch.setattr(fluid, name, krylov)
         grid = SpatialGrid.periodic(64, 1.0) if boundary == "periodic" \
             else SpatialGrid.farfield(63, 1.0, 1.0)
         n = grid.extents[0]
@@ -459,8 +478,8 @@ class TestMomentumStep:
         def krylov(*args, **kwargs):
             raise AssertionError("Krylov path used")
 
-        for owner, name in ((fluid, "_cg"), (fluid, "_bicgstab"), (fluid.spla, "lgmres")):
-            monkeypatch.setattr(owner, name, krylov)
+        for name in ("_cg", "_bicgstab"):
+            monkeypatch.setattr(fluid, name, krylov)
         grid = SpatialGrid.periodic(128, 1.0)
         rho = np.abs(random_smooth_field(grid, rng)) + 0.5
         w = random_smooth_vector(grid, rng, amplitude=0.3) if with_w else None
@@ -482,12 +501,11 @@ class TestMomentumStep:
     @pytest.mark.parametrize("grid, tried, iterations", [
         (SpatialGrid.periodic(128, 1.0), "band LU (singular, dgbsv info 3)", None),
         (SpatialGrid.periodic(128, 1.0), "band LU (relative residual 1.000e+00)", None),
-        (SpatialGrid.periodic((8, 8), (1.0, 1.0)),
-         "Jacobi-cg (relative residual 1.000e+00), lgmres (relative residual 1.000e+00)", 11)],
+        (SpatialGrid.periodic((8, 8), (1.0, 1.0)), "Jacobi-cg (relative residual 1.000e+00)", 7)],
         ids=["singular", "residual", "2d"])
     def test_solver_error_names_every_path(self, visc, monkeypatch, grid, tried, iterations):
-        # when the solve fails, the error names every path tried and why each
-        # was left: band LU alone in 1D, Krylov then lgmres in 2D
+        # when the solve fails, the error names the one path tried and why it
+        # was left: band LU in 1D, Jacobi-cg in 2D
         dgbsv = fluid.lapack.dgbsv
 
         def fake_dgbsv(*args, **kwargs):
@@ -499,7 +517,6 @@ class TestMomentumStep:
 
         monkeypatch.setattr(fluid.lapack, "dgbsv", fake_dgbsv)
         monkeypatch.setattr(fluid, "_cg", krylov(7))
-        monkeypatch.setattr(fluid.spla, "lgmres", krylov(11))
         # u = 1 solves the system, so the doubled x leaves residual 1
         u_n = np.ones((grid.dim,) + grid.extents)
         with pytest.raises(SolverError) as err:
@@ -511,7 +528,7 @@ class TestMomentumStep:
             assert err.value.residual is None
         else:
             assert err.value.residual == pytest.approx(1.0, rel=1e-12)
-        assert err.value.iterations == iterations   # the last routine's count, not MAXITER
+        assert err.value.iterations == iterations   # the routine's count, not MAXITER
 
     @pytest.mark.parametrize("info", [0, -1])
     def test_solver_error_iterations_unknown(self, visc, monkeypatch, info):
@@ -519,8 +536,6 @@ class TestMomentumStep:
         # iteration count
         monkeypatch.setattr(fluid, "_cg",
                             lambda matvec, b, x0, diag: (np.zeros_like(b), info))
-        monkeypatch.setattr(fluid.spla, "lgmres",
-                            lambda A, b, x0, **kwargs: (np.zeros_like(b), info))
         grid = SpatialGrid.periodic((8, 8), (1.0, 1.0))
         u_n = np.ones((2, 8, 8))
         with pytest.raises(SolverError) as err:
@@ -528,10 +543,21 @@ class TestMomentumStep:
                           np.zeros_like(u_n), visc, 0.01, grid)
         assert err.value.iterations is None
 
-    def test_overflowing_bicgstab_raises_without_warnings(self, visc, recwarn):
+    def test_overflowing_bicgstab_raises_without_warnings(self, visc, recwarn,
+                                                          monkeypatch):
         # a checkerboard-vacuum 4x4 periodic system with strong convection:
         # Jacobi-bicgstab's iterates overflow to non-finite values, which end
-        # in the non-finite SolverError and leak no RuntimeWarning
+        # in the non-finite SolverError and leak no RuntimeWarning.  The
+        # residual grows, finite, for about 3,800 iterations before it
+        # overflows; bicgstab stops there instead of running on to MAXITER
+        # (2 * MAXITER products)
+        matvec, products = fluid._matvec, []
+
+        def counting(*args):
+            products.append(1)
+            return matvec(*args)
+
+        monkeypatch.setattr(fluid, "_matvec", counting)
         grid = SpatialGrid.periodic((4, 4), (1.0, 1.0))
         rho = np.ones((4, 4))
         rho[::2, ::2] = rho[1::2, 1::2] = 0.0
@@ -544,7 +570,28 @@ class TestMomentumStep:
                 momentum_step(np.zeros((2, 4, 4)), rho, w, np.zeros((4, 4)), f,
                               visc, 1e-3, grid)
         assert str(err.value).endswith("tried Jacobi-bicgstab (non-finite values)")
+        assert err.value.iterations is None
         assert len(recwarn) == 0
+        assert len(products) < fluid.MAXITER
+
+    @pytest.mark.parametrize("with_w", [False, True])
+    def test_parity_vacuum_2d_fails_fast(self, visc, with_w):
+        # a 2D periodic system with one parity class all vacuum is singular:
+        # Jacobi-cg (10,000 iterations) or Jacobi-bicgstab (non-finite
+        # values) gives up well within a second, with no RuntimeWarning
+        grid = SpatialGrid.periodic((8, 8), (1.0, 1.0))
+        rng = np.random.default_rng(0)
+        rho = rng.uniform(0.5, 2.0, (8, 8))
+        rho[::2, ::2] = 0.0
+        w = rng.normal(size=(2, 8, 8)) if with_w else None
+        f = rng.normal(size=(2, 8, 8))
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SolverError, match="bicgstab" if with_w else "Jacobi-cg"):
+                momentum_step(np.zeros((2, 8, 8)), rho, w, np.ones((8, 8)), f, visc, 0.01,
+                              grid)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("case", ["w exact", "w far off", "w zero"])
     def test_krylov_start(self, visc, rng, monkeypatch, case):
@@ -590,13 +637,9 @@ class TestMomentumStep:
 
     @pytest.mark.parametrize("cells", [(32, 32), (8, 8, 8)])
     @pytest.mark.parametrize("with_w", [False, True])
-    def test_vacuum_core_jacobi_krylov(self, visc, rng, monkeypatch, cells, with_w):
+    def test_vacuum_core_jacobi_krylov(self, visc, rng, cells, with_w):
         # a far-field grid whose center ball is vacuum: the Jacobi-preconditioned
-        # cg/bicgstab meets the residual bound without the lgmres retry
-        def lgmres(*args, **kwargs):
-            raise AssertionError("lgmres retry used")
-
-        monkeypatch.setattr(fluid.spla, "lgmres", lgmres)
+        # cg/bicgstab meets the residual bound
         grid = SpatialGrid.farfield(cells, (1.0,) * len(cells), 1.0)
         r2 = sum((x - 0.5) ** 2 for x in grid.coords())
         rho = np.where(r2 < 0.2 ** 2, 0.0, 1.0)
@@ -662,7 +705,7 @@ def test_layout_matrix_matches_block_assembly(grid, seed, mu, lam_excess, dt,
     lay = fluid._momentum_layout(grid, visc)
     fluid._momentum_data(lay, rng.uniform(0.0, 3.0, grid.extents),
                          rng.normal(size=(grid.dim,) + grid.extents), dt)
-    got = lay.matrix(fluid._momentum_data(lay, rho, w, dt))
+    got = layout_matrix(lay, fluid._momentum_data(lay, rho, w, dt))
     np.testing.assert_allclose(got.toarray(),
                                momentum_matrix(rho, w, visc, dt, grid).toarray(),
                                rtol=1e-14, atol=0.0)
@@ -687,16 +730,17 @@ def lame_grids(draw):
 @example(grid=SpatialGrid.periodic((4, 5, 4), (1.0, 1.3, 0.6)), mu=1.7, lam_excess=0.0)
 @example(grid=SpatialGrid.farfield((4, 4, 4), (1.0, 1.0, 2.0), 1.0), mu=0.5, lam_excess=0.2)
 def test_lame_matrix_equals_block_assembly_exactly(grid, mu, lam_excess):
-    # the stencil-built Lame matrix is the reference's sparse block product
+    # the stencil-built Lame values are the reference's sparse block product
     # bit for bit: the same canonical pattern and the same floats
     visc = ViscosityParams(mu=mu, lam=lam_excess - 2.0 * mu / 3.0)
-    got = lame_matrix(grid, visc)
+    lay = fluid._momentum_layout(grid, visc)
+    got = layout_lame_matrix(lay)
     ref = reference_lame_matrix(grid, visc).copy()
     ref.sum_duplicates()
     assert got.has_canonical_format
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-    assert lame_matrix(grid, visc) is got
+    assert fluid._momentum_layout(grid, visc) is lay
 
 
 @settings(max_examples=60, deadline=None)
@@ -767,7 +811,7 @@ def test_krylov_routines_are_scipys_bit_for_bit(grid, seed, mu, lam_excess, dt, 
     u_n, w = rng.normal(size=shape), rng.normal(size=shape)
     lay = fluid._momentum_layout(grid, visc)
     data = fluid._momentum_data(lay, rho, w if convect else None, dt)
-    A = lay.matrix(data)
+    A = layout_matrix(lay, data)
     diag = data[lay.diag_pos.ravel()]
     assert np.array_equal(diag, A.diagonal())
     x = rng.normal(size=A.shape[0])
@@ -787,6 +831,22 @@ def test_krylov_routines_are_scipys_bit_for_bit(grid, seed, mu, lam_excess, dt, 
             if maxiter is not None:
                 assert info in (0, maxiter, -10, -11)
     assert np.array_equal(x0, kept)
+
+
+@pytest.mark.parametrize("routine", [fluid._cg, fluid._bicgstab], ids=["cg", "bicgstab"])
+def test_krylov_routines_stop_at_first_non_finite_residual(routine):
+    # a product that turns NaN from its third call on: the routine returns
+    # NONFINITE at the next residual norm, after no further product
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        out = 2.5 * v - np.roll(v, 1) - np.roll(v, -1)
+        return out if len(calls) < 3 else np.full_like(v, np.nan)
+
+    b = np.random.default_rng(0).normal(size=20)
+    _, info = routine(matvec, b, np.zeros(20), np.full(20, 2.5))
+    assert (info, len(calls)) == (fluid.NONFINITE, 3)
 
 
 @st.composite
@@ -947,8 +1007,9 @@ def scipy_modules():
 
     def test_runs_load_only_compiled_scipy_modules(self):
         # 1D, 2D and 3D runs load scipy's compiled LAPACK and sparsetools
-        # modules only, none of scipy's package imports; a forced lgmres
-        # retry imports scipy.sparse.linalg
+        # modules only, none of scipy's package imports, and so do 2D solves
+        # that fail: the parity-vacuum systems of
+        # test_parity_vacuum_2d_fails_fast and one forced to fail
         out = _fresh_interpreter(self.RUN + '''
 print(scipy_modules())
 run("dim = 1\\ncells = 32\\nlengths = 1.0\\nboundary = periodic")
@@ -961,15 +1022,27 @@ from rhlab import fluid
 from rhlab.errors import SolverError
 from rhlab.grid import SpatialGrid
 from rhlab.physics import ViscosityParams
-fluid.RTOL = -1.0       # no residual meets it, so the Krylov solve is retried
-grid = SpatialGrid.periodic((8, 8), (1.0, 1.0))
+grid, visc = SpatialGrid.periodic((8, 8), (1.0, 1.0)), ViscosityParams(mu=1.0, lam=0.0)
+for with_w in (False, True):
+    rng = np.random.default_rng(0)
+    rho = rng.uniform(0.5, 2.0, (8, 8))
+    rho[::2, ::2] = 0.0
+    w = rng.normal(size=(2, 8, 8)) if with_w else None
+    try:
+        fluid.momentum_step(np.zeros((2, 8, 8)), rho, w, np.ones((8, 8)),
+                            rng.normal(size=(2, 8, 8)), visc, 0.01, grid)
+    except SolverError:
+        print("raised")
+fluid.RTOL = -1.0       # no residual meets it, so the Krylov solve fails
 try:
     fluid.momentum_step(np.ones((2, 8, 8)), np.ones((8, 8)), None, np.ones((8, 8)),
-                        np.ones((2, 8, 8)), ViscosityParams(mu=1.0, lam=0.0), 0.01, grid)
+                        np.ones((2, 8, 8)), visc, 0.01, grid)
 except SolverError as err:
-    print("lgmres" in str(err), "scipy.sparse.linalg" in sys.modules)
+    print("lgmres" in str(err))
+print(scipy_modules())
 ''')
-        assert out == ["scipy.linalg._flapack,scipy.sparse._sparsetools"] * 2 + ["True", "True"]
+        assert out == ["scipy.linalg._flapack,scipy.sparse._sparsetools"] * 2 + [
+            "raised", "raised", "False", "scipy.linalg._flapack,scipy.sparse._sparsetools"]
 
     @pytest.mark.parametrize("first", ["rhlab.fluid", "scipy.linalg.lapack"])
     def test_dgbsv_is_scipys_in_either_import_order(self, first):
@@ -1000,9 +1073,7 @@ print(fluid.sparsetools.csr_matvec is _compressed._sparsetools.csr_matvec,
         assert out == ["True", "True"]
 
     def test_sparse_names_resolve_to_scipy(self):
-        import scipy.sparse
         import scipy.sparse.linalg
         assert fluid.spla is scipy.sparse.linalg
-        assert fluid.sp is scipy.sparse
         with pytest.raises(AttributeError):
             fluid.no_such_name
