@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .config import parse_config
-from .errors import RHLabError
+from .errors import ConfigError, RHLabError
 from .runner import check_compat, run_scenario, validate_model
 from .scenarios import builtin_scenarios
 
@@ -22,8 +22,12 @@ SUMMARY_FAILED_EXIT = 6     # the run finished, but its summary reports a failur
 
 
 def _load(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    return parse_config(text)
 
 
 def _cmd_run(args) -> int:
@@ -98,9 +102,6 @@ def main(argv=None) -> int:
     except RHLabError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 2)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

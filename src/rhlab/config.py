@@ -84,7 +84,6 @@ class RunConfig:
     dt: float = _key("run", "dt", "float", 0.002)
     max_iters: int = _key("run", "max_iters", "int", 30)
     gamma_tol: float = _key("run", "gamma_tol", "float", 1e-8)
-    halve_on_stall: bool = _key("run", "halve_on_stall", "bool", True)
     max_halvings: int = _key("run", "max_halvings", "int", 2)
     transport_cfl: float = _key("run", "transport_cfl", "float", 0.9)
     continuity: str = _key("run", "continuity", "str", "fv")

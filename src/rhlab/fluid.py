@@ -134,23 +134,6 @@ def __getattr__(name):
 
 
 @dataclass(frozen=True, eq=False)
-class FluidState:
-    """Density rho >= 0 and velocity u on the spatial grid."""
-
-    rho: Array
-    u: Array
-
-    def __post_init__(self):
-        object.__setattr__(self, "rho", np.asarray(self.rho, dtype=float))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        if not np.all(np.isfinite(self.rho)) or not np.all(np.isfinite(self.u)):
-            raise DomainError("fluid state must be finite")
-        if np.any(self.rho < 0):
-            idx = np.unravel_index(int(np.argmin(self.rho)), self.rho.shape)
-            raise DomainError(f"negative density at cell {tuple(int(i) for i in idx)}")
-
-
-@dataclass(frozen=True, eq=False)
 class FlowMap:
     """Backward-traced departure points U(0; t, x) per cell, plus the count of
     trace points that left the padded domain and were clamped."""

@@ -22,6 +22,10 @@ by q = sqrt(ratio_k), and Banach's estimate |x* - x_k| <= q / (1 - q) *
 |x_k - x_{k-1}| gives |x* - x_k|^2 <= ratio_k / (1 - q)^2 * gamma_k.  The
 bound is trusted only while ratio_k <= ``_RATIO_MAX``, where the estimate of
 q is far from 1; it saves the sweep that would only confirm convergence.
+
+A slab whose per-sweep ratio reaches 1 (a stall), or that runs out of
+sweeps, is retried at half its length, at most ``max_halvings`` times; 0
+disables halving.  ``PicardDiagnostics`` records the accepted attempt.
 """
 
 from __future__ import annotations
@@ -69,13 +73,14 @@ class State:
 
 @dataclass(frozen=True)
 class SlabConfig:
-    """Slab length, inner step, and fixed-point iteration policy."""
+    """Slab length, inner step, and fixed-point iteration policy: at most
+    ``max_iters`` sweeps per attempt, and at most ``max_halvings`` halvings
+    of a slab that stalls or runs out of sweeps (0 disables halving)."""
 
     slab_length: float
     dt: float
     max_iters: int = 30
     gamma_tol: float = 1e-8
-    halve_on_stall: bool = True
     max_halvings: int = 2
     transport_cfl: float = 0.9
     continuity: str = "fv"           # "fv" | "characteristics"
@@ -96,17 +101,33 @@ class SlabConfig:
             raise ParameterError(f"unknown continuity scheme {self.continuity!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class PicardDiagnostics:
-    """Per-iteration contraction record for one slab."""
+    """Contraction record of one slab attempt: the length and step times of
+    the attempt, the halvings before it, the gamma of each sweep, and the
+    rule that accepted the last one.  The sweep count, the convergence flag
+    and the per-sweep ratios derive from these."""
 
-    gamma_history: list = field(default_factory=list)
-    contraction_ratios: list = field(default_factory=list)
-    converged: bool = False
-    iterations: int = 0
-    slab_length: float = 0.0
+    slab_length: float
+    times: Array
     halvings: int = 0
+    gamma_history: list = field(default_factory=list)
     stop_rule: str | None = None     # "floor" | "step" | "bound"; None if not accepted
+
+    @property
+    def iterations(self) -> int:
+        return len(self.gamma_history)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_rule is not None
+
+    @property
+    def contraction_ratios(self) -> list:
+        """gamma_k / gamma_{k-1} of every sweep k >= 2 whose previous gamma is
+        positive."""
+        g = self.gamma_history
+        return [b / a for a, b in zip(g, g[1:]) if a > 0.0]
 
 
 @dataclass(frozen=True)
@@ -316,48 +337,18 @@ def _stop_rule(gamma_history: list, gamma_tol: float) -> str | None:
     return None
 
 
-def _run_picard(state0: State, model, grids, visc, eos, consts, cfg: SlabConfig,
-                t0: float, T: float):
-    """Picard loop over one slab of length T.  Returns (states, diag, stalled)."""
-    include_l32 = grids.spatial.boundary == "farfield" and grids.spatial.farfield_rho == 0.0
-    times = _slab_times(t0, T, cfg.dt)
-    diag = PicardDiagnostics(slab_length=T)
-    prev = _initial_iterate(state0, grids, consts, cfg, times)
-    stalled = False
-    for k in range(1, cfg.max_iters + 1):
-        current = _iterate_once(prev, state0, model, grids, visc, eos, consts, cfg, times)
-        gamma = gamma_metric(prev, current, grids, include_l32=include_l32)
-        diag.gamma_history.append(gamma)
-        diag.iterations = k
-        if k >= 2:
-            prev_gamma = diag.gamma_history[-2]
-            if prev_gamma > 0.0:
-                ratio = gamma / prev_gamma
-                diag.contraction_ratios.append(ratio)
-                if ratio >= 1.0:
-                    stalled = True
-        prev = current
-        diag.stop_rule = _stop_rule(diag.gamma_history, cfg.gamma_tol)
-        if diag.stop_rule is not None:
-            diag.converged = True
-            break
-        if stalled:
-            break
-    return prev, diag, stalled or not diag.converged
-
-
 def solve_slab(state0: State, model: CoefficientModel, grids: Grids,
                visc: ViscosityParams, eos: EquationOfState,
                consts: PhysicalConstants, cfg: SlabConfig,
                t0: float = 0.0) -> tuple[State, PicardDiagnostics]:
-    """Iterate the linearized system on one slab until the contraction metric
-    drops below gamma_tol relative to its first value, or until the
-    contraction's a-posteriori bound puts the iterate that close to the
-    fixed point (per-sweep ratio at most ``_RATIO_MAX``; see ``_stop_rule``).
+    """Iterate the linearized system on one slab until ``_stop_rule`` accepts
+    a sweep: the contraction metric drops below gamma_tol relative to its
+    first value, or the contraction's a-posteriori bound puts the iterate
+    that close to the fixed point (per-sweep ratio at most ``_RATIO_MAX``).
 
-    On stall the slab is halved (at most ``cfg.max_halvings`` times when
-    ``halve_on_stall``); persistent non-convergence raises IterationError
-    carrying the last diagnostics.
+    A slab that stalls (per-sweep ratio at least 1) or runs out of sweeps is
+    halved, at most ``cfg.max_halvings`` times; then IterationError is
+    raised, carrying the last attempt's diagnostics.
     """
     states, diag = solve_slab_full(state0, model, grids, visc, eos, consts, cfg, t0)
     return states[-1], diag
@@ -367,21 +358,29 @@ def solve_slab_full(state0: State, model, grids, visc, eos, consts,
                     cfg: SlabConfig, t0: float = 0.0):
     """Like solve_slab but returns every inner-step snapshot of the slab."""
     state0 = state0.validate(grids)
+    include_l32 = grids.spatial.boundary == "farfield" and grids.spatial.farfield_rho == 0.0
     T = cfg.slab_length
-    attempts = cfg.max_halvings + 1 if cfg.halve_on_stall else 1
-    last_diag = None
-    for attempt in range(attempts):
-        sub_cfg = replace(cfg, slab_length=T, dt=min(cfg.dt, T))
-        states, diag, failed = _run_picard(state0, model, grids, visc, eos, consts,
-                                           sub_cfg, t0, T)
-        diag.halvings = attempt
-        last_diag = diag
-        if not failed:
-            return states, diag
+    for halvings in range(cfg.max_halvings + 1):
+        # with dt > T (a halved slab) this is the one step dt = T gives
+        times = _slab_times(t0, T, cfg.dt)
+        diag = PicardDiagnostics(slab_length=T, times=times, halvings=halvings)
+        prev = _initial_iterate(state0, grids, consts, cfg, times)
+        for _ in range(cfg.max_iters):
+            current = _iterate_once(prev, state0, model, grids, visc, eos, consts, cfg, times)
+            diag.gamma_history.append(gamma_metric(prev, current, grids,
+                                                   include_l32=include_l32))
+            prev = current
+            diag.stop_rule = _stop_rule(diag.gamma_history, cfg.gamma_tol)
+            if diag.converged:
+                return prev, diag
+            # a stall ends the attempt at once, so only the last ratio can be >= 1
+            ratios = diag.contraction_ratios
+            if ratios and ratios[-1] >= 1.0:
+                break
         T *= 0.5
     raise IterationError(
-        f"fixed-point iteration failed to converge after {attempts - 1} halvings",
-        diagnostics=last_diag)
+        f"fixed-point iteration failed to converge after {cfg.max_halvings} halvings",
+        diagnostics=diag)
 
 
 def solve(state0: State, model: CoefficientModel, grids: Grids,
@@ -396,12 +395,10 @@ def solve(state0: State, model: CoefficientModel, grids: Grids,
     slab_len = cfg.slab_length
     while t < t_final - 1e-12 * t_final:
         T = min(slab_len, t_final - t)
-        sub_cfg = replace(cfg, slab_length=T, dt=min(cfg.dt, T))
         states, diag = solve_slab_full(traj.states[-1], model, grids, visc, eos,
-                                       consts, sub_cfg, t0=t)
-        # the times the slab stepped through (solve_slab_full's last attempt)
-        times = _slab_times(t, diag.slab_length, min(cfg.dt, diag.slab_length))
-        traj.times.extend(float(s) for s in times[1:])
+                                       consts, replace(cfg, slab_length=T, dt=min(cfg.dt, T)),
+                                       t0=t)
+        traj.times.extend(float(s) for s in diag.times[1:])
         traj.states.extend(states[1:])
         traj.diagnostics.append(diag)
         t += diag.slab_length

@@ -133,9 +133,9 @@ def _write_picard_csv(path, diagnostics) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("slab,k,gamma,ratio\n")
         for s, diag in enumerate(diagnostics):
+            ratios = diag.contraction_ratios
             for k, gamma in enumerate(diag.gamma_history, start=1):
-                ratio = "" if k < 2 else _fmt(diag.contraction_ratios[k - 2]) \
-                    if k - 2 < len(diag.contraction_ratios) else ""
+                ratio = _fmt(ratios[k - 2]) if 0 <= k - 2 < len(ratios) else ""
                 fh.write(f"{s},{k},{_fmt(gamma)},{ratio}\n")
 
 
@@ -146,15 +146,16 @@ def run_scenario(cfg: RunConfig) -> dict:
     os.makedirs(outdir, exist_ok=True)
     grids, grid = prob.grids, prob.grids.spatial
 
+    slab_cfg = cfg.build_slab_config()
     traj = solve(prob.state0, prob.model, grids, prob.visc, prob.eos, prob.consts,
-                 cfg.build_slab_config(), cfg.t_final)
+                 slab_cfg, cfg.t_final)
 
     continuation = None
     schedule = cfg.build_delta_schedule()
     if schedule is not None:
         _, continuation = delta_continuation(
             prob.state0, prob.model, grids, prob.visc, prob.eos, prob.consts,
-            cfg.build_slab_config(), schedule)
+            slab_cfg, schedule)
 
     report = blowup_monitor(traj, grids, prob.settings)
     masses = [mass_total(s.rho, grid) for s in traj.states]

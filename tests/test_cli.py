@@ -203,8 +203,16 @@ class TestExitCodes:
         assert main(["run", cfg]) == 2
         assert "q must lie in (3, 6]" in capsys.readouterr().err
 
-    def test_missing_file_exit_2(self, capsys):
-        assert main(["run", "/nonexistent/path.cfg"]) == 2
+    def test_missing_file_exit_2(self, tmp_path, capsys):
+        # a missing path, a directory and a file that is not UTF-8 are each
+        # reported as a one-line config error
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes("[grid]\n# caf\xe9\n".encode("latin-1"))
+        for path in ("/nonexistent/path.cfg", str(tmp_path), str(latin1)):
+            assert main(["run", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error (ConfigError): cannot read config file {path}: ")
+            assert err.count("\n") == 1
 
     def test_runtime_cfl_exit_3(self, tmp_path, capsys):
         # parse-time CFL passes (transport), but the initial velocity breaks

@@ -54,7 +54,6 @@ slab_length = 0.004
 dt = 0.002
 max_iters = 25
 gamma_tol = 1e-7
-halve_on_stall = false
 max_halvings = 4
 continuity = characteristics
 snapshot_stride = 2
@@ -100,7 +99,6 @@ slab_length = 0.0040000000000000001
 dt = 0.002
 max_iters = 25
 gamma_tol = 9.9999999999999995e-08
-halve_on_stall = false
 max_halvings = 4
 transport_cfl = 0.90000000000000002
 continuity = characteristics
@@ -172,7 +170,6 @@ def config_texts(draw):
                     lambda f: f * min(slab or 0.01, 0.5 * min_h))),
                 "max_iters": maybe(st.integers(1, 50)),
                 "gamma_tol": maybe(_floats(1e-12, 1e-2)),
-                "halve_on_stall": maybe(st.booleans()),
                 "max_halvings": maybe(st.integers(0, 5)),
                 "transport_cfl": maybe(_floats(0.1, 1.0)),
                 "continuity": maybe(st.sampled_from(["fv", "characteristics"])),

@@ -13,7 +13,7 @@ from rhlab import fluid
 
 from rhlab.errors import (DomainError, ParameterError, ShapeError, SolverError,
                           StepSizeError)
-from rhlab.fluid import (FluidState, VelocityHistory,
+from rhlab.fluid import (VelocityHistory,
                          continuity_step_characteristics, continuity_step_fv,
                          heat_smooth, integrate_flow_map, interp_field,
                          lame_apply, momentum_step)
@@ -25,16 +25,6 @@ from conftest import random_smooth_field, random_smooth_vector
 from _reference import (convection_matrix, layout_lame_matrix, layout_matrix,
                         loop_continuity_step_characteristics, momentum_matrix)
 from _reference import lame_matrix as reference_lame_matrix
-
-
-class TestFluidState:
-    def test_negative_density_rejected(self):
-        with pytest.raises(DomainError):
-            FluidState(rho=np.array([1.0, -0.1, 1.0, 1.0]), u=np.zeros((1, 4)))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
-            FluidState(rho=np.array([1.0, np.nan, 1.0, 1.0]), u=np.zeros((1, 4)))
 
 
 class TestFlowMap:

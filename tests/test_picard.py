@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,8 @@ from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from rhlab.norms import lp_norm
 from rhlab.physics import (EquationOfState, PhysicalConstants, ViscosityParams,
                            constant_model, zero_model)
-from rhlab.picard import (DeltaSchedule, SlabConfig, State, _initial_iterate, _slab_times,
-                          _stop_rule,
+from rhlab.picard import (DeltaSchedule, PicardDiagnostics, SlabConfig, State,
+                          _initial_iterate, _slab_times, _stop_rule,
                           delta_continuation, gamma_increment, gamma_metric, solve,
                           solve_slab)
 from rhlab.runner import run_scenario
@@ -182,7 +183,7 @@ class TestSolveSlabContraction:
         ratios = {}
         for T in (0.008, 0.004):
             cfg = SlabConfig(slab_length=T, dt=T / 8, gamma_tol=1e-12,
-                             halve_on_stall=False)
+                             max_halvings=0)
             _, diag = run_slab(st, self.MODEL, grids, cfg)
             ratios[T] = diag.contraction_ratios[0]
         assert ratios[0.004] <= 0.75 * ratios[0.008]
@@ -207,7 +208,7 @@ class TestSolveSlabContraction:
         iters = {}
         for tol in (1e-5, 1e-6, 1e-8):
             cfg = SlabConfig(slab_length=0.008, dt=0.001, gamma_tol=tol,
-                             max_iters=40, halve_on_stall=False)
+                             max_iters=40, max_halvings=0)
             _, diag = run_slab(st, self.MODEL, grids, cfg)
             iters[tol] = diag.iterations
         assert iters[1e-6] - iters[1e-5] <= 8
@@ -306,6 +307,51 @@ class TestStopRule:
             ratio = history[-1] / history[-2]
             assert ratio <= picard._RATIO_MAX and ratio < 1.0
 
+    @settings(max_examples=500, deadline=None)
+    @given(history=hst.lists(hst.one_of(hst.sampled_from([0.0, 1e-28, 1.0, 2.0, math.inf,
+                                                          math.nan]),
+                                        hst.floats(0.0, 1e3)), min_size=1, max_size=8),
+           tol=hst.floats(1e-12, 2.0))
+    @example(history=[1.0, 1.0, 0.0], tol=1e-8)
+    def test_acceptance_is_never_a_stall(self, history, tol):
+        # the driver stops at the first accepted sweep and reads a stall as a
+        # last ratio >= 1, so the two must never fall on the same sweep
+        for k in range(1, len(history) + 1):
+            if _stop_rule(history[:k], tol) is not None:
+                if k >= 2 and history[k - 2] > 0.0:
+                    assert not history[k - 1] / history[k - 2] >= 1.0
+                break
+        # the derived ratios are the ones the sweep loop used to append
+        appended = []
+        for k in range(2, len(history) + 1):
+            prev_gamma = history[k - 2]
+            if prev_gamma > 0.0:
+                appended.append(history[k - 1] / prev_gamma)
+        diag = PicardDiagnostics(slab_length=0.01, times=np.zeros(2),
+                                 gamma_history=list(history))
+        assert [r.hex() for r in diag.contraction_ratios] == [r.hex() for r in appended]
+
+
+_HALVING_RUN = """
+[grid]
+dim = 1
+cells = 16
+lengths = 1.0
+
+[radiation]
+ordinates = 2
+band_edges = 0.5, 1.0
+
+[model]
+kind = zero
+
+[run]
+t_final = 0.004
+slab_length = 0.002
+dt = 0.001
+output_dir = {out}
+"""
+
 
 class TestSolveTrajectory:
     MODEL = constant_model(0.3, 0.05, 0.02)
@@ -323,27 +369,43 @@ class TestSolveTrajectory:
 
     def test_times_are_the_slab_step_times(self, monkeypatch):
         # the trajectory records the times each slab stepped through, bit for
-        # bit, also after a halving: slab length 0.01 stalls once, the run
-        # goes on with 0.005, and the slab from 0.01 has t0 + linspace(0, T)
-        # one ulp off linspace(t0, t0 + T) at its third step
-        run_picard = picard._run_picard
+        # bit, also after a halving: slab length 0.01 (11 snapshots) stalls on
+        # a tie (gamma 1, 1), the run goes on with 0.005, and the slab from
+        # 0.01 has t0 + linspace(0, T) one ulp off linspace(t0, t0 + T) at its
+        # third step
+        metric = picard.gamma_metric
 
-        def first_length_stalls(*args):
-            states, diag, failed = run_picard(*args)
-            return states, diag, failed or args[-1] == 0.01
+        def first_length_stalls(prev, nxt, grids, include_l32=False):
+            return 1.0 if len(nxt) == 11 else metric(prev, nxt, grids, include_l32)
 
-        monkeypatch.setattr(picard, "_run_picard", first_length_stalls)
+        monkeypatch.setattr(picard, "gamma_metric", first_length_stalls)
         grids = make_grids(n=16, n_ord=2, n_bands=1)
         cfg = SlabConfig(slab_length=0.01, dt=0.001)
         traj = solve(zero_state(grids), zero_model(), grids, PHYS["visc"], PHYS["eos"],
                      PHYS["consts"], cfg, t_final=0.02)
         assert [d.halvings for d in traj.diagnostics] == [1, 0, 0, 0]
+        assert [d.stop_rule for d in traj.diagnostics] == ["floor"] * 4
         expected, t = [0.0], 0.0
         for _ in range(4):
             expected += _slab_times(t, 0.005, 0.001)[1:].tolist()
             t += 0.005
         assert [x.hex() for x in traj.times] == [x.hex() for x in expected]
         assert _slab_times(0.01, 0.005, 0.001)[3] != np.linspace(0.01, 0.015, 6)[3]
+
+    def test_halved_and_floor_slabs_in_a_run(self, monkeypatch, tmp_path):
+        # scripted gammas: slab 0 stalls at length 0.002 (ratio 2), is halved
+        # and accepted on the floor at its third sweep (ratio 0); the three
+        # slabs of length 0.001 after it are accepted on the floor at once
+        script = iter([1.0, 2.0, 1.0, 0.5, 0.0, 0.0, 0.0, 0.0])
+        monkeypatch.setattr(picard, "gamma_metric", lambda *args, **kwargs: next(script))
+        summary = run_scenario(parse_config(_HALVING_RUN.format(out=tmp_path)))
+        assert next(script, None) is None
+        assert (tmp_path / "picard.csv").read_text() == (
+            "slab,k,gamma,ratio\n"
+            "0,1,1,\n0,2,0.5,0.5\n0,3,0,0\n1,1,0,\n2,1,0,\n3,1,0,\n")
+        assert summary["picard"] == {"slabs": 4, "total_iterations": 6,
+                                     "all_converged": True, "max_ratio": 0.5}
+        assert summary["snapshots"] == 5
 
     def test_equilibrium_drift_over_ten_slabs(self):
         grids = make_grids()
@@ -520,6 +582,15 @@ class TestStateValidation:
         grids = make_grids(n=8)
         st = State(I=-np.ones(grids.radiation_shape()), rho=np.ones(8),
                    u=np.zeros((1, 8)))
+        with pytest.raises(DomainError):
+            st.validate(grids)
+
+    @pytest.mark.parametrize("bad", [-0.1, np.nan])
+    def test_negative_or_nonfinite_density_rejected(self, bad):
+        grids = make_grids(n=8)
+        rho = np.ones(8)
+        rho[1] = bad
+        st = State(I=np.zeros(grids.radiation_shape()), rho=rho, u=np.zeros((1, 8)))
         with pytest.raises(DomainError):
             st.validate(grids)
 
