@@ -5,8 +5,12 @@ objects a run needs.
 The field metadata of ``RunConfig`` is the single declaration of the schema:
 each field names its section, INI key, conversion kind and default.  The
 known keys, the per-key conversion and its message, and every line of
-``serialize_config`` derive from it.  The two derived defaults
-(``slab_length`` and the CFL-based ``dt``) and the checks are explicit code.
+``serialize_config`` derive from it.  The ``[scenario]`` keys are the ones
+the built-in scenarios declare; a ``[model]`` or ``[scenario]`` key that the
+chosen model kind or scenario does not read is rejected.  ``[model]`` owns
+the emission: a ``[scenario] emission0`` is accepted only as a repeat of the
+model's value.  The two derived defaults (``slab_length`` and the CFL-based
+``dt``) and the checks are explicit code.
 
 Every violation is collected (not just the first) and reported with its line
 number.  A parsed config serializes back to text that re-parses to an equal
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
 from .grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from .norms import NormSettings
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
@@ -41,6 +45,21 @@ def _params(section: str, kinds: dict):
 
 
 _COMPTON_KEYS = ("D1", "D2", "v0", "theta")
+# model kind -> the [model] keys it reads
+_MODEL_KEYS = {"zero": (), "constant": ("sigma0", "kernel0", "emission0"),
+               "compton": _COMPTON_KEYS + ("kernel0", "emission0")}
+
+
+def _scenario_keys() -> dict:
+    """{key: kind} of every key some scenario declares, and ``emission0``,
+    which must repeat the model's value: the numbers sorted, then the
+    strings in declaration order."""
+    declared = {"emission0": 0.0}
+    for scenario in builtin_scenarios().values():
+        declared.update(scenario.keys)
+    strings = [k for k, v in declared.items() if isinstance(v, str)]
+    return {**dict.fromkeys(sorted(declared.keys() - set(strings)), "float"),
+            **dict.fromkeys(strings, "str")}
 
 
 @dataclass(frozen=True)
@@ -69,15 +88,10 @@ class RunConfig:
 
     model_kind: str = _key("model", "kind", "str", "constant")
     model_params: tuple = _params("model", dict.fromkeys(
-        ("sigma0", "kernel0", "emission0") + _COMPTON_KEYS, "float"))
+        (key for keys in _MODEL_KEYS.values() for key in keys), "float"))
 
     scenario: str = _key("scenario", "name", "str", "equilibrium")
-    scenario_params: tuple = _params("scenario", {
-        **dict.fromkeys(sorted(("amplitude", "width", "emission0", "vacuum_radius",
-                                "transition_width", "phi_amplitude", "u_amplitude", "center",
-                                "intensity", "rho_bar", "rho0_value", "u0_amplitude",
-                                "I0_value")), "float"),
-        **dict.fromkeys(("rho0", "u0", "I0"), "str")})
+    scenario_params: tuple = _params("scenario", _scenario_keys())
 
     t_final: float = _key("run", "t_final", "float", 0.01)
     slab_length: float = _key("run", "slab_length", "float", 0.01)
@@ -133,17 +147,16 @@ class RunConfig:
         params = dict(self.model_params)
         if self.model_kind == "zero":
             return zero_model()
+        e0 = params.get("emission0", 0.0)
         if self.model_kind == "constant":
-            return constant_model(params.get("sigma0", 0.0),
-                                  params.get("kernel0", 0.0),
-                                  params.get("emission0", 0.0))
+            return constant_model(params.get("sigma0", 0.0), params.get("kernel0", 0.0), e0)
         k0 = params.get("kernel0", 0.0)
         profile = None
         if k0 > 0:
             def profile(v_from, v_to, mu):
                 return np.full_like(np.asarray(mu, dtype=float), k0)
         return compton_model(*(params.get(k, 1.0) for k in _COMPTON_KEYS),
-                             sigma_s_profile=profile)
+                             sigma_s_profile=profile, emission0=e0)
 
     def build_slab_config(self) -> SlabConfig:
         # every SlabConfig field is a [run] field of the same name
@@ -250,8 +263,14 @@ def _checks(cfg: RunConfig, min_h: float) -> list:
     dim, cells, lengths, ordinates = cfg.dim, cfg.cells, cfg.lengths, cfg.ordinates
     edges, mu, lam, c, dt = cfg.band_edges, cfg.mu, cfg.lam, cfg.c, cfg.dt
     slab = cfg.slab_length
-    rho_table, deltas = cfg.rho_table, cfg.deltas
+    deltas = cfg.deltas
     poly = cfg.eos_kind == "polytropic"
+    table_msg = None
+    if cfg.eos_kind == "barotropic_table":
+        try:
+            cfg.build_eos()
+        except ParameterError as exc:
+            table_msg = f"table EOS: {exc}"
     ord_msg = None
     if dim != 1 and ordinates not in ("6", "8", "14"):
         ord_msg = f"3D ordinate sets are 6, 8 or 14 points, got {ordinates!r}"
@@ -270,7 +289,7 @@ def _checks(cfg: RunConfig, min_h: float) -> list:
         ("lengths", any(L <= 0 for L in lengths), "domain lengths must be positive"),
         ("boundary", cfg.boundary not in ("periodic", "farfield"),
          f"boundary must be periodic or farfield, got {cfg.boundary!r}"),
-        ("rho_bar", cfg.rho_bar < 0, "far-field density must be >= 0"),
+        ("rho_bar", cfg.rho_bar < 0, "background density must be >= 0"),
         ("ordinates", ord_msg is not None, ord_msg),
         ("band_edges", len(edges) < 2, "need at least two band edges"),
         ("band_edges", len(edges) >= 2 and (
@@ -278,9 +297,7 @@ def _checks(cfg: RunConfig, min_h: float) -> list:
          "band edges must be positive and increasing"),
         ("A", poly and cfg.A <= 0, f"A must be positive, got {cfg.A}"),
         ("gamma", poly and cfg.gamma <= 1, f"gamma must exceed 1, got {cfg.gamma}"),
-        ("rho_table", cfg.eos_kind == "barotropic_table" and (
-            len(rho_table) < 4 or len(rho_table) != len(cfg.p_table)),
-         "table EOS needs matching sample lists (>= 4)"),
+        ("rho_table", table_msg is not None, table_msg),
         ("eos_kind", cfg.eos_kind not in ("polytropic", "barotropic_table"),
          f"eos must be polytropic or barotropic_table, got {cfg.eos_kind!r}"),
         ("mu", mu <= 0, f"shear viscosity must be positive, got {mu}"),
@@ -311,12 +328,25 @@ def _checks(cfg: RunConfig, min_h: float) -> list:
          "deltas must be positive and strictly decreasing"),
     ]
     located = [(_WHERE[name], failed, msg) for name, failed, msg in checks]
-    section = _WHERE["model_params"][0]
+    kind, reads = cfg.model_kind, _MODEL_KEYS.get(cfg.model_kind)
     for key, value in cfg.model_params:
-        located += [((section, key), value < 0,
+        located += [(("model", key), value < 0,
                      f"model parameter {key} must be >= 0, got {value}"),
-                    ((section, key), cfg.model_kind == "compton" and key in _COMPTON_KEYS
-                     and value <= 0, f"Compton parameter {key} must be positive, got {value}")]
+                    (("model", key), kind == "compton" and key in _COMPTON_KEYS
+                     and value <= 0, f"Compton parameter {key} must be positive, got {value}"),
+                    (("model", key), reads is not None and key not in reads,
+                     f"model kind {kind} does not read {key}")]
+    e0 = dict(cfg.model_params).get("emission0", 0.0)
+    scenario = builtin_scenarios().get(cfg.scenario)
+    for key, value in cfg.scenario_params:
+        if key == "emission0":
+            located.append((("scenario", key), value != e0,
+                            f"scenario emission0 = {value} differs from the model's "
+                            f"emission0 = {e0}; the emission is set in [model]"))
+        else:
+            located.append((("scenario", key),
+                            scenario is not None and key not in scenario.keys,
+                            f"scenario {cfg.scenario} does not read {key}"))
     return located
 
 

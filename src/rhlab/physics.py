@@ -93,7 +93,11 @@ class EquationOfState:
             # imported here: it costs about 0.3 s and polytropic runs never use it
             from scipy.interpolate import PchipInterpolator
             # monotone cubic keeps p in C1 with p' >= 0 between samples
-            self._interp = PchipInterpolator(rho_s, p_s, extrapolate=True)
+            try:   # slopes that overflow (subnormal spacing) raise ValueError
+                with np.errstate(over="ignore"):
+                    self._interp = PchipInterpolator(rho_s, p_s, extrapolate=True)
+            except ValueError as exc:
+                raise ParameterError(f"table has no monotone interpolant: {exc}") from exc
         else:
             raise ParameterError(f"unknown EOS kind {kind!r}")
 
@@ -309,17 +313,20 @@ def constant_model(sigma0: float = 0.0, kernel0: float = 0.0,
 
 def compton_model(D1: float, D2: float, v0: float, theta: float,
                   sigma_s_profile: Callable | None = None,
-                  emission: Callable | None = None) -> CoefficientModel:
+                  emission0: float = 0.0) -> CoefficientModel:
     """Thermal Compton-style absorption peaked at the line frequency v0:
 
         sigma(v) = D1 theta^(-1/2) exp(-D2 theta^(-1/2) ((v - v0)/v0)^2)
 
-    with an optional user-supplied scattering kernel; the reverse kernel is
-    the same kernel with the frequency arguments swapped.
+    with an optional user-supplied scattering kernel, whose reverse kernel is
+    the same kernel with the frequency arguments swapped, and a constant
+    emission rate.
     """
     for name, val in (("D1", D1), ("D2", D2), ("v0", v0), ("theta", theta)):
         if val <= 0:
             raise ParameterError(f"Compton parameter {name} must be positive, got {val}")
+    if emission0 < 0:
+        raise ParameterError(f"emission rate must be >= 0, got {emission0}")
     amp = D1 * theta ** -0.5
 
     def sig(v, rho):
@@ -340,7 +347,7 @@ def compton_model(D1: float, D2: float, v0: float, theta: float,
         sigma=_tabulated_sigma(sig),
         sigma_s_bar=profile,
         sigma_s_bar_prime=kern_prime,
-        emission=emission if emission is not None else _tabulated_emission(lambda v: 0.0),
+        emission=_tabulated_emission(lambda v: emission0),
         majorant=lambda s: c0 * (1.0 + s),
         sigma_lipschitz=lambda s: 1.0 + s,  # sigma is rho-independent
     )

@@ -23,14 +23,16 @@ by q = sqrt(ratio_k), and Banach's estimate |x* - x_k| <= q / (1 - q) *
 bound is trusted only while ratio_k <= ``_RATIO_MAX``, where the estimate of
 q is far from 1; it saves the sweep that would only confirm convergence.
 
-A slab whose per-sweep ratio reaches 1 (a stall), or that runs out of
-sweeps, is retried at half its length, at most ``max_halvings`` times; 0
-disables halving.  ``PicardDiagnostics`` records the accepted attempt.
+A slab whose per-sweep ratio reaches 1 or whose gamma is not finite (a
+stall), or that runs out of sweeps, is retried at half its length, at most
+``max_halvings`` times; 0 disables halving.  ``PicardDiagnostics`` records
+the accepted attempt.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -212,7 +214,7 @@ def gamma_metric(prev_states: list, next_states: list, grids: Grids,
                  include_l32: bool = False) -> float:
     """Sup over slab snapshots of gamma_increment, with the norms taken over
     chunks of stacked state pairs (``snapshot_chunks``) and the sup in
-    snapshot order."""
+    snapshot order; NaN as soon as one increment is NaN."""
     if len(prev_states) != len(next_states):
         raise ParameterError("iterate trajectories must share snapshot times")
     worst = 0.0
@@ -222,7 +224,10 @@ def gamma_metric(prev_states: list, next_states: list, grids: Grids,
         nxt = next_states[start:stop]
         for norms in _increment_norms(prev_states[start:stop], nxt, [s.rho for s in nxt],
                                       grids, include_l32):
-            worst = max(worst, _gamma_total(*norms))
+            total = _gamma_total(*norms)
+            if math.isnan(total):
+                return total     # max() would keep the finite sup
+            worst = max(worst, total)
     return worst
 
 
@@ -323,9 +328,12 @@ def _stop_rule(gamma_history: list, gamma_tol: float) -> str | None:
     gamma_tol * gamma_1; "bound": the a-posteriori bound ratio / (1 -
     sqrt(ratio))^2 * gamma on its squared distance to the fixed point is at
     most gamma_tol * gamma_1, with the last ratio at most ``_RATIO_MAX``.
+    A non-finite gamma is never accepted.
     """
     gamma = gamma_history[-1]
     target = gamma_tol * gamma_history[0]
+    if not math.isfinite(gamma):
+        return None
     if gamma <= _GAMMA_FLOOR:
         return "floor"
     if gamma <= target:
@@ -346,9 +354,9 @@ def solve_slab(state0: State, model: CoefficientModel, grids: Grids,
     first value, or the contraction's a-posteriori bound puts the iterate
     that close to the fixed point (per-sweep ratio at most ``_RATIO_MAX``).
 
-    A slab that stalls (per-sweep ratio at least 1) or runs out of sweeps is
-    halved, at most ``cfg.max_halvings`` times; then IterationError is
-    raised, carrying the last attempt's diagnostics.
+    A slab that stalls (per-sweep ratio at least 1, or a non-finite gamma)
+    or runs out of sweeps is halved, at most ``cfg.max_halvings`` times;
+    then IterationError is raised, carrying the last attempt's diagnostics.
     """
     states, diag = solve_slab_full(state0, model, grids, visc, eos, consts, cfg, t0)
     return states[-1], diag
@@ -373,9 +381,10 @@ def solve_slab_full(state0: State, model, grids, visc, eos, consts,
             diag.stop_rule = _stop_rule(diag.gamma_history, cfg.gamma_tol)
             if diag.converged:
                 return prev, diag
-            # a stall ends the attempt at once, so only the last ratio can be >= 1
+            # a stall (a non-finite gamma, or a ratio >= 1) ends the attempt at
+            # once, so only the last ratio can be >= 1
             ratios = diag.contraction_ratios
-            if ratios and ratios[-1] >= 1.0:
+            if not math.isfinite(diag.gamma_history[-1]) or (ratios and ratios[-1] >= 1.0):
                 break
         T *= 0.5
     raise IterationError(

@@ -22,7 +22,7 @@ from .fluid import _momentum_layout
 from .grid import integrate_radiation, write_field_snapshot
 from .physics import validate_kernel_integrability, validate_sigma_regularity
 from .picard import State, Trajectory, delta_continuation, solve
-from .scenarios import ScenarioContext, builtin_scenarios
+from .scenarios import builtin_scenarios
 
 OUTPUT_DIR_ENV = "RHLAB_OUTPUT_DIR"
 
@@ -88,14 +88,11 @@ def build_problem(cfg: RunConfig) -> Problem:
     consts = cfg.build_constants()
     settings = cfg.build_norm_settings()
     model = cfg.build_model()
-    ctx = ScenarioContext(grids=grids, eos=eos, visc=visc, consts=consts,
-                          settings=settings, params=dict(cfg.scenario_params))
-    data = builtin_scenarios()[cfg.scenario].build(ctx)
-    if data.emission is not None:
-        model.emission = data.emission
+    state0 = builtin_scenarios()[cfg.scenario].build(
+        grids, {**dict(cfg.scenario_params), "rho_bar": cfg.rho_bar})
     _momentum_layout(grids.spatial, visc)
     return Problem(cfg=cfg, grids=grids, eos=eos, visc=visc, consts=consts,
-                   settings=settings, model=model, state0=data.state)
+                   settings=settings, model=model, state0=state0)
 
 
 def _output_dir(cfg: RunConfig) -> str:

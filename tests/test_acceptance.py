@@ -24,7 +24,7 @@ from rhlab.physics import (EquationOfState, PhysicalConstants, ViscosityParams,
                            validate_kernel_integrability)
 from rhlab.picard import (DeltaSchedule, SlabConfig, State, delta_continuation,
                           solve, solve_slab)
-from rhlab.scenarios import ScenarioContext, builtin_scenarios
+from rhlab.scenarios import builtin_scenarios
 from rhlab.transport import transport_step
 
 from _reference import solve_monolithic
@@ -54,11 +54,7 @@ def make_grids(n=128, boundary="farfield", rho_bar=1.0, n_ord=8,
 
 
 def build_scenario(name, grids, params=None):
-    ctx = ScenarioContext(grids=grids, eos=EOS, visc=VISC, consts=CONSTS,
-                          settings=NormSettings(rho_ref=grids.spatial.farfield_rho
-                                                or 1.0),
-                          params=params or {})
-    return builtin_scenarios()[name].build(ctx)
+    return builtin_scenarios()[name].build(grids, params)
 
 
 def test_criterion_01_positivity_suite():
@@ -210,12 +206,11 @@ def test_criterion_06_picard_contraction():
     """Contractive slab found by halving; matches the monolithic reference."""
     with criterion(6, "fixed-point contraction and monolithic agreement"):
         grids = make_grids(n=64)
-        data = build_scenario("smooth-bump", grids)
+        state0 = build_scenario("smooth-bump", grids)
         model = constant_model(0.5, 0.1, 0.05)
-        model.emission = data.emission
         cfg = SlabConfig(slab_length=0.008, dt=0.001, gamma_tol=1e-8,
                          max_iters=30, max_halvings=6)
-        final, diag = solve_slab(data.state, model, grids, VISC, EOS, CONSTS, cfg)
+        final, diag = solve_slab(state0, model, grids, VISC, EOS, CONSTS, cfg)
         assert diag.halvings <= 6
         assert diag.converged and diag.iterations <= 30
         assert diag.contraction_ratios
@@ -225,7 +220,7 @@ def test_criterion_06_picard_contraction():
         T = diag.slab_length
         sub = SlabConfig(slab_length=T, dt=0.001, gamma_tol=1e-8, max_iters=30,
                          max_halvings=6)
-        ref = solve_monolithic(data.state, model, grids, VISC, EOS, CONSTS,
+        ref = solve_monolithic(state0, model, grids, VISC, EOS, CONSTS,
                                0.001 / 8.0, T)
         grid = grids.spatial
         num = np.sqrt(lp_norm(final.rho - ref.rho, 2.0, grid) ** 2
@@ -244,13 +239,13 @@ def test_criterion_07_delta_continuation():
         schedule = DeltaSchedule((1e-2, 1e-3, 1e-4))
 
         plateau = build_scenario("vacuum-plateau", grids)
-        _, rep = delta_continuation(plateau.state, model, grids, VISC, EOS,
+        _, rep = delta_continuation(plateau, model, grids, VISC, EOS,
                                     CONSTS, cfg, schedule)
         assert rep.differences[1] < rep.differences[0]
         assert rep.monotone
 
         bump = build_scenario("smooth-bump", grids)
-        _, rep2 = delta_continuation(bump.state, model, grids, VISC, EOS,
+        _, rep2 = delta_continuation(bump, model, grids, VISC, EOS,
                                      CONSTS, cfg, schedule)
         order = np.log(rep2.differences[0] / rep2.differences[1]) / np.log(10.0)
         assert order >= 0.8
@@ -260,20 +255,20 @@ def test_criterion_08_compatibility_dichotomy():
     """Constructed satisfied/diverging pair plus the vacuous branch."""
     with criterion(8, "compatibility verdicts: satisfied, diverging, vacuous"):
         grids = make_grids(n=256)
-        sat = build_scenario("compat-satisfied", grids).state
+        sat = build_scenario("compat-satisfied", grids)
         rep = compatibility_check(sat.I, sat.rho, sat.u, EOS, VISC, zero_model(),
                                   grids, CONSTS)
         assert rep.verdict == "satisfied"
         prev, last = rep.refinement_trace[-2][1], rep.refinement_trace[-1][1]
         assert abs(last - prev) <= 0.05 * prev
 
-        div = build_scenario("compat-diverging", grids).state
+        div = build_scenario("compat-diverging", grids)
         rep = compatibility_check(div.I, div.rho, div.u, EOS, VISC, zero_model(),
                                   grids, CONSTS)
         assert rep.verdict == "diverging"
         assert rep.last_ratio > 2.0
 
-        bump = build_scenario("smooth-bump", grids).state
+        bump = build_scenario("smooth-bump", grids)
         model = constant_model(0.3, 0.1, 0.05)
         rep = compatibility_check(bump.I, bump.rho, bump.u, EOS, VISC, model,
                                   grids, CONSTS)
@@ -292,12 +287,11 @@ def test_criterion_09_blowup_monitor_consistency():
         cfg = SlabConfig(slab_length=0.002, dt=0.001, max_halvings=4)
         cases = [("equilibrium", zero_model(), 1.0),
                  ("smooth-bump", constant_model(0.4, 0.1, 0.05), 1.0),
-                 ("vacuum-plateau", constant_model(0.2, 0.0, 0.02), 1.0)]
+                 ("vacuum-plateau", constant_model(0.2, 0.0, 0.0), 1.0)]
         for name, model, rho_bar in cases:
             grids = make_grids(n=64, rho_bar=rho_bar)
-            data = build_scenario(name, grids)
-            model.emission = data.emission
-            traj = solve(data.state, model, grids, VISC, EOS, CONSTS, cfg, 0.008)
+            traj = solve(build_scenario(name, grids), model, grids, VISC, EOS, CONSTS,
+                         cfg, 0.008)
             settings = NormSettings(rho_ref=rho_bar)
             rep = blowup_monitor(traj, grids, settings)
             assert rep.max_phi <= 10.0 * rep.phi[0]
@@ -312,11 +306,10 @@ def test_criterion_10_farfield_bounds():
     """smooth-bump with background 1 stays in [3/8, 5/2] outside the radius."""
     with criterion(10, "far-field density bounds along the run"):
         grids = make_grids(n=64)
-        data = build_scenario("smooth-bump", grids)
         model = constant_model(0.4, 0.1, 0.05)
-        model.emission = data.emission
         cfg = SlabConfig(slab_length=0.002, dt=0.001, max_halvings=4)
-        traj = solve(data.state, model, grids, VISC, EOS, CONSTS, cfg, 0.01)
+        traj = solve(build_scenario("smooth-bump", grids), model, grids, VISC, EOS, CONSTS,
+                     cfg, 0.01)
         rep = farfield_bounds_check(traj, grids, radius=0.35, rho_bar=1.0)
         assert rep.applicable
         assert rep.passed

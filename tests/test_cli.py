@@ -16,14 +16,14 @@ def write_cfg(tmp_path, body, name="run.cfg"):
     return str(path)
 
 
-def equilibrium_cfg(tmp_path, outdir):
+def equilibrium_cfg(tmp_path, outdir, boundary="farfield", rho_bar=1.0):
     return write_cfg(tmp_path, f"""
 [grid]
 dim = 1
 cells = 64
 lengths = 1.0
-boundary = farfield
-rho_bar = 1.0
+boundary = {boundary}
+rho_bar = {rho_bar}
 
 [model]
 kind = zero
@@ -49,6 +49,15 @@ class TestRunCommand:
         assert (out / "picard.csv").exists()
         text = (out / "summary.json").read_text()
         assert '"relative_drift": 0' in text
+
+    def test_periodic_background_is_grid_rho_bar(self, tmp_path):
+        # [grid] rho_bar is both the equilibrium's density and Phi's reference
+        out = tmp_path / "out"
+        assert main(["run", equilibrium_cfg(tmp_path, out, "periodic", 3.0)]) == 0
+        rho, _, _ = read_field_snapshot(out / "snapshots" / "rho_000000.dat")
+        assert np.all(rho == 3.0)
+        first = (out / "monitor.csv").read_text().splitlines()[1].split(",")
+        assert float(first[1]) == 1.0
 
     def test_monitor_csv_columns(self, tmp_path):
         out = tmp_path / "out"

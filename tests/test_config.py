@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from rhlab.config import parse_config, serialize_config
+from rhlab.config import _MODEL_KEYS, parse_config, serialize_config
 from rhlab.errors import ConfigError
+from rhlab.runner import build_problem
 from rhlab.scenarios import builtin_scenarios
 
 MINIMAL = """
@@ -136,12 +138,19 @@ def config_texts(draw):
     eos = draw(st.sampled_from(["polytropic", "barotropic_table"]))
     if eos == "barotropic_table":
         n = draw(st.integers(4, 6))
-        rho_table = draw(st.lists(_floats(0.0, 10.0), min_size=n, max_size=n))
-        p_table = draw(st.lists(_floats(0.0, 10.0), min_size=n, max_size=n))
+        # increasing densities and nondecreasing pressures, as the EOS requires
+        rho_table = draw(st.lists(_floats(0.0, 10.0), min_size=n, max_size=n,
+                                  unique=True).map(sorted))
+        p_table = draw(st.lists(_floats(0.0, 10.0), min_size=n, max_size=n).map(sorted))
     else:
         rho_table = maybe(st.lists(_floats(0.0, 10.0), max_size=3))
         p_table = maybe(st.lists(_floats(0.0, 10.0), max_size=3))
-    kind = draw(st.sampled_from(["zero", "constant", "compton"]))
+    kind = draw(st.sampled_from(sorted(_MODEL_KEYS)))
+    model = {key: maybe(_floats(0.01, 5.0)) for key in _MODEL_KEYS[kind]}
+    name = maybe(st.sampled_from(sorted(builtin_scenarios())))
+    declared = builtin_scenarios()[name or "equilibrium"].keys
+    # [scenario] emission0 is accepted only as a repeat of the model's value
+    e0 = model.get("emission0") or 0.0
     slab = maybe(_floats(1e-4, 0.1))
     min_h = min(L / n for L, n in zip(lengths, cells))
     sections = {
@@ -158,13 +167,10 @@ def config_texts(draw):
                     "p_table": p_table, "mu": maybe(_floats(0.1, 5.0)),
                     "lambda": maybe(_floats(0.0, 3.0)), "c": maybe(_floats(0.5, 2.0)),
                     "q": maybe(_floats(3.01, 6.0))},
-        "model": {"kind": kind, **{key: maybe(_floats(0.01, 5.0)) for key in
-                                   ("sigma0", "kernel0", "emission0", "D1", "D2", "v0",
-                                    "theta")}},
-        "scenario": {"name": maybe(st.sampled_from(sorted(builtin_scenarios()))),
-                     **{key: maybe(_floats(-2.0, 2.0)) for key in
-                        ("amplitude", "width", "center", "I0_value", "rho_bar")},
-                     **{key: maybe(_NAMES) for key in ("rho0", "u0", "I0")}},
+        "model": {"kind": kind, **model},
+        "scenario": {"name": name, "emission0": maybe(st.just(e0)),
+                     **{key: maybe(_NAMES if isinstance(default, str) else _floats(-2.0, 2.0))
+                        for key, default in declared.items()}},
         "run": {"t_final": maybe(_floats(1e-4, 1.0)), "slab_length": slab,
                 "dt": maybe(_floats(0.1, 1.0).map(
                     lambda f: f * min(slab or 0.01, 0.5 * min_h))),
@@ -348,3 +354,94 @@ class TestRoundTrip:
         cfg.build_model()
         cfg.build_slab_config()
         assert cfg.build_delta_schedule() is None
+
+
+def _line_of(text, line):
+    return text.splitlines().index(line) + 1
+
+
+class TestOneOwnerPerInput:
+    @pytest.mark.parametrize("model", ["kind = constant\nsigma0 = 0.2",
+                                       "kind = compton\nkernel0 = 0.05"])
+    @pytest.mark.parametrize("scenario", ["smooth-bump", "vacuum-plateau", "equilibrium"])
+    def test_model_emission0_reaches_the_run(self, model, scenario):
+        # the emission of a run is the [model] one, whatever the scenario
+        text = MINIMAL + (f"\n[grid]\nboundary = farfield\n\n[model]\n{model}\n"
+                          f"emission0 = 0.5\n\n[scenario]\nname = {scenario}\n")
+        prob = build_problem(parse_config(text))
+        assert np.all(prob.model.emission_bm(prob.grids, 0.0) == 0.5)
+        unset = build_problem(parse_config(text.replace("emission0 = 0.5\n", "")))
+        assert np.all(unset.model.emission_bm(unset.grids, 0.0) == 0.0)
+
+    def test_scenario_emission0_must_repeat_the_model(self):
+        text = MINIMAL + ("\n[model]\nkind = constant\nemission0 = 0.05\n"
+                          "\n[scenario]\nname = vacuum-plateau\nemission0 = 0.5\n")
+        with pytest.raises(ConfigError) as ei:
+            parse_config(text)
+        assert ei.value.violations == [
+            (_line_of(text, "emission0 = 0.5"),
+             "scenario emission0 = 0.5 differs from the model's emission0 = 0.05; "
+             "the emission is set in [model]")]
+        # a repeat of the model's value is accepted and echoed back
+        cfg = parse_config(text.replace("emission0 = 0.5", "emission0 = 0.05"))
+        assert ("emission0", 0.05) in cfg.scenario_params
+        assert parse_config(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("kind, key", [("compton", "sigma0"), ("zero", "emission0"),
+                                           ("zero", "kernel0"), ("constant", "theta")])
+    def test_model_key_the_kind_does_not_read(self, kind, key):
+        text = MINIMAL + f"\n[model]\nkind = {kind}\n{key} = 0.5\n"
+        with pytest.raises(ConfigError) as ei:
+            parse_config(text)
+        assert ei.value.violations == [
+            (_line_of(text, f"{key} = 0.5"), f"model kind {kind} does not read {key}")]
+
+    @pytest.mark.parametrize("name, key", [("equilibrium", "amplitude"),
+                                           ("smooth-bump", "vacuum_radius"),
+                                           ("beam-absorption", "u0_amplitude")])
+    def test_scenario_key_the_scenario_does_not_read(self, name, key):
+        text = MINIMAL + f"\n[scenario]\nname = {name}\n{key} = 0.5\n"
+        with pytest.raises(ConfigError) as ei:
+            parse_config(text)
+        assert ei.value.violations == [
+            (_line_of(text, f"{key} = 0.5"), f"scenario {name} does not read {key}")]
+
+    def test_scenario_keys_are_the_declared_ones(self):
+        # the background density is [grid] rho_bar; [scenario] has no such key
+        with pytest.raises(ConfigError, match="unknown key 'rho_bar' in section"):
+            parse_config(MINIMAL + "\n[scenario]\nrho_bar = 3\n")
+        for scenario in builtin_scenarios().values():
+            lines = "".join(f"{key} = {value if isinstance(value, str) else 0.5}\n"
+                            for key, value in scenario.keys.items())
+            cfg = parse_config(MINIMAL + f"\n[scenario]\nname = {scenario.name}\n{lines}")
+            keys = [key for key, _ in cfg.scenario_params]
+            assert set(keys) == set(scenario.keys)
+        # the config.echo order, shown on the last scenario, custom: the numbers
+        # sorted, then rho0, u0, I0
+        assert keys == ["I0_value", "amplitude", "rho0_value", "transition_width",
+                        "u0_amplitude", "vacuum_radius", "width", "rho0", "u0", "I0"]
+
+
+class TestTableEOS:
+    TABLE = MINIMAL + "\n[physics]\neos = barotropic_table\nrho_table = {}\np_table = {}\n"
+
+    @pytest.mark.parametrize("rho, p, message", [
+        ("0, 2, 1, 3", "0, 1, 2, 3", "table densities must be strictly increasing"),
+        ("0, 1, 2, 3", "0, 2, 1, 3", "table pressure must be nondecreasing"),
+        ("0, 1, 2", "0, 1, 2", "table needs matching 1D sample arrays (>= 4 points)"),
+        ("0, 1, 2, 3", "0, 1, 2", "table needs matching 1D sample arrays (>= 4 points)")])
+    def test_rejected_at_the_rho_table_line(self, rho, p, message):
+        text = self.TABLE.format(rho, p)
+        with pytest.raises(ConfigError) as ei:
+            parse_config(text)
+        assert ei.value.violations == [(_line_of(text, f"rho_table = {rho}"),
+                                        f"table EOS: {message}")]
+
+    def test_table_without_interpolant_rejected(self):
+        # densities a subnormal apart give the interpolant non-finite slopes
+        text = self.TABLE.format("0.0, 2.225073858507203e-309, 1.0, 2.0", "0, 1, 1, 1")
+        with pytest.raises(ConfigError) as ei:
+            parse_config(text)
+        [(line, message)] = ei.value.violations
+        assert line == _line_of(text, "rho_table = 0.0, 2.225073858507203e-309, 1.0, 2.0")
+        assert message.startswith("table EOS: table has no monotone interpolant: ")

@@ -14,7 +14,7 @@ from rhlab.physics import (EquationOfState, PhysicalConstants, ViscosityParams,
                            constant_model, zero_model)
 from rhlab.picard import SlabConfig, State, Trajectory, solve
 from rhlab.runner import _write_monitor_csv
-from rhlab.scenarios import ScenarioContext, builtin_scenarios
+from rhlab.scenarios import builtin_scenarios
 
 from conftest import random_smooth_field
 
@@ -98,11 +98,7 @@ class TestCompatibilityResidual:
 class TestCompatibilityCheck:
     def build(self, name, n=256):
         grids = make_grids(n=n, boundary="farfield")
-        ctx = ScenarioContext(grids=grids, eos=EOS, visc=VISC, consts=CONSTS,
-                              settings=NormSettings(), params={})
-        data = builtin_scenarios()[name].build(ctx)
-        st = data.state
-        return grids, st
+        return grids, builtin_scenarios()[name].build(grids)
 
     def test_vacuous_branch(self):
         grids, st = self.build("smooth-bump")

@@ -36,9 +36,8 @@ from rhlab.fluid import (VelocityHistory, _clamp_points, _interp,
 from rhlab.grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, gradient,
                         pad_ghost, read_field_snapshot, write_field_snapshot)
 from rhlab.norms import MIXED_INNER_KINDS, NormSettings, mixed_radiation_norm
-from rhlab.physics import compton_model, constant_model, zero_model
+from rhlab.physics import _tabulated_emission, compton_model, constant_model, zero_model
 from rhlab.picard import State, Trajectory, gamma_increment, gamma_metric
-from rhlab.scenarios import _const_emission
 from rhlab.transport import free_streaming_step, transport_cfl_limit, transport_step
 
 from _reference import (loop_blowup_monitor, loop_clamp_points,
@@ -339,7 +338,7 @@ def coefficient_cases(draw):
         sigma, e0 = _compton_sigma(*params), 0.0
     if draw(st.booleans()):
         e0 = draw(positive)
-        model.emission = _const_emission(e0)
+        model.emission = _tabulated_emission(lambda v: e0)
     return grids, model, sigma, lambda v, omega, t, x: e0
 
 

@@ -140,6 +140,38 @@ class TestGammaMetric:
         assert gamma_metric([st0, st0], [st0, st1], grids) == \
             gamma_increment(st0, st1, grids)
 
+    def test_nan_increment_is_not_zero(self):
+        # max(0.0, nan) is 0.0: a NaN sweep must not read as gamma = 0
+        grids = make_grids(n=8)
+        a = zero_state(grids)
+        b = State(I=a.I, rho=np.full(8, np.nan), u=a.u)
+        assert math.isnan(gamma_metric([a, a], [a, b], grids))
+        assert math.isnan(gamma_metric([a, a], [b, a], grids))
+        assert _stop_rule([1.0, math.nan], 1e-8) is None
+        assert _stop_rule([math.nan], 1e-8) is None
+        assert _stop_rule([math.inf], 1e-8) is None
+
+    def test_nan_sweep_stalls_and_raises(self, monkeypatch):
+        # every sweep's density turns NaN: each attempt stops after one sweep,
+        # the slab is halved max_halvings times, and IterationError carries
+        # the last attempt's diagnostics
+        sweep = picard._iterate_once
+
+        def nan_density(*args, **kwargs):
+            states = sweep(*args, **kwargs)
+            last = states[-1]
+            return states[:-1] + [replace(last, rho=np.full_like(last.rho, np.nan))]
+
+        monkeypatch.setattr(picard, "_iterate_once", nan_density)
+        grids = make_grids(n=8)
+        cfg = SlabConfig(slab_length=0.004, dt=0.001, max_halvings=2)
+        with pytest.raises(IterationError, match="after 2 halvings") as ei:
+            run_slab(zero_state(grids), zero_model(), grids, cfg)
+        diag = ei.value.diagnostics
+        assert diag.halvings == 2 and diag.slab_length == 0.001
+        assert len(diag.gamma_history) == 1 and math.isnan(diag.gamma_history[0])
+        assert not diag.converged
+
 
 class TestSolveSlabEquilibrium:
     def test_fixed_point_in_one_iteration(self):

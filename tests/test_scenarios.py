@@ -5,22 +5,18 @@ from rhlab.diagnostics import phi
 from rhlab.errors import ConfigError
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from rhlab.norms import NormSettings
-from rhlab.physics import EquationOfState, PhysicalConstants, ViscosityParams
-from rhlab.scenarios import ScenarioContext, builtin_scenarios
-
-VISC = ViscosityParams(1.0, 0.0)
-EOS = EquationOfState.polytropic(1.0, 2.0)
-CONSTS = PhysicalConstants(1.0)
+from rhlab.scenarios import builtin_scenarios
 
 
-def make_ctx(n=128, boundary="farfield", rho_bar=1.0, params=None):
+def make_grids(n=128, boundary="farfield", rho_bar=1.0):
     grid = SpatialGrid.periodic(n, 1.0) if boundary == "periodic" \
         else SpatialGrid.farfield(n, 1.0, rho_bar)
-    grids = Grids(grid, FrequencyGrid.from_edges([0.5, 1.0, 2.0, 3.0, 4.5]),
-                  AngularQuadrature.gauss_legendre_slab(8))
-    return ScenarioContext(grids=grids, eos=EOS, visc=VISC, consts=CONSTS,
-                           settings=NormSettings(rho_ref=rho_bar),
-                           params=params or {})
+    return Grids(grid, FrequencyGrid.from_edges([0.5, 1.0, 2.0, 3.0, 4.5]),
+                 AngularQuadrature.gauss_legendre_slab(8))
+
+
+def build(name, grids, params=None):
+    return builtin_scenarios()[name].build(grids, params)
 
 
 NAMES = sorted(builtin_scenarios())
@@ -30,69 +26,54 @@ class TestBuiltinScenarios:
     @pytest.mark.parametrize("name", [n for n in NAMES if n != "vacuum-farfield"])
     @pytest.mark.parametrize("cells", [64, 128])
     def test_invariants_at_all_resolutions(self, name, cells):
-        ctx = make_ctx(n=cells)
-        data = builtin_scenarios()[name].build(ctx)
-        st = data.state
+        grids = make_grids(n=cells)
+        st = build(name, grids)
         assert np.min(st.rho) >= 0.0
         assert np.min(st.I) >= 0.0
-        settings = ctx.settings
-        assert np.isfinite(phi(st, ctx.grids, settings))
+        assert np.isfinite(phi(st, grids, NormSettings(rho_ref=1.0)))
 
     @pytest.mark.parametrize("cells", [64, 128])
     def test_vacuum_farfield_invariants(self, cells):
-        ctx = make_ctx(n=cells, rho_bar=0.0)
-        data = builtin_scenarios()["vacuum-farfield"].build(ctx)
-        st = data.state
+        st = build("vacuum-farfield", make_grids(n=cells, rho_bar=0.0))
         assert np.min(st.rho) >= 0.0
         assert np.max(st.rho) > 0.0
         # compact support: identically zero at the domain edge
         assert st.rho[0] == 0.0 and st.rho[-1] == 0.0
 
     def test_equilibrium_phi_is_one(self):
-        ctx = make_ctx()
-        data = builtin_scenarios()["equilibrium"].build(ctx)
-        assert phi(data.state, ctx.grids, ctx.settings) == 1.0
+        grids = make_grids()
+        assert phi(build("equilibrium", grids), grids, NormSettings(rho_ref=1.0)) == 1.0
 
     def test_vacuum_plateau_has_marked_vacuum_set(self):
-        ctx = make_ctx()
-        data = builtin_scenarios()["vacuum-plateau"].build(ctx)
-        rho = data.state.rho
+        rho = build("vacuum-plateau", make_grids()).rho
         assert np.any(rho == 0.0)
         # transition has finite W^{1,q}-type slope: no jumps between cells
         jumps = np.abs(np.diff(rho))
         assert np.max(jumps) < 0.2
 
     def test_beam_single_ordinate(self):
-        ctx = make_ctx()
-        data = builtin_scenarios()["beam-absorption"].build(ctx)
-        I = data.state.I
+        grids = make_grids()
+        I = build("beam-absorption", grids).I
         occupied = [(b, m) for b in range(I.shape[0]) for m in range(I.shape[1])
                     if np.any(I[b, m] > 0)]
         assert len(occupied) == 1
         b, m = occupied[0]
-        assert ctx.grids.ang.ordinates[m, 0] == np.max(ctx.grids.ang.ordinates[:, 0])
+        assert grids.ang.ordinates[m, 0] == np.max(grids.ang.ordinates[:, 0])
 
     def test_vacuum_farfield_requires_zero_background(self):
-        ctx = make_ctx(rho_bar=1.0)
         with pytest.raises(ConfigError):
-            builtin_scenarios()["vacuum-farfield"].build(ctx)
+            build("vacuum-farfield", make_grids(rho_bar=1.0))
 
     def test_custom_profiles(self):
-        ctx = make_ctx(boundary="periodic",
-                       params={"rho0": "bump", "u0": "sine",
-                               "u0_amplitude": 0.05, "I0": "uniform",
-                               "I0_value": 0.3, "emission0": 0.1})
-        data = builtin_scenarios()["custom"].build(ctx)
-        st = data.state
+        st = build("custom", make_grids(boundary="periodic"),
+                   {"rho0": "bump", "u0": "sine", "u0_amplitude": 0.05,
+                    "I0": "uniform", "I0_value": 0.3})
         assert np.max(st.rho) > 1.0
         assert np.max(np.abs(st.u)) == pytest.approx(0.05, rel=0.05)
         assert np.all(st.I == 0.3)
-        assert data.emission(1.0, None, 0.0, None) == 0.1
 
     def test_parameter_override(self):
         # cell centers straddle the bump peak, so compare with a grid margin
-        ctx = make_ctx(params={"amplitude": 0.5})
-        data = builtin_scenarios()["smooth-bump"].build(ctx)
-        assert np.max(data.state.rho) == pytest.approx(1.5, rel=1e-2)
-        default = builtin_scenarios()["smooth-bump"].build(make_ctx())
-        assert np.max(data.state.rho) > np.max(default.state.rho)
+        rho = build("smooth-bump", make_grids(), {"amplitude": 0.5}).rho
+        assert np.max(rho) == pytest.approx(1.5, rel=1e-2)
+        assert np.max(rho) > np.max(build("smooth-bump", make_grids()).rho)
