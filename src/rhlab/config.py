@@ -160,7 +160,7 @@ class RunConfig:
 
     def build_slab_config(self) -> SlabConfig:
         # every SlabConfig field is a [run] field of the same name
-        return SlabConfig(**{f.name: getattr(self, f.name) for f in fields(SlabConfig)})
+        return SlabConfig(**{name: getattr(self, name) for name in SlabConfig.__slots__})
 
     def build_delta_schedule(self) -> DeltaSchedule | None:
         return DeltaSchedule(self.deltas, extrapolate=self.extrapolate) if self.deltas else None

@@ -10,11 +10,11 @@ case of the same helpers, so every value is bit-identical either way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
+from ._records import Record
 from .errors import ParameterError
 from .fluid import lame_apply
 from .grid import Grids, SpatialGrid, check_scalar, gradient, integrate_space
@@ -32,8 +32,7 @@ Array = np.ndarray
 # compatibility condition
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CompatReport:
+class CompatReport(Record):
     """Weighted residual of the initial force balance on non-vacuum cells.
 
     ``refinement_trace`` holds (rho_cut, g_l2) pairs at decreasing thresholds;
@@ -42,10 +41,14 @@ class CompatReport:
     the cut (no vacuum present).
     """
 
-    g_field: Array
-    g_l2: float
-    refinement_trace: list = field(default_factory=list)
-    verdict: str | None = None
+    __slots__ = ("g_field", "g_l2", "refinement_trace", "verdict")
+
+    def __init__(self, g_field: Array, g_l2: float, refinement_trace: list | None = None,
+                 verdict: str | None = None):
+        self.g_field = g_field
+        self.g_l2 = g_l2
+        self.refinement_trace = [] if refinement_trace is None else refinement_trace
+        self.verdict = verdict
 
     @property
     def last_ratio(self) -> float | None:
@@ -175,8 +178,7 @@ def phi(state: State, grids: Grids, settings: NormSettings) -> float:
     return 1.0 + sum(phi_components(state, grids, settings))
 
 
-@dataclass
-class StateTimeDerivatives:
+class StateTimeDerivatives(NamedTuple):
     """Backward-difference estimates of (I_t, rho_t, u_t) between snapshots."""
 
     I_t: Array
@@ -184,12 +186,14 @@ class StateTimeDerivatives:
     u_t: Array
 
 
-@dataclass
-class ThetaHistory:
+class ThetaHistory(Record):
     """Accumulated time integrals entering Theta."""
 
-    int_u_d2q_sq: float = 0.0
-    int_ut_d1_sq: float = 0.0
+    __slots__ = ("int_u_d2q_sq", "int_ut_d1_sq")
+
+    def __init__(self, int_u_d2q_sq: float = 0.0, int_ut_d1_sq: float = 0.0):
+        self.int_u_d2q_sq = int_u_d2q_sq
+        self.int_ut_d1_sq = int_ut_d1_sq
 
 
 class _ThetaTerms(NamedTuple):
@@ -252,8 +256,7 @@ def _one(f: Array) -> Array:
     return np.array(f, dtype=float)[None]
 
 
-@dataclass
-class BlowupReport:
+class BlowupReport(Record):
     """Phi/Theta series with overflow bookkeeping.
 
     ``flags`` records monitor findings; in particular a Theta overflow while
@@ -262,15 +265,22 @@ class BlowupReport:
     ``flags[k]`` was raised.
     """
 
-    times: list
-    phi: list
-    theta: list
-    phi_components: list
-    phi_cap: float
-    flags: list = field(default_factory=list)
-    flag_snapshots: list = field(default_factory=list)
-    first_phi_overflow: float | None = None
-    first_theta_overflow: float | None = None
+    __slots__ = ("times", "phi", "theta", "phi_components", "phi_cap", "flags",
+                 "flag_snapshots", "first_phi_overflow", "first_theta_overflow")
+
+    def __init__(self, times: list, phi: list, theta: list, phi_components: list,
+                 phi_cap: float, flags: list | None = None, flag_snapshots: list | None = None,
+                 first_phi_overflow: float | None = None,
+                 first_theta_overflow: float | None = None):
+        self.times = times
+        self.phi = phi
+        self.theta = theta
+        self.phi_components = phi_components
+        self.phi_cap = phi_cap
+        self.flags = [] if flags is None else flags
+        self.flag_snapshots = [] if flag_snapshots is None else flag_snapshots
+        self.first_phi_overflow = first_phi_overflow
+        self.first_theta_overflow = first_theta_overflow
 
     @property
     def max_phi(self) -> float:
@@ -339,14 +349,18 @@ def blowup_monitor(traj: Trajectory, grids: Grids, settings: NormSettings,
 # far-field density bounds
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FarfieldBoundsReport:
-    applicable: bool
-    times: list = field(default_factory=list)
-    rho_min: list = field(default_factory=list)
-    rho_max: list = field(default_factory=list)
-    passed: bool = True
-    first_violation: float | None = None
+class FarfieldBoundsReport(Record):
+    __slots__ = ("applicable", "times", "rho_min", "rho_max", "passed", "first_violation")
+
+    def __init__(self, applicable: bool, times: list | None = None,
+                 rho_min: list | None = None, rho_max: list | None = None,
+                 passed: bool = True, first_violation: float | None = None):
+        self.applicable = applicable
+        self.times = [] if times is None else times
+        self.rho_min = [] if rho_min is None else rho_min
+        self.rho_max = [] if rho_max is None else rho_max
+        self.passed = passed
+        self.first_violation = first_violation
 
 
 def farfield_bounds_check(traj: Trajectory, grids: Grids, radius: float,

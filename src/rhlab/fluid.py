@@ -88,7 +88,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,8 +133,7 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class FlowMap:
+class FlowMap(NamedTuple):
     """Backward-traced departure points U(0; t, x) per cell, plus the count of
     trace points that left the padded domain and were clamped."""
 
@@ -516,8 +515,7 @@ def heat_smooth(u: Array, grid: SpatialGrid, duration: float) -> Array:
 # momentum operator layout
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class _BandMap:
+class _BandMap(NamedTuple):
     """Where a 1D momentum matrix sits in LAPACK ``gbsv`` band storage.  The
     unknowns are reordered by ``perm`` (unknown i of the reordered system is
     unknown perm[i]); in that order every entry lies within ``kl`` of the
@@ -530,8 +528,7 @@ class _BandMap:
     pos: Array
 
 
-@dataclass(frozen=True, eq=False)
-class _MomentumLayout:
+class _MomentumLayout(NamedTuple):
     """CSR pattern of the momentum matrix on the flattened (component, cell)
     vector: the union of the Lame, diagonal and upwind entries.  Holds the
     Lame values on that pattern, the data position of each component's

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._records import Frozen
 from .errors import ParameterError, ShapeError
 
 Array = np.ndarray
@@ -115,8 +116,7 @@ class SpatialGrid:
 # angular quadrature
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class AngularQuadrature:
+class AngularQuadrature(Frozen):
     """Discrete-ordinates set on the unit sphere.
 
     In 3D mode ``ordinates`` has shape (M, 3) and holds unit vectors.  In slab
@@ -125,14 +125,11 @@ class AngularQuadrature:
     integrated out and the surface measure is 2 instead of 4*pi.
     """
 
-    ordinates: Array
-    weights: Array
-    measure: float
-    slab: bool = False
+    __slots__ = ("ordinates", "weights", "measure", "slab")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ordinates", np.asarray(self.ordinates, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+    def __init__(self, ordinates: Array, weights: Array, measure: float, slab: bool = False):
+        self._set(ordinates=np.asarray(ordinates, dtype=float),
+                  weights=np.asarray(weights, dtype=float), measure=measure, slab=slab)
         if self.ordinates.ndim != 2 or self.ordinates.shape[0] != self.weights.shape[0]:
             raise ShapeError("ordinates must be (M, k) with matching weights (M,)")
         if np.any(self.weights <= 0):
@@ -158,10 +155,11 @@ class AngularQuadrature:
 
     @classmethod
     def gauss_legendre_slab(cls, n: int) -> "AngularQuadrature":
-        """Gauss-Legendre nodes in mu on (-1, 1); weights sum to 2."""
+        """Gauss-Legendre nodes in mu on (-1, 1); weights sum to 2.  Computed
+        by ``_leggauss``, so ``numpy.polynomial`` is never imported."""
         if n < 2:
             raise ParameterError("slab quadrature needs at least 2 ordinates")
-        nodes, weights = np.polynomial.legendre.leggauss(int(n))
+        nodes, weights = _leggauss(int(n))
         return cls(nodes[:, None], weights, 2.0, slab=True)
 
     @classmethod
@@ -194,27 +192,77 @@ class AngularQuadrature:
         return cls(ords, w, FOUR_PI)
 
 
+def _legval(x: Array, c: Array) -> Array:
+    """The Legendre series with coefficients c (at least two) at x, by
+    Clenshaw's recurrence as ``numpy.polynomial.legendre.legval`` runs it."""
+    nd, c0, c1 = len(c), c[-2], c[-1]
+    for i in range(3, len(c) + 1):
+        tmp = c0
+        nd = nd - 1
+        c0 = c[-i] - c1 * ((nd - 1) / nd)
+        c1 = tmp + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _legder(c: Array) -> Array:
+    """Coefficients of the derivative of the Legendre series c, as
+    ``numpy.polynomial.legendre.legder`` computes them."""
+    c = c.copy()
+    n = len(c) - 1
+    der = np.empty(n)
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j - 1) * c[j]
+        c[j - 2] += c[j]
+    if n > 1:
+        der[1] = 3 * c[2]
+    der[0] = c[1]
+    return der
+
+
+def _leggauss(n: int) -> tuple[Array, Array]:
+    """Gauss-Legendre nodes and weights on (-1, 1) for n >= 2, bit for bit
+    those of ``numpy.polynomial.legendre.leggauss``, whose import would cost
+    3-14 ms of set-up.  Its steps: eigenvalues of the symmetric scaled
+    companion matrix of L_n, one Newton step, then weights from L_n' and
+    L_{n-1}, symmetrized and scaled to sum to 2."""
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    companion = np.zeros((n, n))
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    companion.reshape(-1)[1::n + 1] = off
+    companion.reshape(-1)[n::n + 1] = off
+    x = np.linalg.eigvalsh(companion)
+    dy = _legval(x, c)
+    df = _legval(x, _legder(c))
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2. / w.sum()
+    return x, w
+
+
 # ---------------------------------------------------------------------------
 # frequency bands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class FrequencyGrid:
+class FrequencyGrid(Frozen):
     """Finite band truncation of the photon frequency half-line.
 
     Band b covers [edges[b], edges[b+1]); the midpoint rule assigns
     weight_b = edges[b+1] - edges[b] and center_b = (edges[b]+edges[b+1])/2.
     """
 
-    band_edges: Array
-    band_weights: Array
-    band_centers: Array
+    __slots__ = ("band_edges", "band_weights", "band_centers")
 
-    def __post_init__(self):
-        e = np.asarray(self.band_edges, dtype=float)
-        object.__setattr__(self, "band_edges", e)
-        object.__setattr__(self, "band_weights", np.asarray(self.band_weights, dtype=float))
-        object.__setattr__(self, "band_centers", np.asarray(self.band_centers, dtype=float))
+    def __init__(self, band_edges: Array, band_weights: Array, band_centers: Array):
+        e = np.asarray(band_edges, dtype=float)
+        self._set(band_edges=e, band_weights=np.asarray(band_weights, dtype=float),
+                  band_centers=np.asarray(band_centers, dtype=float))
         if e.ndim != 1 or e.size < 2:
             raise ShapeError("need at least two band edges")
         if e[0] <= 0 or np.any(np.diff(e) <= 0):
@@ -241,16 +289,14 @@ class FrequencyGrid:
         return self.band_weights.size
 
 
-@dataclass(frozen=True, eq=False)
-class Grids:
+class Grids(Frozen):
     """Bundle of the three quadratures a phase-space operation needs."""
 
-    spatial: SpatialGrid
-    freq: FrequencyGrid
-    ang: AngularQuadrature
+    __slots__ = ("spatial", "freq", "ang")
 
-    def __post_init__(self):
-        if self.ang.slab and self.spatial.dim != 1:
+    def __init__(self, spatial: SpatialGrid, freq: FrequencyGrid, ang: AngularQuadrature):
+        self._set(spatial=spatial, freq=freq, ang=ang)
+        if ang.slab and spatial.dim != 1:
             raise ShapeError("slab angular quadrature requires a 1D spatial grid")
 
     def radiation_shape(self) -> tuple[int, ...]:

@@ -10,11 +10,11 @@ sigma_s' = sigma_s_bar_prime(v -> v', Omega.Omega') * rho.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from ._records import Record, Value
 from .errors import ConfigError, DomainError, ParameterError
 from .grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, check_scalar,
                    gradient, phase_weights)
@@ -27,15 +27,15 @@ Array = np.ndarray
 # fluid parameters
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ViscosityParams:
+class ViscosityParams(Value):
     """Shear viscosity mu > 0 and second viscosity lambda with
-    lambda + (2/3) mu >= 0 (ellipticity of the viscous stress)."""
+    lambda + (2/3) mu >= 0 (ellipticity of the viscous stress).  Equal and
+    hashed by value: it keys the momentum-layout cache of ``rhlab.fluid``."""
 
-    mu: float
-    lam: float
+    __slots__ = ("mu", "lam")
 
-    def __post_init__(self):
+    def __init__(self, mu: float, lam: float):
+        self._set(mu=mu, lam=lam)
         if self.mu <= 0:
             raise ParameterError(f"shear viscosity must be positive, got mu={self.mu}")
         if self.lam + 2.0 * self.mu / 3.0 < 0:
@@ -43,13 +43,13 @@ class ViscosityParams:
                 f"need lambda + (2/3) mu >= 0, got {self.lam + 2.0 * self.mu / 3.0}")
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
+class PhysicalConstants(Value):
     """Light speed (may be rescaled to 1)."""
 
-    c: float = 1.0
+    __slots__ = ("c",)
 
-    def __post_init__(self):
+    def __init__(self, c: float = 1.0):
+        self._set(c=c)
         if self.c <= 0:
             raise ParameterError(f"light speed must be positive, got {self.c}")
 
@@ -138,8 +138,7 @@ def pressure(eos: EquationOfState, rho: Array, grid: SpatialGrid | None = None) 
 # coefficient models
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class CoefficientModel:
+class CoefficientModel(Record):
     """Radiation coefficient evaluators.
 
     sigma(v, omega, t, x, rho)      absorption coefficient per unit density
@@ -169,15 +168,22 @@ class CoefficientModel:
     ``emission`` replaces both at once.
     """
 
-    sigma: Callable
-    sigma_s_bar: Callable
-    sigma_s_bar_prime: Callable
-    emission: Callable
-    majorant: Callable | None = None
-    sigma_lipschitz: Callable | None = None
-    emission_depends_rho: bool = False
-    _kernel_cache: dict = field(default_factory=dict, repr=False)
-    _scattering_cache: dict = field(default_factory=dict, repr=False)
+    __slots__ = ("sigma", "sigma_s_bar", "sigma_s_bar_prime", "emission", "majorant",
+                 "sigma_lipschitz", "emission_depends_rho", "_kernel_cache",
+                 "_scattering_cache")
+
+    def __init__(self, sigma: Callable, sigma_s_bar: Callable, sigma_s_bar_prime: Callable,
+                 emission: Callable, majorant: Callable | None = None,
+                 sigma_lipschitz: Callable | None = None, emission_depends_rho: bool = False):
+        self.sigma = sigma
+        self.sigma_s_bar = sigma_s_bar
+        self.sigma_s_bar_prime = sigma_s_bar_prime
+        self.emission = emission
+        self.majorant = majorant
+        self.sigma_lipschitz = sigma_lipschitz
+        self.emission_depends_rho = emission_depends_rho
+        self._kernel_cache = {}
+        self._scattering_cache = {}
 
     # -- vectorized evaluation over the discrete phase space ---------------
 
@@ -357,19 +363,24 @@ def compton_model(D1: float, D2: float, v0: float, theta: float,
 # validators
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ValidationEntry:
-    name: str
-    value: float
-    bound: float
-    passed: bool
-    location: tuple | None = None
+class ValidationEntry(Record):
+    __slots__ = ("name", "value", "bound", "passed", "location")
+
+    def __init__(self, name: str, value: float, bound: float, passed: bool,
+                 location: tuple | None = None):
+        self.name = name
+        self.value = value
+        self.bound = bound
+        self.passed = passed
+        self.location = location
 
 
-@dataclass
-class ValidationReport:
-    entries: list
-    suggested_scale: float = 1.0
+class ValidationReport(Record):
+    __slots__ = ("entries", "suggested_scale")
+
+    def __init__(self, entries: list, suggested_scale: float = 1.0):
+        self.entries = entries
+        self.suggested_scale = suggested_scale
 
     @property
     def passed(self) -> bool:

@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._records import Record, Value
 from .errors import DomainError, IterationError, ParameterError
 from .fluid import (VelocityHistory, continuity_step_characteristics,
                     continuity_step_fv, heat_smooth, momentum_step)
@@ -73,21 +74,21 @@ class State:
         return self
 
 
-@dataclass(frozen=True)
-class SlabConfig:
-    """Slab length, inner step, and fixed-point iteration policy: at most
+class SlabConfig(Value):
+    """Slab length, inner step, continuity scheme ("fv" or
+    "characteristics") and fixed-point iteration policy: at most
     ``max_iters`` sweeps per attempt, and at most ``max_halvings`` halvings
     of a slab that stalls or runs out of sweeps (0 disables halving)."""
 
-    slab_length: float
-    dt: float
-    max_iters: int = 30
-    gamma_tol: float = 1e-8
-    max_halvings: int = 2
-    transport_cfl: float = 0.9
-    continuity: str = "fv"           # "fv" | "characteristics"
+    __slots__ = ("slab_length", "dt", "max_iters", "gamma_tol", "max_halvings",
+                 "transport_cfl", "continuity")
 
-    def __post_init__(self):
+    def __init__(self, slab_length: float, dt: float, max_iters: int = 30,
+                 gamma_tol: float = 1e-8, max_halvings: int = 2, transport_cfl: float = 0.9,
+                 continuity: str = "fv"):
+        self._set(slab_length=slab_length, dt=dt, max_iters=max_iters, gamma_tol=gamma_tol,
+                  max_halvings=max_halvings, transport_cfl=transport_cfl,
+                  continuity=continuity)
         if not 0 < self.dt <= self.slab_length:
             raise ParameterError(f"need 0 < dt <= slab_length, got dt={self.dt}, "
                                  f"slab_length={self.slab_length}")
@@ -103,18 +104,22 @@ class SlabConfig:
             raise ParameterError(f"unknown continuity scheme {self.continuity!r}")
 
 
-@dataclass(eq=False)
-class PicardDiagnostics:
+class PicardDiagnostics(Record):
     """Contraction record of one slab attempt: the length and step times of
     the attempt, the halvings before it, the gamma of each sweep, and the
-    rule that accepted the last one.  The sweep count, the convergence flag
-    and the per-sweep ratios derive from these."""
+    rule that accepted the last one ("floor", "step" or "bound"; None if
+    none did).  The sweep count, the convergence flag and the per-sweep
+    ratios derive from these."""
 
-    slab_length: float
-    times: Array
-    halvings: int = 0
-    gamma_history: list = field(default_factory=list)
-    stop_rule: str | None = None     # "floor" | "step" | "bound"; None if not accepted
+    __slots__ = ("slab_length", "times", "halvings", "gamma_history", "stop_rule")
+
+    def __init__(self, slab_length: float, times: Array, halvings: int = 0,
+                 gamma_history: list | None = None, stop_rule: str | None = None):
+        self.slab_length = slab_length
+        self.times = times
+        self.halvings = halvings
+        self.gamma_history = [] if gamma_history is None else gamma_history
+        self.stop_rule = stop_rule
 
     @property
     def iterations(self) -> int:
@@ -132,39 +137,42 @@ class PicardDiagnostics:
         return [b / a for a, b in zip(g, g[1:]) if a > 0.0]
 
 
-@dataclass(frozen=True)
-class DeltaSchedule:
+class DeltaSchedule(Value):
     """Strictly decreasing, finite, positive density lifts for vacuum
     regularization."""
 
-    deltas: tuple
-    extrapolate: bool = False
+    __slots__ = ("deltas", "extrapolate")
 
-    def __post_init__(self):
-        d = tuple(float(x) for x in self.deltas)
-        object.__setattr__(self, "deltas", d)
+    def __init__(self, deltas: tuple, extrapolate: bool = False):
+        d = tuple(float(x) for x in deltas)
+        self._set(deltas=d, extrapolate=extrapolate)
         if len(d) < 1 or not all(np.isfinite(x) and x > 0 for x in d):
             raise ParameterError(f"delta schedule must contain finite positive values, got {d}")
         if any(b >= a for a, b in zip(d, d[1:])):
             raise ParameterError("delta schedule must be strictly decreasing")
 
 
-@dataclass
-class ContinuationReport:
-    deltas: list
-    differences: list
-    monotone: bool
-    warning: str | None = None
-    extrapolated: bool = False
+class ContinuationReport(Record):
+    __slots__ = ("deltas", "differences", "monotone", "warning", "extrapolated")
+
+    def __init__(self, deltas: list, differences: list, monotone: bool,
+                 warning: str | None = None, extrapolated: bool = False):
+        self.deltas = deltas
+        self.differences = differences
+        self.monotone = monotone
+        self.warning = warning
+        self.extrapolated = extrapolated
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
     """Snapshot sequence of a chained-slab run."""
 
-    times: list
-    states: list
-    diagnostics: list = field(default_factory=list)
+    __slots__ = ("times", "states", "diagnostics")
+
+    def __init__(self, times: list, states: list, diagnostics: list | None = None):
+        self.times = times
+        self.states = states
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +413,7 @@ def solve(state0: State, model: CoefficientModel, grids: Grids,
     while t < t_final - 1e-12 * t_final:
         T = min(slab_len, t_final - t)
         states, diag = solve_slab_full(traj.states[-1], model, grids, visc, eos,
-                                       consts, replace(cfg, slab_length=T, dt=min(cfg.dt, T)),
+                                       consts, cfg._replace(slab_length=T, dt=min(cfg.dt, T)),
                                        t0=t)
         traj.times.extend(float(s) for s in diag.times[1:])
         traj.states.extend(states[1:])

@@ -11,7 +11,7 @@ outputs are byte-identical across invocations.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +64,7 @@ def write_json(path, obj) -> None:
         fh.write(_emit_json(obj) + "\n")
 
 
-@dataclass(frozen=True, eq=False)
-class Problem:
+class Problem(NamedTuple):
     """Everything the drivers need, constructed once from a config."""
 
     cfg: RunConfig

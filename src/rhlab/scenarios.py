@@ -11,8 +11,7 @@ balance, and a pure-absorption radiation benchmark.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,8 +22,7 @@ from .picard import State
 Array = np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class Scenario:
+class Scenario(NamedTuple):
     """A named builder ``(grids, params) -> State`` and the ``keys`` it reads
     from ``params``, each with its default: a number, a string, or None for
     the background density."""
@@ -32,7 +30,7 @@ class Scenario:
     name: str
     description: str
     builder: Callable
-    keys: dict = field(default_factory=dict)
+    keys: dict = {}      # one dict shared by the Scenarios without keys: never mutated
 
     def build(self, grids: Grids, params: dict | None = None) -> State:
         """The validated initial state on ``grids``; ``params`` overrides the
@@ -172,11 +170,13 @@ def _compat_diverging(grids: Grids, p: dict) -> State:
 
 
 def _beam_absorption(grids: Grids, p: dict) -> State:
-    """A single-ordinate pulse on a uniform background (1 where rho_bar is
-    0); meant to be paired with a pure-absorption coefficient model."""
+    """A single-ordinate pulse on a uniform positive background; meant to be
+    paired with a pure-absorption coefficient model."""
     grid = grids.spatial
     rho_bar = _rho_bar(grids, p)
-    state = _zero_state(grids, np.full(grid.extents, rho_bar if rho_bar > 0 else 1.0))
+    if rho_bar <= 0:
+        raise ConfigError("beam-absorption needs a positive background density")
+    state = _zero_state(grids, np.full(grid.extents, rho_bar))
     m_star = int(np.argmax(grids.ang.ordinates[:, 0]))
     L = max(grid.lengths)
     profile = np.exp(-((grid.coords()[0] - p["center"] * L) / (p["width"] * L)) ** 2)

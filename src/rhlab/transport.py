@@ -12,7 +12,7 @@ which keeps I >= 0 exactly for nonnegative data, sources and kernels.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +27,7 @@ Array = np.ndarray
 # collision operator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class CollisionDecomposition:
+class CollisionDecomposition(NamedTuple):
     """Removal rate Lambda = sigma_a + int int sigma_s' dOmega' dv' and gain
     F = S + int int (v/v') sigma_s psi dOmega' dv', per (band, ordinate, cell).
 
@@ -39,8 +38,7 @@ class CollisionDecomposition:
     gain: Array
 
 
-@dataclass(frozen=True, eq=False)
-class _CoefficientTables:
+class _CoefficientTables(NamedTuple):
     """The field-independent half of the collision decomposition at one
     density and time: removal, emission, and the scattering-in gain matrix."""
 

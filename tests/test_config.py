@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+import rhlab
 from rhlab.config import _MODEL_KEYS, parse_config, serialize_config
 from rhlab.errors import ConfigError
 from rhlab.runner import build_problem
@@ -445,3 +450,30 @@ class TestTableEOS:
         [(line, message)] = ei.value.violations
         assert line == _line_of(text, "rho_table = 0.0, 2.225073858507203e-309, 1.0, 2.0")
         assert message.startswith("table EOS: table has no monotone interpolant: ")
+
+
+class TestSetUp:
+    def test_set_up_loads_no_polynomial_and_three_dataclasses(self):
+        # a fresh interpreter imports rhlab and builds a 1D and a 2D problem:
+        # the slab Gauss-Legendre set is computed without numpy.polynomial,
+        # and only RunConfig, SpatialGrid and State are dataclasses (the
+        # others are written out, for their class-creation cost at import)
+        code = f'''
+import inspect, sys
+import rhlab
+from rhlab.runner import build_problem
+build_problem(rhlab.parse_config({MINIMAL!r}))
+build_problem(rhlab.parse_config({MINIMAL!r}.replace("dim = 1", "dim = 2")
+                                 .replace("cells = 64", "cells = 8, 8")
+                                 .replace("lengths = 1.0", "lengths = 1.0, 1.0")))
+print("numpy.polynomial" in sys.modules)
+print(",".join(sorted(cls.__name__ for name, module in list(sys.modules.items())
+                      if name.split(".")[0] == "rhlab"
+                      for cls in vars(module).values()
+                      if inspect.isclass(cls) and cls.__module__ == name
+                      and "__dataclass_fields__" in vars(cls))))
+'''
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rhlab.__file__)))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout.split()
+        assert out == ["False", "RunConfig,SpatialGrid,State"]

@@ -116,6 +116,20 @@ class TestAngularQuadrature:
         # second moment: integral of mu^2 over the slab measure
         assert abs(q.weights @ q.ordinates[:, 0] ** 2 - 2.0 / 3.0) < 1e-8
 
+    def test_gauss_legendre_slab_is_numpys_leggauss(self):
+        # the in-house port gives numpy's nodes and weights bit for bit
+        from numpy.polynomial.legendre import leggauss
+        for n in range(2, 129):
+            q = AngularQuadrature.gauss_legendre_slab(n)
+            nodes, weights = leggauss(n)
+            assert np.array_equal(q.ordinates[:, 0], nodes), n
+            assert np.array_equal(q.weights, weights), n
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_gauss_legendre_slab_needs_two_ordinates(self, n):
+        with pytest.raises(ParameterError, match="at least 2 ordinates"):
+            AngularQuadrature.gauss_legendre_slab(n)
+
     @pytest.mark.parametrize("maker", [AngularQuadrature.corners3d,
                                        AngularQuadrature.axes3d,
                                        AngularQuadrature.combined14])

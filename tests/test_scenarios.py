@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from rhlab.config import parse_config
 from rhlab.diagnostics import phi
 from rhlab.errors import ConfigError
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from rhlab.norms import NormSettings
+from rhlab.runner import build_problem
 from rhlab.scenarios import builtin_scenarios
 
 
@@ -59,6 +61,15 @@ class TestBuiltinScenarios:
         assert len(occupied) == 1
         b, m = occupied[0]
         assert grids.ang.ordinates[m, 0] == np.max(grids.ang.ordinates[:, 0])
+
+    def test_beam_absorption_requires_positive_background(self):
+        # a zero background used to be replaced by 1 without a word
+        text = ("[grid]\ndim = 1\ncells = 16\nlengths = 1.0\nboundary = periodic\n"
+                "rho_bar = 0\n\n[run]\nt_final = 0.01\n\n"
+                "[scenario]\nname = beam-absorption\n")
+        with pytest.raises(ConfigError,
+                           match="beam-absorption needs a positive background density"):
+            build_problem(parse_config(text))
 
     def test_vacuum_farfield_requires_zero_background(self):
         with pytest.raises(ConfigError):
