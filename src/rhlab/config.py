@@ -1,16 +1,24 @@
 """Flat INI-style run configuration: parsing with per-line diagnostics,
-validation of every physical constraint, and construction of the solver
-objects a run needs.
+validation of every constraint on the run inputs, and construction of the
+solver objects a run needs.
 
-The field metadata of ``RunConfig`` is the single declaration of the schema:
-each field names its section, INI key, conversion kind and default.  The
-known keys, the per-key conversion and its message, and every line of
-``serialize_config`` derive from it.  The ``[scenario]`` keys are the ones
-the built-in scenarios declare; a ``[model]`` or ``[scenario]`` key that the
-chosen model kind or scenario does not read is rejected.  ``[model]`` owns
-the emission: a ``[scenario] emission0`` is accepted only as a repeat of the
-model's value.  The two derived defaults (``slab_length`` and the CFL-based
-``dt``) and the checks are explicit code.
+``_SCHEMA`` is the single declaration of the INI schema: one row per
+``RunConfig`` field, naming its section, INI key, conversion kind and
+default.  The slots of ``RunConfig``, the known keys, the per-key conversion
+and its message, and every line of ``serialize_config`` read it.  The
+``[scenario]`` keys are the ones the built-in scenarios declare; a
+``[model]`` or ``[scenario]`` key that the chosen model kind or scenario does
+not read is rejected.  ``[model]`` owns the emission: a ``[scenario]
+emission0`` is accepted only as a repeat of the model's value.  The two
+derived defaults (``slab_length`` and the CFL-based ``dt``) are explicit code.
+
+Each constraint on a run input is stated once, as a ``(field, failed,
+message)`` row of the class or function that owns it (``SpatialGrid.checks``,
+``SlabConfig.checks``, ``constant_model_checks`` ...).  ``_checks``
+evaluates those rows on the config's values and adds only the checks no
+constructor makes.  Once the grid and radiation keys are valid, the scenario
+builds its initial state on the config's grids, so initial data that only
+the scenario rejects is reported too.
 
 Every violation is collected (not just the first) and reported with its line
 number.  A parsed config serializes back to text that re-parses to an equal
@@ -20,29 +28,18 @@ config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from ._records import Value
 from .errors import ConfigError, ParameterError
 from .grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from .norms import NormSettings
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
-                      ViscosityParams, compton_model, constant_model, zero_model)
-from .picard import DeltaSchedule, SlabConfig
+                      ViscosityParams, compton_model, compton_model_checks,
+                      constant_model, constant_model_checks, zero_model)
+from .picard import DeltaSchedule, SlabConfig, State
 from .scenarios import builtin_scenarios
-
-
-def _key(section: str, key: str, kind: str, default):
-    """A field read from ``key = value`` in ``[section]``; see ``_KINDS``."""
-    return field(default=default,
-                 metadata={"section": section, "key": key, "kind": kind})
-
-
-def _params(section: str, kinds: dict):
-    """Optional keys of ``section`` ({key: kind}), kept as (key, value) pairs in that order."""
-    return field(default=(), metadata={"section": section, "params": kinds})
-
 
 _COMPTON_KEYS = ("D1", "D2", "v0", "theta")
 # model kind -> the [model] keys it reads
@@ -62,49 +59,69 @@ def _scenario_keys() -> dict:
             **dict.fromkeys(strings, "str")}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run description; see ``parse_config``."""
+# RunConfig field -> (section, INI key, kind, default), in config.echo order;
+# see _KINDS.  A field whose key is None keeps the optional keys of its
+# section, whose kind is {key: kind}, as (key, value) pairs in that order.
+_SCHEMA = {
+    "dim": ("grid", "dim", "int", 1),
+    "cells": ("grid", "cells", "ints", (128,)),
+    "lengths": ("grid", "lengths", "floats", (1.0,)),
+    "boundary": ("grid", "boundary", "str", "periodic"),
+    "rho_bar": ("grid", "rho_bar", "float", 1.0),
 
-    dim: int = _key("grid", "dim", "int", 1)
-    cells: tuple = _key("grid", "cells", "ints", (128,))
-    lengths: tuple = _key("grid", "lengths", "floats", (1.0,))
-    boundary: str = _key("grid", "boundary", "str", "periodic")
-    rho_bar: float = _key("grid", "rho_bar", "float", 1.0)
+    "ordinates": ("radiation", "ordinates", "str", "8"),
+    "band_edges": ("radiation", "band_edges", "floats", (0.5, 1.0, 2.0, 3.0, 4.5)),
 
-    ordinates: str = _key("radiation", "ordinates", "str", "8")
-    band_edges: tuple = _key("radiation", "band_edges", "floats",
-                             (0.5, 1.0, 2.0, 3.0, 4.5))
+    "eos_kind": ("physics", "eos", "str", "polytropic"),
+    "A": ("physics", "A", "float", 1.0),
+    "gamma": ("physics", "gamma", "float", 2.0),
+    "rho_table": ("physics", "rho_table", "floats", ()),
+    "p_table": ("physics", "p_table", "floats", ()),
+    "mu": ("physics", "mu", "float", 1.0),
+    "lam": ("physics", "lambda", "float", 0.0),
+    "c": ("physics", "c", "float", 1.0),
+    "q": ("physics", "q", "float", 4.0),
 
-    eos_kind: str = _key("physics", "eos", "str", "polytropic")
-    A: float = _key("physics", "A", "float", 1.0)
-    gamma: float = _key("physics", "gamma", "float", 2.0)
-    rho_table: tuple = _key("physics", "rho_table", "floats", ())
-    p_table: tuple = _key("physics", "p_table", "floats", ())
-    mu: float = _key("physics", "mu", "float", 1.0)
-    lam: float = _key("physics", "lambda", "float", 0.0)
-    c: float = _key("physics", "c", "float", 1.0)
-    q: float = _key("physics", "q", "float", 4.0)
+    "model_kind": ("model", "kind", "str", "constant"),
+    "model_params": ("model", None, dict.fromkeys(
+        (key for keys in _MODEL_KEYS.values() for key in keys), "float"), ()),
 
-    model_kind: str = _key("model", "kind", "str", "constant")
-    model_params: tuple = _params("model", dict.fromkeys(
-        (key for keys in _MODEL_KEYS.values() for key in keys), "float"))
+    "scenario": ("scenario", "name", "str", "equilibrium"),
+    "scenario_params": ("scenario", None, _scenario_keys(), ()),
 
-    scenario: str = _key("scenario", "name", "str", "equilibrium")
-    scenario_params: tuple = _params("scenario", _scenario_keys())
+    "t_final": ("run", "t_final", "float", 0.01),
+    "slab_length": ("run", "slab_length", "float", 0.01),
+    "dt": ("run", "dt", "float", 0.002),
+    "max_iters": ("run", "max_iters", "int", 30),
+    "gamma_tol": ("run", "gamma_tol", "float", 1e-8),
+    "max_halvings": ("run", "max_halvings", "int", 2),
+    "transport_cfl": ("run", "transport_cfl", "float", 0.9),
+    "continuity": ("run", "continuity", "str", "fv"),
+    "snapshot_stride": ("run", "snapshot_stride", "int", 1),
+    "output_dir": ("run", "output_dir", "str", "out"),
+    "deltas": ("run", "deltas", "floats", ()),
+    "extrapolate": ("run", "extrapolate", "bool", False),
+}
 
-    t_final: float = _key("run", "t_final", "float", 0.01)
-    slab_length: float = _key("run", "slab_length", "float", 0.01)
-    dt: float = _key("run", "dt", "float", 0.002)
-    max_iters: int = _key("run", "max_iters", "int", 30)
-    gamma_tol: float = _key("run", "gamma_tol", "float", 1e-8)
-    max_halvings: int = _key("run", "max_halvings", "int", 2)
-    transport_cfl: float = _key("run", "transport_cfl", "float", 0.9)
-    continuity: str = _key("run", "continuity", "str", "fv")
-    snapshot_stride: int = _key("run", "snapshot_stride", "int", 1)
-    output_dir: str = _key("run", "output_dir", "str", "out")
-    deltas: tuple = _key("run", "deltas", "floats", ())
-    extrapolate: bool = _key("run", "extrapolate", "bool", False)
+
+def _model_args(kind: str, params: dict) -> dict:
+    """Keyword arguments of the constant or compton model constructor, from
+    the [model] keys or their defaults; compton's kernel0 is a profile that
+    ``build_model`` makes."""
+    if kind == "constant":
+        return {key: params.get(key, 0.0) for key in _MODEL_KEYS["constant"]}
+    return {**{key: params.get(key, 1.0) for key in _COMPTON_KEYS},
+            "emission0": params.get("emission0", 0.0)}
+
+
+class RunConfig(Value):
+    """Validated run description; see ``parse_config``.  Its fields are the
+    rows of ``_SCHEMA``; a field not given takes the row's default."""
+
+    __slots__ = tuple(_SCHEMA)
+
+    def __init__(self, **values):
+        self._set(**{**_DEFAULTS, **values})
 
     # -- constructors of solver objects ------------------------------------
 
@@ -144,19 +161,18 @@ class RunConfig:
         return NormSettings(q=self.q, rho_ref=self.rho_bar)
 
     def build_model(self) -> CoefficientModel:
-        params = dict(self.model_params)
         if self.model_kind == "zero":
             return zero_model()
-        e0 = params.get("emission0", 0.0)
+        params = dict(self.model_params)
+        args = _model_args(self.model_kind, params)
         if self.model_kind == "constant":
-            return constant_model(params.get("sigma0", 0.0), params.get("kernel0", 0.0), e0)
+            return constant_model(**args)
         k0 = params.get("kernel0", 0.0)
         profile = None
         if k0 > 0:
             def profile(v_from, v_to, mu):
                 return np.full_like(np.asarray(mu, dtype=float), k0)
-        return compton_model(*(params.get(k, 1.0) for k in _COMPTON_KEYS),
-                             sigma_s_profile=profile, emission0=e0)
+        return compton_model(**args, sigma_s_profile=profile)
 
     def build_slab_config(self) -> SlabConfig:
         # every SlabConfig field is a [run] field of the same name
@@ -165,8 +181,14 @@ class RunConfig:
     def build_delta_schedule(self) -> DeltaSchedule | None:
         return DeltaSchedule(self.deltas, extrapolate=self.extrapolate) if self.deltas else None
 
+    def build_state0(self, grids: Grids) -> State:
+        """The scenario's initial state on ``grids``, over the background
+        density ``rho_bar``."""
+        return builtin_scenarios()[self.scenario].build(
+            grids, {**dict(self.scenario_params), "rho_bar": self.rho_bar})
 
-# -- schema derived from the field metadata ---------------------------------
+
+# -- conversions and the tables derived from the schema -----------------------
 
 _BOOLS = {**dict.fromkeys(("true", "yes", "on", "1"), True),
           **dict.fromkeys(("false", "no", "off", "0"), False)}
@@ -193,17 +215,20 @@ _KINDS = {
 }
 
 
-def _field_keys(f) -> dict:
-    """{key: kind} of the INI keys a RunConfig field reads."""
-    m = f.metadata
-    return m["params"] if "params" in m else {m["key"]: m["kind"]}
+def _keys_of(key, kind) -> dict:
+    """{key: kind} of the INI keys a schema row reads."""
+    return kind if key is None else {key: kind}
 
 
+_DEFAULTS = {name: default for name, (_, _, _, default) in _SCHEMA.items()}
+_WHERE = {name: (section, key) for name, (section, key, _, _) in _SCHEMA.items()}
 _KNOWN_KEYS: dict = {}      # section -> the keys it accepts
-_WHERE: dict = {}           # field name -> (section, key or None for pairs)
-for _f in fields(RunConfig):
-    _KNOWN_KEYS.setdefault(_f.metadata["section"], set()).update(_field_keys(_f))
-    _WHERE[_f.name] = (_f.metadata["section"], _f.metadata.get("key"))
+for _section, _key, _kind, _ in _SCHEMA.values():
+    _KNOWN_KEYS.setdefault(_section, set()).update(_keys_of(_key, _kind))
+
+# constructor argument -> the RunConfig field it is read from, where the names differ
+_FIELD_OF = {"extents": "cells", "spacing": "lengths", "farfield_rho": "rho_bar",
+             "rho_ref": "rho_bar", "n": "ordinates", "kind": "eos_kind"}
 
 
 # -- parsing and serialization ----------------------------------------------
@@ -240,9 +265,9 @@ def _read(data: dict, errors: list) -> dict:
     """Converted values of the keys the text sets, by RunConfig field name.
     A value that fails to convert is reported and left out."""
     values = {}
-    for f in fields(RunConfig):
-        section, read = f.metadata["section"], {}
-        for key, kind in _field_keys(f).items():
+    for name, (section, field_key, field_kind, _) in _SCHEMA.items():
+        read = {}
+        for key, kind in _keys_of(field_key, field_kind).items():
             if (section, key) in data:
                 ln, raw = data[(section, key)]
                 conv, what = _KINDS[kind]
@@ -250,21 +275,35 @@ def _read(data: dict, errors: list) -> dict:
                     read[key] = conv(raw)
                 except (KeyError, TypeError, ValueError):
                     errors.append((ln, f"{section}.{key}: expected {what}, got {raw!r}"))
-        if "params" in f.metadata:
-            values[f.name] = tuple(read.items())
+        if field_key is None:
+            values[name] = tuple(read.items())
         elif read:
-            values[f.name] = read[f.metadata["key"]]
+            values[name] = read[field_key]
     return values
 
 
 def _checks(cfg: RunConfig, min_h: float) -> list:
-    """((section, key), whether the check fails, message) for the constraints
-    on single keys and on keys that must agree with each other."""
+    """((section, key), message) of every failing constraint: the rows of the
+    constructors the config feeds, and the checks no constructor makes (the
+    dimension and the counts of cells and lengths, the ordinate names, the
+    table EOS build, the model kind and the keys it reads, the scenario name
+    and its keys, the emission0 repeat, t_final, the CFL bound and
+    snapshot_stride)."""
     dim, cells, lengths, ordinates = cfg.dim, cfg.cells, cfg.lengths, cfg.ordinates
-    edges, mu, lam, c, dt = cfg.band_edges, cfg.mu, cfg.lam, cfg.c, cfg.dt
-    slab = cfg.slab_length
-    deltas = cfg.deltas
-    poly = cfg.eos_kind == "polytropic"
+    c, dt, edges = cfg.c, cfg.dt, np.asarray(cfg.band_edges, dtype=float)
+    farfield = cfg.boundary == "farfield"
+    # a cell count below 1 fails the cells row; the spacing keeps the sign of the length
+    spacing = tuple(L / max(n, 1) for L, n in zip(lengths, cells))
+    owned = [
+        *SpatialGrid.checks(cells, spacing, cfg.boundary, cfg.rho_bar if farfield else None),
+        *FrequencyGrid.checks(edges, np.diff(edges)),
+        *EquationOfState.checks(cfg.eos_kind, cfg.A, cfg.gamma),
+        *ViscosityParams.checks(cfg.mu, cfg.lam),
+        *PhysicalConstants.checks(c),
+        *NormSettings.checks(cfg.q, cfg.rho_bar),
+        *SlabConfig.checks(*(getattr(cfg, name) for name in SlabConfig.__slots__)),
+        *(DeltaSchedule.checks(cfg.deltas) if cfg.deltas else ()),
+    ]
     table_msg = None
     if cfg.eos_kind == "barotropic_table":
         try:
@@ -276,78 +315,53 @@ def _checks(cfg: RunConfig, min_h: float) -> list:
         ord_msg = f"3D ordinate sets are 6, 8 or 14 points, got {ordinates!r}"
     elif dim == 1 and ordinates != "beams":
         try:
-            if int(ordinates) < 2:
-                ord_msg = "need at least 2 slab ordinates"
+            owned += AngularQuadrature.gauss_legendre_checks(int(ordinates))
         except ValueError:
             ord_msg = f"slab ordinates must be a count or 'beams', got {ordinates!r}"
     cfl = dim and cells and lengths and len(cells) == len(lengths) and c > 0 and dt > 0
     checks = [
         ("dim", dim not in (1, 2, 3), f"dim must be 1, 2 or 3, got {dim}"),
         ("cells", len(cells) != dim, f"need {dim} cell counts, got {len(cells)}"),
-        ("cells", any(n < 4 for n in cells), f"need at least 4 cells per axis, got {cells}"),
         ("lengths", len(lengths) != dim, f"need {dim} lengths, got {len(lengths)}"),
-        ("lengths", any(L <= 0 for L in lengths), "domain lengths must be positive"),
-        ("boundary", cfg.boundary not in ("periodic", "farfield"),
-         f"boundary must be periodic or farfield, got {cfg.boundary!r}"),
-        ("rho_bar", cfg.rho_bar < 0, "background density must be >= 0"),
         ("ordinates", ord_msg is not None, ord_msg),
-        ("band_edges", len(edges) < 2, "need at least two band edges"),
-        ("band_edges", len(edges) >= 2 and (
-            edges[0] <= 0 or any(b <= a for a, b in zip(edges, edges[1:]))),
-         "band edges must be positive and increasing"),
-        ("A", poly and cfg.A <= 0, f"A must be positive, got {cfg.A}"),
-        ("gamma", poly and cfg.gamma <= 1, f"gamma must exceed 1, got {cfg.gamma}"),
         ("rho_table", table_msg is not None, table_msg),
-        ("eos_kind", cfg.eos_kind not in ("polytropic", "barotropic_table"),
-         f"eos must be polytropic or barotropic_table, got {cfg.eos_kind!r}"),
-        ("mu", mu <= 0, f"shear viscosity must be positive, got {mu}"),
-        ("lam", lam + 2.0 * mu / 3.0 < 0,
-         f"need lambda + (2/3) mu >= 0, got {lam + 2.0 * mu / 3.0}"),
-        ("c", c <= 0, f"light speed must be positive, got {c}"),
-        ("q", not 3.0 < cfg.q <= 6.0, f"q must lie in (3, 6], got {cfg.q}"),
-        ("model_kind", cfg.model_kind not in ("zero", "constant", "compton"),
+        ("model_kind", cfg.model_kind not in _MODEL_KEYS,
          f"model kind must be zero, constant or compton, got {cfg.model_kind!r}"),
         ("scenario", cfg.scenario not in builtin_scenarios(),
          f"unknown scenario {cfg.scenario!r}; see 'rhlab list-scenarios'"),
         ("t_final", cfg.t_final <= 0, f"t_final must be positive, got {cfg.t_final}"),
-        ("slab_length", slab <= 0, f"slab_length must be positive, got {slab}"),
-        ("dt", dt <= 0 or (slab > 0 and dt > slab),
-         f"need 0 < dt <= slab_length, got dt={dt}"),
         ("dt", cfl and c * dt > min_h * (1.0 + 1e-12),
          f"dt violates the transport CFL bound: c*dt = {c * dt:.3g} "
          f"exceeds the smallest cell width {min_h:.3g}"),
-        ("max_iters", cfg.max_iters < 1, "max_iters must be >= 1"),
-        ("gamma_tol", cfg.gamma_tol <= 0, "gamma_tol must be positive"),
-        ("max_halvings", cfg.max_halvings < 0, "max_halvings must be >= 0"),
-        ("transport_cfl", not 0 < cfg.transport_cfl <= 1, "transport_cfl must lie in (0, 1]"),
-        ("continuity", cfg.continuity not in ("fv", "characteristics"),
-         f"continuity must be fv or characteristics, got {cfg.continuity!r}"),
         ("snapshot_stride", cfg.snapshot_stride < 1, "snapshot_stride must be >= 1"),
-        ("deltas", bool(deltas) and (
-            any(d <= 0 for d in deltas) or any(b >= a for a, b in zip(deltas, deltas[1:]))),
-         "deltas must be positive and strictly decreasing"),
     ]
-    located = [(_WHERE[name], failed, msg) for name, failed, msg in checks]
+    found = [(_WHERE[_FIELD_OF.get(name, name)], msg)
+             for name, failed, msg in owned + checks if failed]
+
     kind, reads = cfg.model_kind, _MODEL_KEYS.get(cfg.model_kind)
-    for key, value in cfg.model_params:
-        located += [(("model", key), value < 0,
-                     f"model parameter {key} must be >= 0, got {value}"),
-                    (("model", key), kind == "compton" and key in _COMPTON_KEYS
-                     and value <= 0, f"Compton parameter {key} must be positive, got {value}"),
-                    (("model", key), reads is not None and key not in reads,
-                     f"model kind {kind} does not read {key}")]
-    e0 = dict(cfg.model_params).get("emission0", 0.0)
+    params = dict(cfg.model_params)
+    model_rows = []
+    if kind == "constant":
+        model_rows = constant_model_checks(**_model_args(kind, params))
+    elif kind == "compton":
+        # the compton kernel0 is a constant kernel, constrained as constant_model's
+        model_rows = (compton_model_checks(**_model_args(kind, params))
+                      + constant_model_checks(kernel0=params.get("kernel0", 0.0)))
+    found += [(("model", key), msg) for key, failed, msg in model_rows if failed]
+    found += [(("model", key), f"model kind {kind} does not read {key}")
+              for key in params if reads is not None and key not in reads]
+
+    e0 = params.get("emission0", 0.0)
     scenario = builtin_scenarios().get(cfg.scenario)
     for key, value in cfg.scenario_params:
         if key == "emission0":
-            located.append((("scenario", key), value != e0,
-                            f"scenario emission0 = {value} differs from the model's "
-                            f"emission0 = {e0}; the emission is set in [model]"))
-        else:
-            located.append((("scenario", key),
-                            scenario is not None and key not in scenario.keys,
-                            f"scenario {cfg.scenario} does not read {key}"))
-    return located
+            if value != e0:
+                found.append((("scenario", key),
+                              f"scenario emission0 = {value} differs from the model's "
+                              f"emission0 = {e0}; the emission is set in [model]"))
+        elif scenario is not None and key not in scenario.keys:
+            found.append((("scenario", key), f"scenario {cfg.scenario} does not read {key}"))
+    return found
 
 
 def parse_config(text: str) -> RunConfig:
@@ -360,19 +374,31 @@ def parse_config(text: str) -> RunConfig:
 
     cfg = RunConfig(**values)
     if "slab_length" not in values:
-        cfg = replace(cfg, slab_length=min(cfg.t_final, 0.01))
+        cfg = cfg._replace(slab_length=min(cfg.t_final, 0.01))
         line[_WHERE["slab_length"]] = line.get(_WHERE["t_final"], 0)
     cells, lengths, slab = cfg.cells, cfg.lengths, cfg.slab_length
     min_h = min(L / n for L, n in zip(lengths, cells)) if cells and lengths \
         and len(cells) == len(lengths) and all(n > 0 for n in cells) else 1.0
     if "dt" not in values:
         cfl_dt = 0.4 * min_h / max(cfg.c, 1e-300)
-        cfg = replace(cfg, dt=min(slab, cfl_dt) if slab > 0 else 0.0)
+        cfg = cfg._replace(dt=min(slab, cfl_dt) if slab > 0 else 0.0)
         source = "slab_length" if slab <= 0 or slab <= cfl_dt else "lengths"
         line[_WHERE["dt"]] = line.get(_WHERE[source], 0)
 
-    errors += [(line.get(where, 0), msg)
-               for where, failed, msg in _checks(cfg, min_h) if failed]
+    found = _checks(cfg, min_h)
+    # keys that fail to convert or a check: the initial state needs valid grid keys
+    error_lines = {ln for ln, _ in errors}
+    bad = {where for where, (ln, _) in data.items() if ln in error_lines}
+    bad.update(where for where, _ in found)
+    errors += [(line.get(where, 0), msg) for where, msg in found]
+    if _WHERE["scenario"] not in bad and \
+            not any(section in ("grid", "radiation") for section, _ in bad):
+        try:
+            cfg.build_state0(cfg.build_grids())
+        except ConfigError as exc:
+            # a defaulted scenario name is the equilibrium over the [grid] rho_bar
+            where = _WHERE["scenario"] if _WHERE["scenario"] in line else _WHERE["rho_bar"]
+            errors.append((line.get(where, 0), f"scenario {cfg.scenario}: {exc}"))
 
     if errors:
         errors = sorted(errors)
@@ -384,7 +410,7 @@ def parse_config(text: str) -> RunConfig:
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse_config(serialize_config(c)) == c.
 
-    Fields are written in declaration order; an empty list is written as the
+    Fields are written in schema order; an empty list is written as the
     key's absence, which parses back to the same empty default."""
     def fmt(x):
         if isinstance(x, bool):
@@ -396,13 +422,13 @@ def serialize_config(cfg: RunConfig) -> str:
         return str(x)
 
     lines, section = [], None
-    for f in fields(cfg):
-        if f.metadata["section"] != section:
-            section = f.metadata["section"]
+    for name, (field_section, key, _, _) in _SCHEMA.items():
+        if field_section != section:
+            section = field_section
             lines += [""] * bool(lines) + [f"[{section}]"]
-        value = getattr(cfg, f.name)
-        if "params" in f.metadata:
-            lines += [f"{key} = {fmt(v)}" for key, v in value]
+        value = getattr(cfg, name)
+        if key is None:
+            lines += [f"{k} = {fmt(v)}" for k, v in value]
         elif value != ():
-            lines.append(f"{f.metadata['key']} = {fmt(value)}")
+            lines.append(f"{key} = {fmt(value)}")
     return "\n".join(lines) + "\n"

@@ -30,6 +30,18 @@ class ParameterError(ConfigError):
     """A scalar parameter is outside its admissible range."""
 
 
+def raise_first_failure(rows) -> None:
+    """Raise ParameterError with the message of the first failing row.
+
+    A row is ``(field, failed, message)``: a constructor states each of its
+    constraints once as a row, raises on the first that fails, and
+    ``parse_config`` reports every failing row at the line of its field.
+    """
+    for _field, failed, message in rows:
+        if failed:
+            raise ParameterError(message)
+
+
 class DomainError(ConfigError):
     """Field values outside the physical domain of an operation (e.g. rho < 0)."""
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._records import Frozen
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, raise_first_failure
 
 Array = np.ndarray
 
@@ -49,21 +49,29 @@ class SpatialGrid:
     farfield_rho: float | None = None
 
     def __post_init__(self):
-        if not 1 <= len(self.extents) <= 3:
-            raise ParameterError(f"grid dimension must be 1, 2 or 3, got {len(self.extents)}")
-        if len(self.spacing) != len(self.extents):
-            raise ParameterError("spacing and extents must have the same length")
-        if any(n < 4 for n in self.extents):
-            raise ParameterError(f"need at least 4 cells per axis, got {self.extents}")
-        if any(h <= 0 for h in self.spacing):
-            raise ParameterError(f"spacing must be positive, got {self.spacing}")
-        if self.boundary not in ("periodic", "farfield"):
-            raise ParameterError(f"unknown boundary kind {self.boundary!r}")
-        if self.boundary == "farfield":
-            if self.farfield_rho is None:
-                raise ParameterError("farfield boundary requires farfield_rho")
-            if self.farfield_rho < 0:
-                raise ParameterError("farfield density must be >= 0")
+        raise_first_failure(self.checks(self.extents, self.spacing, self.boundary,
+                                        self.farfield_rho))
+
+    @staticmethod
+    def checks(extents, spacing, boundary, farfield_rho) -> list:
+        """(field, failed, message) rows of the constructor's constraints."""
+        farfield = boundary == "farfield"
+        return [
+            ("extents", not 1 <= len(extents) <= 3,
+             f"grid dimension must be 1, 2 or 3, got {len(extents)}"),
+            ("spacing", len(spacing) != len(extents),
+             "spacing and extents must have the same length"),
+            ("extents", any(n < 4 for n in extents),
+             f"need at least 4 cells per axis, got {extents}"),
+            ("spacing", any(h <= 0 for h in spacing),
+             f"spacing must be positive, got {spacing}"),
+            ("boundary", boundary not in ("periodic", "farfield"),
+             f"boundary must be periodic or farfield, got {boundary!r}"),
+            ("farfield_rho", farfield and farfield_rho is None,
+             "farfield boundary requires farfield_rho"),
+            ("farfield_rho", farfield and farfield_rho is not None and farfield_rho < 0,
+             f"farfield density must be >= 0, got {farfield_rho}"),
+        ]
 
     @classmethod
     def periodic(cls, cells, lengths) -> "SpatialGrid":
@@ -157,10 +165,14 @@ class AngularQuadrature(Frozen):
     def gauss_legendre_slab(cls, n: int) -> "AngularQuadrature":
         """Gauss-Legendre nodes in mu on (-1, 1); weights sum to 2.  Computed
         by ``_leggauss``, so ``numpy.polynomial`` is never imported."""
-        if n < 2:
-            raise ParameterError("slab quadrature needs at least 2 ordinates")
+        raise_first_failure(cls.gauss_legendre_checks(n))
         nodes, weights = _leggauss(int(n))
         return cls(nodes[:, None], weights, 2.0, slab=True)
+
+    @staticmethod
+    def gauss_legendre_checks(n: int) -> list:
+        """(field, failed, message) rows of ``gauss_legendre_slab``."""
+        return [("n", n < 2, "slab quadrature needs at least 2 ordinates")]
 
     @classmethod
     def beams_slab(cls) -> "AngularQuadrature":
@@ -260,17 +272,28 @@ class FrequencyGrid(Frozen):
     __slots__ = ("band_edges", "band_weights", "band_centers")
 
     def __init__(self, band_edges: Array, band_weights: Array, band_centers: Array):
-        e = np.asarray(band_edges, dtype=float)
-        self._set(band_edges=e, band_weights=np.asarray(band_weights, dtype=float),
+        self._set(band_edges=np.asarray(band_edges, dtype=float),
+                  band_weights=np.asarray(band_weights, dtype=float),
                   band_centers=np.asarray(band_centers, dtype=float))
-        if e.ndim != 1 or e.size < 2:
-            raise ShapeError("need at least two band edges")
-        if e[0] <= 0 or np.any(np.diff(e) <= 0):
-            raise ParameterError("band edges must be positive and strictly increasing")
-        if np.any(self.band_weights <= 0):
-            raise ParameterError("band weights must be positive")
-        if not np.allclose(self.band_weights, np.diff(e), rtol=0, atol=1e-12 * e[-1]):
-            raise ParameterError("band weights must match edge differences (midpoint rule)")
+        raise_first_failure(self.checks(self.band_edges, self.band_weights))
+
+    @staticmethod
+    def checks(band_edges, band_weights) -> list:
+        """(field, failed, message) rows of the constructor's constraints; the
+        weight rows are checked once the edges pass."""
+        e, w = np.asarray(band_edges, dtype=float), np.asarray(band_weights, dtype=float)
+        listed = e.ndim == 1 and e.size >= 2
+        edges_ok = listed and e[0] > 0 and bool(np.all(np.diff(e) > 0))
+        return [
+            ("band_edges", not listed, "need at least two band edges"),
+            ("band_edges", listed and not edges_ok,
+             "band edges must be positive and strictly increasing"),
+            ("band_weights", edges_ok and bool(np.any(w <= 0)),
+             "band weights must be positive"),
+            ("band_weights", edges_ok and not np.allclose(w, np.diff(e), rtol=0,
+                                                          atol=1e-12 * e[-1]),
+             "band weights must match edge differences (midpoint rule)"),
+        ]
 
     @classmethod
     def from_edges(cls, edges) -> "FrequencyGrid":

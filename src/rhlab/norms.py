@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._records import Value
-from .errors import ParameterError
+from .errors import ParameterError, raise_first_failure
 from .grid import (Grids, SpatialGrid, check_cells, check_radiation, gradient,
                    phase_weights, second_difference)
 
@@ -49,10 +49,13 @@ class NormSettings(Value):
 
     def __init__(self, q: float = 4.0, rho_ref: float = 0.0):
         self._set(q=q, rho_ref=rho_ref)
-        if not 3.0 < self.q <= 6.0:
-            raise ParameterError(f"q must lie in (3, 6], got {self.q}")
-        if self.rho_ref < 0:
-            raise ParameterError("reference density must be >= 0")
+        raise_first_failure(self.checks(q, rho_ref))
+
+    @staticmethod
+    def checks(q: float, rho_ref: float) -> list:
+        """(field, failed, message) rows of the constructor's constraints."""
+        return [("q", not 3.0 < q <= 6.0, f"q must lie in (3, 6], got {q}"),
+                ("rho_ref", rho_ref < 0, f"reference density must be >= 0, got {rho_ref}")]
 
 
 def _magnitude(f: Array, grid: SpatialGrid, lead: int = 0,

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from ._records import Record, Value
-from .errors import ConfigError, DomainError, ParameterError
+from .errors import ConfigError, DomainError, ParameterError, raise_first_failure
 from .grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, check_scalar,
                    gradient, phase_weights)
 from .norms import NormSettings, _lp_cells, lp_norm
@@ -36,11 +36,14 @@ class ViscosityParams(Value):
 
     def __init__(self, mu: float, lam: float):
         self._set(mu=mu, lam=lam)
-        if self.mu <= 0:
-            raise ParameterError(f"shear viscosity must be positive, got mu={self.mu}")
-        if self.lam + 2.0 * self.mu / 3.0 < 0:
-            raise ParameterError(
-                f"need lambda + (2/3) mu >= 0, got {self.lam + 2.0 * self.mu / 3.0}")
+        raise_first_failure(self.checks(mu, lam))
+
+    @staticmethod
+    def checks(mu: float, lam: float) -> list:
+        """(field, failed, message) rows of the constructor's constraints."""
+        bulk = lam + 2.0 * mu / 3.0
+        return [("mu", mu <= 0, f"shear viscosity must be positive, got {mu}"),
+                ("lam", bulk < 0, f"need lambda + (2/3) mu >= 0, got {bulk}")]
 
 
 class PhysicalConstants(Value):
@@ -50,8 +53,12 @@ class PhysicalConstants(Value):
 
     def __init__(self, c: float = 1.0):
         self._set(c=c)
-        if self.c <= 0:
-            raise ParameterError(f"light speed must be positive, got {self.c}")
+        raise_first_failure(self.checks(c))
+
+    @staticmethod
+    def checks(c: float) -> list:
+        """(field, failed, message) rows of the constructor's constraints."""
+        return [("c", c <= 0, f"light speed must be positive, got {c}")]
 
 
 class EquationOfState:
@@ -64,16 +71,13 @@ class EquationOfState:
 
     def __init__(self, kind: str, A: float | None = None, gamma: float | None = None,
                  table: tuple[Array, Array] | None = None):
+        raise_first_failure(self.checks(kind, A, gamma))
         self.kind = kind
         if kind == "polytropic":
-            if A is None or A <= 0:
-                raise ParameterError(f"polytropic EOS needs A > 0, got {A}")
-            if gamma is None or gamma <= 1:
-                raise ParameterError(f"polytropic EOS needs gamma > 1, got {gamma}")
             self.A = float(A)
             self.gamma = float(gamma)
             self._interp = None
-        elif kind == "barotropic_table":
+        else:
             if table is None:
                 raise ParameterError("table EOS needs (rho, p) samples")
             rho_s = np.asarray(table[0], dtype=float)
@@ -98,8 +102,19 @@ class EquationOfState:
                     self._interp = PchipInterpolator(rho_s, p_s, extrapolate=True)
             except ValueError as exc:
                 raise ParameterError(f"table has no monotone interpolant: {exc}") from exc
-        else:
-            raise ParameterError(f"unknown EOS kind {kind!r}")
+
+    @staticmethod
+    def checks(kind: str, A: float | None, gamma: float | None) -> list:
+        """(field, failed, message) rows of the kind and the polytropic
+        parameters; the table samples are checked while the table is built."""
+        poly = kind == "polytropic"
+        return [
+            ("kind", kind not in ("polytropic", "barotropic_table"),
+             f"eos must be polytropic or barotropic_table, got {kind!r}"),
+            ("A", poly and (A is None or not A > 0), f"A must be positive, got {A}"),
+            ("gamma", poly and (gamma is None or not gamma > 1),
+             f"gamma must exceed 1, got {gamma}"),
+        ]
 
     @classmethod
     def polytropic(cls, A: float, gamma: float) -> "EquationOfState":
@@ -298,11 +313,18 @@ def zero_model() -> CoefficientModel:
     )
 
 
+def constant_model_checks(sigma0: float = 0.0, kernel0: float = 0.0,
+                          emission0: float = 0.0) -> list:
+    """(field, failed, message) rows of ``constant_model``."""
+    return [(name, value < 0, f"model parameter {name} must be >= 0, got {value}")
+            for name, value in (("sigma0", sigma0), ("kernel0", kernel0),
+                                ("emission0", emission0))]
+
+
 def constant_model(sigma0: float = 0.0, kernel0: float = 0.0,
                    emission0: float = 0.0) -> CoefficientModel:
     """Frequency- and direction-independent coefficients."""
-    if min(sigma0, kernel0, emission0) < 0:
-        raise ParameterError("coefficients must be nonnegative")
+    raise_first_failure(constant_model_checks(sigma0, kernel0, emission0))
 
     def kern(v_from, v_to, mu):
         return np.full_like(np.asarray(mu, dtype=float), kernel0)
@@ -317,6 +339,14 @@ def constant_model(sigma0: float = 0.0, kernel0: float = 0.0,
     )
 
 
+def compton_model_checks(D1: float, D2: float, v0: float, theta: float,
+                         emission0: float = 0.0) -> list:
+    """(field, failed, message) rows of ``compton_model``."""
+    return [(name, value <= 0, f"Compton parameter {name} must be positive, got {value}")
+            for name, value in (("D1", D1), ("D2", D2), ("v0", v0), ("theta", theta))] \
+        + constant_model_checks(emission0=emission0)
+
+
 def compton_model(D1: float, D2: float, v0: float, theta: float,
                   sigma_s_profile: Callable | None = None,
                   emission0: float = 0.0) -> CoefficientModel:
@@ -328,11 +358,7 @@ def compton_model(D1: float, D2: float, v0: float, theta: float,
     the same kernel with the frequency arguments swapped, and a constant
     emission rate.
     """
-    for name, val in (("D1", D1), ("D2", D2), ("v0", v0), ("theta", theta)):
-        if val <= 0:
-            raise ParameterError(f"Compton parameter {name} must be positive, got {val}")
-    if emission0 < 0:
-        raise ParameterError(f"emission rate must be >= 0, got {emission0}")
+    raise_first_failure(compton_model_checks(D1, D2, v0, theta, emission0))
     amp = D1 * theta ** -0.5
 
     def sig(v, rho):

@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._records import Record, Value
-from .errors import DomainError, IterationError, ParameterError
+from .errors import DomainError, IterationError, ParameterError, raise_first_failure
 from .fluid import (VelocityHistory, continuity_step_characteristics,
                     continuity_step_fv, heat_smooth, momentum_step)
 from .grid import Grids, SpatialGrid, check_radiation, check_scalar, check_vector
@@ -89,19 +89,26 @@ class SlabConfig(Value):
         self._set(slab_length=slab_length, dt=dt, max_iters=max_iters, gamma_tol=gamma_tol,
                   max_halvings=max_halvings, transport_cfl=transport_cfl,
                   continuity=continuity)
-        if not 0 < self.dt <= self.slab_length:
-            raise ParameterError(f"need 0 < dt <= slab_length, got dt={self.dt}, "
-                                 f"slab_length={self.slab_length}")
-        if self.max_iters < 1:
-            raise ParameterError("max_iters must be >= 1")
-        if not (np.isfinite(self.gamma_tol) and self.gamma_tol > 0):
-            raise ParameterError(f"gamma_tol must be finite and positive, got {self.gamma_tol}")
-        if self.max_halvings < 0:
-            raise ParameterError(f"max_halvings must be >= 0, got {self.max_halvings}")
-        if not 0 < self.transport_cfl <= 1:
-            raise ParameterError(f"transport_cfl must lie in (0, 1], got {self.transport_cfl}")
-        if self.continuity not in ("fv", "characteristics"):
-            raise ParameterError(f"unknown continuity scheme {self.continuity!r}")
+        raise_first_failure(self.checks(*self._fields()))
+
+    @staticmethod
+    def checks(slab_length: float, dt: float, max_iters: int, gamma_tol: float,
+               max_halvings: int, transport_cfl: float, continuity: str) -> list:
+        """(field, failed, message) rows of the constructor's constraints."""
+        return [
+            ("slab_length", not slab_length > 0,
+             f"slab_length must be positive, got {slab_length}"),
+            ("dt", not dt > 0 or (slab_length > 0 and dt > slab_length),
+             f"need 0 < dt <= slab_length, got dt={dt}"),
+            ("max_iters", max_iters < 1, "max_iters must be >= 1"),
+            ("gamma_tol", not (math.isfinite(gamma_tol) and gamma_tol > 0),
+             f"gamma_tol must be finite and positive, got {gamma_tol}"),
+            ("max_halvings", max_halvings < 0, f"max_halvings must be >= 0, got {max_halvings}"),
+            ("transport_cfl", not 0 < transport_cfl <= 1,
+             f"transport_cfl must lie in (0, 1], got {transport_cfl}"),
+            ("continuity", continuity not in ("fv", "characteristics"),
+             f"continuity must be fv or characteristics, got {continuity!r}"),
+        ]
 
 
 class PicardDiagnostics(Record):
@@ -144,12 +151,16 @@ class DeltaSchedule(Value):
     __slots__ = ("deltas", "extrapolate")
 
     def __init__(self, deltas: tuple, extrapolate: bool = False):
-        d = tuple(float(x) for x in deltas)
-        self._set(deltas=d, extrapolate=extrapolate)
-        if len(d) < 1 or not all(np.isfinite(x) and x > 0 for x in d):
-            raise ParameterError(f"delta schedule must contain finite positive values, got {d}")
-        if any(b >= a for a, b in zip(d, d[1:])):
-            raise ParameterError("delta schedule must be strictly decreasing")
+        self._set(deltas=tuple(float(x) for x in deltas), extrapolate=extrapolate)
+        raise_first_failure(self.checks(self.deltas))
+
+    @staticmethod
+    def checks(deltas: tuple) -> list:
+        """(field, failed, message) rows of the constructor's constraints."""
+        return [("deltas", not deltas or not all(math.isfinite(x) and x > 0 for x in deltas),
+                 f"delta schedule must contain finite positive values, got {deltas}"),
+                ("deltas", any(b >= a for a, b in zip(deltas, deltas[1:])),
+                 "delta schedule must be strictly decreasing")]
 
 
 class ContinuationReport(Record):

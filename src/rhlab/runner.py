@@ -22,7 +22,6 @@ from .fluid import _momentum_layout
 from .grid import integrate_radiation, write_field_snapshot
 from .physics import validate_kernel_integrability, validate_sigma_regularity
 from .picard import State, Trajectory, delta_continuation, solve
-from .scenarios import builtin_scenarios
 
 OUTPUT_DIR_ENV = "RHLAB_OUTPUT_DIR"
 
@@ -87,8 +86,7 @@ def build_problem(cfg: RunConfig) -> Problem:
     consts = cfg.build_constants()
     settings = cfg.build_norm_settings()
     model = cfg.build_model()
-    state0 = builtin_scenarios()[cfg.scenario].build(
-        grids, {**dict(cfg.scenario_params), "rho_bar": cfg.rho_bar})
+    state0 = cfg.build_state0(grids)
     _momentum_layout(grids.spatial, visc)
     return Problem(cfg=cfg, grids=grids, eos=eos, visc=visc, consts=consts,
                    settings=settings, model=model, state0=state0)

@@ -403,3 +403,37 @@ output_dir = {out1}
             (out2 / "monitor.csv").read_bytes()
         assert (out1 / "picard.csv").read_bytes() == \
             (out2 / "picard.csv").read_bytes()
+
+
+def _first_step_acceleration(name, dt):
+    """||sqrt(rho_1) (u_1 - u_0) / dt||_2 after one accepted step dt, on the
+    1D periodic grid of 128 cells over rho_bar = 1, with no radiation
+    coupling."""
+    grids = make_grids(n=128, boundary="periodic")
+    state0 = build_scenario(name, grids)
+    state1, _ = solve_slab(state0, zero_model(), grids, VISC, EOS, CONSTS,
+                           SlabConfig(slab_length=dt, dt=dt))
+    return np.sqrt(np.sum(state1.rho * (state1.u - state0.u) ** 2)
+                   * grids.spatial.cell_volume) / dt
+
+
+def test_criterion_15_initial_layer_dichotomy():
+    """The paper's compatibility condition, seen in runs: sqrt(rho) u_t of the
+    first step stays bounded as dt -> 0 for compatible data and grows for
+    incompatible data.
+
+    Growth per halving of dt from 1e-4 to 6.25e-6, measured when the
+    criterion was written:
+        smooth-bump (control)  1.017, 1.009, 1.004, 1.002
+        compat-satisfied       1.196, 1.119, 1.068, 1.037  (settling)
+        compat-diverging       1.164, 1.188, 1.207, 1.221  (rising, a dt^(-1/2) layer)
+    The bounds below keep a margin from these."""
+    with criterion(15, "initial layer: settles for compatible data, grows otherwise"):
+        growth = {}
+        for name in ("smooth-bump", "compat-satisfied", "compat-diverging"):
+            values = [_first_step_acceleration(name, 1e-4 / 2 ** k) for k in range(5)]
+            growth[name] = [b / a for a, b in zip(values, values[1:])]
+        satisfied, diverging = growth["compat-satisfied"], growth["compat-diverging"]
+        assert all(b < a for a, b in zip(satisfied, satisfied[1:])) and satisfied[-1] < 1.1
+        assert all(b > a for a, b in zip(diverging, diverging[1:])) and diverging[-1] > 1.15
+        assert all(0.98 <= r <= 1.05 for r in growth["smooth-bump"])

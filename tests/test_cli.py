@@ -212,6 +212,17 @@ class TestExitCodes:
         assert main(["run", cfg]) == 2
         assert "q must lie in (3, 6]" in capsys.readouterr().err
 
+    def test_initial_data_the_scenario_rejects_exit_2(self, tmp_path, capsys):
+        # the config is valid key by key, but its equilibrium has no positive
+        # background density: the run stops at parse, citing the name line
+        out = tmp_path / "out"
+        cfg = equilibrium_cfg(tmp_path, out, "periodic", 0.0)
+        line = (tmp_path / "run.cfg").read_text().splitlines().index("name = equilibrium") + 1
+        assert main(["run", cfg]) == 2
+        assert (f"line {line}: scenario equilibrium: equilibrium needs a positive "
+                f"background density") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         # a missing path, a directory and a file that is not UTF-8 are each
         # reported as a one-line config error
