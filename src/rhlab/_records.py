@@ -3,15 +3,17 @@
 A record is a ``__slots__`` class with its own ``__init__``; its fields are
 its ``__slots__``, in order.  ``@dataclass`` would generate and compile
 those methods for every class at import, 0.3-0.7 ms a class on a 2-vCPU
-Xeon, against 0.01 ms for a class written out; only ``SpatialGrid`` and
-``State`` (copied with ``dataclasses.replace``) stay dataclasses.
+Xeon, against 0.01 ms for a class written out; only ``picard.State``
+(copied with ``dataclasses.replace``) stays a dataclass.
 ``RunConfig`` is a ``Value`` whose slots are the rows of the INI schema
 table in ``rhlab.config``.
 
 ``Record`` gives the dataclass repr of the public fields.  ``Frozen`` forbids
 assignment once ``__init__`` has set the fields with ``_set``.  ``Value``
 adds equality and a hash by field values, as a frozen dataclass has, so an
-instance can key a cache.
+instance can key a cache, and ``_replace``, a copy with some fields changed
+that is validated again (``SpatialGrid._replace(rho_bar=...)`` lifts a
+grid's background density).
 """
 
 from __future__ import annotations

@@ -14,11 +14,11 @@ derived defaults (``slab_length`` and the CFL-based ``dt``) are explicit code.
 
 Each constraint on a run input is stated once, as a ``(field, failed,
 message)`` row of the class or function that owns it (``SpatialGrid.checks``,
-``SlabConfig.checks``, ``constant_model_checks`` ...).  ``_checks``
-evaluates those rows on the config's values and adds only the checks no
-constructor makes.  Once the grid and radiation keys are valid, the scenario
-builds its initial state on the config's grids, so initial data that only
-the scenario rejects is reported too.
+``SlabConfig.checks``, ``constant_model_checks``, a scenario's ``checks``
+...).  ``_checks`` evaluates those rows on the config's values and adds only
+the checks no constructor makes.  Once the grid, radiation and scenario keys
+are valid, the scenario builds its initial state on the config's grids, so
+initial data that only the scenario rejects is reported too.
 
 Every violation is collected (not just the first) and reported with its line
 number.  A parsed config serializes back to text that re-parses to an equal
@@ -128,7 +128,7 @@ class RunConfig(Value):
     def build_spatial_grid(self) -> SpatialGrid:
         if self.boundary == "farfield":
             return SpatialGrid.farfield(self.cells, self.lengths, self.rho_bar)
-        return SpatialGrid.periodic(self.cells, self.lengths)
+        return SpatialGrid.periodic(self.cells, self.lengths, self.rho_bar)
 
     def build_angular(self) -> AngularQuadrature:
         tok = self.ordinates
@@ -158,7 +158,7 @@ class RunConfig(Value):
         return PhysicalConstants(self.c)
 
     def build_norm_settings(self) -> NormSettings:
-        return NormSettings(q=self.q, rho_ref=self.rho_bar)
+        return NormSettings(self.q)
 
     def build_model(self) -> CoefficientModel:
         if self.model_kind == "zero":
@@ -182,10 +182,8 @@ class RunConfig(Value):
         return DeltaSchedule(self.deltas, extrapolate=self.extrapolate) if self.deltas else None
 
     def build_state0(self, grids: Grids) -> State:
-        """The scenario's initial state on ``grids``, over the background
-        density ``rho_bar``."""
-        return builtin_scenarios()[self.scenario].build(
-            grids, {**dict(self.scenario_params), "rho_bar": self.rho_bar})
+        """The scenario's initial state on ``grids``."""
+        return builtin_scenarios()[self.scenario].build(grids, dict(self.scenario_params))
 
 
 # -- conversions and the tables derived from the schema -----------------------
@@ -227,8 +225,7 @@ for _section, _key, _kind, _ in _SCHEMA.values():
     _KNOWN_KEYS.setdefault(_section, set()).update(_keys_of(_key, _kind))
 
 # constructor argument -> the RunConfig field it is read from, where the names differ
-_FIELD_OF = {"extents": "cells", "spacing": "lengths", "farfield_rho": "rho_bar",
-             "rho_ref": "rho_bar", "n": "ordinates", "kind": "eos_kind"}
+_FIELD_OF = {"extents": "cells", "spacing": "lengths", "n": "ordinates", "kind": "eos_kind"}
 
 
 # -- parsing and serialization ----------------------------------------------
@@ -291,16 +288,15 @@ def _checks(cfg: RunConfig, min_h: float) -> list:
     snapshot_stride)."""
     dim, cells, lengths, ordinates = cfg.dim, cfg.cells, cfg.lengths, cfg.ordinates
     c, dt, edges = cfg.c, cfg.dt, np.asarray(cfg.band_edges, dtype=float)
-    farfield = cfg.boundary == "farfield"
     # a cell count below 1 fails the cells row; the spacing keeps the sign of the length
     spacing = tuple(L / max(n, 1) for L, n in zip(lengths, cells))
     owned = [
-        *SpatialGrid.checks(cells, spacing, cfg.boundary, cfg.rho_bar if farfield else None),
+        *SpatialGrid.checks(cells, spacing, cfg.boundary, cfg.rho_bar),
         *FrequencyGrid.checks(edges, np.diff(edges)),
         *EquationOfState.checks(cfg.eos_kind, cfg.A, cfg.gamma),
         *ViscosityParams.checks(cfg.mu, cfg.lam),
         *PhysicalConstants.checks(c),
-        *NormSettings.checks(cfg.q, cfg.rho_bar),
+        *NormSettings.checks(cfg.q),
         *SlabConfig.checks(*(getattr(cfg, name) for name in SlabConfig.__slots__)),
         *(DeltaSchedule.checks(cfg.deltas) if cfg.deltas else ()),
     ]
@@ -353,6 +349,12 @@ def _checks(cfg: RunConfig, min_h: float) -> list:
 
     e0 = params.get("emission0", 0.0)
     scenario = builtin_scenarios().get(cfg.scenario)
+    if scenario is not None:
+        # a row on a [scenario] key is cited at that key, the rho_bar row at the name
+        rows = scenario.checks(cfg.boundary, cfg.rho_bar,
+                               {**scenario.keys, **dict(cfg.scenario_params)})
+        found += [(("scenario", key) if key in scenario.keys else _WHERE["scenario"],
+                   f"scenario {cfg.scenario}: {msg}") for key, failed, msg in rows if failed]
     for key, value in cfg.scenario_params:
         if key == "emission0":
             if value != e0:
@@ -369,8 +371,10 @@ def parse_config(text: str) -> RunConfig:
     its line number."""
     data, errors = _tokenize(text)
     values = _read(data, errors)
-    # line of each key; a derived default cites the line of the key it comes from
+    # line of each key; a derived default (or scenario name, the equilibrium
+    # over the [grid] rho_bar) cites the line of the key it comes from
     line = {where: ln for where, (ln, _) in data.items()}
+    line.setdefault(_WHERE["scenario"], line.get(_WHERE["rho_bar"], 0))
 
     cfg = RunConfig(**values)
     if "slab_length" not in values:
@@ -386,19 +390,17 @@ def parse_config(text: str) -> RunConfig:
         line[_WHERE["dt"]] = line.get(_WHERE[source], 0)
 
     found = _checks(cfg, min_h)
-    # keys that fail to convert or a check: the initial state needs valid grid keys
+    # keys that fail to convert or a check: the initial state needs valid
+    # grid, radiation and scenario keys
     error_lines = {ln for ln, _ in errors}
     bad = {where for where, (ln, _) in data.items() if ln in error_lines}
     bad.update(where for where, _ in found)
     errors += [(line.get(where, 0), msg) for where, msg in found]
-    if _WHERE["scenario"] not in bad and \
-            not any(section in ("grid", "radiation") for section, _ in bad):
+    if not any(section in ("grid", "radiation", "scenario") for section, _ in bad):
         try:
             cfg.build_state0(cfg.build_grids())
         except ConfigError as exc:
-            # a defaulted scenario name is the equilibrium over the [grid] rho_bar
-            where = _WHERE["scenario"] if _WHERE["scenario"] in line else _WHERE["rho_bar"]
-            errors.append((line.get(where, 0), f"scenario {cfg.scenario}: {exc}"))
+            errors.append((line[_WHERE["scenario"]], f"scenario {cfg.scenario}: {exc}"))
 
     if errors:
         errors = sorted(errors)

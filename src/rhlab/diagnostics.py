@@ -21,7 +21,7 @@ from .grid import Grids, SpatialGrid, check_scalar, gradient, integrate_space
 from .norms import (NormSettings, _differences, _hessian_stack, _lp_cells, _lp_multi,
                     _phase_l2, _sobolev_cells, snapshot_chunks)
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
-                      ViscosityParams, farfield_pressure, pressure)
+                      ViscosityParams, pressure)
 from .picard import State, Trajectory
 from .transport import momentum_source
 
@@ -65,8 +65,8 @@ def initial_force_imbalance(I0: Array, rho0: Array, u0: Array,
     """L u0 + grad p(rho0) + (1/c) int int A_r0 Omega dOmega dv, per cell."""
     grid = grids.spatial
     p0 = pressure(eos, rho0, grid)
-    out = lame_apply(u0, visc, grid) + gradient(p0, grid,
-                                                farfield_value=farfield_pressure(eos, grid))
+    out = lame_apply(u0, visc, grid) + gradient(
+        p0, grid, farfield_value=eos.reference_pressure(grid.rho_bar))
     # momentum_source already carries the minus sign of the force term
     out = out - momentum_source(I0, rho0, model, grids, t, consts.c)[:grid.dim]
     return out
@@ -161,7 +161,7 @@ def _phi_cells(I: Array, rho: Array, u: Array, grids: Grids,
     grid = grids.spatial
     return (_phase_l2(_sobolev_cells(I, "H1W1q", settings, grid, lead=3, overwrite=True),
                       grids),
-            _sobolev_cells(rho - settings.rho_ref, "H1W1q", settings, grid, lead=1,
+            _sobolev_cells(rho - grid.rho_bar, "H1W1q", settings, grid, lead=1,
                            overwrite=True),
             _sobolev_cells(u, "D1", settings, grid, lead=1))
 
@@ -173,8 +173,8 @@ def phi_components(state: State, grids: Grids, settings: NormSettings) -> tuple:
 
 
 def phi(state: State, grids: Grids, settings: NormSettings) -> float:
-    """Phi = 1 + ||I||_{L2(phase; H1 cap W1q)} + ||rho - rho_ref||_{H1 cap W1q}
-    + |u|_{D1}."""
+    """Phi = 1 + ||I||_{L2(phase; H1 cap W1q)} + ||rho - rho_bar||_{H1 cap W1q}
+    + |u|_{D1}, with the background density ``rho_bar`` of the grid."""
     return 1.0 + sum(phi_components(state, grids, settings))
 
 
@@ -243,7 +243,7 @@ def _theta_total(components: tuple, terms: _ThetaTerms, history: ThetaHistory) -
 
 def theta(state: State, deriv: StateTimeDerivatives, history: ThetaHistory,
           grids: Grids, settings: NormSettings) -> float:
-    """Theta = 1 + ||I|| + ||I_t||_{L2(phase; L2 cap Lq)} + ||rho - ref|| +
+    """Theta = 1 + ||I|| + ||I_t||_{L2(phase; L2 cap Lq)} + ||rho - rho_bar|| +
     |rho_t|_{L2 cap Lq} + |u|_{D1 cap D2} + |sqrt(rho) u_t|_2 + accumulated
     int (|u|^2_{D2q} + |u_t|^2_{D1})."""
     terms = _theta_cells(_one(state.rho), _one(state.u), _one(deriv.I_t),
@@ -363,19 +363,19 @@ class FarfieldBoundsReport(Record):
         self.first_violation = first_violation
 
 
-def farfield_bounds_check(traj: Trajectory, grids: Grids, radius: float,
-                          rho_bar: float) -> FarfieldBoundsReport:
+def farfield_bounds_check(traj: Trajectory, grids: Grids,
+                          radius: float) -> FarfieldBoundsReport:
     """Check 3 rho_bar / 8 <= rho <= 5 rho_bar / 2 outside the ball of the
-    given radius around the domain center, per snapshot.  Requires a positive
-    background density; rho_bar = 0 reports not-applicable."""
-    if rho_bar <= 0:
-        return FarfieldBoundsReport(applicable=False)
+    given radius around the domain center, per snapshot, with the grid's
+    background density rho_bar; rho_bar = 0 reports not-applicable."""
     grid = grids.spatial
+    if grid.rho_bar <= 0:
+        return FarfieldBoundsReport(applicable=False)
     outside = grid.radius_from_center() > radius
     report = FarfieldBoundsReport(applicable=True)
     if not np.any(outside):
         return report
-    lo, hi = 3.0 * rho_bar / 8.0, 5.0 * rho_bar / 2.0
+    lo, hi = 3.0 * grid.rho_bar / 8.0, 5.0 * grid.rho_bar / 2.0
     for t, state in zip(traj.times, traj.states):
         mn = float(np.min(state.rho[outside]))
         mx = float(np.max(state.rho[outside]))

@@ -125,7 +125,7 @@ lapack = _scipy_extension("scipy.linalg._flapack")
 sparsetools = _scipy_extension("scipy.sparse._sparsetools")
 
 
-# perfbench/tracing.py is the only reader of ``spla``; ROADMAP item 1 removes it
+# perfbench/tracing.py is the only reader of ``spla``; ROADMAP item 3 removes it
 def __getattr__(name):
     if name == "spla":
         import scipy.sparse.linalg
@@ -391,8 +391,7 @@ def continuity_step_characteristics(rho0: Array, w_hist: VelocityHistory, t,
     times = _start_times(t, substeps)
     pts, _, divint = _trace_backward(w_hist, times.reshape(-1), grid, substeps,
                                      want_div=True)
-    ghost = grid.farfield_rho if grid.boundary == "farfield" else 0.0
-    rho = _interp(pad_ghost(rho0, grid, ghost), grid, pts)
+    rho = _interp(pad_ghost(rho0, grid, grid.rho_bar), grid, pts)
     # vacuum stays 0 where exp overflows (0 * inf would be NaN)
     np.multiply(rho, np.exp(-divint), out=rho, where=rho != 0.0)
     return rho[0] if times.ndim == 0 else rho
@@ -436,8 +435,7 @@ def continuity_step_fv(rho_n: Array, w: Array, dt: float, grid: SpatialGrid) -> 
     if worst > 1.0 + 1e-12:
         raise StepSizeError(f"continuity CFL violated: dt * max outflow rate "
                             f"= {worst:.3g} > 1")
-    ghost_rho = grid.farfield_rho if grid.boundary == "farfield" else 0.0
-    rp = pad_ghost(rho_n, grid, ghost_rho)
+    rp = pad_ghost(rho_n, grid, grid.rho_bar)
     out = rho_n.copy()
     for a in range(grid.dim):
         wf = faces[a]
@@ -461,17 +459,15 @@ def continuity_step_fv(rho_n: Array, w: Array, dt: float, grid: SpatialGrid) -> 
 # ---------------------------------------------------------------------------
 
 def lame_apply(u: Array, visc: ViscosityParams, grid: SpatialGrid) -> Array:
-    """L u = -mu lap u - (lam + mu) grad div u, built by composing the centered
-    gradient/divergence so the discrete energy identity
+    """L u = -mu lap u - (lam + mu) grad div u: the Lame block of the grid's
+    cached momentum layout, so the operator the momentum solve inverts.  Its
+    values are the compositions of the centered gradient/divergence (zero
+    far-field ghosts), so the discrete energy identity
     <L u, u> = mu |grad u|_2^2 + (lam + mu) |div u|_2^2 holds exactly on
     periodic grids."""
     u = check_vector(u, grid)
-    out = np.empty_like(u)
-    graddiv = gradient(divergence(u, grid, 0.0), grid, 0.0)
-    for j in range(grid.dim):
-        lap = divergence(gradient(u[j], grid, 0.0), grid, 0.0)
-        out[j] = -visc.mu * lap - (visc.lam + visc.mu) * graddiv[j]
-    return out
+    lay = _momentum_layout(grid, visc)
+    return _matvec(lay, lay.lame_data, u.ravel()).reshape(u.shape)
 
 
 def heat_smooth(u: Array, grid: SpatialGrid, duration: float) -> Array:

@@ -18,11 +18,10 @@ numpy with a fixed summation order, so repeated evaluation is bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._records import Frozen
+from ._records import Frozen, Value
 from .errors import ParameterError, ShapeError, raise_first_failure
 
 Array = np.ndarray
@@ -34,28 +33,31 @@ FOUR_PI = 4.0 * np.pi
 # spatial grid
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpatialGrid:
-    """Uniform Cartesian cell-centered grid on ``[0, L_a)`` per axis.
+class SpatialGrid(Value):
+    """Uniform Cartesian cell-centered grid on ``[0, L_a)`` per axis, with
+    the background density ``rho_bar`` >= 0.
 
     ``boundary`` is ``"periodic"`` or ``"farfield"``.  Far-field grids pad
-    ghost cells with the constant state (``farfield_rho``, u = 0, I = 0),
-    mirroring decay of the solution toward the background at infinity.
+    ghost cells with the constant state (``rho_bar``, u = 0, I = 0),
+    mirroring decay of the solution toward the background at infinity, and
+    must be given ``rho_bar``; periodic ghosts wrap, and ``rho_bar``
+    (default 1) is only the reference density of Phi.
     """
 
-    extents: tuple[int, ...]
-    spacing: tuple[float, ...]
-    boundary: str = "periodic"
-    farfield_rho: float | None = None
+    __slots__ = ("extents", "spacing", "boundary", "rho_bar")
 
-    def __post_init__(self):
-        raise_first_failure(self.checks(self.extents, self.spacing, self.boundary,
-                                        self.farfield_rho))
+    def __init__(self, extents: tuple, spacing: tuple, boundary: str = "periodic",
+                 rho_bar: float | None = None):
+        if rho_bar is None:
+            if boundary == "farfield":
+                raise ParameterError("farfield boundary requires rho_bar")
+            rho_bar = 1.0
+        self._set(extents=extents, spacing=spacing, boundary=boundary, rho_bar=rho_bar)
+        raise_first_failure(self.checks(*self._fields()))
 
     @staticmethod
-    def checks(extents, spacing, boundary, farfield_rho) -> list:
+    def checks(extents, spacing, boundary, rho_bar) -> list:
         """(field, failed, message) rows of the constructor's constraints."""
-        farfield = boundary == "farfield"
         return [
             ("extents", not 1 <= len(extents) <= 3,
              f"grid dimension must be 1, 2 or 3, got {len(extents)}"),
@@ -67,17 +69,15 @@ class SpatialGrid:
              f"spacing must be positive, got {spacing}"),
             ("boundary", boundary not in ("periodic", "farfield"),
              f"boundary must be periodic or farfield, got {boundary!r}"),
-            ("farfield_rho", farfield and farfield_rho is None,
-             "farfield boundary requires farfield_rho"),
-            ("farfield_rho", farfield and farfield_rho is not None and farfield_rho < 0,
-             f"farfield density must be >= 0, got {farfield_rho}"),
+            ("rho_bar", not rho_bar >= 0, f"background density must be >= 0, got {rho_bar}"),
         ]
 
     @classmethod
-    def periodic(cls, cells, lengths) -> "SpatialGrid":
+    def periodic(cls, cells, lengths, rho_bar: float = 1.0) -> "SpatialGrid":
         cells = tuple(int(n) for n in np.atleast_1d(cells))
         lengths = tuple(float(x) for x in np.atleast_1d(lengths))
-        return cls(cells, tuple(L / n for L, n in zip(lengths, cells)), "periodic")
+        return cls(cells, tuple(L / n for L, n in zip(lengths, cells)), "periodic",
+                   float(rho_bar))
 
     @classmethod
     def farfield(cls, cells, lengths, rho_bar: float) -> "SpatialGrid":

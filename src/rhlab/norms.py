@@ -42,20 +42,18 @@ CHUNK_BYTES = 256 * 1024
 
 
 class NormSettings(Value):
-    """Lebesgue exponent q in (3, 6] and the reference density subtracted
-    before norming."""
+    """Lebesgue exponent q in (3, 6]."""
 
-    __slots__ = ("q", "rho_ref")
+    __slots__ = ("q",)
 
-    def __init__(self, q: float = 4.0, rho_ref: float = 0.0):
-        self._set(q=q, rho_ref=rho_ref)
-        raise_first_failure(self.checks(q, rho_ref))
+    def __init__(self, q: float = 4.0):
+        self._set(q=q)
+        raise_first_failure(self.checks(q))
 
     @staticmethod
-    def checks(q: float, rho_ref: float) -> list:
+    def checks(q: float) -> list:
         """(field, failed, message) rows of the constructor's constraints."""
-        return [("q", not 3.0 < q <= 6.0, f"q must lie in (3, 6], got {q}"),
-                ("rho_ref", rho_ref < 0, f"reference density must be >= 0, got {rho_ref}")]
+        return [("q", not 3.0 < q <= 6.0, f"q must lie in (3, 6], got {q}")]
 
 
 def _magnitude(f: Array, grid: SpatialGrid, lead: int = 0,

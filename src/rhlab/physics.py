@@ -134,12 +134,6 @@ class EquationOfState:
         return float(self(np.asarray(rho_bar)))
 
 
-def farfield_pressure(eos: EquationOfState, grid: SpatialGrid) -> float:
-    """Pressure of the ghost cells: p(farfield_rho) on far-field grids, 0 on
-    periodic ones (their ghosts wrap and never read it)."""
-    return eos.reference_pressure(grid.farfield_rho) if grid.boundary == "farfield" else 0.0
-
-
 def pressure(eos: EquationOfState, rho: Array, grid: SpatialGrid | None = None) -> Array:
     """Pointwise pressure; negative density is a domain error naming the cell."""
     rho = np.asarray(rho, dtype=float) if grid is None else check_scalar(rho, grid)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .fluid import (VelocityHistory, continuity_step_characteristics,
 from .grid import Grids, SpatialGrid, check_radiation, check_scalar, check_vector
 from .norms import _differences, _lp_cells, _lp_multi, _phase_l2, lp_norm, snapshot_chunks
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
-                      ViscosityParams, farfield_pressure, pressure)
+                      ViscosityParams, pressure)
 from .transport import (_momentum_source, _substep_transport, _tables_at,
                         free_streaming_step, transport_substeps)
 
@@ -265,12 +265,11 @@ def _heat_flow_chain(u0_bytes: bytes, shape: tuple, times_bytes: bytes,
     """The mollified velocities of iterate 0 at ``times[1:]``: u0 carried by
     explicit heat flow over each step in turn, as read-only arrays.
 
-    Keyed by value.  The heat flow pads with zero velocity whatever the
-    far-field density, so the key leaves ``farfield_rho`` out, and the main
-    solve and every density-lifted solve of the same slab share one chain.
+    Keyed by value.  The heat flow pads with zero velocity whatever
+    ``rho_bar``, so the key leaves it out, and the main solve and every
+    density-lifted solve of the same slab share one chain.
     """
-    grid = SpatialGrid(extents, spacing, boundary,
-                       0.0 if boundary == "farfield" else None)
+    grid = SpatialGrid(extents, spacing, boundary, 0.0)
     u = np.frombuffer(u0_bytes).reshape(shape)
     times = np.frombuffer(times_bytes)
     chain = []
@@ -310,7 +309,7 @@ def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Gri
     previous iterate (w, psi) = (u^k, I^k)."""
     grid = grids.spatial
     dim = grid.dim
-    p_ref = farfield_pressure(eos, grid)
+    p_ref = eos.reference_pressure(grid.rho_bar)
     if cfg.continuity == "characteristics":
         # each step's density depends only on state0.rho and the previous
         # iterate's velocities, so one trace covers the whole sweep
@@ -385,7 +384,7 @@ def solve_slab_full(state0: State, model, grids, visc, eos, consts,
                     cfg: SlabConfig, t0: float = 0.0):
     """Like solve_slab but returns every inner-step snapshot of the slab."""
     state0 = state0.validate(grids)
-    include_l32 = grids.spatial.boundary == "farfield" and grids.spatial.farfield_rho == 0.0
+    include_l32 = grids.spatial.boundary == "farfield" and grids.spatial.rho_bar == 0.0
     T = cfg.slab_length
     for halvings in range(cfg.max_halvings + 1):
         # with dt > T (a halved slab) this is the one step dt = T gives
@@ -441,10 +440,7 @@ def solve(state0: State, model: CoefficientModel, grids: Grids,
 
 def _lift_grids(grids: Grids, delta: float) -> Grids:
     grid = grids.spatial
-    if grid.boundary != "farfield":
-        return grids
-    lifted = replace(grid, farfield_rho=grid.farfield_rho + delta)
-    return Grids(spatial=lifted, freq=grids.freq, ang=grids.ang)
+    return Grids(grid._replace(rho_bar=grid.rho_bar + delta), grids.freq, grids.ang)
 
 
 def delta_continuation(state0: State, model: CoefficientModel, grids: Grids,

@@ -157,9 +157,8 @@ def run_scenario(cfg: RunConfig) -> dict:
     min_I = min(float(np.min(s.I)) for s in traj.states)
 
     ff = None
-    if grid.boundary == "farfield" and grid.farfield_rho > 0:
-        ff = farfield_bounds_check(traj, grids, 0.35 * max(grid.lengths),
-                                   grid.farfield_rho)
+    if grid.boundary == "farfield" and grid.rho_bar > 0:
+        ff = farfield_bounds_check(traj, grids, 0.35 * max(grid.lengths))
 
     _write_snapshots(traj, prob, outdir, cfg.snapshot_stride)
     _write_monitor_csv(os.path.join(outdir, "monitor.csv"), report, masses, min_rhos)

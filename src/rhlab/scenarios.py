@@ -1,12 +1,14 @@
 """Built-in initial-data scenarios.
 
 A scenario builds the initial state (I0, rho0, u0) and nothing else: the
-emission is the ``[model]``'s, the background density ``[grid] rho_bar``.
-Each declares the ``[scenario]`` keys it reads, with their defaults.  The
-presets instantiate the hypotheses the solver and diagnostics are designed
-around: a strict-positive background, interior vacuum sets, a vanishing
-far-field density, a constructed compatible / incompatible initial force
-balance, and a pure-absorption radiation benchmark.
+emission is the ``[model]``'s, the background density the grid's
+``rho_bar``.  Each declares the ``[scenario]`` keys it reads, with their
+defaults, and states its constraints on them and on ``rho_bar`` once, as
+``(key, failed, message)`` rows.  The presets instantiate the hypotheses
+the solver and diagnostics are designed around: a strict-positive
+background, interior vacuum sets, a vanishing far-field density, a
+constructed compatible / incompatible initial force balance, and a
+pure-absorption radiation benchmark.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, raise_first_failure
 from .grid import Grids
 from .picard import State
 
@@ -23,28 +25,32 @@ Array = np.ndarray
 
 
 class Scenario(NamedTuple):
-    """A named builder ``(grids, params) -> State`` and the ``keys`` it reads
-    from ``params``, each with its default: a number, a string, or None for
-    the background density."""
+    """A named builder ``(grids, params) -> State``, the ``keys`` it reads
+    from ``params``, each with its default (a number, a string, or None for
+    the background density), and its ``checks``: ``(boundary, rho_bar,
+    params) -> [(key, failed, message)]``, where a key is one of ``keys`` or
+    ``"rho_bar"``."""
 
     name: str
     description: str
     builder: Callable
-    keys: dict = {}      # one dict shared by the Scenarios without keys: never mutated
+    keys: dict
+    checks: Callable
 
     def build(self, grids: Grids, params: dict | None = None) -> State:
         """The validated initial state on ``grids``; ``params`` overrides the
-        declared defaults, and its ``rho_bar`` entry is the background
-        density of a periodic grid (1 when absent)."""
-        state = self.builder(grids, {**self.keys, **(params or {})}).validate(grids)
+        declared defaults.  A failing check raises ParameterError."""
+        p = {**self.keys, **(params or {})}
         grid = grids.spatial
+        raise_first_failure(self.checks(grid.boundary, grid.rho_bar, p))
+        state = self.builder(grids, p).validate(grids)
         if grid.boundary == "farfield":
             # generated data must approach (I, rho, u) -> (0, rho_bar, 0) at the edges
-            scale = max(float(np.max(state.rho)), grid.farfield_rho, 1.0)
+            scale = max(float(np.max(state.rho)), grid.rho_bar, 1.0)
             edge = _edge_mask(grid)
-            if float(np.max(np.abs(state.rho[edge] - grid.farfield_rho))) > 0.05 * scale:
+            if float(np.max(np.abs(state.rho[edge] - grid.rho_bar))) > 0.05 * scale:
                 raise ConfigError(f"scenario density does not approach the far-field "
-                                  f"value {grid.farfield_rho} near the boundary")
+                                  f"value {grid.rho_bar} near the boundary")
             u_scale = max(float(np.max(np.abs(state.u))), 1e-300)
             if float(np.max(np.abs(state.u[:, edge]))) > 0.05 * u_scale:
                 raise ConfigError("scenario velocity must decay toward the far-field boundary")
@@ -52,22 +58,39 @@ class Scenario(NamedTuple):
 
 
 def _edge_mask(grid) -> Array:
-    mask = np.zeros(grid.extents, dtype=bool)
-    for a in range(grid.dim):
-        sl_lo = [slice(None)] * grid.dim
-        sl_hi = [slice(None)] * grid.dim
-        sl_lo[a] = 0
-        sl_hi[a] = -1
-        mask[tuple(sl_lo)] = True
-        mask[tuple(sl_hi)] = True
+    """The cells on the faces of the domain."""
+    mask = np.ones(grid.extents, dtype=bool)
+    mask[(slice(1, -1),) * grid.dim] = False
     return mask
 
 
-def _rho_bar(grids: Grids, p: dict) -> float:
-    grid = grids.spatial
-    if grid.boundary == "farfield":
-        return float(grid.farfield_rho)
-    return float(p.get("rho_bar", 1.0))
+def _positive(p: dict, *keys) -> list:
+    return [(key, not p[key] > 0, f"{key} must be positive, got {p[key]}") for key in keys]
+
+
+def _over_background(*widths) -> Callable:
+    """The checks of a density over a positive background, with positive
+    ``widths``."""
+    return lambda boundary, rho_bar, p: [
+        ("rho_bar", not rho_bar > 0,
+         f"needs a positive background density, got rho_bar = {rho_bar}"),
+        *_positive(p, *widths)]
+
+
+_BUMP_CHECKS = _over_background("width")
+_PLATEAU_CHECKS = _over_background("transition_width")
+
+
+def _vacuum_farfield_checks(boundary: str, rho_bar: float, p: dict) -> list:
+    return [("rho_bar", boundary == "farfield" and rho_bar != 0,
+             f"needs a zero far-field density, got rho_bar = {rho_bar}"),
+            *_positive(p, "width")]
+
+
+def _custom_checks(boundary: str, rho_bar: float, p: dict) -> list:
+    """The checks of the density profile ``rho0`` names."""
+    profile = {"bump": _BUMP_CHECKS, "well": _PLATEAU_CHECKS}.get(p["rho0"])
+    return [] if profile is None else profile(boundary, rho_bar, p)
 
 
 def _zero_state(grids: Grids, rho: Array) -> State:
@@ -84,13 +107,11 @@ def _plateau_density(grids: Grids, p: dict, exponent: float = 2.0) -> Array:
     """Background rho_bar with an interior vacuum plateau; the transition is
     a power of a smoothstep, so rho vanishes to order 2*exponent at the edge
     of the vacuum set and stays in W^{1,q}."""
-    rho_bar = _rho_bar(grids, p)
-    if rho_bar <= 0:
-        raise ConfigError("vacuum-plateau needs a positive background density")
-    L = max(grids.spatial.lengths)
-    ramp = _smoothstep((grids.spatial.radius_from_center() - p["vacuum_radius"] * L)
+    grid = grids.spatial
+    L = max(grid.lengths)
+    ramp = _smoothstep((grid.radius_from_center() - p["vacuum_radius"] * L)
                        / (p["transition_width"] * L))
-    return rho_bar * ramp ** exponent
+    return grid.rho_bar * ramp ** exponent
 
 
 def _edge_taper(grids: Grids) -> Array:
@@ -104,18 +125,13 @@ def _edge_taper(grids: Grids) -> Array:
 # ---------------------------------------------------------------------------
 
 def _equilibrium(grids: Grids, p: dict) -> State:
-    rho_bar = _rho_bar(grids, p)
-    if rho_bar <= 0:
-        raise ConfigError("equilibrium needs a positive background density")
-    return _zero_state(grids, np.full(grids.spatial.extents, rho_bar))
+    return _zero_state(grids, np.full(grids.spatial.extents, grids.spatial.rho_bar))
 
 
 def _smooth_bump(grids: Grids, p: dict) -> State:
-    rho_bar = _rho_bar(grids, p)
-    if rho_bar <= 0:
-        raise ConfigError("smooth-bump needs a positive background density")
-    width = p["width"] * max(grids.spatial.lengths)
-    rho = rho_bar + p["amplitude"] * np.exp(-(grids.spatial.radius_from_center() / width) ** 2)
+    grid = grids.spatial
+    width = p["width"] * max(grid.lengths)
+    rho = grid.rho_bar + p["amplitude"] * np.exp(-(grid.radius_from_center() / width) ** 2)
     return _zero_state(grids, rho)
 
 
@@ -125,8 +141,6 @@ def _vacuum_plateau(grids: Grids, p: dict) -> State:
 
 def _vacuum_farfield(grids: Grids, p: dict) -> State:
     grid = grids.spatial
-    if grid.boundary == "farfield" and grid.farfield_rho != 0.0:
-        raise ConfigError("vacuum-farfield requires a zero far-field density")
     width = p["width"] * max(grid.lengths)
     # compactly supported C2 bump; (I, rho, u) -> (0, 0, 0) at infinity
     s = np.maximum(0.0, 1.0 - (grid.radius_from_center() / width) ** 2)
@@ -173,10 +187,7 @@ def _beam_absorption(grids: Grids, p: dict) -> State:
     """A single-ordinate pulse on a uniform positive background; meant to be
     paired with a pure-absorption coefficient model."""
     grid = grids.spatial
-    rho_bar = _rho_bar(grids, p)
-    if rho_bar <= 0:
-        raise ConfigError("beam-absorption needs a positive background density")
-    state = _zero_state(grids, np.full(grid.extents, rho_bar))
+    state = _zero_state(grids, np.full(grid.extents, grid.rho_bar))
     m_star = int(np.argmax(grids.ang.ordinates[:, 0]))
     L = max(grid.lengths)
     profile = np.exp(-((grid.coords()[0] - p["center"] * L) / (p["width"] * L)) ** 2)
@@ -188,7 +199,7 @@ def _custom(grids: Grids, p: dict) -> State:
     """Explicit initial data assembled from profile parameters."""
     kind = p["rho0"]
     if kind == "constant":
-        value = _rho_bar(grids, p) if p["rho0_value"] is None else p["rho0_value"]
+        value = grids.spatial.rho_bar if p["rho0_value"] is None else p["rho0_value"]
         rho = np.full(grids.spatial.extents, float(value))
     elif kind == "bump":
         rho = _smooth_bump(grids, p).rho
@@ -208,23 +219,23 @@ _PLATEAU = {"vacuum_radius": 0.1, "transition_width": 0.15}
 
 _BUILTINS = [
     Scenario("equilibrium", "constant background at rest; exact fixed point",
-             _equilibrium),
+             _equilibrium, {}, _over_background()),
     Scenario("smooth-bump", "positive Gaussian density bump",
-             _smooth_bump, {"amplitude": 0.3, "width": 0.12}),
+             _smooth_bump, {"amplitude": 0.3, "width": 0.12}, _BUMP_CHECKS),
     Scenario("vacuum-plateau", "interior vacuum set with smooth transition",
-             _vacuum_plateau, _PLATEAU),
+             _vacuum_plateau, _PLATEAU, _PLATEAU_CHECKS),
     Scenario("vacuum-farfield", "compact density bump over vanishing background",
-             _vacuum_farfield, {"amplitude": 1.0, "width": 0.25}),
+             _vacuum_farfield, {"amplitude": 1.0, "width": 0.25}, _vacuum_farfield_checks),
     Scenario("compat-satisfied", "initial force imbalance factored through sqrt(rho0)",
-             _compat_satisfied, {**_PLATEAU, "u_amplitude": 0.5}),
+             _compat_satisfied, {**_PLATEAU, "u_amplitude": 0.5}, _PLATEAU_CHECKS),
     Scenario("compat-diverging", "viscous force active on the vacuum boundary",
-             _compat_diverging, {**_PLATEAU, "u_amplitude": 1.0}),
+             _compat_diverging, {**_PLATEAU, "u_amplitude": 1.0}, _PLATEAU_CHECKS),
     Scenario("beam-absorption", "single-ordinate pulse for transport benchmarks",
-             _beam_absorption, {"width": 0.08, "center": 0.3, "intensity": 1.0}),
+             _beam_absorption, {"width": 0.08, "center": 0.3, "intensity": 1.0}, _BUMP_CHECKS),
     Scenario("custom", "explicit initial-data profiles from parameters", _custom,
              {"rho0": "constant", "rho0_value": None, "amplitude": 0.3, "width": 0.12,
               **_PLATEAU, "u0": "zero", "u0_amplitude": 0.1, "I0": "zero",
-              "I0_value": 1.0}),
+              "I0_value": 1.0}, _custom_checks),
 ]
 
 

@@ -1,8 +1,9 @@
 """Independent oracles: brute-force quadrature of the collision term, a
 monolithic (no fixed-point) coupled integrator, and per-(band, ordinate) loop
 versions of the batched phase-space operators and of the coefficient
-tables, the momentum matrix assembled from whole sparse blocks on its own
-difference and Lame matrices, the CSR matrices on a momentum layout's
+tables, the Lame operator composed from the gradient and divergence, the
+momentum matrix assembled from whole sparse blocks on its own difference
+and Lame matrices, the CSR matrices on a momentum layout's
 pattern, the one-start-time characteristics trace
 (with its own point clamp) and heat-flow mollifier, the per-value snapshot
 writer, the ``np.pad`` ghost layers, and the one-snapshot-at-a-time
@@ -18,7 +19,7 @@ import scipy.sparse as sp
 
 from rhlab.diagnostics import BlowupReport
 from rhlab.fluid import VelocityHistory, continuity_step_fv, momentum_step
-from rhlab.grid import _view, divergence, second_difference
+from rhlab.grid import _view, divergence, gradient, second_difference
 from rhlab.norms import NormSettings
 from rhlab.physics import pressure
 from rhlab.picard import State
@@ -58,8 +59,7 @@ def solve_monolithic(state0, model, grids, visc, eos, consts, dt, t_final):
     each step uses the freshest available fields."""
     grid = grids.spatial
     dim = grid.dim
-    p_ref = eos.reference_pressure(grid.farfield_rho) \
-        if grid.boundary == "farfield" else 0.0
+    p_ref = eos.reference_pressure(grid.rho_bar)
     n = int(round(t_final / dt))
     state = state0
     t = 0.0
@@ -243,6 +243,18 @@ def lame_matrix(grid, visc):
     return sp.bmat(blocks, format="csr")
 
 
+def loop_lame_apply(u, visc, grid):
+    """L u = -mu lap u - (lam + mu) grad div u by composing the centered
+    gradient and divergence (zero far-field ghosts), one component at a
+    time."""
+    out = np.empty_like(u)
+    graddiv = gradient(divergence(u, grid, 0.0), grid, 0.0)
+    for j in range(grid.dim):
+        lap = divergence(gradient(u[j], grid, 0.0), grid, 0.0)
+        out[j] = -visc.mu * lap - (visc.lam + visc.mu) * graddiv[j]
+    return out
+
+
 def layout_matrix(lay, data):
     """The CSR matrix with ``data`` on the pattern of the momentum layout
     ``lay``."""
@@ -364,8 +376,7 @@ def loop_continuity_step_characteristics(rho0, w_hist, t, grid, substeps=None):
     """rho0 at the departure point times exp(-int div w), for one start time;
     0 where rho0 at the departure point is 0, even where exp overflows."""
     pts, _, divint = loop_trace_backward(w_hist, t, grid, substeps)
-    ghost = grid.farfield_rho if grid.boundary == "farfield" else 0.0
-    rho0_at = loop_interp_field(rho0, grid, pts, ghost)
+    rho0_at = loop_interp_field(rho0, grid, pts, grid.rho_bar)
     return np.where(rho0_at == 0.0, 0.0, rho0_at * np.exp(-divint))
 
 
@@ -424,7 +435,7 @@ def _loop_hessian(f, grid):
 def _loop_phi_components(state, grids, settings):
     grid = grids.spatial
     return (loop_mixed_radiation_norm(state.I, "H1W1q", grids, settings),
-            _loop_inner_norm(state.rho - settings.rho_ref, "H1W1q", settings, grid),
+            _loop_inner_norm(state.rho - grid.rho_bar, "H1W1q", settings, grid),
             _loop_lp(loop_gradient(state.u, grid), 2.0, grid))
 
 

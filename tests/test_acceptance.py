@@ -292,7 +292,7 @@ def test_criterion_09_blowup_monitor_consistency():
             grids = make_grids(n=64, rho_bar=rho_bar)
             traj = solve(build_scenario(name, grids), model, grids, VISC, EOS, CONSTS,
                          cfg, 0.008)
-            settings = NormSettings(rho_ref=rho_bar)
+            settings = NormSettings()
             rep = blowup_monitor(traj, grids, settings)
             assert rep.max_phi <= 10.0 * rep.phi[0]
             assert all(np.isfinite(t) for t in rep.theta)
@@ -310,7 +310,7 @@ def test_criterion_10_farfield_bounds():
         cfg = SlabConfig(slab_length=0.002, dt=0.001, max_halvings=4)
         traj = solve(build_scenario("smooth-bump", grids), model, grids, VISC, EOS, CONSTS,
                      cfg, 0.01)
-        rep = farfield_bounds_check(traj, grids, radius=0.35, rho_bar=1.0)
+        rep = farfield_bounds_check(traj, grids, radius=0.35)
         assert rep.applicable
         assert rep.passed
         assert all(3.0 / 8.0 <= mn and mx <= 5.0 / 2.0

@@ -219,7 +219,7 @@ class TestExitCodes:
         cfg = equilibrium_cfg(tmp_path, out, "periodic", 0.0)
         line = (tmp_path / "run.cfg").read_text().splitlines().index("name = equilibrium") + 1
         assert main(["run", cfg]) == 2
-        assert (f"line {line}: scenario equilibrium: equilibrium needs a positive "
+        assert (f"line {line}: scenario equilibrium: needs a positive "
                 f"background density") in capsys.readouterr().err
         assert not out.exists()
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import rhlab
 from rhlab.config import _MODEL_KEYS, parse_config, serialize_config
 from rhlab.errors import ConfigError, ParameterError
-from rhlab.grid import AngularQuadrature, FrequencyGrid, SpatialGrid
+from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from rhlab.norms import NormSettings
 from rhlab.physics import (EquationOfState, PhysicalConstants, ViscosityParams,
                            compton_model, constant_model)
@@ -453,7 +453,7 @@ class TestOneStatementPerConstraint:
         ("[grid]\nboundary = torus", lambda: SpatialGrid((64,), (1 / 64,), "torus")),
         ("[grid]\nboundary = farfield\nrho_bar = -1.0",
          lambda: SpatialGrid.farfield(64, 1.0, -1.0)),
-        ("[grid]\nrho_bar = -1.0", lambda: NormSettings(rho_ref=-1.0)),
+        ("[grid]\nrho_bar = -1.0", lambda: SpatialGrid.periodic(64, 1.0, rho_bar=-1.0)),
         ("[radiation]\nordinates = 1", lambda: AngularQuadrature.gauss_legendre_slab(1)),
         ("[radiation]\nband_edges = 2.0, 1.0", lambda: FrequencyGrid.from_edges([2.0, 1.0])),
         ("[radiation]\nband_edges = 2.0", lambda: FrequencyGrid.from_edges([2.0])),
@@ -462,6 +462,7 @@ class TestOneStatementPerConstraint:
         ("[physics]\nmu = -1.0", lambda: ViscosityParams(-1.0, 0.0)),
         ("[physics]\nlambda = -3.0", lambda: ViscosityParams(1.0, -3.0)),
         ("[physics]\nc = 0.0", lambda: PhysicalConstants(0.0)),
+        ("[physics]\nq = 7.0", lambda: NormSettings(7.0)),
         ("[run]\ngamma_tol = 0.0", lambda: SlabConfig(0.01, 0.002, gamma_tol=0.0)),
         ("[run]\ncontinuity = weno", lambda: SlabConfig(0.01, 0.002, continuity="weno")),
         ("[run]\nmax_halvings = -1", lambda: SlabConfig(0.01, 0.002, max_halvings=-1)),
@@ -506,6 +507,35 @@ class TestOneStatementPerConstraint:
         assert message.startswith("scenario ")
 
 
+    @pytest.mark.parametrize("name, keys", [
+        ("smooth-bump", {"width": 0.0}), ("smooth-bump", {"width": -0.12}),
+        ("beam-absorption", {"width": 0.0}), ("vacuum-farfield", {"width": -0.25}),
+        ("vacuum-plateau", {"transition_width": 0.0}),
+        ("vacuum-plateau", {"transition_width": -0.15}),
+        ("compat-satisfied", {"transition_width": 0.0}),
+        ("compat-diverging", {"transition_width": -0.15}),
+        ("custom", {"width": 0.0, "rho0": "bump"}),
+        ("custom", {"transition_width": 0.0, "rho0": "well"})],
+        ids=lambda value: "-".join(f"{k}={v}" for k, v in value.items())
+        if isinstance(value, dict) else value)
+    def test_scenario_widths_must_be_positive(self, name, keys):
+        # a width <= 0 used to build no bump, a step, or the bump of its
+        # absolute value; the scenario states the bound once, its build
+        # raises it, and parse_config cites the key's line
+        grids = Grids(SpatialGrid.periodic(64, 1.0), FrequencyGrid.from_edges([0.5, 1.0]),
+                      AngularQuadrature.gauss_legendre_slab(8))
+        with pytest.raises(ParameterError) as raised:
+            builtin_scenarios()[name].build(grids, keys)
+        text = MINIMAL + f"\n[scenario]\nname = {name}\n" \
+            + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        with pytest.raises(ConfigError) as ei:
+            parse_config(text)
+        key, value = next(iter(keys.items()))
+        assert str(raised.value) == f"{key} must be positive, got {value}"
+        assert ei.value.violations == [(_line_of(text, f"{key} = {value}"),
+                                        f"scenario {name}: {raised.value}")]
+
+
 class TestTableEOS:
     TABLE = MINIMAL + "\n[physics]\neos = barotropic_table\nrho_table = {}\np_table = {}\n"
 
@@ -532,11 +562,11 @@ class TestTableEOS:
 
 
 class TestSetUp:
-    def test_set_up_loads_no_polynomial_and_two_dataclasses(self):
+    def test_set_up_loads_no_polynomial_and_one_dataclass(self):
         # a fresh interpreter imports rhlab and builds a 1D and a 2D problem:
         # the slab Gauss-Legendre set is computed without numpy.polynomial,
-        # and only SpatialGrid and State are dataclasses (the others are
-        # written out, for their class-creation cost at import)
+        # and only State is a dataclass (the others are written out, for
+        # their class-creation cost at import)
         code = f'''
 import inspect, sys
 import rhlab
@@ -555,4 +585,4 @@ print(",".join(sorted(cls.__name__ for name, module in list(sys.modules.items())
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rhlab.__file__)))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout.split()
-        assert out == ["False", "SpatialGrid,State"]
+        assert out == ["False", "State"]

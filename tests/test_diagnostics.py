@@ -147,7 +147,7 @@ class TestPhiTheta:
     def test_phi_equilibrium_is_one(self):
         grids = make_grids()
         st = equilibrium_state(grids)
-        settings = NormSettings(rho_ref=1.0)
+        settings = NormSettings()
         assert phi(st, grids, settings) == 1.0
 
     def test_phi_velocity_only(self):
@@ -156,13 +156,13 @@ class TestPhiTheta:
         x = grid.axis_coords(0)
         st = State(I=np.zeros(grids.radiation_shape()), rho=np.ones(256),
                    u=np.sin(2 * np.pi * x)[None])
-        settings = NormSettings(rho_ref=1.0)
+        settings = NormSettings()
         assert phi(st, grids, settings) == pytest.approx(1.0 + 4.4429, abs=1e-3)
 
     def test_phi_monotone_in_scale(self, rng):
         grids = make_grids(n=64)
         grid = grids.spatial
-        settings = NormSettings(rho_ref=1.0)
+        settings = NormSettings()
         dI = np.abs(rng.random(grids.radiation_shape()))
         drho = random_smooth_field(grid, rng, amplitude=0.1)
         du = np.stack([random_smooth_field(grid, rng)])
@@ -176,7 +176,7 @@ class TestPhiTheta:
     def test_theta_dominates_phi_summands(self, rng):
         grids = make_grids(n=64)
         grid = grids.spatial
-        settings = NormSettings(rho_ref=1.0)
+        settings = NormSettings()
         st = State(I=np.abs(rng.random(grids.radiation_shape())),
                    rho=np.abs(1.0 + 0.2 * random_smooth_field(grid, rng)),
                    u=np.stack([random_smooth_field(grid, rng)]))
@@ -193,7 +193,7 @@ class TestBlowupMonitor:
         st = equilibrium_state(grids)
         cfg = SlabConfig(slab_length=0.002, dt=0.001)
         traj = solve(st, zero_model(), grids, VISC, EOS, CONSTS, cfg, 0.006)
-        settings = NormSettings(rho_ref=1.0)
+        settings = NormSettings()
         rep = blowup_monitor(traj, grids, settings)
         assert all(p == 1.0 for p in rep.phi)
         assert all(np.isfinite(t) for t in rep.theta)
@@ -209,7 +209,7 @@ class TestBlowupMonitor:
         model = constant_model(0.3, 0.05, 0.1)
         cfg = SlabConfig(slab_length=0.002, dt=0.001)
         traj = solve(st, model, grids, VISC, EOS, CONSTS, cfg, 0.006)
-        settings = NormSettings(rho_ref=1.0)
+        settings = NormSettings()
         rep = blowup_monitor(traj, grids, settings)
         for i in (0, len(traj.states) // 2, len(traj.states) - 1):
             assert rep.phi[i] == pytest.approx(phi(traj.states[i], grids, settings),
@@ -223,7 +223,7 @@ class TestBlowupMonitor:
         model = constant_model(0.0, 0.0, 2.0)  # strong emission
         cfg = SlabConfig(slab_length=0.002, dt=0.001)
         traj = solve(st, model, grids, VISC, EOS, CONSTS, cfg, 0.01)
-        settings = NormSettings(rho_ref=1.0)
+        settings = NormSettings()
         rep = blowup_monitor(traj, grids, settings)
         assert rep.phi[-1] > rep.phi[0]
         assert rep.max_phi <= rep.phi_cap
@@ -242,7 +242,7 @@ class TestBlowupMonitor:
         cfg = SlabConfig(slab_length=0.002, dt=0.001)
         traj = solve(st, constant_model(0.3, 0.05, 0.1), grids, VISC, EOS, CONSTS,
                      cfg, 0.004)
-        settings = NormSettings(rho_ref=1.0)
+        settings = NormSettings()
         # two snapshots per chunk: the five snapshots split 2, 2, 1
         monkeypatch.setattr(norms, "CHUNK_BYTES", 2 * traj.states[0].I.nbytes)
         phi_rho, theta_rho = [], []
@@ -270,7 +270,7 @@ class TestBlowupMonitor:
         object.__setattr__(bad, "rho", st.rho)
         object.__setattr__(bad, "u", np.full_like(st.u, np.inf))
         traj = Trajectory(times=[0.0, 0.001], states=[good, bad])
-        settings = NormSettings(rho_ref=1.0)
+        settings = NormSettings()
         rep = blowup_monitor(traj, grids, settings, phi_cap=np.inf)
         assert rep.first_theta_overflow == 0.001
         assert rep.flags  # theta overflow while phi under cap
@@ -294,7 +294,7 @@ class TestFarfieldBounds:
         grids = make_grids(n=64, boundary="farfield")
         st = equilibrium_state(grids)
         traj = Trajectory(times=[0.0, 1.0], states=[st, st])
-        rep = farfield_bounds_check(traj, grids, radius=0.3, rho_bar=1.0)
+        rep = farfield_bounds_check(traj, grids, radius=0.3)
         assert rep.applicable and rep.passed
         assert rep.first_violation is None
 
@@ -308,7 +308,7 @@ class TestFarfieldBounds:
         model = constant_model(0.3, 0.0, 0.05)
         cfg = SlabConfig(slab_length=0.002, dt=0.001)
         traj = solve(st, model, grids, VISC, EOS, CONSTS, cfg, 0.008)
-        rep = farfield_bounds_check(traj, grids, radius=0.35, rho_bar=1.0)
+        rep = farfield_bounds_check(traj, grids, radius=0.35)
         assert rep.applicable and rep.passed
 
     def test_violation_detected(self):
@@ -316,15 +316,15 @@ class TestFarfieldBounds:
         st = equilibrium_state(grids)
         low = State(I=st.I, rho=np.full(64, 0.1), u=st.u)
         traj = Trajectory(times=[0.0, 0.5], states=[st, low])
-        rep = farfield_bounds_check(traj, grids, radius=0.3, rho_bar=1.0)
+        rep = farfield_bounds_check(traj, grids, radius=0.3)
         assert not rep.passed
         assert rep.first_violation == 0.5
 
     def test_zero_background_not_applicable(self):
-        grids = make_grids(n=64, boundary="farfield", rho_bar=1.0)
+        grids = make_grids(n=64, boundary="farfield", rho_bar=0.0)
         st = equilibrium_state(grids)
         traj = Trajectory(times=[0.0], states=[st])
-        rep = farfield_bounds_check(traj, grids, radius=0.3, rho_bar=0.0)
+        rep = farfield_bounds_check(traj, grids, radius=0.3)
         assert not rep.applicable
 
 

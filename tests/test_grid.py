@@ -28,6 +28,17 @@ class TestSpatialGrid:
         with pytest.raises(ParameterError):
             SpatialGrid((8,), (0.125,), "reflecting")
 
+    def test_background_density_on_every_boundary(self):
+        # a periodic grid defaults to 1; NaN and negative values fail the one row
+        assert SpatialGrid((8,), (0.125,)).rho_bar == 1.0
+        assert SpatialGrid.periodic(8, 1.0).rho_bar == 1.0
+        assert SpatialGrid.periodic(8, 1.0, rho_bar=0.0).rho_bar == 0.0
+        assert SpatialGrid.farfield(8, 1.0, 0.4).rho_bar == 0.4
+        for make in (SpatialGrid.periodic, SpatialGrid.farfield):
+            for bad in (-1.0, float("nan")):
+                with pytest.raises(ParameterError, match="background density must be >= 0"):
+                    make(8, 1.0, rho_bar=bad)
+
 
 class TestGradient:
     def test_constant_field(self, grid128):

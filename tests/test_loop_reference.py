@@ -420,15 +420,17 @@ def _hex(values):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=snapshot_cases(), q=st.floats(3.01, 6.0), rho_ref=st.sampled_from([0.0, 0.8]),
+@given(case=snapshot_cases(), q=st.floats(3.01, 6.0), rho_bar=st.sampled_from([0.0, 0.8]),
        phi_cap=st.sampled_from([None, 0.5, np.inf]), overflow=st.booleans())
-def test_blowup_monitor(case, q, rho_ref, phi_cap, overflow):
+def test_blowup_monitor(case, q, rho_bar, phi_cap, overflow):
     grids, times, seed, zeros, budget = case
+    # Phi's reference density is the grid's background density
+    grids = Grids(grids.spatial._replace(rho_bar=rho_bar), grids.freq, grids.ang)
     states = _states(np.random.default_rng(seed), grids, len(times), zeros)
     if overflow:                       # Theta overflows at the last snapshot
         states[-1].u[(0,) * states[-1].u.ndim] = np.inf
     traj = Trajectory(times=times, states=states)
-    settings_ = NormSettings(q=q, rho_ref=rho_ref)
+    settings_ = NormSettings(q=q)
     with _chunk_budget(budget), np.errstate(all="ignore"):
         got = blowup_monitor(traj, grids, settings_, phi_cap)
         want = loop_blowup_monitor(traj, grids, settings_, phi_cap)

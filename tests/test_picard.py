@@ -507,7 +507,7 @@ class TestDeltaContinuation:
 
     def test_lifted_grids_add_no_layout_cache_miss(self):
         # w4's grid: 256 far-field cells with rho_bar = 0.  The lifted grids
-        # differ only in farfield_rho, so they reuse the layout built for it
+        # differ only in rho_bar, so they reuse the layout built for it
         import rhlab.fluid as fluid
         grids = make_grids(n=256, rho_bar=0.0)
         st = self.make_plateau(grids)
@@ -522,7 +522,7 @@ class TestDeltaContinuation:
                            cfg, DeltaSchedule((1e-2, 1e-3, 1e-4)))
         assert cache.cache_info().misses == misses
         lifted = picard._lift_grids(grids, 1e-2).spatial
-        assert lifted.farfield_rho == 1e-2
+        assert lifted.rho_bar == 1e-2
         assert fluid._momentum_layout(lifted, PHYS["visc"]) \
             is fluid._momentum_layout(grids.spatial, PHYS["visc"])
 
@@ -547,8 +547,7 @@ class TestDeltaContinuation:
         finals = {}
         for delta in (1e-2, 1e-3):
             lifted = State(I=st.I, rho=st.rho + delta, u=st.u)
-            from dataclasses import replace
-            grid_d = replace(grids.spatial, farfield_rho=1.0 + delta)
+            grid_d = grids.spatial._replace(rho_bar=1.0 + delta)
             grids_d = Grids(grid_d, grids.freq, grids.ang)
             final, _ = solve_slab(lifted, zero_model(), grids_d, PHYS["visc"],
                                   eos_flat, PHYS["consts"], cfg)
@@ -566,8 +565,7 @@ class TestDeltaContinuation:
         assert rep.differences == []
         assert rep.monotone
         lifted = State(I=st.I, rho=st.rho + 1e-3, u=st.u)
-        from dataclasses import replace
-        grid_d = replace(grids.spatial, farfield_rho=1.0 + 1e-3)
+        grid_d = grids.spatial._replace(rho_bar=1.0 + 1e-3)
         direct, _ = solve_slab(lifted, self.MODEL,
                                Grids(grid_d, grids.freq, grids.ang),
                                PHYS["visc"], PHYS["eos"], PHYS["consts"], cfg)
@@ -712,7 +710,7 @@ class TestHeatFlowChain:
 
         # equal values in new objects, and another far-field density: no work
         same = State(I=st.I.copy(), rho=st.rho + 1e-3, u=st.u.copy())
-        lifted = Grids(replace(grids.spatial, farfield_rho=1e-3), grids.freq, grids.ang)
+        lifted = Grids(grids.spatial._replace(rho_bar=1e-3), grids.freq, grids.ang)
         for kwargs in (dict(state=same), dict(g=lifted), dict(t=times.copy())):
             again, n = chain(**kwargs)
             assert n == 0 and all(a is b for a, b in zip(again, first))
@@ -720,7 +718,7 @@ class TestHeatFlowChain:
         # a changed u0, slab times, spacing or boundary recomputes
         moved = State(I=st.I, rho=st.rho, u=0.5 * st.u)
         wider = make_grids(n=16, rho_bar=0.0, n_ord=2, n_bands=1)
-        wider = Grids(replace(wider.spatial, spacing=(0.125,)), wider.freq, wider.ang)
+        wider = Grids(wider.spatial._replace(spacing=(0.125,)), wider.freq, wider.ang)
         periodic = make_grids(n=16, boundary="periodic", n_ord=2, n_bands=1)
         for kwargs in (dict(state=moved), dict(t=_slab_times(0.001, 0.002, 0.001)),
                        dict(g=wider), dict(g=periodic)):

@@ -15,8 +15,7 @@ POSITIVE = st.floats(1e-3, 1e3)
 
 # class -> strategy of valid keyword arguments
 VALID = {
-    NormSettings: st.fixed_dictionaries({"q": st.floats(3.0, 6.0, exclude_min=True),
-                                         "rho_ref": st.floats(0.0, 1e3)}),
+    NormSettings: st.fixed_dictionaries({"q": st.floats(3.0, 6.0, exclude_min=True)}),
     ViscosityParams: POSITIVE.flatmap(lambda mu: st.fixed_dictionaries(
         {"mu": st.just(mu), "lam": st.floats(-2.0 * mu / 3.0, 1e3)})),
     PhysicalConstants: st.fixed_dictionaries({"c": POSITIVE}),
@@ -25,6 +24,11 @@ VALID = {
         optional={"max_iters": st.integers(1, 50), "gamma_tol": POSITIVE,
                   "max_halvings": st.integers(0, 4), "transport_cfl": st.floats(0.1, 1.0),
                   "continuity": st.sampled_from(["fv", "characteristics"])})),
+    SpatialGrid: st.integers(1, 3).flatmap(lambda dim: st.fixed_dictionaries(
+        {"extents": st.tuples(*[st.integers(4, 64)] * dim),
+         "spacing": st.tuples(*[POSITIVE] * dim),
+         "boundary": st.sampled_from(["periodic", "farfield"]),
+         "rho_bar": st.floats(0.0, 1e3)})),
     DeltaSchedule: st.fixed_dictionaries(
         {"deltas": st.lists(POSITIVE, min_size=1, max_size=4, unique=True).map(
             lambda d: tuple(sorted(d, reverse=True)))},
@@ -44,6 +48,10 @@ INVALID = [
     (SlabConfig, {"slab_length": 0.01, "dt": 0.01, "gamma_tol": math.nan}),
     (DeltaSchedule, {"deltas": (1e-3, 1e-2)}), (DeltaSchedule, {"deltas": (1e-2, 0.0)}),
     (DeltaSchedule, {"deltas": (math.inf,)}),
+    (SpatialGrid, {"extents": (8,), "spacing": (0.125,), "boundary": "farfield"}),
+    (SpatialGrid, {"extents": (8,), "spacing": (0.125,), "rho_bar": math.nan}),
+    (SpatialGrid, {"extents": (8,), "spacing": (0.125,), "boundary": "farfield",
+                   "rho_bar": -1.0}),
 ]
 
 

@@ -32,7 +32,7 @@ class TestBuiltinScenarios:
         st = build(name, grids)
         assert np.min(st.rho) >= 0.0
         assert np.min(st.I) >= 0.0
-        assert np.isfinite(phi(st, grids, NormSettings(rho_ref=1.0)))
+        assert np.isfinite(phi(st, grids, NormSettings()))
 
     @pytest.mark.parametrize("cells", [64, 128])
     def test_vacuum_farfield_invariants(self, cells):
@@ -44,7 +44,7 @@ class TestBuiltinScenarios:
 
     def test_equilibrium_phi_is_one(self):
         grids = make_grids()
-        assert phi(build("equilibrium", grids), grids, NormSettings(rho_ref=1.0)) == 1.0
+        assert phi(build("equilibrium", grids), grids, NormSettings()) == 1.0
 
     def test_vacuum_plateau_has_marked_vacuum_set(self):
         rho = build("vacuum-plateau", make_grids()).rho
@@ -68,7 +68,7 @@ class TestBuiltinScenarios:
                 "rho_bar = 0\n\n[run]\nt_final = 0.01\n\n"
                 "[scenario]\nname = beam-absorption\n")
         with pytest.raises(ConfigError,
-                           match="beam-absorption needs a positive background density"):
+                           match="beam-absorption: needs a positive background density"):
             build_problem(parse_config(text))
 
     def test_vacuum_farfield_requires_zero_background(self):
