@@ -3,13 +3,13 @@
 A record is a ``__slots__`` class with its own ``__init__``; its fields are
 its ``__slots__``, in order.  ``@dataclass`` would generate and compile
 those methods for every class at import, 0.3-0.7 ms a class on a 2-vCPU
-Xeon, against 0.01 ms for a class written out; only ``picard.State``
-(copied with ``dataclasses.replace``) stays a dataclass.
+Xeon, against 0.01 ms for a class written out, so rhlab has no dataclass.
 ``RunConfig`` is a ``Value`` whose slots are the rows of the INI schema
 table in ``rhlab.config``.
 
 ``Record`` gives the dataclass repr of the public fields.  ``Frozen`` forbids
-assignment once ``__init__`` has set the fields with ``_set``.  ``Value``
+assignment once ``__init__`` has set the fields with ``_set``, and keeps
+equality and the hash by identity (``picard.State``).  ``Value``
 adds equality and a hash by field values, as a frozen dataclass has, so an
 instance can key a cache, and ``_replace``, a copy with some fields changed
 that is validated again (``SpatialGrid._replace(rho_bar=...)`` lifts a

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from ._records import Record, Value
+from ._records import Frozen, Record, Value
 from .errors import DomainError, IterationError, ParameterError, raise_first_failure
 from .fluid import (VelocityHistory, continuity_step_characteristics,
                     continuity_step_fv, heat_smooth, momentum_step)
@@ -54,13 +53,14 @@ _GAMMA_FLOOR = 1e-28
 _RATIO_MAX = 1e-2        # largest per-sweep ratio the a-posteriori bound trusts
 
 
-@dataclass(frozen=True, eq=False)
-class State:
-    """Full phase-space state (I, rho, u) at one instant."""
+class State(Frozen):
+    """Full phase-space state (I, rho, u) at one instant; equal only to
+    itself."""
 
-    I: Array
-    rho: Array
-    u: Array
+    __slots__ = ("I", "rho", "u")
+
+    def __init__(self, I: Array, rho: Array, u: Array):
+        self._set(I=I, rho=rho, u=u)
 
     def validate(self, grids: Grids) -> "State":
         check_radiation(self.I, grids)

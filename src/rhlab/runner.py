@@ -1,27 +1,27 @@
 """Run orchestration and output writing.
 
-A run executes the chained-slab solve for the configured scenario and writes:
-field snapshots (ASCII, one file per field per output time), the monitor CSV
-(time, phi, theta, phi components, mass, min rho, flags), the fixed-point
-diagnostics CSV (slab, k, gamma, ratio), and a machine-readable summary.
-All floats are printed with 17 significant digits; given the same config the
-outputs are byte-identical across invocations.
+``build_problem`` (defined in ``rhlab.config``, bound here too) builds every
+object a run uses; the runner only runs and writes.  A run executes the
+chained-slab solve for the configured scenario and writes: field snapshots
+(ASCII, one file per field per output time), the monitor CSV (time, phi,
+theta, phi components, mass, min rho, flags), the fixed-point diagnostics CSV
+(slab, k, gamma, ratio), and a machine-readable summary.  All floats are
+printed with 17 significant digits; given the same config the outputs are
+byte-identical across invocations.
 """
 
 from __future__ import annotations
 
 import os
-from typing import NamedTuple
 
 import numpy as np
 
-from .config import RunConfig, serialize_config
+from .config import Problem, RunConfig, build_problem, serialize_config
 from .diagnostics import (blowup_monitor, compatibility_check, farfield_bounds_check,
                           mass_total)
-from .fluid import _momentum_layout
 from .grid import integrate_radiation, write_field_snapshot
 from .physics import validate_kernel_integrability, validate_sigma_regularity
-from .picard import State, Trajectory, delta_continuation, solve
+from .picard import Trajectory, delta_continuation, solve
 
 OUTPUT_DIR_ENV = "RHLAB_OUTPUT_DIR"
 
@@ -61,35 +61,6 @@ def _emit_json(obj, indent: int = 0) -> str:
 def write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_emit_json(obj) + "\n")
-
-
-class Problem(NamedTuple):
-    """Everything the drivers need, constructed once from a config."""
-
-    cfg: RunConfig
-    grids: object
-    eos: object
-    visc: object
-    consts: object
-    settings: object
-    model: object
-    state0: State
-
-
-def build_problem(cfg: RunConfig) -> Problem:
-    """Grids, laws, model and initial state of a run.  Also builds the
-    momentum layout of the grid (cached), so its one-time cost falls in
-    set-up, not in the first momentum step."""
-    grids = cfg.build_grids()
-    eos = cfg.build_eos()
-    visc = cfg.build_viscosity()
-    consts = cfg.build_constants()
-    settings = cfg.build_norm_settings()
-    model = cfg.build_model()
-    state0 = cfg.build_state0(grids)
-    _momentum_layout(grids.spatial, visc)
-    return Problem(cfg=cfg, grids=grids, eos=eos, visc=visc, consts=consts,
-                   settings=settings, model=model, state0=state0)
 
 
 def _output_dir(cfg: RunConfig) -> str:
@@ -140,16 +111,14 @@ def run_scenario(cfg: RunConfig) -> dict:
     os.makedirs(outdir, exist_ok=True)
     grids, grid = prob.grids, prob.grids.spatial
 
-    slab_cfg = cfg.build_slab_config()
     traj = solve(prob.state0, prob.model, grids, prob.visc, prob.eos, prob.consts,
-                 slab_cfg, cfg.t_final)
+                 prob.slab, cfg.t_final)
 
     continuation = None
-    schedule = cfg.build_delta_schedule()
-    if schedule is not None:
+    if prob.schedule is not None:
         _, continuation = delta_continuation(
             prob.state0, prob.model, grids, prob.visc, prob.eos, prob.consts,
-            slab_cfg, schedule)
+            prob.slab, prob.schedule)
 
     report = blowup_monitor(traj, grids, prob.settings)
     masses = [mass_total(s.rho, grid) for s in traj.states]
@@ -213,7 +182,6 @@ def run_scenario(cfg: RunConfig) -> dict:
             "deltas": list(continuation.deltas),
             "differences": list(continuation.differences),
             "monotone": continuation.monotone,
-            "extrapolated": continuation.extrapolated,
         }
     write_json(os.path.join(outdir, "summary.json"), summary)
     with open(os.path.join(outdir, "config.echo"), "w", encoding="utf-8") as fh:

@@ -223,6 +223,12 @@ class TestExitCodes:
                 f"background density") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_extrapolate_key_exit_2(self, tmp_path, capsys):
+        # a run has no extrapolated output, so [run] has no extrapolate key
+        cfg = write_cfg(tmp_path, "[run]\nt_final = 0.004\nextrapolate = true\n")
+        assert main(["run", cfg]) == 2
+        assert "line 3: unknown key 'extrapolate' in section [run]" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         # a missing path, a directory and a file that is not UTF-8 are each
         # reported as a one-line config error

@@ -9,14 +9,14 @@ from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import rhlab
-from rhlab.config import _MODEL_KEYS, parse_config, serialize_config
+from rhlab import config, runner
+from rhlab.config import _MODEL_KEYS, RunConfig, build_problem, parse_config, serialize_config
 from rhlab.errors import ConfigError, ParameterError
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from rhlab.norms import NormSettings
 from rhlab.physics import (EquationOfState, PhysicalConstants, ViscosityParams,
-                           compton_model, constant_model)
+                           compton_model, constant_model, pressure)
 from rhlab.picard import DeltaSchedule, SlabConfig
-from rhlab.runner import build_problem
 from rhlab.scenarios import builtin_scenarios
 
 MINIMAL = """
@@ -72,7 +72,6 @@ continuity = characteristics
 snapshot_stride = 2
 output_dir = results
 deltas = 1e-2, 1e-4
-extrapolate = true
 """
 
 RICH_SERIALIZED = """\
@@ -118,7 +117,6 @@ continuity = characteristics
 snapshot_stride = 2
 output_dir = results
 deltas = 0.01, 0.0001
-extrapolate = true
 """
 
 _NAMES = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_size=12)
@@ -195,8 +193,7 @@ def config_texts(draw, max_cells=None):
                 "snapshot_stride": maybe(st.integers(1, 5)),
                 "output_dir": maybe(_NAMES),
                 "deltas": maybe(st.lists(_floats(1e-6, 1.0), max_size=3, unique=True)
-                                .map(lambda d: sorted(d, reverse=True))),
-                "extrapolate": maybe(st.booleans())},
+                                .map(lambda d: sorted(d, reverse=True)))},
     }
     lines = []
     for section, body in sections.items():
@@ -327,7 +324,7 @@ deltas = 1e-2, 1e-3
 """)
         assert cfg.model_kind == "compton"
         assert cfg.deltas == (1e-2, 1e-3)
-        assert cfg.build_delta_schedule().deltas == (1e-2, 1e-3)
+        assert build_problem(cfg).schedule.deltas == (1e-2, 1e-3)
 
     def test_unknown_scenario(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
@@ -370,14 +367,41 @@ class TestRoundTrip:
 
     def test_builders_construct(self):
         cfg = parse_config(MINIMAL)
-        grids = cfg.build_grids()
-        assert grids.radiation_shape()[0] == len(cfg.band_edges) - 1
-        cfg.build_eos()
-        cfg.build_viscosity()
-        cfg.build_constants()
-        cfg.build_model()
-        cfg.build_slab_config()
-        assert cfg.build_delta_schedule() is None
+        prob = build_problem(cfg)
+        assert prob.cfg is cfg
+        assert prob.grids.radiation_shape()[0] == len(cfg.band_edges) - 1
+        assert pressure(prob.eos, np.array([2.0]))[0] == cfg.A * 2.0 ** cfg.gamma
+        assert prob.visc == ViscosityParams(cfg.mu, cfg.lam)
+        assert prob.consts == PhysicalConstants(cfg.c)
+        assert prob.settings == NormSettings(cfg.q)
+        assert prob.model.emission_bm(prob.grids, 0.0).shape[0] == len(cfg.band_edges) - 1
+        assert prob.state0.rho.shape == prob.grids.spatial.extents
+        assert prob.schedule is None
+
+
+class TestOneOwnerOfConstruction:
+    def test_slab_is_built_from_the_run_keys(self):
+        text = MINIMAL + ("slab_length = 0.005\ndt = 0.001\nmax_iters = 12\ngamma_tol = 1e-6\n"
+                          "max_halvings = 3\ntransport_cfl = 0.5\ncontinuity = characteristics\n")
+        assert build_problem(parse_config(text)).slab == SlabConfig(
+            slab_length=0.005, dt=0.001, max_iters=12, gamma_tol=1e-6, max_halvings=3,
+            transport_cfl=0.5, continuity="characteristics")
+
+    def test_schedule_is_built_from_the_deltas(self):
+        cfg = parse_config(MINIMAL + "deltas = 1e-2, 1e-3, 1e-4\n")
+        schedule = build_problem(cfg).schedule
+        assert schedule == DeltaSchedule(cfg.deltas)
+        assert schedule.deltas == cfg.deltas == (1e-2, 1e-3, 1e-4)
+        assert build_problem(parse_config(MINIMAL)).schedule is None
+
+    def test_runner_builds_with_the_config_constructor(self):
+        assert runner.build_problem is config.build_problem
+        assert runner.Problem is config.Problem
+
+    def test_run_config_is_data(self):
+        assert [name for name in dir(RunConfig) if name.startswith("build_")] == []
+        assert [name for name, member in vars(RunConfig).items()
+                if callable(member) and not name.startswith("__")] == []
 
 
 def _line_of(text, line):
@@ -562,11 +586,11 @@ class TestTableEOS:
 
 
 class TestSetUp:
-    def test_set_up_loads_no_polynomial_and_one_dataclass(self):
+    def test_set_up_loads_no_polynomial_and_no_dataclass(self):
         # a fresh interpreter imports rhlab and builds a 1D and a 2D problem:
         # the slab Gauss-Legendre set is computed without numpy.polynomial,
-        # and only State is a dataclass (the others are written out, for
-        # their class-creation cost at import)
+        # and no rhlab class is a dataclass (all are written out, for their
+        # class-creation cost at import)
         code = f'''
 import inspect, sys
 import rhlab
@@ -576,13 +600,13 @@ build_problem(rhlab.parse_config({MINIMAL!r}.replace("dim = 1", "dim = 2")
                                  .replace("cells = 64", "cells = 8, 8")
                                  .replace("lengths = 1.0", "lengths = 1.0, 1.0")))
 print("numpy.polynomial" in sys.modules)
-print(",".join(sorted(cls.__name__ for name, module in list(sys.modules.items())
-                      if name.split(".")[0] == "rhlab"
-                      for cls in vars(module).values()
-                      if inspect.isclass(cls) and cls.__module__ == name
-                      and "__dataclass_fields__" in vars(cls))))
+print(sorted(cls.__name__ for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "rhlab"
+            for cls in vars(module).values()
+            if inspect.isclass(cls) and cls.__module__ == name
+            and "__dataclass_fields__" in vars(cls)))
 '''
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(rhlab.__file__)))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout.split()
-        assert out == ["False", "State"]
+        assert out == ["False", "[]"]

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -160,7 +159,8 @@ class TestGammaMetric:
         def nan_density(*args, **kwargs):
             states = sweep(*args, **kwargs)
             last = states[-1]
-            return states[:-1] + [replace(last, rho=np.full_like(last.rho, np.nan))]
+            return states[:-1] + [State(I=last.I, rho=np.full_like(last.rho, np.nan),
+                                        u=last.u)]
 
         monkeypatch.setattr(picard, "_iterate_once", nan_density)
         grids = make_grids(n=8)
