@@ -106,7 +106,6 @@ _SCHEMA = {
     "max_iters": ("run", "max_iters", "int", 30),
     "gamma_tol": ("run", "gamma_tol", "float", 1e-8),
     "max_halvings": ("run", "max_halvings", "int", 2),
-    "transport_cfl": ("run", "transport_cfl", "float", 0.9),
     "continuity": ("run", "continuity", "str", "fv"),
     "snapshot_stride": ("run", "snapshot_stride", "int", 1),
     "output_dir": ("run", "output_dir", "str", "out"),

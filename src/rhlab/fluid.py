@@ -646,15 +646,11 @@ def _momentum_layout_of(extents: tuple, spacing: tuple, boundary: str,
     for a, h in enumerate(spacing):
         pair = []
         for side, sign in ((0, -1.0), (1, 1.0)):     # backward, forward difference
-            nb = nbr[a][side]
-            first = (nb >= 0) & (nb < cells)         # the neighbour's column comes first
-            col = np.stack([np.where(first, nb, cells), np.where(first, cells, nb)], axis=1)
-            keep = col.ravel() >= 0
-            p_nb = pos[:, :, n_lame + 2 * a + side]
-            at = np.stack([np.where(first, p_nb, diag_pos), np.where(first, diag_pos, p_nb)],
-                          axis=2).reshape(dim, -1)[:, keep]
-            weight = np.where(col == cells[:, None], -sign * (1.0 / h), sign * (1.0 / h))
-            pair.append((at, np.repeat(cells, 2)[keep], weight.ravel()[keep]))
+            # diagonals, then kept neighbours; each position appears once, so order is free
+            keep = nbr[a][side] >= 0
+            at = np.concatenate([diag_pos, pos[:, :, n_lame + 2 * a + side][:, keep]], axis=1)
+            weight = np.repeat([-sign * (1.0 / h), sign * (1.0 / h)], [n, keep.sum()])
+            pair.append((at, np.concatenate([cells, cells[keep]]), weight))
         upwind.append(tuple(pair))
     band = _band_map(n, boundary == "periodic", np.repeat(cells, np.diff(indptr)), indices) \
         if dim == 1 else None

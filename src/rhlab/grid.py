@@ -300,13 +300,6 @@ class FrequencyGrid(Frozen):
         e = np.asarray(edges, dtype=float)
         return cls(e, np.diff(e), 0.5 * (e[:-1] + e[1:]))
 
-    @classmethod
-    def single(cls, center: float = 1.5, width: float = 1.0) -> "FrequencyGrid":
-        lo = center - 0.5 * width
-        if lo <= 0:
-            raise ParameterError("band must lie in v > 0")
-        return cls.from_edges([lo, lo + width])
-
     @property
     def n_bands(self) -> int:
         return self.band_weights.size

@@ -66,7 +66,9 @@ class EquationOfState:
     interpolation of tabulated (rho, p) samples.
 
     The table interpolant is SciPy's ``PchipInterpolator``; it is imported
-    the first time a table EOS is built, not when ``rhlab`` is imported.
+    the first time a table EOS is built, not when ``rhlab`` is imported.  A
+    table starts at rho = 0 (p_m is a law on [0, inf)); above it, the law
+    goes on linearly with the end slope, as PCHIP's cubic is not monotone.
     """
 
     def __init__(self, kind: str, A: float | None = None, gamma: float | None = None,
@@ -90,8 +92,8 @@ class EquationOfState:
                 raise ParameterError("table densities must be strictly increasing")
             if np.any(np.diff(p_s) < 0):
                 raise ParameterError("table pressure must be nondecreasing")
-            if rho_s[0] < 0:
-                raise ParameterError("table densities must be >= 0")
+            if rho_s[0] != 0:
+                raise ParameterError(f"table densities must start at 0, got {rho_s[0]}")
             self.A = None
             self.gamma = None
             # imported here: it costs about 0.3 s and polytropic runs never use it
@@ -102,6 +104,9 @@ class EquationOfState:
                     self._interp = PchipInterpolator(rho_s, p_s, extrapolate=True)
             except ValueError as exc:
                 raise ParameterError(f"table has no monotone interpolant: {exc}") from exc
+            end = np.array([rho_s[-1]])     # one linear piece, extrapolated on
+            line = [[0.0], [0.0], self._interp(end, 1), self._interp(end)]
+            self._interp.extend(line, end + 1.0)
 
     @staticmethod
     def checks(kind: str, A: float | None, gamma: float | None) -> list:
@@ -174,12 +179,12 @@ class CoefficientModel(Record):
     callable's at every (band, ordinate) pair.  ``sigma_bm``/``emission_bm``
     use the table when there is one and call the callable B x M times
     otherwise; as the table lives on the callable, reassigning ``sigma`` or
-    ``emission`` replaces both at once.
+    ``emission`` replaces both at once.  ``kernels`` and ``scattering_tables``
+    share one cache, which assigning either kernel empties.
     """
 
     __slots__ = ("sigma", "sigma_s_bar", "sigma_s_bar_prime", "emission", "majorant",
-                 "sigma_lipschitz", "emission_depends_rho", "_kernel_cache",
-                 "_scattering_cache")
+                 "sigma_lipschitz", "emission_depends_rho", "_kernel_cache")
 
     def __init__(self, sigma: Callable, sigma_s_bar: Callable, sigma_s_bar_prime: Callable,
                  emission: Callable, majorant: Callable | None = None,
@@ -191,8 +196,11 @@ class CoefficientModel(Record):
         self.majorant = majorant
         self.sigma_lipschitz = sigma_lipschitz
         self.emission_depends_rho = emission_depends_rho
-        self._kernel_cache = {}
-        self._scattering_cache = {}
+
+    def __setattr__(self, name, value):
+        if name in ("sigma_s_bar", "sigma_s_bar_prime"):
+            object.__setattr__(self, "_kernel_cache", {})
+        object.__setattr__(self, name, value)
 
     # -- vectorized evaluation over the discrete phase space ---------------
 
@@ -236,13 +244,8 @@ class CoefficientModel(Record):
         return tuple((a.shape, a.tobytes()) for a in (
             freq.band_edges, freq.band_centers, ang.ordinates, ang.weights))
 
-    def kernels(self, freq: FrequencyGrid, ang: AngularQuadrature) -> tuple[Array, Array]:
-        """Dense kernel tables over (band, ordinate)^2, cached by the values of
-        the quadratures (band edges and centers, ordinates and weights).
-
-        K_in[b, m, b', m']  = sigma_s_bar(v_b' -> v_b, Omega_m' . Omega_m)
-        K_out[b, m, b', m'] = sigma_s_bar_prime(v_b -> v_b', Omega_m . Omega_m')
-        """
+    def _tables(self, freq: FrequencyGrid, ang: AngularQuadrature) -> tuple:
+        """((K_in, K_out), (W, Lam_s)) of the quadratures, built once per key."""
         key = self._quadrature_key(freq, ang)
         if key not in self._kernel_cache:
             v = freq.band_centers
@@ -254,24 +257,28 @@ class CoefficientModel(Record):
                 for bp in range(B):
                     k_in[b, :, bp, :] = self.sigma_s_bar(v[bp], v[b], mu)
                     k_out[b, :, bp, :] = self.sigma_s_bar_prime(v[b], v[bp], mu)
-            self._kernel_cache[key] = (k_in, k_out)
+            w = phase_weights(freq, ang)
+            ratio = (v[:, None] / v[None, :])  # v_b / v_b'
+            gain_matrix = k_in * ratio[:, None, :, None] * w[None, None, :, :]
+            lam_s = np.tensordot(k_out, w, axes=([2, 3], [0, 1]))
+            self._kernel_cache[key] = ((k_in, k_out), (gain_matrix, lam_s))
         return self._kernel_cache[key]
+
+    def kernels(self, freq: FrequencyGrid, ang: AngularQuadrature) -> tuple[Array, Array]:
+        """Dense kernel tables over (band, ordinate)^2, cached by the values of
+        the quadratures (band edges and centers, ordinates and weights).
+
+        K_in[b, m, b', m']  = sigma_s_bar(v_b' -> v_b, Omega_m' . Omega_m)
+        K_out[b, m, b', m'] = sigma_s_bar_prime(v_b -> v_b', Omega_m . Omega_m')
+        """
+        return self._tables(freq, ang)[0]
 
     def scattering_tables(self, freq: FrequencyGrid,
                           ang: AngularQuadrature) -> tuple[Array, Array]:
         """Gain matrix W[b,m,b',m'] = w_b' w_m' (v_b / v_b') K_in[b,m,b',m'] and
-        total out-scattering rate per unit density Lam_s[b,m], cached by the
-        same quadrature values as ``kernels``."""
-        key = self._quadrature_key(freq, ang)
-        if key not in self._scattering_cache:
-            k_in, k_out = self.kernels(freq, ang)
-            w = phase_weights(freq, ang)
-            v = freq.band_centers
-            ratio = (v[:, None] / v[None, :])  # v_b / v_b'
-            gain_matrix = k_in * ratio[:, None, :, None] * w[None, None, :, :]
-            lam_s = np.tensordot(k_out, w, axes=([2, 3], [0, 1]))
-            self._scattering_cache[key] = (gain_matrix, lam_s)
-        return self._scattering_cache[key]
+        total out-scattering rate per unit density Lam_s[b,m], cached with
+        ``kernels``."""
+        return self._tables(freq, ang)[1]
 
 
 def _tabulated_sigma(table: Callable) -> Callable:
@@ -493,9 +500,17 @@ def _validate_regularity(model: CoefficientModel, evaluate, name: str, rho: Arra
     val1 = l2 + linf
     entries.append(ValidationEntry(f"{name}_mixed_sup", val1, M_rho, val1 <= M_rho))
 
-    # line 2: || grad f ||_{L2 cap Linf (phase); Lr(x)} <= M (|grad rho|_r + 1)
-    grad_rho = gradient(rho, grid, farfield_value=0.0)
+    # line 2: || grad f ||_{L2 cap Linf (phase); Lr(x)} <= M (|grad rho|_r + 1);
+    # far-field ghosts are rho_bar, and f at rho_bar of the bordering cell: an
+    # edge difference over gradient's 0 ghost moves by that value over 2h
+    grad_rho = gradient(rho, grid, farfield_value=grid.rho_bar)
     grad_f0 = gradient(f0, grid)
+    if grid.boundary == "farfield":
+        f_bar = evaluate(grids, t, np.full(grid.extents, grid.rho_bar))
+        for a, h in enumerate(grid.spacing):
+            for edge, sign in ((0, -1.0), (-1, 1.0)):
+                cells = (slice(None),) * (2 + a) + (edge,)
+                grad_f0[:, :, a][cells] += sign * f_bar[cells] / (2.0 * h)
     for r in (2.0, settings.q):
         bound = M_rho * (lp_norm(grad_rho, r, grid) + 1.0)
         l2r, linfr = _mixed_l2_linf(grad_f0, r, grid, w)

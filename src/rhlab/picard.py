@@ -44,8 +44,7 @@ from .grid import Grids, SpatialGrid, check_radiation, check_scalar, check_vecto
 from .norms import _differences, _lp_cells, _lp_multi, _phase_l2, lp_norm, snapshot_chunks
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
                       ViscosityParams, pressure)
-from .transport import (_momentum_source, _substep_transport, _tables_at,
-                        free_streaming_step, transport_substeps)
+from .transport import _advance, _momentum_source, _tables_at
 
 Array = np.ndarray
 
@@ -78,22 +77,20 @@ class SlabConfig(Value):
     """Slab length, inner step, continuity scheme ("fv" or
     "characteristics") and fixed-point iteration policy: at most
     ``max_iters`` sweeps per attempt, and at most ``max_halvings`` halvings
-    of a slab that stalls or runs out of sweeps (0 disables halving)."""
+    of a slab that stalls or runs out of sweeps (0 disables halving).
+    Transport substeps are cut at ``transport.CFL_FRACTION``."""
 
-    __slots__ = ("slab_length", "dt", "max_iters", "gamma_tol", "max_halvings",
-                 "transport_cfl", "continuity")
+    __slots__ = ("slab_length", "dt", "max_iters", "gamma_tol", "max_halvings", "continuity")
 
     def __init__(self, slab_length: float, dt: float, max_iters: int = 30,
-                 gamma_tol: float = 1e-8, max_halvings: int = 2, transport_cfl: float = 0.9,
-                 continuity: str = "fv"):
+                 gamma_tol: float = 1e-8, max_halvings: int = 2, continuity: str = "fv"):
         self._set(slab_length=slab_length, dt=dt, max_iters=max_iters, gamma_tol=gamma_tol,
-                  max_halvings=max_halvings, transport_cfl=transport_cfl,
-                  continuity=continuity)
+                  max_halvings=max_halvings, continuity=continuity)
         raise_first_failure(self.checks(*self._fields()))
 
     @staticmethod
     def checks(slab_length: float, dt: float, max_iters: int, gamma_tol: float,
-               max_halvings: int, transport_cfl: float, continuity: str) -> list:
+               max_halvings: int, continuity: str) -> list:
         """(field, failed, message) rows of the constructor's constraints."""
         return [
             ("slab_length", not slab_length > 0,
@@ -104,8 +101,6 @@ class SlabConfig(Value):
             ("gamma_tol", not (math.isfinite(gamma_tol) and gamma_tol > 0),
              f"gamma_tol must be finite and positive, got {gamma_tol}"),
             ("max_halvings", max_halvings < 0, f"max_halvings must be >= 0, got {max_halvings}"),
-            ("transport_cfl", not 0 < transport_cfl <= 1,
-             f"transport_cfl must lie in (0, 1], got {transport_cfl}"),
             ("continuity", continuity not in ("fv", "characteristics"),
              f"continuity must be fv or characteristics, got {continuity!r}"),
         ]
@@ -281,22 +276,19 @@ def _heat_flow_chain(u0_bytes: bytes, shape: tuple, times_bytes: bytes,
 
 
 def _initial_iterate(state0: State, grids: Grids, consts: PhysicalConstants,
-                     cfg: SlabConfig, times: np.ndarray) -> list:
+                     times: np.ndarray) -> list:
     """Iterate 0: frozen density; velocity mollified by explicit heat flow,
     from the one-slab cache ``_heat_flow_chain``; intensity advanced by
-    collisionless free streaming, recomputed on every call (caching it too
-    would keep a slab of intensities alive)."""
+    ``transport._advance`` without collisions (free streaming), recomputed
+    on every call (caching it too would keep a slab of intensities alive)."""
     grid = grids.spatial
     u0 = np.ascontiguousarray(state0.u, dtype=float)
     velocities = _heat_flow_chain(u0.tobytes(), u0.shape, times.tobytes(),
                                   grid.extents, grid.spacing, grid.boundary)
     states = [state0]
     for j, u in enumerate(velocities, start=1):
-        dt = float(times[j] - times[j - 1])
-        I = states[-1].I
-        n_sub, sub = transport_substeps(grids, dt, consts.c, cfg.transport_cfl)
-        for _ in range(n_sub):
-            I = free_streaming_step(I, grids, sub, consts.c)
+        I = _advance(states[-1].I, None, None, None, grids, float(times[j] - times[j - 1]),
+                     float(times[j - 1]), consts.c)
         states.append(State(I=I, rho=state0.rho, u=u))
     return states
 
@@ -306,7 +298,8 @@ def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Gri
                   consts: PhysicalConstants, cfg: SlabConfig,
                   times: np.ndarray) -> list:
     """One sweep of the linearized system over the slab, driven by the
-    previous iterate (w, psi) = (u^k, I^k)."""
+    previous iterate (w, psi) = (u^k, I^k); ``transport._advance`` takes
+    the scattering-in from psi."""
     grid = grids.spatial
     dim = grid.dim
     p_ref = eos.reference_pressure(grid.rho_bar)
@@ -329,8 +322,8 @@ def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Gri
         # transport substep and the momentum source (per time if untabulated)
         t_prev = float(times[j - 1])
         tables_at = _tables_at(model, grids, t_prev, rho_new)
-        I_new = _substep_transport(new_states[-1].I, prev[j - 1].I, rho_new, tables_at,
-                                   grids, dt, t_prev, consts.c, cfg.transport_cfl)
+        I_new = _advance(new_states[-1].I, prev[j - 1].I, rho_new, tables_at, grids, dt,
+                         t_prev, consts.c)
         p_new = pressure(eos, rho_new, grid)
         f_rad = _momentum_source(I_new, rho_new, tables_at(t_new), grids, consts.c)[:dim]
         u_new = momentum_step(new_states[-1].u, rho_new, prev[j].u, p_new, f_rad,
@@ -390,7 +383,7 @@ def solve_slab_full(state0: State, model, grids, visc, eos, consts,
         # with dt > T (a halved slab) this is the one step dt = T gives
         times = _slab_times(t0, T, cfg.dt)
         diag = PicardDiagnostics(slab_length=T, times=times, halvings=halvings)
-        prev = _initial_iterate(state0, grids, consts, cfg, times)
+        prev = _initial_iterate(state0, grids, consts, times)
         for _ in range(cfg.max_iters):
             current = _iterate_once(prev, state0, model, grids, visc, eos, consts, cfg, times)
             diag.gamma_history.append(gamma_metric(prev, current, grids,

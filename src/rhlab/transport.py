@@ -7,6 +7,10 @@ explicit first-order upwind streaming and an implicit collision removal,
     I_new = (I_old + c dt (gain - streaming)) / (1 + c dt removal),
 
 which keeps I >= 0 exactly for nonnegative data, sources and kernels.
+
+One step, ``_transport_step`` (free streaming without collision tables),
+and one substep loop, ``_advance``, serve iterate 0, every Picard sweep and
+``substep_transport``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .grid import Grids, check_radiation, check_scalar, pad_ghost, phase_weights
 from .physics import CoefficientModel
 
 Array = np.ndarray
+
+CFL_FRACTION = 0.9       # largest substep of ``_advance``, in CFL limits
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +152,6 @@ def transport_cfl_limit(grids: Grids, c: float) -> float:
     return 1.0 / (c * worst)
 
 
-def _substeps(limit: float, dt: float, cfl: float) -> tuple[int, float]:
-    n_sub = max(1, int(np.ceil(dt / (cfl * limit)))) if np.isfinite(limit) else 1
-    return n_sub, dt / n_sub
-
-
-def transport_substeps(grids: Grids, dt: float, c: float, cfl: float) -> tuple[int, float]:
-    """Number and size of the equal substeps of at most cfl x the CFL limit covering dt."""
-    return _substeps(transport_cfl_limit(grids, c), dt, cfl)
-
-
 def _check_cfl(dt: float, limit: float) -> None:
     if dt > limit * (1.0 + 1e-12):
         raise StepSizeError(f"transport CFL violated: dt={dt} > limit={limit}")
@@ -206,9 +202,11 @@ def _streaming(I: Array, grids: Grids) -> Array:
     return out
 
 
-def _transport_step(I_n: Array, psi: Array, rho_new: Array, tables: _CoefficientTables,
+def _transport_step(I_n: Array, psi: Array, rho_new: Array, tables: _CoefficientTables | None,
                     grids: Grids, dt: float, c: float) -> Array:
     stream = _streaming(I_n, grids)
+    if tables is None:
+        return I_n - c * dt * stream
     dec = _decompose(tables, psi, rho_new)
     return (I_n + c * dt * (dec.gain - stream)) / (1.0 + c * dt * dec.removal)
 
@@ -233,26 +231,31 @@ def free_streaming_step(I_n: Array, grids: Grids, dt: float, c: float) -> Array:
     """Collisionless streaming step (removal = 0, gain = 0)."""
     I_n = check_radiation(I_n, grids)
     _check_cfl(dt, transport_cfl_limit(grids, c))
-    return I_n - c * dt * _streaming(I_n, grids)
+    return _transport_step(I_n, None, None, None, grids, dt, c)
 
 
-def _substep_transport(I_n: Array, psi: Array, rho_new: Array, tables_at, grids: Grids,
-                       dt: float, t: float, c: float, cfl: float) -> Array:
+def _advance(I_n: Array, psi: Array | None, rho_new: Array | None, tables_at,
+             grids: Grids, dt: float, t: float, c: float) -> Array:
+    """Advance [t, t + dt] in the fewest equal substeps of at most
+    ``CFL_FRACTION`` of the CFL limit, each with ``tables_at`` of its start
+    time, or each a ``free_streaming_step`` without ``tables_at``."""
     limit = transport_cfl_limit(grids, c)
-    n_sub, sub = _substeps(limit, dt, cfl)
+    n_sub = max(1, int(np.ceil(dt / (CFL_FRACTION * limit)))) if np.isfinite(limit) else 1
+    sub = dt / n_sub
     _check_cfl(sub, limit)
     I = I_n
     for k in range(n_sub):
-        I = _transport_step(I, psi, rho_new, tables_at(t + k * sub), grids, sub, c)
+        if tables_at is None:    # through the module name, which a tracer may wrap
+            I = free_streaming_step(I, grids, sub, c)
+        else:
+            I = _transport_step(I, psi, rho_new, tables_at(t + k * sub), grids, sub, c)
     return I
 
 
 def substep_transport(I_n: Array, psi: Array, rho_new: Array, model: CoefficientModel,
-                      grids: Grids, dt: float, t: float, c: float,
-                      cfl: float = 0.9) -> Array:
+                      grids: Grids, dt: float, t: float, c: float) -> Array:
     """Advance dt by chaining CFL-safe transport steps."""
     I_n = check_radiation(I_n, grids)
     psi = check_radiation(psi, grids)
     rho_new = check_scalar(rho_new, grids.spatial)
-    return _substep_transport(I_n, psi, rho_new, _tables_at(model, grids, t, rho_new),
-                              grids, dt, t, c, cfl)
+    return _advance(I_n, psi, rho_new, _tables_at(model, grids, t, rho_new), grids, dt, t, c)

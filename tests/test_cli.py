@@ -229,6 +229,12 @@ class TestExitCodes:
         assert main(["run", cfg]) == 2
         assert "line 3: unknown key 'extrapolate' in section [run]" in capsys.readouterr().err
 
+    def test_transport_cfl_key_exit_2(self, tmp_path, capsys):
+        # the transport substeps are cut at a fixed fraction of the CFL limit
+        cfg = write_cfg(tmp_path, "[run]\nt_final = 0.004\ntransport_cfl = 0.5\n")
+        assert main(["run", cfg]) == 2
+        assert "line 3: unknown key 'transport_cfl' in section [run]" in capsys.readouterr().err
+
     def test_missing_file_exit_2(self, tmp_path, capsys):
         # a missing path, a directory and a file that is not UTF-8 are each
         # reported as a one-line config error

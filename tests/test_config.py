@@ -112,7 +112,6 @@ dt = 0.002
 max_iters = 25
 gamma_tol = 9.9999999999999995e-08
 max_halvings = 4
-transport_cfl = 0.90000000000000002
 continuity = characteristics
 snapshot_stride = 2
 output_dir = results
@@ -149,9 +148,9 @@ def config_texts(draw, max_cells=None):
     eos = draw(st.sampled_from(["polytropic", "barotropic_table"]))
     if eos == "barotropic_table":
         n = draw(st.integers(4, 6))
-        # increasing densities and nondecreasing pressures, as the EOS requires
-        rho_table = draw(st.lists(_floats(0.0, 10.0), min_size=n, max_size=n,
-                                  unique=True).map(sorted))
+        # increasing densities from 0 and nondecreasing pressures, as the EOS requires
+        rho_table = draw(st.lists(_floats(0.0, 10.0).filter(bool), min_size=n - 1,
+                                  max_size=n - 1, unique=True).map(lambda r: [0.0] + sorted(r)))
         p_table = draw(st.lists(_floats(0.0, 10.0), min_size=n, max_size=n).map(sorted))
     else:
         rho_table = maybe(st.lists(_floats(0.0, 10.0), max_size=3))
@@ -188,7 +187,6 @@ def config_texts(draw, max_cells=None):
                 "max_iters": maybe(st.integers(1, 50)),
                 "gamma_tol": maybe(_floats(1e-12, 1e-2)),
                 "max_halvings": maybe(st.integers(0, 5)),
-                "transport_cfl": maybe(_floats(0.1, 1.0)),
                 "continuity": maybe(st.sampled_from(["fv", "characteristics"])),
                 "snapshot_stride": maybe(st.integers(1, 5)),
                 "output_dir": maybe(_NAMES),
@@ -382,10 +380,10 @@ class TestRoundTrip:
 class TestOneOwnerOfConstruction:
     def test_slab_is_built_from_the_run_keys(self):
         text = MINIMAL + ("slab_length = 0.005\ndt = 0.001\nmax_iters = 12\ngamma_tol = 1e-6\n"
-                          "max_halvings = 3\ntransport_cfl = 0.5\ncontinuity = characteristics\n")
+                          "max_halvings = 3\ncontinuity = characteristics\n")
         assert build_problem(parse_config(text)).slab == SlabConfig(
             slab_length=0.005, dt=0.001, max_iters=12, gamma_tol=1e-6, max_halvings=3,
-            transport_cfl=0.5, continuity="characteristics")
+            continuity="characteristics")
 
     def test_schedule_is_built_from_the_deltas(self):
         cfg = parse_config(MINIMAL + "deltas = 1e-2, 1e-3, 1e-4\n")
@@ -397,6 +395,13 @@ class TestOneOwnerOfConstruction:
     def test_runner_builds_with_the_config_constructor(self):
         assert runner.build_problem is config.build_problem
         assert runner.Problem is config.Problem
+
+    def test_transport_cfl_is_no_run_key(self):
+        text = MINIMAL + "transport_cfl = 0.5\n"
+        with pytest.raises(ConfigError) as ei:
+            parse_config(text)
+        assert ei.value.violations == [(_line_of(text, "transport_cfl = 0.5"),
+                                        "unknown key 'transport_cfl' in section [run]")]
 
     def test_run_config_is_data(self):
         assert [name for name in dir(RunConfig) if name.startswith("build_")] == []
@@ -574,6 +579,18 @@ class TestTableEOS:
             parse_config(text)
         assert ei.value.violations == [(_line_of(text, f"rho_table = {rho}"),
                                         f"table EOS: {message}")]
+
+    @pytest.mark.parametrize("rho, p", [("0.2, 1, 2, 3", "0.5, 1, 4, 9"),
+                                        ("0.5, 1, 2, 3", "0.25, 1, 4, 9")])
+    def test_table_must_start_at_zero_density(self, rho, p):
+        # PCHIP extrapolated below such a table is not monotone: p(0) = 0.546
+        # > p(0.2) = 0.5 for the first
+        text = self.TABLE.format(rho, p)
+        with pytest.raises(ConfigError) as ei:
+            parse_config(text)
+        assert ei.value.violations == [
+            (_line_of(text, f"rho_table = {rho}"),
+             f"table EOS: table densities must start at 0, got {float(rho[:3])}")]
 
     def test_table_without_interpolant_rejected(self):
         # densities a subnormal apart give the interpolant non-finite slopes

@@ -10,7 +10,7 @@ from rhlab.errors import ConfigError, DomainError, ParameterError
 from rhlab.grid import AngularQuadrature, FrequencyGrid
 from rhlab.physics import (CoefficientModel, EquationOfState, PhysicalConstants,
                            ViscosityParams, compton_model, constant_model,
-                           pressure, validate_emission_regularity,
+                           _zero_kernel, pressure, validate_emission_regularity,
                            validate_kernel_integrability,
                            validate_sigma_regularity, zero_model)
 
@@ -94,6 +94,24 @@ class TestEquationOfState:
         rho[17] = -0.5
         with pytest.raises(DomainError, match=r"cell \(17,\)"):
             pressure(eos, rho, grid128)
+
+    @pytest.mark.parametrize("p_s, p4", [((0.0, 1.0, 4.0, 9.0), 15.0),
+                                         ((0.0, 3.0, 3.5, 3.6), 3.6)])
+    def test_table_continues_linearly_above_its_last_density(self, p_s, p4):
+        # PCHIP's cubic extrapolation gave p(10) = 2.0 and -14.4 for these
+        eos = EquationOfState.barotropic_table(np.array([0.0, 1.0, 2.0, 3.0]), np.array(p_s))
+        p = eos(np.linspace(0.0, 10.0, 1001))
+        assert np.all(np.diff(p) >= 0.0)
+        assert float(eos(np.array(4.0))) == pytest.approx(p4, rel=1e-12)
+        # inside the table the law is the interpolant's, bit for bit
+        from scipy.interpolate import PchipInterpolator
+        inside = np.linspace(0.0, 3.0, 301)
+        assert eos(inside).tobytes() == PchipInterpolator([0.0, 1.0, 2.0, 3.0], p_s)(
+            inside).tobytes()
+
+    def test_table_must_start_at_zero_density(self):
+        with pytest.raises(ParameterError, match="table densities must start at 0, got 0.2"):
+            EquationOfState.barotropic_table([0.2, 1.0, 2.0, 3.0], [0.5, 1.0, 4.0, 9.0])
 
     @pytest.mark.parametrize("eos_obj", [
         EquationOfState.polytropic(0.7, 1.4),
@@ -250,6 +268,20 @@ class TestKernelCache:
         assert len(model._kernel_cache) == 2
 
 
+    def test_reassigned_kernels_empty_the_cache(self, slab8):
+        freq = FrequencyGrid.from_edges([0.5, 1.0, 2.0])
+        ang = AngularQuadrature.gauss_legendre_slab(4)
+        model = constant_model(sigma0=0.1, kernel0=0.2)
+        gain, lam = model.scattering_tables(freq, ang)
+        assert gain.max() > 0 and lam.max() > 0
+        model.sigma_s_bar = model.sigma_s_bar_prime = _zero_kernel
+        gain, lam = model.scattering_tables(freq, ang)
+        assert not gain.any() and not lam.any()
+        k_in, k_out = model.kernels(freq, ang)
+        assert not k_in.any() and not k_out.any()
+        assert len(model._kernel_cache) == 1
+
+
 class TestSigmaRegularity:
     def test_zero_sigma_passes(self, grids128, settings):
         model = zero_model()
@@ -269,6 +301,19 @@ class TestSigmaRegularity:
         assert rep.entry("sigma_mixed_sup").value == pytest.approx(expected, rel=1e-12)
         assert rep.entry("grad_sigma_L2").value == 0.0
         assert rep.entry("sigma_t_mixed").value == 0.0
+
+    @pytest.mark.parametrize("model", [
+        constant_model(sigma0=0.5),
+        compton_model(1.0, 1.0, 1.0, 1.0)], ids=["constant", "compton"])
+    def test_background_far_field_has_no_gradient(self, grids128_far, settings, model):
+        # far-field ghosts hold the background state, not zeros: a density at
+        # rho_bar everywhere has no gradient, nor has a coefficient of rho alone
+        rho = np.full(128, grids128_far.spatial.rho_bar)
+        rep = validate_sigma_regularity(model, rho, np.zeros(128), settings, grids128_far)
+        M = model.majorant(float(rho.max()))
+        for name in ("grad_sigma_L2", "grad_sigma_L4"):
+            assert rep.entry(name).value == 0.0
+            assert rep.entry(name).bound == M * 1.0
 
     def test_pass_depends_on_majorant(self, grids128, settings):
         loose = constant_model(sigma0=1.0)

@@ -69,20 +69,43 @@ class TestSlabConfig:
             SlabConfig(slab_length=0.01, dt=0.01, continuity="weno")
 
     @pytest.mark.parametrize("bad", [
-        dict(transport_cfl=0.0), dict(transport_cfl=-0.5), dict(transport_cfl=1.5),
-        dict(transport_cfl=float("nan")), dict(max_halvings=-1),
+        dict(max_halvings=-1),
         dict(gamma_tol=0.0), dict(gamma_tol=-1e-8), dict(gamma_tol=float("nan")),
         dict(gamma_tol=float("inf"))])
     def test_iteration_policy_checked_like_the_config(self, bad):
-        # before, transport_cfl=0 raised ZeroDivisionError in the first slab
-        # and max_halvings=-1 an IterationError without solving anything
+        # before, max_halvings=-1 raised an IterationError without solving anything
         with pytest.raises(ParameterError) as err:
             SlabConfig(slab_length=0.01, dt=0.01, **bad)
         assert err.value.exit_code == 2
 
     def test_iteration_policy_edges_accepted(self):
-        cfg = SlabConfig(slab_length=0.01, dt=0.01, transport_cfl=1.0, max_halvings=0)
-        assert (cfg.transport_cfl, cfg.max_halvings) == (1.0, 0)
+        cfg = SlabConfig(slab_length=0.01, dt=0.01, max_halvings=0)
+        assert cfg.max_halvings == 0
+
+
+class TestOneTransportAdvance:
+    """Iterate 0 and every sweep advance the intensity through the one
+    substep loop of ``rhlab.transport``."""
+
+    def test_one_advance_per_step_of_every_iterate(self, monkeypatch):
+        calls = []
+        real = picard._advance
+
+        def counted(I_n, psi, rho_new, tables_at, grids, dt, t, c):
+            calls.append("free" if tables_at is None else "sweep")
+            return real(I_n, psi, rho_new, tables_at, grids, dt, t, c)
+
+        monkeypatch.setattr(picard, "_advance", counted)
+        grids = make_grids()
+        cfg = SlabConfig(slab_length=0.01, dt=0.002)
+        _, diag = run_slab(bump_state(grids), constant_model(0.5, 0.1, 0.05), grids, cfg)
+        assert diag.halvings == 0 and diag.iterations >= 2
+        assert calls == ["free"] * 5 + ["sweep"] * 5 * diag.iterations
+
+    def test_slab_config_has_no_transport_cfl(self):
+        assert "transport_cfl" not in SlabConfig.__slots__
+        with pytest.raises(TypeError):
+            SlabConfig(slab_length=0.01, dt=0.01, transport_cfl=0.5)
 
 
 class TestDeltaSchedule:
@@ -689,12 +712,11 @@ class TestHeatFlowChain:
         x = grids.spatial.axis_coords(0)
         st = State(I=np.zeros(grids.radiation_shape()), rho=np.ones(16),
                    u=np.sin(2 * np.pi * x)[None])
-        cfg = SlabConfig(slab_length=0.002, dt=0.001)
         times = _slab_times(0.0, 0.002, 0.001)
 
         def chain(state=st, g=grids, t=times):
             before = len(heat_calls)
-            states = _initial_iterate(state, g, PHYS["consts"], cfg, t)
+            states = _initial_iterate(state, g, PHYS["consts"], t)
             return [s.u for s in states[1:]], len(heat_calls) - before
 
         first, n = chain()

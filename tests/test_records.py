@@ -22,7 +22,7 @@ VALID = {
     SlabConfig: POSITIVE.flatmap(lambda T: st.fixed_dictionaries(
         {"slab_length": st.just(T), "dt": st.floats(T / 100, T)},
         optional={"max_iters": st.integers(1, 50), "gamma_tol": POSITIVE,
-                  "max_halvings": st.integers(0, 4), "transport_cfl": st.floats(0.1, 1.0),
+                  "max_halvings": st.integers(0, 4),
                   "continuity": st.sampled_from(["fv", "characteristics"])})),
     SpatialGrid: st.integers(1, 3).flatmap(lambda dim: st.fixed_dictionaries(
         {"extents": st.tuples(*[st.integers(4, 64)] * dim),
@@ -43,7 +43,6 @@ INVALID = [
     (SlabConfig, {"slab_length": 0.01, "dt": 0.02}),
     (SlabConfig, {"slab_length": 0.01, "dt": 0.0}),
     (SlabConfig, {"slab_length": 0.01, "dt": 0.01, "continuity": "weno"}),
-    (SlabConfig, {"slab_length": 0.01, "dt": 0.01, "transport_cfl": 1.5}),
     (SlabConfig, {"slab_length": 0.01, "dt": 0.01, "max_halvings": -1}),
     (SlabConfig, {"slab_length": 0.01, "dt": 0.01, "gamma_tol": math.nan}),
     (DeltaSchedule, {"deltas": (1e-3, 1e-2)}), (DeltaSchedule, {"deltas": (1e-2, 0.0)}),

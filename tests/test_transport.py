@@ -1,16 +1,18 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhlab import transport
 from rhlab.errors import StepSizeError
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from rhlab.physics import CoefficientModel, compton_model, constant_model, zero_model
-from rhlab.transport import (collision_decomposition, collision_term,
+from rhlab.transport import (CFL_FRACTION, collision_decomposition, collision_term,
                              linearized_collision_term, momentum_source, radiation_flux,
                              free_streaming_step, radiation_pressure_tensor,
-                             substep_transport, transport_cfl_limit, transport_step,
-                             transport_substeps)
+                             substep_transport, transport_cfl_limit, transport_step)
 
 from _reference import brute_force_collision, loop_transport_step
 
@@ -342,16 +344,40 @@ class TestCoefficientTables:
         model.sigma = sigma
         shape = grids_small.radiation_shape()
         I, psi, rho = rng.random(shape), rng.random(shape), rng.random(8)
-        c, cfl, t0 = 1.0, 0.9, 0.3
-        dt = 3.5 * cfl * transport_cfl_limit(grids_small, c)
-        n_sub, sub = transport_substeps(grids_small, dt, c, cfl)
-        assert n_sub == 4
-        got = substep_transport(I, psi, rho, model, grids_small, dt, t0, c, cfl)
+        c, t0 = 1.0, 0.3
+        dt = 3.5 * CFL_FRACTION * transport_cfl_limit(grids_small, c)
+        n_sub, sub = 4, dt / 4
+        got = substep_transport(I, psi, rho, model, grids_small, dt, t0, c)
         assert seen == {t0 + k * sub for k in range(n_sub)}
         want = I
         for k in range(n_sub):
             want = loop_transport_step(want, psi, rho, model, grids_small, sub,
                                        t0 + k * sub, c)
+        assert _same(got, want)
+
+
+class TestOneAdvance:
+    def test_substep_transport_has_no_cfl_parameter(self):
+        assert "cfl" not in inspect.signature(substep_transport).parameters
+
+    def test_collisionless_substeps_are_free_streaming_steps(self, grids_small, rng,
+                                                              monkeypatch):
+        # each substep goes through the module-level name, which a tracer may wrap
+        calls = []
+        real = transport.free_streaming_step
+
+        def counted(I_n, grids, dt, c):
+            calls.append(dt)
+            return real(I_n, grids, dt, c)
+
+        monkeypatch.setattr(transport, "free_streaming_step", counted)
+        I = rng.random(grids_small.radiation_shape())
+        dt = 2.5 * transport_cfl_limit(grids_small, 1.0)
+        got = transport._advance(I, None, None, None, grids_small, dt, 0.0, 1.0)
+        want = I
+        for _ in range(3):       # ceil(2.5 / CFL_FRACTION) equal substeps
+            want = real(want, grids_small, dt / 3, 1.0)
+        assert calls == [dt / 3] * 3
         assert _same(got, want)
 
 
@@ -362,11 +388,10 @@ _ORDINATES = {1: lambda: AngularQuadrature.gauss_legendre_slab(4),
 
 
 @settings(max_examples=60, deadline=None)
-@given(dim=st.integers(1, 2), c=st.floats(0.1, 10.0), cfl=st.floats(0.05, 1.0),
-       frac=st.floats(0.01, 1.0), steps=st.integers(1, 3),
+@given(dim=st.integers(1, 2), c=st.floats(0.1, 10.0), limits=st.floats(1e-3, 3.0),
        kind=st.sampled_from(["constant", "compton"]), seed=st.integers(0, 2**32 - 1))
-def test_substep_transport_positive(dim, c, cfl, frac, steps, kind, seed):
-    # each substep is at most cfl x the CFL limit, whatever c is
+def test_substep_transport_positive(dim, c, limits, kind, seed):
+    # each substep is at most CFL_FRACTION x the CFL limit, whatever c and dt are
     grids = Grids(_SPATIAL[dim](), FrequencyGrid.from_edges([0.5, 1.0, 2.0]),
                   _ORDINATES[dim]())
     rng = np.random.default_rng(seed)
@@ -379,6 +404,6 @@ def test_substep_transport_positive(dim, c, cfl, frac, steps, kind, seed):
     I, psi = rng.uniform(0.0, 5.0, shape), rng.uniform(0.0, 5.0, shape)
     I[rng.random(shape) < 0.3] = 0.0
     rho = rng.uniform(0.0, 3.0, grids.spatial.extents)
-    dt = steps * frac * cfl * transport_cfl_limit(grids, c)
-    out = substep_transport(I, psi, rho, model, grids, dt, 0.0, c, cfl)
+    dt = limits * transport_cfl_limit(grids, c)
+    out = substep_transport(I, psi, rho, model, grids, dt, 0.0, c)
     assert np.min(out) >= 0.0
