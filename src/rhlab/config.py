@@ -56,6 +56,9 @@ _COMPTON_KEYS = ("D1", "D2", "v0", "theta")
 # model kind -> the [model] keys it reads
 _MODEL_KEYS = {"zero": (), "constant": ("sigma0", "kernel0", "emission0"),
                "compton": _COMPTON_KEYS + ("kernel0", "emission0")}
+# [radiation] ordinates -> the quadrature of a 2D or 3D grid
+_ORDINATE_SETS = {"6": AngularQuadrature.axes3d, "8": AngularQuadrature.corners3d,
+                  "14": AngularQuadrature.combined14}
 
 
 def _scenario_keys() -> dict:
@@ -171,8 +174,7 @@ def _grids(cfg: RunConfig) -> Grids:
     freq = FrequencyGrid.from_edges(cfg.band_edges)
     tok = cfg.ordinates
     if cfg.dim != 1:
-        ang = {"6": AngularQuadrature.axes3d, "8": AngularQuadrature.corners3d,
-               "14": AngularQuadrature.combined14}[tok]()
+        ang = _ORDINATE_SETS[tok]()
     elif tok == "beams":
         ang = AngularQuadrature.beams_slab()
     else:
@@ -298,8 +300,8 @@ def _checks(cfg: RunConfig, min_h: float) -> list:
     """((section, key), message) of every failing constraint: the rows of the
     constructors the config feeds, and the checks no constructor makes (the
     dimension and the counts of cells and lengths, the ordinate names, the
-    table EOS build, the model kind and the keys it reads, the scenario name
-    and its keys, the emission0 repeat, t_final, the CFL bound and
+    table EOS interpolant, the model kind and the keys it reads, the scenario
+    name and its keys, the emission0 repeat, t_final, the CFL bound and
     snapshot_stride)."""
     dim, cells, lengths, ordinates = cfg.dim, cfg.cells, cfg.lengths, cfg.ordinates
     c, dt, edges = cfg.c, cfg.dt, np.asarray(cfg.band_edges, dtype=float)
@@ -315,14 +317,16 @@ def _checks(cfg: RunConfig, min_h: float) -> list:
         *SlabConfig.checks(*(getattr(cfg, name) for name in SlabConfig.__slots__)),
         *(DeltaSchedule.checks(cfg.deltas) if cfg.deltas else ()),
     ]
-    table_msg = None
     if cfg.eos_kind == "barotropic_table":
-        try:
-            _eos(cfg)
-        except ParameterError as exc:
-            table_msg = f"table EOS: {exc}"
+        rows = EquationOfState.table_checks(np.array(cfg.rho_table), np.array(cfg.p_table))
+        owned += [(key, failed, f"table EOS: {msg}") for key, failed, msg in rows]
+        if not any(failed for _, failed, _ in rows):
+            try:
+                _eos(cfg)
+            except ParameterError as exc:     # only the interpolant is left to fail
+                owned.append(("rho_table", True, f"table EOS: {exc}"))
     ord_msg = None
-    if dim != 1 and ordinates not in ("6", "8", "14"):
+    if dim != 1 and ordinates not in _ORDINATE_SETS:
         ord_msg = f"3D ordinate sets are 6, 8 or 14 points, got {ordinates!r}"
     elif dim == 1 and ordinates != "beams":
         try:
@@ -335,7 +339,6 @@ def _checks(cfg: RunConfig, min_h: float) -> list:
         ("cells", len(cells) != dim, f"need {dim} cell counts, got {len(cells)}"),
         ("lengths", len(lengths) != dim, f"need {dim} lengths, got {len(lengths)}"),
         ("ordinates", ord_msg is not None, ord_msg),
-        ("rho_table", table_msg is not None, table_msg),
         ("model_kind", cfg.model_kind not in _MODEL_KEYS,
          f"model kind must be zero, constant or compton, got {cfg.model_kind!r}"),
         ("scenario", cfg.scenario not in builtin_scenarios(),

@@ -133,14 +133,6 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class FlowMap(NamedTuple):
-    """Backward-traced departure points U(0; t, x) per cell, plus the count of
-    trace points that left the padded domain and were clamped."""
-
-    departure: Array      # (dim,) + extents; (dim, B) + extents for B start times
-    clamped: int = 0
-
-
 class VelocityHistory:
     """Time samples of a velocity field on [t0, t1] with linear interpolation."""
 
@@ -272,27 +264,24 @@ def _interp(fp: Array, grid: SpatialGrid, points: Array, index: tuple = ()) -> A
     return out
 
 
-def interp_field(f: Array, grid: SpatialGrid, points: Array,
-                 farfield_value: float = 0.0) -> tuple[Array, int]:
-    """Multilinear interpolation of a scalar field at physical points.
-
-    ``points`` has shape (dim,) + batch.  Periodic grids wrap coordinates;
-    far-field grids clamp points that leave the one-ghost-layer padded domain
-    and report how many were clamped.
-    """
-    f = check_scalar(f, grid)
-    points = np.asarray(points, dtype=float)
-    if points.shape[0] != grid.dim:
-        raise ShapeError(f"points must have leading axis {grid.dim}")
-    points, clamped = _clamp_points(points, grid)
-    return _interp(pad_ghost(f, grid, farfield_value), grid, points), clamped
-
-
 # ---------------------------------------------------------------------------
 # backward characteristics
 # ---------------------------------------------------------------------------
 
-def _start_times(t, substeps: int | None) -> Array:
+def _trace_backward(w_hist: VelocityHistory, t, grid: SpatialGrid,
+                    substeps: int | None = None):
+    """RK2 (midpoint) backward trace of all cell centers from s = t_b to s = 0
+    for every start time t_b of ``t`` (a float, or a 1-D array of B), with the
+    trapezoidal integral of div w along each path.  Returns the departure
+    points U(0; t_b, x), shape (dim, B) + extents (B = 1 for a float), the
+    count of trace points clamped to the padded far-field domain, and the
+    integrals, shape (B,) + extents.
+
+    The velocity samples and their divergence are stacked and padded once.
+    Each substep interpolates twice: the velocity at the midpoints, and
+    velocity and divergence at the new points, which serve the next substep
+    as its k1 and the trapezoid's left value.
+    """
     t = np.asarray(t, dtype=float)
     if t.ndim > 1:
         raise ShapeError(f"start time must be a float or a 1-D array, got shape {t.shape}")
@@ -300,30 +289,15 @@ def _start_times(t, substeps: int | None) -> Array:
         raise ParameterError(f"start times must be finite and >= 0, got {t}")
     if substeps is not None and substeps < 1:
         raise ParameterError(f"substeps must be >= 1, got {substeps}")
-    return t
-
-
-def _trace_backward(w_hist: VelocityHistory, t: Array, grid: SpatialGrid,
-                    substeps: int | None, want_div: bool):
-    """RK2 (midpoint) backward trace of all cell centers from s = t_b to s = 0,
-    for every start time t_b of the 1-D ``t`` at once, optionally accumulating
-    the trapezoidal integral of div w along each path.  Traced points leaving
-    the padded far-field domain are clamped and counted.
-
-    The velocity samples (with their divergence) are stacked and padded once.
-    Each substep interpolates twice: the velocity at the midpoints, and
-    velocity and divergence at the new points, which serve the next substep
-    as its k1 and the trapezoid's left value.
-    """
+    t = t.reshape(-1)
     if substeps is None:
         substeps = max(1, w_hist.times.size - 1)
     stack = np.stack(w_hist.fields)
     if stack.shape[1:] != (grid.dim,) + grid.extents:
         raise ShapeError(f"velocity history shape {stack.shape[1:]} incompatible "
                          f"with grid {grid.extents}")
-    if want_div:
-        stack = np.concatenate([stack, divergence(stack, grid, 0.0)[:, None]], axis=1)
-    stack = pad_ghost(stack, grid, 0.0)          # (T, dim [+1]) + padded extents
+    stack = np.concatenate([stack, divergence(stack, grid, 0.0)[:, None]], axis=1)
+    stack = pad_ghost(stack, grid, 0.0)          # (T, dim + 1) + padded extents
     per_time = (t.size,) + (1,) * grid.dim
     index = (np.arange(t.size).reshape(per_time),)
     # the 2 * substeps + 1 sample times, in the loop's arithmetic: s, then
@@ -343,7 +317,7 @@ def _trace_backward(w_hist: VelocityHistory, t: Array, grid: SpatialGrid,
                                    indexing="ij"))
     pts = np.broadcast_to(centers[:, None], (grid.dim, t.size) + grid.extents)
     clamped = 0
-    divint = np.zeros((t.size,) + grid.extents) if want_div else None
+    divint = np.zeros((t.size,) + grid.extents)
     vals = sample(0, pts, stack)
     for step in range(substeps):
         mid, _ = _clamp_points(pts - half * vals[:grid.dim], grid)
@@ -351,23 +325,9 @@ def _trace_backward(w_hist: VelocityHistory, t: Array, grid: SpatialGrid,
         pts, n_bad = _clamp_points(pts - full * k2, grid)
         clamped += n_bad
         new = sample(2 * step + 2, pts, stack)
-        if want_div:
-            divint += half * (vals[grid.dim] + new[grid.dim])
+        divint += half * (vals[grid.dim] + new[grid.dim])
         vals = new
     return pts, clamped, divint
-
-
-def integrate_flow_map(w_hist: VelocityHistory, t, grid: SpatialGrid,
-                       substeps: int | None = None) -> FlowMap:
-    """Departure points of the flow ODE dU/ds = w(s, U), U(t) = cell center.
-
-    ``t`` is a float (departure shape (dim,) + extents) or a 1-D array of
-    start times traced together (departure shape (dim, B) + extents).
-    """
-    times = _start_times(t, substeps)
-    pts, clamped, _ = _trace_backward(w_hist, times.reshape(-1), grid, substeps,
-                                      want_div=False)
-    return FlowMap(departure=pts[:, 0] if times.ndim == 0 else pts, clamped=clamped)
 
 
 def continuity_step_characteristics(rho0: Array, w_hist: VelocityHistory, t,
@@ -388,13 +348,11 @@ def continuity_step_characteristics(rho0: Array, w_hist: VelocityHistory, t,
     rho0 = check_scalar(rho0, grid)
     if np.any(rho0 < 0):
         raise DomainError("initial density must be >= 0")
-    times = _start_times(t, substeps)
-    pts, _, divint = _trace_backward(w_hist, times.reshape(-1), grid, substeps,
-                                     want_div=True)
+    pts, _, divint = _trace_backward(w_hist, t, grid, substeps)
     rho = _interp(pad_ghost(rho0, grid, grid.rho_bar), grid, pts)
     # vacuum stays 0 where exp overflows (0 * inf would be NaN)
     np.multiply(rho, np.exp(-divint), out=rho, where=rho != 0.0)
-    return rho[0] if times.ndim == 0 else rho
+    return rho[0] if np.ndim(t) == 0 else rho
 
 
 # ---------------------------------------------------------------------------

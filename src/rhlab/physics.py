@@ -82,18 +82,8 @@ class EquationOfState:
         else:
             if table is None:
                 raise ParameterError("table EOS needs (rho, p) samples")
-            rho_s = np.asarray(table[0], dtype=float)
-            p_s = np.asarray(table[1], dtype=float)
-            if rho_s.ndim != 1 or rho_s.size < 4 or p_s.shape != rho_s.shape:
-                raise ParameterError("table needs matching 1D sample arrays (>= 4 points)")
-            if not (np.all(np.isfinite(rho_s)) and np.all(np.isfinite(p_s))):
-                raise ParameterError("table samples must be finite")
-            if np.any(np.diff(rho_s) <= 0):
-                raise ParameterError("table densities must be strictly increasing")
-            if np.any(np.diff(p_s) < 0):
-                raise ParameterError("table pressure must be nondecreasing")
-            if rho_s[0] != 0:
-                raise ParameterError(f"table densities must start at 0, got {rho_s[0]}")
+            rho_s, p_s = (np.asarray(s, dtype=float) for s in table)
+            raise_first_failure(self.table_checks(rho_s, p_s))
             self.A = None
             self.gamma = None
             # imported here: it costs about 0.3 s and polytropic runs never use it
@@ -111,7 +101,7 @@ class EquationOfState:
     @staticmethod
     def checks(kind: str, A: float | None, gamma: float | None) -> list:
         """(field, failed, message) rows of the kind and the polytropic
-        parameters; the table samples are checked while the table is built."""
+        parameters; ``table_checks`` states those of the table samples."""
         poly = kind == "polytropic"
         return [
             ("kind", kind not in ("polytropic", "barotropic_table"),
@@ -119,6 +109,25 @@ class EquationOfState:
             ("A", poly and (A is None or not A > 0), f"A must be positive, got {A}"),
             ("gamma", poly and (gamma is None or not gamma > 1),
              f"gamma must exceed 1, got {gamma}"),
+        ]
+
+    @staticmethod
+    def table_checks(rho_s: Array, p_s: Array) -> list:
+        """(field, failed, message) rows of the table samples, keyed by the
+        ``[physics]`` key of their column; no row raises on malformed arrays."""
+        shape = "table needs matching 1D sample arrays (>= 4 points)"
+        # differences of finite 1-D columns only, so that none is inf - inf
+        steps = [np.diff(s) if s.ndim == 1 and np.all(np.isfinite(s)) else np.zeros(0)
+                 for s in (rho_s, p_s)]
+        first = rho_s.flat[0] if rho_s.size else 0.0
+        return [
+            ("rho_table", rho_s.ndim != 1 or rho_s.size < 4, shape),
+            ("p_table", p_s.shape != rho_s.shape, shape),
+            ("rho_table", not np.all(np.isfinite(rho_s)), "table samples must be finite"),
+            ("p_table", not np.all(np.isfinite(p_s)), "table samples must be finite"),
+            ("rho_table", np.any(steps[0] <= 0), "table densities must be strictly increasing"),
+            ("p_table", np.any(steps[1] < 0), "table pressure must be nondecreasing"),
+            ("rho_table", first != 0, f"table densities must start at 0, got {first}"),
         ]
 
     @classmethod
@@ -409,6 +418,12 @@ class ValidationReport(Record):
         self.entries = entries
         self.suggested_scale = suggested_scale
 
+    @classmethod
+    def scaled(cls, entries: list) -> "ValidationReport":
+        """The report suggesting the largest value / bound ratio, >= 1."""
+        scale = max((e.value / e.bound for e in entries if e.bound > 0), default=1.0)
+        return cls(entries, suggested_scale=max(scale, 1.0))
+
     @property
     def passed(self) -> bool:
         return all(e.passed for e in self.entries)
@@ -442,7 +457,7 @@ def validate_kernel_integrability(model: CoefficientModel, freq: FrequencyGrid,
     if entries:
         return ValidationReport(entries)
 
-    w = np.multiply.outer(freq.band_weights, ang.weights)   # (B, M)
+    w = phase_weights(freq, ang)   # (B, M)
     v = freq.band_centers
     ratio2 = ((v[:, None] / v[None, :]) ** 2)[:, None, :, None]   # (v_b / v_b')^2
 
@@ -450,15 +465,14 @@ def validate_kernel_integrability(model: CoefficientModel, freq: FrequencyGrid,
     int_in = float(np.sum(w * inner_in ** lambda1))
     entries.append(ValidationEntry("in_kernel_weighted_square", int_in, cap, int_in <= cap))
 
-    inner_out = np.tensordot(k_out, w, axes=([2, 3], [0, 1]))
+    inner_out = model.scattering_tables(freq, ang)[1]    # Lam_s, cached: read only
     int_out = float(np.sum(w * inner_out ** lambda2))
     entries.append(ValidationEntry("out_kernel_iterated", int_out, cap, int_out <= cap))
 
     sup_out = float(np.max(inner_out))
     entries.append(ValidationEntry("out_kernel_inner_sup", sup_out, cap, sup_out <= cap))
 
-    scale = max((e.value / e.bound for e in entries if e.bound > 0), default=1.0)
-    return ValidationReport(entries, suggested_scale=max(scale, 1.0))
+    return ValidationReport.scaled(entries)
 
 
 def _mixed_l2_linf(f: Array, p: float, grid: SpatialGrid, w: Array) -> tuple[float, float]:
@@ -482,7 +496,7 @@ def _validate_regularity(model: CoefficientModel, evaluate, name: str, rho: Arra
     if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(rho_t))):
         raise DomainError("density fields must be finite")
 
-    w = np.multiply.outer(grids.freq.band_weights, grids.ang.weights)
+    w = phase_weights(grids.freq, grids.ang)
     rho_inf = float(np.max(np.abs(rho)))
     M_rho = float(model.majorant(rho_inf))
     if M_rho < 1.0:
@@ -533,8 +547,7 @@ def _validate_regularity(model: CoefficientModel, evaluate, name: str, rho: Arra
         bound_l = float(lipschitz(rho_inf + drho)) * M_rho
         entries.append(ValidationEntry(f"{name}_lipschitz", lip, bound_l, lip <= bound_l))
 
-    scale = max((e.value / e.bound for e in entries if e.bound > 0), default=1.0)
-    return ValidationReport(entries, suggested_scale=max(scale, 1.0))
+    return ValidationReport.scaled(entries)
 
 
 def validate_sigma_regularity(model: CoefficientModel, rho: Array, rho_t: Array,

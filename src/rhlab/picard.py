@@ -9,9 +9,9 @@ measured by the slab-sup energy of consecutive iterate differences
 far-field density vanishes the L^{3/2} density term joins the metric.  The
 metric takes its norms over chunks of stacked state pairs, sized by
 ``norms.CHUNK_BYTES`` (see ``rhlab.norms`` for the budget and its measured
-time/RSS trade-off); ``gamma_increment`` is the one-pair case of the same
-helper, and the sup runs in snapshot order, so the value is bit-identical
-to one pair at a time.
+time/RSS trade-off), and the sup runs in snapshot order, so the value is
+bit-identical to one pair at a time: ``gamma_metric([prev], [next], grids)``
+is the squared-energy distance of one state pair.
 
 A slab accepts iterate k (``_stop_rule``) when gamma_k is below the absolute
 ``_GAMMA_FLOOR`` ("floor"), when gamma_k <= gamma_tol * gamma_1 ("step"), or,
@@ -159,15 +159,23 @@ class DeltaSchedule(Value):
 
 
 class ContinuationReport(Record):
-    __slots__ = ("deltas", "differences", "monotone", "warning", "extrapolated")
+    """Deltas, pairwise differences of the lifted solutions, and whether the
+    result is extrapolated; ``monotone`` and ``warning`` derive from these."""
 
-    def __init__(self, deltas: list, differences: list, monotone: bool,
-                 warning: str | None = None, extrapolated: bool = False):
+    __slots__ = ("deltas", "differences", "extrapolated")
+
+    def __init__(self, deltas: list, differences: list, extrapolated: bool = False):
         self.deltas = deltas
         self.differences = differences
-        self.monotone = monotone
-        self.warning = warning
         self.extrapolated = extrapolated
+
+    @property
+    def monotone(self) -> bool:
+        return all(b < a for a, b in zip(self.differences, self.differences[1:]))
+
+    @property
+    def warning(self) -> str | None:
+        return None if self.monotone else "delta-continuation differences are not decreasing"
 
 
 class Trajectory(Record):
@@ -185,17 +193,17 @@ class Trajectory(Record):
 # contraction metric
 # ---------------------------------------------------------------------------
 
-def _increment_norms(prev_states: list, next_states: list, rho_weights: list,
-                     grids: Grids, include_l32: bool) -> list:
-    """Per state pair: (||dI||_{L2(phase; L2)}, |d rho|_2, |sqrt(rho_w) du|_2)
-    and, with ``include_l32``, |d rho|_{3/2}; each pair's radiation
-    difference is stacked with the others, and released once normed."""
+def _increment_norms(prev_states: list, next_states: list, grids: Grids,
+                     include_l32: bool) -> list:
+    """Per state pair, rho the next state's density: (||dI||_{L2(phase; L2)},
+    |d rho|_2, |sqrt(rho) du|_2) and, with ``include_l32``, |d rho|_{3/2}; the
+    pairs' radiation differences are stacked, and released once normed."""
     grid = grids.spatial
     inner = _lp_cells(_differences([s.I for s in prev_states], [s.I for s in next_states]),
                       2.0, grid, lead=3, overwrite=True)
     cells = [_phase_l2(inner, grids)]
     drho = _differences([s.rho for s in prev_states], [s.rho for s in next_states])
-    du = np.sqrt(np.maximum(np.stack(rho_weights), 0.0))[:, None] \
+    du = np.sqrt(np.maximum(np.stack([s.rho for s in next_states]), 0.0))[:, None] \
         * _differences([s.u for s in prev_states], [s.u for s in next_states])
     rho2, *rho32 = _lp_multi(drho, (2.0, 1.5) if include_l32 else (2.0,), grid, lead=1,
                              overwrite=True)
@@ -203,42 +211,23 @@ def _increment_norms(prev_states: list, next_states: list, rho_weights: list,
     return list(zip(*(c.tolist() for c in cells)))
 
 
-def _gamma_total(n_I: float, n_rho: float, n_u: float, n_rho32: float | None = None) -> float:
-    total = n_I ** 2
-    total += n_rho ** 2
-    total += n_u ** 2
-    if n_rho32 is not None:
-        total += n_rho32 ** 2
-    return float(total)
-
-
-def gamma_increment(prev_state: State, next_state: State, grids: Grids,
-                    rho_weight: Array | None = None,
-                    include_l32: bool = False) -> float:
-    """Squared-energy distance of two states at one instant:
-    ||dI||^2_{L2(phase; L2)} + |d rho|_2^2 + |sqrt(rho_w) du|_2^2
-    (+ |d rho|_{3/2}^2 when the far-field density vanishes)."""
-    if rho_weight is None:
-        rho_weight = next_state.rho
-    norms = _increment_norms([prev_state], [next_state], [rho_weight], grids, include_l32)
-    return _gamma_total(*norms[0])
-
-
 def gamma_metric(prev_states: list, next_states: list, grids: Grids,
                  include_l32: bool = False) -> float:
-    """Sup over slab snapshots of gamma_increment, with the norms taken over
-    chunks of stacked state pairs (``snapshot_chunks``) and the sup in
-    snapshot order; NaN as soon as one increment is NaN."""
+    """gamma: the sup over slab snapshots of ||dI||^2_{L2(phase; L2)} + |d
+    rho|_2^2 + |sqrt(rho) du|_2^2 (+ |d rho|_{3/2}^2 with ``include_l32``) of
+    each state pair (``_increment_norms``), over chunks of stacked pairs
+    (``snapshot_chunks``) in snapshot order; NaN once one increment is NaN."""
     if len(prev_states) != len(next_states):
         raise ParameterError("iterate trajectories must share snapshot times")
     worst = 0.0
     if not next_states:
         return worst
     for start, stop in snapshot_chunks(len(next_states), next_states[0].I.nbytes):
-        nxt = next_states[start:stop]
-        for norms in _increment_norms(prev_states[start:stop], nxt, [s.rho for s in nxt],
+        for norms in _increment_norms(prev_states[start:stop], next_states[start:stop],
                                       grids, include_l32):
-            total = _gamma_total(*norms)
+            total = 0.0
+            for norm in norms:       # in the order of the formula above
+                total += norm ** 2
             if math.isnan(total):
                 return total     # max() would keep the finite sup
             worst = max(worst, total)
@@ -449,32 +438,22 @@ def delta_continuation(state0: State, model: CoefficientModel, grids: Grids,
     state is estimated by first-order Richardson extrapolation of the last two
     solutions.
     """
-    finals = []
-    for delta in schedule.deltas:
-        g = _lift_grids(grids, delta)
-        lifted = State(I=state0.I, rho=state0.rho + delta, u=state0.u)
-        final, _ = solve_slab(lifted, model, g, visc, eos, consts, cfg, t0)
-        finals.append(final)
+    finals = [solve_slab(State(I=state0.I, rho=state0.rho + delta, u=state0.u), model,
+                         _lift_grids(grids, delta), visc, eos, consts, cfg, t0)[0]
+              for delta in schedule.deltas]
 
-    diffs = []
-    for a, b in zip(finals, finals[1:]):
-        d = np.sqrt(lp_norm(a.rho - b.rho, 2.0, grids.spatial) ** 2
-                    + lp_norm(a.u - b.u, 2.0, grids.spatial) ** 2)
-        diffs.append(float(d))
-    monotone = all(b < a for a, b in zip(diffs, diffs[1:])) if len(diffs) > 1 else True
-    warning = None if monotone else "delta-continuation differences are not decreasing"
+    diffs = [float(np.sqrt(lp_norm(a.rho - b.rho, 2.0, grids.spatial) ** 2
+                           + lp_norm(a.u - b.u, 2.0, grids.spatial) ** 2))
+             for a, b in zip(finals, finals[1:])]
 
     result = finals[-1]
-    extrapolated = False
-    if schedule.extrapolate and len(finals) >= 2:
+    extrapolated = schedule.extrapolate and len(finals) >= 2
+    if extrapolated:
         d_prev, d_last = schedule.deltas[-2], schedule.deltas[-1]
         w = d_last / (d_prev - d_last)
         s_prev, s_last = finals[-2], finals[-1]
         result = State(I=s_last.I + w * (s_last.I - s_prev.I),
                        rho=np.maximum(s_last.rho + w * (s_last.rho - s_prev.rho), 0.0),
                        u=s_last.u + w * (s_last.u - s_prev.u))
-        extrapolated = True
-    report = ContinuationReport(deltas=list(schedule.deltas), differences=diffs,
-                                monotone=monotone, warning=warning,
-                                extrapolated=extrapolated)
-    return result, report
+    return result, ContinuationReport(deltas=list(schedule.deltas), differences=diffs,
+                                      extrapolated=extrapolated)

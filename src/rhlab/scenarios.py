@@ -87,10 +87,17 @@ def _vacuum_farfield_checks(boundary: str, rho_bar: float, p: dict) -> list:
             *_positive(p, "width")]
 
 
+# custom profile selector -> the values it accepts
+_CUSTOM_PROFILES = {"rho0": ("constant", "bump", "well"), "u0": ("zero", "sine"),
+                    "I0": ("zero", "uniform")}
+
+
 def _custom_checks(boundary: str, rho_bar: float, p: dict) -> list:
-    """The checks of the density profile ``rho0`` names."""
-    profile = {"bump": _BUMP_CHECKS, "well": _PLATEAU_CHECKS}.get(p["rho0"])
-    return [] if profile is None else profile(boundary, rho_bar, p)
+    """The value of each profile selector, and the checks of the rho0 profile."""
+    profile = {"bump": _BUMP_CHECKS, "well": _PLATEAU_CHECKS}.get(p["rho0"], lambda *_: [])
+    return [(key, p[key] not in values,
+             f"{key} must be {', '.join(values[:-1])} or {values[-1]}, got {p[key]!r}")
+            for key, values in _CUSTOM_PROFILES.items()] + profile(boundary, rho_bar, p)
 
 
 def _zero_state(grids: Grids, rho: Array) -> State:
@@ -197,16 +204,13 @@ def _beam_absorption(grids: Grids, p: dict) -> State:
 
 def _custom(grids: Grids, p: dict) -> State:
     """Explicit initial data assembled from profile parameters."""
-    kind = p["rho0"]
-    if kind == "constant":
+    if p["rho0"] == "constant":
         value = grids.spatial.rho_bar if p["rho0_value"] is None else p["rho0_value"]
         rho = np.full(grids.spatial.extents, float(value))
-    elif kind == "bump":
+    elif p["rho0"] == "bump":
         rho = _smooth_bump(grids, p).rho
-    elif kind == "well":
+    else:    # "well"
         rho = _plateau_density(grids, p)
-    else:
-        raise ConfigError(f"unknown rho0 profile {kind!r}")
     state = _zero_state(grids, rho)
     if p["u0"] == "sine":
         state.u[0] = _sine_velocity(grids, p["u0_amplitude"])[0]

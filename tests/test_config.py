@@ -517,7 +517,6 @@ class TestOneStatementPerConstraint:
         ("[grid]\nrho_bar = 0\n\n[scenario]\nname = smooth-bump", "name = smooth-bump"),
         ("[grid]\nrho_bar = 0", "rho_bar = 0"),
         ("[scenario]\nname = smooth-bump\namplitude = -2", "name = smooth-bump"),
-        ("[scenario]\nname = custom\nrho0 = foo", "name = custom"),
         ("[grid]\nboundary = farfield\nrho_bar = 1\n\n[scenario]\nname = vacuum-farfield",
          "name = vacuum-farfield"),
         ("[grid]\nboundary = farfield\nrho_bar = 0\n\n[scenario]\nname = vacuum-plateau",
@@ -535,6 +534,25 @@ class TestOneStatementPerConstraint:
         assert line == _line_of(text, key_line) > 0
         assert message.startswith("scenario ")
 
+
+    @pytest.mark.parametrize("key, value, allowed", [
+        ("rho0", "Bump", "constant, bump or well"), ("rho0", "foo", "constant, bump or well"),
+        ("u0", "sin", "zero or sine"), ("I0", "Uniform", "zero or uniform")])
+    def test_custom_selector_cited_at_its_key(self, key, value, allowed):
+        # an unknown u0 or I0 used to build zero velocity or intensity, and an
+        # unknown rho0 was cited at the scenario name, by the builder's raise
+        grids = Grids(SpatialGrid.periodic(32, 1.0), FrequencyGrid.from_edges([0.5, 1.0]),
+                      AngularQuadrature.gauss_legendre_slab(8))
+        with pytest.raises(ParameterError) as raised:
+            builtin_scenarios()["custom"].build(grids, {key: value})
+        text = (MINIMAL.replace("cells = 64", "cells = 32") + "\n[model]\nkind = zero\n"
+                "\n[scenario]\nname = custom\nu0_amplitude = 0.5\n" + f"{key} = {value}\n")
+        with pytest.raises(ConfigError) as ei:
+            parse_config(text)
+        assert str(raised.value) == f"{key} must be {allowed}, got {value!r}"
+        assert ei.value.exit_code == 2
+        assert ei.value.violations == [(_line_of(text, f"{key} = {value}"),
+                                        f"scenario custom: {raised.value}")]
 
     @pytest.mark.parametrize("name, keys", [
         ("smooth-bump", {"width": 0.0}), ("smooth-bump", {"width": -0.12}),
@@ -568,16 +586,25 @@ class TestOneStatementPerConstraint:
 class TestTableEOS:
     TABLE = MINIMAL + "\n[physics]\neos = barotropic_table\nrho_table = {}\np_table = {}\n"
 
-    @pytest.mark.parametrize("rho, p, message", [
-        ("0, 2, 1, 3", "0, 1, 2, 3", "table densities must be strictly increasing"),
-        ("0, 1, 2, 3", "0, 2, 1, 3", "table pressure must be nondecreasing"),
-        ("0, 1, 2", "0, 1, 2", "table needs matching 1D sample arrays (>= 4 points)"),
-        ("0, 1, 2, 3", "0, 1, 2", "table needs matching 1D sample arrays (>= 4 points)")])
-    def test_rejected_at_the_rho_table_line(self, rho, p, message):
+    @pytest.mark.parametrize("rho, p, key, message", [
+        ("0, 2, 1, 3", "0, 1, 2, 3", "rho_table", "table densities must be strictly increasing"),
+        ("0, 1, 2, 3", "0, 2, 1, 3", "p_table", "table pressure must be nondecreasing"),
+        ("0, 1, 2", "0, 1, 2", "rho_table",
+         "table needs matching 1D sample arrays (>= 4 points)"),
+        ("0, 1, 2, 3", "0, 1, 2", "p_table",
+         "table needs matching 1D sample arrays (>= 4 points)")])
+    def test_rejected_at_the_line_of_its_column(self, rho, p, key, message):
+        # the constructor raises the first failing sample row, and parse_config
+        # cites each at its own key (pressure rows used to cite rho_table)
+        columns = {"rho_table": rho, "p_table": p}
+        with pytest.raises(ParameterError) as raised:
+            EquationOfState.barotropic_table(*([float(x) for x in column.split(",")]
+                                               for column in columns.values()))
         text = self.TABLE.format(rho, p)
         with pytest.raises(ConfigError) as ei:
             parse_config(text)
-        assert ei.value.violations == [(_line_of(text, f"rho_table = {rho}"),
+        assert str(raised.value) == message
+        assert ei.value.violations == [(_line_of(text, f"{key} = {columns[key]}"),
                                         f"table EOS: {message}")]
 
     @pytest.mark.parametrize("rho, p", [("0.2, 1, 2, 3", "0.5, 1, 4, 9"),

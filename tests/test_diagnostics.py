@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rhlab.config import build_problem, parse_config
 from rhlab.diagnostics import (BlowupReport, StateTimeDerivatives, ThetaHistory,
                                blowup_monitor, compatibility_check,
                                compatibility_residual, farfield_bounds_check,
@@ -122,6 +123,23 @@ class TestCompatibilityCheck:
                                   grids, CONSTS)
         assert rep.verdict == "diverging"
         assert rep.last_ratio > 2.0
+
+    @pytest.mark.parametrize("boundary", ["periodic", "farfield"])
+    @pytest.mark.parametrize("name, verdict", [("compat-satisfied", "satisfied"),
+                                               ("compat-diverging", "diverging")])
+    def test_dichotomy_on_a_2d_grid(self, boundary, name, verdict):
+        # 48^2 cells, rho_bar = 1, default keys: traces 117.41 -> 118.29
+        # (periodic) and 142.59 -> 143.32 (far field) when satisfied, and
+        # last ratios 3.83 and 2.77 when diverging
+        prob = build_problem(parse_config(
+            f"[grid]\ndim = 2\ncells = 48, 48\nlengths = 1.0, 1.0\nboundary = {boundary}\n"
+            f"rho_bar = 1\n[model]\nkind = zero\n[scenario]\nname = {name}\n"))
+        st = prob.state0
+        rep = compatibility_check(st.I, st.rho, st.u, prob.eos, prob.visc, prob.model,
+                                  prob.grids, prob.consts)
+        assert rep.verdict == verdict
+        if verdict == "diverging":
+            assert rep.last_ratio > 2.0
 
     def test_schedule_must_decrease(self):
         grids, st = self.build("smooth-bump")

@@ -13,11 +13,10 @@ from rhlab import fluid
 
 from rhlab.errors import (DomainError, ParameterError, ShapeError, SolverError,
                           StepSizeError)
-from rhlab.fluid import (VelocityHistory,
+from rhlab.fluid import (VelocityHistory, _clamp_points, _interp, _trace_backward,
                          continuity_step_characteristics, continuity_step_fv,
-                         heat_smooth, integrate_flow_map, interp_field,
-                         lame_apply, momentum_step)
-from rhlab.grid import SpatialGrid, divergence, gradient, inner_product
+                         heat_smooth, lame_apply, momentum_step)
+from rhlab.grid import SpatialGrid, divergence, gradient, inner_product, pad_ghost
 from rhlab.norms import lp_norm
 from rhlab.physics import ViscosityParams
 
@@ -28,19 +27,26 @@ from _reference import (convection_matrix, layout_lame_matrix, layout_matrix,
 from _reference import lame_matrix as reference_lame_matrix
 
 
+def _departure(hist, t, grid, substeps=None):
+    """The departure points U(0; t, x) of a float ``t``, shape (dim,) +
+    extents, and the count of clamped trace points."""
+    pts, clamped, _ = _trace_backward(hist, t, grid, substeps)
+    return pts[:, 0], clamped
+
+
 class TestFlowMap:
     def test_zero_velocity(self, grid128):
         hist = VelocityHistory.constant(np.zeros((1, 128)), 0.0, 1.0)
-        fm = integrate_flow_map(hist, 0.5, grid128)
-        assert np.array_equal(fm.departure[0], grid128.axis_coords(0))
-        assert fm.clamped == 0
+        departure, clamped = _departure(hist, 0.5, grid128)
+        assert np.array_equal(departure[0], grid128.axis_coords(0))
+        assert clamped == 0
 
     def test_constant_velocity(self, grid128):
         a = 0.125
         hist = VelocityHistory.constant(np.full((1, 128), a), 0.0, 1.0)
-        fm = integrate_flow_map(hist, 0.5, grid128, substeps=10)
+        departure, _ = _departure(hist, 0.5, grid128, substeps=10)
         expected = grid128.axis_coords(0) - a * 0.5
-        assert np.max(np.abs(fm.departure[0] - expected)) < 1e-13
+        assert np.max(np.abs(departure[0] - expected)) < 1e-13
 
     def test_linear_velocity_rk2_accuracy(self):
         # dU/ds = U gives U(0; t, x) = x exp(-t); interpolation is exact for
@@ -51,20 +57,20 @@ class TestFlowMap:
         t = 0.5
         times = np.linspace(0.0, t, 51)  # substep 1e-2
         hist = VelocityHistory(times, [w] * times.size)
-        fm = integrate_flow_map(hist, t, grid)
+        departure, _ = _departure(hist, t, grid)
         exact = x * np.exp(-t)
         # skip the first cell: its trajectory dips below the first cell
         # center where ghost interpolation distorts the linear profile
-        assert np.max(np.abs(fm.departure[0][1:] - exact[1:])) < 1e-4
+        assert np.max(np.abs(departure[0][1:] - exact[1:])) < 1e-4
 
     def test_out_of_domain_clamped_and_flagged(self):
         grid = SpatialGrid.farfield(16, 1.0, 0.0)
         w = np.full((1, 16), 4.0)  # sweeps everything out through the left
         hist = VelocityHistory.constant(w, 0.0, 1.0)
-        fm = integrate_flow_map(hist, 1.0, grid, substeps=8)
-        assert fm.clamped > 0
+        departure, clamped = _departure(hist, 1.0, grid, substeps=8)
+        assert clamped > 0
         h = grid.spacing[0]
-        assert np.min(fm.departure[0]) >= -0.5 * h - 1e-12
+        assert np.min(departure[0]) >= -0.5 * h - 1e-12
 
 
 class TestContinuityCharacteristics:
@@ -118,8 +124,9 @@ class TestContinuityCharacteristics:
         with np.errstate(over="ignore", invalid="ignore"):
             out = continuity_step_characteristics(rho0, hist, 1.0, grid, substeps=4)
             ref = loop_continuity_step_characteristics(rho0, hist, 1.0, grid, substeps=4)
-        departure = integrate_flow_map(hist, 1.0, grid, substeps=4).departure
-        vacuum = interp_field(rho0, grid, departure)[0] == 0.0
+        departure, _ = _departure(hist, 1.0, grid, substeps=4)
+        vacuum = _interp(pad_ghost(rho0, grid, 0.0), grid,
+                         _clamp_points(departure, grid)[0]) == 0.0
         assert np.count_nonzero(vacuum) == 20 and np.any(np.isinf(out))
         assert not np.any(np.isnan(out))
         assert np.all(out[vacuum] == 0.0)
@@ -139,26 +146,26 @@ class TestTraceValidation:
         return VelocityHistory.constant(np.full((1, 16), 3.0), 0.0, 1.0)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -0.5, [0.1, np.nan], [0.2, -0.1]])
-    @pytest.mark.parametrize("trace", [integrate_flow_map, continuity_step_characteristics])
+    @pytest.mark.parametrize("trace", [_trace_backward, continuity_step_characteristics])
     def test_bad_start_time(self, hist, t, trace):
         grid = SpatialGrid.periodic(16, 1.0)
-        args = (hist, t, grid) if trace is integrate_flow_map \
+        args = (hist, t, grid) if trace is _trace_backward \
             else (np.ones(16), hist, t, grid)
         with pytest.raises(ParameterError):
             trace(*args)
 
     @pytest.mark.parametrize("substeps", [0, -3])
-    @pytest.mark.parametrize("trace", [integrate_flow_map, continuity_step_characteristics])
+    @pytest.mark.parametrize("trace", [_trace_backward, continuity_step_characteristics])
     def test_bad_substeps(self, hist, substeps, trace):
         grid = SpatialGrid.periodic(16, 1.0)
-        args = (hist, 0.5, grid) if trace is integrate_flow_map \
+        args = (hist, 0.5, grid) if trace is _trace_backward \
             else (np.ones(16), hist, 0.5, grid)
         with pytest.raises(ParameterError):
             trace(*args, substeps=substeps)
 
     def test_two_dimensional_start_times_rejected(self, hist):
         with pytest.raises(ShapeError):
-            integrate_flow_map(hist, np.zeros((2, 2)), SpatialGrid.periodic(16, 1.0))
+            _trace_backward(hist, np.zeros((2, 2)), SpatialGrid.periodic(16, 1.0))
 
 
 class TestVelocityHistoryValidation:

@@ -30,14 +30,13 @@ from hypothesis import strategies as st
 
 import rhlab.norms
 from rhlab.diagnostics import blowup_monitor
-from rhlab.fluid import (VelocityHistory, _clamp_points, _interp,
-                         continuity_step_characteristics, heat_smooth,
-                         integrate_flow_map, interp_field)
+from rhlab.fluid import (VelocityHistory, _clamp_points, _interp, _trace_backward,
+                         continuity_step_characteristics, heat_smooth)
 from rhlab.grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, gradient,
                         pad_ghost, read_field_snapshot, write_field_snapshot)
 from rhlab.norms import MIXED_INNER_KINDS, NormSettings, mixed_radiation_norm
 from rhlab.physics import _tabulated_emission, compton_model, constant_model, zero_model
-from rhlab.picard import State, Trajectory, gamma_increment, gamma_metric
+from rhlab.picard import State, Trajectory, gamma_metric
 from rhlab.transport import free_streaming_step, transport_cfl_limit, transport_step
 
 from _reference import (loop_blowup_monitor, loop_clamp_points,
@@ -203,13 +202,13 @@ def test_characteristics_array_t(case):
         rho0, hist, tb, grid, substeps) for tb in t]))
     assert _identical(got, np.stack([loop_continuity_step_characteristics(
         rho0, hist, tb, grid, substeps) for tb in t]))
-    fm = integrate_flow_map(hist, np.array(t), grid, substeps)
+    departure, clamped, _ = _trace_backward(hist, np.array(t), grid, substeps)
     traced = [loop_trace_backward(hist, tb, grid, substeps) for tb in t]
-    assert _identical(fm.departure, np.stack([pts for pts, _, _ in traced], axis=1))
-    assert fm.clamped == sum(n for _, n, _ in traced)
+    assert _identical(departure, np.stack([pts for pts, _, _ in traced], axis=1))
+    assert clamped == sum(n for _, n, _ in traced)
     for b, tb in enumerate(t):
-        one = integrate_flow_map(hist, tb, grid, substeps)
-        assert _identical(one.departure, fm.departure[:, b])
+        one, _, _ = _trace_backward(hist, tb, grid, substeps)
+        assert _identical(one[:, 0], departure[:, b])
 
 
 def _grid_and_points(rng, dim, periodic, batch):
@@ -237,11 +236,10 @@ def test_interp_field(dim, periodic, seed, zeros, farfield_value, n_batch):
     rng = np.random.default_rng(seed)
     grid, points = _grid_and_points(rng, dim, periodic, (5, 3)[:n_batch] + (7,))
     f = _field(rng, grid.extents, True, zeros)
-    got, clamped = interp_field(f, grid, points, farfield_value)
+    kept, clamped = _clamp_points(points, grid)
+    got = _interp(pad_ghost(f, grid, farfield_value), grid, kept)
     assert _identical(got, loop_interp_field(f, grid, points, farfield_value))
     # the clamp is np.clip to the padded domain, bit for bit, and counts
-    kept, n_clamped = _clamp_points(points, grid)
-    assert n_clamped == clamped
     ref_kept, ref_clamped = loop_clamp_points(points, grid)
     assert _identical(kept, ref_kept) and ref_clamped == clamped
     if periodic:
@@ -454,5 +452,5 @@ def test_gamma_metric(case, include_l32):
         got = gamma_metric(prev, nxt, grids, include_l32=include_l32)
     assert got.hex() == loop_gamma_metric(prev, nxt, grids, include_l32).hex()
     for p, q in zip(prev, nxt):
-        assert gamma_increment(p, q, grids, include_l32=include_l32).hex() \
+        assert gamma_metric([p], [q], grids, include_l32=include_l32).hex() \
             == loop_gamma_increment(p, q, grids, include_l32).hex()
