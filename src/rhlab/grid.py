@@ -474,25 +474,9 @@ def integrate_radiation(g: Array, freq: FrequencyGrid, ang: AngularQuadrature) -
 # ---------------------------------------------------------------------------
 # field snapshot format
 # ---------------------------------------------------------------------------
-# One scalar field per file:  header "dim n1 [n2 n3] h1 [h2 h3]", then
-# row-major ASCII values, one per line.
+# One stack per file, as a raw float64 ``.npy`` (``np.load`` reads it back
+# bit for bit): the leading axis indexes the snapshots, and the trailing axes
+# are the grid's extents (a scalar stack) or (dim, *extents) (a vector stack).
 
-def write_field_snapshot(path, f: Array, grid: SpatialGrid) -> None:
-    f = check_scalar(f, grid)
-    with open(path, "w", encoding="utf-8") as fh:
-        header = [str(grid.dim)] + [str(n) for n in grid.extents] \
-            + [format(h, ".17g") for h in grid.spacing]
-        fh.write(" ".join(header) + "\n")
-        fh.write(("%.17g\n" * f.size) % tuple(f.ravel(order="C").tolist()))
-
-
-def read_field_snapshot(path) -> tuple[Array, tuple[int, ...], tuple[float, ...]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.readline().split()
-        dim = int(head[0])
-        extents = tuple(int(x) for x in head[1:1 + dim])
-        spacing = tuple(float(x) for x in head[1 + dim:1 + 2 * dim])
-        values = np.fromiter(map(float, fh.read().split()), dtype=float)
-    if values.size != int(np.prod(extents)):
-        raise ShapeError(f"snapshot has {values.size} values, expected {np.prod(extents)}")
-    return values.reshape(extents, order="C"), extents, spacing
+def write_field_snapshot(path, stack: Array, grid: SpatialGrid) -> None:
+    np.save(path, check_cells(stack, grid), allow_pickle=False)

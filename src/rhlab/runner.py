@@ -2,12 +2,14 @@
 
 ``build_problem`` (defined in ``rhlab.config``, bound here too) builds every
 object a run uses; the runner only runs and writes.  A run executes the
-chained-slab solve for the configured scenario and writes: field snapshots
-(ASCII, one file per field per output time), the monitor CSV (time, phi,
-theta, phi components, mass, min rho, flags), the fixed-point diagnostics CSV
-(slab, k, gamma, ratio), and a machine-readable summary.  All floats are
-printed with 17 significant digits; given the same config the outputs are
-byte-identical across invocations.
+chained-slab solve for the configured scenario and writes: the snapshots
+(every ``snapshot_stride``-th state, as one raw float64 ``.npy`` stack per
+field kind: ``t``, ``rho``, ``u`` with its component axis, and the radiation
+energy ``Er``), the monitor CSV (time, phi, theta, phi components, mass, min
+rho, flags), the fixed-point diagnostics CSV (slab, k, gamma, ratio), and a
+machine-readable summary.  The text outputs print floats with 17 significant
+digits; given the same config every output is byte-identical across
+invocations.
 """
 
 from __future__ import annotations
@@ -68,18 +70,19 @@ def _output_dir(cfg: RunConfig) -> str:
 
 
 def _write_snapshots(traj: Trajectory, prob: Problem, outdir: str, stride: int) -> None:
+    """Every ``stride``-th state: its time in ``t.npy`` and one stack per field
+    kind in ``rho.npy``, ``u.npy`` and ``Er.npy``."""
     snapdir = os.path.join(outdir, "snapshots")
     os.makedirs(snapdir, exist_ok=True)
-    grid = prob.grids.spatial
-    for i in range(0, len(traj.states), stride):
-        state = traj.states[i]
-        tag = f"{i:06d}"
-        write_field_snapshot(os.path.join(snapdir, f"rho_{tag}.dat"), state.rho, grid)
-        for a in range(grid.dim):
-            write_field_snapshot(os.path.join(snapdir, f"u{a}_{tag}.dat"),
-                                 state.u[a], grid)
-        er = integrate_radiation(state.I, prob.grids.freq, prob.grids.ang)
-        write_field_snapshot(os.path.join(snapdir, f"Er_{tag}.dat"), er, grid)
+    grids = prob.grids
+    states = traj.states[::stride]
+    np.save(os.path.join(snapdir, "t.npy"), np.array(traj.times[::stride], dtype=float),
+            allow_pickle=False)
+    stacks = {"rho": [s.rho for s in states], "u": [s.u for s in states],
+              "Er": [integrate_radiation(s.I, grids.freq, grids.ang) for s in states]}
+    for name, fields in stacks.items():
+        write_field_snapshot(os.path.join(snapdir, f"{name}.npy"), np.stack(fields),
+                             grids.spatial)
 
 
 def _write_monitor_csv(path, report, masses, min_rhos) -> None:

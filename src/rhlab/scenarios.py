@@ -122,9 +122,11 @@ def _plateau_density(grids: Grids, p: dict, exponent: float = 2.0) -> Array:
 
 
 def _edge_taper(grids: Grids) -> Array:
-    """Smooth factor that is 1 in the bulk and exactly 0 at the domain edge."""
-    L = max(grids.spatial.lengths)
-    return _smoothstep((0.5 * L - grids.spatial.radius_from_center()) / (0.1 * L))
+    """Smooth factor that is 1 in the bulk and exactly 0 on the face cells:
+    it ramps over 0.1 of the domain down to the nearest face-cell center."""
+    grid = grids.spatial
+    edge = min(0.5 * (L - h) for L, h in zip(grid.lengths, grid.spacing))
+    return _smoothstep((edge - grid.radius_from_center()) / (0.1 * max(grid.lengths)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ tables, the Lame operator composed from the gradient and divergence, the
 momentum matrix assembled from whole sparse blocks on its own difference
 and Lame matrices, the CSR matrices on a momentum layout's
 pattern, the one-start-time characteristics trace
-(with its own point clamp) and heat-flow mollifier, the per-value snapshot
-writer, the ``np.pad`` ghost layers, and the one-snapshot-at-a-time
+(with its own point clamp) and heat-flow mollifier, the ``np.pad`` ghost
+layers, and the one-snapshot-at-a-time
 Phi/Theta monitor and Picard metric.
 These deliberately avoid the vectorized/precomputed paths of the package so
 they can check them.
@@ -395,20 +395,6 @@ def loop_heat_smooth(u, grid, duration):
             lap += second_difference(out, grid, a, 0.0)
         out = out + dt * lap
     return out
-
-
-# ---------------------------------------------------------------------------
-# field snapshot, one value per write
-# ---------------------------------------------------------------------------
-
-def loop_write_field_snapshot(path, f, grid):
-    """Header line, then each value formatted and written on its own."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = [str(grid.dim)] + [str(n) for n in grid.extents] \
-            + [format(h, ".17g") for h in grid.spacing]
-        fh.write(" ".join(header) + "\n")
-        for v in np.asarray(f, dtype=float).ravel(order="C"):
-            fh.write(format(v, ".17g") + "\n")
 
 
 # ---------------------------------------------------------------------------

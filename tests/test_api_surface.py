@@ -17,7 +17,6 @@ SRC = Path(rhlab.__file__).parent
 # public names that no rhlab code calls, each with the reason it stays
 ALLOWED = {
     "inner_product": "acceptance criterion 4 checks the Lame energy identity with it",
-    "read_field_snapshot": "the reader of the snapshot format that write_field_snapshot writes",
     "substep_transport": "the reference trace's transport step (tests/_reference.py)",
 }
 

@@ -7,7 +7,6 @@ import rhlab.runner as runner_mod
 from rhlab.cli import main
 from rhlab.errors import (ConfigError, IterationError, SolverError,
                           StepSizeError)
-from rhlab.grid import read_field_snapshot
 
 
 def write_cfg(tmp_path, body, name="run.cfg"):
@@ -54,8 +53,8 @@ class TestRunCommand:
         # [grid] rho_bar is both the equilibrium's density and Phi's reference
         out = tmp_path / "out"
         assert main(["run", equilibrium_cfg(tmp_path, out, "periodic", 3.0)]) == 0
-        rho, _, _ = read_field_snapshot(out / "snapshots" / "rho_000000.dat")
-        assert np.all(rho == 3.0)
+        rho = np.load(out / "snapshots" / "rho.npy")
+        assert np.all(rho[0] == 3.0)
         first = (out / "monitor.csv").read_text().splitlines()[1].split(",")
         assert float(first[1]) == 1.0
 
@@ -68,11 +67,54 @@ class TestRunCommand:
     def test_snapshots_readable(self, tmp_path):
         out = tmp_path / "out"
         main(["run", equilibrium_cfg(tmp_path, out)])
-        rho, extents, spacing = read_field_snapshot(out / "snapshots" / "rho_000000.dat")
-        assert extents == (64,)
-        assert np.all(rho == 1.0)
-        for name in ("u0_000000.dat", "Er_000000.dat"):
-            read_field_snapshot(out / "snapshots" / name)
+        snap = out / "snapshots"
+        assert sorted(p.name for p in snap.iterdir()) == ["Er.npy", "rho.npy", "t.npy", "u.npy"]
+        t = np.load(snap / "t.npy")
+        assert np.array_equal(t, [0.0, 0.001, 0.002, 0.003, 0.004])
+        rho = np.load(snap / "rho.npy")
+        assert rho.shape == (5, 64) and np.all(rho == 1.0)
+        assert np.load(snap / "u.npy").shape == (5, 1, 64)
+        assert np.load(snap / "Er.npy").shape == (5, 64)
+
+    def test_snapshot_stride(self, tmp_path):
+        # every second state of a 1D run: t.npy holds the monitor's times
+        # [::2], and each stack's density is the monitor's min_rho there
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, f"""
+[grid]
+dim = 1
+cells = 32
+lengths = 1.0
+boundary = periodic
+
+[model]
+kind = constant
+sigma0 = 0.2
+emission0 = 0.05
+
+[scenario]
+name = smooth-bump
+
+[run]
+t_final = 0.005
+slab_length = 0.0025
+dt = 0.0005
+snapshot_stride = 2
+output_dir = {out}
+""")
+        assert main(["run", cfg]) == 0
+        rows = [line.split(",") for line in
+                (out / "monitor.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 11
+        times = [float(row[0]) for row in rows][::2]
+        min_rhos = [float(row[7]) for row in rows][::2]
+        snap = out / "snapshots"
+        t, rho = np.load(snap / "t.npy"), np.load(snap / "rho.npy")
+        assert np.array_equal(t, times)
+        for name in ("rho", "u", "Er"):
+            assert len(np.load(snap / f"{name}.npy")) == len(times) == 6
+        assert [float(np.min(r)) for r in rho] == min_rhos
+        assert np.load(snap / "u.npy").shape == (6, 1, 32)
 
     def test_determinism_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -105,10 +147,11 @@ output_dir = {out1}
             assert main(["run", cfg]) == 0
         finally:
             del os.environ["RHLAB_OUTPUT_DIR"]
-        assert (out1 / "summary.json").read_bytes() == \
-            (out2 / "summary.json").read_bytes()
-        assert (out1 / "monitor.csv").read_bytes() == \
-            (out2 / "monitor.csv").read_bytes()
+        snapshots = sorted(p.name for p in (out1 / "snapshots").iterdir())
+        assert snapshots == sorted(p.name for p in (out2 / "snapshots").iterdir())
+        for name in ["summary.json", "monitor.csv", "picard.csv"] + \
+                [f"snapshots/{snap}" for snap in snapshots]:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_delta_schedule_reported(self, tmp_path):
         out = tmp_path / "out"

@@ -129,8 +129,8 @@ class TestCompatibilityCheck:
                                                ("compat-diverging", "diverging")])
     def test_dichotomy_on_a_2d_grid(self, boundary, name, verdict):
         # 48^2 cells, rho_bar = 1, default keys: traces 117.41 -> 118.29
-        # (periodic) and 142.59 -> 143.32 (far field) when satisfied, and
-        # last ratios 3.83 and 2.77 when diverging
+        # (periodic) and 143.26 -> 143.98 (far field) when satisfied, and
+        # last ratios 3.83 and 2.75 when diverging
         prob = build_problem(parse_config(
             f"[grid]\ndim = 2\ncells = 48, 48\nlengths = 1.0, 1.0\nboundary = {boundary}\n"
             f"rho_bar = 1\n[model]\nkind = zero\n[scenario]\nname = {name}\n"))

@@ -4,7 +4,7 @@ import pytest
 from rhlab.errors import ParameterError, ShapeError
 from rhlab.grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid,
                         divergence, gradient, inner_product, integrate_radiation,
-                        integrate_space, read_field_snapshot, write_field_snapshot)
+                        integrate_space, write_field_snapshot)
 
 from conftest import random_smooth_field, random_smooth_vector
 
@@ -212,22 +212,27 @@ class TestIntegrateRadiation:
 
 class TestSnapshotIO:
     def test_round_trip(self, tmp_path, grid128, rng):
-        f = random_smooth_field(grid128, rng)
-        path = tmp_path / "field.dat"
+        f = np.stack([random_smooth_field(grid128, rng) for _ in range(3)])
+        path = tmp_path / "rho.npy"
         write_field_snapshot(path, f, grid128)
-        g, extents, spacing = read_field_snapshot(path)
-        assert extents == grid128.extents
-        assert spacing == pytest.approx(grid128.spacing)
-        assert np.array_equal(f, g)  # 17 significant digits round-trips exactly
+        g = np.load(path)
+        assert g.dtype == np.float64 and g.shape == (3, 128)
+        assert np.array_equal(f, g)  # raw float64 round-trips exactly
 
     def test_round_trip_2d(self, tmp_path, rng):
         grid = SpatialGrid.periodic((8, 12), (1.0, 3.0))
-        f = random_smooth_field(grid, rng)
-        path = tmp_path / "field2d.dat"
-        write_field_snapshot(path, f, grid)
-        g, extents, spacing = read_field_snapshot(path)
-        assert extents == (8, 12)
-        assert np.array_equal(f, g)
+        u = np.stack([random_smooth_vector(grid, rng) for _ in range(2)])
+        path = tmp_path / "u.npy"
+        write_field_snapshot(path, u, grid)
+        assert np.array_equal(np.load(path), u)
+        assert np.load(path).shape == (2, 2, 8, 12)
+
+    @pytest.mark.parametrize("shape", [(3, 127), (3, 128, 2), (), (4,)])
+    def test_wrong_trailing_shape(self, tmp_path, grid128, shape):
+        path = tmp_path / "bad.npy"
+        with pytest.raises(ShapeError):
+            write_field_snapshot(path, np.zeros(shape), grid128)
+        assert not path.exists()
 
 
 class TestGridsBundle:

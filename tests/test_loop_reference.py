@@ -13,8 +13,8 @@ slice), for the characteristics trace of many start times at once against
 one start time at a time, for the in-place heat-flow mollifier
 against its freshly padded loop version, for the whole-array coefficient
 tables of the built-in models against one callable call per (band,
-ordinate), for the one-write snapshot writer against the per-value one, and
-for the ghost layers against ``np.pad``.
+ordinate), and for the ghost layers against ``np.pad``.  A snapshot stack
+read back with ``np.load`` is the stack that was written, byte for byte.
 
 The Phi/Theta monitor and the Picard metric, which take their norms over
 chunks of stacked snapshots, agree with their one-snapshot-at-a-time loop
@@ -33,7 +33,7 @@ from rhlab.diagnostics import blowup_monitor
 from rhlab.fluid import (VelocityHistory, _clamp_points, _interp, _trace_backward,
                          continuity_step_characteristics, heat_smooth)
 from rhlab.grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, gradient,
-                        pad_ghost, read_field_snapshot, write_field_snapshot)
+                        pad_ghost, write_field_snapshot)
 from rhlab.norms import MIXED_INNER_KINDS, NormSettings, mixed_radiation_norm
 from rhlab.physics import _tabulated_emission, compton_model, constant_model, zero_model
 from rhlab.picard import State, Trajectory, gamma_metric
@@ -44,7 +44,7 @@ from _reference import (loop_blowup_monitor, loop_clamp_points,
                         loop_gamma_increment, loop_gamma_metric, loop_gradient,
                         loop_heat_smooth, loop_interp_field, loop_mixed_radiation_norm,
                         loop_pad_ghost, loop_tabulate, loop_trace_backward,
-                        loop_transport_step, loop_write_field_snapshot)
+                        loop_transport_step)
 
 _EDGES = (0.5, 1.0, 2.0, 3.5)
 
@@ -355,22 +355,21 @@ def test_coefficient_tables(case, seed, t, zeros):
 
 
 @settings(max_examples=50, deadline=None)
-@given(dim=st.integers(1, 3), seed=seeds, zeros=st.booleans())
-def test_field_snapshot(tmp_path_factory, dim, seed, zeros):
+@given(dim=st.integers(1, 3), seed=seeds, zeros=st.booleans(), vector=st.booleans())
+def test_field_snapshot(tmp_path_factory, dim, seed, zeros, vector):
     rng = np.random.default_rng(seed)
     cells = tuple(int(n) for n in rng.integers(4, 9 if dim == 1 else 6, dim))
     grid = SpatialGrid.periodic(cells, tuple(rng.uniform(0.1, 3.0, dim)))
-    # signed values of magnitude 1e-9 to 1e7, with 0.0 and -0.0
-    f = rng.choice([-1.0, 1.0], cells) * 10.0 ** rng.uniform(-9.0, 7.0, cells)
+    # a stack of 1 to 4 snapshots, scalar or vector, of signed values of
+    # magnitude 1e-9 to 1e7, with 0.0 and -0.0
+    shape = (int(rng.integers(1, 5)),) + ((dim,) if vector else ()) + cells
+    f = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-9.0, 7.0, shape)
     if zeros:
-        f[rng.random(cells) < 0.2] = 0.0
-        f[rng.random(cells) < 0.2] = -0.0
-    d = tmp_path_factory.mktemp("snap")
-    write_field_snapshot(d / "new.dat", f, grid)
-    loop_write_field_snapshot(d / "old.dat", f, grid)
-    assert (d / "new.dat").read_bytes() == (d / "old.dat").read_bytes()
-    g, extents, spacing = read_field_snapshot(d / "new.dat")
-    assert _identical(g, f) and extents == cells and spacing == grid.spacing
+        f[rng.random(shape) < 0.2] = 0.0
+        f[rng.random(shape) < 0.2] = -0.0
+    path = tmp_path_factory.mktemp("snap") / "field.npy"
+    write_field_snapshot(path, f, grid)
+    assert _identical(np.load(path), f)
 
 
 @contextlib.contextmanager

@@ -42,6 +42,19 @@ class TestBuiltinScenarios:
         # compact support: identically zero at the domain edge
         assert st.rho[0] == 0.0 and st.rho[-1] == 0.0
 
+    @pytest.mark.parametrize("name", ["compat-satisfied", "compat-diverging"])
+    @pytest.mark.parametrize("cells", [10, 16])
+    def test_compat_builds_on_a_coarse_3d_farfield_grid(self, name, cells):
+        # the edge taper reaches 0 on the face cells however few cells span
+        # its ramp, so the far-field decay check passes
+        text = (f"[grid]\ndim = 3\ncells = {cells}, {cells}, {cells}\n"
+                "lengths = 1.0, 1.0, 1.0\nboundary = farfield\nrho_bar = 1\n"
+                f"[model]\nkind = zero\n[scenario]\nname = {name}\n")
+        u = build_problem(parse_config(text)).state0.u
+        assert np.max(np.abs(u)) > 0.0
+        for a in range(3):
+            assert not np.any(np.take(u, [0, -1], axis=1 + a))
+
     def test_equilibrium_phi_is_one(self):
         grids = make_grids()
         assert phi(build("equilibrium", grids), grids, NormSettings()) == 1.0
