@@ -11,6 +11,10 @@ so rho stays zero wherever rho0 is zero.  The start time ``t`` may be a 1-D
 array: all start times are traced back together (RK2, one interpolation of
 the stacked, once-padded velocity and divergence samples per substep and
 point set), so a Picard sweep traces every one of its steps in one call.
+The step is the trace (``_departures``: the departure points and
+exp(-int div w)), which depends on w alone, then the carry of rho0 along it
+(``_carry_density``), so ``rhlab.picard`` traces iterate 0's velocities
+once for every solve that starts a slab from them.
 The sample indices and weights of all 2 * substeps + 1 sample times are
 found once per trace; the time-mixed fields are built one sample time at a
 time.  Interpolation gathers each corner of every point by one flat index
@@ -348,11 +352,29 @@ def continuity_step_characteristics(rho0: Array, w_hist: VelocityHistory, t,
     rho0 = check_scalar(rho0, grid)
     if np.any(rho0 < 0):
         raise DomainError("initial density must be >= 0")
+    rho = _carry_density(rho0, _departures(w_hist, t, grid, substeps), grid)
+    return rho[0] if np.ndim(t) == 0 else rho
+
+
+def _departures(w_hist: VelocityHistory, t, grid: SpatialGrid,
+                substeps: int | None = None) -> tuple[Array, Array]:
+    """The trace half of ``continuity_step_characteristics``: the departure
+    points U(0; t_b, x), shape (dim, B) + extents, and the decay
+    exp(-int_0^t_b div w(s, U(s; t_b, x)) ds), shape (B,) + extents, of every
+    start time t_b.  Neither depends on rho0 or ``grid.rho_bar``."""
     pts, _, divint = _trace_backward(w_hist, t, grid, substeps)
+    return pts, np.exp(-divint)
+
+
+def _carry_density(rho0: Array, departures: tuple, grid: SpatialGrid) -> Array:
+    """The carry half of ``continuity_step_characteristics``: rho0 (padded
+    with ``grid.rho_bar``) interpolated at the ``_departures`` points, times
+    their decay; shape (B,) + extents."""
+    pts, decay = departures
     rho = _interp(pad_ghost(rho0, grid, grid.rho_bar), grid, pts)
     # vacuum stays 0 where exp overflows (0 * inf would be NaN)
-    np.multiply(rho, np.exp(-divint), out=rho, where=rho != 0.0)
-    return rho[0] if np.ndim(t) == 0 else rho
+    np.multiply(rho, decay, out=rho, where=rho != 0.0)
+    return rho
 
 
 # ---------------------------------------------------------------------------

@@ -113,9 +113,11 @@ def _smoothstep(t: Array) -> Array:
 def _plateau_density(grids: Grids, p: dict, exponent: float = 2.0) -> Array:
     """Background rho_bar with an interior vacuum plateau; the transition is
     a power of a smoothstep, so rho vanishes to order 2*exponent at the edge
-    of the vacuum set and stays in W^{1,q}."""
+    of the vacuum set and stays in W^{1,q}.  ``vacuum_radius`` and
+    ``transition_width`` are fractions of the shortest side, so the density
+    reaches rho_bar before the nearest face."""
     grid = grids.spatial
-    L = max(grid.lengths)
+    L = min(grid.lengths)
     ramp = _smoothstep((grid.radius_from_center() - p["vacuum_radius"] * L)
                        / (p["transition_width"] * L))
     return grid.rho_bar * ramp ** exponent

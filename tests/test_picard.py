@@ -8,7 +8,9 @@ from hypothesis import strategies as hst
 import rhlab.picard as picard
 from rhlab.config import parse_config
 from rhlab.errors import DomainError, IterationError, ParameterError
-from rhlab.fluid import heat_smooth
+from rhlab import fluid, transport
+from rhlab.fluid import (VelocityHistory, _carry_density, continuity_step_characteristics,
+                         heat_smooth)
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from rhlab.norms import lp_norm
 from rhlab.physics import (EquationOfState, PhysicalConstants, ViscosityParams,
@@ -17,7 +19,8 @@ from rhlab.picard import (DeltaSchedule, PicardDiagnostics, SlabConfig, State,
                           _initial_iterate, _slab_times, _stop_rule,
                           delta_continuation, gamma_metric, solve,
                           solve_slab)
-from rhlab.runner import run_scenario
+from rhlab.runner import build_problem, run_scenario
+from rhlab.transport import free_streaming_step
 
 from _reference import solve_monolithic
 
@@ -684,8 +687,10 @@ output_dir = {out}
 
 
 class TestHeatFlowChain:
-    """The mollified velocities of iterate 0 are computed once per slab and
-    shared, by value, by every solve that starts from the same data."""
+    """Iterate 0 (heat-flowed velocities, free-streamed intensities and, for
+    characteristics continuity, the trace of those velocities) is built once
+    per slab start and shared, by value, by every solve that starts from the
+    same data."""
 
     @pytest.fixture
     def heat_calls(self, monkeypatch):
@@ -696,54 +701,123 @@ class TestHeatFlowChain:
             calls.append(duration)
             return real(u, grid, duration)
 
-        picard._heat_flow_chain.cache_clear()
+        picard._ITERATE0.clear()
         monkeypatch.setattr(picard, "heat_smooth", counted)
         yield calls
-        picard._heat_flow_chain.cache_clear()
+        picard._ITERATE0.clear()
 
-    def test_one_chain_per_slab_in_a_continuation_run(self, heat_calls, tmp_path):
+    @staticmethod
+    def counter(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_one_chain_per_slab_in_a_continuation_run(self, heat_calls, tmp_path,
+                                                      monkeypatch):
+        streams = self.counter(monkeypatch, transport, "free_streaming_step")
         summary = run_scenario(parse_config(_CONTINUATION_RUN.format(out=tmp_path)))
         assert summary["picard"]["slabs"] == 1
         # two steps of one slab: once, not once per solve (4 solves)
         assert heat_calls == [0.001, 0.001]
+        assert len(streams) == 2
+
+    def test_shared_iterate_0_changes_no_bit(self, heat_calls, tmp_path, monkeypatch):
+        traces = self.counter(monkeypatch, fluid, "_trace_backward")
+        streams = self.counter(monkeypatch, transport, "free_streaming_step")
+        cfg = parse_config(_CONTINUATION_RUN.format(out=tmp_path))
+        prob = build_problem(cfg)
+        args = (prob.state0, prob.model, prob.grids, prob.visc, prob.eos, prob.consts,
+                prob.slab)
+
+        def main_and_continuation():
+            del traces[:], streams[:]
+            traj = solve(*args, cfg.t_final)
+            final, report = delta_continuation(*args, prob.schedule)
+            return traj.states[1:] + [final], report.differences, len(traces), len(streams)
+
+        warm = main_and_continuation()
+        real = picard.solve_slab_full
+
+        def cold(*a, **kw):
+            picard._ITERATE0.clear()
+            return real(*a, **kw)
+
+        monkeypatch.setattr(picard, "solve_slab_full", cold)
+        alone = main_and_continuation()
+        assert warm[1] == alone[1]
+        for a, b in zip(warm[0], alone[0]):
+            for f in ("I", "rho", "u"):
+                assert getattr(a, f).tobytes() == getattr(b, f).tobytes()
+        # the four solves' first sweeps share one trace and one free streaming
+        assert alone[2] - warm[2] == 3
+        assert (warm[3], alone[3]) == (2, 8)
 
     def test_keyed_by_value(self, heat_calls):
         grids = make_grids(n=16, rho_bar=0.0, n_ord=2, n_bands=1)
         x = grids.spatial.axis_coords(0)
-        st = State(I=np.zeros(grids.radiation_shape()), rho=np.ones(16),
-                   u=np.sin(2 * np.pi * x)[None])
+        st = State(I=np.exp(-((x - 0.5) / 0.1) ** 2) * np.ones(grids.radiation_shape()),
+                   rho=np.ones(16), u=np.sin(2 * np.pi * x)[None])
         times = _slab_times(0.0, 0.002, 0.001)
 
-        def chain(state=st, g=grids, t=times):
+        def chain(state=st, g=grids, t=times, consts=PHYS["consts"]):
             before = len(heat_calls)
-            states = _initial_iterate(state, g, PHYS["consts"], t)
-            return [s.u for s in states[1:]], len(heat_calls) - before
+            states, departures = _initial_iterate(state, g, consts, t, True)
+            return states[1:], departures, len(heat_calls) - before
 
-        first, n = chain()
+        first, departures, n = chain()
         assert n == 2
-        assert all(not u.flags.writeable for u in first)
-        with pytest.raises(ValueError):
-            first[0][0, 0] = 1.0
-        # the chain is the heat flow applied step by step, bit for bit
-        u = st.u
+        (entry,) = picard._ITERATE0.values()
+        cached = [s.u for s in first] + [s.I for s in first] + list(departures)
+        for a in cached:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a.flat[0] = 1.0
+        # the chain is the heat flow and free streaming applied step by step,
+        # bit for bit, and the departures are those of its velocity history
+        u, I = st.u, st.I
         for got in first:
             u = heat_smooth(u, grids.spatial, 0.001)
-            assert got.tobytes() == u.tobytes()
+            I = free_streaming_step(I, grids, 0.001, 1.0)
+            assert got.u.tobytes() == u.tobytes() and got.I.tobytes() == I.tobytes()
+        hist = VelocityHistory(times, [st.u] + [s.u for s in first])
+        rho = continuity_step_characteristics(st.rho, hist, times[1:], grids.spatial)
+        assert rho.tobytes() == _carry_density(st.rho, departures, grids.spatial).tobytes()
 
-        # equal values in new objects, and another far-field density: no work
+        # equal values in new objects, another density or far-field density: no work
         same = State(I=st.I.copy(), rho=st.rho + 1e-3, u=st.u.copy())
         lifted = Grids(grids.spatial._replace(rho_bar=1e-3), grids.freq, grids.ang)
         for kwargs in (dict(state=same), dict(g=lifted), dict(t=times.copy())):
-            again, n = chain(**kwargs)
-            assert n == 0 and all(a is b for a, b in zip(again, first))
+            again, again_departures, n = chain(**kwargs)
+            assert n == 0 and [e is entry for e in picard._ITERATE0.values()] == [True]
+            assert all(a.u.base is entry.velocities and a.I.base is entry.intensities
+                       for a in again)
+            assert again_departures is departures
 
-        # a changed u0, slab times, spacing or boundary recomputes
+        # a changed u0, I0, c, slab times (a halved slab too), spacing or
+        # boundary recomputes
         moved = State(I=st.I, rho=st.rho, u=0.5 * st.u)
+        shone = State(I=2.0 * st.I, rho=st.rho, u=st.u)
         wider = make_grids(n=16, rho_bar=0.0, n_ord=2, n_bands=1)
         wider = Grids(wider.spatial._replace(spacing=(0.125,)), wider.freq, wider.ang)
         periodic = make_grids(n=16, boundary="periodic", n_ord=2, n_bands=1)
-        for kwargs in (dict(state=moved), dict(t=_slab_times(0.001, 0.002, 0.001)),
+        for kwargs in (dict(state=moved), dict(state=shone),
+                       dict(consts=PhysicalConstants(0.5)),
+                       dict(t=_slab_times(0.001, 0.002, 0.001)),
+                       dict(t=_slab_times(0.0, 0.001, 0.001)),
                        dict(g=wider), dict(g=periodic)):
-            _, n = chain(**kwargs)
-            assert n == 2
+            _, _, n = chain(**kwargs)
+            assert n == len(kwargs.get("t", times)) - 1
+            assert len(picard._ITERATE0) == 1
             chain()                                   # back to the first key
+
+    def test_without_characteristics_no_trace(self, heat_calls):
+        grids = make_grids(n=16, n_ord=2, n_bands=1)
+        states, departures = _initial_iterate(zero_state(grids), grids, PHYS["consts"],
+                                              _slab_times(0.0, 0.002, 0.001))
+        assert departures is None and len(states) == 3

@@ -55,6 +55,17 @@ class TestBuiltinScenarios:
         for a in range(3):
             assert not np.any(np.take(u, [0, -1], axis=1 + a))
 
+    @pytest.mark.parametrize("name", ["compat-satisfied", "compat-diverging", "vacuum-plateau"])
+    def test_plateau_builds_on_a_non_square_farfield_domain(self, name):
+        # vacuum_radius and transition_width are fractions of the shortest
+        # side, so the density reaches rho_bar before the short side's faces
+        text = ("[grid]\ndim = 2\ncells = 32, 16\nlengths = 1.0, 0.5\n"
+                "boundary = farfield\nrho_bar = 1\n"
+                f"[model]\nkind = zero\n[scenario]\nname = {name}\n")
+        rho = build_problem(parse_config(text)).state0.rho
+        assert np.min(rho) == 0.0
+        assert np.all(rho[[0, -1], :] == 1.0) and np.all(rho[:, [0, -1]] == 1.0)
+
     def test_equilibrium_phi_is_one(self):
         grids = make_grids()
         assert phi(build("equilibrium", grids), grids, NormSettings()) == 1.0
