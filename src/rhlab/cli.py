@@ -49,7 +49,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_check_compat(args) -> int:
     result = check_compat(_load(args.config))
-    trace = ", ".join(f"{cut:.3g}: {val:.6g}" for cut, val in result["refinement_trace"])
+    trace = ", ".join(f"{cut:.3g}: {val:.6g} ({cells} cells at or below)"
+                      for cut, val, cells in result["refinement_trace"])
     print(f"compatibility verdict: {result['verdict']} (g_l2 trace {trace})")
     return 0
 

@@ -32,13 +32,27 @@ Array = np.ndarray
 # compatibility condition
 # ---------------------------------------------------------------------------
 
+# Fewest cells each cut interval of ``compatibility_check`` must admit before
+# the trace can decide.  An interval that admits no cell repeats the previous
+# g_l2, and two equal values read "satisfied".  On the grid set of the
+# ROADMAP.md finding on the static compatibility verdict (the built-in
+# compat-satisfied and compat-diverging data on 1D 64-1024 cells, 2D
+# 24^2-128^2 and 3D 12^3-32^3 grids, periodic and far field) the last-two-
+# values rule alone inverted 12 verdicts, on 2D 24^2 and 3D grids.  With 2,
+# none is inverted, and 1D from 128 cells and 2D from 48^2 keep their
+# verdicts; with 4, 1D would need 512 cells.
+MIN_NEW_CELLS = 2
+
+
 class CompatReport(Record):
     """Weighted residual of the initial force balance on non-vacuum cells.
 
-    ``refinement_trace`` holds (rho_cut, g_l2) pairs at decreasing thresholds;
-    the verdict classifies the trend: "satisfied" when the trace is Cauchy,
+    ``refinement_trace`` holds (rho_cut, g_l2, cells) triples at decreasing
+    thresholds, ``cells`` being the count of cells at or below the cut; the
+    verdict classifies the trend: "satisfied" when the trace is Cauchy,
     "diverging" when it keeps growing, "vacuous" when no cell ever falls below
-    the cut (no vacuum present).
+    the cut (no vacuum present), "unresolved" when the grid is too coarse for
+    the cuts to tell.
     """
 
     __slots__ = ("g_field", "g_l2", "refinement_trace", "verdict")
@@ -94,9 +108,10 @@ def _weighted_residual(phi0: Array, rho0: Array, rho_cut: float,
     g = np.zeros_like(phi0)
     g[:, mask] = phi0[:, mask] / np.sqrt(rho0[mask])[None]
     g_l2 = float(np.sqrt(np.sum(g * g) * grid.cell_volume))
-    verdict = "vacuous" if bool(np.all(mask)) else None
+    below = mask.size - int(np.count_nonzero(mask))
+    verdict = "vacuous" if below == 0 else None
     return CompatReport(g_field=g, g_l2=g_l2,
-                        refinement_trace=[(float(rho_cut), g_l2)], verdict=verdict)
+                        refinement_trace=[(float(rho_cut), g_l2, below)], verdict=verdict)
 
 
 def default_cut_schedule(rho0: Array) -> list:
@@ -115,10 +130,12 @@ def compatibility_check(I0: Array, rho0: Array, u0: Array, eos: EquationOfState,
     two cuts) and classify the trend.
 
     Verdicts: "vacuous" when no cell lies at or below the largest cut (single
-    finite value), "satisfied" when the last two g_l2 values agree within
-    ``cauchy_rtol``, "diverging" otherwise (a last ratio > 2 is the clear
-    signature of a non-square-integrable residual at the vacuum boundary).
-    The force imbalance is computed once and weighted per cut.
+    finite value); "unresolved" when some interval between consecutive cuts
+    admits fewer than ``MIN_NEW_CELLS`` cells, so that the trace does not
+    sample the approach to vacuum; "satisfied" when the last two g_l2 values
+    agree within ``cauchy_rtol``; "diverging" otherwise (a last ratio > 2 is
+    the clear signature of a non-square-integrable residual at the vacuum
+    boundary).  The force imbalance is computed once and weighted per cut.
     """
     if cuts is None:
         cuts = default_cut_schedule(rho0)
@@ -134,13 +151,15 @@ def compatibility_check(I0: Array, rho0: Array, u0: Array, eos: EquationOfState,
     trace = []
     for cut in cuts:
         last = _weighted_residual(phi0, rho0, cut, grids.spatial)
-        trace.append((cut, last.g_l2))
+        trace += last.refinement_trace
     report = CompatReport(g_field=last.g_field, g_l2=last.g_l2, refinement_trace=trace)
-    if np.all(np.asarray(rho0) > cuts[0]):
-        report.verdict = "vacuous"
-        return report
+    below = [cells for _, _, cells in trace]
     prev, final = trace[-2][1], trace[-1][1]
-    if prev == 0.0 and final == 0.0:
+    if below[0] == 0:
+        report.verdict = "vacuous"
+    elif min(a - b for a, b in zip(below, below[1:])) < MIN_NEW_CELLS:
+        report.verdict = "unresolved"
+    elif prev == 0.0 and final == 0.0:
         report.verdict = "satisfied"
     elif prev > 0.0 and abs(final - prev) <= cauchy_rtol * prev:
         report.verdict = "satisfied"

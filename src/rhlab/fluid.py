@@ -14,7 +14,10 @@ point set), so a Picard sweep traces every one of its steps in one call.
 The step is the trace (``_departures``: the departure points and
 exp(-int div w)), which depends on w alone, then the carry of rho0 along it
 (``_carry_density``), so ``rhlab.picard`` traces iterate 0's velocities
-once for every solve that starts a slab from them.
+once for every solve that starts a slab from them.  A velocity history of
+zeros is not traced: every point stays at its cell center with a zero
+divergence integral, and ``heat_smooth`` returns such a field as +0 without
+stepping, so iterate 0 of a slab at rest costs no stepping.
 The sample indices and weights of all 2 * substeps + 1 sample times are
 found once per trace; the time-mixed fields are built one sample time at a
 time.  Interpolation gathers each corner of every point by one flat index
@@ -300,6 +303,13 @@ def _trace_backward(w_hist: VelocityHistory, t, grid: SpatialGrid,
     if stack.shape[1:] != (grid.dim,) + grid.extents:
         raise ShapeError(f"velocity history shape {stack.shape[1:]} incompatible "
                          f"with grid {grid.extents}")
+    centers = np.stack(np.meshgrid(*[grid.axis_coords(a) for a in range(grid.dim)],
+                                   indexing="ij"))
+    if not stack.any():
+        # at rest every sample interpolates to +0: no point moves or clamps,
+        # and the integral stays +0
+        return (np.repeat(centers[:, None], t.size, axis=1), 0,
+                np.zeros((t.size,) + grid.extents))
     stack = np.concatenate([stack, divergence(stack, grid, 0.0)[:, None]], axis=1)
     stack = pad_ghost(stack, grid, 0.0)          # (T, dim + 1) + padded extents
     per_time = (t.size,) + (1,) * grid.dim
@@ -317,8 +327,6 @@ def _trace_backward(w_hist: VelocityHistory, t, grid: SpatialGrid,
         return _interp(at_times(fields, k).swapaxes(0, 1), grid, pts, index)
 
     half, full = (0.5 * ds).reshape(per_time), ds.reshape(per_time)
-    centers = np.stack(np.meshgrid(*[grid.axis_coords(a) for a in range(grid.dim)],
-                                   indexing="ij"))
     pts = np.broadcast_to(centers[:, None], (grid.dim, t.size) + grid.extents)
     clamped = 0
     divint = np.zeros((t.size,) + grid.extents)
@@ -456,13 +464,17 @@ def heat_smooth(u: Array, grid: SpatialGrid, duration: float) -> Array:
 
     Runs in place on one ghost-padded copy of u (zero far-field ghosts,
     periodic ghosts refreshed after every step) with the arithmetic of
-    ``second_difference``, summed over the axes from 0.0.
+    ``second_difference``, summed over the axes from 0.0.  A field of zeros
+    (either sign) gives +0 everywhere without stepping: that is what the
+    first step makes of it, as its Laplacian is summed from +0.
     """
     u = check_vector(u, grid)
     if not np.isfinite(duration):
         raise ParameterError(f"heat-flow duration must be finite, got {duration}")
     if duration <= 0:
         return u.copy()
+    if not u.any():
+        return np.zeros(u.shape)
     stiff = sum(1.0 / h ** 2 for h in grid.spacing)
     dt_stable = 0.4 / stiff
     n = max(1, int(np.ceil(duration / dt_stable)))

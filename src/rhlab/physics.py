@@ -251,7 +251,8 @@ class CoefficientModel(Record):
     @staticmethod
     def _quadrature_key(freq: FrequencyGrid, ang: AngularQuadrature) -> tuple:
         return tuple((a.shape, a.tobytes()) for a in (
-            freq.band_edges, freq.band_centers, ang.ordinates, ang.weights))
+            freq.band_edges, freq.band_weights, freq.band_centers, ang.ordinates,
+            ang.weights))
 
     def _tables(self, freq: FrequencyGrid, ang: AngularQuadrature) -> tuple:
         """((K_in, K_out), (W, Lam_s)) of the quadratures, built once per key."""

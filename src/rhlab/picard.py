@@ -35,6 +35,9 @@ values it does depend on (``_iterate0_key``), so the main solve and the
 density-lifted solves of ``delta_continuation``, which start from the same
 I, u and slab times, build it once: on a 256-cell vacuum run with three
 lifts, free-streaming steps fall from 40 to 10 and traces from 12 to 9.
+A slab that starts at rest (u0 and I0 all zero) builds its iterate 0
+without stepping: the heat flow, the free streaming and the trace each
+return their known result, bit for bit what their steps would give.
 """
 
 from __future__ import annotations
@@ -264,11 +267,11 @@ class _Iterate0(NamedTuple):
 
 
 # The one cache of iterate 0: at most one entry, {_iterate0_key: _Iterate0}.
-# The entry outlives its solves by one slab of iterate-0 fields, mostly
-# intensities: 0.72 MB on a 256-cell 1D slab of 10 steps with 4 bands x 8
-# ordinates, 1.2 MB on a 32^2 slab of 5 steps with 2 x 14, and 11.5 MB
-# (8.4 MB of intensities, 3.1 MB of velocities) on a 32^3 slab of 4 steps
-# with 1 x 8.
+# The entry is one slab of iterate-0 fields, mostly intensities: 0.72 MB on
+# a 256-cell 1D slab of 10 steps with 4 bands x 8 ordinates, 1.2 MB on a
+# 32^2 slab of 5 steps with 2 x 14, and 11.5 MB (8.4 MB of intensities,
+# 3.1 MB of velocities) on a 32^3 slab of 4 steps with 1 x 8.
+# ``runner.run_scenario`` empties the cache when its solves return or raise.
 _ITERATE0: dict = {}
 
 

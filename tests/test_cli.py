@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -215,8 +216,12 @@ t_final = 0.002
 output_dir = {out}
 """)
         assert main(["check-compat", cfg]) == 0
-        assert "diverging" in capsys.readouterr().out
-        assert (out / "compatibility.json").exists()
+        line = capsys.readouterr().out
+        assert "diverging" in line
+        result = json.loads((out / "compatibility.json").read_text())
+        cells = [entry[2] for entry in result["refinement_trace"]]
+        assert cells == sorted(cells, reverse=True) and cells[-1] > 0
+        assert all(f"({n} cells at or below)" in line for n in cells)
 
     def test_validate_model(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from rhlab.config import build_problem, parse_config
-from rhlab.diagnostics import (BlowupReport, StateTimeDerivatives, ThetaHistory,
-                               blowup_monitor, compatibility_check,
-                               compatibility_residual, farfield_bounds_check,
+from rhlab.diagnostics import (MIN_NEW_CELLS, BlowupReport, StateTimeDerivatives,
+                               ThetaHistory, blowup_monitor, compatibility_check,
+                               compatibility_residual, default_cut_schedule,
+                               farfield_bounds_check,
                                initial_force_imbalance, mass_total, phi,
                                phi_components, theta)
 from rhlab.errors import ParameterError
@@ -106,7 +107,7 @@ class TestCompatibilityCheck:
         rep = compatibility_check(st.I, st.rho, st.u, EOS, VISC, zero_model(),
                                   grids, CONSTS)
         assert rep.verdict == "vacuous"
-        trace_vals = [v for _, v in rep.refinement_trace]
+        trace_vals = [v for _, v, _ in rep.refinement_trace]
         assert max(trace_vals) == min(trace_vals)
 
     def test_satisfied_branch(self):
@@ -124,6 +125,18 @@ class TestCompatibilityCheck:
         assert rep.verdict == "diverging"
         assert rep.last_ratio > 2.0
 
+    @staticmethod
+    def check_cube(dim, n, boundary, name):
+        """The verdict on n^dim cells of unit lengths, rho_bar = 1, default keys."""
+        cells, lengths = ", ".join([str(n)] * dim), ", ".join(["1.0"] * dim)
+        prob = build_problem(parse_config(
+            f"[grid]\ndim = {dim}\ncells = {cells}\nlengths = {lengths}\n"
+            f"boundary = {boundary}\nrho_bar = 1\n[model]\nkind = zero\n"
+            f"[scenario]\nname = {name}\n"))
+        st = prob.state0
+        return compatibility_check(st.I, st.rho, st.u, prob.eos, prob.visc, prob.model,
+                                   prob.grids, prob.consts)
+
     @pytest.mark.parametrize("boundary", ["periodic", "farfield"])
     @pytest.mark.parametrize("name, verdict", [("compat-satisfied", "satisfied"),
                                                ("compat-diverging", "diverging")])
@@ -131,15 +144,43 @@ class TestCompatibilityCheck:
         # 48^2 cells, rho_bar = 1, default keys: traces 117.41 -> 118.29
         # (periodic) and 143.26 -> 143.98 (far field) when satisfied, and
         # last ratios 3.83 and 2.75 when diverging
-        prob = build_problem(parse_config(
-            f"[grid]\ndim = 2\ncells = 48, 48\nlengths = 1.0, 1.0\nboundary = {boundary}\n"
-            f"rho_bar = 1\n[model]\nkind = zero\n[scenario]\nname = {name}\n"))
-        st = prob.state0
-        rep = compatibility_check(st.I, st.rho, st.u, prob.eos, prob.visc, prob.model,
-                                  prob.grids, prob.consts)
+        rep = self.check_cube(2, 48, boundary, name)
         assert rep.verdict == verdict
         if verdict == "diverging":
             assert rep.last_ratio > 2.0
+
+    def test_trace_counts_the_cells_at_or_below_each_cut(self):
+        grids, st = self.build("compat-satisfied")
+        rep = compatibility_check(st.I, st.rho, st.u, EOS, VISC, zero_model(),
+                                  grids, CONSTS)
+        cells = [c for _, _, c in rep.refinement_trace]
+        assert cells == [int(np.sum(st.rho <= cut)) for cut, _, _ in rep.refinement_trace]
+        assert [a - b for a, b in zip(cells, cells[1:])] == [6, 4, 2]
+
+    @pytest.mark.parametrize("boundary", ["periodic", "farfield"])
+    @pytest.mark.parametrize("name, verdict", [("compat-satisfied", "satisfied"),
+                                               ("compat-diverging", "diverging")])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_coarse_grid_is_never_inverted(self, dim, boundary, name, verdict):
+        # 24^2: the satisfied trace admits 8, 0, 8 new cells per interval
+        # (94.1, 114.6, 114.6, 380.3) and the diverging one 0, 8, 0 (84.0,
+        # 84.0, 362.1, 362.1); 24^3: 48, 0, 32 and 24, 48, 0.  Comparing the
+        # last two values alone inverted all eight verdicts
+        rep = self.check_cube(dim, 24, boundary, name)
+        assert rep.verdict in (verdict, "unresolved")
+        assert rep.last_ratio is not None
+
+    def test_unresolved_when_an_interval_admits_too_few_cells(self):
+        grids, st = self.build("compat-diverging")
+        cells = [int(np.sum(st.rho <= cut)) for cut in default_cut_schedule(st.rho)]
+        assert min(a - b for a, b in zip(cells, cells[1:])) >= MIN_NEW_CELLS
+        # a cut just below the smallest admits no new cell
+        cuts = default_cut_schedule(st.rho)
+        cuts.append(cuts[-1] * (1.0 - 1e-12))
+        rep = compatibility_check(st.I, st.rho, st.u, EOS, VISC, zero_model(),
+                                  grids, CONSTS, cuts=cuts)
+        assert rep.verdict == "unresolved"
+        assert rep.refinement_trace[-1][2] == rep.refinement_trace[-2][2]
 
     def test_schedule_must_decrease(self):
         grids, st = self.build("smooth-bump")

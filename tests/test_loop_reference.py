@@ -83,6 +83,13 @@ def _field(rng, shape, signed, zeros):
     return f
 
 
+def _at_rest(rng, shape):
+    """Zeros, with -0.0 planted at roughly half the entries."""
+    f = np.zeros(shape)
+    f[rng.random(shape) < 0.5] = -0.0
+    return f
+
+
 def _identical(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -149,10 +156,11 @@ def test_transport_step(grids, seed, c, cfl, coeffs, zeros):
 
 @settings(max_examples=50, deadline=None)
 @given(grids=phase_grids(), seed=seeds, c=st.floats(0.5, 2.0),
-       cfl=st.floats(0.05, 1.0), zeros=st.booleans())
-def test_free_streaming_step(grids, seed, c, cfl, zeros):
+       cfl=st.floats(0.05, 1.0), zeros=st.booleans(), rest=st.booleans())
+def test_free_streaming_step(grids, seed, c, cfl, zeros, rest):
     rng = np.random.default_rng(seed)
-    I_n = _field(rng, grids.radiation_shape(), False, zeros)
+    shape = grids.radiation_shape()
+    I_n = _at_rest(rng, shape) if rest else _field(rng, shape, False, zeros)
     dt = cfl * transport_cfl_limit(grids, c)
     assert _identical(free_streaming_step(I_n, grids, dt, c),
                       loop_free_streaming_step(I_n, grids, dt, c))
@@ -181,10 +189,12 @@ def trace_cases(draw):
         grid = SpatialGrid.periodic(cells, (1.0, 1.0, draw(st.floats(0.5, 2.0))))
         speed = draw(st.floats(0.1, 3.0))
     rng = np.random.default_rng(draw(seeds))
-    zeros = draw(st.booleans())
+    zeros, rest = draw(st.booleans()), draw(st.booleans())
     steps = draw(st.lists(st.floats(0.01, 0.3), min_size=0, max_size=5))
     times = draw(st.floats(0.0, 0.2)) + np.cumsum([0.0] + steps)
-    fields = [speed * _field(rng, (grid.dim,) + grid.extents, True, zeros) for _ in times]
+    shape = (grid.dim,) + grid.extents
+    fields = [_at_rest(rng, shape) if rest else speed * _field(rng, shape, True, zeros)
+              for _ in times]
     rho0 = _field(rng, grid.extents, False, zeros)
     end = float(times[-1])
     t = draw(st.permutations([0.0, 1.25 * end + 0.1]
@@ -202,10 +212,11 @@ def test_characteristics_array_t(case):
         rho0, hist, tb, grid, substeps) for tb in t]))
     assert _identical(got, np.stack([loop_continuity_step_characteristics(
         rho0, hist, tb, grid, substeps) for tb in t]))
-    departure, clamped, _ = _trace_backward(hist, np.array(t), grid, substeps)
+    departure, clamped, divint = _trace_backward(hist, np.array(t), grid, substeps)
     traced = [loop_trace_backward(hist, tb, grid, substeps) for tb in t]
     assert _identical(departure, np.stack([pts for pts, _, _ in traced], axis=1))
     assert clamped == sum(n for _, n, _ in traced)
+    assert _identical(divint, np.stack([d for _, _, d in traced]))
     for b, tb in enumerate(t):
         one, _, _ = _trace_backward(hist, tb, grid, substeps)
         assert _identical(one[:, 0], departure[:, b])
@@ -286,14 +297,15 @@ def test_interp_lead_and_paired_axes(dim, periodic, seed, zeros, n_lead, n_paire
 
 @settings(max_examples=50, deadline=None)
 @given(dim=st.integers(1, 3), periodic=st.booleans(), seed=seeds,
-       duration=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)), zeros=st.booleans())
-def test_heat_smooth(dim, periodic, seed, duration, zeros):
+       duration=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)), zeros=st.booleans(),
+       rest=st.booleans())
+def test_heat_smooth(dim, periodic, seed, duration, zeros, rest):
     rng = np.random.default_rng(seed)
     cells = tuple(int(n) for n in rng.integers(4, 12 if dim == 1 else 6, dim))
     lengths = tuple(rng.uniform(0.5, 2.0, dim))
     grid = SpatialGrid.periodic(cells, lengths) if periodic \
         else SpatialGrid.farfield(cells, lengths, 1.0)
-    u = _field(rng, (dim,) + cells, True, zeros)
+    u = _at_rest(rng, (dim,) + cells) if rest else _field(rng, (dim,) + cells, True, zeros)
     assert _identical(heat_smooth(u, grid, duration), loop_heat_smooth(u, grid, duration))
 
 

@@ -267,6 +267,17 @@ class TestKernelCache:
         model.kernels(FrequencyGrid.from_edges([0.5, 1.0]), slab8)
         assert len(model._kernel_cache) == 2
 
+    def test_band_weights_key_the_gain_matrix(self, slab8):
+        # the weights may differ from the edge differences by up to
+        # 1e-12 * the last edge; the gain matrix carries them, so they key it
+        edges = np.array([0.5, 1.0, 2.0])
+        exact = FrequencyGrid.from_edges(edges)
+        nudged = FrequencyGrid(edges, np.diff(edges) + [1e-13, 0.0], exact.band_centers)
+        model = constant_model(kernel0=0.2)
+        model.scattering_tables(exact, slab8)
+        got, _ = model.scattering_tables(nudged, slab8)
+        want, _ = constant_model(kernel0=0.2).scattering_tables(nudged, slab8)
+        assert got.tobytes() == want.tobytes()
 
     def test_reassigned_kernels_empty_the_cache(self, slab8):
         freq = FrequencyGrid.from_edges([0.5, 1.0, 2.0])

@@ -7,7 +7,7 @@ from hypothesis import strategies as hst
 
 import rhlab.picard as picard
 from rhlab.config import parse_config
-from rhlab.errors import DomainError, IterationError, ParameterError
+from rhlab.errors import DomainError, IterationError, ParameterError, SolverError
 from rhlab import fluid, transport
 from rhlab.fluid import (VelocityHistory, _carry_density, continuity_step_characteristics,
                          heat_smooth)
@@ -815,6 +815,47 @@ class TestHeatFlowChain:
             assert n == len(kwargs.get("t", times)) - 1
             assert len(picard._ITERATE0) == 1
             chain()                                   # back to the first key
+
+    @pytest.mark.parametrize("moved", [None, "u", "I"])
+    def test_a_slab_at_rest_is_not_stepped(self, heat_calls, monkeypatch, moved):
+        # at rest (zeros of either sign) the heat flow, the free streaming and
+        # the trace return their known results without stepping; one nonzero
+        # cell of u0 or I0 makes its operators step again
+        streams = self.counter(monkeypatch, transport, "_streaming")
+        pads = self.counter(monkeypatch, fluid, "pad_ghost")
+        grids = make_grids(n=16, rho_bar=0.0, n_ord=2, n_bands=1)
+        rest = zero_state(grids)
+        I, u = rest.I.copy(), rest.u.copy()
+        I[..., 5], u[0, 3] = -0.0, -0.0
+        if moved == "u":
+            u[0, 7] = 0.5
+        elif moved == "I":
+            I[0, 1, 7] = 0.5
+        states, departures = _initial_iterate(State(I=I, rho=rest.rho, u=u), grids,
+                                              PHYS["consts"], _slab_times(0.0, 0.002, 0.001),
+                                              True)
+        assert len(heat_calls) == 2
+        assert (len(streams) > 0) == (moved == "I")
+        assert (len(pads) > 0) == (moved == "u")
+        if moved is None:
+            assert all(s.I.tobytes() == I.tobytes() and s.u.tobytes() == bytes(s.u.nbytes)
+                       for s in states[1:])
+            pts, decay = departures
+            assert np.all(pts == grids.spatial.axis_coords(0)) and np.all(decay == 1.0)
+
+    def test_a_run_leaves_the_cache_empty(self, heat_calls, tmp_path, monkeypatch):
+        run_scenario(parse_config(_CONTINUATION_RUN.format(out=tmp_path / "ok")))
+        assert picard._ITERATE0 == {}
+        filled = []
+
+        def fail(*args, **kwargs):
+            filled.append(len(picard._ITERATE0))
+            raise SolverError("injected")
+
+        monkeypatch.setattr(picard, "momentum_step", fail)
+        with pytest.raises(SolverError):
+            run_scenario(parse_config(_CONTINUATION_RUN.format(out=tmp_path / "failed")))
+        assert filled == [1] and picard._ITERATE0 == {}
 
     def test_without_characteristics_no_trace(self, heat_calls):
         grids = make_grids(n=16, n_ord=2, n_bands=1)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rhlab import transport
 from rhlab.errors import StepSizeError
-from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
+from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, phase_weights
 from rhlab.physics import CoefficientModel, compton_model, constant_model, zero_model
 from rhlab.transport import (CFL_FRACTION, collision_decomposition, collision_term,
                              linearized_collision_term, momentum_source, radiation_flux,
@@ -407,3 +407,75 @@ def test_substep_transport_positive(dim, c, limits, kind, seed):
     dt = limits * transport_cfl_limit(grids, c)
     out = substep_transport(I, psi, rho, model, grids, dt, 0.0, c)
     assert np.min(out) >= 0.0
+
+
+class TestQuadratureCaches:
+    """The CFL limit and the flux weights are cached by value; the cached
+    forms are bit for bit the ``np.tensordot`` and loop forms they replace."""
+
+    @staticmethod
+    def cases():
+        edges = np.array([0.5, 1.0, 2.0, 3.5])
+        for lengths in ((1.0, 1.0), (0.7, 1.3)):
+            yield Grids(SpatialGrid.periodic(12, lengths[0]), FrequencyGrid.from_edges(edges),
+                        AngularQuadrature.gauss_legendre_slab(8))
+            yield Grids(SpatialGrid.farfield((5, 6), lengths, 1.0),
+                        FrequencyGrid.from_edges(edges[:3]), AngularQuadrature.combined14())
+
+    def test_cached_forms_are_the_reference_forms(self):
+        rng = np.random.default_rng(3)
+        model = constant_model(0.3, 0.2, 0.1)
+        for grids in self.cases():
+            shape = grids.radiation_shape()
+            I, psi = rng.uniform(0.0, 5.0, shape), rng.uniform(0.0, 5.0, shape)
+            rho = rng.uniform(0.0, 3.0, grids.spatial.extents)
+            w = phase_weights(grids.freq, grids.ang)
+            o = grids.ang.ordinates
+            flux = np.tensordot(w[..., None] * o[None, :, :], I, axes=([0, 1], [0, 1]))
+            assert radiation_flux(I, grids).tobytes() == flux.tobytes()
+            tables = transport._coefficient_tables(model, grids, 0.0, rho)
+            gain = tables.emission + np.tensordot(tables.gain_matrix, psi,
+                                                  axes=([2, 3], [0, 1])) * rho
+            got = collision_decomposition(psi, rho, model, grids, 0.0)
+            assert got.gain.tobytes() == gain.tobytes()
+            h = grids.spatial.spacing
+            for c in (0.5, 3.0):
+                worst = max(sum(abs(o[m, a]) / h[a] for a in range(len(h)))
+                            for m in range(len(o)))
+                assert transport_cfl_limit(grids, c) == 1.0 / (c * worst)
+
+    def test_keyed_by_value(self):
+        grids = next(self.cases())
+
+        def flux(other):
+            return radiation_flux(np.ones(other.radiation_shape()), other)
+
+        def misses(call, cached, *args):
+            before = cached.cache_info().misses
+            call(*args)
+            return cached.cache_info().misses - before
+
+        # other tests may have filled either cache with the quadratures below
+        transport._flux_weights.cache_clear()
+        transport._cfl_limit.cache_clear()
+        flux(grids)
+        transport_cfl_limit(grids, 1.0)
+        copy = Grids(SpatialGrid.periodic(12, 1.0),
+                     FrequencyGrid.from_edges(grids.freq.band_edges.copy()),
+                     AngularQuadrature.gauss_legendre_slab(8))
+        assert misses(flux, transport._flux_weights, copy) == 0
+        assert misses(transport_cfl_limit, transport._cfl_limit, copy, 1.0) == 0
+        edges = grids.freq.band_edges
+        nudged = FrequencyGrid(edges, np.diff(edges) + [1e-13, 0.0, 0.0],
+                               grids.freq.band_centers)
+        six = Grids(grids.spatial, grids.freq, AngularQuadrature.gauss_legendre_slab(6))
+        for other in (six, Grids(grids.spatial, nudged, grids.ang)):
+            assert misses(flux, transport._flux_weights, other) == 1
+        wider = Grids(SpatialGrid.periodic(12, 1.5), grids.freq, grids.ang)
+        for other, c in ((six, 1.0), (wider, 1.0), (grids, 0.75)):
+            assert misses(transport_cfl_limit, transport._cfl_limit, other, c) == 1
+        o = grids.ang.ordinates
+        wo = transport._flux_weights(phase_weights(grids.freq, grids.ang).tobytes(),
+                                     o.tobytes(), o.shape[0])
+        with pytest.raises(ValueError):
+            wo[0, 0] = 1.0
