@@ -71,7 +71,8 @@ velocity w has the smaller residual |b - A x|.  Inside a Picard sweep w is
 the previous iterate's velocity at the same step, within one Picard
 increment of the answer, so it is usually the better start (on the 2D
 32x32 far-field benchmark run, 711 Krylov iterations over 40 solves
-instead of 992 from u_old).  The choice costs two residual evaluations.
+instead of 992 from u_old).  The choice costs two residual evaluations,
+and the chosen one is bicgstab's first residual, so it adds one.
 Without convection the start is u_old.
 
 scipy is loaded in parts.  Two compiled modules are loaded with this module
@@ -761,16 +762,21 @@ def _cg(matvec, b: Array, x0: Array, diag: Array) -> tuple[Array, int]:
     return x, MAXITER
 
 
-def _bicgstab(matvec, b: Array, x0: Array, diag: Array) -> tuple[Array, int]:
+def _bicgstab(matvec, b: Array, x0: Array, diag: Array,
+              r0: Array | None = None) -> tuple[Array, int]:
     """Preconditioned BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13,
-    1992)."""
+    1992).  ``r0``, when given, is b - A x0, which the caller has computed
+    already; the routine takes it over and updates it in place."""
     x = np.array(x0, dtype=float)
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
         return b, 0
     atol = max(0.0, KRYLOV_RTOL * float(bnrm2))
     breakdown = np.finfo(float).eps ** 2      # scipy's rho and omega bound
-    r = b - matvec(x) if x.any() else b.copy()
+    if not x.any():
+        r = b.copy()
+    else:
+        r = b - matvec(x) if r0 is None else r0
     rtilde = r.copy()
     p = v = rho_prev = alpha = omega = None
     for iteration in range(MAXITER):
@@ -871,14 +877,17 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
 
     x0 = u_n.reshape(-1)
     if not symmetric:
+        # the chosen start's residual is the one bicgstab begins with
         guess = w.reshape(-1)
-        if np.linalg.norm(b - matvec(guess)) < np.linalg.norm(b - matvec(x0)):
-            x0 = guess
-    krylov, path = (_cg, "Jacobi-cg") if symmetric else (_bicgstab, "Jacobi-bicgstab")
+        r0, r_guess = b - matvec(x0), b - matvec(guess)
+        if np.linalg.norm(r_guess) < np.linalg.norm(r0):
+            x0, r0 = guess, r_guess
+    path = "Jacobi-cg" if symmetric else "Jacobi-bicgstab"
     # iterates that overflow end in the non-finite SolverError below, not in
     # RuntimeWarnings; the values computed are the same either way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, info = krylov(matvec, b, x0, diag)
+        x, info = _cg(matvec, b, x0, diag) if symmetric \
+            else _bicgstab(matvec, b, x0, diag, r0)
         res = float(np.linalg.norm(b - matvec(x))) / float(np.linalg.norm(b))
     iterations = info if info > 0 else None
     if info == NONFINITE or not np.all(np.isfinite(x)):

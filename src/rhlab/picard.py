@@ -56,7 +56,7 @@ from .grid import Grids, check_radiation, check_scalar, check_vector
 from .norms import _differences, _lp_cells, _lp_multi, _phase_l2, lp_norm, snapshot_chunks
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
                       ViscosityParams, pressure)
-from .transport import _advance, _momentum_source, _tables_at
+from .transport import _advance, _coefficients, _momentum_source, _radiation
 
 Array = np.ndarray
 
@@ -342,7 +342,9 @@ def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Gri
                   times: np.ndarray, departures: tuple | None = None) -> list:
     """One sweep of the linearized system over the slab, driven by the
     previous iterate (w, psi) = (u^k, I^k); ``transport._advance`` takes
-    the scattering-in from psi.  With characteristics continuity,
+    the scattering-in from psi.  What transport reads of the model and the
+    quadratures is built once per sweep (``transport._radiation``).  With
+    characteristics continuity,
     ``departures`` is the trace of prev's velocities if already known."""
     grid = grids.spatial
     dim = grid.dim
@@ -358,6 +360,7 @@ def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Gri
         else:
             rho_char = _carry_density(state0.rho, departures, grid)
 
+    rad = _radiation(model, grids, consts.c)
     new_states = [state0]
     for j in range(1, times.size):
         dt = float(times[j] - times[j - 1])
@@ -366,14 +369,16 @@ def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Gri
             rho_new = continuity_step_fv(new_states[-1].rho, prev[j - 1].u, dt, grid)
         else:
             rho_new = rho_char[j - 1]
-        # removal and emission depend on rho_new alone: one build serves every
-        # transport substep and the momentum source (per time if untabulated)
+        # removal and emission depend on rho_new alone: when they do not depend
+        # on t either, one build serves every transport substep and the
+        # momentum source; otherwise each is evaluated at its own time
         t_prev = float(times[j - 1])
-        tables_at = _tables_at(model, grids, t_prev, rho_new)
-        I_new = _advance(new_states[-1].I, prev[j - 1].I, rho_new, tables_at, grids, dt,
-                         t_prev, consts.c)
+        coeffs = _coefficients(rad, rho_new, t_prev)
+        I_new = _advance(new_states[-1].I, prev[j - 1].I, rho_new, rad, grids, dt, t_prev,
+                         consts.c, coeffs)
         p_new = pressure(eos, rho_new, grid)
-        f_rad = _momentum_source(I_new, rho_new, tables_at(t_new), grids, consts.c)[:dim]
+        coeffs = _coefficients(rad, rho_new, t_new, coeffs)
+        f_rad = _momentum_source(I_new, rho_new, rad, coeffs, consts.c)[:dim]
         u_new = momentum_step(new_states[-1].u, rho_new, prev[j].u, p_new, f_rad,
                               visc, dt, grid, p_ref=p_ref)
         new_states.append(State(I=I_new, rho=rho_new, u=u_new))

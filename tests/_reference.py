@@ -1,7 +1,9 @@
 """Independent oracles: brute-force quadrature of the collision term, a
 monolithic (no fixed-point) coupled integrator, and per-(band, ordinate) loop
 versions of the batched phase-space operators and of the coefficient
-tables, the Lame operator composed from the gradient and divergence, the
+tables, the radiation half of a Picard step with the coefficient tables
+broadcast to whole (band, ordinate) + cells arrays, the Lame operator
+composed from the gradient and divergence, the
 momentum matrix assembled from whole sparse blocks on its own difference
 and Lame matrices, the CSR matrices on a momentum layout's
 pattern, the one-start-time characteristics trace
@@ -19,11 +21,12 @@ import scipy.sparse as sp
 
 from rhlab.diagnostics import BlowupReport
 from rhlab.fluid import VelocityHistory, continuity_step_fv, momentum_step
-from rhlab.grid import _view, divergence, gradient, second_difference
+from rhlab.grid import _view, divergence, gradient, phase_weights, second_difference
 from rhlab.norms import NormSettings
 from rhlab.physics import pressure
 from rhlab.picard import State
-from rhlab.transport import collision_decomposition, momentum_source, substep_transport
+from rhlab.transport import (CFL_FRACTION, collision_decomposition, momentum_source,
+                             substep_transport, transport_cfl_limit)
 
 
 def brute_force_collision(I, rho, model, grids, t):
@@ -193,6 +196,86 @@ def loop_free_streaming_step(I_n, grids, dt, c):
                                      grids.spatial)
             out[b, m] = I_n[b, m] - c * dt * stream
     return out
+
+
+# ---------------------------------------------------------------------------
+# the radiation half with broadcast coefficient tables
+# ---------------------------------------------------------------------------
+
+def broadcast_tables(model, grids, t, rho):
+    """(removal, emission, gain matrix) at density rho and time t: sigma_bm
+    and emission_bm filled out to (B, M) + cells, removal (sigma + Lam_s) rho,
+    and the (B, M, B, M) gain matrix."""
+    gain_matrix, lam_s = model.scattering_tables(grids.freq, grids.ang)
+    sigma = model.sigma_bm(grids, t, rho)
+    removal = (sigma + lam_s.reshape(lam_s.shape + (1,) * grids.spatial.dim)) * rho
+    return removal, model.emission_bm(grids, t, rho), gain_matrix
+
+
+def broadcast_gain(emission, gain_matrix, psi, rho):
+    """S + the scattering-in from psi, by ``np.tensordot``."""
+    return emission + np.tensordot(gain_matrix, psi, axes=([2, 3], [0, 1])) * rho
+
+
+def loop_streaming(I, grids):
+    """Upwind streaming of a whole (B, M) + cells field, one (b, m) at a time."""
+    out = np.empty_like(I)
+    dim = grids.spatial.dim
+    for b in range(grids.freq.n_bands):
+        for m in range(grids.ang.n_ordinates):
+            out[b, m] = _loop_streaming(I[b, m], grids.ang.ordinates[m, :dim],
+                                        grids.spatial)
+    return out
+
+
+def broadcast_transport_step(I_n, psi, rho, model, grids, dt, t, c):
+    """Linearized transport step from the broadcast tables, out of place
+    (no CFL check)."""
+    removal, emission, gain_matrix = broadcast_tables(model, grids, t, rho)
+    gain = broadcast_gain(emission, gain_matrix, psi, rho)
+    return (I_n + c * dt * (gain - loop_streaming(I_n, grids))) / (1.0 + c * dt * removal)
+
+
+def broadcast_substep_transport(I_n, psi, rho, model, grids, dt, t, c):
+    """The fewest equal substeps of at most ``CFL_FRACTION`` of the CFL
+    limit, each a ``broadcast_transport_step`` with the tables of its start
+    time."""
+    limit = transport_cfl_limit(grids, c)
+    n_sub = max(1, int(np.ceil(dt / (CFL_FRACTION * limit)))) if np.isfinite(limit) else 1
+    sub = dt / n_sub
+    I = I_n
+    for k in range(n_sub):
+        I = broadcast_transport_step(I, psi, rho, model, grids, sub, t + k * sub, c)
+    return I
+
+
+def broadcast_momentum_source(I, rho, model, grids, t, c):
+    """-(1/c) int int A_r Omega: the broadcast tables, ``np.tensordot`` with
+    w Omega, out of place."""
+    removal, emission, gain_matrix = broadcast_tables(model, grids, t, rho)
+    gain = broadcast_gain(emission, gain_matrix, I, rho)
+    wo = phase_weights(grids.freq, grids.ang)[..., None] * grids.ang.ordinates[None, :, :]
+    return -np.tensordot(wo, gain - removal * I, axes=([0, 1], [0, 1])) / c
+
+
+def broadcast_sweep(prev, state0, model, grids, visc, eos, consts, times):
+    """One Picard sweep with finite-volume continuity, its radiation half
+    from the broadcast tables: transport with the tables at each substep's
+    start time, the momentum source with those at the step's end."""
+    grid = grids.spatial
+    p_ref = eos.reference_pressure(grid.rho_bar)
+    states = [state0]
+    for j in range(1, len(times)):
+        dt = float(times[j] - times[j - 1])
+        rho = continuity_step_fv(states[-1].rho, prev[j - 1].u, dt, grid)
+        I = broadcast_substep_transport(states[-1].I, prev[j - 1].I, rho, model, grids, dt,
+                                        float(times[j - 1]), consts.c)
+        f_rad = broadcast_momentum_source(I, rho, model, grids, float(times[j]),
+                                          consts.c)[:grid.dim]
+        u = momentum_step(states[-1].u, rho, prev[j].u, pressure(eos, rho, grid), f_rad,
+                          visc, dt, grid, p_ref=p_ref)
+        states.append(State(I=I, rho=rho, u=u))
+    return states
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ slice), for the characteristics trace of many start times at once against
 one start time at a time, for the in-place heat-flow mollifier
 against its freshly padded loop version, for the whole-array coefficient
 tables of the built-in models against one callable call per (band,
-ordinate), and for the ghost layers against ``np.pad``.  A snapshot stack
-read back with ``np.load`` is the stack that was written, byte for byte.
+ordinate), and for the ghost layers against ``np.pad``.  The radiation
+half of a Picard step (collision decomposition, transport step, substep
+loop, momentum source, and one whole sweep) agrees with its form on
+coefficient tables broadcast to (band, ordinate) + cells, out of place.  A
+snapshot stack read back with ``np.load`` is the stack that was written,
+byte for byte.
 
 The Phi/Theta monitor and the Picard metric, which take their norms over
 chunks of stacked snapshots, agree with their one-snapshot-at-a-time loop
@@ -35,11 +39,17 @@ from rhlab.fluid import (VelocityHistory, _clamp_points, _interp, _trace_backwar
 from rhlab.grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, gradient,
                         pad_ghost, write_field_snapshot)
 from rhlab.norms import MIXED_INNER_KINDS, NormSettings, mixed_radiation_norm
-from rhlab.physics import _tabulated_emission, compton_model, constant_model, zero_model
-from rhlab.picard import State, Trajectory, gamma_metric
-from rhlab.transport import free_streaming_step, transport_cfl_limit, transport_step
+from rhlab.physics import (CoefficientModel, EquationOfState, PhysicalConstants,
+                           ViscosityParams, _tabulated_emission, compton_model,
+                           constant_model, zero_model)
+from rhlab.picard import (SlabConfig, State, Trajectory, _iterate_once, _slab_times,
+                          gamma_metric)
+from rhlab.transport import (collision_decomposition, free_streaming_step, momentum_source,
+                             substep_transport, transport_cfl_limit, transport_step)
 
-from _reference import (loop_blowup_monitor, loop_clamp_points,
+from _reference import (broadcast_gain, broadcast_momentum_source,
+                        broadcast_substep_transport, broadcast_sweep, broadcast_tables,
+                        broadcast_transport_step, loop_blowup_monitor, loop_clamp_points,
                         loop_continuity_step_characteristics, loop_free_streaming_step,
                         loop_gamma_increment, loop_gamma_metric, loop_gradient,
                         loop_heat_smooth, loop_interp_field, loop_mixed_radiation_norm,
@@ -364,6 +374,114 @@ def test_coefficient_tables(case, seed, t, zeros):
     got = model.emission_bm(grids, t, rho)
     assert _identical(got, loop_tabulate(model.emission, grids, t))
     assert _identical(got, loop_tabulate(emission, grids, t))
+
+
+RADIATION_MODELS = ("zero", "constant", "compton", "callable", "rho-emission")
+
+
+def _kernel(a):
+    """A scattering kernel of strength a that varies with mu and with v'/v."""
+    def kernel(v_from, v_to, mu):
+        return a * (1.0 + 0.5 * np.asarray(mu, dtype=float) ** 2) * np.sqrt(v_from / v_to)
+    return kernel
+
+
+@st.composite
+def radiation_cases(draw, max_dim=3):
+    """A 1D, 2D or 3D grid, periodic or far field, and a model of each kind
+    the radiation half treats: the built-in zero, constant and Compton
+    models (tabulated), one with untabulated sigma and emission that depend
+    on t, and one whose emission depends on rho (with or without a table)."""
+    dim = draw(st.integers(1, max_dim))
+    cells = tuple(draw(st.lists(st.integers(4, 10 if dim == 1 else 5), min_size=dim,
+                                max_size=dim)))
+    lengths = tuple(draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim)))
+    spatial = SpatialGrid.periodic(cells, lengths) if draw(st.booleans()) \
+        else SpatialGrid.farfield(cells, lengths, draw(st.floats(0.0, 2.0)))
+    if dim == 1:
+        ang = draw(st.sampled_from([AngularQuadrature.beams_slab(),
+                                    AngularQuadrature.gauss_legendre_slab(4)]))
+    else:
+        ang = draw(st.sampled_from([AngularQuadrature.axes3d, AngularQuadrature.corners3d,
+                                    AngularQuadrature.combined14]))()
+    grids = Grids(spatial, FrequencyGrid.from_edges(_EDGES[:draw(st.integers(2, 4))]), ang)
+    kind = draw(st.sampled_from(RADIATION_MODELS))
+    s0, k0, e0 = draw(positive), draw(st.floats(0.0, 2.0)), draw(positive)
+    if kind == "zero":
+        return grids, zero_model()
+    if kind == "constant":
+        return grids, constant_model(s0, k0, e0)
+    if kind == "compton":
+        return grids, compton_model(*[draw(positive) for _ in range(4)],
+                                    sigma_s_profile=_kernel(k0), emission0=e0)
+    if kind == "callable":
+        return grids, CoefficientModel(
+            sigma=lambda v, omega, t, x, rho: np.full_like(rho, s0 * (1.0 + t * t) / v),
+            sigma_s_bar=_kernel(k0), sigma_s_bar_prime=_kernel(0.5 * k0),
+            emission=lambda v, omega, t, x: e0 * (1.0 + t) * v)
+    model = constant_model(s0, k0, 0.0)
+
+    def emission(v, omega, t, x, rho):
+        return e0 * rho
+    if draw(st.booleans()):
+        emission.table = lambda v, rho: e0 * rho
+    model.emission, model.emission_depends_rho = emission, True
+    return grids, model
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=radiation_cases(), seed=seeds, c=st.floats(0.5, 2.0), limits=st.floats(0.05, 3.5),
+       t=st.floats(-1.0, 1.0), zeros=st.booleans())
+def test_radiation_half(case, seed, c, limits, t, zeros):
+    # each public step against the broadcast tables, out of place; beyond
+    # CFL_FRACTION limits substep_transport takes two to four substeps
+    grids, model = case
+    rng = np.random.default_rng(seed)
+    shape = grids.radiation_shape()
+    I, psi = _field(rng, shape, False, zeros), _field(rng, shape, False, zeros)
+    rho = _field(rng, grids.spatial.extents, False, zeros)
+    limit = transport_cfl_limit(grids, c)
+    removal, emission, gain_matrix = broadcast_tables(model, grids, t, rho)
+    dec = collision_decomposition(psi, rho, model, grids, t)
+    assert _identical(dec.removal, removal)
+    assert _identical(dec.gain, broadcast_gain(emission, gain_matrix, psi, rho))
+    assert _identical(momentum_source(I, rho, model, grids, t, c),
+                      broadcast_momentum_source(I, rho, model, grids, t, c))
+    step = min(limits, 1.0) * limit
+    assert _identical(transport_step(I, psi, rho, model, grids, step, t, c),
+                      broadcast_transport_step(I, psi, rho, model, grids, step, t, c))
+    assert _identical(substep_transport(I, psi, rho, model, grids, limits * limit, t, c),
+                      broadcast_substep_transport(I, psi, rho, model, grids, limits * limit,
+                                                  t, c))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=radiation_cases(max_dim=2), seed=seeds, steps=st.integers(1, 3),
+       limits=st.floats(0.3, 3.0), zeros=st.booleans())
+def test_sweep_radiation_half(case, seed, steps, limits, zeros):
+    # one Picard sweep: the record built once, the removal formed once per
+    # step (per substep time when untabulated) and shared by the momentum
+    # source, against the broadcast tables at every substep and at t_new
+    grids, model = case
+    grid = grids.spatial
+    rng = np.random.default_rng(seed)
+    consts = PhysicalConstants(1.0)
+    dt = limits * transport_cfl_limit(grids, consts.c)
+    times = _slab_times(0.0, steps * dt, dt)
+
+    def state():
+        return State(I=_field(rng, grids.radiation_shape(), False, zeros),
+                     rho=rng.uniform(0.5, 2.0, grid.extents),
+                     u=0.1 * _field(rng, (grid.dim,) + grid.extents, True, zeros))
+
+    state0, prev = state(), [state() for _ in times]
+    args = (model, grids, ViscosityParams(1.0, 0.0), EquationOfState.polytropic(1.0, 2.0),
+            consts)
+    got = _iterate_once(prev, state0, *args, SlabConfig(steps * dt, dt), times)
+    want = broadcast_sweep(prev, state0, *args, times)
+    assert len(got) == len(want) == steps + 1
+    for a, b in zip(got[1:], want[1:]):
+        assert _identical(a.I, b.I) and _identical(a.rho, b.rho) and _identical(a.u, b.u)
 
 
 @settings(max_examples=50, deadline=None)

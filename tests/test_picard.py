@@ -13,8 +13,8 @@ from rhlab.fluid import (VelocityHistory, _carry_density, continuity_step_charac
                          heat_smooth)
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from rhlab.norms import lp_norm
-from rhlab.physics import (EquationOfState, PhysicalConstants, ViscosityParams,
-                           constant_model, zero_model)
+from rhlab.physics import (CoefficientModel, EquationOfState, PhysicalConstants,
+                           ViscosityParams, constant_model, zero_model)
 from rhlab.picard import (DeltaSchedule, PicardDiagnostics, SlabConfig, State,
                           _initial_iterate, _slab_times, _stop_rule,
                           delta_continuation, gamma_metric, solve,
@@ -94,9 +94,9 @@ class TestOneTransportAdvance:
         calls = []
         real = picard._advance
 
-        def counted(I_n, psi, rho_new, tables_at, grids, dt, t, c):
-            calls.append("free" if tables_at is None else "sweep")
-            return real(I_n, psi, rho_new, tables_at, grids, dt, t, c)
+        def counted(I_n, psi, rho_new, rad, *rest):
+            calls.append("free" if rad is None else "sweep")
+            return real(I_n, psi, rho_new, rad, *rest)
 
         monkeypatch.setattr(picard, "_advance", counted)
         grids = make_grids()
@@ -104,6 +104,44 @@ class TestOneTransportAdvance:
         _, diag = run_slab(bump_state(grids), constant_model(0.5, 0.1, 0.05), grids, cfg)
         assert diag.halvings == 0 and diag.iterations >= 2
         assert calls == ["free"] * 5 + ["sweep"] * 5 * diag.iterations
+
+    @pytest.mark.parametrize("tabulated", [True, False])
+    def test_quadrature_constants_read_once_per_sweep(self, monkeypatch, tabulated):
+        # w1's shape: 1D periodic, 128 cells, 8 ordinates x 4 bands, 20 steps
+        grids = make_grids(n=128, boundary="periodic")
+        model = constant_model(0.2, 0.05, 0.05)
+        if not tabulated:
+            model.sigma = lambda v, omega, t, x, rho: np.full_like(rho, 0.2)
+        cfg = SlabConfig(slab_length=0.01, dt=5e-4)
+        times = _slab_times(0.0, cfg.slab_length, cfg.dt)
+        state0 = bump_state(grids)
+        prev, _ = _initial_iterate(state0, grids, PHYS["consts"], times)
+        picard._ITERATE0.clear()
+        counts = {}
+
+        def count(owner, name, wrap=lambda f: f):
+            real = getattr(owner, name)
+            counts[name] = 0
+
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrap(counted))
+
+        count(CoefficientModel, "_quadrature_key", staticmethod)
+        for name in ("_upwind_sets", "_flux_weights", "_cfl_limit"):
+            count(transport, name)
+        for name in ("sigma_bm", "emission_bm"):
+            count(CoefficientModel, name)
+        picard._iterate_once(prev, state0, model, grids, PHYS["visc"], PHYS["eos"],
+                             PHYS["consts"], cfg, times)
+        steps = times.size - 1
+        assert steps == 20
+        # untabulated: each step's one substep and its momentum source
+        evaluations = 0 if tabulated else 2 * steps
+        assert counts == dict(_quadrature_key=1, _upwind_sets=1, _flux_weights=1,
+                              _cfl_limit=1, sigma_bm=evaluations, emission_bm=evaluations)
 
     def test_slab_config_has_no_transport_cfl(self):
         assert "transport_cfl" not in SlabConfig.__slots__

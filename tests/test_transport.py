@@ -14,7 +14,7 @@ from rhlab.transport import (CFL_FRACTION, collision_decomposition, collision_te
                              free_streaming_step, radiation_pressure_tensor,
                              substep_transport, transport_cfl_limit, transport_step)
 
-from _reference import brute_force_collision, loop_transport_step
+from _reference import brute_force_collision, broadcast_tables, loop_transport_step
 
 
 @pytest.fixture
@@ -222,6 +222,21 @@ class TestTransportStep:
         with pytest.raises(StepSizeError):
             transport_step(I, I, np.ones(8), zero_model(), grids_small,
                            1.5 * limit, 0.0, 1.0)
+
+    @pytest.mark.parametrize("dt", [-0.05, 0.0, -0.0, float("nan"), float("inf"),
+                                    -float("inf")])
+    def test_step_must_be_positive_and_finite(self, grids_small, dt):
+        # one unit cell on an 8-cell periodic grid: a negative step would
+        # drive it below 0, and a NaN step would return NaN everywhere
+        I = np.zeros(grids_small.radiation_shape())
+        I[..., 3] = 1.0
+        rho, model = np.ones(8), constant_model(0.2, 0.05, 0.05)
+        steps = (lambda: free_streaming_step(I, grids_small, dt, 1.0),
+                 lambda: transport_step(I, I, rho, model, grids_small, dt, 0.0, 1.0),
+                 lambda: substep_transport(I, I, rho, model, grids_small, dt, 0.0, 1.0))
+        for step in steps:
+            with pytest.raises(StepSizeError, match="positive and finite"):
+                step()
 
     def test_positivity_exact(self, grids_small, rng):
         model = constant_model(0.8, 0.4, 0.2)
@@ -433,11 +448,11 @@ class TestQuadratureCaches:
             o = grids.ang.ordinates
             flux = np.tensordot(w[..., None] * o[None, :, :], I, axes=([0, 1], [0, 1]))
             assert radiation_flux(I, grids).tobytes() == flux.tobytes()
-            tables = transport._coefficient_tables(model, grids, 0.0, rho)
-            gain = tables.emission + np.tensordot(tables.gain_matrix, psi,
-                                                  axes=([2, 3], [0, 1])) * rho
+            removal, emission, gain_matrix = broadcast_tables(model, grids, 0.0, rho)
+            gain = emission + np.tensordot(gain_matrix, psi, axes=([2, 3], [0, 1])) * rho
             got = collision_decomposition(psi, rho, model, grids, 0.0)
             assert got.gain.tobytes() == gain.tobytes()
+            assert got.removal.tobytes() == removal.tobytes()
             h = grids.spatial.spacing
             for c in (0.5, 3.0):
                 worst = max(sum(abs(o[m, a]) / h[a] for a in range(len(h)))
