@@ -155,10 +155,10 @@ class DeltaSchedule(Value):
     """Strictly decreasing, finite, positive density lifts for vacuum
     regularization."""
 
-    __slots__ = ("deltas", "extrapolate")
+    __slots__ = ("deltas",)
 
-    def __init__(self, deltas: tuple, extrapolate: bool = False):
-        self._set(deltas=tuple(float(x) for x in deltas), extrapolate=extrapolate)
+    def __init__(self, deltas: tuple):
+        self._set(deltas=tuple(float(x) for x in deltas))
         raise_first_failure(self.checks(self.deltas))
 
     @staticmethod
@@ -171,15 +171,14 @@ class DeltaSchedule(Value):
 
 
 class ContinuationReport(Record):
-    """Deltas, pairwise differences of the lifted solutions, and whether the
-    result is extrapolated; ``monotone`` and ``warning`` derive from these."""
+    """Deltas and pairwise differences of the lifted solutions; ``monotone``
+    and ``warning`` derive from these."""
 
-    __slots__ = ("deltas", "differences", "extrapolated")
+    __slots__ = ("deltas", "differences")
 
-    def __init__(self, deltas: list, differences: list, extrapolated: bool = False):
+    def __init__(self, deltas: list, differences: list):
         self.deltas = deltas
         self.differences = differences
-        self.extrapolated = extrapolated
 
     @property
     def monotone(self) -> bool:
@@ -501,9 +500,8 @@ def delta_continuation(state0: State, model: CoefficientModel, grids: Grids,
     schedule; report pairwise differences of the resulting (rho, u) states.
 
     Differences must decrease along the schedule; a non-monotone sequence is
-    reported as a warning, never an error.  With ``extrapolate`` the delta -> 0
-    state is estimated by first-order Richardson extrapolation of the last two
-    solutions.
+    reported as a warning, never an error.  The state returned is the
+    solution at the last, smallest delta.
     """
     finals = [solve_slab(State(I=state0.I, rho=state0.rho + delta, u=state0.u), model,
                          _lift_grids(grids, delta), visc, eos, consts, cfg, t0)[0]
@@ -513,14 +511,4 @@ def delta_continuation(state0: State, model: CoefficientModel, grids: Grids,
                            + lp_norm(a.u - b.u, 2.0, grids.spatial) ** 2))
              for a, b in zip(finals, finals[1:])]
 
-    result = finals[-1]
-    extrapolated = schedule.extrapolate and len(finals) >= 2
-    if extrapolated:
-        d_prev, d_last = schedule.deltas[-2], schedule.deltas[-1]
-        w = d_last / (d_prev - d_last)
-        s_prev, s_last = finals[-2], finals[-1]
-        result = State(I=s_last.I + w * (s_last.I - s_prev.I),
-                       rho=np.maximum(s_last.rho + w * (s_last.rho - s_prev.rho), 0.0),
-                       u=s_last.u + w * (s_last.u - s_prev.u))
-    return result, ContinuationReport(deltas=list(schedule.deltas), differences=diffs,
-                                      extrapolated=extrapolated)
+    return finals[-1], ContinuationReport(deltas=list(schedule.deltas), differences=diffs)

@@ -112,13 +112,15 @@ def loop_gradient(f, grid, farfield_value=0.0):
 
 
 def _loop_lp(f, p, grid):
-    """Whole-field Lp norm; component axes use the pointwise magnitude."""
+    """Whole-field Lp norm; component axes use the pointwise magnitude.
+    |f|^4 is two squarings, as ``rhlab.norms`` takes it."""
     if f.ndim == grid.dim:
         mag = np.abs(f)
     else:
         comps = f.reshape((-1,) + grid.extents)
         mag = np.sqrt(np.sum(comps * comps, axis=0))
-    return float(np.sum(mag ** p) * grid.cell_volume) ** (1.0 / p)
+    powered = np.square(np.square(mag)) if p == 4 else mag ** p
+    return float(np.sum(powered) * grid.cell_volume) ** (1.0 / p)
 
 
 def _loop_inner_norm(f, inner, settings, grid):

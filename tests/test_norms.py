@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rhlab.errors import ParameterError
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
-from rhlab.norms import (NormSettings, lp_norm, mixed_radiation_norm,
+from rhlab.norms import (NormSettings, _lp_cells, _lp_multi, lp_norm, mixed_radiation_norm,
                          sobolev_norm)
 
 from conftest import random_smooth_field
@@ -168,3 +168,37 @@ def test_square_is_the_power_two_bit_for_bit(values):
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         got, want = np.square(x), x ** 2.0
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+
+_MAX4 = float(np.finfo(float).max) ** 0.25      # 2^256: the fourth power overflows from here
+_TINY4 = float(np.finfo(float).tiny) ** 0.25    # fourth powers below it are subnormal
+
+
+@given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.floats(1e-82, 1e-76), st.floats(1e76, 1.01 * _MAX4)),
+                       min_size=1, max_size=64))
+@example(values=[0.0, -0.0, 5e-324, 2.2250738585072014e-308, 5e-324 ** 0.25,
+                 float(np.nextafter(_TINY4, 0.0)), _TINY4, 1.49e-154,
+                 float(np.nextafter(_MAX4, 0.0)), _MAX4, -_MAX4, 1.7e308])
+def test_two_squarings_are_the_fourth_power_within_two_ulp(values):
+    # the L4 sums take (x^2)^2 in place of ** 4.0 (libm pow): on every
+    # finite double the two lie within 2 ulp, and they overflow together
+    x = np.array(values)
+    with np.errstate(over="ignore", under="ignore"):
+        got, want = np.square(np.square(x)), x ** 4.0
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    finite = np.isfinite(want)
+    # both are non-negative, and non-negative doubles order as their bits
+    ulps = np.abs(got[finite].view(np.int64) - want[finite].view(np.int64))
+    assert np.all(ulps <= 2)
+
+
+def test_fourth_power_is_two_squarings_whether_or_not_last():
+    grid = SpatialGrid.farfield((6, 5), (1.0, 0.8), 1.0)
+    f = np.random.default_rng(5).normal(size=(3, 2) + grid.extents)
+    fourth, second = _lp_multi(f, (4.0, 2.0), grid, lead=1)
+    mag = np.sqrt(np.sum(f * f, axis=1))
+    sums = np.sum(np.square(np.square(mag)), axis=(1, 2)) * grid.cell_volume
+    assert fourth.tolist() == [s ** 0.25 for s in sums.tolist()]
+    assert np.array_equal(fourth, _lp_cells(f, 4.0, grid, lead=1))
+    assert np.array_equal(second, _lp_cells(f, 2.0, grid, lead=1))

@@ -652,23 +652,22 @@ class TestDeltaContinuation:
         assert rep.monotone
         assert rep.differences[1] < rep.differences[0]
 
-    def test_extrapolation_reduces_lift_bias(self):
+    def test_lift_bias_shrinks_with_delta(self):
+        # the state returned is the smallest delta's, and a smaller lift
+        # lands closer to the unlifted solution
         grids = make_grids(n=64)
         st = bump_state(grids)
         cfg = SlabConfig(slab_length=0.004, dt=0.001)
         base, _ = solve_slab(st, self.MODEL, grids, PHYS["visc"], PHYS["eos"],
                              PHYS["consts"], cfg)
-        extr, rep = delta_continuation(st, self.MODEL, grids, PHYS["visc"],
-                                       PHYS["eos"], PHYS["consts"], cfg,
-                                       DeltaSchedule((1e-2, 1e-3),
-                                                     extrapolate=True))
-        assert rep.extrapolated
-        last, _ = delta_continuation(st, self.MODEL, grids, PHYS["visc"],
-                                     PHYS["eos"], PHYS["consts"], cfg,
-                                     DeltaSchedule((1e-3,)))
-        err_extr = lp_norm(extr.rho - base.rho, 2.0, grids.spatial)
-        err_last = lp_norm(last.rho - base.rho, 2.0, grids.spatial)
-        assert err_extr < err_last
+        errs = []
+        for deltas in ((1e-2,), (1e-2, 1e-3)):
+            last, rep = delta_continuation(st, self.MODEL, grids, PHYS["visc"],
+                                           PHYS["eos"], PHYS["consts"], cfg,
+                                           DeltaSchedule(deltas))
+            assert rep.deltas == list(deltas)
+            errs.append(lp_norm(last.rho - base.rho, 2.0, grids.spatial))
+        assert errs[1] < errs[0]
 
 
 class TestStateValidation:

@@ -31,8 +31,7 @@ VALID = {
          "rho_bar": st.floats(0.0, 1e3)})),
     DeltaSchedule: st.fixed_dictionaries(
         {"deltas": st.lists(POSITIVE, min_size=1, max_size=4, unique=True).map(
-            lambda d: tuple(sorted(d, reverse=True)))},
-        optional={"extrapolate": st.booleans()}),
+            lambda d: tuple(sorted(d, reverse=True)))}),
 }
 
 # the invalid arguments of the classes' own tests
@@ -82,8 +81,7 @@ def test_replace_validates_again():
 
 def test_repr_is_the_dataclass_repr():
     assert repr(ViscosityParams(mu=1.0, lam=0.5)) == "ViscosityParams(mu=1.0, lam=0.5)"
-    assert repr(DeltaSchedule([1, 0.5])) == \
-        "DeltaSchedule(deltas=(1.0, 0.5), extrapolate=False)"
+    assert repr(DeltaSchedule([1, 0.5])) == "DeltaSchedule(deltas=(1.0, 0.5))"
 
 
 def test_equal_viscosities_share_the_momentum_layout():
