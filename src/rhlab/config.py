@@ -29,9 +29,10 @@ uses: it returns a ``Problem`` with the grids, laws, coefficient model, slab
 policy, delta schedule and initial state.  Validation builds with the same
 private constructors (``_grids``, ``_eos``, ``_state0``), so a parsed config
 builds its grids and initial state twice, once in ``parse_config`` and once
-in ``build_problem``.  That costs about 0.5 ms on a 2-vCPU Xeon, against
-150-200 ms for a benchmark run, and a cached ``Problem`` would share its
-mutable arrays between runs, so none is kept.
+in ``build_problem``.  On the benchmark workloads w1, w2 and w4 that costs
+0.5-0.65 ms on a 2-vCPU Xeon, against a median ``run_s`` of 67-113 ms,
+and a cached ``Problem`` would share its mutable arrays between runs, so
+none is kept.
 """
 
 from __future__ import annotations

@@ -70,8 +70,9 @@ The Krylov iteration starts from whichever of u_old and the convecting
 velocity w has the smaller residual |b - A x|.  Inside a Picard sweep w is
 the previous iterate's velocity at the same step, within one Picard
 increment of the answer, so it is usually the better start (on the 2D
-32x32 far-field benchmark run, 711 Krylov iterations over 40 solves
-instead of 992 from u_old).  The choice costs two residual evaluations,
+32x32 far-field benchmark run at seed 0, 526 Krylov iterations over 30
+solves instead of 656 from u_old, a BiCGSTAB pass that stops at its half
+step counted whole).  The choice costs two residual evaluations,
 and the chosen one is bicgstab's first residual, so it adds one.
 Without convection the start is u_old.
 

@@ -62,13 +62,17 @@ class PhysicalConstants(Value):
 
 
 class EquationOfState:
-    """Barotropic pressure law: polytropic p = A rho^gamma, or a monotone C1
-    interpolation of tabulated (rho, p) samples.
+    """Barotropic pressure law: polytropic p = A rho^gamma, or a C1
+    interpolation of tabulated (rho, p) samples, which need not be monotone
+    (the paper's p_m is any C1 law).
 
     The table interpolant is SciPy's ``PchipInterpolator``; it is imported
     the first time a table EOS is built, not when ``rhlab`` is imported.  A
     table starts at rho = 0 (p_m is a law on [0, inf)); above it, the law
-    goes on linearly with the end slope, as PCHIP's cubic is not monotone.
+    goes on linearly with the end slope, as PCHIP's extrapolated cubic does
+    not stay near the samples.  A table whose interpolant is not finite
+    between its samples, or whose end slope is not finite, is rejected, so
+    the law is nowhere NaN.
     """
 
     def __init__(self, kind: str, A: float | None = None, gamma: float | None = None,
@@ -88,15 +92,22 @@ class EquationOfState:
             self.gamma = None
             # imported here: it costs about 0.3 s and polytropic runs never use it
             from scipy.interpolate import PchipInterpolator
-            # monotone cubic keeps p in C1 with p' >= 0 between samples
-            try:   # slopes that overflow (subnormal spacing) raise ValueError
-                with np.errstate(over="ignore"):
+            # PCHIP is C1 for any samples; samples spaced or sized near the float
+            # range give it non-finite coefficients or end slope, or cubic terms
+            # that overflow on their interval, where the law would be inf or NaN
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                try:   # slopes that overflow (subnormal spacing) raise ValueError
                     self._interp = PchipInterpolator(rho_s, p_s, extrapolate=True)
-            except ValueError as exc:
-                raise ParameterError(f"table has no monotone interpolant: {exc}") from exc
-            end = np.array([rho_s[-1]])     # one linear piece, extrapolated on
-            line = [[0.0], [0.0], self._interp(end, 1), self._interp(end)]
-            self._interp.extend(line, end + 1.0)
+                except ValueError as exc:
+                    raise ParameterError(f"table has no finite C1 interpolant: {exc}") \
+                        from exc
+                self._end = (float(rho_s[-1]), float(self._interp(rho_s[-1], 1)))
+                # |c_j| h^(3-j) bounds each term of a piece's cubic on its
+                # interval; twice their sum stays finite, so rounding cannot overflow
+                powers = np.diff(rho_s) ** np.arange(3.0, -1.0, -1.0)[:, None]
+                bound = 2.0 * np.sum(np.abs(self._interp.c) * powers, axis=0)
+            if not (np.all(np.isfinite(bound)) and np.isfinite(self._end[1])):
+                raise ParameterError("table has no finite C1 interpolant: its cubic overflows")
 
     @staticmethod
     def checks(kind: str, A: float | None, gamma: float | None) -> list:
@@ -116,17 +127,16 @@ class EquationOfState:
         """(field, failed, message) rows of the table samples, keyed by the
         ``[physics]`` key of their column; no row raises on malformed arrays."""
         shape = "table needs matching 1D sample arrays (>= 4 points)"
-        # differences of finite 1-D columns only, so that none is inf - inf
-        steps = [np.diff(s) if s.ndim == 1 and np.all(np.isfinite(s)) else np.zeros(0)
-                 for s in (rho_s, p_s)]
+        # differences of a finite 1-D column only, so that none is inf - inf
+        steps = np.diff(rho_s) if rho_s.ndim == 1 and np.all(np.isfinite(rho_s)) \
+            else np.zeros(0)
         first = rho_s.flat[0] if rho_s.size else 0.0
         return [
             ("rho_table", rho_s.ndim != 1 or rho_s.size < 4, shape),
             ("p_table", p_s.shape != rho_s.shape, shape),
             ("rho_table", not np.all(np.isfinite(rho_s)), "table samples must be finite"),
             ("p_table", not np.all(np.isfinite(p_s)), "table samples must be finite"),
-            ("rho_table", np.any(steps[0] <= 0), "table densities must be strictly increasing"),
-            ("p_table", np.any(steps[1] < 0), "table pressure must be nondecreasing"),
+            ("rho_table", np.any(steps <= 0), "table densities must be strictly increasing"),
             ("rho_table", first != 0, f"table densities must start at 0, got {first}"),
         ]
 
@@ -142,7 +152,11 @@ class EquationOfState:
         rho = np.asarray(rho, dtype=float)
         if self.kind == "polytropic":
             return self.A * rho ** self.gamma
-        return np.asarray(self._interp(rho), dtype=float)
+        end, slope = self._end
+        # above the table the law is the line; rho - end is finite where the
+        # cubic's (rho - end) ** 3 may not be, and 0 * inf would be NaN
+        return np.asarray(self._interp(np.minimum(rho, end))
+                          + slope * np.maximum(rho - end, 0.0), dtype=float)
 
     def reference_pressure(self, rho_bar: float) -> float:
         return float(self(np.asarray(rho_bar)))

@@ -29,13 +29,9 @@ stall), or that runs out of sweeps, is retried at half its length, at most
 the accepted attempt.
 
 Iterate 0 of a slab (heat-flowed velocities, free-streamed intensities and,
-for characteristics continuity, the trace of those velocities) depends on
-neither rho0 nor ``rho_bar``.  It lives in a one-entry cache keyed by the
-values it does depend on (``_iterate0_key``), so the main solve and the
-density-lifted solves of ``delta_continuation``, which start from the same
-I, u and slab times, build it once: on a 256-cell vacuum run with three
-lifts, free-streaming steps fall from 40 to 10 and traces from 12 to 9.
-A slab that starts at rest (u0 and I0 all zero) builds its iterate 0
+for characteristics continuity, the trace of those velocities) is built by
+each attempt that starts from it, and its trace serves that attempt's first
+sweep.  A slab that starts at rest (u0 and I0 all zero) builds its iterate 0
 without stepping: the heat flow, the free streaming and the trace each
 return their known result, bit for bit what their steps would give.
 """
@@ -43,7 +39,6 @@ return their known result, bit for bit what their steps would give.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -254,48 +249,13 @@ def _slab_times(t0: float, T: float, dt: float) -> np.ndarray:
     return t0 + np.linspace(0.0, T, n + 1)
 
 
-class _Iterate0(NamedTuple):
-    """Iterate 0 of one slab start, as read-only arrays: the heat-flowed
-    velocities and the free-streamed intensities at ``times[1:]``, each
-    stacked along a leading step axis, and, for characteristics continuity,
-    the ``_departures`` of its velocity history (None otherwise)."""
-
-    velocities: Array
-    intensities: Array
-    departures: tuple | None
-
-
-# The one cache of iterate 0: at most one entry, {_iterate0_key: _Iterate0}.
-# The entry is one slab of iterate-0 fields, mostly intensities: 0.72 MB on
-# a 256-cell 1D slab of 10 steps with 4 bands x 8 ordinates, 1.2 MB on a
-# 32^2 slab of 5 steps with 2 x 14, and 11.5 MB (8.4 MB of intensities,
-# 3.1 MB of velocities) on a 32^3 slab of 4 steps with 1 x 8.
-# ``runner.run_scenario`` empties the cache when its solves return or raise.
-_ITERATE0: dict = {}
-
-
-def _iterate0_key(state0: State, grids: Grids, consts: PhysicalConstants,
-                  times: np.ndarray, characteristics: bool) -> tuple:
-    """The values iterate 0 depends on: u0 and I0, the slab times, the
-    grid's extents, spacing and boundary, the quadratures and c, and whether
-    it carries the trace (``characteristics``).  The heat flow, the free
-    streaming and the trace pad with zero velocity and intensity whatever
-    ``rho_bar``, and none of them reads rho0, so the key leaves both out:
-    the main solve and every density-lifted solve of the same slab share one
-    entry."""
-    grid = grids.spatial
-    u0, I0 = (np.ascontiguousarray(a, dtype=float) for a in (state0.u, state0.I))
-    return (u0.shape, u0.tobytes(), I0.shape, I0.tobytes(), times.tobytes(),
-            grid.extents, grid.spacing, grid.boundary,
-            CoefficientModel._quadrature_key(grids.freq, grids.ang), consts.c,
-            characteristics)
-
-
-def _build_iterate0(state0: State, grids: Grids, consts: PhysicalConstants,
-                    times: np.ndarray, characteristics: bool) -> _Iterate0:
-    """u0 carried by explicit heat flow and I0 by ``transport._advance``
-    without collisions (free streaming) over each step in turn; with
-    ``characteristics``, the trace of [u0] + velocities back to times[0]."""
+def _initial_iterate(state0: State, grids: Grids, consts: PhysicalConstants,
+                     times: np.ndarray, characteristics: bool = False) -> tuple:
+    """Iterate 0 and the ``_departures`` of its velocities (None without
+    ``characteristics``): frozen density, u0 carried by explicit heat flow
+    and I0 by ``transport._advance`` without collisions (free streaming) over
+    each step in turn; with ``characteristics``, the trace of [u0] +
+    velocities back to times[0]."""
     grid = grids.spatial
     u, I = state0.u, state0.I
     # one stack per field, not one array per step: with per-step arrays kept
@@ -313,26 +273,9 @@ def _build_iterate0(state0: State, grids: Grids, consts: PhysicalConstants,
         rel_times = times - times[0]
         departures = _departures(VelocityHistory(rel_times, [state0.u, *velocities]),
                                  rel_times[1:], grid)
-    for a in (velocities, intensities, *(departures or ())):
-        a.flags.writeable = False
-    return _Iterate0(velocities, intensities, departures)
-
-
-def _initial_iterate(state0: State, grids: Grids, consts: PhysicalConstants,
-                     times: np.ndarray, characteristics: bool = False) -> tuple:
-    """Iterate 0 and the ``_departures`` of its velocities (None without
-    ``characteristics``): frozen density, heat-flowed velocity and
-    free-streamed intensity.  Built once per key of the one-entry cache
-    ``_ITERATE0``; a miss drops the old entry before building the new."""
-    key = _iterate0_key(state0, grids, consts, times, characteristics)
-    entry = _ITERATE0.get(key)
-    if entry is None:
-        _ITERATE0.clear()
-        entry = _ITERATE0[key] = _build_iterate0(state0, grids, consts, times,
-                                                 characteristics)
     states = [state0] + [State(I=I, rho=state0.rho, u=u)
-                         for u, I in zip(entry.velocities, entry.intensities)]
-    return states, entry.departures
+                         for u, I in zip(velocities, intensities)]
+    return states, departures
 
 
 def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Grids,

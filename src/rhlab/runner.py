@@ -23,7 +23,7 @@ from .diagnostics import (blowup_monitor, compatibility_check, farfield_bounds_c
                           mass_total)
 from .grid import integrate_radiation, write_field_snapshot
 from .physics import validate_kernel_integrability, validate_sigma_regularity
-from .picard import _ITERATE0, Trajectory, delta_continuation, solve
+from .picard import Trajectory, delta_continuation, solve
 
 OUTPUT_DIR_ENV = "RHLAB_OUTPUT_DIR"
 
@@ -114,18 +114,13 @@ def run_scenario(cfg: RunConfig) -> dict:
     os.makedirs(outdir, exist_ok=True)
     grids, grid = prob.grids, prob.grids.spatial
 
-    # iterate 0's cache serves the solves of this run only; emptied here, it
-    # holds no slab of fields (11.5 MB on a 32^3 slab) once the run is over
-    try:
-        traj = solve(prob.state0, prob.model, grids, prob.visc, prob.eos, prob.consts,
-                     prob.slab, cfg.t_final)
-        continuation = None
-        if prob.schedule is not None:
-            _, continuation = delta_continuation(
-                prob.state0, prob.model, grids, prob.visc, prob.eos, prob.consts,
-                prob.slab, prob.schedule)
-    finally:
-        _ITERATE0.clear()
+    traj = solve(prob.state0, prob.model, grids, prob.visc, prob.eos, prob.consts,
+                 prob.slab, cfg.t_final)
+    continuation = None
+    if prob.schedule is not None:
+        _, continuation = delta_continuation(
+            prob.state0, prob.model, grids, prob.visc, prob.eos, prob.consts,
+            prob.slab, prob.schedule)
 
     report = blowup_monitor(traj, grids, prob.settings)
     masses = [mass_total(s.rho, grid) for s in traj.states]

@@ -142,8 +142,10 @@ def _equilibrium(grids: Grids, p: dict) -> State:
 def _smooth_bump(grids: Grids, p: dict) -> State:
     grid = grids.spatial
     width = p["width"] * max(grid.lengths)
-    rho = grid.rho_bar + p["amplitude"] * np.exp(-(grid.radius_from_center() / width) ** 2)
-    return _zero_state(grids, rho)
+    # (r / width)^2 overflows for a tiny width, where exp(-inf) = 0 is right
+    with np.errstate(over="ignore"):
+        bump = np.exp(-(grid.radius_from_center() / width) ** 2)
+    return _zero_state(grids, grid.rho_bar + p["amplitude"] * bump)
 
 
 def _vacuum_plateau(grids: Grids, p: dict) -> State:
@@ -153,8 +155,10 @@ def _vacuum_plateau(grids: Grids, p: dict) -> State:
 def _vacuum_farfield(grids: Grids, p: dict) -> State:
     grid = grids.spatial
     width = p["width"] * max(grid.lengths)
-    # compactly supported C2 bump; (I, rho, u) -> (0, 0, 0) at infinity
-    s = np.maximum(0.0, 1.0 - (grid.radius_from_center() / width) ** 2)
+    # compactly supported C2 bump; (I, rho, u) -> (0, 0, 0) at infinity.
+    # (r / width)^2 overflows for a tiny width, where 1 - inf clips to 0
+    with np.errstate(over="ignore"):
+        s = np.maximum(0.0, 1.0 - (grid.radius_from_center() / width) ** 2)
     return _zero_state(grids, p["amplitude"] * s ** 3)
 
 
@@ -201,7 +205,9 @@ def _beam_absorption(grids: Grids, p: dict) -> State:
     state = _zero_state(grids, np.full(grid.extents, grid.rho_bar))
     m_star = int(np.argmax(grids.ang.ordinates[:, 0]))
     L = max(grid.lengths)
-    profile = np.exp(-((grid.coords()[0] - p["center"] * L) / (p["width"] * L)) ** 2)
+    # the squared offset overflows for a tiny width, where exp(-inf) = 0 is right
+    with np.errstate(over="ignore"):
+        profile = np.exp(-((grid.coords()[0] - p["center"] * L) / (p["width"] * L)) ** 2)
     state.I[0, m_star] = np.broadcast_to(p["intensity"] * profile, grid.extents)
     return state
 

@@ -148,10 +148,11 @@ def config_texts(draw, max_cells=None):
     eos = draw(st.sampled_from(["polytropic", "barotropic_table"]))
     if eos == "barotropic_table":
         n = draw(st.integers(4, 6))
-        # increasing densities from 0 and nondecreasing pressures, as the EOS requires
+        # increasing densities from 0, as the EOS requires, and any finite pressures
         rho_table = draw(st.lists(_floats(0.0, 10.0).filter(bool), min_size=n - 1,
                                   max_size=n - 1, unique=True).map(lambda r: [0.0] + sorted(r)))
-        p_table = draw(st.lists(_floats(0.0, 10.0), min_size=n, max_size=n).map(sorted))
+        p_table = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=n, max_size=n))
     else:
         rho_table = maybe(st.lists(_floats(0.0, 10.0), max_size=3))
         p_table = maybe(st.lists(_floats(0.0, 10.0), max_size=3))
@@ -588,14 +589,16 @@ class TestTableEOS:
 
     @pytest.mark.parametrize("rho, p, key, message", [
         ("0, 2, 1, 3", "0, 1, 2, 3", "rho_table", "table densities must be strictly increasing"),
-        ("0, 1, 2, 3", "0, 2, 1, 3", "p_table", "table pressure must be nondecreasing"),
+        ("0, 1e-160, 1, 2", "0, 5, 6, 7", "rho_table",
+         "table has no finite C1 interpolant: its cubic overflows"),
         ("0, 1, 2", "0, 1, 2", "rho_table",
          "table needs matching 1D sample arrays (>= 4 points)"),
         ("0, 1, 2, 3", "0, 1, 2", "p_table",
          "table needs matching 1D sample arrays (>= 4 points)")])
     def test_rejected_at_the_line_of_its_column(self, rho, p, key, message):
         # the constructor raises the first failing sample row, and parse_config
-        # cites each at its own key (pressure rows used to cite rho_table)
+        # cites each at its own key (pressure rows used to cite rho_table); a
+        # table whose interpolant is not finite used to build, with p(0) NaN
         columns = {"rho_table": rho, "p_table": p}
         with pytest.raises(ParameterError) as raised:
             EquationOfState.barotropic_table(*([float(x) for x in column.split(",")]
@@ -626,7 +629,13 @@ class TestTableEOS:
             parse_config(text)
         [(line, message)] = ei.value.violations
         assert line == _line_of(text, "rho_table = 0.0, 2.225073858507203e-309, 1.0, 2.0")
-        assert message.startswith("table EOS: table has no monotone interpolant: ")
+        assert message.startswith("table EOS: table has no finite C1 interpolant: ")
+
+    def test_non_monotone_table_builds(self):
+        # the paper's pressure law is any C1 function; PCHIP follows the samples
+        text = self.TABLE.format("0, 1, 2, 3", "0, 2, 1, 3")
+        eos = build_problem(parse_config(text)).eos
+        assert eos(np.array([0.0, 1.0, 2.0, 3.0])).tolist() == [0.0, 2.0, 1.0, 3.0]
 
 
 class TestSetUp:

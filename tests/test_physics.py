@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rhlab
 from rhlab.errors import ConfigError, DomainError, ParameterError
@@ -62,8 +64,9 @@ class TestEquationOfState:
     def test_table_validation(self):
         with pytest.raises(ParameterError):
             EquationOfState.barotropic_table([0.0, 1.0, 1.0, 2.0], [0, 1, 2, 3])
-        with pytest.raises(ParameterError):
-            EquationOfState.barotropic_table([0.0, 1.0, 2.0, 3.0], [0, 2, 1, 3])
+        # a pressure that falls is admitted: the paper's p_m is any C1 law
+        eos = EquationOfState.barotropic_table([0.0, 1.0, 2.0, 3.0], [0, 2, 1, 3])
+        assert float(eos(np.array(1.5))) < 2.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("column", ["rho", "p"])
@@ -108,6 +111,43 @@ class TestEquationOfState:
         inside = np.linspace(0.0, 3.0, 301)
         assert eos(inside).tobytes() == PchipInterpolator([0.0, 1.0, 2.0, 3.0], p_s)(
             inside).tobytes()
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(4, 8).flatmap(lambda n: st.tuples(
+        st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False), min_size=n - 1,
+                 max_size=n - 1, unique=True).map(lambda r: [0.0] + sorted(r)),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n,
+                 max_size=n))))
+    @example(([0.0, 1e-160, 1.0, 2.0], [0.0, 5.0, 6.0, 7.0]))    # used to give p(0) NaN
+    @example(([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 4.0, 9.0]))       # used to give p(1e103) NaN
+    @example(([0.0, 1e200, 2e200, 3e200], [0.0, 1.0, 2.0, 3.0]))
+    @example(([0.0, 1.0, 2.0, 3.0], [0.0, 1e308, -1e308, 1e308]))
+    def test_finite_table_builds_a_finite_c1_law_or_is_rejected(self, table):
+        # any finite table with densities rising strictly from 0 is either
+        # refused for its interpolant or builds a law that is never NaN, finite
+        # at its samples, and C1 at every sample and at the join to the line
+        rho_s, p_s = (np.array(column) for column in table)
+        try:
+            eos = EquationOfState.barotropic_table(rho_s, p_s)
+        except ParameterError as exc:
+            assert str(exc).startswith("table has no finite C1 interpolant: ")
+            return
+        end = rho_s[-1]
+        with np.errstate(over="ignore"):
+            above = np.minimum(end + np.array([0.5, 1.0, 1e10, 1e300]) * max(end, 1.0),
+                               np.finfo(float).max)
+            inside = rho_s[:-1] + 0.5 * np.diff(rho_s)
+            assert not np.any(np.isnan(eos(np.concatenate([rho_s, inside, above]))))
+        assert np.all(np.isfinite(eos(rho_s)))
+        # left limits of each cubic piece, in extended precision, meet the value
+        # and slope on the right: the next piece's, or the line's at the join
+        c, h = eos._interp.c.astype(np.longdouble), np.diff(rho_s).astype(np.longdouble)
+        value_terms = c * h ** np.arange(3, -1, -1)[:, None]
+        slope_terms = np.array([3, 2, 1])[:, None] * c[:3] * h ** np.arange(2, -1, -1)[:, None]
+        for terms, right in ((value_terms, np.append(c[3, 1:], eos(end))),
+                             (slope_terms, np.append(c[2, 1:], eos._end[1]))):
+            scale = np.abs(terms).sum(axis=0) + np.abs(right)
+            assert np.all(np.abs(terms.sum(axis=0) - right) <= 1e-9 * scale)
 
     def test_table_must_start_at_zero_density(self):
         with pytest.raises(ParameterError, match="table densities must start at 0, got 0.2"):

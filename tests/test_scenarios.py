@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,17 @@ class TestBuiltinScenarios:
         rho = build_problem(parse_config(text)).state0.rho
         assert np.min(rho) == 0.0
         assert np.all(rho[[0, -1], :] == 1.0) and np.all(rho[:, [0, -1]] == 1.0)
+
+    @pytest.mark.parametrize("name", ["smooth-bump", "beam-absorption", "vacuum-farfield"])
+    def test_tiny_width_builds_without_warnings(self, name):
+        # the squared offset over the width overflows to inf, and the profile
+        # there is exp(-inf) = 0 (1 - inf clipped to 0 for vacuum-farfield)
+        grids = make_grids(rho_bar=0.0 if name == "vacuum-farfield" else 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = build(name, grids, {"width": 1e-200})
+        assert np.all(np.isfinite(st.rho)) and np.all(np.isfinite(st.I))
+        assert np.count_nonzero(st.rho - grids.spatial.rho_bar) + np.count_nonzero(st.I) <= 1
 
     def test_equilibrium_phi_is_one(self):
         grids = make_grids()
