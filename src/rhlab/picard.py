@@ -28,12 +28,13 @@ stall), or that runs out of sweeps, is retried at half its length, at most
 ``max_halvings`` times; 0 disables halving.  ``PicardDiagnostics`` records
 the accepted attempt.
 
-Iterate 0 of a slab (heat-flowed velocities, free-streamed intensities and,
-for characteristics continuity, the trace of those velocities) is built by
-each attempt that starts from it, and its trace serves that attempt's first
-sweep.  A slab that starts at rest (u0 and I0 all zero) builds its iterate 0
-without stepping: the heat flow, the free streaming and the trace each
-return their known result, bit for bit what their steps would give.
+Iterate 0 of a slab (frozen density, heat-flowed velocities and
+free-streamed intensities) is built by each attempt that starts from it.
+Every sweep, the first included, gets its characteristics density from one
+``continuity_step_characteristics`` trace of the iterate it reads.  A slab
+that starts at rest (u0 and I0 all zero) is not stepped for its iterate 0 or
+the first sweep's trace: the heat flow, the free streaming and the trace
+each return their known result, bit for bit what their steps would give.
 """
 
 from __future__ import annotations
@@ -44,9 +45,8 @@ import numpy as np
 
 from ._records import Frozen, Record, Value
 from .errors import DomainError, IterationError, ParameterError, raise_first_failure
-from .fluid import (VelocityHistory, _carry_density, _departures,
-                    continuity_step_characteristics, continuity_step_fv, heat_smooth,
-                    momentum_step)
+from .fluid import (VelocityHistory, continuity_step_characteristics, continuity_step_fv,
+                    heat_smooth, momentum_step)
 from .grid import Grids, check_radiation, check_scalar, check_vector
 from .norms import _differences, _lp_cells, _lp_multi, _phase_l2, lp_norm, snapshot_chunks
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
@@ -250,12 +250,10 @@ def _slab_times(t0: float, T: float, dt: float) -> np.ndarray:
 
 
 def _initial_iterate(state0: State, grids: Grids, consts: PhysicalConstants,
-                     times: np.ndarray, characteristics: bool = False) -> tuple:
-    """Iterate 0 and the ``_departures`` of its velocities (None without
-    ``characteristics``): frozen density, u0 carried by explicit heat flow
-    and I0 by ``transport._advance`` without collisions (free streaming) over
-    each step in turn; with ``characteristics``, the trace of [u0] +
-    velocities back to times[0]."""
+                     times: np.ndarray) -> list:
+    """Iterate 0, one state per time of ``times``: frozen density, u0
+    carried by explicit heat flow and I0 by ``transport._advance`` without
+    collisions (free streaming) over each step in turn."""
     grid = grids.spatial
     u, I = state0.u, state0.I
     # one stack per field, not one array per step: with per-step arrays kept
@@ -268,39 +266,27 @@ def _initial_iterate(state0: State, grids: Grids, consts: PhysicalConstants,
         velocities[j - 1] = u = heat_smooth(u, grid, dt)
         intensities[j - 1] = I = _advance(I, None, None, None, grids, dt,
                                           float(times[j - 1]), consts.c)
-    departures = None
-    if characteristics:
-        rel_times = times - times[0]
-        departures = _departures(VelocityHistory(rel_times, [state0.u, *velocities]),
-                                 rel_times[1:], grid)
-    states = [state0] + [State(I=I, rho=state0.rho, u=u)
-                         for u, I in zip(velocities, intensities)]
-    return states, departures
+    return [state0] + [State(I=I, rho=state0.rho, u=u)
+                       for u, I in zip(velocities, intensities)]
 
 
 def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Grids,
                   visc: ViscosityParams, eos: EquationOfState,
                   consts: PhysicalConstants, cfg: SlabConfig,
-                  times: np.ndarray, departures: tuple | None = None) -> list:
+                  times: np.ndarray) -> list:
     """One sweep of the linearized system over the slab, driven by the
     previous iterate (w, psi) = (u^k, I^k); ``transport._advance`` takes
     the scattering-in from psi.  What transport reads of the model and the
-    quadratures is built once per sweep (``transport._radiation``).  With
-    characteristics continuity,
-    ``departures`` is the trace of prev's velocities if already known."""
+    quadratures is built once per sweep (``transport._radiation``)."""
     grid = grids.spatial
     dim = grid.dim
     p_ref = eos.reference_pressure(grid.rho_bar)
     if cfg.continuity == "characteristics":
         # each step's density depends only on state0.rho and the previous
         # iterate's velocities, so one trace covers the whole sweep
-        if departures is None:
-            rel_times = times - times[0]
-            w_hist = VelocityHistory(rel_times, [s.u for s in prev])
-            rho_char = continuity_step_characteristics(state0.rho, w_hist, rel_times[1:],
-                                                       grid)
-        else:
-            rho_char = _carry_density(state0.rho, departures, grid)
+        rel_times = times - times[0]
+        w_hist = VelocityHistory(rel_times, [s.u for s in prev])
+        rho_char = continuity_step_characteristics(state0.rho, w_hist, rel_times[1:], grid)
 
     rad = _radiation(model, grids, consts.c)
     new_states = [state0]
@@ -378,12 +364,9 @@ def solve_slab_full(state0: State, model, grids, visc, eos, consts,
         # with dt > T (a halved slab) this is the one step dt = T gives
         times = _slab_times(t0, T, cfg.dt)
         diag = PicardDiagnostics(slab_length=T, times=times, halvings=halvings)
-        prev, departures = _initial_iterate(state0, grids, consts, times,
-                                            cfg.continuity == "characteristics")
+        prev = _initial_iterate(state0, grids, consts, times)
         for _ in range(cfg.max_iters):
-            current = _iterate_once(prev, state0, model, grids, visc, eos, consts, cfg, times,
-                                    departures)
-            departures = None
+            current = _iterate_once(prev, state0, model, grids, visc, eos, consts, cfg, times)
             diag.gamma_history.append(gamma_metric(prev, current, grids,
                                                    include_l32=include_l32))
             prev = current
@@ -401,21 +384,27 @@ def solve_slab_full(state0: State, model, grids, visc, eos, consts,
         diagnostics=diag)
 
 
+def _clipped_slab(cfg: SlabConfig, slab_len: float, remaining: float) -> SlabConfig:
+    """``cfg`` for a slab of length min(slab_len, remaining), so that it ends
+    at most ``remaining`` after its start, with a step no longer than the
+    slab."""
+    T = min(slab_len, remaining)
+    return cfg._replace(slab_length=T, dt=min(cfg.dt, T))
+
+
 def solve(state0: State, model: CoefficientModel, grids: Grids,
           visc: ViscosityParams, eos: EquationOfState, consts: PhysicalConstants,
           cfg: SlabConfig, t_final: float) -> Trajectory:
     """Chain slab solves over [0, t_final], emitting every inner snapshot."""
-    if t_final <= 0:
-        raise ParameterError("t_final must be positive")
+    if not (math.isfinite(t_final) and t_final > 0):
+        raise ParameterError(f"t_final must be finite and positive, got {t_final}")
     state0 = state0.validate(grids)
     traj = Trajectory(times=[0.0], states=[state0])
     t = 0.0
     slab_len = cfg.slab_length
     while t < t_final - 1e-12 * t_final:
-        T = min(slab_len, t_final - t)
-        states, diag = solve_slab_full(traj.states[-1], model, grids, visc, eos,
-                                       consts, cfg._replace(slab_length=T, dt=min(cfg.dt, T)),
-                                       t0=t)
+        states, diag = solve_slab_full(traj.states[-1], model, grids, visc, eos, consts,
+                                       _clipped_slab(cfg, slab_len, t_final - t), t0=t)
         traj.times.extend(float(s) for s in diag.times[1:])
         traj.states.extend(states[1:])
         traj.diagnostics.append(diag)

@@ -23,7 +23,7 @@ from .diagnostics import (blowup_monitor, compatibility_check, farfield_bounds_c
                           mass_total)
 from .grid import integrate_radiation, write_field_snapshot
 from .physics import validate_kernel_integrability, validate_sigma_regularity
-from .picard import Trajectory, delta_continuation, solve
+from .picard import Trajectory, _clipped_slab, delta_continuation, solve
 
 OUTPUT_DIR_ENV = "RHLAB_OUTPUT_DIR"
 
@@ -118,9 +118,10 @@ def run_scenario(cfg: RunConfig) -> dict:
                  prob.slab, cfg.t_final)
     continuation = None
     if prob.schedule is not None:
+        # the first slab of the main solve, cut at t_final as ``solve`` cuts it
         _, continuation = delta_continuation(
             prob.state0, prob.model, grids, prob.visc, prob.eos, prob.consts,
-            prob.slab, prob.schedule)
+            _clipped_slab(prob.slab, prob.slab.slab_length, cfg.t_final), prob.schedule)
 
     report = blowup_monitor(traj, grids, prob.settings)
     masses = [mass_total(s.rho, grid) for s in traj.states]

@@ -10,7 +10,7 @@ from rhlab.config import parse_config
 from rhlab.diagnostics import mass_total
 from rhlab.errors import DomainError, IterationError, ParameterError
 from rhlab import fluid, transport
-from rhlab.fluid import (VelocityHistory, _carry_density, continuity_step_characteristics,
+from rhlab.fluid import (VelocityHistory, _trace_backward, continuity_step_characteristics,
                          heat_smooth)
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from rhlab.norms import lp_norm
@@ -116,7 +116,7 @@ class TestOneTransportAdvance:
         cfg = SlabConfig(slab_length=0.01, dt=5e-4)
         times = _slab_times(0.0, cfg.slab_length, cfg.dt)
         state0 = bump_state(grids)
-        prev, _ = _initial_iterate(state0, grids, PHYS["consts"], times)
+        prev = _initial_iterate(state0, grids, PHYS["consts"], times)
         counts = {}
 
         def count(owner, name, wrap=lambda f: f):
@@ -463,6 +463,13 @@ class TestSolveTrajectory:
         assert np.array_equal(traj.states[-1].u, final.u)
         assert traj.times[-1] == pytest.approx(0.004)
 
+    @pytest.mark.parametrize("t_final", [math.nan, math.inf])
+    def test_non_finite_t_final_rejected(self, t_final):
+        grids = make_grids(n=16)
+        with pytest.raises(ParameterError, match="finite and positive"):
+            solve(bump_state(grids), self.MODEL, grids, PHYS["visc"], PHYS["eos"],
+                  PHYS["consts"], SlabConfig(slab_length=0.004, dt=0.001), t_final)
+
     def test_times_are_the_slab_step_times(self, monkeypatch):
         # the trajectory records the times each slab stepped through, bit for
         # bit, also after a halving: slab length 0.01 (11 snapshots) stalls on
@@ -746,10 +753,10 @@ output_dir = {out}
 
 
 class TestHeatFlowChain:
-    """Iterate 0 (heat-flowed velocities, free-streamed intensities and, for
-    characteristics continuity, the trace of those velocities) is built by
-    each solve attempt from its own start, and its trace serves the
-    attempt's first sweep."""
+    """Iterate 0 (heat-flowed velocities and free-streamed intensities) is
+    built by each solve attempt from its own start, and with characteristics
+    continuity every sweep, the first included, traces the iterate it reads
+    through ``continuity_step_characteristics``."""
 
     @staticmethod
     def counter(monkeypatch, module, name):
@@ -767,49 +774,91 @@ class TestHeatFlowChain:
     def heat_calls(self, monkeypatch):
         return self.counter(monkeypatch, picard, "heat_smooth")
 
+    @pytest.fixture
+    def attempts(self, monkeypatch):
+        """The diagnostics of every slab attempt, in order."""
+        diags = []
+        real = picard.solve_slab_full
+
+        def recorded(*args, **kwargs):
+            states, diag = real(*args, **kwargs)
+            diags.append(diag)
+            return states, diag
+
+        monkeypatch.setattr(picard, "solve_slab_full", recorded)
+        return diags
+
     def test_heat_flow_and_free_streaming_step_by_step(self, heat_calls):
         grids = make_grids(n=16, rho_bar=0.0, n_ord=2, n_bands=1)
         x = grids.spatial.axis_coords(0)
         st = State(I=np.exp(-((x - 0.5) / 0.1) ** 2) * np.ones(grids.radiation_shape()),
                    rho=np.ones(16), u=np.sin(2 * np.pi * x)[None])
         times = _slab_times(0.0, 0.002, 0.001)
-        states, departures = _initial_iterate(st, grids, PHYS["consts"], times, True)
+        states = _initial_iterate(st, grids, PHYS["consts"], times)
         assert len(heat_calls) == 2 and states[0] is st
         # the chain is the heat flow and free streaming applied step by step,
-        # bit for bit, and the departures are those of its velocity history
+        # bit for bit
         u, I = st.u, st.I
         for got in states[1:]:
             u = heat_smooth(u, grids.spatial, 0.001)
             I = free_streaming_step(I, grids, 0.001, 1.0)
             assert got.u.tobytes() == u.tobytes() and got.I.tobytes() == I.tobytes()
             assert got.rho is st.rho
+        # the first sweep's densities are the trace of its velocity history
+        cfg = SlabConfig(slab_length=0.002, dt=0.001, continuity="characteristics")
+        swept = picard._iterate_once(states, st, constant_model(0.2, 0.0, 0.02), grids,
+                                     PHYS["visc"], PHYS["eos"], PHYS["consts"], cfg, times)
         hist = VelocityHistory(times, [s.u for s in states])
         rho = continuity_step_characteristics(st.rho, hist, times[1:], grids.spatial)
-        assert rho.tobytes() == _carry_density(st.rho, departures, grids.spatial).tobytes()
+        assert np.stack([s.rho for s in swept[1:]]).tobytes() == rho.tobytes()
 
-    @pytest.mark.parametrize("t_final", ["0.002", "0.004"])
-    def test_one_trace_per_sweep_of_every_solve(self, heat_calls, tmp_path, monkeypatch,
-                                               t_final):
-        # the first sweep carries rho0 along iterate 0's trace; each later
-        # sweep traces its previous iterate.  At 0.004 the main solve's second
-        # slab starts moving.
-        traces = self.counter(monkeypatch, fluid, "_trace_backward")
-        attempts = []
-        real = picard.solve_slab_full
+    @pytest.mark.parametrize("case", ["0.002", "0.004", "fv"])
+    def test_one_trace_per_sweep_of_every_solve(self, heat_calls, attempts, tmp_path,
+                                               monkeypatch, case):
+        # every sweep, the first included, traces the iterate it reads, and
+        # every trace runs inside picard's binding of
+        # continuity_step_characteristics, which the benchmark tracer times.
+        # At 0.004 the main solve's second slab starts moving; FV continuity
+        # makes no trace.
+        inside = []
+        traces = []
+        real_trace, real_char = fluid._trace_backward, picard.continuity_step_characteristics
 
-        def recorded(*args, **kwargs):
-            states, diag = real(*args, **kwargs)
-            attempts.append(diag)
-            return states, diag
+        def trace(*args, **kwargs):
+            traces.append(bool(inside))
+            return real_trace(*args, **kwargs)
 
-        monkeypatch.setattr(picard, "solve_slab_full", recorded)
-        text = _CONTINUATION_RUN.format(out=tmp_path).replace("t_final = 0.002",
-                                                             f"t_final = {t_final}")
+        def characteristics(*args, **kwargs):
+            inside.append(1)
+            try:
+                return real_char(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(fluid, "_trace_backward", trace)
+        monkeypatch.setattr(picard, "continuity_step_characteristics", characteristics)
+        text = _CONTINUATION_RUN.format(out=tmp_path)
+        if case == "fv":
+            text = text.replace("continuity = characteristics", "continuity = fv")
+        else:
+            text = text.replace("t_final = 0.002", f"t_final = {case}")
         summary = run_scenario(parse_config(text))
         assert len(attempts) == summary["picard"]["slabs"] + 3
         assert all(d.halvings == 0 for d in attempts)
-        assert len(traces) == sum(d.iterations for d in attempts)
+        sweeps = 0 if case == "fv" else sum(d.iterations for d in attempts)
+        assert traces == [True] * sweeps
         assert len(heat_calls) == 2 * len(attempts)
+
+    def test_lifted_solves_end_at_t_final(self, attempts, tmp_path):
+        # the slab is longer than the run: the main solve and each
+        # density-lifted solve stop at t_final, in the same steps
+        text = _CONTINUATION_RUN.format(out=tmp_path).replace("slab_length = 0.002",
+                                                             "slab_length = 0.01")
+        run_scenario(parse_config(text))
+        assert len(attempts) == 4
+        assert all(d.halvings == 0 and d.times.tobytes() == attempts[0].times.tobytes()
+                   for d in attempts)
+        assert attempts[0].times[-1] == 0.002
 
     @pytest.mark.parametrize("moved", [None, "u", "I"])
     def test_a_slab_at_rest_is_not_stepped(self, heat_calls, monkeypatch, moved):
@@ -826,20 +875,16 @@ class TestHeatFlowChain:
             u[0, 7] = 0.5
         elif moved == "I":
             I[0, 1, 7] = 0.5
-        states, departures = _initial_iterate(State(I=I, rho=rest.rho, u=u), grids,
-                                              PHYS["consts"], _slab_times(0.0, 0.002, 0.001),
-                                              True)
+        times = _slab_times(0.0, 0.002, 0.001)
+        states = _initial_iterate(State(I=I, rho=rest.rho, u=u), grids, PHYS["consts"], times)
+        # the first sweep's trace, of iterate 0's velocity history
+        pts, clamped, divint = _trace_backward(VelocityHistory(times, [s.u for s in states]),
+                                               times[1:], grids.spatial)
         assert len(heat_calls) == 2
         assert (len(streams) > 0) == (moved == "I")
         assert (len(pads) > 0) == (moved == "u")
         if moved is None:
             assert all(s.I.tobytes() == I.tobytes() and s.u.tobytes() == bytes(s.u.nbytes)
                        for s in states[1:])
-            pts, decay = departures
-            assert np.all(pts == grids.spatial.axis_coords(0)) and np.all(decay == 1.0)
-
-    def test_without_characteristics_no_trace(self, heat_calls):
-        grids = make_grids(n=16, n_ord=2, n_bands=1)
-        states, departures = _initial_iterate(zero_state(grids), grids, PHYS["consts"],
-                                              _slab_times(0.0, 0.002, 0.001))
-        assert departures is None and len(states) == 3
+            assert np.all(pts == grids.spatial.axis_coords(0)) and clamped == 0
+            assert np.all(np.exp(-divint) == 1.0)
