@@ -110,8 +110,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, ParameterError, ShapeError, SolverError, StepSizeError
-from .grid import (SpatialGrid, _fill_ghosts, _view, check_scalar, check_vector,
-                   divergence, gradient, pad_ghost)
+from .grid import (SpatialGrid, _fill_ghosts, _view, check_scalar, check_step,
+                   check_vector, divergence, gradient, pad_ghost)
 from .physics import ViscosityParams
 
 Array = np.ndarray
@@ -154,17 +154,19 @@ def __getattr__(name):
 
 
 class VelocityHistory:
-    """Time samples of a velocity field on [t0, t1] with linear interpolation."""
+    """Time samples of a velocity field on [t0, t1] with linear interpolation;
+    ``fields`` is one float array, the samples stacked along axis 0."""
 
     def __init__(self, times, fields):
         self.times = np.asarray(times, dtype=float)
-        self.fields = [np.asarray(f, dtype=float) for f in fields]
-        if self.times.ndim != 1 or len(self.fields) != self.times.size or self.times.size < 1:
+        try:                            # a ragged list raises ValueError
+            self.fields = np.asarray(fields, dtype=float)
+        except ValueError as exc:
+            raise ShapeError("history fields must share one shape") from exc
+        if (self.times.ndim != 1 or not self.times.size
+                or self.fields.shape[:1] != self.times.shape):
             raise ShapeError("history needs one field per sample time")
-        if any(f.shape != self.fields[0].shape for f in self.fields):
-            raise ShapeError("history fields must share one shape")
-        if not (np.all(np.isfinite(self.times))
-                and all(np.all(np.isfinite(f)) for f in self.fields)):
+        if not (np.all(np.isfinite(self.times)) and np.all(np.isfinite(self.fields))):
             raise DomainError("history times and fields must be finite")
         if self.times.size > 1 and np.any(np.diff(self.times) <= 0):
             raise ShapeError("history times must be strictly increasing")
@@ -297,7 +299,8 @@ def _trace_backward(w_hist: VelocityHistory, t, grid: SpatialGrid,
     count of trace points clamped to the padded far-field domain, and the
     integrals, shape (B,) + extents.
 
-    The velocity samples and their divergence are stacked and padded once.
+    The velocity samples (stacked once, by ``VelocityHistory``) and their
+    divergence are padded once.
     Each substep interpolates twice: the velocity at the midpoints, and
     velocity and divergence at the new points, which serve the next substep
     as its k1 and the trapezoid's left value.
@@ -312,7 +315,7 @@ def _trace_backward(w_hist: VelocityHistory, t, grid: SpatialGrid,
     t = t.reshape(-1)
     if substeps is None:
         substeps = max(1, w_hist.times.size - 1)
-    stack = np.stack(w_hist.fields)
+    stack = w_hist.fields
     if stack.shape[1:] != (grid.dim,) + grid.extents:
         raise ShapeError(f"velocity history shape {stack.shape[1:]} incompatible "
                          f"with grid {grid.extents}")
@@ -375,8 +378,10 @@ def continuity_step_characteristics(rho0: Array, w_hist: VelocityHistory, t,
         raise DomainError("initial density must be >= 0")
     pts, _, divint = _trace_backward(w_hist, t, grid, substeps)
     rho = _interp(pad_ghost(rho0, grid, grid.rho_bar), grid, pts)
-    # vacuum stays 0 where exp overflows (0 * inf would be NaN)
-    np.multiply(rho, np.exp(-divint), out=rho, where=rho != 0.0)
+    # vacuum stays 0 where exp overflows (0 * inf would be NaN); the overflow
+    # is intended and raises no RuntimeWarning
+    with np.errstate(over="ignore"):
+        np.multiply(rho, np.exp(-divint), out=rho, where=rho != 0.0)
     return rho[0] if np.ndim(t) == 0 else rho
 
 
@@ -384,15 +389,13 @@ def continuity_step_characteristics(rho0: Array, w_hist: VelocityHistory, t,
 # conservative finite-volume continuity
 # ---------------------------------------------------------------------------
 
-def _face_values(f: Array, grid: SpatialGrid, axis: int, ghost: float) -> Array:
-    """Averages onto the n+1 faces along ``axis`` (ghost-padded)."""
-    fp = pad_ghost(f, grid, ghost)
-    lead = fp.ndim - grid.dim
-    lo = [slice(None)] * lead + [slice(1, -1)] * grid.dim
-    hi = list(lo)
-    lo[lead + axis] = slice(0, -1)
-    hi[lead + axis] = slice(1, None)
-    return 0.5 * (fp[tuple(lo)] + fp[tuple(hi)])
+def _sides(dim: int, axis: int, others: slice = slice(None)) -> tuple:
+    """Index tuples of the lower and upper neighbours along ``axis``, with
+    ``others`` on the other axes: the two cells of each face of a once-padded
+    array for ``slice(1, -1)``, the two faces of each cell by default."""
+    lo, hi = [others] * dim, [others] * dim
+    lo[axis], hi[axis] = slice(0, -1), slice(1, None)
+    return tuple(lo), tuple(hi)
 
 
 def continuity_step_fv(rho_n: Array, w: Array, dt: float, grid: SpatialGrid) -> Array:
@@ -401,39 +404,32 @@ def continuity_step_fv(rho_n: Array, w: Array, dt: float, grid: SpatialGrid) -> 
     Mass is conserved to round-off on periodic grids (telescoping fluxes).
     The step is a convex combination of old cell values whenever the per-cell
     outflow satisfies dt * sum_a (outflow_a / h_a) <= 1, which is what the
-    CFL check enforces, so rho >= 0 is preserved exactly.
+    CFL check enforces, so rho >= 0 is preserved exactly.  w (zero ghosts)
+    and rho (``rho_bar`` ghosts) are padded once each; no flux is formed
+    before the CFL check passes.
     """
     rho_n = check_scalar(rho_n, grid)
     w = check_vector(w, grid)
-    faces = [_face_values(w[a], grid, a, 0.0) for a in range(grid.dim)]
-    outflow = np.zeros(grid.extents)
-    for a in range(grid.dim):
-        lo = [slice(None)] * grid.dim
-        hi = [slice(None)] * grid.dim
-        lo[a] = slice(0, -1)
-        hi[a] = slice(1, None)
-        outflow += (np.maximum(faces[a][tuple(hi)], 0.0)
-                    + np.maximum(-faces[a][tuple(lo)], 0.0)) / grid.spacing[a]
+    check_step(dt, "continuity")
+    wp = pad_ghost(w, grid, 0.0)
+    faces, outflow = [], np.zeros(grid.extents)
+    for a, h in enumerate(grid.spacing):
+        left, right = _sides(grid.dim, a, slice(1, -1))
+        wf = 0.5 * (wp[(a,) + left] + wp[(a,) + right])
+        lo, hi = _sides(grid.dim, a)
+        outflow += (np.maximum(wf[hi], 0.0) + np.maximum(-wf[lo], 0.0)) / h
+        faces.append(wf)
     worst = dt * float(np.max(outflow))
     if worst > 1.0 + 1e-12:
         raise StepSizeError(f"continuity CFL violated: dt * max outflow rate "
                             f"= {worst:.3g} > 1")
     rp = pad_ghost(rho_n, grid, grid.rho_bar)
     out = rho_n.copy()
-    for a in range(grid.dim):
-        wf = faces[a]
-        lo = [slice(1, -1)] * grid.dim
-        hi = [slice(1, -1)] * grid.dim
-        lo[a] = slice(0, -1)
-        hi[a] = slice(1, None)
-        rho_left = rp[tuple(lo)]
-        rho_right = rp[tuple(hi)]
-        flux = np.where(wf > 0, wf * rho_left, wf * rho_right)
-        sl_lo = [slice(None)] * grid.dim
-        sl_hi = [slice(None)] * grid.dim
-        sl_lo[a] = slice(0, -1)
-        sl_hi[a] = slice(1, None)
-        out -= dt * (flux[tuple(sl_hi)] - flux[tuple(sl_lo)]) / grid.spacing[a]
+    for a, (wf, h) in enumerate(zip(faces, grid.spacing)):
+        left, right = _sides(grid.dim, a, slice(1, -1))
+        flux = np.where(wf > 0, wf * rp[left], wf * rp[right])
+        lo, hi = _sides(grid.dim, a)
+        out -= dt * (flux[hi] - flux[lo]) / h
     return out
 
 
@@ -848,6 +844,7 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     rho_new = check_scalar(rho_new, grid)
     p_m = check_scalar(p_m, grid)
     rad_source = check_vector(rad_source, grid)
+    check_step(dt, "momentum")
     if np.any(rho_new < 0):
         raise DomainError("momentum step requires rho >= 0")
 

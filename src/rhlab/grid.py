@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from ._records import Frozen, Value
-from .errors import ParameterError, ShapeError, raise_first_failure
+from .errors import ParameterError, ShapeError, StepSizeError, raise_first_failure
 
 Array = np.ndarray
 
@@ -65,11 +65,12 @@ class SpatialGrid(Value):
              "spacing and extents must have the same length"),
             ("extents", any(n < 4 for n in extents),
              f"need at least 4 cells per axis, got {extents}"),
-            ("spacing", any(h <= 0 for h in spacing),
-             f"spacing must be positive, got {spacing}"),
+            ("spacing", any(not 0 < h < math.inf for h in spacing),
+             f"spacing must be positive and finite, got {spacing}"),
             ("boundary", boundary not in ("periodic", "farfield"),
              f"boundary must be periodic or farfield, got {boundary!r}"),
-            ("rho_bar", not rho_bar >= 0, f"background density must be >= 0, got {rho_bar}"),
+            ("rho_bar", not 0 <= rho_bar < math.inf,
+             f"background density must be >= 0 and finite, got {rho_bar}"),
         ]
 
     @classmethod
@@ -283,11 +284,11 @@ class FrequencyGrid(Frozen):
         weight rows are checked once the edges pass."""
         e, w = np.asarray(band_edges, dtype=float), np.asarray(band_weights, dtype=float)
         listed = e.ndim == 1 and e.size >= 2
-        edges_ok = listed and e[0] > 0 and bool(np.all(np.diff(e) > 0))
+        edges_ok = listed and 0 < e[0] and e[-1] < math.inf and bool(np.all(np.diff(e) > 0))
         return [
             ("band_edges", not listed, "need at least two band edges"),
             ("band_edges", listed and not edges_ok,
-             "band edges must be positive and strictly increasing"),
+             "band edges must be positive, finite and strictly increasing"),
             ("band_weights", edges_ok and bool(np.any(w <= 0)),
              "band weights must be positive"),
             ("band_weights", edges_ok and not np.allclose(w, np.diff(e), rtol=0,
@@ -328,6 +329,13 @@ def check_scalar(f: Array, grid: SpatialGrid) -> Array:
     if f.shape != grid.extents:
         raise ShapeError(f"scalar field shape {f.shape} != grid extents {grid.extents}")
     return f
+
+
+def check_step(dt: float, what: str) -> None:
+    """A step of size dt must be positive and finite (NaN fails too);
+    StepSizeError names the step that ``what`` is."""
+    if not 0.0 < dt < math.inf:
+        raise StepSizeError(f"{what} step must be positive and finite, got dt={dt}")
 
 
 def check_vector(u: Array, grid: SpatialGrid) -> Array:

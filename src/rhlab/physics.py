@@ -10,6 +10,7 @@ sigma_s' = sigma_s_bar_prime(v -> v', Omega.Omega') * rho.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -42,8 +43,10 @@ class ViscosityParams(Value):
     def checks(mu: float, lam: float) -> list:
         """(field, failed, message) rows of the constructor's constraints."""
         bulk = lam + 2.0 * mu / 3.0
-        return [("mu", mu <= 0, f"shear viscosity must be positive, got {mu}"),
-                ("lam", bulk < 0, f"need lambda + (2/3) mu >= 0, got {bulk}")]
+        return [("mu", not 0 < mu < math.inf,
+                 f"shear viscosity must be positive and finite, got {mu}"),
+                ("lam", not (abs(lam) < math.inf and bulk >= 0),
+                 f"need lambda + (2/3) mu >= 0 with lambda finite, got {bulk}")]
 
 
 class PhysicalConstants(Value):
@@ -58,7 +61,7 @@ class PhysicalConstants(Value):
     @staticmethod
     def checks(c: float) -> list:
         """(field, failed, message) rows of the constructor's constraints."""
-        return [("c", c <= 0, f"light speed must be positive, got {c}")]
+        return [("c", not 0 < c < math.inf, f"light speed must be positive and finite, got {c}")]
 
 
 class EquationOfState:
@@ -117,9 +120,10 @@ class EquationOfState:
         return [
             ("kind", kind not in ("polytropic", "barotropic_table"),
              f"eos must be polytropic or barotropic_table, got {kind!r}"),
-            ("A", poly and (A is None or not A > 0), f"A must be positive, got {A}"),
-            ("gamma", poly and (gamma is None or not gamma > 1),
-             f"gamma must exceed 1, got {gamma}"),
+            ("A", poly and (A is None or not 0 < A < math.inf),
+             f"A must be positive and finite, got {A}"),
+            ("gamma", poly and (gamma is None or not 1 < gamma < math.inf),
+             f"gamma must exceed 1 and be finite, got {gamma}"),
         ]
 
     @staticmethod
@@ -341,7 +345,8 @@ def zero_model() -> CoefficientModel:
 def constant_model_checks(sigma0: float = 0.0, kernel0: float = 0.0,
                           emission0: float = 0.0) -> list:
     """(field, failed, message) rows of ``constant_model``."""
-    return [(name, value < 0, f"model parameter {name} must be >= 0, got {value}")
+    return [(name, not 0 <= value < math.inf,
+             f"model parameter {name} must be >= 0 and finite, got {value}")
             for name, value in (("sigma0", sigma0), ("kernel0", kernel0),
                                 ("emission0", emission0))]
 
@@ -367,7 +372,8 @@ def constant_model(sigma0: float = 0.0, kernel0: float = 0.0,
 def compton_model_checks(D1: float, D2: float, v0: float, theta: float,
                          emission0: float = 0.0) -> list:
     """(field, failed, message) rows of ``compton_model``."""
-    return [(name, value <= 0, f"Compton parameter {name} must be positive, got {value}")
+    return [(name, not 0 < value < math.inf,
+             f"Compton parameter {name} must be positive and finite, got {value}")
             for name, value in (("D1", D1), ("D2", D2), ("v0", v0), ("theta", theta))] \
         + constant_model_checks(emission0=emission0)
 

@@ -167,7 +167,7 @@ class DeltaSchedule(Value):
 
 class ContinuationReport(Record):
     """Deltas and pairwise differences of the lifted solutions; ``monotone``
-    and ``warning`` derive from these."""
+    derives from these."""
 
     __slots__ = ("deltas", "differences")
 
@@ -178,10 +178,6 @@ class ContinuationReport(Record):
     @property
     def monotone(self) -> bool:
         return all(b < a for a, b in zip(self.differences, self.differences[1:]))
-
-    @property
-    def warning(self) -> str | None:
-        return None if self.monotone else "delta-continuation differences are not decreasing"
 
 
 class Trajectory(Record):
@@ -297,9 +293,9 @@ def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Gri
             rho_new = continuity_step_fv(new_states[-1].rho, prev[j - 1].u, dt, grid)
         else:
             rho_new = rho_char[j - 1]
-        # removal and emission depend on rho_new alone: when they do not depend
-        # on t either, one build serves every transport substep and the
-        # momentum source; otherwise each is evaluated at its own time
+        # removal and emission depend on rho_new alone: for a tabulated model
+        # one build serves every transport substep and the momentum source;
+        # otherwise each is evaluated at its own time
         t_prev = float(times[j - 1])
         coeffs = _coefficients(rad, rho_new, t_prev)
         I_new = _advance(new_states[-1].I, prev[j - 1].I, rho_new, rad, grids, dt, t_prev,
@@ -431,9 +427,10 @@ def delta_continuation(state0: State, model: CoefficientModel, grids: Grids,
     """Solve one slab with the initial density lifted by each delta in the
     schedule; report pairwise differences of the resulting (rho, u) states.
 
-    Differences must decrease along the schedule; a non-monotone sequence is
-    reported as a warning, never an error.  The state returned is the
-    solution at the last, smallest delta.
+    Differences should decrease along the schedule; the report's
+    ``monotone`` says whether they do, and a non-monotone sequence is never
+    an error.  The state returned is the solution at the last, smallest
+    delta.
     """
     finals = [solve_slab(State(I=state0.I, rho=state0.rho + delta, u=state0.u), model,
                          _lift_grids(grids, delta), visc, eos, consts, cfg, t0)[0]

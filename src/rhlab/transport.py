@@ -10,15 +10,18 @@ which keeps I >= 0 exactly for nonnegative data, sources and kernels.
 
 What the collision operator reads of the model and the quadratures is one
 record, ``_Radiation``: the gain matrix, Lambda_s, the band-centre column,
-the w Omega matrix of the radiation flux, the upwind ordinate sets, the CFL
-limit and, for a model whose tables are independent of t, its emission
-table.  It is assembled from value-keyed caches (``CoefficientModel``'s
-kernel cache, ``_flux_weights``, ``_upwind_sets``, ``_cfl_limit``), once
-per Picard sweep and once per call of a public step.  Each step forms the
-removal (sigma + Lambda_s) rho once, from the sigma table without
-broadcasting it, and the update and the momentum source run in place on
-the output of one ``np.dot``, with the stream as the only other
-radiation-sized buffer.  Against per-step tables broadcast to (B, M) +
+the w Omega matrix of the radiation flux, the upwind ordinate sets and the
+CFL limit.  It is assembled once per Picard sweep and once per call of a
+public step, from value-keyed caches (``CoefficientModel``'s kernel cache,
+``_upwind_sets``, ``_cfl_limit``) and the flux weights, which
+``_flux_weights`` builds afresh (about 4 us on one thread of a 2-vCPU
+Xeon).  The collision coefficients follow one rule (``_coefficients``): a
+tabulated model's sigma and emission tables, which by contract never
+depend on t, are read once per density; an untabulated model is evaluated
+at each time.  Each step forms the removal (sigma + Lambda_s) rho once,
+from the sigma table without broadcasting it, and the update and the
+momentum source run in place on the output of one ``np.dot``, with the
+stream as the only other radiation-sized buffer.  Against per-step tables broadcast to (B, M) +
 cells and out-of-place updates, the radiation half of a Picard step
 (transport advance and momentum source, per step of a sweep) went from
 about 234 to 154 us on a 256-cell 1D far field with 8 ordinates x 4
@@ -43,8 +46,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import StepSizeError
-from .grid import (Grids, SpatialGrid, _view, check_radiation, check_scalar, pad_ghost,
-                   phase_weights)
+from .grid import (Grids, SpatialGrid, _view, check_radiation, check_scalar, check_step,
+                   pad_ghost, phase_weights)
 from .physics import CoefficientModel
 
 Array = np.ndarray
@@ -61,10 +64,7 @@ class _Radiation(NamedTuple):
     speed c: the gain matrix W viewed as (B*M, B*M), Lambda_s and the band
     centres v shaped (B, M) and (B, 1) plus one unit axis per dimension, the
     (k, B*M) w Omega matrix, the ``_upwind_sets``, and the CFL limit (None
-    when built without c).  ``emission`` is the emission table at v when
-    sigma and the emission carry tables and the emission does not depend on
-    rho; then neither coefficient depends on t.  Otherwise it is None, and
-    ``sigma_bm``/``emission_bm`` are evaluated at each time."""
+    when built without c)."""
 
     model: CoefficientModel
     grids: Grids
@@ -74,7 +74,6 @@ class _Radiation(NamedTuple):
     flux_weights: Array
     upwind: tuple
     limit: float | None
-    emission: Array | None
 
 
 def _radiation(model: CoefficientModel, grids: Grids, c: float | None = None) -> _Radiation:
@@ -83,30 +82,32 @@ def _radiation(model: CoefficientModel, grids: Grids, c: float | None = None) ->
     unit = (1,) * grids.spatial.dim
     v = grids.freq.band_centers.reshape((-1, 1) + unit)
     ords = grids.ang.ordinates
-    wo = _flux_weights(phase_weights(grids.freq, grids.ang).tobytes(), ords.tobytes(),
-                       ords.shape[0])
-    steady = model.tabulated and not model.emission_depends_rho
+    wo = _flux_weights(grids)
     return _Radiation(model, grids, gain.reshape(wo.shape[1], -1),
                       lam_s.reshape(lam_s.shape + unit), v, wo,
                       _upwind_sets(ords.tobytes(), ords.shape[0], grids.spatial.dim),
-                      None if c is None else transport_cfl_limit(grids, c),
-                      model.emission.table(v) if steady else None)
+                      None if c is None else transport_cfl_limit(grids, c))
 
 
 def _coefficients(rad: _Radiation, rho: Array, t: float,
                   known: tuple | None = None) -> tuple:
     """(removal, emission) at density rho and time t: the removal rate
-    (sigma + Lambda_s) rho, formed in one pass from the sigma table when
-    ``rad.emission`` is set, and the emission.  ``known`` are those of the
-    same density at another time; they are returned as they are when
-    ``rad.emission`` is set, as then neither depends on t."""
-    if rad.emission is None:
-        sigma = rad.model.sigma_bm(rad.grids, t, rho)
-        emission = rad.model.emission_bm(rad.grids, t, rho)
+    (sigma + Lambda_s) rho and the emission.  A tabulated model reads
+    ``sigma.table(v, rho)`` and its emission table (at rho when the
+    emission depends on it) without broadcasting them, and returns
+    ``known``, those of the same density at another time, as they are:
+    tables never depend on t.  An untabulated model is evaluated at t by
+    ``sigma_bm``/``emission_bm``."""
+    model = rad.model
+    if not model.tabulated:
+        sigma = model.sigma_bm(rad.grids, t, rho)
+        emission = model.emission_bm(rad.grids, t, rho)
     elif known is not None:
         return known
     else:
-        sigma, emission = rad.model.sigma.table(rad.v, rho), rad.emission
+        sigma = model.sigma.table(rad.v, rho)
+        emission = model.emission.table(rad.v, rho) if model.emission_depends_rho \
+            else model.emission.table(rad.v)
     return (sigma + rad.lam_s) * rho, emission
 
 
@@ -167,16 +168,12 @@ def linearized_collision_term(I: Array, psi: Array, rho: Array,
 # radiation moments
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=8)
-def _flux_weights(weights: bytes, ordinates: bytes, n_ordinates: int) -> Array:
-    """The (k, B*M) matrix of w_bm Omega_m, read-only: the (B, M, k) product
-    moved to (k, B, M) and copied C-contiguous, as ``np.tensordot`` builds
-    it.  Keyed by the phase weights' and the ordinates' values."""
-    o = np.frombuffer(ordinates).reshape(n_ordinates, -1)
-    w = np.frombuffer(weights).reshape(-1, n_ordinates)
-    wo = (w[..., None] * o[None, :, :]).transpose(2, 0, 1).reshape(o.shape[1], -1)
-    wo.flags.writeable = False
-    return wo
+def _flux_weights(grids: Grids) -> Array:
+    """The (k, B*M) matrix of w_bm Omega_m: the (B, M, k) product moved to
+    (k, B, M) and copied C-contiguous, as ``np.tensordot`` builds it."""
+    o = grids.ang.ordinates
+    w = phase_weights(grids.freq, grids.ang)
+    return (w[..., None] * o[None, :, :]).transpose(2, 0, 1).reshape(o.shape[1], -1)
 
 
 def _flux(wo: Array, I: Array) -> Array:
@@ -187,13 +184,9 @@ def _flux(wo: Array, I: Array) -> Array:
 def radiation_flux(I: Array, grids: Grids) -> Array:
     """F_r = int int I Omega dOmega dv; one component per ordinate dimension.
 
-    One dot of the cached w Omega matrix with I viewed as (B*M, cells): bit
-    for bit ``np.tensordot`` over (b, m), at about half its cost (13.5 ->
-    6.6 us a call on a 256-cell 1D field of 8 ordinates x 4 bands)."""
-    I = check_radiation(I, grids)
-    o = grids.ang.ordinates
-    return _flux(_flux_weights(phase_weights(grids.freq, grids.ang).tobytes(), o.tobytes(),
-                               o.shape[0]), I)
+    One dot of the w Omega matrix of ``_flux_weights`` with I viewed as
+    (B*M, cells): bit for bit ``np.tensordot`` over (b, m)."""
+    return _flux(_flux_weights(grids), check_radiation(I, grids))
 
 
 def radiation_pressure_tensor(I: Array, grids: Grids, c: float) -> Array:
@@ -254,8 +247,7 @@ def _cfl_limit(ordinates: bytes, n_ordinates: int, spacing: tuple, c: float) -> 
 
 def _check_cfl(dt: float, limit: float) -> None:
     """A step must be positive, finite and within the CFL limit."""
-    if not 0.0 < dt < np.inf:       # NaN fails too
-        raise StepSizeError(f"transport step must be positive and finite, got dt={dt}")
+    check_step(dt, "transport")
     if dt > limit * (1.0 + 1e-12):
         raise StepSizeError(f"transport CFL violated: dt={dt} > limit={limit}")
 

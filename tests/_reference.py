@@ -3,7 +3,8 @@ monolithic (no fixed-point) coupled integrator, and per-(band, ordinate) loop
 versions of the batched phase-space operators and of the coefficient
 tables, the radiation half of a Picard step with the coefficient tables
 broadcast to whole (band, ordinate) + cells arrays, the Lame operator
-composed from the gradient and divergence, the
+composed from the gradient and divergence, the finite-volume continuity
+step one face at a time, the
 momentum matrix assembled from whole sparse blocks on its own difference
 and Lame matrices, the CSR matrices on a momentum layout's
 pattern, the one-start-time characteristics trace
@@ -20,6 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from rhlab.diagnostics import BlowupReport
+from rhlab.errors import StepSizeError
 from rhlab.fluid import VelocityHistory, continuity_step_fv, momentum_step
 from rhlab.grid import _view, divergence, gradient, phase_weights, second_difference
 from rhlab.norms import NormSettings
@@ -380,6 +382,61 @@ def momentum_matrix(rho, w, visc, dt, grid):
 
 
 # ---------------------------------------------------------------------------
+# finite-volume continuity, one face at a time
+# ---------------------------------------------------------------------------
+
+def loop_continuity_step_fv(rho_n, w, dt, grid):
+    """Upwind finite-volume continuity step, one cell face at a time.  The
+    face velocity is 0.5 (w_L + w_R), with zero velocity ghosts on far-field
+    grids and wrapped neighbours on periodic ones; the flux takes the upwind
+    density, rho_bar in far-field ghosts; each cell is updated by
+    rho - dt (F_right - F_left) / h, axis by axis in order.  A step whose
+    outflow rates, summed over the axes per cell, exceed 1 / dt raises the
+    CFL StepSizeError before any update."""
+    rho_n, w = np.asarray(rho_n, dtype=float), np.asarray(w, dtype=float)
+    periodic = grid.boundary == "periodic"
+
+    def at(f, cell, a, shift, ghost):
+        j = list(cell)
+        j[a] += shift
+        if 0 <= j[a] < grid.extents[a]:
+            return f[tuple(j)]
+        if periodic:
+            j[a] %= grid.extents[a]
+            return f[tuple(j)]
+        return ghost
+
+    def face(cell, a, side):
+        """Face velocity and upwind flux of the face on ``side`` (0 left, 1
+        right) of ``cell`` along axis ``a``."""
+        left = list(cell)
+        left[a] += side - 1
+        wl = at(w[a], left, a, 0, 0.0)
+        wr = at(w[a], left, a, 1, 0.0)
+        wf = 0.5 * (wl + wr)
+        rho = at(rho_n, left, a, 0, grid.rho_bar) if wf > 0 \
+            else at(rho_n, left, a, 1, grid.rho_bar)
+        return wf, wf * rho
+
+    cells = list(itertools.product(*(range(n) for n in grid.extents)))
+    worst = 0.0
+    for cell in cells:
+        rate = 0.0
+        for a, h in enumerate(grid.spacing):
+            rate += (max(face(cell, a, 1)[0], 0.0) + max(-face(cell, a, 0)[0], 0.0)) / h
+        worst = max(worst, rate)
+    worst *= dt
+    if worst > 1.0 + 1e-12:
+        raise StepSizeError(f"continuity CFL violated: dt * max outflow rate "
+                            f"= {worst:.3g} > 1")
+    out = rho_n.copy()
+    for a, h in enumerate(grid.spacing):
+        for cell in cells:
+            out[cell] -= dt * (face(cell, a, 1)[1] - face(cell, a, 0)[1]) / h
+    return out
+
+
+# ---------------------------------------------------------------------------
 # backward characteristics, one start time and one component at a time
 # ---------------------------------------------------------------------------
 
@@ -462,7 +519,9 @@ def loop_continuity_step_characteristics(rho0, w_hist, t, grid, substeps=None):
     0 where rho0 at the departure point is 0, even where exp overflows."""
     pts, _, divint = loop_trace_backward(w_hist, t, grid, substeps)
     rho0_at = loop_interp_field(rho0, grid, pts, grid.rho_bar)
-    return np.where(rho0_at == 0.0, 0.0, rho0_at * np.exp(-divint))
+    with np.errstate(over="ignore"):      # exp may overflow where rho0_at is 0
+        decay = np.exp(-divint)
+    return np.where(rho0_at == 0.0, 0.0, rho0_at * decay)
 
 
 def loop_heat_smooth(u, grid, duration):

@@ -138,6 +138,18 @@ class TestContinuityCharacteristics:
             continuity_step_characteristics(-np.ones(128), hist, 0.1, grid128)
 
 
+def test_intended_overflow_raises_no_warning():
+    # exp(-int div w) overflows where the flow compresses for long enough:
+    # the overflow is intended (vacuum stays 0), so it raises no RuntimeWarning
+    grid = SpatialGrid.periodic(8, 1.0)
+    w = 50.0 * np.sin(2 * np.pi * grid.axis_coords(0))[None]
+    hist = VelocityHistory.constant(w, 0.0, 20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rho = continuity_step_characteristics(np.ones(8), hist, 20.0, grid)
+    assert np.all(rho >= 0.0)
+
+
 class TestTraceValidation:
     """Start times and substep counts are checked before any tracing."""
 
@@ -166,6 +178,26 @@ class TestTraceValidation:
     def test_two_dimensional_start_times_rejected(self, hist):
         with pytest.raises(ShapeError):
             _trace_backward(hist, np.zeros((2, 2)), SpatialGrid.periodic(16, 1.0))
+
+
+class TestStepSize:
+    @pytest.mark.parametrize("dt", [-0.01, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("step", ["continuity_fv", "momentum"])
+    def test_step_must_be_positive_and_finite(self, step, dt):
+        # a NaN step used to give all-NaN densities, a negative one a backward
+        # step, and a zero momentum step divide-by-zero warnings
+        grid = SpatialGrid.periodic(8, 1.0)
+        rng = np.random.default_rng(0)
+        rho = rng.uniform(0.5, 1.5, 8)
+        w = 0.3 * rng.normal(size=(1, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepSizeError, match="positive and finite"):
+                if step == "continuity_fv":
+                    continuity_step_fv(rho, w, dt, grid)
+                else:
+                    momentum_step(w, rho, w, rho, np.zeros((1, 8)), ViscosityParams(1.0, 0.0),
+                                  dt, grid)
 
 
 class TestVelocityHistoryValidation:

@@ -10,7 +10,8 @@ ordinate sets (the ordinates along z have zero speed on both grid axes), and
 The same holds for multilinear interpolation (the flat-index gather against
 the per-point loop, and with lead and paired-index axes against one call per
 slice), for the characteristics trace of many start times at once against
-one start time at a time, for the in-place heat-flow mollifier
+one start time at a time, for the finite-volume continuity step against
+its one-face-at-a-time loop version (its CFL error included), for the in-place heat-flow mollifier
 against its freshly padded loop version, for the whole-array coefficient
 tables of the built-in models against one callable call per (band,
 ordinate), and for the ghost layers against ``np.pad``.  The radiation
@@ -29,13 +30,15 @@ import contextlib
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rhlab.norms
 from rhlab.diagnostics import blowup_monitor
+from rhlab.errors import StepSizeError
 from rhlab.fluid import (VelocityHistory, _clamp_points, _interp, _trace_backward,
-                         continuity_step_characteristics, heat_smooth)
+                         continuity_step_characteristics, continuity_step_fv, heat_smooth)
 from rhlab.grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, gradient,
                         pad_ghost, write_field_snapshot)
 from rhlab.norms import MIXED_INNER_KINDS, NormSettings, mixed_radiation_norm
@@ -50,7 +53,8 @@ from rhlab.transport import (collision_decomposition, free_streaming_step, momen
 from _reference import (broadcast_gain, broadcast_momentum_source,
                         broadcast_substep_transport, broadcast_sweep, broadcast_tables,
                         broadcast_transport_step, loop_blowup_monitor, loop_clamp_points,
-                        loop_continuity_step_characteristics, loop_free_streaming_step,
+                        loop_continuity_step_characteristics, loop_continuity_step_fv,
+                        loop_free_streaming_step,
                         loop_gamma_increment, loop_gamma_metric, loop_gradient,
                         loop_heat_smooth, loop_interp_field, loop_mixed_radiation_norm,
                         loop_pad_ghost, loop_tabulate, loop_trace_backward,
@@ -245,6 +249,32 @@ def test_characteristics_array_t(case):
     for b, tb in enumerate(t):
         one, _, _ = _trace_backward(hist, tb, grid, substeps)
         assert _identical(one[:, 0], departure[:, b])
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 3), periodic=st.booleans(), seed=seeds, zeros=st.booleans(),
+       rest=st.booleans(), rho_bar=st.sampled_from([0.0, 0.7, 2.0]),
+       courant=st.floats(0.05, 3.0))
+def test_continuity_step_fv(dim, periodic, seed, zeros, rest, rho_bar, courant):
+    # vacuum cells and signed zeros in rho and w, or w at rest; about one
+    # draw in eight fails the CFL check, which both versions must raise alike
+    rng = np.random.default_rng(seed)
+    cells = tuple(int(n) for n in rng.integers(4, 12 if dim == 1 else 6, dim))
+    lengths = tuple(rng.uniform(0.5, 2.0, dim))
+    grid = SpatialGrid.periodic(cells, lengths, rho_bar) if periodic \
+        else SpatialGrid.farfield(cells, lengths, rho_bar)
+    shape = (dim,) + cells
+    w = _at_rest(rng, shape) if rest else _field(rng, shape, True, zeros)
+    rho = _field(rng, cells, False, zeros)
+    dt = courant / (np.max(np.abs(w)) * sum(1.0 / h for h in grid.spacing) + 1.0)
+    try:
+        want = loop_continuity_step_fv(rho, w, dt, grid)
+    except StepSizeError as exc:
+        with pytest.raises(StepSizeError) as raised:
+            continuity_step_fv(rho, w, dt, grid)
+        assert str(raised.value) == str(exc)
+        return
+    assert _identical(continuity_step_fv(rho, w, dt, grid), want)
 
 
 def _grid_and_points(rng, dim, periodic, batch):

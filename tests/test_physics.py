@@ -9,12 +9,43 @@ from hypothesis import strategies as st
 
 import rhlab
 from rhlab.errors import ConfigError, DomainError, ParameterError
-from rhlab.grid import AngularQuadrature, FrequencyGrid
+from rhlab.grid import AngularQuadrature, FrequencyGrid, SpatialGrid
 from rhlab.physics import (CoefficientModel, EquationOfState, PhysicalConstants,
                            ViscosityParams, compton_model, constant_model,
                            _zero_kernel, pressure, validate_emission_regularity,
                            validate_kernel_integrability,
                            validate_sigma_regularity, zero_model)
+
+
+_CONSTRUCTOR_FIELDS = {
+    "SpatialGrid.spacing": lambda x: SpatialGrid((8,), (x,)),
+    "SpatialGrid.rho_bar": lambda x: SpatialGrid.farfield(8, 1.0, x),
+    "SpatialGrid.periodic.lengths": lambda x: SpatialGrid.periodic(8, x),
+    "FrequencyGrid.band_edges": lambda x: FrequencyGrid.from_edges([0.5, 1.0, x]),
+    "ViscosityParams.mu": lambda x: ViscosityParams(mu=x, lam=0.0),
+    "ViscosityParams.lam": lambda x: ViscosityParams(mu=1.0, lam=x),
+    "PhysicalConstants.c": lambda x: PhysicalConstants(c=x),
+    "EquationOfState.A": lambda x: EquationOfState.polytropic(x, 2.0),
+    "EquationOfState.gamma": lambda x: EquationOfState.polytropic(1.0, x),
+    "constant_model.sigma0": lambda x: constant_model(sigma0=x),
+    "constant_model.kernel0": lambda x: constant_model(kernel0=x),
+    "constant_model.emission0": lambda x: constant_model(emission0=x),
+    "compton_model.D1": lambda x: compton_model(x, 1.0, 1.0, 1.0),
+    "compton_model.D2": lambda x: compton_model(1.0, x, 1.0, 1.0),
+    "compton_model.v0": lambda x: compton_model(1.0, 1.0, x, 1.0),
+    "compton_model.theta": lambda x: compton_model(1.0, 1.0, 1.0, x),
+    "compton_model.emission0": lambda x: compton_model(1.0, 1.0, 1.0, 1.0, emission0=x),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", sorted(_CONSTRUCTOR_FIELDS))
+def test_constructor_rows_refuse_non_finite(field, value):
+    # every numeric field of the constructor rows, as the config parser
+    # refuses non-finite values
+    with pytest.raises(ParameterError) as raised:
+        _CONSTRUCTOR_FIELDS[field](value)
+    assert raised.value.exit_code == 2
 
 
 class TestViscosityParams:
