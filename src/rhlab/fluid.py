@@ -374,7 +374,7 @@ def continuity_step_characteristics(rho0: Array, w_hist: VelocityHistory, t,
     exponential, and exactly 0 where that interpolation is 0.
     """
     rho0 = check_scalar(rho0, grid)
-    if np.any(rho0 < 0):
+    if not (rho0 >= 0).all():        # NaN fails too
         raise DomainError("initial density must be >= 0")
     pts, _, divint = _trace_backward(w_hist, t, grid, substeps)
     rho = _interp(pad_ghost(rho0, grid, grid.rho_bar), grid, pts)
@@ -406,11 +406,14 @@ def continuity_step_fv(rho_n: Array, w: Array, dt: float, grid: SpatialGrid) -> 
     outflow satisfies dt * sum_a (outflow_a / h_a) <= 1, which is what the
     CFL check enforces, so rho >= 0 is preserved exactly.  w (zero ghosts)
     and rho (``rho_bar`` ghosts) are padded once each; no flux is formed
-    before the CFL check passes.
+    before the CFL check passes.  A density that is negative or NaN, or a
+    NaN velocity (which makes the CFL rate NaN), is a domain error.
     """
     rho_n = check_scalar(rho_n, grid)
     w = check_vector(w, grid)
     check_step(dt, "continuity")
+    if not (rho_n >= 0).all():
+        raise DomainError("continuity step requires rho >= 0")
     wp = pad_ghost(w, grid, 0.0)
     faces, outflow = [], np.zeros(grid.extents)
     for a, h in enumerate(grid.spacing):
@@ -420,6 +423,8 @@ def continuity_step_fv(rho_n: Array, w: Array, dt: float, grid: SpatialGrid) -> 
         outflow += (np.maximum(wf[hi], 0.0) + np.maximum(-wf[lo], 0.0)) / h
         faces.append(wf)
     worst = dt * float(np.max(outflow))
+    if math.isnan(worst):
+        raise DomainError("continuity step requires a velocity that is not NaN")
     if worst > 1.0 + 1e-12:
         raise StepSizeError(f"continuity CFL violated: dt * max outflow rate "
                             f"= {worst:.3g} > 1")
@@ -845,7 +850,7 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     p_m = check_scalar(p_m, grid)
     rad_source = check_vector(rad_source, grid)
     check_step(dt, "momentum")
-    if np.any(rho_new < 0):
+    if not (rho_new >= 0).all():     # NaN fails too
         raise DomainError("momentum step requires rho >= 0")
 
     rhs = rho_new[None] * u_n / dt - gradient(p_m, grid, farfield_value=p_ref) + rad_source

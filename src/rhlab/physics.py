@@ -167,11 +167,13 @@ class EquationOfState:
 
 
 def pressure(eos: EquationOfState, rho: Array, grid: SpatialGrid | None = None) -> Array:
-    """Pointwise pressure; negative density is a domain error naming the cell."""
+    """Pointwise pressure; a negative or NaN density is a domain error naming
+    the cell (the first NaN, else the most negative)."""
     rho = np.asarray(rho, dtype=float) if grid is None else check_scalar(rho, grid)
-    if np.any(rho < 0):
+    if not (rho >= 0).all():
         idx = np.unravel_index(int(np.argmin(rho)), rho.shape)
-        raise DomainError(f"negative density {rho[idx]} at cell {tuple(int(i) for i in idx)}")
+        raise DomainError(f"density {rho[idx]} at cell {tuple(int(i) for i in idx)} "
+                          "is not >= 0")
     return eos(rho)
 
 

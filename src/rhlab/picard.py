@@ -30,6 +30,8 @@ the accepted attempt.
 
 Iterate 0 of a slab (frozen density, heat-flowed velocities and
 free-streamed intensities) is built by each attempt that starts from it.
+One radiation record serves iterate 0 and every sweep of a slab solve, and
+``transport._radiation_step`` is the radiation half of each step.
 Every sweep, the first included, gets its characteristics density from one
 ``continuity_step_characteristics`` trace of the iterate it reads.  A slab
 that starts at rest (u0 and I0 all zero) is not stepped for its iterate 0 or
@@ -51,7 +53,7 @@ from .grid import Grids, check_radiation, check_scalar, check_vector
 from .norms import _differences, _lp_cells, _lp_multi, _phase_l2, lp_norm, snapshot_chunks
 from .physics import (CoefficientModel, EquationOfState, PhysicalConstants,
                       ViscosityParams, pressure)
-from .transport import _advance, _coefficients, _momentum_source, _radiation
+from .transport import _Radiation, _advance, _radiation, _radiation_step
 
 Array = np.ndarray
 
@@ -245,12 +247,10 @@ def _slab_times(t0: float, T: float, dt: float) -> np.ndarray:
     return t0 + np.linspace(0.0, T, n + 1)
 
 
-def _initial_iterate(state0: State, grids: Grids, consts: PhysicalConstants,
-                     times: np.ndarray) -> list:
+def _initial_iterate(state0: State, rad: _Radiation, times: np.ndarray) -> list:
     """Iterate 0, one state per time of ``times``: frozen density, u0
     carried by explicit heat flow and I0 by ``transport._advance`` without
     collisions (free streaming) over each step in turn."""
-    grid = grids.spatial
     u, I = state0.u, state0.I
     # one stack per field, not one array per step: with per-step arrays kept
     # alive over the slab, a 128-cell 1D run of 2 slabs x 20 steps ran about
@@ -259,23 +259,19 @@ def _initial_iterate(state0: State, grids: Grids, consts: PhysicalConstants,
     intensities = np.empty((times.size - 1,) + np.shape(I))
     for j in range(1, times.size):
         dt = float(times[j] - times[j - 1])
-        velocities[j - 1] = u = heat_smooth(u, grid, dt)
-        intensities[j - 1] = I = _advance(I, None, None, None, grids, dt,
-                                          float(times[j - 1]), consts.c)
+        velocities[j - 1] = u = heat_smooth(u, rad.grids.spatial, dt)
+        intensities[j - 1] = I = _advance(I, None, None, rad, dt, float(times[j - 1]))
     return [state0] + [State(I=I, rho=state0.rho, u=u)
                        for u, I in zip(velocities, intensities)]
 
 
-def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Grids,
-                  visc: ViscosityParams, eos: EquationOfState,
-                  consts: PhysicalConstants, cfg: SlabConfig,
-                  times: np.ndarray) -> list:
+def _iterate_once(prev: list, state0: State, rad: _Radiation, visc: ViscosityParams,
+                  eos: EquationOfState, cfg: SlabConfig, times: np.ndarray) -> list:
     """One sweep of the linearized system over the slab, driven by the
-    previous iterate (w, psi) = (u^k, I^k); ``transport._advance`` takes
-    the scattering-in from psi.  What transport reads of the model and the
-    quadratures is built once per sweep (``transport._radiation``)."""
-    grid = grids.spatial
-    dim = grid.dim
+    previous iterate (w, psi) = (u^k, I^k): per step the density, the
+    radiation half on the attempt's record (``transport._radiation_step``,
+    scattering-in from psi), then the velocity."""
+    grid = rad.grids.spatial
     p_ref = eos.reference_pressure(grid.rho_bar)
     if cfg.continuity == "characteristics":
         # each step's density depends only on state0.rho and the previous
@@ -284,27 +280,17 @@ def _iterate_once(prev: list, state0: State, model: CoefficientModel, grids: Gri
         w_hist = VelocityHistory(rel_times, [s.u for s in prev])
         rho_char = continuity_step_characteristics(state0.rho, w_hist, rel_times[1:], grid)
 
-    rad = _radiation(model, grids, consts.c)
     new_states = [state0]
     for j in range(1, times.size):
         dt = float(times[j] - times[j - 1])
-        t_new = float(times[j])
         if cfg.continuity == "fv":
             rho_new = continuity_step_fv(new_states[-1].rho, prev[j - 1].u, dt, grid)
         else:
             rho_new = rho_char[j - 1]
-        # removal and emission depend on rho_new alone: for a tabulated model
-        # one build serves every transport substep and the momentum source;
-        # otherwise each is evaluated at its own time
-        t_prev = float(times[j - 1])
-        coeffs = _coefficients(rad, rho_new, t_prev)
-        I_new = _advance(new_states[-1].I, prev[j - 1].I, rho_new, rad, grids, dt, t_prev,
-                         consts.c, coeffs)
-        p_new = pressure(eos, rho_new, grid)
-        coeffs = _coefficients(rad, rho_new, t_new, coeffs)
-        f_rad = _momentum_source(I_new, rho_new, rad, coeffs, consts.c)[:dim]
-        u_new = momentum_step(new_states[-1].u, rho_new, prev[j].u, p_new, f_rad,
-                              visc, dt, grid, p_ref=p_ref)
+        I_new, f_rad = _radiation_step(rad, new_states[-1].I, prev[j - 1].I, rho_new,
+                                       float(times[j - 1]), float(times[j]))
+        u_new = momentum_step(new_states[-1].u, rho_new, prev[j].u, pressure(eos, rho_new, grid),
+                              f_rad, visc, dt, grid, p_ref=p_ref)
         new_states.append(State(I=I_new, rho=rho_new, u=u_new))
     return new_states
 
@@ -356,13 +342,14 @@ def solve_slab_full(state0: State, model, grids, visc, eos, consts,
     state0 = state0.validate(grids)
     include_l32 = grids.spatial.boundary == "farfield" and grids.spatial.rho_bar == 0.0
     T = cfg.slab_length
+    rad = _radiation(model, grids, consts.c)     # one record for every attempt
     for halvings in range(cfg.max_halvings + 1):
         # with dt > T (a halved slab) this is the one step dt = T gives
         times = _slab_times(t0, T, cfg.dt)
         diag = PicardDiagnostics(slab_length=T, times=times, halvings=halvings)
-        prev = _initial_iterate(state0, grids, consts, times)
+        prev = _initial_iterate(state0, rad, times)
         for _ in range(cfg.max_iters):
-            current = _iterate_once(prev, state0, model, grids, visc, eos, consts, cfg, times)
+            current = _iterate_once(prev, state0, rad, visc, eos, cfg, times)
             diag.gamma_history.append(gamma_metric(prev, current, grids,
                                                    include_l32=include_l32))
             prev = current

@@ -110,8 +110,7 @@ def _write_picard_csv(path, diagnostics) -> None:
 def run_scenario(cfg: RunConfig) -> dict:
     """Execute the configured run and write all artifacts; returns the summary."""
     prob = build_problem(cfg)
-    outdir = _output_dir(cfg)
-    os.makedirs(outdir, exist_ok=True)
+    outdir = _output_dir(cfg)        # made by the first write: a run that raises leaves none
     grids, grid = prob.grids, prob.grids.spatial
 
     traj = solve(prob.state0, prob.model, grids, prob.visc, prob.eos, prob.consts,

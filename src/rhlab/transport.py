@@ -11,30 +11,33 @@ which keeps I >= 0 exactly for nonnegative data, sources and kernels.
 What the collision operator reads of the model and the quadratures is one
 record, ``_Radiation``: the gain matrix, Lambda_s, the band-centre column,
 the w Omega matrix of the radiation flux, the upwind ordinate sets and the
-CFL limit.  It is assembled once per Picard sweep and once per call of a
-public step, from value-keyed caches (``CoefficientModel``'s kernel cache,
-``_upwind_sets``, ``_cfl_limit``) and the flux weights, which
-``_flux_weights`` builds afresh (about 4 us on one thread of a 2-vCPU
-Xeon).  The collision coefficients follow one rule (``_coefficients``): a
-tabulated model's sigma and emission tables, which by contract never
-depend on t, are read once per density; an untabulated model is evaluated
-at each time.  Each step forms the removal (sigma + Lambda_s) rho once,
-from the sigma table without broadcasting it, and the update and the
-momentum source run in place on the output of one ``np.dot``, with the
-stream as the only other radiation-sized buffer.  Against per-step tables broadcast to (B, M) +
-cells and out-of-place updates, the radiation half of a Picard step
-(transport advance and momentum source, per step of a sweep) went from
-about 234 to 154 us on a 256-cell 1D far field with 8 ordinates x 4
-bands, from 137 to 98 us on a 128-cell periodic one, and from 1019 to
-793 us on a 32^2 far field with 14 ordinates x 2 bands (one thread of a
-2-vCPU Xeon; the fastest of six processes, each the fastest of 15 sweeps).
+light speed c.  The Picard driver builds one per slab attempt, for its
+iterate 0 and every sweep, and each public step its own, from value-keyed
+caches (``CoefficientModel``'s kernel cache, ``_upwind_sets``) and the flux
+weights, which ``_flux_weights`` builds afresh (about 4 us on one thread of
+a 2-vCPU Xeon).  A step looks up its CFL limit (``transport_cfl_limit``, a
+cached call of about 0.4 us), so a record that never streams takes any c.
+The collision coefficients follow one rule (``_coefficients``): a tabulated
+model's sigma and emission tables, which by contract never depend on t, are
+read once per density; an untabulated model is evaluated at each time.
+Each step forms the removal (sigma + Lambda_s) rho once, from the sigma
+table without broadcasting it, and the update and the momentum source run
+in place on the output of one ``np.dot``, with the stream as the only other
+radiation-sized buffer.  Against per-step tables broadcast to (B, M) + cells
+and out-of-place updates, the radiation half of a Picard step went from
+about 234 to 154 us per step of a sweep on a 256-cell 1D far field with 8
+ordinates x 4 bands, from 137 to 98 us on a 128-cell periodic one, and from
+1019 to 793 us on a 32^2 far field with 14 ordinates x 2 bands (one thread
+of a 2-vCPU Xeon; the fastest of six processes, each the fastest of 15
+sweeps).
 
 One step, ``_transport_step``, and one substep loop, ``_advance``, serve
-every Picard sweep and ``substep_transport``; without a record ``_advance``
-chains ``free_streaming_step``, which serves iterate 0.
-``free_streaming_step`` returns a field of zeros unchanged without
-streaming it, so iterate 0 of a slab that starts with no radiation is not
-stepped.  Every step rejects a dt that is not positive and finite.
+every Picard sweep and ``substep_transport``; with no known iterate psi
+``_advance`` chains ``free_streaming_step``, which serves iterate 0 and
+returns a field of zeros unchanged, so iterate 0 of a slab that starts with
+no radiation is not stepped.  ``_radiation_step`` is the radiation half of a
+Picard step: the advance and the force on the fluid.  Every step rejects a
+dt that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -60,11 +63,11 @@ CFL_FRACTION = 0.9       # largest substep of ``_advance``, in CFL limits
 # ---------------------------------------------------------------------------
 
 class _Radiation(NamedTuple):
-    """What transport reads of the model and the quadratures, at light
-    speed c: the gain matrix W viewed as (B*M, B*M), Lambda_s and the band
-    centres v shaped (B, M) and (B, 1) plus one unit axis per dimension, the
-    (k, B*M) w Omega matrix, the ``_upwind_sets``, and the CFL limit (None
-    when built without c)."""
+    """What transport reads of the model and the quadratures: the gain
+    matrix W viewed as (B*M, B*M), Lambda_s and the band centres v shaped
+    (B, M) and (B, 1) plus one unit axis per dimension, the (k, B*M) w Omega
+    matrix, the ``_upwind_sets``, and the light speed c (None when built for
+    the collision operator alone)."""
 
     model: CoefficientModel
     grids: Grids
@@ -73,7 +76,7 @@ class _Radiation(NamedTuple):
     v: Array
     flux_weights: Array
     upwind: tuple
-    limit: float | None
+    c: float | None
 
 
 def _radiation(model: CoefficientModel, grids: Grids, c: float | None = None) -> _Radiation:
@@ -85,8 +88,7 @@ def _radiation(model: CoefficientModel, grids: Grids, c: float | None = None) ->
     wo = _flux_weights(grids)
     return _Radiation(model, grids, gain.reshape(wo.shape[1], -1),
                       lam_s.reshape(lam_s.shape + unit), v, wo,
-                      _upwind_sets(ords.tobytes(), ords.shape[0], grids.spatial.dim),
-                      None if c is None else transport_cfl_limit(grids, c))
+                      _upwind_sets(ords.tobytes(), ords.shape[0], grids.spatial.dim), c)
 
 
 def _coefficients(rad: _Radiation, rho: Array, t: float,
@@ -199,18 +201,16 @@ def radiation_pressure_tensor(I: Array, grids: Grids, c: float) -> Array:
     return np.tensordot(woo, I, axes=([0, 1], [0, 1])) / c
 
 
-def _momentum_source(I: Array, rho: Array, rad: _Radiation, coeffs: tuple,
-                     c: float) -> Array:
+def _momentum_source(I: Array, rho: Array, rad: _Radiation, coeffs: tuple) -> Array:
     """-(1/c) w Omega . (gain - removal I), with ``coeffs`` = (removal,
-    emission) at rho, in place on the gain, on the flux and on the removal,
-    which it overwrites: each caller passes a removal that it uses no more."""
+    emission) at rho, in place on the gain, the flux and the removal."""
     removal, emission = coeffs
     a = _gain(rad, I, rho, emission)
     removal *= I
     a -= removal
     f = _flux(rad.flux_weights, a)
     np.negative(f, out=f)
-    f /= c
+    f /= rad.c
     return f
 
 
@@ -219,8 +219,8 @@ def momentum_source(I: Array, rho: Array, model: CoefficientModel, grids: Grids,
     """Radiative force on the fluid: -(1/c) int int A_r Omega dOmega dv."""
     I = check_radiation(I, grids)
     rho = check_scalar(rho, grids.spatial)
-    rad = _radiation(model, grids)
-    return _momentum_source(I, rho, rad, _coefficients(rad, rho, t), c)
+    rad = _radiation(model, grids, c)
+    return _momentum_source(I, rho, rad, _coefficients(rad, rho, t))
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +307,14 @@ def _streaming(I: Array, grid: SpatialGrid, upwind: tuple) -> Array:
 
 
 def _transport_step(I_n: Array, psi: Array, rho_new: Array, rad: _Radiation,
-                    coeffs: tuple, dt: float, c: float) -> Array:
+                    coeffs: tuple, dt: float) -> Array:
     """(I_n + c dt (gain - stream)) / (1 + c dt removal), with ``coeffs`` =
     (removal, emission) at rho_new, in place on the gain; the stream's
     buffer then takes the denominator.  Each operation is the out-of-place
     formula's, bit for bit (products and sums commute)."""
     removal, emission = coeffs
     stream = _streaming(I_n, rad.grids.spatial, rad.upwind)
-    cdt = c * dt
+    cdt = rad.c * dt
     out = _gain(rad, psi, rho_new, emission)
     out -= stream
     out *= cdt
@@ -336,9 +336,9 @@ def transport_step(I_n: Array, psi: Array, rho_new: Array, model: CoefficientMod
     I_n = check_radiation(I_n, grids)
     psi = check_radiation(psi, grids)
     rho_new = check_scalar(rho_new, grids.spatial)
+    _check_cfl(dt, transport_cfl_limit(grids, c))
     rad = _radiation(model, grids, c)
-    _check_cfl(dt, rad.limit)
-    return _transport_step(I_n, psi, rho_new, rad, _coefficients(rad, rho_new, t), dt, c)
+    return _transport_step(I_n, psi, rho_new, rad, _coefficients(rad, rho_new, t), dt)
 
 
 def free_streaming_step(I_n: Array, grids: Grids, dt: float, c: float) -> Array:
@@ -358,28 +358,39 @@ def free_streaming_step(I_n: Array, grids: Grids, dt: float, c: float) -> Array:
     return np.subtract(I_n, out, out=out)
 
 
-def _advance(I_n: Array, psi: Array | None, rho_new: Array | None,
-             rad: _Radiation | None, grids: Grids, dt: float, t: float, c: float,
-             coeffs: tuple | None = None) -> Array:
+def _advance(I_n: Array, psi: Array | None, rho_new: Array | None, rad: _Radiation,
+             dt: float, t: float, coeffs: tuple | None = None) -> Array:
     """Advance [t, t + dt] in the fewest equal substeps of at most
-    ``CFL_FRACTION`` of the CFL limit: each a ``free_streaming_step``
-    without ``rad``, else a ``_transport_step`` with the ``_coefficients``
-    at its start time.  ``coeffs`` are those at t when the caller has
-    them."""
+    ``CFL_FRACTION`` of the CFL limit at ``rad.c``: each a
+    ``free_streaming_step`` when psi is None, else a ``_transport_step``
+    with the ``_coefficients`` at its start time.  ``coeffs`` are those at t
+    when the caller has them."""
     _check_cfl(dt, np.inf)       # positive and finite, before it sets the count
-    limit = transport_cfl_limit(grids, c) if rad is None else rad.limit
+    limit = transport_cfl_limit(rad.grids, rad.c)
     n_sub = max(1, math.ceil(dt / (CFL_FRACTION * limit)))
     sub = dt / n_sub
     _check_cfl(sub, limit)
     I = I_n
     for k in range(n_sub):
-        if rad is None:          # through the module name, which a tracer may wrap
-            I = free_streaming_step(I, grids, sub, c)
+        if psi is None:          # through the module name, which a tracer may wrap
+            I = free_streaming_step(I, rad.grids, sub, rad.c)
             continue
         if k or coeffs is None:
             coeffs = _coefficients(rad, rho_new, t + k * sub, coeffs)
-        I = _transport_step(I, psi, rho_new, rad, coeffs, sub, c)
+        I = _transport_step(I, psi, rho_new, rad, coeffs, sub)
     return I
+
+
+def _radiation_step(rad: _Radiation, I_n: Array, psi: Array, rho: Array,
+                    t0: float, t1: float) -> tuple:
+    """The radiation half of a Picard step over [t0, t1] at density rho: I_n
+    advanced with scattering-in from psi, and the first dim components of
+    its ``_momentum_source`` at t1.  A tabulated model's coefficients at t0
+    serve every substep and the source, which overwrites their removal last."""
+    coeffs = _coefficients(rad, rho, t0)
+    I = _advance(I_n, psi, rho, rad, t1 - t0, t0, coeffs)
+    force = _momentum_source(I, rho, rad, _coefficients(rad, rho, t1, coeffs))
+    return I, force[:rad.grids.spatial.dim]
 
 
 def substep_transport(I_n: Array, psi: Array, rho_new: Array, model: CoefficientModel,
@@ -388,4 +399,4 @@ def substep_transport(I_n: Array, psi: Array, rho_new: Array, model: Coefficient
     I_n = check_radiation(I_n, grids)
     psi = check_radiation(psi, grids)
     rho_new = check_scalar(rho_new, grids.spatial)
-    return _advance(I_n, psi, rho_new, _radiation(model, grids, c), grids, dt, t, c)
+    return _advance(I_n, psi, rho_new, _radiation(model, grids, c), dt, t)

@@ -271,6 +271,34 @@ class TestExitCodes:
                 f"background density") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_solve_leaves_no_output_dir(self, tmp_path):
+        # one sweep cannot converge and halving is off: exit 5 before any
+        # output is written, and no empty directory is left behind
+        out = tmp_path / "out"
+        cfg = write_cfg(tmp_path, f"""
+[grid]
+dim = 1
+cells = 64
+lengths = 1.0
+boundary = periodic
+
+[model]
+kind = constant
+
+[scenario]
+name = smooth-bump
+
+[run]
+t_final = 0.004
+slab_length = 0.002
+dt = 0.001
+max_iters = 1
+max_halvings = 0
+output_dir = {out}
+""")
+        assert main(["run", cfg]) == 5
+        assert not out.exists()
+
     def test_extrapolate_key_exit_2(self, tmp_path, capsys):
         # a run has no extrapolated output, so [run] has no extrapolate key
         cfg = write_cfg(tmp_path, "[run]\nt_final = 0.004\nextrapolate = true\n")

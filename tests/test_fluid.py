@@ -18,7 +18,7 @@ from rhlab.fluid import (VelocityHistory, _clamp_points, _interp, _trace_backwar
                          heat_smooth, lame_apply, momentum_step)
 from rhlab.grid import SpatialGrid, divergence, gradient, inner_product, pad_ghost
 from rhlab.norms import lp_norm
-from rhlab.physics import ViscosityParams
+from rhlab.physics import EquationOfState, ViscosityParams, pressure
 
 from conftest import random_smooth_field, random_smooth_vector
 from _reference import (convection_matrix, layout_lame_matrix, layout_matrix,
@@ -221,6 +221,47 @@ class TestVelocityHistoryValidation:
     def test_heat_smooth_non_finite_duration(self, duration):
         with pytest.raises(ParameterError):
             heat_smooth(np.zeros((1, 8)), SpatialGrid.periodic(8, 1.0), duration)
+
+
+def _domain_case(step, bad):
+    """Call ``step`` on an 8-cell periodic grid with rho = linspace(0.5,
+    1.5, 8), and with ``bad`` put into cell 3: a NaN or negative density, or
+    a NaN velocity (w = 0.3 elsewhere)."""
+    grid = SpatialGrid.periodic(8, 1.0)
+    rho, w = np.linspace(0.5, 1.5, 8), np.full((1, 8), 0.3)
+    if bad == "nan_velocity":
+        w[0, 3] = np.nan
+    else:
+        rho[3] = np.nan if bad == "nan_density" else -0.5
+    if step == "continuity_fv":
+        return continuity_step_fv(rho, w, 0.01, grid)
+    if step == "characteristics":
+        hist = VelocityHistory.constant(np.zeros((1, 8)), 0.0, 0.01)
+        return continuity_step_characteristics(rho, hist, 0.01, grid)
+    if step == "momentum":
+        return momentum_step(np.zeros((1, 8)), rho, None, np.ones(8), np.zeros((1, 8)),
+                             ViscosityParams(1.0, 0.0), 0.01, grid)
+    return pressure(EquationOfState.polytropic(1.0, 2.0), rho, grid)
+
+
+@pytest.mark.parametrize("step, bad", [
+    ("continuity_fv", "nan_density"), ("continuity_fv", "negative_density"),
+    ("continuity_fv", "nan_velocity"), ("characteristics", "nan_density"),
+    ("momentum", "nan_density"), ("pressure", "nan_density")])
+def test_nan_or_negative_density_and_nan_velocity_are_domain_errors(step, bad):
+    # each returned NaN or negative densities, or (momentum) failed in its
+    # solver; a negative density was already refused by the other steps
+    with pytest.raises(DomainError) as err:
+        _domain_case(step, bad)
+    assert err.value.exit_code == 2
+
+
+def test_infinite_velocity_keeps_its_cfl_error():
+    grid = SpatialGrid.periodic(8, 1.0)
+    w = np.zeros((1, 8))
+    w[0, 3] = np.inf
+    with pytest.raises(StepSizeError, match="CFL"):
+        continuity_step_fv(np.ones(8), w, 0.01, grid)
 
 
 class TestContinuityFV:

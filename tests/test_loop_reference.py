@@ -47,8 +47,9 @@ from rhlab.physics import (CoefficientModel, EquationOfState, PhysicalConstants,
                            constant_model, zero_model)
 from rhlab.picard import (SlabConfig, State, Trajectory, _iterate_once, _slab_times,
                           gamma_metric)
-from rhlab.transport import (collision_decomposition, free_streaming_step, momentum_source,
-                             substep_transport, transport_cfl_limit, transport_step)
+from rhlab.transport import (_radiation, collision_decomposition, free_streaming_step,
+                             momentum_source, substep_transport, transport_cfl_limit,
+                             transport_step)
 
 from _reference import (broadcast_gain, broadcast_momentum_source,
                         broadcast_substep_transport, broadcast_sweep, broadcast_tables,
@@ -504,9 +505,9 @@ def test_radiation_half(case, seed, c, limits, t, zeros):
 @given(case=radiation_cases(max_dim=2), seed=seeds, steps=st.integers(1, 3),
        limits=st.floats(0.3, 3.0), zeros=st.booleans())
 def test_sweep_radiation_half(case, seed, steps, limits, zeros):
-    # one Picard sweep: the record built once, the removal formed once per
-    # step (per substep time when untabulated) and shared by the momentum
-    # source, against the broadcast tables at every substep and at t_new
+    # one Picard sweep on one record: the removal formed once per step (per
+    # substep time when untabulated) and shared by the momentum source,
+    # against the broadcast tables at every substep and at t_new
     grids, model = case
     grid = grids.spatial
     rng = np.random.default_rng(seed)
@@ -520,10 +521,10 @@ def test_sweep_radiation_half(case, seed, steps, limits, zeros):
                      u=0.1 * _field(rng, (grid.dim,) + grid.extents, True, zeros))
 
     state0, prev = state(), [state() for _ in times]
-    args = (model, grids, ViscosityParams(1.0, 0.0), EquationOfState.polytropic(1.0, 2.0),
-            consts)
-    got = _iterate_once(prev, state0, *args, SlabConfig(steps * dt, dt), times)
-    want = broadcast_sweep(prev, state0, *args, times)
+    visc, eos = ViscosityParams(1.0, 0.0), EquationOfState.polytropic(1.0, 2.0)
+    got = _iterate_once(prev, state0, _radiation(model, grids, consts.c), visc, eos,
+                        SlabConfig(steps * dt, dt), times)
+    want = broadcast_sweep(prev, state0, model, grids, visc, eos, consts, times)
     assert len(got) == len(want) == steps + 1
     for a, b in zip(got[1:], want[1:]):
         assert _identical(a.I, b.I) and _identical(a.rho, b.rho) and _identical(a.u, b.u)

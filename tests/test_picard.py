@@ -21,7 +21,7 @@ from rhlab.picard import (DeltaSchedule, PicardDiagnostics, SlabConfig, State,
                           delta_continuation, gamma_metric, solve,
                           solve_slab)
 from rhlab.runner import run_scenario
-from rhlab.transport import free_streaming_step
+from rhlab.transport import _radiation, free_streaming_step
 
 from _reference import solve_monolithic
 
@@ -92,14 +92,17 @@ class TestOneTransportAdvance:
     substep loop of ``rhlab.transport``."""
 
     def test_one_advance_per_step_of_every_iterate(self, monkeypatch):
+        # iterate 0 calls picard's binding, each sweep's radiation step
+        # transport's own
         calls = []
-        real = picard._advance
+        real = transport._advance
 
-        def counted(I_n, psi, rho_new, rad, *rest):
-            calls.append("free" if rad is None else "sweep")
-            return real(I_n, psi, rho_new, rad, *rest)
+        def counted(I_n, psi, *rest):
+            calls.append("free" if psi is None else "sweep")
+            return real(I_n, psi, *rest)
 
         monkeypatch.setattr(picard, "_advance", counted)
+        monkeypatch.setattr(transport, "_advance", counted)
         grids = make_grids()
         cfg = SlabConfig(slab_length=0.01, dt=0.002)
         _, diag = run_slab(bump_state(grids), constant_model(0.5, 0.1, 0.05), grids, cfg)
@@ -107,7 +110,7 @@ class TestOneTransportAdvance:
         assert calls == ["free"] * 5 + ["sweep"] * 5 * diag.iterations
 
     @pytest.mark.parametrize("kind", ["tabulated", "untabulated", "rho_emission_table"])
-    def test_quadrature_constants_read_once_per_sweep(self, monkeypatch, kind):
+    def test_quadrature_constants_read_once_per_attempt(self, monkeypatch, kind):
         # w1's shape: 1D periodic, 128 cells, 8 ordinates x 4 bands, 20 steps
         grids = make_grids(n=128, boundary="periodic")
         model = constant_model(0.2, 0.05, 0.05)
@@ -121,9 +124,6 @@ class TestOneTransportAdvance:
             emission.table = lambda v, rho: 0.05 * rho
             model.emission, model.emission_depends_rho = emission, True
         cfg = SlabConfig(slab_length=0.01, dt=5e-4)
-        times = _slab_times(0.0, cfg.slab_length, cfg.dt)
-        state0 = bump_state(grids)
-        prev = _initial_iterate(state0, grids, PHYS["consts"], times)
         counts = {}
 
         def count(owner, name, wrap=lambda f: f):
@@ -141,14 +141,18 @@ class TestOneTransportAdvance:
             count(transport, name)
         for name in ("sigma_bm", "emission_bm"):
             count(CoefficientModel, name)
-        picard._iterate_once(prev, state0, model, grids, PHYS["visc"], PHYS["eos"],
-                             PHYS["consts"], cfg, times)
-        steps = times.size - 1
-        assert steps == 20
-        # untabulated: each step's one substep and its momentum source
-        evaluations = 2 * steps if kind == "untabulated" else 0
+        _, diag = picard.solve_slab_full(bump_state(grids), model, grids, PHYS["visc"],
+                                         PHYS["eos"], PHYS["consts"], cfg)
+        steps, sweeps = diag.times.size - 1, diag.iterations
+        assert steps == 20 and diag.halvings == 0 and sweeps >= 2
+        # untabulated: each step's one substep and its momentum source, per sweep
+        evaluations = 2 * steps * sweeps if kind == "untabulated" else 0
+        # one record serves iterate 0 and every sweep; the CFL limit is a
+        # cached lookup per advance and per free-streaming step of iterate 0
+        # (I0 = 0 is not streamed, so it reads no upwind sets)
         assert counts == dict(_quadrature_key=1, _upwind_sets=1, _flux_weights=1,
-                              _cfl_limit=1, sigma_bm=evaluations, emission_bm=evaluations)
+                              _cfl_limit=steps * (2 + sweeps), sigma_bm=evaluations,
+                              emission_bm=evaluations)
 
     def test_slab_config_has_no_transport_cfl(self):
         assert "transport_cfl" not in SlabConfig.__slots__
@@ -372,8 +376,9 @@ class TestStopRule:
                                               PHYS["eos"], PHYS["consts"], cfg)
         assert diag.stop_rule == "bound" and diag.halvings == 0
         times = _slab_times(0.0, T, dt)
-        confirm = picard._iterate_once(states, state0, self.MODEL, grids, PHYS["visc"],
-                                       PHYS["eos"], PHYS["consts"], cfg, times)
+        rad = _radiation(self.MODEL, grids, PHYS["consts"].c)
+        confirm = picard._iterate_once(states, state0, rad, PHYS["visc"], PHYS["eos"], cfg,
+                                       times)
         gamma = gamma_metric(states, confirm, grids)
         assert gamma <= cfg.gamma_tol * diag.gamma_history[0]
 
@@ -800,7 +805,8 @@ class TestHeatFlowChain:
         st = State(I=np.exp(-((x - 0.5) / 0.1) ** 2) * np.ones(grids.radiation_shape()),
                    rho=np.ones(16), u=np.sin(2 * np.pi * x)[None])
         times = _slab_times(0.0, 0.002, 0.001)
-        states = _initial_iterate(st, grids, PHYS["consts"], times)
+        rad = _radiation(constant_model(0.2, 0.0, 0.02), grids, PHYS["consts"].c)
+        states = _initial_iterate(st, rad, times)
         assert len(heat_calls) == 2 and states[0] is st
         # the chain is the heat flow and free streaming applied step by step,
         # bit for bit
@@ -812,8 +818,7 @@ class TestHeatFlowChain:
             assert got.rho is st.rho
         # the first sweep's densities are the trace of its velocity history
         cfg = SlabConfig(slab_length=0.002, dt=0.001, continuity="characteristics")
-        swept = picard._iterate_once(states, st, constant_model(0.2, 0.0, 0.02), grids,
-                                     PHYS["visc"], PHYS["eos"], PHYS["consts"], cfg, times)
+        swept = picard._iterate_once(states, st, rad, PHYS["visc"], PHYS["eos"], cfg, times)
         hist = VelocityHistory(times, [s.u for s in states])
         rho = continuity_step_characteristics(st.rho, hist, times[1:], grids.spatial)
         assert np.stack([s.rho for s in swept[1:]]).tobytes() == rho.tobytes()
@@ -882,7 +887,8 @@ class TestHeatFlowChain:
         elif moved == "I":
             I[0, 1, 7] = 0.5
         times = _slab_times(0.0, 0.002, 0.001)
-        states = _initial_iterate(State(I=I, rho=rest.rho, u=u), grids, PHYS["consts"], times)
+        states = _initial_iterate(State(I=I, rho=rest.rho, u=u),
+                                  _radiation(zero_model(), grids, PHYS["consts"].c), times)
         # the first sweep's trace, of iterate 0's velocity history
         pts, clamped, divint = _trace_backward(VelocityHistory(times, [s.u for s in states]),
                                                times[1:], grids.spatial)

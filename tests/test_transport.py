@@ -388,7 +388,8 @@ class TestOneAdvance:
         monkeypatch.setattr(transport, "free_streaming_step", counted)
         I = rng.random(grids_small.radiation_shape())
         dt = 2.5 * transport_cfl_limit(grids_small, 1.0)
-        got = transport._advance(I, None, None, None, grids_small, dt, 0.0, 1.0)
+        rad = transport._radiation(zero_model(), grids_small, 1.0)
+        got = transport._advance(I, None, None, rad, dt, 0.0)
         want = I
         for _ in range(3):       # ceil(2.5 / CFL_FRACTION) equal substeps
             want = real(want, grids_small, dt / 3, 1.0)
