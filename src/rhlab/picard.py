@@ -289,8 +289,9 @@ def _iterate_once(prev: list, state0: State, rad: _Radiation, visc: ViscosityPar
             rho_new = rho_char[j - 1]
         I_new, f_rad = _radiation_step(rad, new_states[-1].I, prev[j - 1].I, rho_new,
                                        float(times[j - 1]), float(times[j]))
-        u_new = momentum_step(new_states[-1].u, rho_new, prev[j].u, pressure(eos, rho_new, grid),
-                              f_rad, visc, dt, grid, p_ref=p_ref)
+        p_new = pressure(eos, rho_new, grid)
+        u_new = momentum_step(new_states[-1].u, rho_new, prev[j].u, p_new, f_rad,
+                              visc, dt, grid, p_ref=p_ref)
         new_states.append(State(I=I_new, rho=rho_new, u=u_new))
     return new_states
 
