@@ -407,7 +407,9 @@ def continuity_step_fv(rho_n: Array, w: Array, dt: float, grid: SpatialGrid) -> 
     CFL check enforces, so rho >= 0 is preserved exactly.  w (zero ghosts)
     and rho (``rho_bar`` ghosts) are padded once each; no flux is formed
     before the CFL check passes.  A density that is negative or NaN, or a
-    NaN velocity (which makes the CFL rate NaN), is a domain error.
+    NaN velocity (which makes the CFL rate NaN), is a domain error; an
+    infinite velocity violates the CFL bound, also where a +inf cell meets a
+    -inf one and their face is NaN.
     """
     rho_n = check_scalar(rho_n, grid)
     w = check_vector(w, grid)
@@ -416,15 +418,18 @@ def continuity_step_fv(rho_n: Array, w: Array, dt: float, grid: SpatialGrid) -> 
         raise DomainError("continuity step requires rho >= 0")
     wp = pad_ghost(w, grid, 0.0)
     faces, outflow = [], np.zeros(grid.extents)
-    for a, h in enumerate(grid.spacing):
-        left, right = _sides(grid.dim, a, slice(1, -1))
-        wf = 0.5 * (wp[(a,) + left] + wp[(a,) + right])
-        lo, hi = _sides(grid.dim, a)
-        outflow += (np.maximum(wf[hi], 0.0) + np.maximum(-wf[lo], 0.0)) / h
-        faces.append(wf)
+    with np.errstate(invalid="ignore"):      # inf + -inf: told apart below
+        for a, h in enumerate(grid.spacing):
+            left, right = _sides(grid.dim, a, slice(1, -1))
+            wf = 0.5 * (wp[(a,) + left] + wp[(a,) + right])
+            lo, hi = _sides(grid.dim, a)
+            outflow += (np.maximum(wf[hi], 0.0) + np.maximum(-wf[lo], 0.0)) / h
+            faces.append(wf)
     worst = dt * float(np.max(outflow))
     if math.isnan(worst):
-        raise DomainError("continuity step requires a velocity that is not NaN")
+        if np.isnan(w).any():
+            raise DomainError("continuity step requires a velocity that is not NaN")
+        worst = math.inf         # a +inf cell next to a -inf one: a NaN face
     if worst > 1.0 + 1e-12:
         raise StepSizeError(f"continuity CFL violated: dt * max outflow rate "
                             f"= {worst:.3g} > 1")

@@ -37,6 +37,10 @@ Every sweep, the first included, gets its characteristics density from one
 that starts at rest (u0 and I0 all zero) is not stepped for its iterate 0 or
 the first sweep's trace: the heat flow, the free streaming and the trace
 each return their known result, bit for bit what their steps would give.
+Nor is the radiation half of a sweep step whose field and previous iterate
+are zero under a tabulated model with +0 emission and finite coefficients
+(see ``transport._radiation_step``): a run without radiation makes no
+transport step after iterate 0.
 """
 
 from __future__ import annotations
@@ -364,7 +368,8 @@ def solve_slab_full(state0: State, model, grids, visc, eos, consts,
                 break
         T *= 0.5
     raise IterationError(
-        f"fixed-point iteration failed to converge after {cfg.max_halvings} halvings",
+        f"fixed-point iteration failed to converge after {cfg.max_halvings} halvings "
+        f"(slab from t0 = {t0:.6g}, last attempt of length {diag.slab_length:.6g})",
         diagnostics=diag)
 
 

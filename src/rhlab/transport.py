@@ -36,8 +36,12 @@ every Picard sweep and ``substep_transport``; with no known iterate psi
 ``_advance`` chains ``free_streaming_step``, which serves iterate 0 and
 returns a field of zeros unchanged, so iterate 0 of a slab that starts with
 no radiation is not stepped.  ``_radiation_step`` is the radiation half of a
-Picard step: the advance and the force on the fluid.  Every step rejects a
-dt that is not positive and finite.
+Picard step: the advance and the force on the fluid.  A dark step (a
+tabulated model with +0 emission, and zero field and previous iterate) is
+not advanced either: it returns a fresh +0 field and the force of it, the
+stepped path's bits, once its coefficients are known to be finite, so a
+sweep of a run without radiation (the barotropic limit) makes no transport
+step.  Every step rejects a dt that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -108,9 +112,15 @@ def _coefficients(rad: _Radiation, rho: Array, t: float,
         return known
     else:
         sigma = model.sigma.table(rad.v, rho)
-        emission = model.emission.table(rad.v, rho) if model.emission_depends_rho \
-            else model.emission.table(rad.v)
+        emission = _emission_table(rad, rho)
     return (sigma + rad.lam_s) * rho, emission
+
+
+def _emission_table(rad: _Radiation, rho: Array):
+    """A tabulated model's emission table, at rho when it depends on rho."""
+    model = rad.model
+    return model.emission.table(rad.v, rho) if model.emission_depends_rho \
+        else model.emission.table(rad.v)
 
 
 def _gain(rad: _Radiation, psi: Array, rho: Array, emission) -> Array:
@@ -208,6 +218,11 @@ def _momentum_source(I: Array, rho: Array, rad: _Radiation, coeffs: tuple) -> Ar
     a = _gain(rad, I, rho, emission)
     removal *= I
     a -= removal
+    return _force(rad, a)
+
+
+def _force(rad: _Radiation, a: Array) -> Array:
+    """-(1/c) w Omega . a, in a new array."""
     f = _flux(rad.flux_weights, a)
     np.negative(f, out=f)
     f /= rad.c
@@ -358,18 +373,25 @@ def free_streaming_step(I_n: Array, grids: Grids, dt: float, c: float) -> Array:
     return np.subtract(I_n, out, out=out)
 
 
-def _advance(I_n: Array, psi: Array | None, rho_new: Array | None, rad: _Radiation,
-             dt: float, t: float, coeffs: tuple | None = None) -> Array:
-    """Advance [t, t + dt] in the fewest equal substeps of at most
-    ``CFL_FRACTION`` of the CFL limit at ``rad.c``: each a
-    ``free_streaming_step`` when psi is None, else a ``_transport_step``
-    with the ``_coefficients`` at its start time.  ``coeffs`` are those at t
-    when the caller has them."""
+def _substeps(rad: _Radiation, dt: float) -> tuple:
+    """(n, dt / n) for the fewest n equal substeps of dt of at most
+    ``CFL_FRACTION`` of the CFL limit at ``rad.c``; dt must be positive and
+    finite."""
     _check_cfl(dt, np.inf)       # positive and finite, before it sets the count
     limit = transport_cfl_limit(rad.grids, rad.c)
     n_sub = max(1, math.ceil(dt / (CFL_FRACTION * limit)))
     sub = dt / n_sub
     _check_cfl(sub, limit)
+    return n_sub, sub
+
+
+def _advance(I_n: Array, psi: Array | None, rho_new: Array | None, rad: _Radiation,
+             dt: float, t: float, coeffs: tuple | None = None) -> Array:
+    """Advance [t, t + dt] in its ``_substeps``: each a
+    ``free_streaming_step`` when psi is None, else a ``_transport_step``
+    with the ``_coefficients`` at its start time.  ``coeffs`` are those at t
+    when the caller has them."""
+    n_sub, sub = _substeps(rad, dt)
     I = I_n
     for k in range(n_sub):
         if psi is None:          # through the module name, which a tracer may wrap
@@ -381,13 +403,44 @@ def _advance(I_n: Array, psi: Array | None, rho_new: Array | None, rad: _Radiati
     return I
 
 
+def _is_plus_zero(a) -> bool:
+    """Whether every entry of a is +0 (not -0)."""
+    return not (np.any(a) or np.signbit(a).any())
+
+
+def _stays_dark(rad: _Radiation, removal: Array, dt: float) -> bool:
+    """Whether the ``_substeps`` of dt (checked as ``_advance`` checks them)
+    keep a field of zeros at +0 when the emission is +0 and the
+    scattering-in comes from zeros: c times a substep, the gain matrix and
+    the removal are finite and the removal is nonnegative, so no zero meets
+    an infinity and every denominator 1 + c dt removal is at least 1."""
+    _, sub = _substeps(rad, dt)
+    return (rad.c * sub < np.inf and np.isfinite(rad.gain).all()
+            and 0.0 <= removal.min() and removal.max() < np.inf)
+
+
 def _radiation_step(rad: _Radiation, I_n: Array, psi: Array, rho: Array,
                     t0: float, t1: float) -> tuple:
     """The radiation half of a Picard step over [t0, t1] at density rho: I_n
     advanced with scattering-in from psi, and the first dim components of
     its ``_momentum_source`` at t1.  A tabulated model's coefficients at t0
-    serve every substep and the source, which overwrites their removal last."""
-    coeffs = _coefficients(rad, rho, t0)
+    serve every substep and the source, which overwrites their removal last.
+
+    A dark step is not stepped: for a tabulated model whose emission table
+    at rho is +0 everywhere, with I_n and psi all zero (either sign), every
+    substep gives +0 and the source's integrand is +0 wherever
+    ``_stays_dark`` holds, so a fresh +0 field and the ``_force`` of it are
+    the stepped result bit for bit (-0.0 on the shipped quadratures).  The
+    emission is read first, so a step with emission costs no further check;
+    an untabulated model is always stepped, as its emission may depend on t."""
+    coeffs = None
+    if (rad.model.tabulated and _is_plus_zero(_emission_table(rad, rho))
+            and not (I_n.any() or psi.any())):
+        coeffs = _coefficients(rad, rho, t0)
+        if _stays_dark(rad, coeffs[0], t1 - t0):
+            I = np.zeros(I_n.shape)
+            return I, _force(rad, I)[:rad.grids.spatial.dim]
+    coeffs = _coefficients(rad, rho, t0, coeffs)
     I = _advance(I_n, psi, rho, rad, t1 - t0, t0, coeffs)
     force = _momentum_source(I, rho, rad, _coefficients(rad, rho, t1, coeffs))
     return I, force[:rad.grids.spatial.dim]

@@ -299,6 +299,35 @@ output_dir = {out}
         assert main(["run", cfg]) == 5
         assert not out.exists()
 
+    def test_failed_solve_names_its_slab(self, tmp_path, capsys):
+        # the one line of a failed fixed-point solve names the slab's start
+        # time and the length of its last attempt
+        cfg = write_cfg(tmp_path, f"""
+[grid]
+dim = 1
+cells = 64
+lengths = 1.0
+boundary = periodic
+
+[model]
+kind = constant
+
+[scenario]
+name = smooth-bump
+
+[run]
+t_final = 0.004
+slab_length = 0.002
+dt = 0.001
+max_iters = 1
+max_halvings = 0
+output_dir = {tmp_path / "out"}
+""")
+        assert main(["run", cfg]) == 5
+        assert capsys.readouterr().err == (
+            "error (IterationError): fixed-point iteration failed to converge after 0 "
+            "halvings (slab from t0 = 0, last attempt of length 0.002)\n")
+
     def test_extrapolate_key_exit_2(self, tmp_path, capsys):
         # a run has no extrapolated output, so [run] has no extrapolate key
         cfg = write_cfg(tmp_path, "[run]\nt_final = 0.004\nextrapolate = true\n")

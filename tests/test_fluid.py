@@ -264,6 +264,21 @@ def test_infinite_velocity_keeps_its_cfl_error():
         continuity_step_fv(np.ones(8), w, 0.01, grid)
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_opposite_infinite_velocities_are_a_cfl_error(dim):
+    # their face is inf + -inf = NaN, yet no velocity is NaN: the CFL error
+    # of any infinite velocity, without an "invalid value" warning
+    grid = SpatialGrid.periodic([8] * dim, [1.0] * dim)
+    w = np.zeros((dim,) + grid.extents)
+    w[(0, 3) + (0,) * (dim - 1)] = np.inf
+    w[(0, 4) + (0,) * (dim - 1)] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSizeError, match="CFL") as err:
+            continuity_step_fv(np.ones(grid.extents), w, 0.01, grid)
+    assert err.value.exit_code == 3
+
+
 class TestContinuityFV:
     def test_zero_velocity(self, grid128, rng):
         rho = np.abs(random_smooth_field(grid128, rng))

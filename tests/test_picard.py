@@ -246,6 +246,11 @@ class TestGammaMetric:
         assert diag.halvings == 2 and diag.slab_length == 0.001
         assert len(diag.gamma_history) == 1 and math.isnan(diag.gamma_history[0])
         assert not diag.converged
+        # the message names the slab's start time and its last attempt's length
+        with pytest.raises(IterationError, match=r"after 2 halvings \(slab from t0 = 0\.25, "
+                                                 r"last attempt of length 0\.001\)$"):
+            picard.solve_slab(zero_state(grids), zero_model(), grids, PHYS["visc"],
+                              PHYS["eos"], PHYS["consts"], cfg, t0=0.25)
 
 
 class TestSolveSlabEquilibrium:

@@ -1,4 +1,5 @@
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -395,6 +396,140 @@ class TestOneAdvance:
             want = real(want, grids_small, dt / 3, 1.0)
         assert calls == [dt / 3] * 3
         assert _same(got, want)
+
+
+def _stepped(rad, I_n, psi, rho, t0, t1):
+    """The radiation half of a Picard step, always stepped: ``_advance``
+    with the coefficients at t0, then ``_momentum_source`` at t1."""
+    coeffs = transport._coefficients(rad, rho, t0)
+    I = transport._advance(I_n, psi, rho, rad, t1 - t0, t0, coeffs)
+    force = transport._momentum_source(I, rho, rad,
+                                       transport._coefficients(rad, rho, t1, coeffs))
+    return I, force[:rad.grids.spatial.dim]
+
+
+def _counted_step(rad, I_n, psi, rho, t0, t1):
+    """``_radiation_step`` and the number of ``_advance`` calls it made."""
+    with mock.patch.object(transport, "_advance", wraps=transport._advance) as advance:
+        got = transport._radiation_step(rad, I_n, psi, rho, t0, t1)
+    return got, advance.call_count
+
+
+_DARK_ORDINATES = {1: [lambda: AngularQuadrature.gauss_legendre_slab(2),
+                       lambda: AngularQuadrature.gauss_legendre_slab(5),
+                       lambda: AngularQuadrature.gauss_legendre_slab(8),
+                       AngularQuadrature.beams_slab],
+                   2: [AngularQuadrature.axes3d, AngularQuadrature.combined14],
+                   3: [AngularQuadrature.axes3d, AngularQuadrature.corners3d,
+                       AngularQuadrature.combined14]}
+_DARK_CELLS = {1: (12,), 2: (5, 4), 3: (4, 5, 4)}
+
+
+@st.composite
+def _dark_case(draw):
+    """A record on a drawn grid and model whose emission is zero, c, a step
+    of up to three CFL limits, a density, and fields of signed zeros."""
+    dim = draw(st.integers(1, 3))
+    cells = _DARK_CELLS[dim]
+    lengths = (1.0,) * dim
+    if draw(st.booleans()):
+        spatial = SpatialGrid.periodic(cells, lengths)
+    else:
+        spatial = SpatialGrid.farfield(cells, lengths, draw(st.sampled_from([0.0, 0.5])))
+    ang = draw(st.sampled_from(_DARK_ORDINATES[dim]))()
+    edges = draw(st.sampled_from([[1.0, 2.0], [0.5, 1.0, 2.0], [0.5, 1.0, 2.0, 3.0, 4.5]]))
+    grids = Grids(spatial, FrequencyGrid.from_edges(edges), ang)
+    kind = draw(st.sampled_from(["zero", "constant", "compton"]))
+    emission0 = draw(st.sampled_from([0.0, -0.0]))
+    if kind == "zero":
+        model, emission0 = zero_model(), 0.0
+    elif kind == "constant":
+        model = constant_model(draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 1.0)), emission0)
+    else:
+        k0 = draw(st.floats(0.0, 1.0))
+        model = compton_model(*(draw(st.floats(0.1, 3.0)) for _ in range(4)),
+                              sigma_s_profile=lambda vf, vt, mu:
+                              np.full_like(np.asarray(mu, dtype=float), k0),
+                              emission0=emission0)
+    c = draw(st.floats(0.1, 10.0))
+    rad = transport._radiation(model, grids, c)
+    t0 = draw(st.floats(0.0, 10.0))
+    t1 = t0 + draw(st.floats(1e-3, 3.0)) * transport_cfl_limit(grids, c)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rho = rng.uniform(0.0, 3.0, spatial.extents)
+    rho[rng.random(spatial.extents) < 0.3] = draw(st.sampled_from([0.0, -0.0]))
+    shape = grids.radiation_shape()
+    I_n, psi = (np.where(rng.random(shape) < 0.5, -0.0, 0.0) for _ in range(2))
+    return rad, emission0, I_n, psi, rho, t0, t1, rng
+
+
+class TestDarkStep:
+    """A radiation step of zero fields with zero emission is not stepped, and
+    gives the stepped path's bits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=_dark_case())
+    def test_zero_fields_give_the_stepped_bits(self, case):
+        rad, emission0, I_n, psi, rho, t0, t1, _ = case
+        (I, force), advances = _counted_step(rad, I_n, psi, rho, t0, t1)
+        want_I, want_force = _stepped(rad, I_n, psi, rho, t0, t1)
+        assert _same(I, want_I) and _same(force, want_force)
+        # an emission of -0 is stepped: its sign can reach the field
+        assert advances == (1 if np.signbit(emission0) else 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_dark_case(), lit=st.sampled_from(["I_n", "psi", "emission"]))
+    def test_any_light_is_stepped(self, case, lit):
+        rad, _, I_n, psi, rho, t0, t1, rng = case
+        if lit == "emission":
+            rad = rad._replace(model=constant_model(0.3, 0.1, 0.05))
+        else:
+            field = I_n if lit == "I_n" else psi
+            field[tuple(rng.integers(0, n) for n in field.shape)] = 0.25
+        (I, force), advances = _counted_step(rad, I_n, psi, rho, t0, t1)
+        want_I, want_force = _stepped(rad, I_n, psi, rho, t0, t1)
+        assert advances == 1
+        assert _same(I, want_I) and _same(force, want_force)
+
+    def test_untabulated_emission_is_stepped(self, grids_small):
+        # no emission at t0, but some at the later substeps: an untabulated
+        # model is stepped even when its emission at t0 is zero
+        model = constant_model(0.3, 0.1)
+        model.emission = lambda v, omega, t, x: 0.0 if t <= 0.0 else 0.5
+        rad = transport._radiation(model, grids_small, 1.0)
+        zeros = np.zeros(grids_small.radiation_shape())
+        t1 = 2.5 * transport_cfl_limit(grids_small, 1.0)     # three substeps
+        (I, force), advances = _counted_step(rad, zeros, zeros, np.ones(8), 0.0, t1)
+        want_I, want_force = _stepped(rad, zeros, zeros, np.ones(8), 0.0, t1)
+        assert advances == 1 and np.all(I > 0.0)
+        assert _same(I, want_I) and _same(force, want_force)
+
+    @pytest.mark.parametrize("case", ["removal", "gain"])
+    def test_non_finite_coefficients_are_stepped(self, case):
+        # 0 * inf is NaN in the stepped path, so a removal or a gain matrix
+        # that is not finite keeps it: a removal of 1e308 * 10 overflows, and
+        # a band-centre ratio of ~1e600 makes the zero kernel's gain NaN
+        edges = [0.5, 1.0, 2.0] if case == "removal" else [1e-300, 2e-300, 1e300]
+        grids = Grids(SpatialGrid.periodic(8, 1.0), FrequencyGrid.from_edges(edges),
+                      AngularQuadrature.gauss_legendre_slab(4))
+        with np.errstate(all="ignore"):
+            model = constant_model(1e308 if case == "removal" else 0.0)
+            rad = transport._radiation(model, grids, 1.0)
+            zeros = np.zeros(grids.radiation_shape())
+            rho = np.full(8, 10.0)
+            t1 = 0.5 * transport_cfl_limit(grids, 1.0)
+            (I, force), advances = _counted_step(rad, zeros, zeros, rho, 0.0, t1)
+            want_I, want_force = _stepped(rad, zeros, zeros, rho, 0.0, t1)
+        assert advances == 1 and np.isnan(force).all()
+        assert _same(I, want_I) and _same(force, want_force)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+    def test_dark_step_checks_dt(self, grids_small, dt):
+        # the positive-and-finite check of the stepped path
+        rad = transport._radiation(zero_model(), grids_small, 1.0)
+        zeros = np.zeros(grids_small.radiation_shape())
+        with pytest.raises(StepSizeError):
+            transport._radiation_step(rad, zeros, zeros, np.ones(8), 1.0, 1.0 + dt)
 
 
 _SPATIAL = {1: lambda: SpatialGrid.periodic(16, 1.0),

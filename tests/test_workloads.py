@@ -1,6 +1,7 @@
 """The benchmark's run configs stay valid: each one parses and builds, and
 each tiny variant runs without a warning to byte-identical outputs.  A full
-run builds one transport record per slab solve."""
+run builds one transport record per slab solve, and steps no sweep transport
+when it has no radiation."""
 
 import importlib.util
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from rhlab import transport
+from rhlab import fluid, transport
 from rhlab.config import parse_config
 from rhlab.runner import OUTPUT_DIR_ENV, build_problem, run_scenario
 
@@ -65,3 +66,32 @@ def test_one_radiation_record_per_slab_solve(name, records, tmp_path, monkeypatc
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
     run_scenario(parse_config(workloads.render_config(name, 0, "full")))
     assert len(calls) == records
+
+
+@pytest.mark.parametrize("name, steps, streams, traces", [
+    ("w1-periodic1d", 120, 40, 0), ("w2-farfield2d", 30, 10, 0),
+    ("w4-vacuum1d-continuation", 0, 40, 12)])
+def test_dark_sweeps_make_no_transport_step(name, steps, streams, traces, tmp_path,
+                                            monkeypatch):
+    # w4 has no emission and I0 = 0, so none of its 120 sweep steps (12
+    # sweeps x 10 steps) is stepped; w1 and w2 emit, and keep theirs.  The
+    # free streaming of iterate 0 and the characteristics traces do not change
+    calls = {}
+
+    def count(owner, attr):
+        real = getattr(owner, attr)
+        calls[attr] = 0
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(transport, "_transport_step")
+    count(transport, "free_streaming_step")
+    count(fluid, "_trace_backward")
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
+    run_scenario(parse_config(workloads.render_config(name, 0, "full")))
+    assert calls == dict(_transport_step=steps, free_streaming_step=streams,
+                         _trace_backward=traces)
