@@ -17,11 +17,15 @@ field as +0 without stepping, so a slab at rest costs no stepping for its
 iterate 0 or the first sweep's trace.
 The sample indices and weights of all 2 * substeps + 1 sample times are
 found once per trace; the time-mixed fields are built one sample time at a
-time.  Interpolation gathers each corner of every point by one flat index
-into a contiguous copy of the padded samples (``np.take``): on a 256-cell
-1D trace of 10 start times a call costs about 0.11 ms, against about
-0.21 ms for broadcast advanced indexing of the (component, time, cells)
-view (one thread of a 2-vCPU Xeon).  Clamps use
+time, by one gather of both samples and one product, and come out as
+(field, start time) + padded cells, the layout interpolation reads without
+a copy.  Interpolation finds each point's cell and flat index in float,
+casts the index once, and gathers each corner by it (``np.take``): on a
+256-cell 1D trace of 10 start times a call costs about 0.05 ms for
+velocity and divergence, against about 0.07 ms when the index was found in
+integers from a copy of a reordered view, and a whole trace about 1.9 ms
+against 2.5 ms (one thread of a 2-vCPU Xeon, both in one process).  Both
+point sets of a substep are clamped in place; clamps use
 ``np.minimum(np.maximum(...))``, bit for bit ``np.clip`` without its
 wrapper overhead.
 
@@ -40,11 +44,11 @@ theirs: 0.5 ms on a 1D grid, 3.8 ms at 32^2, 36 ms at 16^3 and 234 ms at
 How the system is solved depends on the dimension.  In 1D it is banded
 (half-bandwidth 2 on far-field grids, 4 on periodic ones once the ring is
 folded), so LAPACK's banded LU (``dgbsv``) solves it directly in O(n): a
-128-cell periodic step with convection costs about 0.1 ms, against about
-0.5 ms for SuperLU plus one factor-preconditioned Krylov iteration, nearly
-all of it scipy's set-up.  It is the only 1D path: a singular factor, or a
-solution that is not finite or misses the residual bound, raises
-SolverError.  Of 4,000 random 1D systems the band LU failed on 337, each
+128-cell periodic step with convection costs about 0.06 ms, a quarter of it
+in ``dgbsv``, against about 0.5 ms for SuperLU plus one
+factor-preconditioned Krylov iteration, nearly all of it scipy's set-up.
+It is the only 1D path: a singular factor, or a solution that is not
+finite or misses the residual bound, raises SolverError.  Of 4,000 random 1D systems the band LU failed on 337, each
 with one parity class of cells entirely in vacuum (the centered-square Lame
 stencil couples only cells two apart); Jacobi-Krylov plus lgmres failed on
 each one tried too, after 3.5 to 11 s, and in 1D vacuum leaves it only the
@@ -187,28 +191,36 @@ class VelocityHistory:
 
 
 def _at_times(times: Array, s: Array):
-    """``VelocityHistory.__call__`` at the rows of the (S, B) sample times
-    ``s``: returns ``sample(stack, k)``, the history with samples stacked
-    along axis 0 of ``stack`` at the B times ``s[k]``, bit for bit the same
-    values, shape (B,) + stack.shape[1:].  The sample indices, weights and
-    end masks of all S rows are found once, here."""
+    """``VelocityHistory.__call__`` at the sample times ``s``, shape
+    (S, B, 1, ..., 1): one row of B times per sample, with one singleton axis
+    per spatial axis.  Returns ``sample(stack, k)``, the history with samples
+    stacked along axis 1 of ``stack`` (field, time) + cells at the B times
+    ``s[k]``, bit for bit the same values, shape (field, B) + cells.  The
+    sample indices, weights and end masks of all S rows are found once,
+    here."""
+    rows = s.reshape(len(s), -1)
     if times.size == 1:
-        return lambda stack, k: np.broadcast_to(stack[0], s.shape[1:] + stack.shape[1:])
-    j = np.minimum(np.maximum(np.searchsorted(times, s, side="right") - 1, 0),
+        return lambda stack, k: np.broadcast_to(
+            stack[:, :1], stack.shape[:1] + rows.shape[1:] + stack.shape[2:])
+    j = np.minimum(np.maximum(np.searchsorted(times, rows, side="right") - 1, 0),
                    times.size - 2)
-    a = (s - times[j]) / (times[j + 1] - times[j])
-    first, last = s <= times[0], s >= times[-1]
+    a = ((rows - times[j]) / (times[j + 1] - times[j])).reshape(s.shape)
+    # per row the sample pairs (j, j + 1) and their weights (1 - a, a), side
+    # by side: one gather and one product give both terms of every mix
+    pairs = np.concatenate([j, j + 1], axis=1)
+    weights = np.concatenate([1.0 - a, a], axis=1)
+    first, last = rows <= times[0], rows >= times[-1]
     any_first, any_last = first.any(axis=1), last.any(axis=1)
+    n = rows.shape[1]
 
     def sample(stack, k):
-        per_time = s.shape[1:] + (1,) * (stack.ndim - 1)
-        ak = a[k].reshape(per_time)
-        out = (1.0 - ak) * stack[j[k]] + ak * stack[j[k] + 1]
-        # np.where with an all-False mask would return ``out`` unchanged
+        terms = stack.take(pairs[k], axis=1)
+        terms *= weights[k]
+        out = np.add(terms[:, :n], terms[:, n:])
         if any_last[k]:
-            out = np.where(last[k].reshape(per_time), stack[-1], out)
+            out[:, last[k]] = stack[:, -1:]
         if any_first[k]:
-            out = np.where(first[k].reshape(per_time), stack[0], out)
+            out[:, first[k]] = stack[:, :1]
         return out
     return sample
 
@@ -217,20 +229,33 @@ def _at_times(times: Array, s: Array):
 # multilinear interpolation
 # ---------------------------------------------------------------------------
 
+def _outside(pts: Array, grid: SpatialGrid) -> int:
+    """How many coordinates of ``pts`` lie outside the one-ghost-layer padded
+    far-field domain (NaN is not outside).  Periodic grids have no outside."""
+    if grid.boundary == "periodic":
+        return 0
+    count = 0
+    for a, (n, h) in enumerate(zip(grid.extents, grid.spacing)):
+        count += int(np.count_nonzero((pts[a] < -0.5 * h) | (pts[a] > (n + 0.5) * h)))
+    return count
+
+
+def _clamp(pts: Array, grid: SpatialGrid) -> Array:
+    """Clamp ``pts`` in place into the one-ghost-layer padded far-field domain
+    and return it.  Periodic grids never clamp."""
+    if grid.boundary != "periodic":
+        for a, (n, h) in enumerate(zip(grid.extents, grid.spacing)):
+            np.minimum(np.maximum(pts[a], -0.5 * h, out=pts[a]), (n + 0.5) * h, out=pts[a])
+    return pts
+
+
 def _clamp_points(pts: Array, grid: SpatialGrid) -> tuple[Array, int]:
     """Keep points inside the one-ghost-layer padded far-field domain;
-    returns the number of clamped coordinates.  Periodic grids never clamp."""
+    returns the points, a copy on far-field grids, and the number of clamped
+    coordinates.  Periodic grids never clamp."""
     if grid.boundary == "periodic":
         return pts, 0
-    clamped = 0
-    out = pts.copy()
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        lo, hi = -0.5 * h, (grid.extents[a] + 0.5) * h
-        bad = (out[a] < lo) | (out[a] > hi)
-        clamped += int(np.count_nonzero(bad))
-        np.minimum(np.maximum(out[a], lo, out=out[a]), hi, out=out[a])
-    return out, clamped
+    return _clamp(pts.copy(), grid), _outside(pts, grid)
 
 
 def _interp(fp: Array, grid: SpatialGrid, points: Array, index: tuple = ()) -> Array:
@@ -242,11 +267,15 @@ def _interp(fp: Array, grid: SpatialGrid, points: Array, index: tuple = ()) -> A
     by the matching array of ``index`` (broadcast against the batch), and the
     ``lead`` axes are carried through, so the result has shape lead + batch.
 
-    Each point gets one flat index into the C-ordered paired + padded axes
-    (paired index and ``i0 + 1`` times their strides); corner ``c`` adds the
-    constant offset sum_a c_a stride_a, and its values are gathered by
-    ``np.take`` from a contiguous copy of ``fp`` with the lead axes folded
-    into one.
+    Each point gets one flat index into the C-ordered paired + padded axes:
+    paired index and padded cell ``i0 + 1`` times their strides, summed in
+    float (exact: every term is an integer below 2^53) and cast once.  The
+    cell ``i0`` is found in float too, so a NaN coordinate lands in cell -1
+    and interpolates to NaN.  Corner ``c`` adds the constant offset
+    sum_a c_a stride_a, and its values are gathered by ``np.take`` from a
+    contiguous copy of ``fp`` (no copy when ``fp`` is contiguous) with the
+    lead axes folded into one.  The corners are summed in order and +0.0 is
+    added last, bit for bit the sum started from +0.0.
     """
     batch = points.shape[1:]
     n_lead = fp.ndim - grid.dim - len(index)
@@ -255,14 +284,12 @@ def _interp(fp: Array, grid: SpatialGrid, points: Array, index: tuple = ()) -> A
     for size in fp.shape[:n_lead:-1]:
         strides.insert(0, strides[0] * size)
     src = np.ascontiguousarray(fp).reshape(-1, strides[0] * fp.shape[n_lead])
-    flat = 0
+    spatial = strides[len(index):]
+    flat = float(sum(spatial))        # the ghost layer: padded index i0 + 1
     for ix, stride in zip(index, strides):
-        flat = flat + ix * stride
-    weights = []
-    for a in range(grid.dim):
-        h = grid.spacing[a]
-        n = grid.extents[a]
-        x = points[a]
+        flat = ix * stride + flat
+    choices = []                      # per axis: (weight, offset) of both corners
+    for n, h, stride, x in zip(grid.extents, grid.spacing, spatial, points):
         if grid.boundary == "periodic":
             x = np.mod(x, n * h)
         # the clamp keeps both weights in [0, 1] where x / h rounds past the
@@ -270,19 +297,25 @@ def _interp(fp: Array, grid: SpatialGrid, points: Array, index: tuple = ()) -> A
         t = x / h
         t -= 0.5
         np.minimum(np.maximum(t, -1.0, out=t), n, out=t)
-        i0 = np.floor(t).astype(int)
-        np.minimum(np.maximum(i0, -1, out=i0), n - 1, out=i0)
-        flat = flat + (i0 + 1) * strides[len(index) + a]    # padded indexing
-        frac = t - i0
-        weights.append((1.0 - frac, frac))
-    spatial = strides[len(index):]
-    out = np.zeros(lead + batch)
-    for corner in itertools.product((0, 1), repeat=grid.dim):
-        wgt = 1.0
-        for a in range(grid.dim):
-            wgt = wgt * weights[a][corner[a]]
-        offset = sum(c * stride for c, stride in zip(corner, spatial))
-        out += wgt * np.take(src, flat + offset, axis=1).reshape(lead + batch)
+        i0 = np.floor(t)
+        np.fmin(np.fmax(i0, -1.0, out=i0), n - 1, out=i0)     # NaN: cell -1
+        t -= i0
+        flat = flat + (i0 if stride == 1 else i0 * stride)
+        choices.append(((1.0 - t, 0), (t, stride)))
+    flat = flat.astype(np.intp)
+    out = None
+    for corner in itertools.product(*choices):
+        wgt, offset = corner[0]
+        for w, step in corner[1:]:
+            wgt = wgt * w
+            offset += step
+        term = src.take(flat + offset if offset else flat, axis=1).reshape(lead + batch)
+        term *= wgt
+        if out is None:
+            out = term
+        else:
+            out += term
+    out += 0.0
     return out
 
 
@@ -296,14 +329,16 @@ def _trace_backward(w_hist: VelocityHistory, t, grid: SpatialGrid,
     for every start time t_b of ``t`` (a float, or a 1-D array of B), with the
     trapezoidal integral of div w along each path.  Returns the departure
     points U(0; t_b, x), shape (dim, B) + extents (B = 1 for a float), the
-    count of trace points clamped to the padded far-field domain, and the
-    integrals, shape (B,) + extents.
+    count of trace points clamped to the padded far-field domain at the
+    substep ends, and the integrals, shape (B,) + extents.
 
     The velocity samples (stacked once, by ``VelocityHistory``) and their
-    divergence are padded once.
+    divergence are padded once, as one (field, time) + padded extents array,
+    so each time mix comes out contiguous in the layout ``_interp`` reads.
     Each substep interpolates twice: the velocity at the midpoints, and
     velocity and divergence at the new points, which serve the next substep
-    as its k1 and the trapezoid's left value.
+    as its k1 and the trapezoid's left value.  Both point sets are clamped in
+    place as they are formed.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim > 1:
@@ -326,8 +361,8 @@ def _trace_backward(w_hist: VelocityHistory, t, grid: SpatialGrid,
         # and the integral stays +0
         return (np.repeat(centers[:, None], t.size, axis=1), 0,
                 np.zeros((t.size,) + grid.extents))
-    stack = np.concatenate([stack, divergence(stack, grid, 0.0)[:, None]], axis=1)
-    stack = pad_ghost(stack, grid, 0.0)          # (T, dim + 1) + padded extents
+    stack = np.concatenate([stack.swapaxes(0, 1), divergence(stack, grid, 0.0)[None]])
+    stack = pad_ghost(stack, grid, 0.0)          # (dim + 1, T) + padded extents
     per_time = (t.size,) + (1,) * grid.dim
     index = (np.arange(t.size).reshape(per_time),)
     # the 2 * substeps + 1 sample times, in the loop's arithmetic: s, then
@@ -337,10 +372,10 @@ def _trace_backward(w_hist: VelocityHistory, t, grid: SpatialGrid,
     for _ in range(substeps):
         s = sample_times[-1]
         sample_times += [s - 0.5 * ds, s - ds]
-    at_times = _at_times(w_hist.times, np.stack(sample_times))
+    at_times = _at_times(w_hist.times, np.stack(sample_times).reshape((-1,) + per_time))
 
     def sample(k, pts, fields):
-        return _interp(at_times(fields, k).swapaxes(0, 1), grid, pts, index)
+        return _interp(at_times(fields, k), grid, pts, index)
 
     half, full = (0.5 * ds).reshape(per_time), ds.reshape(per_time)
     pts = np.broadcast_to(centers[:, None], (grid.dim, t.size) + grid.extents)
@@ -348,10 +383,11 @@ def _trace_backward(w_hist: VelocityHistory, t, grid: SpatialGrid,
     divint = np.zeros((t.size,) + grid.extents)
     vals = sample(0, pts, stack)
     for step in range(substeps):
-        mid, _ = _clamp_points(pts - half * vals[:grid.dim], grid)
-        k2 = sample(2 * step + 1, mid, stack[:, :grid.dim])
-        pts, n_bad = _clamp_points(pts - full * k2, grid)
-        clamped += n_bad
+        mid = _clamp(pts - half * vals[:grid.dim], grid)
+        k2 = sample(2 * step + 1, mid, stack[:grid.dim])
+        pts = pts - full * k2
+        clamped += _outside(pts, grid)
+        _clamp(pts, grid)
         new = sample(2 * step + 2, pts, stack)
         divint += half * (vals[grid.dim] + new[grid.dim])
         vals = new
@@ -521,15 +557,16 @@ class _MomentumLayout(NamedTuple):
     """CSR pattern of the momentum matrix on the flattened (component, cell)
     vector: the union of the Lame, diagonal and upwind entries.  Holds the
     Lame values on that pattern, the data position of each component's
-    diagonal, per axis the backward and forward upwind blocks as (positions
-    per component, cell of each entry's row, difference weight), and in 1D
-    the band map of the pattern (None in 2D and 3D)."""
+    diagonal, the terms of the upwind blocks in the order they are added (per
+    axis the backward block, then the forward one) as (position, index into
+    the stacked per-cell scales, weight), and in 1D the band map of the
+    pattern (None in 2D and 3D)."""
 
     indptr: Array
     indices: Array
     lame_data: Array
     diag_pos: Array                                   # (dim, cells)
-    upwind: tuple[tuple[tuple[Array, Array, Array], ...], ...]
+    upwind: tuple[Array, Array, Array]
     band: _BandMap | None
 
 
@@ -635,22 +672,25 @@ def _momentum_layout_of(extents: tuple, spacing: tuple, boundary: str,
                             minlength=indices.size)
     pos = pos.reshape(dim, n, -1)
     diag_pos = pos[:, :, 0].copy()
-    upwind = []
+    # per axis the backward then the forward difference block: diagonals,
+    # then kept neighbours, each as (position, index into the stacked
+    # scales, weight); within a block each position appears once
+    blocks = []
     for a, h in enumerate(spacing):
-        pair = []
-        for side, sign in ((0, -1.0), (1, 1.0)):     # backward, forward difference
-            # diagonals, then kept neighbours; each position appears once, so order is free
+        for side, sign in ((0, -1.0), (1, 1.0)):
             keep = nbr[a][side] >= 0
             at = np.concatenate([diag_pos, pos[:, :, n_lame + 2 * a + side][:, keep]], axis=1)
             weight = np.repeat([-sign * (1.0 / h), sign * (1.0 / h)], [n, keep.sum()])
-            pair.append((at, np.concatenate([cells, cells[keep]]), weight))
-        upwind.append(tuple(pair))
+            blocks.append((at, (2 * a + side) * n + np.concatenate([cells, cells[keep]]),
+                           weight))
+    upwind = tuple(np.concatenate([np.broadcast_to(blk[k], blk[0].shape).ravel()
+                                   for blk in blocks]) for k in range(3))
     band = _band_map(n, boundary == "periodic", np.repeat(cells, np.diff(indptr)), indices) \
         if dim == 1 else None
-    for a in (indptr, indices):
+    for a in (indptr, indices) + upwind:
         a.setflags(write=False)     # shared by every matrix built on the layout
     return _MomentumLayout(indptr=indptr, indices=indices, lame_data=lame_data,
-                           diag_pos=diag_pos, upwind=tuple(upwind), band=band)
+                           diag_pos=diag_pos, upwind=upwind, band=band)
 
 
 def _momentum_data(lay: _MomentumLayout, rho: Array, w: Array | None,
@@ -658,16 +698,19 @@ def _momentum_data(lay: _MomentumLayout, rho: Array, w: Array | None,
     """CSR data of L + rho/dt + implicit upwind rho w . grad (block-diagonal
     over velocity components) on the layout: a positive w_a scales the
     backward difference along axis a, a negative one the forward
-    difference."""
+    difference.  The scales rho max(w_a, 0) and rho min(w_a, 0) of every
+    axis are stacked, and all upwind terms are added by one ``np.add.at``,
+    which adds in the layout's order: every entry gets the sums, in the
+    order, of adding the blocks one at a time."""
     rho = rho.ravel()
     data = lay.lame_data.copy()
     data[lay.diag_pos] += rho / dt
     if w is not None:
-        for a, pair in enumerate(lay.upwind):
-            wa = w[a].ravel()
-            for scale, (pos, cells, weight) in zip(
-                    (rho * np.maximum(wa, 0.0), rho * np.minimum(wa, 0.0)), pair):
-                data[pos] += scale[cells] * weight
+        scales = []
+        for wa in w.reshape(len(w), -1):
+            scales += [rho * np.maximum(wa, 0.0), rho * np.minimum(wa, 0.0)]
+        pos, src, weight = lay.upwind
+        np.add.at(data, pos, np.concatenate(scales)[src] * weight)
     return data
 
 
@@ -712,9 +755,11 @@ def _band_solve(lay: _MomentumLayout, data: Array, b: Array) -> Array:
         raise _solve_failed("band LU", f"singular, dgbsv info {info}")
     x = np.empty_like(y)
     x[band.perm] = y
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise _solve_failed("band LU", "non-finite solution")
-    res = float(np.linalg.norm(b - _matvec(lay, data, x))) / float(np.linalg.norm(b))
+    # numpy's 2-norm of a 1-D float vector is sqrt(v . v): the same values
+    r = b - _matvec(lay, data, x)
+    res = math.sqrt(r.dot(r)) / math.sqrt(b.dot(b))
     if res > RTOL:
         raise _solve_failed("band LU", f"relative residual {res:.3e}", residual=res)
     return x
@@ -860,10 +905,10 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
 
     rhs = rho_new[None] * u_n / dt - gradient(p_m, grid, farfield_value=p_ref) + rad_source
     b = rhs.reshape(-1)
-    if not np.any(b):
+    if not b.any():
         return np.zeros_like(u_n)
 
-    symmetric = w is None or not np.any(w)
+    symmetric = w is None or not np.asarray(w).any()
     if not symmetric:
         w = check_vector(w, grid)
     lay = _momentum_layout(grid, visc)

@@ -373,11 +373,20 @@ def constant_model(sigma0: float = 0.0, kernel0: float = 0.0,
 
 def compton_model_checks(D1: float, D2: float, v0: float, theta: float,
                          emission0: float = 0.0) -> list:
-    """(field, failed, message) rows of ``compton_model``."""
-    return [(name, not 0 < value < math.inf,
+    """(field, failed, message) rows of ``compton_model``.  Besides each
+    parameter, the products D1 theta^(-1/2) (the peak) and D2 theta^(-1/2)
+    (the exponent's scale) must be finite, computed as sigma computes them;
+    either can overflow for a small theta, and sigma is then NaN."""
+    params = (("D1", D1), ("D2", D2), ("v0", v0), ("theta", theta))
+    rows = [(name, not 0 < value < math.inf,
              f"Compton parameter {name} must be positive and finite, got {value}")
-            for name, value in (("D1", D1), ("D2", D2), ("v0", v0), ("theta", theta))] \
-        + constant_model_checks(emission0=emission0)
+            for name, value in params]
+    if 0 < theta < math.inf:
+        rows += [(name, not math.isfinite(value * theta ** -0.5),
+                  f"Compton product {name} theta^(-1/2) must be finite, got "
+                  f"{name} = {value}, theta = {theta}")
+                 for name, value in params[:2] if 0 < value < math.inf]
+    return rows + constant_model_checks(emission0=emission0)
 
 
 def compton_model(D1: float, D2: float, v0: float, theta: float,

@@ -105,6 +105,16 @@ def _zero_state(grids: Grids, rho: Array) -> State:
                  u=np.zeros((grids.spatial.dim,) + grids.spatial.extents))
 
 
+def _over(x: Array, width: float) -> Array:
+    """x / width for a width > 0 that may be tiny: where the ratio overflows
+    it is +-inf, and a width that underflowed to 0 (a tiny fraction of a
+    short side) gives the same limit, +-inf off x = 0 and x at x = 0."""
+    if width == 0.0:
+        return np.where(x == 0.0, x, np.copysign(np.inf, x))
+    with np.errstate(over="ignore"):
+        return x / width
+
+
 def _smoothstep(t: Array) -> Array:
     t = np.clip(t, 0.0, 1.0)
     return t * t * (3.0 - 2.0 * t)
@@ -118,8 +128,8 @@ def _plateau_density(grids: Grids, p: dict, exponent: float = 2.0) -> Array:
     reaches rho_bar before the nearest face."""
     grid = grids.spatial
     L = min(grid.lengths)
-    ramp = _smoothstep((grid.radius_from_center() - p["vacuum_radius"] * L)
-                       / (p["transition_width"] * L))
+    ramp = _smoothstep(_over(grid.radius_from_center() - p["vacuum_radius"] * L,
+                             p["transition_width"] * L))
     return grid.rho_bar * ramp ** exponent
 
 
@@ -144,7 +154,7 @@ def _smooth_bump(grids: Grids, p: dict) -> State:
     width = p["width"] * max(grid.lengths)
     # (r / width)^2 overflows for a tiny width, where exp(-inf) = 0 is right
     with np.errstate(over="ignore"):
-        bump = np.exp(-(grid.radius_from_center() / width) ** 2)
+        bump = np.exp(-_over(grid.radius_from_center(), width) ** 2)
     return _zero_state(grids, grid.rho_bar + p["amplitude"] * bump)
 
 
@@ -158,7 +168,7 @@ def _vacuum_farfield(grids: Grids, p: dict) -> State:
     # compactly supported C2 bump; (I, rho, u) -> (0, 0, 0) at infinity.
     # (r / width)^2 overflows for a tiny width, where 1 - inf clips to 0
     with np.errstate(over="ignore"):
-        s = np.maximum(0.0, 1.0 - (grid.radius_from_center() / width) ** 2)
+        s = np.maximum(0.0, 1.0 - _over(grid.radius_from_center(), width) ** 2)
     return _zero_state(grids, p["amplitude"] * s ** 3)
 
 
@@ -207,7 +217,7 @@ def _beam_absorption(grids: Grids, p: dict) -> State:
     L = max(grid.lengths)
     # the squared offset overflows for a tiny width, where exp(-inf) = 0 is right
     with np.errstate(over="ignore"):
-        profile = np.exp(-((grid.coords()[0] - p["center"] * L) / (p["width"] * L)) ** 2)
+        profile = np.exp(-_over(grid.coords()[0] - p["center"] * L, p["width"] * L) ** 2)
     state.I[0, m_star] = np.broadcast_to(p["intensity"] * profile, grid.extents)
     return state
 

@@ -376,10 +376,15 @@ def free_streaming_step(I_n: Array, grids: Grids, dt: float, c: float) -> Array:
 def _substeps(rad: _Radiation, dt: float) -> tuple:
     """(n, dt / n) for the fewest n equal substeps of dt of at most
     ``CFL_FRACTION`` of the CFL limit at ``rad.c``; dt must be positive and
-    finite."""
+    finite.  A limit that underflows (c sum_a |Omega_a| / h_a overflows),
+    so that no finite count of substeps meets it, is a step-size error."""
     _check_cfl(dt, np.inf)       # positive and finite, before it sets the count
     limit = transport_cfl_limit(rad.grids, rad.c)
-    n_sub = max(1, math.ceil(dt / (CFL_FRACTION * limit)))
+    largest = CFL_FRACTION * limit
+    if largest == 0.0 or dt / largest == math.inf:
+        raise StepSizeError(f"transport CFL limit underflowed: limit={limit} at c={rad.c} "
+                            f"leaves no finite count of substeps of dt={dt}")
+    n_sub = max(1, math.ceil(dt / largest))
     sub = dt / n_sub
     _check_cfl(sub, limit)
     return n_sub, sub

@@ -501,7 +501,11 @@ class TestOneStatementPerConstraint:
         ("[model]\nkind = compton\ntheta = -1.0", lambda: compton_model(1, 1, 1, -1.0)),
         ("[model]\nkind = compton\nemission0 = -1.0",
          lambda: compton_model(1, 1, 1, 1, emission0=-1.0)),
-        ("[model]\nkind = compton\nkernel0 = -1.0", lambda: constant_model(kernel0=-1.0))],
+        ("[model]\nkind = compton\nkernel0 = -1.0", lambda: constant_model(kernel0=-1.0)),
+        ("[model]\nkind = compton\ntheta = 1e-300\nD1 = 1e300",
+         lambda: compton_model(1e300, 1, 1, 1e-300)),
+        ("[model]\nkind = compton\ntheta = 1e-300\nD2 = 1e300",
+         lambda: compton_model(1, 1e300, 1, 1e-300))],
         ids=lambda value: value.replace("\n", " ") if isinstance(value, str) else "")
     def test_parse_reports_the_constructor_message_at_the_key(self, keys, construct):
         # the constraint is stated once, by its constructor; parse_config

@@ -28,6 +28,7 @@ versions for every chunk budget.
 
 import contextlib
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -319,13 +320,38 @@ def test_interp_field(dim, periodic, seed, zeros, farfield_value, n_batch):
         assert clamped == int(((points < lo) | (points > hi)).sum())
 
 
+@pytest.mark.parametrize("periodic", [False, True], ids=["farfield", "periodic"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_interp_nan_coordinate(dim, periodic):
+    """A NaN coordinate lands in cell -1 with NaN weights: the point
+    interpolates to NaN, with no IndexError and no RuntimeWarning, and every
+    other point keeps its value."""
+    rng = np.random.default_rng(dim + 3 * periodic)
+    grid, points = _grid_and_points(rng, dim, periodic, (5, 7))
+    points, _ = _clamp_points(points, grid)
+    fp = pad_ghost(_field(rng, grid.extents, True, True), grid, 0.7)
+    nan, axis = rng.random((5, 7)) < 0.3, rng.integers(0, dim, (5, 7))
+    hit = points.copy()
+    for a in range(dim):
+        hit[a][nan & (axis == a)] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _interp(fp, grid, hit)
+        both = _interp(np.stack([fp, -fp]), grid, hit)
+    assert np.isnan(got[nan]).all() and np.isnan(both[:, nan]).all()
+    kept = _interp(fp, grid, points)
+    assert _identical(got[~nan], kept[~nan])
+    assert _identical(both[0][~nan], kept[~nan])
+
+
 @settings(max_examples=100, deadline=None)
 @given(dim=st.integers(1, 3), periodic=st.booleans(), seed=seeds, zeros=st.booleans(),
        n_lead=st.integers(0, 2), n_paired=st.integers(0, 2), swapped=st.booleans())
 def test_interp_lead_and_paired_axes(dim, periodic, seed, zeros, n_lead, n_paired, swapped):
     """Each lead slice and each point's paired slice interpolate as one call
-    on that slice alone; ``swapped`` passes a non-contiguous view, as the
-    characteristics trace does."""
+    on that slice alone; ``swapped`` passes a non-contiguous view, which
+    ``_interp`` copies once (the characteristics trace passes contiguous
+    time mixes)."""
     rng = np.random.default_rng(seed)
     batch = (4, 5)
     grid, points = _grid_and_points(rng, dim, periodic, batch)

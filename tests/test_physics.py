@@ -213,6 +213,21 @@ class TestComptonModel:
         val = m.sigma(2.0, None, 0.0, None, np.ones(1))
         assert float(val[0]) == pytest.approx(np.exp(-1.0), abs=1e-12)
 
+    @pytest.mark.parametrize("D1, D2, name", [
+        (1e300, 1.0, "D1"), (1.0, 1e300, "D2"), (1e300, 1e300, "D1")])
+    def test_overflowing_products_rejected(self, D1, D2, name):
+        # at theta = 1e-300, D theta^(-1/2) overflows: the peak D1 theta^(-1/2)
+        # times exp(-huge) = 0 is inf * 0, and the exponent's scale
+        # D2 theta^(-1/2) times z^2 = 0 at the line frequency is inf * 0
+        with pytest.raises(ParameterError, match=f"Compton product {name} theta"):
+            compton_model(D1, D2, 1.0, 1e-300)
+
+    def test_largest_finite_products_accepted(self):
+        # both products just finite: sigma is finite at and off the line
+        m = compton_model(1e150, 1e150, 1.0, 1e-300)
+        val = m.sigma(np.array([0.75, 1.0, 1.5]), None, 0.0, None, np.ones(3))
+        assert np.all(np.isfinite(val)) and float(val[1]) == 1e150 * 1e-300 ** -0.5
+
     def test_nonpositive_parameters(self):
         with pytest.raises(ParameterError):
             compton_model(D1=0.0, D2=1.0, v0=1.0, theta=1.0)

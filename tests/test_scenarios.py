@@ -79,6 +79,23 @@ class TestBuiltinScenarios:
         assert np.all(np.isfinite(st.rho)) and np.all(np.isfinite(st.I))
         assert np.count_nonzero(st.rho - grids.spatial.rho_bar) + np.count_nonzero(st.I) <= 1
 
+    @pytest.mark.parametrize("name, key", [
+        ("smooth-bump", "width"), ("beam-absorption", "width"), ("vacuum-farfield", "width"),
+        ("vacuum-plateau", "transition_width"), ("compat-diverging", "transition_width")])
+    def test_width_that_underflows_builds_the_limit(self, name, key):
+        # on a domain of length 0.5 the width 5e-324 times the length
+        # underflows to 0; the profile is the vanishing-width limit, the one
+        # a tiny positive width gives, with no warning
+        grid = SpatialGrid.farfield(32, 0.5, 0.0 if name == "vacuum-farfield" else 1.0)
+        grids = Grids(grid, FrequencyGrid.from_edges([0.5, 1.0]),
+                      AngularQuadrature.gauss_legendre_slab(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            st = build(name, grids, {key: 5e-324})
+        tiny = build(name, grids, {key: 1e-300})
+        for got, want in ((st.rho, tiny.rho), (st.u, tiny.u), (st.I, tiny.I)):
+            assert got.tobytes() == want.tobytes()
+
     def test_equilibrium_phi_is_one(self):
         grids = make_grids()
         assert phi(build("equilibrium", grids), grids, NormSettings()) == 1.0

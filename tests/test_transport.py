@@ -239,6 +239,18 @@ class TestTransportStep:
             with pytest.raises(StepSizeError, match="positive and finite"):
                 step()
 
+    def test_underflowed_cfl_limit_is_a_step_size_error(self):
+        # on 4 cells of a length-1e-300 ring at c = 1e300, c sum |Omega_a| / h_a
+        # overflows and the CFL limit is 0.0: no count of substeps meets it
+        grids = Grids(SpatialGrid.periodic(4, 1e-300), FrequencyGrid.from_edges([0.5, 1.0, 2.0]),
+                      AngularQuadrature.gauss_legendre_slab(4))
+        assert transport_cfl_limit(grids, 1e300) == 0.0
+        I = np.zeros(grids.radiation_shape())
+        with pytest.raises(StepSizeError, match="CFL limit underflowed") as raised:
+            substep_transport(I, I, np.ones(4), constant_model(0.2, 0.05, 0.05), grids,
+                              1.0, 0.0, 1e300)
+        assert raised.value.exit_code == 3
+
     def test_positivity_exact(self, grids_small, rng):
         model = constant_model(0.8, 0.4, 0.2)
         limit = transport_cfl_limit(grids_small, 1.0)
