@@ -69,47 +69,36 @@ def test_one_radiation_record_per_slab_solve(name, records, tmp_path, monkeypatc
     assert len(calls) == records
 
 
-def _count(monkeypatch, calls: dict, owner, attr: str) -> None:
-    """Count the calls of ``owner.attr`` into ``calls[attr]``."""
-    real = getattr(owner, attr)
-    calls[attr] = 0
-
-    def counted(*args, **kwargs):
-        calls[attr] += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, attr, counted)
-
-
-@pytest.mark.parametrize("name, steps, streams, traces", [
-    ("w1-periodic1d", 120, 40, 0), ("w2-farfield2d", 30, 10, 0),
-    ("w4-vacuum1d-continuation", 0, 40, 12)])
-def test_dark_sweeps_make_no_transport_step(name, steps, streams, traces, tmp_path,
-                                            monkeypatch):
+@pytest.mark.parametrize("name, steps, streams, traces, interps, band_solves", [
+    ("w1-periodic1d", 120, 40, 0, 0, 120), ("w2-farfield2d", 30, 10, 0, 0, 0),
+    ("w4-vacuum1d-continuation", 0, 40, 12, 180, 120)])
+def test_dark_sweeps_make_no_transport_step(name, steps, streams, traces, interps,
+                                            band_solves, tmp_path, monkeypatch):
     # w4 has no emission and I0 = 0, so none of its 120 sweep steps (12
     # sweeps x 10 steps) is stepped; w1 and w2 emit, and keep theirs.  The
-    # free streaming of iterate 0 and the characteristics traces do not change
+    # free streaming of iterate 0 and the characteristics traces do not change.
+    # The 8 of w4's 12 traces that move interpolate 21 times each (once at the
+    # start, twice per substep) and every trace once more for the density;
+    # each 1D momentum step is one band LU solve.  A faster fluid half comes
+    # from cheaper calls, not from fewer
     calls = {}
-    _count(monkeypatch, calls, transport, "_transport_step")
-    _count(monkeypatch, calls, transport, "free_streaming_step")
-    _count(monkeypatch, calls, fluid, "_trace_backward")
+
+    def count(owner, attr):
+        real = getattr(owner, attr)
+        calls[attr] = 0
+
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(transport, "_transport_step")
+    count(transport, "free_streaming_step")
+    count(fluid, "_trace_backward")
+    count(fluid, "_interp")
+    count(fluid, "_band_solve")
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
     run_scenario(parse_config(workloads.render_config(name, 0, "full")))
     assert calls == dict(_transport_step=steps, free_streaming_step=streams,
-                         _trace_backward=traces)
-
-
-@pytest.mark.parametrize("name, interps, traces, band_solves", [
-    ("w1-periodic1d", 0, 0, 120), ("w4-vacuum1d-continuation", 180, 12, 120)])
-def test_fluid_call_counts(name, interps, traces, band_solves, tmp_path, monkeypatch):
-    # w4 traces each of its 12 sweeps; the 8 that move interpolate 21 times
-    # (once at the start, twice per each of 10 substeps) and every sweep
-    # once more for the density.  Each of the 120 momentum steps of w1 and w4
-    # is one band LU solve.  A faster run comes from cheaper calls
-    calls = {}
-    _count(monkeypatch, calls, fluid, "_interp")
-    _count(monkeypatch, calls, fluid, "_trace_backward")
-    _count(monkeypatch, calls, fluid, "_band_solve")
-    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
-    run_scenario(parse_config(workloads.render_config(name, 0, "full")))
-    assert calls == dict(_interp=interps, _trace_backward=traces, _band_solve=band_solves)
+                         _trace_backward=traces, _interp=interps, _band_solve=band_solves)
