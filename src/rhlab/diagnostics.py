@@ -178,10 +178,8 @@ def _phi_cells(I: Array, rho: Array, u: Array, grids: Grids,
     the stacks I (T, B, M) + cells, rho (T,) + cells and u (T, dim) + cells:
     three arrays of shape (T,).  The I stack is scratch and is clobbered."""
     grid = grids.spatial
-    return (_phase_l2(_sobolev_cells(I, "H1W1q", settings, grid, lead=3, overwrite=True),
-                      grids),
-            _sobolev_cells(rho - grid.rho_bar, "H1W1q", settings, grid, lead=1,
-                           overwrite=True),
+    return (_phase_l2(_sobolev_cells(I, "H1W1q", settings, grid, lead=3), grids),
+            _sobolev_cells(rho - grid.rho_bar, "H1W1q", settings, grid, lead=1),
             _sobolev_cells(u, "D1", settings, grid, lead=1))
 
 
@@ -237,12 +235,11 @@ def _theta_cells(rho: Array, u: Array, I_t: Array, rho_t: Array, u_t: Array,
     scratch and are clobbered."""
     grid, q = grids.spatial, settings.q
     cells = [_phase_l2(v, grids)
-             for v in _lp_multi(I_t, (2.0, q), grid, lead=3, overwrite=True)]
-    cells += _lp_multi(rho_t, (2.0, q), grid, lead=1, overwrite=True)
-    d2, d2q = _lp_multi(_hessian_stack(u, grid, lead=1), (2.0, q), grid, lead=1,
-                        overwrite=True)
+             for v in _lp_multi(I_t, (2.0, q), grid, lead=3)]
+    cells += _lp_multi(rho_t, (2.0, q), grid, lead=1)
+    d2, d2q = _lp_multi(_hessian_stack(u, grid, lead=1), (2.0, q), grid, lead=1)
     weighted = np.sqrt(np.maximum(rho, 0.0))[:, None] * u_t
-    cells += [d2, _lp_cells(weighted, 2.0, grid, lead=1, overwrite=True),
+    cells += [d2, _lp_cells(weighted, 2.0, grid, lead=1),
               d2q, _sobolev_cells(u_t, "D1", settings, grid, lead=1)]
     return [_ThetaTerms(*row) for row in zip(*(c.tolist() for c in cells))]
 

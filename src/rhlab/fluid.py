@@ -47,25 +47,25 @@ folded), so LAPACK's banded LU (``dgbsv``) solves it directly in O(n): a
 128-cell periodic step with convection costs about 0.06 ms, a quarter of it
 in ``dgbsv``, against about 0.5 ms for SuperLU plus one
 factor-preconditioned Krylov iteration, nearly all of it scipy's set-up.
-It is the only 1D path: a singular factor, or a solution that is not
-finite or misses the residual bound, raises SolverError.  Of 4,000 random 1D systems the band LU failed on 337, each
-with one parity class of cells entirely in vacuum (the centered-square Lame
-stencil couples only cells two apart); Jacobi-Krylov plus lgmres failed on
-each one tried too, after 3.5 to 11 s, and in 1D vacuum leaves it only the
-stiff Lame block (one vacuum run with 160 solves took 20,283 Jacobi
-iterations).  In 2D and 3D the system is solved by a Jacobi (v / diag(A))
-preconditioned Krylov iteration (cg when symmetric, bicgstab with
-convection): on the 2D 32x32 far-field system with convection ``splu``
-costs about 27 ms per solve against 2 to 4 ms for Jacobi-bicgstab, and
-Jacobi solves a 3D 16^3 vacuum-plateau system in about 20 ms, where
-incomplete LU plus Krylov took 3.6 s.  All timings on one thread of a
-2-vCPU Xeon.  ``_cg`` and ``_bicgstab`` are scipy 1.17's ``cg`` and
-``bicgstab`` loops, operation for operation, on the compiled CSR product
-``_matvec``, so every result is bit for bit scipy's.  They are the only 2D/3D
-path, as band LU is in 1D: a solve they leave above the residual bound
-raises SolverError.  Of 5,200 random 2D/3D systems 183 failed, each with
-one parity class of cells entirely in vacuum; an lgmres retry, run on 124
-of them, rescued none and took 21 to 45 s each.
+It is the only 1D path: a singular factor raises SolverError.  Of 4,000
+random 1D systems the band LU failed on 337, each with one parity class of
+cells entirely in vacuum (the centered-square Lame stencil couples only
+cells two apart); Jacobi-Krylov plus lgmres failed on each one tried too,
+after 3.5 to 11 s, and in 1D vacuum leaves it only the stiff Lame block
+(one vacuum run with 160 solves took 20,283 Jacobi iterations).  In 2D and
+3D the system is solved by a Jacobi (v / diag(A)) preconditioned Krylov
+iteration (cg when symmetric, bicgstab with convection): on the 2D 32x32
+far-field system with convection ``splu`` costs about 27 ms per solve
+against 2 to 4 ms for Jacobi-bicgstab, and Jacobi solves a 3D 16^3
+vacuum-plateau system in about 20 ms, where incomplete LU plus Krylov took
+3.6 s.  All timings on one thread of a 2-vCPU Xeon.  ``_cg`` and
+``_bicgstab`` are scipy 1.17's ``cg`` and ``bicgstab`` loops, operation for
+operation, on the compiled CSR product ``_matvec``, so every result is bit
+for bit scipy's.  They are the only 2D/3D path, as band LU is in 1D.  Both
+paths end in one verdict in ``momentum_step``: an x that is not finite, or
+one above the residual bound, raises SolverError.  Of 5,200 random 2D/3D
+systems 183 failed, each with one parity class of cells entirely in vacuum;
+an lgmres retry, run on 124 of them, rescued none and took 21 to 45 s each.
 
 The Krylov iteration starts from whichever of u_old and the convecting
 velocity w has the smaller residual |b - A x|.  Inside a Picard sweep w is
@@ -73,9 +73,10 @@ the previous iterate's velocity at the same step, within one Picard
 increment of the answer, so it is usually the better start (on the 2D
 32x32 far-field benchmark run at seed 0, 526 Krylov iterations over 30
 solves instead of 656 from u_old, a BiCGSTAB pass that stops at its half
-step counted whole).  The choice costs two residual evaluations,
-and the chosen one is bicgstab's first residual, so it adds one.
-Without convection the start is u_old.
+step counted whole).  The choice costs two residual evaluations; the
+chosen one is handed to bicgstab, which always takes its start residual
+from the caller, so the choice adds one.  Without convection the start is
+u_old.
 
 The Krylov routines stop at ``KRYLOV_RTOL = RTOL / 10``.  They stop on
 their recursively updated residual, while every solve is checked on its
@@ -175,10 +176,6 @@ class VelocityHistory:
         if self.times.size > 1 and np.any(np.diff(self.times) <= 0):
             raise ShapeError("history times must be strictly increasing")
 
-    @classmethod
-    def constant(cls, w: Array, t0: float = 0.0, t1: float = 1.0) -> "VelocityHistory":
-        return cls([t0, t1], [w, w])
-
     def __call__(self, s: float) -> Array:
         t = self.times
         if s <= t[0]:
@@ -247,15 +244,6 @@ def _clamp(pts: Array, grid: SpatialGrid) -> Array:
         for a, (n, h) in enumerate(zip(grid.extents, grid.spacing)):
             np.minimum(np.maximum(pts[a], -0.5 * h, out=pts[a]), (n + 0.5) * h, out=pts[a])
     return pts
-
-
-def _clamp_points(pts: Array, grid: SpatialGrid) -> tuple[Array, int]:
-    """Keep points inside the one-ghost-layer padded far-field domain;
-    returns the points, a copy on far-field grids, and the number of clamped
-    coordinates.  Periodic grids never clamp."""
-    if grid.boundary == "periodic":
-        return pts, 0
-    return _clamp(pts.copy(), grid), _outside(pts, grid)
 
 
 def _interp(fp: Array, grid: SpatialGrid, points: Array, index: tuple = ()) -> Array:
@@ -743,9 +731,9 @@ def _matvec(lay: _MomentumLayout, data: Array, x: Array) -> Array:
 
 
 def _band_solve(lay: _MomentumLayout, data: Array, b: Array) -> Array:
-    """Direct banded LU solve of the 1D system.  Returns x when it is finite
-    with relative residual <= RTOL; raises SolverError naming band LU and
-    why otherwise."""
+    """Direct banded LU solve of the 1D system, unpermuted.  A singular
+    factor, or an argument dgbsv rejects, raises SolverError naming band LU;
+    ``momentum_step`` judges the x it returns."""
     band = lay.band
     _, _, y, info = lapack.dgbsv(band.kl, band.kl, _band_storage(band, data),
                                  b[band.perm], overwrite_ab=True, overwrite_b=True)
@@ -755,13 +743,6 @@ def _band_solve(lay: _MomentumLayout, data: Array, b: Array) -> Array:
         raise _solve_failed("band LU", f"singular, dgbsv info {info}")
     x = np.empty_like(y)
     x[band.perm] = y
-    if not np.isfinite(x).all():
-        raise _solve_failed("band LU", "non-finite solution")
-    # numpy's 2-norm of a 1-D float vector is sqrt(v . v): the same values
-    r = b - _matvec(lay, data, x)
-    res = math.sqrt(r.dot(r)) / math.sqrt(b.dot(b))
-    if res > RTOL:
-        raise _solve_failed("band LU", f"relative residual {res:.3e}", residual=res)
     return x
 
 
@@ -807,22 +788,18 @@ def _cg(matvec, b: Array, x0: Array, diag: Array) -> tuple[Array, int]:
     return x, MAXITER
 
 
-def _bicgstab(matvec, b: Array, x0: Array, diag: Array,
-              r0: Array | None = None) -> tuple[Array, int]:
+def _bicgstab(matvec, b: Array, x0: Array, diag: Array, r0: Array) -> tuple[Array, int]:
     """Preconditioned BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13,
-    1992).  ``r0``, when given, is b - A x0, which the caller has computed
-    already; the routine takes it over and updates it in place."""
+    1992).  ``r0`` is b - A x0, which the caller has computed already (for
+    x0 = 0 it is b, as scipy's start); the routine takes it over and updates
+    it in place."""
     x = np.array(x0, dtype=float)
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
         return b, 0
     atol = max(0.0, KRYLOV_RTOL * float(bnrm2))
     breakdown = np.finfo(float).eps ** 2      # scipy's rho and omega bound
-    if not x.any():
-        r = b.copy()
-    else:
-        r = b - matvec(x) if r0 is None else r0
-    rtilde = r.copy()
+    r, rtilde = r0, r0.copy()
     p = v = rho_prev = alpha = omega = None
     for iteration in range(MAXITER):
         rnorm = np.linalg.norm(r)
@@ -880,20 +857,28 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     their rows and the solve reduces to the elliptic balance there.
 
     The matrix is filled into the cached layout of the grid.  In 1D one
-    banded LU factorization (LAPACK ``dgbsv``) solves it; a singular factor,
-    or a solution that is not finite or misses ``RTOL``, raises SolverError
-    naming band LU and why (with ``residual`` set when it is known).  In 2D
-    and 3D ``_cg`` (symmetric) or ``_bicgstab`` (with convection), scipy's
-    loops preconditioned by Jacobi, runs to a ``KRYLOV_RTOL`` relative
-    residual or ``MAXITER`` iterations; see the module docstring for why.
-    It starts from ``u_n``, or from ``w`` when there is convection and ``w``
-    has the strictly smaller residual |b - A w|.  It is the only 2D/3D path:
-    a result above ``RTOL``, or a routine that met non-finite values, raises
-    SolverError naming the routine and why, with ``residual`` set and
-    ``iterations`` the routine's count when it stopped at ``MAXITER`` (None
-    otherwise).  The routines run with numpy's floating-point warnings off:
-    iterates that overflow raise that SolverError as non-finite values, with
-    no RuntimeWarning.
+    banded LU factorization (LAPACK ``dgbsv``) solves it; a singular factor
+    raises SolverError naming band LU.  In 2D and 3D ``_cg`` (symmetric) or
+    ``_bicgstab`` (with convection), scipy's loops preconditioned by Jacobi,
+    runs to a ``KRYLOV_RTOL`` relative residual or ``MAXITER`` iterations;
+    see the module docstring for why.  It starts from ``u_n``, or from ``w``
+    when there is convection and ``w`` has the strictly smaller residual
+    |b - A w|.
+
+    One verdict judges both paths: an x that is not finite, or a routine
+    that met non-finite values, raises SolverError naming the path and
+    "non-finite values" (``residual`` None); else a true relative residual
+    sqrt(r . r) / sqrt(b . b) above ``RTOL`` raises it with ``residual``
+    set.  ``iterations`` is the routine's count when it stopped at
+    ``MAXITER``, None otherwise.
+
+    A zero b gives zeros.  When b . b is not a positive normal double (it
+    under- or overflows), b, ``u_n`` and the start guess ``w`` are divided
+    by the power of two s that brings max |b| into [0.5, 1), the matrix
+    keeps ``w``, and x is multiplied back by s: the solve is scale-free,
+    and every other b is solved unscaled.  The solve runs with numpy's
+    floating-point warnings off: values that overflow end in the verdict,
+    with no RuntimeWarning.
     """
     u_n = check_vector(u_n, grid)
     rho_new = check_scalar(rho_new, grid)
@@ -913,31 +898,37 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
         w = check_vector(w, grid)
     lay = _momentum_layout(grid, visc)
     data = _momentum_data(lay, rho_new, None if symmetric else w, dt)
-    if lay.band is not None:
-        return _band_solve(lay, data, b).reshape(u_n.shape)
-
-    diag = data[lay.diag_pos.ravel()]       # the pattern has no duplicate entries
 
     def matvec(v):
         return _matvec(lay, data, v)
 
-    x0 = u_n.reshape(-1)
-    if not symmetric:
-        # the chosen start's residual is the one bicgstab begins with
-        guess = w.reshape(-1)
-        r0, r_guess = b - matvec(x0), b - matvec(guess)
-        if np.linalg.norm(r_guess) < np.linalg.norm(r0):
-            x0, r0 = guess, r_guess
-    path = "Jacobi-cg" if symmetric else "Jacobi-bicgstab"
-    # iterates that overflow end in the non-finite SolverError below, not in
-    # RuntimeWarnings; the values computed are the same either way
+    x0, e = u_n.reshape(-1), 0
+    # values that overflow end in the verdict below, not in RuntimeWarnings;
+    # the values computed are the same either way
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, info = _cg(matvec, b, x0, diag) if symmetric \
-            else _bicgstab(matvec, b, x0, diag, r0)
-        res = float(np.linalg.norm(b - matvec(x))) / float(np.linalg.norm(b))
+        bb = b.dot(b)
+        if not sys.float_info.min <= bb < math.inf:
+            e = int(np.frexp(np.max(np.abs(b)))[1])
+            b, x0 = np.ldexp(b, -e), np.ldexp(x0, -e)
+            bb = b.dot(b)
+        diag = data[lay.diag_pos.ravel()]   # the pattern has no duplicate entries
+        if lay.band is not None:
+            path, x, info = "band LU", _band_solve(lay, data, b), 0
+        elif symmetric:
+            path, (x, info) = "Jacobi-cg", _cg(matvec, b, x0, diag)
+        else:
+            # the chosen start's residual is the one bicgstab begins with
+            guess = np.ldexp(w.reshape(-1), -e)
+            r0, r_guess = b - matvec(x0), b - matvec(guess)
+            if np.linalg.norm(r_guess) < np.linalg.norm(r0):
+                x0, r0 = guess, r_guess
+            path, (x, info) = "Jacobi-bicgstab", _bicgstab(matvec, b, x0, diag, r0)
+        r = b - matvec(x)
+        res = math.sqrt(r.dot(r)) / math.sqrt(bb)
+        x = np.ldexp(x, e)
     iterations = info if info > 0 else None
-    if info == NONFINITE or not np.all(np.isfinite(x)):
-        raise _solve_failed(path, "non-finite values", res, iterations)
+    if info == NONFINITE or not np.isfinite(x).all():
+        raise _solve_failed(path, "non-finite values", None, iterations)
     if res > RTOL:
         raise _solve_failed(path, f"relative residual {res:.3e}", res, iterations)
     return x.reshape(u_n.shape)

@@ -21,9 +21,12 @@ stacked radiation field of one chunk.  The 1D benchmark workloads take 8
 (w1: 4 bands x 8 ordinates x 128 cells, 32 KiB per snapshot) and 4 (w4,
 256 cells) snapshots per chunk; w2's 2D field (229 KiB) fills the budget
 alone, and any field over half the budget makes a chunk of one snapshot.
-Every stack is scratch: it is overwritten in place and released as soon as
-its norms are taken, so a chunk holds only a few radiation-sized arrays at
-a time.  Measured on a
+The private reducers (``_magnitude``, ``_lp_multi``, ``_lp_cells`` and
+``_sobolev_cells``) have one rule: their input is scratch.  A float input
+is overwritten in place and released as soon as its norms are taken, so a
+chunk holds only a few radiation-sized arrays at a time; a caller that
+keeps its array, such as ``lp_norm`` and ``mixed_radiation_norm``, passes
+a copy.  Measured on a
 2-vCPU Xeon with one BLAS thread (ten alternating 8 s benchmark runs per
 side), 256 KiB took w1's run time from 0.200 to 0.149 s and w4's from 0.218
 to 0.187 s, for +0.17 MB peak RSS on w1 and -0.17 MB on w4.  In single
@@ -65,29 +68,27 @@ class NormSettings(Value):
         return [("q", not 3.0 < q <= 6.0, f"q must lie in (3, 6], got {q}")]
 
 
-def _magnitude(f: Array, grid: SpatialGrid, lead: int = 0,
-               overwrite: bool = False) -> Array:
+def _magnitude(f: Array, grid: SpatialGrid, lead: int = 0) -> Array:
     """Pointwise Euclidean magnitude over the component axes that sit between
-    the first ``lead`` axes and the trailing ``grid.dim`` cell axes.  With
-    ``overwrite`` the float array ``f`` is scratch and may be clobbered."""
+    the first ``lead`` axes and the trailing ``grid.dim`` cell axes.  ``f``
+    is scratch: a float array is clobbered, and a caller that keeps its
+    array passes a copy."""
     f = check_cells(f, grid)
-    scratch = f if overwrite else None
     if f.ndim == lead + grid.dim:
-        return np.abs(f, out=scratch)
+        return np.abs(f, out=f)
     comps = f.reshape(f.shape[:lead] + (-1,) + grid.extents)
-    sq = np.sum(np.multiply(comps, comps, out=comps if overwrite else None), axis=lead)
+    sq = np.sum(np.multiply(comps, comps, out=comps), axis=lead)
     return np.sqrt(sq, out=sq)
 
 
-def _lp_multi(f: Array, ps: tuple, grid: SpatialGrid, lead: int = 0,
-              overwrite: bool = False) -> tuple:
+def _lp_multi(f: Array, ps: tuple, grid: SpatialGrid, lead: int = 0) -> tuple:
     """Lp norms over the cells, one array of shape ``f.shape[:lead]`` per
     exponent in ``ps``, from one pointwise magnitude (the last power is
     taken in place).  p = 2 and p = 4 are taken by one and two squarings;
     other exponents by ``**``.  Each final 1/p power is a Python float power,
-    so every entry equals the whole-field norm of its slice.  ``overwrite``
-    as in ``_magnitude``."""
-    mag = _magnitude(f, grid, lead, overwrite)
+    so every entry equals the whole-field norm of its slice.  ``f`` is
+    scratch, as in ``_magnitude``."""
+    mag = _magnitude(f, grid, lead)
     del f                   # a scratch input passed inline is released here
     cells = tuple(range(lead, mag.ndim))
     out = []
@@ -116,16 +117,16 @@ def _lp_multi(f: Array, ps: tuple, grid: SpatialGrid, lead: int = 0,
     return tuple(out)
 
 
-def _lp_cells(f: Array, p: float, grid: SpatialGrid, lead: int = 0,
-              overwrite: bool = False) -> Array:
-    """Lp norm over the cells for every index of the first ``lead`` axes."""
-    return _lp_multi(f, (p,), grid, lead, overwrite)[0]
+def _lp_cells(f: Array, p: float, grid: SpatialGrid, lead: int = 0) -> Array:
+    """Lp norm over the cells for every index of the first ``lead`` axes;
+    ``f`` is scratch, as in ``_magnitude``."""
+    return _lp_multi(f, (p,), grid, lead)[0]
 
 
 def lp_norm(f: Array, p: float, grid: SpatialGrid) -> float:
     """(sum |f|^p * vol)^(1/p); max |f| for p = inf.  Vector fields use the
     pointwise Euclidean magnitude."""
-    return float(_lp_cells(f, p, grid))
+    return float(_lp_cells(np.array(f, dtype=float), p, grid))
 
 
 def _component_gradients(f: Array, grid: SpatialGrid, lead: int = 0) -> Array:
@@ -154,19 +155,20 @@ def _hessian_stack(f: Array, grid: SpatialGrid, lead: int = 0) -> Array:
 
 
 def _sobolev_cells(g: Array, kind: str, settings: NormSettings, grid: SpatialGrid,
-                   lead: int = 0, overwrite: bool = False) -> Array:
+                   lead: int = 0) -> Array:
     """Norm of the kind (Sobolev or L2, Lq) of every slice of the first
-    ``lead`` axes; see ``sobolev_norm``.  Each magnitude is formed once;
-    ``overwrite`` as in ``_magnitude``."""
+    ``lead`` axes; see ``sobolev_norm``.  Each magnitude is formed once.
+    ``g`` is scratch, as in ``_magnitude``: its derivatives are formed
+    before it is consumed, and the seminorms D1 and D2 leave it as is."""
     if kind in ("L2", "Lq"):
-        return _lp_cells(g, 2.0 if kind == "L2" else settings.q, grid, lead, overwrite)
+        return _lp_cells(g, 2.0 if kind == "L2" else settings.q, grid, lead)
     if kind == "D2":
-        return _lp_cells(_hessian_stack(g, grid, lead), 2.0, grid, lead, overwrite=True)
+        return _lp_cells(_hessian_stack(g, grid, lead), 2.0, grid, lead)
     if kind == "D1":
-        return _lp_cells(_component_gradients(g, grid, lead), 2.0, grid, lead, overwrite=True)
+        return _lp_cells(_component_gradients(g, grid, lead), 2.0, grid, lead)
     ps = {"H1": (2.0,), "W1q": (settings.q,), "H1W1q": (2.0, settings.q)}[kind]
-    der = _lp_multi(_component_gradients(g, grid, lead), ps, grid, lead, overwrite=True)
-    own = _lp_multi(g, ps, grid, lead, overwrite)
+    der = _lp_multi(_component_gradients(g, grid, lead), ps, grid, lead)
+    own = _lp_multi(g, ps, grid, lead)
     norms = [a + b for a, b in zip(own, der)]
     return norms[0] if len(norms) == 1 else norms[0] + norms[1]   # H1W1q: sum of the two
 
@@ -200,7 +202,8 @@ def mixed_radiation_norm(I: Array, inner: str, grids: Grids,
     norms from one batched evaluation."""
     if inner not in MIXED_INNER_KINDS:
         raise ParameterError(f"unknown inner norm {inner!r}")
-    vals = _sobolev_cells(check_radiation(I, grids), inner, settings, grids.spatial, lead=2)
+    vals = _sobolev_cells(check_radiation(I, grids).copy(), inner, settings, grids.spatial,
+                          lead=2)
     return float(_phase_l2(vals, grids))
 
 

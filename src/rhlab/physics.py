@@ -510,7 +510,7 @@ def validate_kernel_integrability(model: CoefficientModel, freq: FrequencyGrid,
 def _mixed_l2_linf(f: Array, p: float, grid: SpatialGrid, w: Array) -> tuple[float, float]:
     """L2 and Linf over (band, ordinate) of the spatial Lp norms of a
     (B, M) + components + cells field."""
-    vals = _lp_cells(f, p, grid, lead=2)
+    vals = _lp_cells(np.array(f, dtype=float), p, grid, lead=2)
     return float(np.sqrt(np.sum(w * vals * vals))), float(np.max(vals))
 
 

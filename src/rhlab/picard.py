@@ -208,14 +208,13 @@ def _increment_norms(prev_states: list, next_states: list, grids: Grids,
     pairs' radiation differences are stacked, and released once normed."""
     grid = grids.spatial
     inner = _lp_cells(_differences([s.I for s in prev_states], [s.I for s in next_states]),
-                      2.0, grid, lead=3, overwrite=True)
+                      2.0, grid, lead=3)
     cells = [_phase_l2(inner, grids)]
     drho = _differences([s.rho for s in prev_states], [s.rho for s in next_states])
     du = np.sqrt(np.maximum(np.stack([s.rho for s in next_states]), 0.0))[:, None] \
         * _differences([s.u for s in prev_states], [s.u for s in next_states])
-    rho2, *rho32 = _lp_multi(drho, (2.0, 1.5) if include_l32 else (2.0,), grid, lead=1,
-                             overwrite=True)
-    cells += [rho2, _lp_cells(du, 2.0, grid, lead=1, overwrite=True)] + rho32
+    rho2, *rho32 = _lp_multi(drho, (2.0, 1.5) if include_l32 else (2.0,), grid, lead=1)
+    cells += [rho2, _lp_cells(du, 2.0, grid, lead=1)] + rho32
     return list(zip(*(c.tolist() for c in cells)))
 
 

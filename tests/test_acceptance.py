@@ -197,7 +197,7 @@ def test_criterion_05_characteristics_oracles():
             for _ in range(steps):
                 rho_fv = continuity_step_fv(rho_fv, w, dt, g)
             rho_ch = continuity_step_characteristics(
-                rho0, VelocityHistory.constant(w, 0.0, T), T, g, substeps=steps)
+                rho0, VelocityHistory([0.0, T], [w, w]), T, g, substeps=steps)
             diffs.append(lp_norm(rho_fv - rho_ch, 2.0, g))
         assert diffs[0] / diffs[1] >= 1.7
 

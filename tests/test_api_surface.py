@@ -1,4 +1,5 @@
-"""Every public top-level function and class of the ``rhlab`` modules is
+"""Every top-level function and class of the ``rhlab`` modules, private
+ones too, and every method of a top-level class but the dunder methods, is
 exported by ``rhlab/__init__.py``, used by ``src/rhlab`` code, or on a short
 allowlist with its reason: no door that only tests open.  And no function
 keeps state in a module: none mutates a name bound by assignment at module
@@ -16,29 +17,44 @@ import rhlab
 
 SRC = Path(rhlab.__file__).parent
 
-# public names that no rhlab code calls, each with the reason it stays
+# names that no rhlab code calls, each with the reason it stays
 ALLOWED = {
     "inner_product": "acceptance criterion 4 checks the Lame energy identity with it",
     "substep_transport": "the reference trace's transport step (tests/_reference.py)",
 }
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _surface():
-    """([(module, name)] of the public top-level functions and classes, and
-    the names used in code outside their own top-level definition)."""
+    """([(module, label, name)] of the top-level functions and classes and
+    of the methods of top-level classes, dunders apart, and the names used
+    in code outside their own definition).  A method's label is
+    ``Class.method``; its uses are looked up by the method's name."""
     defined, used = [], set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             own = getattr(node, "name", None)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
-                defined.append((path.stem, own))
-            for sub in ast.walk(node):
-                if isinstance(sub, ast.Name):
-                    used.add((sub.id, own))
-                elif isinstance(sub, ast.Attribute):
-                    used.add((sub.attr, own))
+            scopes = [(node, own)]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_dunder(own):
+                defined.append((path.stem, own, own))
+            if isinstance(node, ast.ClassDef):
+                # each method is a scope of its own; the rest is the class's
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+                defined += [(path.stem, f"{own}.{m.name}", m.name) for m in methods
+                            if not _is_dunder(m.name)]
+                scopes = [(sub, sub.name if sub in methods else own)
+                          for sub in ast.iter_child_nodes(node)]
+            for scope, name in scopes:
+                for sub in ast.walk(scope):
+                    if isinstance(sub, ast.Name):
+                        used.add((sub.id, name))
+                    elif isinstance(sub, ast.Attribute):
+                        used.add((sub.attr, name))
     return defined, {name for name, own in used if name != own}
 
 
@@ -51,14 +67,14 @@ def _exported():
 def test_every_public_name_is_exported_used_or_allowed():
     defined, used = _surface()
     exported = _exported()
-    doors = [f"{module}.{name}" for module, name in defined
+    doors = [f"{module}.{label}" for module, label, name in defined
              if name not in exported | used | set(ALLOWED)]
     assert doors == []
 
 
 def test_allowlist_holds_only_unused_names():
     defined, used = _surface()
-    names = {name for _, name in defined}
+    names = {name for _, _, name in defined}
     assert sorted(name for name in ALLOWED
                   if name not in names or name in used | _exported()) == []
 

@@ -13,7 +13,7 @@ from rhlab import fluid
 
 from rhlab.errors import (DomainError, ParameterError, ShapeError, SolverError,
                           StepSizeError)
-from rhlab.fluid import (VelocityHistory, _clamp_points, _interp, _trace_backward,
+from rhlab.fluid import (VelocityHistory, _clamp, _interp, _trace_backward,
                          continuity_step_characteristics, continuity_step_fv,
                          heat_smooth, lame_apply, momentum_step)
 from rhlab.grid import SpatialGrid, divergence, gradient, inner_product, pad_ghost
@@ -36,14 +36,14 @@ def _departure(hist, t, grid, substeps=None):
 
 class TestFlowMap:
     def test_zero_velocity(self, grid128):
-        hist = VelocityHistory.constant(np.zeros((1, 128)), 0.0, 1.0)
+        hist = VelocityHistory([0.0, 1.0], [np.zeros((1, 128))] * 2)
         departure, clamped = _departure(hist, 0.5, grid128)
         assert np.array_equal(departure[0], grid128.axis_coords(0))
         assert clamped == 0
 
     def test_constant_velocity(self, grid128):
         a = 0.125
-        hist = VelocityHistory.constant(np.full((1, 128), a), 0.0, 1.0)
+        hist = VelocityHistory([0.0, 1.0], [np.full((1, 128), a)] * 2)
         departure, _ = _departure(hist, 0.5, grid128, substeps=10)
         expected = grid128.axis_coords(0) - a * 0.5
         assert np.max(np.abs(departure[0] - expected)) < 1e-13
@@ -66,7 +66,7 @@ class TestFlowMap:
     def test_out_of_domain_clamped_and_flagged(self):
         grid = SpatialGrid.farfield(16, 1.0, 0.0)
         w = np.full((1, 16), 4.0)  # sweeps everything out through the left
-        hist = VelocityHistory.constant(w, 0.0, 1.0)
+        hist = VelocityHistory([0.0, 1.0], [w, w])
         departure, clamped = _departure(hist, 1.0, grid, substeps=8)
         assert clamped > 0
         h = grid.spacing[0]
@@ -76,7 +76,7 @@ class TestFlowMap:
 class TestContinuityCharacteristics:
     def test_zero_velocity_identity(self, grid128, rng):
         rho0 = np.abs(random_smooth_field(grid128, rng)) + 0.1
-        hist = VelocityHistory.constant(np.zeros((1, 128)), 0.0, 1.0)
+        hist = VelocityHistory([0.0, 1.0], [np.zeros((1, 128))] * 2)
         out = continuity_step_characteristics(rho0, hist, 0.7, grid128)
         assert np.allclose(out, rho0, atol=1e-13)
 
@@ -96,7 +96,7 @@ class TestContinuityCharacteristics:
         x = grid.axis_coords(0)
         rho0 = np.where(np.abs(x - 0.5) < 0.15, 0.0, 1.0)
         w = 0.02 * np.sin(2 * np.pi * x)[None]
-        hist = VelocityHistory.constant(w, 0.0, 1.0)
+        hist = VelocityHistory([0.0, 1.0], [w, w])
         out = continuity_step_characteristics(rho0, hist, 0.1, grid, substeps=10)
         assert np.min(out) >= 0.0
         # departure points near the plateau center stay inside it: exact zeros
@@ -108,7 +108,7 @@ class TestContinuityCharacteristics:
         # edge rounds past 26, which used to give the last cell a weight of
         # -3.6e-15 and ten cells a negative density
         grid = SpatialGrid.farfield(26, 1.0, 0.0)
-        hist = VelocityHistory.constant(np.full((1, 26), -5.0))
+        hist = VelocityHistory([0.0, 1.0], [np.full((1, 26), -5.0)] * 2)
         out = continuity_step_characteristics(np.ones(26), hist, 1.0, grid, substeps=4)
         assert np.min(out) >= 0.0
         assert np.all(out[:10] == 0.0)
@@ -120,20 +120,20 @@ class TestContinuityCharacteristics:
         grid = SpatialGrid.farfield(32, 1.0, 0.0)
         x = grid.axis_coords(0)
         rho0 = np.where(np.abs(x - 0.5) < 0.2, 1.0, 0.0)
-        hist = VelocityHistory.constant(-1000.0 * (x - 0.5)[None])
+        hist = VelocityHistory([0.0, 1.0], [-1000.0 * (x - 0.5)[None]] * 2)
         with np.errstate(over="ignore", invalid="ignore"):
             out = continuity_step_characteristics(rho0, hist, 1.0, grid, substeps=4)
             ref = loop_continuity_step_characteristics(rho0, hist, 1.0, grid, substeps=4)
         departure, _ = _departure(hist, 1.0, grid, substeps=4)
         vacuum = _interp(pad_ghost(rho0, grid, 0.0), grid,
-                         _clamp_points(departure, grid)[0]) == 0.0
+                         _clamp(departure.copy(), grid)) == 0.0
         assert np.count_nonzero(vacuum) == 20 and np.any(np.isinf(out))
         assert not np.any(np.isnan(out))
         assert np.all(out[vacuum] == 0.0)
         assert out.tobytes() == ref.tobytes()
 
     def test_negative_initial_density_rejected(self, grid128):
-        hist = VelocityHistory.constant(np.zeros((1, 128)), 0.0, 1.0)
+        hist = VelocityHistory([0.0, 1.0], [np.zeros((1, 128))] * 2)
         with pytest.raises(DomainError):
             continuity_step_characteristics(-np.ones(128), hist, 0.1, grid128)
 
@@ -143,7 +143,7 @@ def test_intended_overflow_raises_no_warning():
     # the overflow is intended (vacuum stays 0), so it raises no RuntimeWarning
     grid = SpatialGrid.periodic(8, 1.0)
     w = 50.0 * np.sin(2 * np.pi * grid.axis_coords(0))[None]
-    hist = VelocityHistory.constant(w, 0.0, 20.0)
+    hist = VelocityHistory([0.0, 20.0], [w, w])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rho = continuity_step_characteristics(np.ones(8), hist, 20.0, grid)
@@ -155,7 +155,7 @@ class TestTraceValidation:
 
     @pytest.fixture
     def hist(self):
-        return VelocityHistory.constant(np.full((1, 16), 3.0), 0.0, 1.0)
+        return VelocityHistory([0.0, 1.0], [np.full((1, 16), 3.0)] * 2)
 
     @pytest.mark.parametrize("t", [np.nan, np.inf, -0.5, [0.1, np.nan], [0.2, -0.1]])
     @pytest.mark.parametrize("trace", [_trace_backward, continuity_step_characteristics])
@@ -236,7 +236,7 @@ def _domain_case(step, bad):
     if step == "continuity_fv":
         return continuity_step_fv(rho, w, 0.01, grid)
     if step == "characteristics":
-        hist = VelocityHistory.constant(np.zeros((1, 8)), 0.0, 0.01)
+        hist = VelocityHistory([0.0, 0.01], [np.zeros((1, 8))] * 2)
         return continuity_step_characteristics(rho, hist, 0.01, grid)
     if step == "momentum":
         return momentum_step(np.zeros((1, 8)), rho, None, np.ones(8), np.zeros((1, 8)),
@@ -330,7 +330,7 @@ class TestContinuityFV:
             rho_fv = rho0
             for _ in range(steps):
                 rho_fv = continuity_step_fv(rho_fv, w, dt, grid)
-            hist = VelocityHistory.constant(w, 0.0, T)
+            hist = VelocityHistory([0.0, T], [w, w])
             rho_ch = continuity_step_characteristics(rho0, hist, T, grid,
                                                      substeps=steps)
             diffs.append(lp_norm(rho_fv - rho_ch, 2.0, grid))
@@ -528,7 +528,7 @@ class TestMomentumStep:
             why = f"relative residual {err.value.residual:.3e}"
         else:
             assert err.value.residual is None
-            why = "singular, dgbsv info 3" if case == "singular" else "non-finite solution"
+            why = "singular, dgbsv info 3" if case == "singular" else "non-finite values"
         assert str(err.value) == ("momentum solve failed to reach relative residual "
                                   f"1.0e-10; tried band LU ({why})")
 
@@ -909,15 +909,12 @@ def test_krylov_routines_are_scipys_bit_for_bit(grid, seed, mu, lam_excess, dt, 
         if maxiter is not None:
             mp.setattr(fluid, "MAXITER", maxiter)
         for ours, theirs in ((fluid._cg, spla.cg), (fluid._bicgstab, spla.bicgstab)):
-            got, info = ours(lambda v: fluid._matvec(lay, data, v), b, x0, diag)
+            # bicgstab is handed the start's residual, as momentum_step does
+            r0 = (b - fluid._matvec(lay, data, x0),) if ours is fluid._bicgstab else ()
+            got, info = ours(lambda v: fluid._matvec(lay, data, v), b, x0, diag, *r0)
             want, want_info = theirs(A, b, x0=x0, rtol=fluid.KRYLOV_RTOL, atol=0.0,
                                      maxiter=fluid.MAXITER, M=precond)
             assert (got.tobytes(), info) == (want.tobytes(), want_info), ours.__name__
-            if ours is fluid._bicgstab:
-                # the start's residual handed in, as momentum_step does
-                r0 = b - fluid._matvec(lay, data, x0)
-                got, info = ours(lambda v: fluid._matvec(lay, data, v), b, x0, diag, r0)
-                assert (got.tobytes(), info) == (want.tobytes(), want_info)
             if maxiter is not None:
                 assert info in (0, maxiter, -10, -11)
     assert np.array_equal(x0, kept)
@@ -935,7 +932,8 @@ def test_krylov_routines_stop_at_first_non_finite_residual(routine):
         return out if len(calls) < 3 else np.full_like(v, np.nan)
 
     b = np.random.default_rng(0).normal(size=20)
-    _, info = routine(matvec, b, np.zeros(20), np.full(20, 2.5))
+    r0 = (b.copy(),) if routine is fluid._bicgstab else ()   # b - A 0 is b
+    _, info = routine(matvec, b, np.zeros(20), np.full(20, 2.5), *r0)
     assert (info, len(calls)) == (fluid.NONFINITE, 3)
 
 
@@ -986,6 +984,28 @@ def test_band_map_unfolds_to_matrix(grid, seed, mu, lam_excess, dt, convect, vac
     assert np.linalg.norm(b - A @ x) <= 1e-12 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("k", [-1000, -560, 530, 1000])
+@pytest.mark.parametrize("with_w", [False, True])
+@pytest.mark.parametrize("grid", [
+    SpatialGrid.farfield(16, 1.0, 1.0), SpatialGrid.periodic(16, 1.0),
+    SpatialGrid.farfield((4, 4), (1.0, 1.0), 1.0), SpatialGrid.periodic((6, 6), (1.0, 1.0))],
+    ids=["farfield1d", "periodic1d", "farfield2d", "periodic2d"])
+def test_momentum_step_is_scale_free(visc, grid, with_w, k):
+    # with p = f = 0 the right-hand side is rho u / dt, and at these scales
+    # its b . b under- or overflows: band LU and Jacobi-Krylov alike solve
+    # 2^k u as 2^k times the solve of u, bit for bit, with no warning
+    rng = np.random.default_rng(0)
+    shape = (grid.dim,) + grid.extents
+    rho, u = rng.uniform(0.5, 2.0, grid.extents), rng.normal(size=shape)
+    w = rng.normal(size=shape) if with_w else None
+    p, f = np.zeros(grid.extents), np.zeros(shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = momentum_step(u, rho, w, p, f, visc, 0.01, grid)
+        got = momentum_step(np.ldexp(u, k), rho, w, p, f, visc, 0.01, grid)
+    assert got.tobytes() == np.ldexp(want, k).tobytes()
+
+
 class TestPositivityRandomized:
     def test_characteristics_nonnegative(self, rng):
         grid = SpatialGrid.farfield(64, 1.0, 0.5)
@@ -994,7 +1014,7 @@ class TestPositivityRandomized:
             rho0 = np.maximum(
                 random_smooth_field(grid, rng, amplitude=0.5) + 0.3, 0.0)
             w = random_smooth_vector(grid, rng, amplitude=0.2)
-            hist = VelocityHistory.constant(w, 0.0, 0.1)
+            hist = VelocityHistory([0.0, 0.1], [w, w])
             out = continuity_step_characteristics(rho0, hist, 0.1, grid,
                                                   substeps=10)
             assert np.min(out) >= 0.0

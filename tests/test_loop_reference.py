@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 import rhlab.norms
 from rhlab.diagnostics import blowup_monitor
 from rhlab.errors import StepSizeError
-from rhlab.fluid import (VelocityHistory, _clamp_points, _interp, _trace_backward,
+from rhlab.fluid import (VelocityHistory, _clamp, _interp, _outside, _trace_backward,
                          continuity_step_characteristics, continuity_step_fv, heat_smooth)
 from rhlab.grid import (AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, gradient,
                         pad_ghost, write_field_snapshot)
@@ -304,7 +304,7 @@ def test_interp_field(dim, periodic, seed, zeros, farfield_value, n_batch):
     rng = np.random.default_rng(seed)
     grid, points = _grid_and_points(rng, dim, periodic, (5, 3)[:n_batch] + (7,))
     f = _field(rng, grid.extents, True, zeros)
-    kept, clamped = _clamp_points(points, grid)
+    kept, clamped = _clamp(points.copy(), grid), _outside(points, grid)
     got = _interp(pad_ghost(f, grid, farfield_value), grid, kept)
     assert _identical(got, loop_interp_field(f, grid, points, farfield_value))
     # the clamp is np.clip to the padded domain, bit for bit, and counts
@@ -328,7 +328,7 @@ def test_interp_nan_coordinate(dim, periodic):
     other point keeps its value."""
     rng = np.random.default_rng(dim + 3 * periodic)
     grid, points = _grid_and_points(rng, dim, periodic, (5, 7))
-    points, _ = _clamp_points(points, grid)
+    points = _clamp(points.copy(), grid)
     fp = pad_ghost(_field(rng, grid.extents, True, True), grid, 0.7)
     nan, axis = rng.random((5, 7)) < 0.3, rng.integers(0, dim, (5, 7))
     hit = points.copy()
@@ -355,7 +355,7 @@ def test_interp_lead_and_paired_axes(dim, periodic, seed, zeros, n_lead, n_paire
     rng = np.random.default_rng(seed)
     batch = (4, 5)
     grid, points = _grid_and_points(rng, dim, periodic, batch)
-    points, _ = _clamp_points(points, grid)          # as every caller does
+    points = _clamp(points.copy(), grid)             # as every caller does
     lead, paired = (2, 3)[:n_lead], (3, 2)[:n_paired]
     padded = tuple(n + 2 for n in grid.extents)
     if swapped:

@@ -196,9 +196,9 @@ def test_two_squarings_are_the_fourth_power_within_two_ulp(values):
 def test_fourth_power_is_two_squarings_whether_or_not_last():
     grid = SpatialGrid.farfield((6, 5), (1.0, 0.8), 1.0)
     f = np.random.default_rng(5).normal(size=(3, 2) + grid.extents)
-    fourth, second = _lp_multi(f, (4.0, 2.0), grid, lead=1)
+    fourth, second = _lp_multi(f.copy(), (4.0, 2.0), grid, lead=1)
     mag = np.sqrt(np.sum(f * f, axis=1))
     sums = np.sum(np.square(np.square(mag)), axis=(1, 2)) * grid.cell_volume
     assert fourth.tolist() == [s ** 0.25 for s in sums.tolist()]
-    assert np.array_equal(fourth, _lp_cells(f, 4.0, grid, lead=1))
-    assert np.array_equal(second, _lp_cells(f, 2.0, grid, lead=1))
+    assert np.array_equal(fourth, _lp_cells(f.copy(), 4.0, grid, lead=1))
+    assert np.array_equal(second, _lp_cells(f.copy(), 2.0, grid, lead=1))

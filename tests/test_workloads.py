@@ -2,7 +2,7 @@
 each tiny variant runs without a warning to byte-identical outputs.  A full
 run builds one transport record per slab solve, steps no sweep transport
 when it has no radiation, and makes a pinned number of interpolations,
-characteristics traces and band LU solves."""
+characteristics traces, momentum solves and matrix-vector products."""
 
 import importlib.util
 import json
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from rhlab import fluid, transport
+from rhlab import fluid, picard, transport
 from rhlab.config import parse_config
 from rhlab.runner import OUTPUT_DIR_ENV, build_problem, run_scenario
 
@@ -69,18 +69,24 @@ def test_one_radiation_record_per_slab_solve(name, records, tmp_path, monkeypatc
     assert len(calls) == records
 
 
-@pytest.mark.parametrize("name, steps, streams, traces, interps, band_solves", [
-    ("w1-periodic1d", 120, 40, 0, 0, 120), ("w2-farfield2d", 30, 10, 0, 0, 0),
-    ("w4-vacuum1d-continuation", 0, 40, 12, 180, 120)])
+@pytest.mark.parametrize("name, steps, streams, traces, interps, solves", [
+    ("w1-periodic1d", 120, 40, 0, 0,
+     dict(momentum_step=120, _band_solve=120, _cg=0, _bicgstab=0, _matvec=120)),
+    ("w2-farfield2d", 30, 10, 0, 0,
+     dict(momentum_step=30, _band_solve=0, _cg=5, _bicgstab=25, _matvec=959)),
+    ("w4-vacuum1d-continuation", 0, 40, 12, 180,
+     dict(momentum_step=120, _band_solve=120, _cg=0, _bicgstab=0, _matvec=120))])
 def test_dark_sweeps_make_no_transport_step(name, steps, streams, traces, interps,
-                                            band_solves, tmp_path, monkeypatch):
+                                            solves, tmp_path, monkeypatch):
     # w4 has no emission and I0 = 0, so none of its 120 sweep steps (12
     # sweeps x 10 steps) is stepped; w1 and w2 emit, and keep theirs.  The
     # free streaming of iterate 0 and the characteristics traces do not change.
     # The 8 of w4's 12 traces that move interpolate 21 times each (once at the
     # start, twice per substep) and every trace once more for the density;
-    # each 1D momentum step is one band LU solve.  A faster fluid half comes
-    # from cheaper calls, not from fewer
+    # each 1D momentum step is one band LU solve and one residual product,
+    # and w2's 30 Krylov solves make 959 products in all, their start
+    # residuals and verdicts included.  A faster fluid half comes from
+    # cheaper calls, not from fewer
     calls = {}
 
     def count(owner, attr):
@@ -97,8 +103,10 @@ def test_dark_sweeps_make_no_transport_step(name, steps, streams, traces, interp
     count(transport, "free_streaming_step")
     count(fluid, "_trace_backward")
     count(fluid, "_interp")
-    count(fluid, "_band_solve")
+    count(picard, "momentum_step")
+    for attr in ("_band_solve", "_cg", "_bicgstab", "_matvec"):
+        count(fluid, attr)
     monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
     run_scenario(parse_config(workloads.render_config(name, 0, "full")))
     assert calls == dict(_transport_step=steps, free_streaming_step=streams,
-                         _trace_backward=traces, _interp=interps, _band_solve=band_solves)
+                         _trace_backward=traces, _interp=interps, **solves)
