@@ -925,7 +925,8 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
             path, (x, info) = "Jacobi-bicgstab", _bicgstab(matvec, b, x0, diag, r0)
         r = b - matvec(x)
         res = math.sqrt(r.dot(r)) / math.sqrt(bb)
-        x = np.ldexp(x, e)
+        if e:
+            x = np.ldexp(x, e)
     iterations = info if info > 0 else None
     if info == NONFINITE or not np.isfinite(x).all():
         raise _solve_failed(path, "non-finite values", None, iterations)
