@@ -847,6 +847,40 @@ def _bicgstab(matvec, b: Array, x0: Array, diag: Array, r0: Array) -> tuple[Arra
 # momentum step
 # ---------------------------------------------------------------------------
 
+# values that overflow end in momentum_step's verdict, not in RuntimeWarnings;
+# a decorator enters the state in 0.6 us, a with-block in 1.4 us (numpy 2.4)
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _solve(lay: _MomentumLayout, data: Array, b: Array, x0: Array, w: Array | None):
+    """(path, x, info, true relative residual) of the momentum system with
+    CSR ``data`` for a nonzero b from x0, or from w when its residual is
+    strictly smaller; scaled as ``momentum_step`` says."""
+    def matvec(v):
+        return _matvec(lay, data, v)
+
+    e, bb = 0, b.dot(b)
+    if not sys.float_info.min <= bb < math.inf:
+        e = int(np.frexp(np.max(np.abs(b)))[1])
+        b, x0 = np.ldexp(b, -e), np.ldexp(x0, -e)
+        bb = b.dot(b)
+        if lay.band is None and not math.isfinite(np.linalg.norm(b - matvec(x0))):
+            x0 = np.zeros_like(b)           # its residual is b
+    if lay.band is not None:
+        path, x, info = "band LU", _band_solve(lay, data, b), 0
+    else:
+        diag = data[lay.diag_pos.ravel()]   # the pattern has no duplicate entries
+        if w is None:
+            path, (x, info) = "Jacobi-cg", _cg(matvec, b, x0, diag)
+        else:
+            # the chosen start's residual is the one bicgstab begins with
+            guess = np.ldexp(w.reshape(-1), -e)
+            r0, r_guess = b - matvec(x0), b - matvec(guess)
+            if np.linalg.norm(r_guess) < np.linalg.norm(r0):
+                x0, r0 = guess, r_guess
+            path, (x, info) = "Jacobi-bicgstab", _bicgstab(matvec, b, x0, diag, r0)
+    r = b - matvec(x)
+    return path, np.ldexp(x, e) if e else x, info, math.sqrt(r.dot(r)) / math.sqrt(bb)
+
+
 def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
                   rad_source: Array, visc: ViscosityParams, dt: float,
                   grid: SpatialGrid, p_ref: float = 0.0) -> Array:
@@ -875,10 +909,13 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     A zero b gives zeros.  When b . b is not a positive normal double (it
     under- or overflows), b, ``u_n`` and the start guess ``w`` are divided
     by the power of two s that brings max |b| into [0.5, 1), the matrix
-    keeps ``w``, and x is multiplied back by s: the solve is scale-free,
-    and every other b is solved unscaled.  The solve runs with numpy's
-    floating-point warnings off: values that overflow end in the verdict,
-    with no RuntimeWarning.
+    keeps ``w``, and x is multiplied back by s; every other b is solved
+    unscaled.  So u_n times a power of two (b with it) gives x times it,
+    bit for bit.  Where b is tiny only because rho is (near vacuum), the
+    divided ``u_n`` can land so far off that its residual is not finite;
+    the Krylov iteration then starts from zeros, whose residual is b.  The
+    solve runs with numpy's floating-point warnings off: values that
+    overflow end in the verdict, with no RuntimeWarning.
     """
     u_n = check_vector(u_n, grid)
     rho_new = check_scalar(rho_new, grid)
@@ -893,40 +930,10 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     if not b.any():
         return np.zeros_like(u_n)
 
-    symmetric = w is None or not np.asarray(w).any()
-    if not symmetric:
-        w = check_vector(w, grid)
+    w = None if w is None or not np.asarray(w).any() else check_vector(w, grid)
     lay = _momentum_layout(grid, visc)
-    data = _momentum_data(lay, rho_new, None if symmetric else w, dt)
-
-    def matvec(v):
-        return _matvec(lay, data, v)
-
-    x0, e = u_n.reshape(-1), 0
-    # values that overflow end in the verdict below, not in RuntimeWarnings;
-    # the values computed are the same either way
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        bb = b.dot(b)
-        if not sys.float_info.min <= bb < math.inf:
-            e = int(np.frexp(np.max(np.abs(b)))[1])
-            b, x0 = np.ldexp(b, -e), np.ldexp(x0, -e)
-            bb = b.dot(b)
-        diag = data[lay.diag_pos.ravel()]   # the pattern has no duplicate entries
-        if lay.band is not None:
-            path, x, info = "band LU", _band_solve(lay, data, b), 0
-        elif symmetric:
-            path, (x, info) = "Jacobi-cg", _cg(matvec, b, x0, diag)
-        else:
-            # the chosen start's residual is the one bicgstab begins with
-            guess = np.ldexp(w.reshape(-1), -e)
-            r0, r_guess = b - matvec(x0), b - matvec(guess)
-            if np.linalg.norm(r_guess) < np.linalg.norm(r0):
-                x0, r0 = guess, r_guess
-            path, (x, info) = "Jacobi-bicgstab", _bicgstab(matvec, b, x0, diag, r0)
-        r = b - matvec(x)
-        res = math.sqrt(r.dot(r)) / math.sqrt(bb)
-        if e:
-            x = np.ldexp(x, e)
+    data = _momentum_data(lay, rho_new, w, dt)
+    path, x, info, res = _solve(lay, data, b, u_n.reshape(-1), w)
     iterations = info if info > 0 else None
     if info == NONFINITE or not np.isfinite(x).all():
         raise _solve_failed(path, "non-finite values", None, iterations)

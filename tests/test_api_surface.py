@@ -7,7 +7,7 @@ level.
 
 Uses are found in the syntax trees (names and attributes), not in the text,
 so a docstring that mentions a name does not count, and neither does the
-name's own definition or an import of it.
+name's own definition (a class's methods included) or an import of it.
 """
 
 import ast
@@ -28,34 +28,37 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
-def _surface():
+def _sources():
+    return [(path.stem, path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+
+
+def _surface(sources):
     """([(module, label, name)] of the top-level functions and classes and
     of the methods of top-level classes, dunders apart, and the names used
-    in code outside their own definition).  A method's label is
-    ``Class.method``; its uses are looked up by the method's name."""
+    in code outside their own definition) of the (module, source) pairs.
+    A method's label is ``Class.method``; its uses are looked up by the
+    method's name.  In a method's body neither the method's nor the
+    class's name counts as used: self-use is no use."""
     defined, used = [], set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, source in sources:
+        for node in ast.parse(source).body:
             own = getattr(node, "name", None)
-            scopes = [(node, own)]
+            scopes = [(node, {own})]
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not _is_dunder(own):
-                defined.append((path.stem, own, own))
+                defined.append((module, own, own))
             if isinstance(node, ast.ClassDef):
                 # each method is a scope of its own; the rest is the class's
                 methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
-                defined += [(path.stem, f"{own}.{m.name}", m.name) for m in methods
+                defined += [(module, f"{own}.{m.name}", m.name) for m in methods
                             if not _is_dunder(m.name)]
-                scopes = [(sub, sub.name if sub in methods else own)
+                scopes = [(sub, {sub.name, own} if sub in methods else {own})
                           for sub in ast.iter_child_nodes(node)]
-            for scope, name in scopes:
-                for sub in ast.walk(scope):
-                    if isinstance(sub, ast.Name):
-                        used.add((sub.id, name))
-                    elif isinstance(sub, ast.Attribute):
-                        used.add((sub.attr, name))
-    return defined, {name for name, own in used if name != own}
+            for scope, owners in scopes:
+                used |= {sub.id if isinstance(sub, ast.Name) else sub.attr
+                         for sub in ast.walk(scope)
+                         if isinstance(sub, (ast.Name, ast.Attribute))} - owners
+    return defined, used
 
 
 def _exported():
@@ -65,7 +68,7 @@ def _exported():
 
 
 def test_every_public_name_is_exported_used_or_allowed():
-    defined, used = _surface()
+    defined, used = _surface(_sources())
     exported = _exported()
     doors = [f"{module}.{label}" for module, label, name in defined
              if name not in exported | used | set(ALLOWED)]
@@ -73,10 +76,34 @@ def test_every_public_name_is_exported_used_or_allowed():
 
 
 def test_allowlist_holds_only_unused_names():
-    defined, used = _surface()
+    defined, used = _surface(_sources())
     names = {name for _, _, name in defined}
     assert sorted(name for name in ALLOWED
                   if name not in names or name in used | _exported()) == []
+
+
+SELF_USE = """from __future__ import annotations
+
+
+class Foo:
+    def make(self) -> Foo:
+        return Foo().make()
+
+
+def again(n):
+    return again(n - 1)
+"""
+
+
+def test_self_use_is_no_use():
+    # a class named in its own methods (a call, a string annotation), a
+    # method calling itself and a recursive function stay unused ...
+    defined, used = _surface([("m", SELF_USE)])
+    assert sorted(label for _, label, _ in defined) == ["Foo", "Foo.make", "again"]
+    assert {"Foo", "make", "again"} & used == set()
+    # ... until code outside them names them
+    _, used = _surface([("m", SELF_USE), ("n", "def user(x):\n    return Foo, x.make, again\n")])
+    assert {"Foo", "make", "again"} <= used
 
 
 # methods that change their object in place (containers and numpy arrays)
