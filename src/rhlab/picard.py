@@ -201,37 +201,38 @@ class Trajectory(Record):
 # contraction metric
 # ---------------------------------------------------------------------------
 
-def _increment_norms(prev_states: list, next_states: list, grids: Grids,
-                     include_l32: bool) -> list:
+def _increment_norms(prev_states: list, next_states: list, grids: Grids) -> list:
     """Per state pair, rho the next state's density: (||dI||_{L2(phase; L2)},
-    |d rho|_2, |sqrt(rho) du|_2) and, with ``include_l32``, |d rho|_{3/2}; the
-    pairs' radiation differences are stacked, and released once normed."""
+    |d rho|_2, |sqrt(rho) du|_2) and, on a far-field grid whose rho_bar is 0,
+    |d rho|_{3/2}; the pairs' radiation differences are stacked, and released
+    once normed."""
     grid = grids.spatial
+    l32 = grid.boundary == "farfield" and grid.rho_bar == 0.0
     inner = _lp_cells(_differences([s.I for s in prev_states], [s.I for s in next_states]),
                       2.0, grid, lead=3)
     cells = [_phase_l2(inner, grids)]
     drho = _differences([s.rho for s in prev_states], [s.rho for s in next_states])
     du = np.sqrt(np.maximum(np.stack([s.rho for s in next_states]), 0.0))[:, None] \
         * _differences([s.u for s in prev_states], [s.u for s in next_states])
-    rho2, *rho32 = _lp_multi(drho, (2.0, 1.5) if include_l32 else (2.0,), grid, lead=1)
+    rho2, *rho32 = _lp_multi(drho, (2.0, 1.5) if l32 else (2.0,), grid, lead=1)
     cells += [rho2, _lp_cells(du, 2.0, grid, lead=1)] + rho32
     return list(zip(*(c.tolist() for c in cells)))
 
 
-def gamma_metric(prev_states: list, next_states: list, grids: Grids,
-                 include_l32: bool = False) -> float:
+def gamma_metric(prev_states: list, next_states: list, grids: Grids) -> float:
     """gamma: the sup over slab snapshots of ||dI||^2_{L2(phase; L2)} + |d
-    rho|_2^2 + |sqrt(rho) du|_2^2 (+ |d rho|_{3/2}^2 with ``include_l32``) of
-    each state pair (``_increment_norms``), over chunks of stacked pairs
-    (``snapshot_chunks``) in snapshot order; NaN once one increment is NaN."""
+    rho|_2^2 + |sqrt(rho) du|_2^2 (+ |d rho|_{3/2}^2 when the far-field
+    density vanishes) of each state pair (``_increment_norms``), over chunks
+    of stacked pairs (``snapshot_chunks``) in snapshot order; NaN once one
+    increment is NaN.  The grid decides the L^{3/2} term: it joins exactly
+    on a far-field grid whose rho_bar is 0, as in every slab solve."""
     if len(prev_states) != len(next_states):
         raise ParameterError("iterate trajectories must share snapshot times")
     worst = 0.0
     if not next_states:
         return worst
     for start, stop in snapshot_chunks(len(next_states), next_states[0].I.nbytes):
-        for norms in _increment_norms(prev_states[start:stop], next_states[start:stop],
-                                      grids, include_l32):
+        for norms in _increment_norms(prev_states[start:stop], next_states[start:stop], grids):
             total = 0.0
             for norm in norms:       # in the order of the formula above
                 total += norm ** 2
@@ -344,7 +345,6 @@ def solve_slab_full(state0: State, model, grids, visc, eos, consts,
                     cfg: SlabConfig, t0: float = 0.0):
     """Like solve_slab but returns every inner-step snapshot of the slab."""
     state0 = state0.validate(grids)
-    include_l32 = grids.spatial.boundary == "farfield" and grids.spatial.rho_bar == 0.0
     T = cfg.slab_length
     rad = _radiation(model, grids, consts.c)     # one record for every attempt
     for halvings in range(cfg.max_halvings + 1):
@@ -354,8 +354,7 @@ def solve_slab_full(state0: State, model, grids, visc, eos, consts,
         prev = _initial_iterate(state0, rad, times)
         for _ in range(cfg.max_iters):
             current = _iterate_once(prev, state0, rad, visc, eos, cfg, times)
-            diag.gamma_history.append(gamma_metric(prev, current, grids,
-                                                   include_l32=include_l32))
+            diag.gamma_history.append(gamma_metric(prev, current, grids))
             prev = current
             diag.stop_rule = _stop_rule(diag.gamma_history, cfg.gamma_tol)
             if diag.converged:
@@ -386,7 +385,6 @@ def solve(state0: State, model: CoefficientModel, grids: Grids,
     """Chain slab solves over [0, t_final], emitting every inner snapshot."""
     if not (math.isfinite(t_final) and t_final > 0):
         raise ParameterError(f"t_final must be finite and positive, got {t_final}")
-    state0 = state0.validate(grids)
     traj = Trajectory(times=[0.0], states=[state0])
     t = 0.0
     slab_len = cfg.slab_length

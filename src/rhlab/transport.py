@@ -11,15 +11,16 @@ which keeps I >= 0 exactly for nonnegative data, sources and kernels.
 What the collision operator reads of the model and the quadratures is one
 record, ``_Radiation``: the gain matrix, Lambda_s, the band-centre column,
 the w Omega matrix of the radiation flux, the upwind ordinate sets and the
-light speed c.  The Picard driver builds one per slab attempt, for its
-iterate 0 and every sweep, and each public step its own, from value-keyed
-caches (``CoefficientModel``'s kernel cache, ``_upwind_sets``) and the flux
-weights, which ``_flux_weights`` builds afresh (about 4 us on one thread of
-a 2-vCPU Xeon).  A step looks up its CFL limit (``transport_cfl_limit``, a
-cached call of about 0.4 us), so a record that never streams takes any c.
-The collision coefficients follow one rule (``_coefficients``): a tabulated
-model's sigma and emission tables, which by contract never depend on t, are
-read once per density; an untabulated model is evaluated at each time.
+light speed c.  The Picard driver builds one per slab solve, for the
+iterate 0 and every sweep of each attempt, and each public step its own,
+from value-keyed caches (``CoefficientModel``'s kernel cache,
+``_upwind_sets``) and the flux weights, which ``_flux_weights`` builds
+afresh (about 4 us on one thread of a 2-vCPU Xeon).  A step looks up its
+CFL limit (``transport_cfl_limit``, a cached call of about 0.4 us), so a
+record that never streams takes any c.  The collision coefficients follow
+one rule (``_coefficients``): a tabulated model's sigma and emission
+tables, which by contract never depend on t, are read once per density; an
+untabulated model is evaluated at each time.
 Each step forms the removal (sigma + Lambda_s) rho once, from the sigma
 table without broadcasting it, and the update and the momentum source run
 in place on the output of one ``np.dot``, with the stream as the only other
@@ -32,16 +33,17 @@ of a 2-vCPU Xeon; the fastest of six processes, each the fastest of 15
 sweeps).
 
 One step, ``_transport_step``, and one substep loop, ``_advance``, serve
-every Picard sweep and ``substep_transport``; with no known iterate psi
-``_advance`` chains ``free_streaming_step``, which serves iterate 0 and
-returns a field of zeros unchanged, so iterate 0 of a slab that starts with
-no radiation is not stepped.  ``_radiation_step`` is the radiation half of a
-Picard step: the advance and the force on the fluid.  A dark step (a
-tabulated model with +0 emission, and zero field and previous iterate) is
-not advanced either: it returns a fresh +0 field and the force of it, the
-stepped path's bits, once its coefficients are known to be finite, so a
-sweep of a run without radiation (the barotropic limit) makes no transport
-step.  Every step rejects a dt that is not positive and finite.
+every Picard sweep; with no known iterate psi ``_advance`` chains
+``free_streaming_step``, which serves iterate 0 and returns a field of
+zeros unchanged, so iterate 0 of a slab that starts with no radiation is
+not stepped.  ``_radiation_step`` is the radiation half of a Picard step:
+the advance and the force on the fluid.  A dark step (a tabulated model
+with +0 emission, and zero field and previous iterate) is not advanced
+either: it returns a fresh +0 field and the force of it, the stepped path's
+bits, once its coefficients are known to be finite, so a sweep of a run
+without radiation (the barotropic limit) makes no transport step.  Every
+step rejects a dt that is not positive and finite, and ``_advance`` one
+that needs more than ``MAX_SUBSTEPS`` substeps.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from .physics import CoefficientModel
 Array = np.ndarray
 
 CFL_FRACTION = 0.9       # largest substep of ``_advance``, in CFL limits
+MAX_SUBSTEPS = 10_000    # most substeps ``_advance`` takes for one step
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +115,9 @@ def _coefficients(rad: _Radiation, rho: Array, t: float,
         return known
     else:
         sigma = model.sigma.table(rad.v, rho)
-        emission = _emission_table(rad, rho)
+        emission = model.emission.table(rad.v, rho) if model.emission_depends_rho \
+            else model.emission.table(rad.v)
     return (sigma + rad.lam_s) * rho, emission
-
-
-def _emission_table(rad: _Radiation, rho: Array):
-    """A tabulated model's emission table, at rho when it depends on rho."""
-    model = rad.model
-    return model.emission.table(rad.v, rho) if model.emission_depends_rho \
-        else model.emission.table(rad.v)
 
 
 def _gain(rad: _Radiation, psi: Array, rho: Array, emission) -> Array:
@@ -377,14 +374,18 @@ def _substeps(rad: _Radiation, dt: float) -> tuple:
     """(n, dt / n) for the fewest n equal substeps of dt of at most
     ``CFL_FRACTION`` of the CFL limit at ``rad.c``; dt must be positive and
     finite.  A limit that underflows (c sum_a |Omega_a| / h_a overflows),
-    so that no finite count of substeps meets it, is a step-size error."""
-    _check_cfl(dt, np.inf)       # positive and finite, before it sets the count
+    so that no finite count of substeps meets it, is a step-size error, and
+    so is a count above ``MAX_SUBSTEPS``."""
+    check_step(dt, "transport")      # before it sets the count
     limit = transport_cfl_limit(rad.grids, rad.c)
     largest = CFL_FRACTION * limit
     if largest == 0.0 or dt / largest == math.inf:
         raise StepSizeError(f"transport CFL limit underflowed: limit={limit} at c={rad.c} "
                             f"leaves no finite count of substeps of dt={dt}")
     n_sub = max(1, math.ceil(dt / largest))
+    if n_sub > MAX_SUBSTEPS:
+        raise StepSizeError(f"transport step dt={dt} needs {n_sub:.6g} substeps under the CFL "
+                            f"limit {limit} at c={rad.c}, more than MAX_SUBSTEPS={MAX_SUBSTEPS}")
     sub = dt / n_sub
     _check_cfl(sub, limit)
     return n_sub, sub
@@ -436,25 +437,14 @@ def _radiation_step(rad: _Radiation, I_n: Array, psi: Array, rho: Array,
     substep gives +0 and the source's integrand is +0 wherever
     ``_stays_dark`` holds, so a fresh +0 field and the ``_force`` of it are
     the stepped result bit for bit (-0.0 on the shipped quadratures).  The
-    emission is read first, so a step with emission costs no further check;
-    an untabulated model is always stepped, as its emission may depend on t."""
-    coeffs = None
-    if (rad.model.tabulated and _is_plus_zero(_emission_table(rad, rho))
-            and not (I_n.any() or psi.any())):
-        coeffs = _coefficients(rad, rho, t0)
-        if _stays_dark(rad, coeffs[0], t1 - t0):
-            I = np.zeros(I_n.shape)
-            return I, _force(rad, I)[:rad.grids.spatial.dim]
-    coeffs = _coefficients(rad, rho, t0, coeffs)
+    coefficients are formed once, before the test, and the emission is
+    tested first, so a step with emission costs no further check; an
+    untabulated model is always stepped, as its emission may depend on t."""
+    coeffs = _coefficients(rad, rho, t0)
+    if (rad.model.tabulated and _is_plus_zero(coeffs[1])
+            and not (I_n.any() or psi.any()) and _stays_dark(rad, coeffs[0], t1 - t0)):
+        I = np.zeros(I_n.shape)
+        return I, _force(rad, I)[:rad.grids.spatial.dim]
     I = _advance(I_n, psi, rho, rad, t1 - t0, t0, coeffs)
     force = _momentum_source(I, rho, rad, _coefficients(rad, rho, t1, coeffs))
     return I, force[:rad.grids.spatial.dim]
-
-
-def substep_transport(I_n: Array, psi: Array, rho_new: Array, model: CoefficientModel,
-                      grids: Grids, dt: float, t: float, c: float) -> Array:
-    """Advance dt by chaining CFL-safe transport steps."""
-    I_n = check_radiation(I_n, grids)
-    psi = check_radiation(psi, grids)
-    rho_new = check_scalar(rho_new, grids.spatial)
-    return _advance(I_n, psi, rho_new, _radiation(model, grids, c), dt, t)

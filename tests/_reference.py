@@ -27,8 +27,8 @@ from rhlab.grid import _view, divergence, gradient, phase_weights, second_differ
 from rhlab.norms import NormSettings
 from rhlab.physics import pressure
 from rhlab.picard import State
-from rhlab.transport import (CFL_FRACTION, collision_decomposition, momentum_source,
-                             substep_transport, transport_cfl_limit)
+from rhlab.transport import (CFL_FRACTION, _advance, _radiation, collision_decomposition,
+                             momentum_source, transport_cfl_limit)
 
 
 def brute_force_collision(I, rho, model, grids, t):
@@ -70,8 +70,7 @@ def solve_monolithic(state0, model, grids, visc, eos, consts, dt, t_final):
     t = 0.0
     for _ in range(n):
         rho_new = continuity_step_fv(state.rho, state.u, dt, grid)
-        I_new = substep_transport(state.I, state.I, rho_new, model, grids, dt,
-                                  t, consts.c)
+        I_new = _advance(state.I, state.I, rho_new, _radiation(model, grids, consts.c), dt, t)
         p_new = pressure(eos, rho_new, grid)
         f_rad = momentum_source(I_new, rho_new, model, grids, t + dt,
                                 consts.c)[:dim]

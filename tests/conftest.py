@@ -1,9 +1,16 @@
+import hypothesis
 import numpy as np
 import pytest
 
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
 from rhlab.norms import NormSettings
 from rhlab.physics import EquationOfState, PhysicalConstants, ViscosityParams
+
+# one hypothesis profile for every property test: examples have no deadline,
+# so a slow or loaded host does not fail a test whose code is right; each
+# test keeps its own max_examples
+hypothesis.settings.register_profile("rhlab", deadline=None)
+hypothesis.settings.load_profile("rhlab")
 
 
 @pytest.fixture

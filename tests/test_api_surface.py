@@ -20,7 +20,6 @@ SRC = Path(rhlab.__file__).parent
 # names that no rhlab code calls, each with the reason it stays
 ALLOWED = {
     "inner_product": "acceptance criterion 4 checks the Lame energy identity with it",
-    "substep_transport": "the reference trace's transport step (tests/_reference.py)",
 }
 
 

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, reject, settings
+from hypothesis import assume, example, given, reject
 from hypothesis import strategies as st
 
 import rhlab
@@ -343,7 +343,6 @@ class TestRoundTrip:
         # pins the byte form written to config.echo
         assert serialize_config(parse_config(RICH)) == RICH_SERIALIZED
 
-    @settings(deadline=None)
     @given(config_texts())
     @example("[physics]\np_table = 1, 2\n")  # a table list with no densities
     def test_generated_round_trip(self, text):
@@ -353,7 +352,6 @@ class TestRoundTrip:
             reject()
         assert parse_config(serialize_config(cfg)) == cfg
 
-    @settings(deadline=None)
     @given(config_texts(max_cells=4096))
     def test_accepted_config_builds(self, text):
         # what parse_config accepts, build_problem builds: the scenario's

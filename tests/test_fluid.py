@@ -371,7 +371,7 @@ class TestLame:
             rhs = visc.mu * grad_sq + (visc.lam + visc.mu) * div_sq
             assert abs(lhs - rhs) < 1e-9
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
            mu=st.floats(1e-3, 1e3), lam_excess=st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
            log_amplitude=st.floats(-4.0, 4.0), smooth=st.booleans())
@@ -770,7 +770,7 @@ def momentum_grids(draw, families=("periodic1d", "farfield2d", "periodic3d")):
     return SpatialGrid.periodic(cells, (1.0, 1.0, draw(st.floats(0.5, 2.0))))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(grid=momentum_grids(), seed=st.integers(0, 2**32 - 1),
        mu=st.floats(0.1, 2.0), lam_excess=st.floats(0.01, 2.0),
        dt=st.floats(1e-4, 1e-1), convect=st.booleans(), vacuum=st.booleans())
@@ -807,7 +807,7 @@ def lame_grids(draw):
     return SpatialGrid.farfield(cells, lengths, 1.0)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100)
 @given(grid=lame_grids(), mu=st.floats(0.1, 2.0), lam_excess=st.floats(0.0, 2.0))
 # 4-cell rings, where the +-2 neighbours of the centered square coincide
 @example(grid=SpatialGrid.periodic(4, 1.0), mu=1.0, lam_excess=0.5)
@@ -828,7 +828,7 @@ def test_lame_matrix_equals_block_assembly_exactly(grid, mu, lam_excess):
     assert fluid._momentum_layout(grid, visc) is lay
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(grid=momentum_grids(families=("farfield2d", "periodic3d")),
        seed=st.integers(0, 2**32 - 1), mu=st.floats(0.1, 2.0),
        lam_excess=st.floats(0.01, 2.0), dt=st.floats(1e-4, 1e-1),
@@ -871,7 +871,7 @@ def krylov_grids(draw):
     return SpatialGrid.farfield(cells, lengths, draw(st.floats(0.0, 2.0)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(grid=krylov_grids(), seed=st.integers(0, 2**32 - 1), mu=st.floats(0.1, 2.0),
        lam_excess=st.floats(0.01, 2.0), dt=st.floats(1e-4, 1e-1), convect=st.booleans(),
        vacuum=st.floats(0.0, 0.5), start=st.sampled_from(["zero", "u_n", "w"]),
@@ -945,7 +945,7 @@ def band_grids(draw):
     return SpatialGrid.farfield(cells, length, draw(st.floats(0.0, 2.0)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(grid=band_grids(), seed=st.integers(0, 2**32 - 1),
        mu=st.floats(0.1, 2.0), lam_excess=st.floats(0.0, 2.0),
        dt=st.floats(1e-4, 1e-1), convect=st.booleans(), vacuum=st.booleans())
@@ -1073,7 +1073,7 @@ def transport_fields(draw):
     return grid, rho, VelocityHistory(np.linspace(0.0, 1.0, n + 1)[1:], fields)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=transport_fields(), t=st.lists(st.floats(0.0, 1.5), min_size=1, max_size=4),
        substeps=st.sampled_from([None, 1, 5]))
 def test_characteristics_density_nonnegative(data, t, substeps):
@@ -1083,7 +1083,7 @@ def test_characteristics_density_nonnegative(data, t, substeps):
     assert np.all(np.isfinite(out)) and np.min(out) >= 0.0
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=transport_fields(), cfl=st.floats(0.05, 1.0))
 def test_fv_mass_conserved_periodic(data, cfl):
     grid, rho, hist = data

@@ -143,7 +143,7 @@ class TestEquationOfState:
         assert eos(inside).tobytes() == PchipInterpolator([0.0, 1.0, 2.0, 3.0], p_s)(
             inside).tobytes()
 
-    @settings(deadline=None, max_examples=300)
+    @settings(max_examples=300)
     @given(st.integers(4, 8).flatmap(lambda n: st.tuples(
         st.lists(st.floats(0.0, exclude_min=True, allow_infinity=False), min_size=n - 1,
                  max_size=n - 1, unique=True).map(lambda r: [0.0] + sorted(r)),

@@ -8,7 +8,7 @@ from hypothesis import strategies as hst
 import rhlab.picard as picard
 from rhlab.config import parse_config
 from rhlab.diagnostics import mass_total
-from rhlab.errors import DomainError, IterationError, ParameterError
+from rhlab.errors import DomainError, IterationError, ParameterError, StepSizeError
 from rhlab import fluid, transport
 from rhlab.fluid import (VelocityHistory, _trace_backward, continuity_step_characteristics,
                          heat_smooth)
@@ -154,6 +154,16 @@ class TestOneTransportAdvance:
                               _cfl_limit=steps * (2 + sweeps), sigma_bm=evaluations,
                               emission_bm=evaluations)
 
+    def test_too_many_substeps_is_a_step_size_error(self):
+        # c = 1e300 on 4 cells of a unit ring puts the CFL limit at 2.9e-301,
+        # so dt = 0.01 asks for about 3.8e298 substeps: the first advance
+        # (iterate 0's free streaming) raises at once instead of looping
+        grids = make_grids(n=4, boundary="periodic", n_ord=4, n_bands=1)
+        with pytest.raises(StepSizeError, match="MAX_SUBSTEPS=10000") as raised:
+            solve_slab(zero_state(grids), zero_model(), grids, PHYS["visc"], PHYS["eos"],
+                       PhysicalConstants(1e300), SlabConfig(0.01, 0.01))
+        assert raised.value.exit_code == 3
+
     def test_slab_config_has_no_transport_cfl(self):
         assert "transport_cfl" not in SlabConfig.__slots__
         with pytest.raises(TypeError):
@@ -202,10 +212,12 @@ class TestGammaMetric:
         # by hand: radiation 2 (phase measure), density 0.5, velocity 1.5
         val = gamma_metric([prev], [nxt], grids)
         assert val == pytest.approx(2.0 + 0.5 + 1.5, rel=1e-12)
-        # the far-field-vacuum variant adds the L^{3/2} density term
-        val32 = gamma_metric([prev], [nxt], grids, include_l32=True)
+        # the grid decides the L^{3/2} density term: a far field whose
+        # density vanishes adds it, one with rho_bar 0.5 does not
         extra = lp_norm(nxt.rho - prev.rho, 1.5, grid) ** 2
-        assert val32 == pytest.approx(val + extra, rel=1e-12)
+        for rho_bar, want in ((0.0, val + extra), (0.5, val)):
+            far = Grids(SpatialGrid.farfield(4, 1.0, rho_bar), grids.freq, ang)
+            assert gamma_metric([prev], [nxt], far) == pytest.approx(want, rel=1e-12)
 
     def test_trajectory_sup(self):
         grids = make_grids(n=8)
@@ -387,7 +399,7 @@ class TestStopRule:
         gamma = gamma_metric(states, confirm, grids)
         assert gamma <= cfg.gamma_tol * diag.gamma_history[0]
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(dim=hst.integers(1, 8), seed=hst.integers(0, 2**32 - 1),
            q=hst.floats(0.0, 0.1, exclude_min=True), tol=hst.floats(1e-12, 1e-4),
            scale=hst.floats(1e-2, 1e2))
@@ -411,7 +423,7 @@ class TestStopRule:
         # b carries round-off, so x_star is the map's fixed point to ~1e-14
         assert np.linalg.norm(x - x_star) <= np.sqrt(tol * history[0]) + 1e-12
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(history=hst.lists(hst.floats(0.0, 1e3), min_size=1, max_size=6),
            tol=hst.floats(1e-12, 10.0))
     @example(history=[8.2e-5, 3.7e-7, 3.6e-12], tol=1e-8)
@@ -420,7 +432,7 @@ class TestStopRule:
             ratio = history[-1] / history[-2]
             assert ratio <= picard._RATIO_MAX and ratio < 1.0
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=500)
     @given(history=hst.lists(hst.one_of(hst.sampled_from([0.0, 1e-28, 1.0, 2.0, math.inf,
                                                           math.nan]),
                                         hst.floats(0.0, 1e3)), min_size=1, max_size=8),
@@ -495,8 +507,8 @@ class TestSolveTrajectory:
         # third step
         metric = picard.gamma_metric
 
-        def first_length_stalls(prev, nxt, grids, include_l32=False):
-            return 1.0 if len(nxt) == 11 else metric(prev, nxt, grids, include_l32)
+        def first_length_stalls(prev, nxt, grids):
+            return 1.0 if len(nxt) == 11 else metric(prev, nxt, grids)
 
         monkeypatch.setattr(picard, "gamma_metric", first_length_stalls)
         grids = make_grids(n=16, n_ord=2, n_bands=1)
@@ -731,6 +743,27 @@ class TestStateValidation:
         st = State(I=np.zeros(grids.radiation_shape()), rho=rho, u=np.zeros((1, 8)))
         with pytest.raises(DomainError):
             st.validate(grids)
+
+    def test_each_slab_start_validated_once(self, monkeypatch):
+        # solve leaves the check to each slab solve: 2 slabs, 2 checks, and
+        # a bad start raises the same error through solve
+        calls = []
+        real = State.validate
+
+        def counted(self, grids):
+            calls.append(1)
+            return real(self, grids)
+
+        monkeypatch.setattr(State, "validate", counted)
+        grids = make_grids(n=8)
+        cfg = SlabConfig(slab_length=0.002, dt=0.001)
+        traj = solve(zero_state(grids), zero_model(), grids, PHYS["visc"], PHYS["eos"],
+                     PHYS["consts"], cfg, t_final=0.004)
+        assert len(traj.diagnostics) == 2 and len(calls) == 2
+        bad = State(I=np.zeros(grids.radiation_shape()), rho=-np.ones(8), u=np.zeros((1, 8)))
+        with pytest.raises(DomainError, match="rho >= 0"):
+            solve(bad, zero_model(), grids, PHYS["visc"], PHYS["eos"], PHYS["consts"], cfg,
+                  t_final=0.004)
 
 
 # a 32-cell version of the vacuum far-field continuation run: the main solve

@@ -10,10 +10,10 @@ from rhlab import transport
 from rhlab.errors import StepSizeError
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid, phase_weights
 from rhlab.physics import CoefficientModel, compton_model, constant_model, zero_model
-from rhlab.transport import (CFL_FRACTION, collision_decomposition, collision_term,
-                             linearized_collision_term, momentum_source, radiation_flux,
-                             free_streaming_step, radiation_pressure_tensor,
-                             substep_transport, transport_cfl_limit, transport_step)
+from rhlab.transport import (CFL_FRACTION, _advance, _radiation, collision_decomposition,
+                             collision_term, linearized_collision_term, momentum_source,
+                             radiation_flux, free_streaming_step, radiation_pressure_tensor,
+                             transport_cfl_limit, transport_step)
 
 from _reference import brute_force_collision, broadcast_tables, loop_transport_step
 
@@ -234,7 +234,7 @@ class TestTransportStep:
         rho, model = np.ones(8), constant_model(0.2, 0.05, 0.05)
         steps = (lambda: free_streaming_step(I, grids_small, dt, 1.0),
                  lambda: transport_step(I, I, rho, model, grids_small, dt, 0.0, 1.0),
-                 lambda: substep_transport(I, I, rho, model, grids_small, dt, 0.0, 1.0))
+                 lambda: _advance(I, I, rho, _radiation(model, grids_small, 1.0), dt, 0.0))
         for step in steps:
             with pytest.raises(StepSizeError, match="positive and finite"):
                 step()
@@ -247,9 +247,29 @@ class TestTransportStep:
         assert transport_cfl_limit(grids, 1e300) == 0.0
         I = np.zeros(grids.radiation_shape())
         with pytest.raises(StepSizeError, match="CFL limit underflowed") as raised:
-            substep_transport(I, I, np.ones(4), constant_model(0.2, 0.05, 0.05), grids,
-                              1.0, 0.0, 1e300)
+            _advance(I, I, np.ones(4), _radiation(constant_model(0.2, 0.05, 0.05), grids,
+                                                  1e300), 1.0, 0.0)
         assert raised.value.exit_code == 3
+
+    def test_substep_count_is_capped(self, grids_small, monkeypatch):
+        # exactly MAX_SUBSTEPS substeps are taken; a dt that needs one more
+        # is a step-size error before any substep
+        calls = []
+        real = transport.free_streaming_step
+
+        def counted(I_n, grids, dt, c):
+            calls.append(dt)
+            return real(I_n, grids, dt, c)
+
+        monkeypatch.setattr(transport, "free_streaming_step", counted)
+        rad = _radiation(zero_model(), grids_small, 1.0)
+        largest = CFL_FRACTION * transport_cfl_limit(grids_small, 1.0)
+        I = np.zeros(grids_small.radiation_shape())
+        _advance(I, None, None, rad, (transport.MAX_SUBSTEPS - 0.5) * largest, 0.0)
+        assert len(calls) == transport.MAX_SUBSTEPS == 10_000
+        with pytest.raises(StepSizeError, match="needs 10001 substeps") as raised:
+            _advance(I, None, None, rad, (transport.MAX_SUBSTEPS + 0.5) * largest, 0.0)
+        assert raised.value.exit_code == 3 and len(calls) == transport.MAX_SUBSTEPS
 
     def test_positivity_exact(self, grids_small, rng):
         model = constant_model(0.8, 0.4, 0.2)
@@ -356,8 +376,8 @@ class TestCoefficientTables:
         assert _same(got.removal, want.removal) and _same(got.gain, want.gain)
         assert _same(transport_step(I, psi, rho, model, grids_small, dt, 0.0, 1.0),
                      transport_step(I, psi, rho, expected, grids_small, dt, 0.0, 1.0))
-        assert _same(substep_transport(I, psi, rho, model, grids_small, 3 * dt, 0.0, 1.0),
-                     substep_transport(I, psi, rho, expected, grids_small, 3 * dt, 0.0, 1.0))
+        assert _same(_advance(I, psi, rho, _radiation(model, grids_small, 1.0), 3 * dt, 0.0),
+                     _advance(I, psi, rho, _radiation(expected, grids_small, 1.0), 3 * dt, 0.0))
         assert _same(momentum_source(I, rho, model, grids_small, 0.0, 1.0),
                      momentum_source(I, rho, expected, grids_small, 0.0, 1.0))
 
@@ -375,7 +395,7 @@ class TestCoefficientTables:
         c, t0 = 1.0, 0.3
         dt = 3.5 * CFL_FRACTION * transport_cfl_limit(grids_small, c)
         n_sub, sub = 4, dt / 4
-        got = substep_transport(I, psi, rho, model, grids_small, dt, t0, c)
+        got = _advance(I, psi, rho, _radiation(model, grids_small, c), dt, t0)
         assert seen == {t0 + k * sub for k in range(n_sub)}
         want = I
         for k in range(n_sub):
@@ -385,8 +405,8 @@ class TestCoefficientTables:
 
 
 class TestOneAdvance:
-    def test_substep_transport_has_no_cfl_parameter(self):
-        assert "cfl" not in inspect.signature(substep_transport).parameters
+    def test_advance_has_no_cfl_parameter(self):
+        assert "cfl" not in inspect.signature(_advance).parameters
 
     def test_collisionless_substeps_are_free_streaming_steps(self, grids_small, rng,
                                                               monkeypatch):
@@ -479,7 +499,7 @@ class TestDarkStep:
     """A radiation step of zero fields with zero emission is not stepped, and
     gives the stepped path's bits."""
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(case=_dark_case())
     def test_zero_fields_give_the_stepped_bits(self, case):
         rad, emission0, I_n, psi, rho, t0, t1, _ = case
@@ -489,7 +509,7 @@ class TestDarkStep:
         # an emission of -0 is stepped: its sign can reach the field
         assert advances == (1 if np.signbit(emission0) else 0)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(case=_dark_case(), lit=st.sampled_from(["I_n", "psi", "emission"]))
     def test_any_light_is_stepped(self, case, lit):
         rad, _, I_n, psi, rho, t0, t1, rng = case
@@ -550,10 +570,10 @@ _ORDINATES = {1: lambda: AngularQuadrature.gauss_legendre_slab(4),
               2: AngularQuadrature.combined14}
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(dim=st.integers(1, 2), c=st.floats(0.1, 10.0), limits=st.floats(1e-3, 3.0),
        kind=st.sampled_from(["constant", "compton"]), seed=st.integers(0, 2**32 - 1))
-def test_substep_transport_positive(dim, c, limits, kind, seed):
+def test_advance_positive(dim, c, limits, kind, seed):
     # each substep is at most CFL_FRACTION x the CFL limit, whatever c and dt are
     grids = Grids(_SPATIAL[dim](), FrequencyGrid.from_edges([0.5, 1.0, 2.0]),
                   _ORDINATES[dim]())
@@ -568,7 +588,7 @@ def test_substep_transport_positive(dim, c, limits, kind, seed):
     I[rng.random(shape) < 0.3] = 0.0
     rho = rng.uniform(0.0, 3.0, grids.spatial.extents)
     dt = limits * transport_cfl_limit(grids, c)
-    out = substep_transport(I, psi, rho, model, grids, dt, 0.0, c)
+    out = _advance(I, psi, rho, _radiation(model, grids, c), dt, 0.0)
     assert np.min(out) >= 0.0
 
 

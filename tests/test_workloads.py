@@ -1,8 +1,9 @@
 """The benchmark's run configs stay valid: each one parses and builds, and
 each tiny variant runs without a warning to byte-identical outputs.  A full
 run builds one transport record per slab solve, steps no sweep transport
-when it has no radiation, and makes a pinned number of interpolations,
-characteristics traces, momentum solves and matrix-vector products."""
+when it has no radiation, reads the emission table once per radiation step,
+and makes a pinned number of interpolations, characteristics traces,
+momentum solves and matrix-vector products."""
 
 import importlib.util
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from rhlab import fluid, picard, transport
+from rhlab import fluid, physics, picard, transport
 from rhlab.config import parse_config
 from rhlab.runner import OUTPUT_DIR_ENV, build_problem, run_scenario
 
@@ -110,3 +111,25 @@ def test_dark_sweeps_make_no_transport_step(name, steps, streams, traces, interp
     run_scenario(parse_config(workloads.render_config(name, 0, "full")))
     assert calls == dict(_transport_step=steps, free_streaming_step=streams,
                          _trace_backward=traces, _interp=interps, **solves)
+
+
+@pytest.mark.parametrize("name, reads", [("w1-periodic1d", 120), ("w2-farfield2d", 30),
+                                         ("w4-vacuum1d-continuation", 120)])
+def test_one_emission_read_per_radiation_step(name, reads, tmp_path, monkeypatch):
+    # a radiation step forms its coefficients once, before its dark test, so
+    # each of the sweep steps (w1 120, w2 30, w4 120, stepped or dark) reads
+    # the emission table once; a dark test that read it on its own made it
+    # 240, 60 and 240
+    calls = []
+    real = physics._tabulated_emission
+
+    def counted_table(table):
+        def counted(*args):
+            calls.append(1)
+            return table(*args)
+        return real(counted)
+
+    monkeypatch.setattr(physics, "_tabulated_emission", counted_table)
+    monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path / "out"))
+    run_scenario(parse_config(workloads.render_config(name, 0, "full")))
+    assert len(calls) == reads
