@@ -52,31 +52,67 @@ random 1D systems the band LU failed on 337, each with one parity class of
 cells entirely in vacuum (the centered-square Lame stencil couples only
 cells two apart); Jacobi-Krylov plus lgmres failed on each one tried too,
 after 3.5 to 11 s, and in 1D vacuum leaves it only the stiff Lame block
-(one vacuum run with 160 solves took 20,283 Jacobi iterations).  In 2D and
-3D the system is solved by a Jacobi (v / diag(A)) preconditioned Krylov
-iteration (cg when symmetric, bicgstab with convection): on the 2D 32x32
-far-field system with convection ``splu`` costs about 27 ms per solve
-against 2 to 4 ms for Jacobi-bicgstab, and Jacobi solves a 3D 16^3
-vacuum-plateau system in about 20 ms, where incomplete LU plus Krylov took
-3.6 s.  All timings on one thread of a 2-vCPU Xeon.  ``_cg`` and
-``_bicgstab`` are scipy 1.17's ``cg`` and ``bicgstab`` loops, operation for
-operation, on the compiled CSR product ``_matvec``, so every result is bit
-for bit scipy's.  They are the only 2D/3D path, as band LU is in 1D.  Both
-paths end in one verdict in ``momentum_step``: an x that is not finite, or
-one above the residual bound, raises SolverError.  Of 5,200 random 2D/3D
-systems 183 failed, each with one parity class of cells entirely in vacuum;
-an lgmres retry, run on 124 of them, rescued none and took 21 to 45 s each.
+(one vacuum run with 160 solves took 20,283 Jacobi iterations).
+
+In 2D and 3D the system is solved by a Krylov iteration (cg when
+symmetric, bicgstab with convection) preconditioned by the exact inverse of
+the constant-density operator c I + L, c = mean(rho) / dt
+(``_lame_inverse``).  The density enters the system only through the rho
+terms, so c I + L is the part worth inverting exactly, and per-axis
+sine/cosine bases diagonalize it (fast diagonalization: Lynch, Rice and
+Thomas, Numer. Math. 6, 1964): in them every centered difference is
+block-skew, and Sherman-Morrison inverts the rank-one Lame block of each
+mode.  An apply costs about 23 us at 32^2, 82 us at 16^3 and 1.0 ms at
+32^3, against 17-26 us, 155 us and 1.3 ms for a CSR product; the bases are
+built with the layout (0.2 to 0.8 ms).  Against the Jacobi (v / diag(A))
+preconditioner it replaced, the 2D far-field benchmark run (w2, seed 0)
+makes 238 CSR products instead of 959, and a solve costs about 0.5 to
+0.7 ms instead of 1.1 to 1.5 ms; w3 makes 33 instead of 50 at 16^3, and
+195 instead of 437 at 32^3 (dt 0.001, four steps), where a solve costs
+53 to 56 ms instead of 78 to 87 ms.  The preconditioner sees the density
+only through its mean, so where rho / dt dominates L and rho jumps from
+cell to cell it is weaker than Jacobi: in the 5,200-system search below,
+which draws rho cell by cell, a converging solve took 3.0 ms at the median
+against 1.8 ms, and at worst 0.17 s against 0.015 s.  All timings on one
+thread of a 2-vCPU Xeon.  ``_cg`` and ``_bicgstab`` are scipy 1.17's
+``cg`` and ``bicgstab`` loops, operation for operation, with the apply as
+scipy's M, on the compiled CSR product ``_matvec``, so every result is bit
+for bit scipy's.
+They are the only 2D/3D path, as band LU is in 1D.  Both paths end in one
+verdict in ``momentum_step``: an x that is not finite, or one above the
+residual bound, raises SolverError.  Of 5,200 random 2D/3D systems (60% 2D
+with 4-16 cells per axis, 40% 3D with 4-7; periodic or far field; dt 1e-4
+to 1; 61% with convection up to 31.6; vacuum none, random, one parity
+class or a ball) 275 failed, the same 275 as under Jacobi, each with one
+parity class of cells entirely in vacuum, which leaves the system
+singular; an lgmres retry, run on 124 failures of an earlier such search,
+rescued none and took 21 to 45 s each.
+
+A singular system's residual stagnates or grows.  The routines stop once
+the residual norm passes ``DIVERGENCE`` |b| = 1e8 |b| (info ``DIVERGED``),
+which the verdict reports as "diverged".  No converging solve measured
+came within 4.7e3 of that: the largest ratio |r| / |b| over the iterations
+was 2.1e4 in the 5,200-system search (a nearly singular parity system), 68
+over 1,500 random systems, 188 in the tests, and 1 (the zero start of the
+first step) on w2, w3 at 16^3 and 32^3 and the 2D vacuum-plateau run.  Of
+the 275 failing systems 173 stop there, after 1,265 residual norms at the
+median; the other 102 stagnate until ``MAXITER``.  A start whose residual
+norm exceeds the bound or is not finite (near vacuum, b scaled by a power
+of two can throw u_old that far off) is replaced by zeros, whose residual
+is b.
 
 The Krylov iteration starts from whichever of u_old and the convecting
 velocity w has the smaller residual |b - A x|.  Inside a Picard sweep w is
 the previous iterate's velocity at the same step, within one Picard
-increment of the answer, so it is usually the better start (on the 2D
-32x32 far-field benchmark run at seed 0, 526 Krylov iterations over 30
-solves instead of 656 from u_old, a BiCGSTAB pass that stops at its half
-step counted whole).  The choice costs two residual evaluations; the
-chosen one is handed to bicgstab, which always takes its start residual
-from the caller, so the choice adds one.  Without convection the start is
-u_old.
+increment of the answer, so it is usually the better start: w2 (seed 0)
+makes 238 CSR products with the choice and 271 from u_old.  Starting from
+w whenever there is convection would make 219 on w2 and 189 instead of 195
+on w3 at 32^3, but more where w is far off: 32 instead of 30 for a random
+w of twice the solution's amplitude, and 17 instead of 16 on an 8^3
+vacuum-core system with a random w.  The choice costs two residual
+evaluations; the chosen one is handed to the routine, which always takes
+its start residual from the caller, so the choice adds one.  Without
+convection the start is u_old.
 
 The Krylov routines stop at ``KRYLOV_RTOL = RTOL / 10``.  They stop on
 their recursively updated residual, while every solve is checked on its
@@ -84,10 +120,8 @@ true residual |b - A x| against ``RTOL``; the decade between the two is
 the margin for the drift between them, and a tighter target buys digits
 that no output keeps.  On 1,500 random 2D/3D systems (up to 50% vacuum,
 periodic and far field, with and without convection) the worst true
-residual was 9.997e-12 and no solve raised SolverError.  Against the
-earlier 1e-13 target, the 2D far-field benchmark run (w2, seed 0) makes
-959 CSR products instead of 1,219, with a worst true residual of 9.9e-12,
-and its final theta moves by 7.9e-11 relative.
+residual was 9.999e-12 and no solve raised SolverError.  Against a 1e-13
+target, w2 (seed 0) makes 238 CSR products instead of 276.
 
 scipy is loaded in parts.  Two compiled modules are loaded with this module
 straight from scipy's directory: ``lapack``, scipy's LAPACK wrappers
@@ -128,6 +162,8 @@ RTOL = 1e-10            # relative residual every momentum solve must reach
 KRYLOV_RTOL = RTOL / 10
 MAXITER = 10_000        # iteration cap of each 2D/3D Krylov routine
 NONFINITE = -1          # info of a Krylov routine stopped by a non-finite residual
+DIVERGENCE = 1e8        # a Krylov routine stops once its residual passes DIVERGENCE |b|
+DIVERGED = -2           # info of a Krylov routine so stopped (module docstring)
 
 
 def _scipy_extension(name: str):
@@ -541,14 +577,33 @@ class _BandMap(NamedTuple):
     pos: Array
 
 
+class _LameModes(NamedTuple):
+    """The basis in which c I + L is inverted exactly (``_lame_inverse``).
+    ``forward`` and ``inverse`` hold per axis a stack of one matrix per
+    velocity component j: Q_a^T and Q_a (``_axis_modes``), with the rows of
+    Q_a^T and the columns of Q_a permuted to each mode's pair partner where
+    j = a.  The stacks of the last axis are transposed, for a product from
+    the right; the others carry a broadcast axis.  ``skew`` holds per axis
+    a the signed beta of every cell's mode along a, zero on 1x1 blocks, and
+    ``xi2`` is |xi|^2 = sum_a beta_a^2; ``mu`` and ``kappa`` = lam + mu are
+    the viscosities."""
+
+    forward: tuple
+    inverse: tuple
+    skew: Array                                       # (dim, cells)
+    xi2: Array                                        # (cells,)
+    mu: float
+    kappa: float
+
+
 class _MomentumLayout(NamedTuple):
     """CSR pattern of the momentum matrix on the flattened (component, cell)
     vector: the union of the Lame, diagonal and upwind entries.  Holds the
     Lame values on that pattern, the data position of each component's
     diagonal, the terms of the upwind blocks in the order they are added (per
     axis the backward block, then the forward one) as (position, index into
-    the stacked per-cell scales, weight), and in 1D the band map of the
-    pattern (None in 2D and 3D)."""
+    the stacked per-cell scales, weight), in 1D the band map of the pattern
+    and in 2D and 3D the Lame modes (each None in the other dimensions)."""
 
     indptr: Array
     indices: Array
@@ -556,6 +611,7 @@ class _MomentumLayout(NamedTuple):
     diag_pos: Array                                   # (dim, cells)
     upwind: tuple[Array, Array, Array]
     band: _BandMap | None
+    modes: _LameModes | None
 
 
 def _band_map(n: int, periodic: bool, rows: Array, cols: Array) -> _BandMap:
@@ -571,6 +627,73 @@ def _band_map(n: int, periodic: bool, rows: Array, cols: Array) -> _BandMap:
     i, j = where[rows], where[cols]
     kl = int(np.max(np.abs(i - j)))
     return _BandMap(perm=perm, kl=kl, pos=j * (3 * kl + 1) + 2 * kl + i - j)
+
+
+def _axis_modes(n: int, h: float, periodic: bool):
+    """(Q, partner, signed beta) of one axis of n cells and spacing h.  The
+    columns of Q are the analytic sine/cosine vectors, pairs first, each
+    pair (2p, 2p + 1) with Q^T C Q = [[0, beta], [-beta, 0]], then the 1x1
+    zero blocks; partner maps each column to the other of its pair (a zero
+    block to itself), and the signed beta is +beta, -beta on a pair, 0 on a
+    zero block.
+
+    Periodic: C is circulant; cos and sin of 2 pi k j / n (k = 1 ..
+    ceil(n/2) - 1) pair with beta = sin(2 pi k / n) / h, and the constant
+    and, for even n, the alternating vector are zero blocks.  Far field: C is
+    truncated, with eigenvectors i^j sin((j + 1) theta_k) (theta_k = k pi /
+    (n + 1)); their parts on the even and on the odd cells pair with beta =
+    cos(theta_k) / h (k = 1 .. n // 2), and for odd n the even-cell
+    indicator, the middle k, is a zero block."""
+    j = np.arange(n)[:, None]
+    if periodic:
+        theta = 2.0 * np.pi * np.arange(1, (n + 1) // 2) / n
+        first, second = np.cos(j * theta), np.sin(j * theta)
+        scale, beta = math.sqrt(2.0 / n), np.sin(theta) / h
+        zero = [np.full(n, 1.0 / math.sqrt(n))]
+        if n % 2 == 0:
+            zero.append(np.where(j[:, 0] % 2, -1.0, 1.0) / math.sqrt(n))
+    else:
+        theta = np.pi * np.arange(1, n // 2 + 1) / (n + 1)
+        wave = np.sin((j + 1) * theta) * np.where(j // 2 % 2, -1.0, 1.0)
+        first, second = np.where(j % 2, 0.0, wave), np.where(j % 2, wave, 0.0)
+        scale, beta = 2.0 / math.sqrt(n + 1), np.cos(theta) / h
+        zero = [np.where(j[:, 0] % 2, 0.0, math.sqrt(2.0 / (n + 1)))] if n % 2 else []
+    m = 2 * beta.size
+    q = np.empty((n, n))
+    q[:, 0:m:2], q[:, 1:m:2] = scale * first, scale * second
+    if zero:
+        q[:, m:] = np.stack(zero, axis=1)
+    partner, signed = np.arange(n), np.zeros(n)
+    partner[0:m:2] += 1
+    partner[1:m:2] -= 1
+    signed[0:m:2], signed[1:m:2] = beta, -beta
+    return q, partner, signed
+
+
+def _lame_modes(extents: tuple, spacing: tuple, periodic: bool,
+                visc: ViscosityParams) -> _LameModes:
+    """The Lame modes of a 2D or 3D grid, from the axis bases."""
+    dim = len(extents)
+    forward, inverse, skew, xi2 = [], [], [], np.zeros(extents)
+    for a, (n, h) in enumerate(zip(extents, spacing)):
+        q, partner, signed = _axis_modes(n, h, periodic)
+        # component a is read and written at the pair partners along axis a
+        fwd, inv = np.stack([q.T] * dim), np.stack([q] * dim)
+        fwd[a], inv[a] = q.T[partner], q[:, partner]
+        if a == dim - 1:
+            fwd, inv = fwd.transpose(0, 2, 1), inv.transpose(0, 2, 1)
+        else:
+            fwd, inv = fwd[:, None], inv[:, None]
+        forward.append(np.ascontiguousarray(fwd))
+        inverse.append(np.ascontiguousarray(inv))
+        signed = signed.reshape((n,) + (1,) * (dim - 1 - a))
+        skew.append(np.broadcast_to(signed, extents).ravel())
+        xi2 += signed * signed
+    modes = _LameModes(forward=tuple(forward), inverse=tuple(inverse), skew=np.stack(skew),
+                       xi2=xi2.ravel(), mu=visc.mu, kappa=visc.lam + visc.mu)
+    for arr in modes.forward + modes.inverse + (modes.skew, modes.xi2):
+        arr.setflags(write=False)
+    return modes
 
 
 def _neighbours(extents: tuple, periodic: bool) -> list:
@@ -673,12 +796,15 @@ def _momentum_layout_of(extents: tuple, spacing: tuple, boundary: str,
                            weight))
     upwind = tuple(np.concatenate([np.broadcast_to(blk[k], blk[0].shape).ravel()
                                    for blk in blocks]) for k in range(3))
-    band = _band_map(n, boundary == "periodic", np.repeat(cells, np.diff(indptr)), indices) \
-        if dim == 1 else None
+    band = modes = None
+    if dim == 1:
+        band = _band_map(n, boundary == "periodic", np.repeat(cells, np.diff(indptr)), indices)
+    else:
+        modes = _lame_modes(extents, spacing, boundary == "periodic", visc)
     for a in (indptr, indices) + upwind:
         a.setflags(write=False)     # shared by every matrix built on the layout
     return _MomentumLayout(indptr=indptr, indices=indices, lame_data=lame_data,
-                           diag_pos=diag_pos, upwind=upwind, band=band)
+                           diag_pos=diag_pos, upwind=upwind, band=band, modes=modes)
 
 
 def _momentum_data(lay: _MomentumLayout, rho: Array, w: Array | None,
@@ -747,33 +873,79 @@ def _band_solve(lay: _MomentumLayout, data: Array, b: Array) -> Array:
 
 
 # ---------------------------------------------------------------------------
-# Jacobi-preconditioned Krylov routines
+# Krylov routines preconditioned by the exact inverse of c I + L
 # ---------------------------------------------------------------------------
-# Both are scipy 1.17's ``cg`` and ``bicgstab`` run with rtol=KRYLOV_RTOL,
-# atol=0, maxiter=MAXITER and the preconditioner M v = v / diag, operation for
-# operation (the same np.dot, np.linalg.norm and in-place updates, in the same
-# order), so (x, info) is bit for bit scipy's.  ``matvec`` applies A.  info is
-# 0 on convergence, MAXITER when the cap is hit, and -10/-11 on a bicgstab
-# breakdown.  MAXITER is read at each call.  Unlike scipy, both return
-# NONFINITE at the first residual norm that is not finite, where scipy runs on
-# to MAXITER (NaN fails every test of its loops).
 
-def _cg(matvec, b: Array, x0: Array, diag: Array) -> tuple[Array, int]:
+def _lame_inverse(modes: _LameModes, c: float):
+    """The apply r -> (c I + L)^-1 r of the constant-density momentum
+    operator, c >= 0, on flattened (component, cell) vectors.
+
+    In the tensor basis Q = Q_1 x ... x Q_dim each C_a is beta_a times a
+    signed swap of pair partners along axis a.  With component j read at
+    the partners along axis j, L = mu sum_a C_a^T C_a + (lam + mu) D^T D,
+    D = [C_1 ... C_dim], becomes per mode a I + kappa xi xi^T, where xi holds
+    the signed betas, a = c + mu |xi|^2 and kappa = lam + mu > 0
+    (``ViscosityParams``); Sherman-Morrison inverts it as
+    z = (y - g xi (xi . y)) / a, g = kappa / (a + kappa |xi|^2).  One apply
+    is a forward transform (one batched product per axis, the swaps folded
+    into the matrices), that scaling, and the inverse transform.  A mode
+    with a = 0 (c = 0 and xi = 0, which needs every axis periodic or of odd
+    far-field length) passes through unscaled, so the apply stays finite,
+    symmetric and positive definite."""
+    dim, extents = len(modes.forward), tuple(m.shape[-1] for m in modes.forward)
+    a = c + modes.mu * modes.xi2
+    scale = np.divide(1.0, a, out=np.ones_like(a), where=a > 0)
+    g = np.divide(modes.kappa, a + modes.kappa * modes.xi2, out=np.zeros_like(a), where=a > 0)
+    spread = modes.skew * (g * scale)                   # xi g / a
+    # per axis the view its product acts on: (component, cells before,
+    # axis, cells after), the last axis (component, cells before, axis)
+    views = [(dim, math.prod(extents[:k]), n, math.prod(extents[k + 1:]))
+             for k, n in enumerate(extents[:-1])] + [(dim, -1, extents[-1])]
+
+    def transform(v, mats):
+        v = v.reshape(views[-1]) @ mats[-1]
+        for view, mat in zip(views, mats[:-1]):
+            v = mat @ v.reshape(view)
+        return v.reshape(dim, -1)
+
+    def apply(r):
+        y = transform(r, modes.forward)
+        s = np.einsum("jk,jk->k", y, modes.skew)        # xi . y per mode
+        y *= scale
+        y -= spread * s
+        return transform(y, modes.inverse).reshape(-1)
+    return apply
+
+
+# Both routines are scipy 1.17's ``cg`` and ``bicgstab`` run with
+# rtol=KRYLOV_RTOL, atol=0, maxiter=MAXITER and the preconditioner M, applied
+# by ``psolve``, operation for operation (the same np.dot, np.linalg.norm and
+# in-place updates, in the same order), so (x, info) is bit for bit scipy's.
+# ``matvec`` applies A, and ``r0`` is b - A x0, which the caller has computed
+# (for x0 = 0 it is b, as scipy's start); the routine takes it over and
+# updates it in place.  info is 0 on convergence, MAXITER when the cap is hit,
+# and -10/-11 on a bicgstab breakdown.  MAXITER and DIVERGENCE are read at
+# each call.  Unlike scipy, both stop at the first residual norm that is not
+# finite (NONFINITE) or that exceeds DIVERGENCE |b| (DIVERGED), where scipy
+# runs on to MAXITER (NaN fails every test of its loops).
+
+def _cg(matvec, b: Array, x0: Array, psolve, r0: Array) -> tuple[Array, int]:
     """Preconditioned conjugate gradients (Hestenes-Stiefel)."""
     x = np.array(x0, dtype=float)
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
         return b, 0
     atol = max(0.0, KRYLOV_RTOL * float(bnrm2))
-    r = b - matvec(x) if x.any() else b.copy()
+    limit = DIVERGENCE * float(bnrm2)
+    r = r0
     p = rho_prev = None
     for iteration in range(MAXITER):
         rnorm = np.linalg.norm(r)
         if rnorm < atol:
             return x, 0
-        if not math.isfinite(rnorm):
-            return x, NONFINITE
-        z = r / diag
+        if not rnorm <= limit:
+            return x, DIVERGED if math.isfinite(rnorm) else NONFINITE
+        z = psolve(r)
         rho = np.dot(r, z)
         if iteration > 0:
             p *= rho / rho_prev
@@ -788,16 +960,15 @@ def _cg(matvec, b: Array, x0: Array, diag: Array) -> tuple[Array, int]:
     return x, MAXITER
 
 
-def _bicgstab(matvec, b: Array, x0: Array, diag: Array, r0: Array) -> tuple[Array, int]:
+def _bicgstab(matvec, b: Array, x0: Array, psolve, r0: Array) -> tuple[Array, int]:
     """Preconditioned BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13,
-    1992).  ``r0`` is b - A x0, which the caller has computed already (for
-    x0 = 0 it is b, as scipy's start); the routine takes it over and updates
-    it in place."""
+    1992)."""
     x = np.array(x0, dtype=float)
     bnrm2 = np.linalg.norm(b)
     if bnrm2 == 0:
         return b, 0
     atol = max(0.0, KRYLOV_RTOL * float(bnrm2))
+    limit = DIVERGENCE * float(bnrm2)
     breakdown = np.finfo(float).eps ** 2      # scipy's rho and omega bound
     r, rtilde = r0, r0.copy()
     p = v = rho_prev = alpha = omega = None
@@ -805,8 +976,8 @@ def _bicgstab(matvec, b: Array, x0: Array, diag: Array, r0: Array) -> tuple[Arra
         rnorm = np.linalg.norm(r)
         if rnorm < atol:
             return x, 0
-        if not math.isfinite(rnorm):
-            return x, NONFINITE
+        if not rnorm <= limit:
+            return x, DIVERGED if math.isfinite(rnorm) else NONFINITE
         rho = np.dot(rtilde, r)
         if np.abs(rho) < breakdown:
             return x, -10
@@ -819,7 +990,7 @@ def _bicgstab(matvec, b: Array, x0: Array, diag: Array, r0: Array) -> tuple[Arra
             p += r
         else:
             p = r.copy()
-        phat = p / diag
+        phat = psolve(p)
         v = matvec(phat)
         rv = np.dot(rtilde, v)
         if rv == 0:
@@ -831,9 +1002,9 @@ def _bicgstab(matvec, b: Array, x0: Array, diag: Array, r0: Array) -> tuple[Arra
         if rnorm < atol:
             x += alpha * phat
             return x, 0
-        if not math.isfinite(rnorm):
-            return x, NONFINITE
-        shat = r / diag
+        if not rnorm <= limit:
+            return x, DIVERGED if math.isfinite(rnorm) else NONFINITE
+        shat = psolve(r)
         t = matvec(shat)
         omega = np.dot(t, r) / np.dot(t, t)
         x += alpha * phat
@@ -850,10 +1021,12 @@ def _bicgstab(matvec, b: Array, x0: Array, diag: Array, r0: Array) -> tuple[Arra
 # values that overflow end in momentum_step's verdict, not in RuntimeWarnings;
 # a decorator enters the state in 0.6 us, a with-block in 1.4 us (numpy 2.4)
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _solve(lay: _MomentumLayout, data: Array, b: Array, x0: Array, w: Array | None):
+def _solve(lay: _MomentumLayout, data: Array, b: Array, x0: Array, w: Array | None,
+           rho: Array, dt: float):
     """(path, x, info, true relative residual) of the momentum system with
     CSR ``data`` for a nonzero b from x0, or from w when its residual is
-    strictly smaller; scaled as ``momentum_step`` says."""
+    strictly smaller, with the Krylov routines preconditioned by
+    (c I + L)^-1, c = mean(rho) / dt; scaled as ``momentum_step`` says."""
     def matvec(v):
         return _matvec(lay, data, v)
 
@@ -862,21 +1035,24 @@ def _solve(lay: _MomentumLayout, data: Array, b: Array, x0: Array, w: Array | No
         e = int(np.frexp(np.max(np.abs(b)))[1])
         b, x0 = np.ldexp(b, -e), np.ldexp(x0, -e)
         bb = b.dot(b)
-        if lay.band is None and not math.isfinite(np.linalg.norm(b - matvec(x0))):
-            x0 = np.zeros_like(b)           # its residual is b
     if lay.band is not None:
         path, x, info = "band LU", _band_solve(lay, data, b), 0
     else:
-        diag = data[lay.diag_pos.ravel()]   # the pattern has no duplicate entries
-        if w is None:
-            path, (x, info) = "Jacobi-cg", _cg(matvec, b, x0, diag)
-        else:
-            # the chosen start's residual is the one bicgstab begins with
+        r0 = b - matvec(x0) if x0.any() else b.copy()
+        r0_norm = np.linalg.norm(r0)
+        if w is not None:
             guess = np.ldexp(w.reshape(-1), -e)
-            r0, r_guess = b - matvec(x0), b - matvec(guess)
-            if np.linalg.norm(r_guess) < np.linalg.norm(r0):
-                x0, r0 = guess, r_guess
-            path, (x, info) = "Jacobi-bicgstab", _bicgstab(matvec, b, x0, diag, r0)
+            r_guess = b - matvec(guess)
+            guess_norm = np.linalg.norm(r_guess)
+            if guess_norm < r0_norm:
+                x0, r0, r0_norm = guess, r_guess, guess_norm
+        if not r0_norm <= DIVERGENCE * math.sqrt(bb):
+            x0, r0 = np.zeros_like(b), b.copy()     # the residual of zeros is b
+        psolve = _lame_inverse(lay.modes, float(np.mean(rho)) / dt)
+        if w is None:
+            path, (x, info) = "Lame-cg", _cg(matvec, b, x0, psolve, r0)
+        else:
+            path, (x, info) = "Lame-bicgstab", _bicgstab(matvec, b, x0, psolve, r0)
     r = b - matvec(x)
     return path, np.ldexp(x, e) if e else x, info, math.sqrt(r.dot(r)) / math.sqrt(bb)
 
@@ -893,18 +1069,22 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     The matrix is filled into the cached layout of the grid.  In 1D one
     banded LU factorization (LAPACK ``dgbsv``) solves it; a singular factor
     raises SolverError naming band LU.  In 2D and 3D ``_cg`` (symmetric) or
-    ``_bicgstab`` (with convection), scipy's loops preconditioned by Jacobi,
-    runs to a ``KRYLOV_RTOL`` relative residual or ``MAXITER`` iterations;
-    see the module docstring for why.  It starts from ``u_n``, or from ``w``
-    when there is convection and ``w`` has the strictly smaller residual
-    |b - A w|.
+    ``_bicgstab`` (with convection), scipy's loops preconditioned by the
+    exact inverse of c I + L, c = mean(rho_new) / dt (paths "Lame-cg" and
+    "Lame-bicgstab"), runs to a ``KRYLOV_RTOL`` relative residual, a
+    residual above ``DIVERGENCE`` |b| or ``MAXITER`` iterations; see the
+    module docstring for why.  It starts from ``u_n``, or from ``w`` when
+    there is convection and ``w`` has the strictly smaller residual
+    |b - A w|; a start whose residual norm exceeds ``DIVERGENCE`` |b| or is
+    not finite is replaced by zeros.
 
     One verdict judges both paths: an x that is not finite, or a routine
     that met non-finite values, raises SolverError naming the path and
     "non-finite values" (``residual`` None); else a true relative residual
     sqrt(r . r) / sqrt(b . b) above ``RTOL`` raises it with ``residual``
-    set.  ``iterations`` is the routine's count when it stopped at
-    ``MAXITER``, None otherwise.
+    set, its reason led by "diverged" when the routine stopped on
+    ``DIVERGENCE``.  ``iterations`` is the routine's count when it stopped
+    at ``MAXITER``, None otherwise.
 
     A zero b gives zeros.  When b . b is not a positive normal double (it
     under- or overflows), b, ``u_n`` and the start guess ``w`` are divided
@@ -912,10 +1092,9 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     keeps ``w``, and x is multiplied back by s; every other b is solved
     unscaled.  So u_n times a power of two (b with it) gives x times it,
     bit for bit.  Where b is tiny only because rho is (near vacuum), the
-    divided ``u_n`` can land so far off that its residual is not finite;
-    the Krylov iteration then starts from zeros, whose residual is b.  The
-    solve runs with numpy's floating-point warnings off: values that
-    overflow end in the verdict, with no RuntimeWarning.
+    divided ``u_n`` can land that far off, and the Krylov iteration starts
+    from zeros.  The solve runs with numpy's floating-point warnings off:
+    values that overflow end in the verdict, with no RuntimeWarning.
     """
     u_n = check_vector(u_n, grid)
     rho_new = check_scalar(rho_new, grid)
@@ -933,10 +1112,12 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     w = None if w is None or not np.asarray(w).any() else check_vector(w, grid)
     lay = _momentum_layout(grid, visc)
     data = _momentum_data(lay, rho_new, w, dt)
-    path, x, info, res = _solve(lay, data, b, u_n.reshape(-1), w)
+    path, x, info, res = _solve(lay, data, b, u_n.reshape(-1), w, rho_new, dt)
     iterations = info if info > 0 else None
     if info == NONFINITE or not np.isfinite(x).all():
         raise _solve_failed(path, "non-finite values", None, iterations)
     if res > RTOL:
-        raise _solve_failed(path, f"relative residual {res:.3e}", res, iterations)
+        why = f"relative residual {res:.3e}"
+        raise _solve_failed(path, "diverged, " + why if info == DIVERGED else why, res,
+                            iterations)
     return x.reshape(u_n.shape)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -586,11 +587,11 @@ class TestMomentumStep:
     @pytest.mark.parametrize("grid, tried, iterations", [
         (SpatialGrid.periodic(128, 1.0), "band LU (singular, dgbsv info 3)", None),
         (SpatialGrid.periodic(128, 1.0), "band LU (relative residual 1.000e+00)", None),
-        (SpatialGrid.periodic((8, 8), (1.0, 1.0)), "Jacobi-cg (relative residual 1.000e+00)", 7)],
+        (SpatialGrid.periodic((8, 8), (1.0, 1.0)), "Lame-cg (relative residual 1.000e+00)", 7)],
         ids=["singular", "residual", "2d"])
     def test_solver_error_names_every_path(self, visc, monkeypatch, grid, tried, iterations):
         # when the solve fails, the error names the one path tried and why it
-        # was left: band LU in 1D, Jacobi-cg in 2D
+        # was left: band LU in 1D, Lame-cg in 2D
         dgbsv = fluid.lapack.dgbsv
 
         def fake_dgbsv(*args, **kwargs):
@@ -620,7 +621,7 @@ class TestMomentumStep:
         # a routine that claims convergence (0) or breaks down (< 0) gives no
         # iteration count
         monkeypatch.setattr(fluid, "_cg",
-                            lambda matvec, b, x0, diag: (np.zeros_like(b), info))
+                            lambda matvec, b, x0, psolve, r0: (np.zeros_like(b), info))
         grid = SpatialGrid.periodic((8, 8), (1.0, 1.0))
         u_n = np.ones((2, 8, 8))
         with pytest.raises(SolverError) as err:
@@ -631,11 +632,11 @@ class TestMomentumStep:
     def test_overflowing_bicgstab_raises_without_warnings(self, visc, recwarn,
                                                           monkeypatch):
         # a checkerboard-vacuum 4x4 periodic system with strong convection:
-        # Jacobi-bicgstab's iterates overflow to non-finite values, which end
-        # in the non-finite SolverError and leak no RuntimeWarning.  The
-        # residual grows, finite, for about 3,800 iterations before it
-        # overflows; bicgstab stops there instead of running on to MAXITER
-        # (2 * MAXITER products)
+        # Lame-bicgstab's residual grows without bound, and its iterates would
+        # overflow; bicgstab stops once the residual passes DIVERGENCE |b|,
+        # instead of running on to overflow or to MAXITER (2 * MAXITER
+        # products), which ends in the diverged SolverError and leaks no
+        # RuntimeWarning
         matvec, products = fluid._matvec, []
 
         def counting(*args):
@@ -654,7 +655,8 @@ class TestMomentumStep:
             with pytest.raises(SolverError) as err:
                 momentum_step(np.zeros((2, 4, 4)), rho, w, np.zeros((4, 4)), f,
                               visc, 1e-3, grid)
-        assert str(err.value).endswith("tried Jacobi-bicgstab (non-finite values)")
+        assert re.search(r"tried Lame-bicgstab \(diverged, relative residual [^)]+\)$",
+                         str(err.value))
         assert err.value.iterations is None
         assert len(recwarn) == 0
         assert len(products) < fluid.MAXITER
@@ -662,8 +664,9 @@ class TestMomentumStep:
     @pytest.mark.parametrize("with_w", [False, True])
     def test_parity_vacuum_2d_fails_fast(self, visc, with_w):
         # a 2D periodic system with one parity class all vacuum is singular:
-        # Jacobi-cg (10,000 iterations) or Jacobi-bicgstab (non-finite
-        # values) gives up well within a second, with no RuntimeWarning
+        # Lame-cg or Lame-bicgstab stops once its residual passes
+        # DIVERGENCE |b| and gives up well within a second, with no
+        # RuntimeWarning
         grid = SpatialGrid.periodic((8, 8), (1.0, 1.0))
         rng = np.random.default_rng(0)
         rho = rng.uniform(0.5, 2.0, (8, 8))
@@ -673,7 +676,8 @@ class TestMomentumStep:
         start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(SolverError, match="bicgstab" if with_w else "Jacobi-cg"):
+            path = "Lame-bicgstab" if with_w else "Lame-cg"
+            with pytest.raises(SolverError, match=rf"tried {path} \(diverged, "):
                 momentum_step(np.zeros((2, 8, 8)), rho, w, np.ones((8, 8)), f, visc, 0.01,
                               grid)
         assert time.perf_counter() - start < 1.0
@@ -883,9 +887,9 @@ def krylov_grids(draw):
 def test_krylov_routines_are_scipys_bit_for_bit(grid, seed, mu, lam_excess, dt, convect,
                                                 vacuum, start, maxiter):
     # _matvec is csr_matrix @ x, and _cg/_bicgstab return scipy's cg/bicgstab
-    # (x, info) to the byte with the same tolerances, cap and Jacobi
-    # preconditioner, from a zero, u_n or w start; maxiter 3 checks the
-    # capped return
+    # (x, info) to the byte with the same tolerances, cap and preconditioner
+    # (the apply of (c I + L)^-1 as scipy's M), from a zero, u_n or w start;
+    # maxiter 3 checks the capped return
     import scipy.sparse.linalg as spla
     rng = np.random.default_rng(seed)
     visc = ViscosityParams(mu=mu, lam=lam_excess - 2.0 * mu / 3.0)
@@ -897,27 +901,95 @@ def test_krylov_routines_are_scipys_bit_for_bit(grid, seed, mu, lam_excess, dt, 
     lay = fluid._momentum_layout(grid, visc)
     data = fluid._momentum_data(lay, rho, w if convect else None, dt)
     A = layout_matrix(lay, data)
-    diag = data[lay.diag_pos.ravel()]
-    assert np.array_equal(diag, A.diagonal())
     x = rng.normal(size=A.shape[0])
     assert fluid._matvec(lay, data, x).tobytes() == (A @ x).tobytes()
     b = rng.normal(size=A.shape[0])
     x0 = {"zero": np.zeros(b.size), "u_n": u_n.reshape(-1), "w": w.reshape(-1)}[start]
     kept = x0.copy()
-    precond = spla.LinearOperator(A.shape, lambda v: v / diag)
+    psolve = fluid._lame_inverse(lay.modes, float(np.mean(rho)) / dt)
+    precond = spla.LinearOperator(A.shape, psolve)
     with pytest.MonkeyPatch.context() as mp:
         if maxiter is not None:
             mp.setattr(fluid, "MAXITER", maxiter)
         for ours, theirs in ((fluid._cg, spla.cg), (fluid._bicgstab, spla.bicgstab)):
-            # bicgstab is handed the start's residual, as momentum_step does
-            r0 = (b - fluid._matvec(lay, data, x0),) if ours is fluid._bicgstab else ()
-            got, info = ours(lambda v: fluid._matvec(lay, data, v), b, x0, diag, *r0)
+            # each routine is handed the start's residual, as momentum_step does
+            r0 = b - fluid._matvec(lay, data, x0) if x0.any() else b.copy()
+            got, info = ours(lambda v: fluid._matvec(lay, data, v), b, x0, psolve, r0)
             want, want_info = theirs(A, b, x0=x0, rtol=fluid.KRYLOV_RTOL, atol=0.0,
                                      maxiter=fluid.MAXITER, M=precond)
             assert (got.tobytes(), info) == (want.tobytes(), want_info), ours.__name__
             if maxiter is not None:
                 assert info in (0, maxiter, -10, -11)
     assert np.array_equal(x0, kept)
+
+
+@st.composite
+def lame_inverse_grids(draw):
+    dim = draw(st.integers(2, 3))
+    cells = tuple(draw(st.lists(st.integers(4, 12), min_size=dim, max_size=dim)))
+    lengths = tuple(draw(st.lists(st.floats(0.5, 2.0), min_size=dim, max_size=dim)))
+    if draw(st.booleans()):
+        return SpatialGrid.periodic(cells, lengths)
+    return SpatialGrid.farfield(cells, lengths, 1.0)
+
+
+def centered_difference(n: int, h: float, periodic: bool) -> np.ndarray:
+    """The dense centered difference (u[i+1] - u[i-1]) / (2h) on n cells,
+    circulant or truncated."""
+    out = np.zeros((n, n))
+    for i in range(n):
+        for shift, weight in ((1, 0.5 / h), (-1, -0.5 / h)):
+            if periodic or 0 <= i + shift < n:
+                out[i, (i + shift) % n] += weight
+    return out
+
+
+@settings(max_examples=80)
+@given(grid=lame_inverse_grids(), seed=st.integers(0, 2**32 - 1), mu=st.floats(0.1, 2.0),
+       bulk=st.floats(0.0, 2.0), c=st.one_of(st.just(0.0), st.floats(0.1, 1e4)))
+@example(grid=SpatialGrid.periodic((4, 5), (1.0, 1.0)), seed=0, mu=1.0, bulk=0.0, c=0.0)
+@example(grid=SpatialGrid.farfield((5, 7, 9), (1.0, 0.5, 2.0), 1.0), seed=1, mu=0.1,
+         bulk=2.0, c=0.0)
+@example(grid=SpatialGrid.farfield((4, 6), (1.0, 1.0), 1.0), seed=2, mu=2.0, bulk=0.0, c=0.0)
+def test_lame_inverse_is_exact(grid, seed, mu, bulk, c):
+    # in the basis of every axis the centered difference is block-skew: pairs
+    # [[0, beta], [-beta, 0]] and 1x1 zero blocks (periodic: the constant
+    # and, for even n, the alternating mode; far field: the middle mode of
+    # an odd axis); the apply then inverts c I + L to 1e-12 (round-off grows
+    # with its condition number, which these draws keep below about 1e5),
+    # and is finite, symmetric and positive definite also where c I + L is
+    # singular (c = 0 on a periodic grid or an all-odd far-field one)
+    periodic = grid.boundary == "periodic"
+    for n, h in zip(grid.extents, grid.spacing):
+        q, partner, signed = fluid._axis_modes(n, h, periodic)
+        np.testing.assert_allclose(q.T @ q, np.eye(n), rtol=0.0, atol=1e-14 * n)
+        blocks = np.zeros((n, n))
+        blocks[np.arange(n), partner] = signed
+        np.testing.assert_allclose(q.T @ centered_difference(n, h, periodic) @ q, blocks,
+                                   rtol=0.0, atol=1e-14 * n / h)
+        pairs = np.flatnonzero(partner != np.arange(n))
+        assert np.array_equal(partner[pairs], pairs ^ 1)
+        assert np.all(signed[pairs[0::2]] > 0) and np.array_equal(signed[pairs[1::2]],
+                                                                   -signed[pairs[0::2]])
+        zeros = n - pairs.size
+        assert zeros == ((2 - n % 2) if periodic else n % 2)
+        assert not np.any(signed[partner == np.arange(n)])
+    visc = ViscosityParams(mu=mu, lam=bulk - 2.0 * mu / 3.0)
+    apply = fluid._lame_inverse(fluid._momentum_layout(grid, visc).modes, c)
+    rng = np.random.default_rng(seed)
+    shape = (grid.dim,) + grid.extents
+    r, y = rng.normal(size=shape), rng.normal(size=shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z, zy = apply(r.reshape(-1)).reshape(shape), apply(y.reshape(-1))
+    assert np.isfinite(z).all() and np.isfinite(zy).all()
+    assert abs(zy @ r.reshape(-1) - z.reshape(-1) @ y.reshape(-1)) <= \
+        1e-12 * np.linalg.norm(z) * np.linalg.norm(y)
+    assert z.reshape(-1) @ r.reshape(-1) > 0
+    singular = c == 0 and (periodic or all(n % 2 for n in grid.extents))
+    if not singular:
+        back = c * z + lame_apply(z, visc, grid)
+        assert np.linalg.norm(back - r) <= 1e-12 * np.linalg.norm(r)
 
 
 @pytest.mark.parametrize("routine", [fluid._cg, fluid._bicgstab], ids=["cg", "bicgstab"])
@@ -932,9 +1004,28 @@ def test_krylov_routines_stop_at_first_non_finite_residual(routine):
         return out if len(calls) < 3 else np.full_like(v, np.nan)
 
     b = np.random.default_rng(0).normal(size=20)
-    r0 = (b.copy(),) if routine is fluid._bicgstab else ()   # b - A 0 is b
-    _, info = routine(matvec, b, np.zeros(20), np.full(20, 2.5), *r0)
+    # b - A 0 is b
+    _, info = routine(matvec, b, np.zeros(20), lambda v: v / 2.5, b.copy())
     assert (info, len(calls)) == (fluid.NONFINITE, 3)
+
+
+@pytest.mark.parametrize("routine", [fluid._cg, fluid._bicgstab], ids=["cg", "bicgstab"])
+@pytest.mark.parametrize("eps", [1e-9, 1e-15])
+def test_krylov_routines_stop_when_the_residual_diverges(routine, eps):
+    # the indefinite diag(1, -1 + eps) with b = (1, 1): the first step size
+    # is 2 / eps, so the updated residual jumps to about 2.8 / eps, finite
+    # but past DIVERGENCE |b|; the routine returns DIVERGED at that residual
+    # norm, after its one product
+    calls = []
+
+    def matvec(v):
+        calls.append(1)
+        return np.array([1.0, -1.0 + eps]) * v
+
+    b = np.ones(2)
+    x, info = routine(matvec, b, np.zeros(2), lambda v: v.copy(), b.copy())
+    assert (info, len(calls)) == (fluid.DIVERGED, 1)
+    assert np.isfinite(x).all()
 
 
 @st.composite
