@@ -50,9 +50,9 @@ factor-preconditioned Krylov iteration, nearly all of it scipy's set-up.
 It is the only 1D path: a singular factor raises SolverError.  Of 4,000
 random 1D systems the band LU failed on 337, each with one parity class of
 cells entirely in vacuum (the centered-square Lame stencil couples only
-cells two apart); Jacobi-Krylov plus lgmres failed on each one tried too,
-after 3.5 to 11 s, and in 1D vacuum leaves it only the stiff Lame block
-(one vacuum run with 160 solves took 20,283 Jacobi iterations).
+cells two apart), which leaves the system singular, so an iterative retry
+cannot rescue it; and in 1D vacuum leaves only the stiff Lame block, whose
+conditioning slows an iteration but not a direct solve.
 
 In 2D and 3D the system is solved by a Krylov iteration (cg when
 symmetric, bicgstab with convection) preconditioned by the exact inverse of
@@ -64,29 +64,25 @@ Thomas, Numer. Math. 6, 1964): in them every centered difference is
 block-skew, and Sherman-Morrison inverts the rank-one Lame block of each
 mode.  An apply costs about 23 us at 32^2, 82 us at 16^3 and 1.0 ms at
 32^3, against 17-26 us, 155 us and 1.3 ms for a CSR product; the bases are
-built with the layout (0.2 to 0.8 ms).  Against the Jacobi (v / diag(A))
-preconditioner it replaced, the 2D far-field benchmark run (w2, seed 0)
-makes 238 CSR products instead of 959, and a solve costs about 0.5 to
-0.7 ms instead of 1.1 to 1.5 ms; w3 makes 33 instead of 50 at 16^3, and
-195 instead of 437 at 32^3 (dt 0.001, four steps), where a solve costs
-53 to 56 ms instead of 78 to 87 ms.  The preconditioner sees the density
-only through its mean, so where rho / dt dominates L and rho jumps from
-cell to cell it is weaker than Jacobi: in the 5,200-system search below,
-which draws rho cell by cell, a converging solve took 3.0 ms at the median
-against 1.8 ms, and at worst 0.17 s against 0.015 s.  All timings on one
-thread of a 2-vCPU Xeon.  ``_cg`` and ``_bicgstab`` are scipy 1.17's
-``cg`` and ``bicgstab`` loops, operation for operation, with the apply as
-scipy's M, on the compiled CSR product ``_matvec``, so every result is bit
-for bit scipy's.
+built with the layout (0.2 to 0.8 ms).  The 2D far-field benchmark run
+(w2, seed 0) makes 238 CSR products, a solve costing about 0.5 to 0.7 ms;
+w3 makes 33 at 16^3, and 195 at 32^3 (dt 0.001, four steps), where a
+solve costs 53 to 56 ms.  The preconditioner sees the density only
+through its mean, so it is weakest where rho / dt dominates L and rho
+jumps from cell to cell, as in the 5,200-system search below, which draws
+rho cell by cell; there a pointwise preconditioner, which sees every
+cell's rho, can do better.  All timings on one thread of a 2-vCPU Xeon.
+``_cg`` and ``_bicgstab`` are scipy 1.17's ``cg`` and ``bicgstab`` loops,
+operation for operation, with the apply as scipy's M, on the compiled CSR
+product ``_matvec``, so every result is bit for bit scipy's.
 They are the only 2D/3D path, as band LU is in 1D.  Both paths end in one
 verdict in ``momentum_step``: an x that is not finite, or one above the
 residual bound, raises SolverError.  Of 5,200 random 2D/3D systems (60% 2D
 with 4-16 cells per axis, 40% 3D with 4-7; periodic or far field; dt 1e-4
 to 1; 61% with convection up to 31.6; vacuum none, random, one parity
-class or a ball) 275 failed, the same 275 as under Jacobi, each with one
-parity class of cells entirely in vacuum, which leaves the system
-singular; an lgmres retry, run on 124 failures of an earlier such search,
-rescued none and took 21 to 45 s each.
+class or a ball) 275 failed, each with one parity class of cells
+entirely in vacuum, which leaves the system singular, so neither another
+preconditioner nor a retry by another Krylov method rescues it.
 
 A singular system's residual stagnates or grows.  The routines stop once
 the residual norm passes ``DIVERGENCE`` |b| = 1e8 |b| (info ``DIVERGED``),
@@ -162,7 +158,7 @@ RTOL = 1e-10            # relative residual every momentum solve must reach
 KRYLOV_RTOL = RTOL / 10
 MAXITER = 10_000        # iteration cap of each 2D/3D Krylov routine
 NONFINITE = -1          # info of a Krylov routine stopped by a non-finite residual
-DIVERGENCE = 1e8        # a Krylov routine stops once its residual passes DIVERGENCE |b|
+DIVERGENCE = 1e8        # a Krylov solve stops once its residual passes DIVERGENCE |b|
 DIVERGED = -2           # info of a Krylov routine so stopped (module docstring)
 
 
@@ -917,26 +913,22 @@ def _lame_inverse(modes: _LameModes, c: float):
     return apply
 
 
-# Both routines are scipy 1.17's ``cg`` and ``bicgstab`` run with
-# rtol=KRYLOV_RTOL, atol=0, maxiter=MAXITER and the preconditioner M, applied
-# by ``psolve``, operation for operation (the same np.dot, np.linalg.norm and
-# in-place updates, in the same order), so (x, info) is bit for bit scipy's.
-# ``matvec`` applies A, and ``r0`` is b - A x0, which the caller has computed
-# (for x0 = 0 it is b, as scipy's start); the routine takes it over and
-# updates it in place.  info is 0 on convergence, MAXITER when the cap is hit,
-# and -10/-11 on a bicgstab breakdown.  MAXITER and DIVERGENCE are read at
-# each call.  Unlike scipy, both stop at the first residual norm that is not
-# finite (NONFINITE) or that exceeds DIVERGENCE |b| (DIVERGED), where scipy
-# runs on to MAXITER (NaN fails every test of its loops).
+# Both routines are scipy 1.17's ``cg`` and ``bicgstab`` loops with
+# maxiter=MAXITER and the preconditioner M, applied by ``psolve``, operation
+# for operation (the same np.dot, np.linalg.norm and in-place updates, in the
+# same order), so (x, info) is bit for bit scipy's for rtol = atol / |b| and
+# atol=0.  ``matvec`` applies A, and ``r0`` is b - A x0 (for x0 = 0 it is b,
+# as scipy's start); the routine takes it over and updates it in place.  The
+# caller sets the bounds on the residual norm: below ``atol`` the routine has
+# converged (info 0); not finite (NONFINITE) or above ``limit`` (DIVERGED) it
+# stops, where scipy runs on (NaN fails every test of its loops).  info is
+# MAXITER when the cap is hit, read at each call, and -10/-11 on a bicgstab
+# breakdown.
 
-def _cg(matvec, b: Array, x0: Array, psolve, r0: Array) -> tuple[Array, int]:
+def _cg(matvec, x0: Array, psolve, r0: Array, atol: float,
+        limit: float) -> tuple[Array, int]:
     """Preconditioned conjugate gradients (Hestenes-Stiefel)."""
     x = np.array(x0, dtype=float)
-    bnrm2 = np.linalg.norm(b)
-    if bnrm2 == 0:
-        return b, 0
-    atol = max(0.0, KRYLOV_RTOL * float(bnrm2))
-    limit = DIVERGENCE * float(bnrm2)
     r = r0
     p = rho_prev = None
     for iteration in range(MAXITER):
@@ -960,15 +952,11 @@ def _cg(matvec, b: Array, x0: Array, psolve, r0: Array) -> tuple[Array, int]:
     return x, MAXITER
 
 
-def _bicgstab(matvec, b: Array, x0: Array, psolve, r0: Array) -> tuple[Array, int]:
+def _bicgstab(matvec, x0: Array, psolve, r0: Array, atol: float,
+              limit: float) -> tuple[Array, int]:
     """Preconditioned BiCGSTAB (van der Vorst, SIAM J. Sci. Stat. Comput. 13,
     1992)."""
     x = np.array(x0, dtype=float)
-    bnrm2 = np.linalg.norm(b)
-    if bnrm2 == 0:
-        return b, 0
-    atol = max(0.0, KRYLOV_RTOL * float(bnrm2))
-    limit = DIVERGENCE * float(bnrm2)
     breakdown = np.finfo(float).eps ** 2      # scipy's rho and omega bound
     r, rtilde = r0, r0.copy()
     p = v = rho_prev = alpha = omega = None
@@ -1026,7 +1014,8 @@ def _solve(lay: _MomentumLayout, data: Array, b: Array, x0: Array, w: Array | No
     """(path, x, info, true relative residual) of the momentum system with
     CSR ``data`` for a nonzero b from x0, or from w when its residual is
     strictly smaller, with the Krylov routines preconditioned by
-    (c I + L)^-1, c = mean(rho) / dt; scaled as ``momentum_step`` says."""
+    (c I + L)^-1, c = mean(rho) / dt; scaled and bounded as
+    ``momentum_step`` says."""
     def matvec(v):
         return _matvec(lay, data, v)
 
@@ -1035,6 +1024,7 @@ def _solve(lay: _MomentumLayout, data: Array, b: Array, x0: Array, w: Array | No
         e = int(np.frexp(np.max(np.abs(b)))[1])
         b, x0 = np.ldexp(b, -e), np.ldexp(x0, -e)
         bb = b.dot(b)
+    bnorm = math.sqrt(bb)
     if lay.band is not None:
         path, x, info = "band LU", _band_solve(lay, data, b), 0
     else:
@@ -1046,15 +1036,14 @@ def _solve(lay: _MomentumLayout, data: Array, b: Array, x0: Array, w: Array | No
             guess_norm = np.linalg.norm(r_guess)
             if guess_norm < r0_norm:
                 x0, r0, r0_norm = guess, r_guess, guess_norm
-        if not r0_norm <= DIVERGENCE * math.sqrt(bb):
+        limit = DIVERGENCE * bnorm
+        if not r0_norm <= limit:
             x0, r0 = np.zeros_like(b), b.copy()     # the residual of zeros is b
         psolve = _lame_inverse(lay.modes, float(np.mean(rho)) / dt)
-        if w is None:
-            path, (x, info) = "Lame-cg", _cg(matvec, b, x0, psolve, r0)
-        else:
-            path, (x, info) = "Lame-bicgstab", _bicgstab(matvec, b, x0, psolve, r0)
+        path, routine = ("Lame-cg", _cg) if w is None else ("Lame-bicgstab", _bicgstab)
+        x, info = routine(matvec, x0, psolve, r0, KRYLOV_RTOL * bnorm, limit)
     r = b - matvec(x)
-    return path, np.ldexp(x, e) if e else x, info, math.sqrt(r.dot(r)) / math.sqrt(bb)
+    return path, np.ldexp(x, e) if e else x, info, math.sqrt(r.dot(r)) / bnorm
 
 
 def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
@@ -1071,20 +1060,22 @@ def momentum_step(u_n: Array, rho_new: Array, w: Array | None, p_m: Array,
     raises SolverError naming band LU.  In 2D and 3D ``_cg`` (symmetric) or
     ``_bicgstab`` (with convection), scipy's loops preconditioned by the
     exact inverse of c I + L, c = mean(rho_new) / dt (paths "Lame-cg" and
-    "Lame-bicgstab"), runs to a ``KRYLOV_RTOL`` relative residual, a
-    residual above ``DIVERGENCE`` |b| or ``MAXITER`` iterations; see the
-    module docstring for why.  It starts from ``u_n``, or from ``w`` when
-    there is convection and ``w`` has the strictly smaller residual
-    |b - A w|; a start whose residual norm exceeds ``DIVERGENCE`` |b| or is
-    not finite is replaced by zeros.
+    "Lame-bicgstab"), runs until its residual norm falls below
+    ``KRYLOV_RTOL`` |b|, exceeds ``DIVERGENCE`` |b| or is not finite, or
+    for ``MAXITER`` iterations; see the module docstring for why.  It
+    starts from ``u_n``, or from ``w`` when there is convection and ``w``
+    has the strictly smaller residual |b - A w|; a start whose residual
+    norm exceeds ``DIVERGENCE`` |b| or is not finite is replaced by zeros.
+    |b| = sqrt(b . b) is formed once per solve, after any scaling below,
+    and serves both routine bounds, the start test and the verdict.
 
     One verdict judges both paths: an x that is not finite, or a routine
     that met non-finite values, raises SolverError naming the path and
     "non-finite values" (``residual`` None); else a true relative residual
-    sqrt(r . r) / sqrt(b . b) above ``RTOL`` raises it with ``residual``
-    set, its reason led by "diverged" when the routine stopped on
-    ``DIVERGENCE``.  ``iterations`` is the routine's count when it stopped
-    at ``MAXITER``, None otherwise.
+    sqrt(r . r) / |b| above ``RTOL`` raises it with ``residual`` set, its
+    reason led by "diverged" when the routine stopped on ``DIVERGENCE``.
+    ``iterations`` is the routine's count when it stopped at ``MAXITER``,
+    None otherwise.
 
     A zero b gives zeros.  When b . b is not a positive normal double (it
     under- or overflows), b, ``u_n`` and the start guess ``w`` are divided

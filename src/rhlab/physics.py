@@ -75,7 +75,8 @@ class EquationOfState:
     goes on linearly with the end slope, as PCHIP's extrapolated cubic does
     not stay near the samples.  A table whose interpolant is not finite
     between its samples, or whose end slope is not finite, is rejected, so
-    the law is nowhere NaN.
+    the law is nowhere NaN; so is one whose interpolant's coefficients
+    underflow, since the pieces of such a cubic need not meet C1.
     """
 
     def __init__(self, kind: str, A: float | None = None, gamma: float | None = None,
@@ -97,11 +98,16 @@ class EquationOfState:
             from scipy.interpolate import PchipInterpolator
             # PCHIP is C1 for any samples; samples spaced or sized near the float
             # range give it non-finite coefficients or end slope, or cubic terms
-            # that overflow on their interval, where the law would be inf or NaN
+            # that overflow on their interval, where the law would be inf or NaN,
+            # or coefficients that underflow, losing the digits that make each
+            # piece meet the next in value and slope
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                try:   # slopes that overflow (subnormal spacing) raise ValueError
-                    self._interp = PchipInterpolator(rho_s, p_s, extrapolate=True)
-                except ValueError as exc:
+                # slopes that overflow (subnormal spacing) raise ValueError, and
+                # coefficients that underflow FloatingPointError
+                try:
+                    with np.errstate(under="raise"):
+                        self._interp = PchipInterpolator(rho_s, p_s, extrapolate=True)
+                except (ValueError, FloatingPointError) as exc:
                     raise ParameterError(f"table has no finite C1 interpolant: {exc}") \
                         from exc
                 self._end = (float(rho_s[-1]), float(self._interp(rho_s[-1], 1)))

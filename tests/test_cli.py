@@ -352,8 +352,9 @@ output_dir = {tmp_path / "out"}
             assert err.count("\n") == 1
 
     def test_runtime_cfl_exit_3(self, tmp_path, capsys):
-        # parse-time CFL passes (transport), but the initial velocity breaks
-        # the finite-volume CFL bound at the first continuity step
+        # the transport meets its CFL limit in substeps, but the initial
+        # velocity breaks the finite-volume CFL bound at the first continuity
+        # step
         cfg = write_cfg(tmp_path, f"""
 [grid]
 dim = 1
@@ -377,6 +378,30 @@ dt = 0.001
 output_dir = {tmp_path / "out"}
 """)
         assert main(["run", cfg]) == 3
+
+    def test_dt_past_the_substep_cap_exit_3(self, tmp_path, capsys):
+        # a dt above the transport CFL limit parses; one that needs more than
+        # MAX_SUBSTEPS substeps (c dt / h = 6.4e5 here) fails when the
+        # transport first steps, as a step-size error, and leaves no output
+        cfg = write_cfg(tmp_path, f"""
+[grid]
+dim = 1
+cells = 64
+lengths = 1.0
+
+[physics]
+c = 1e6
+
+[run]
+t_final = 0.01
+dt = 0.01
+output_dir = {tmp_path / "out"}
+""")
+        assert main(["run", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error (StepSizeError): transport step dt=0.01 needs ")
+        assert "more than MAX_SUBSTEPS=10000" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("exc,code", [
         (ConfigError("bad"), 2),

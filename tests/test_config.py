@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, reject
 from hypothesis import strategies as st
 
 import rhlab
-from rhlab import config, runner
+from rhlab import config, runner, transport
 from rhlab.config import _MODEL_KEYS, RunConfig, build_problem, parse_config, serialize_config
 from rhlab.errors import ConfigError, ParameterError
 from rhlab.grid import AngularQuadrature, FrequencyGrid, Grids, SpatialGrid
@@ -163,7 +163,6 @@ def config_texts(draw, max_cells=None):
     # [scenario] emission0 is accepted only as a repeat of the model's value
     e0 = model.get("emission0") or 0.0
     slab = maybe(_floats(1e-4, 0.1))
-    min_h = min(L / n for L, n in zip(lengths, cells))
     sections = {
         "grid": {"dim": dim, "cells": cells, "lengths": lengths,
                  "boundary": maybe(st.sampled_from(["periodic", "farfield"])),
@@ -183,8 +182,7 @@ def config_texts(draw, max_cells=None):
                      **{key: maybe(_NAMES if isinstance(default, str) else _floats(-2.0, 2.0))
                         for key, default in declared.items()}},
         "run": {"t_final": maybe(_floats(1e-4, 1.0)), "slab_length": slab,
-                "dt": maybe(_floats(0.1, 1.0).map(
-                    lambda f: f * min(slab or 0.01, 0.5 * min_h))),
+                "dt": maybe(_floats(0.1, 1.0).map(lambda f: f * (slab or 0.01))),
                 "max_iters": maybe(st.integers(1, 50)),
                 "gamma_tol": maybe(_floats(1e-12, 1e-2)),
                 "max_halvings": maybe(st.integers(0, 5)),
@@ -263,12 +261,27 @@ t_final = -3
         assert (t_line, "need 0 < dt <= slab_length, got dt=0.0") in ei.value.violations
         assert all(ln > 0 for ln, _ in ei.value.violations)
 
-    def test_cfl_inconsistent_dt_rejected(self):
-        text = MINIMAL + "\n[run]\nslab_length = 0.01\ndt = 0.01\n"
-        # c dt = 0.01 > h = 1/64 is fine; force violation with larger dt
-        text = MINIMAL + "\n[run]\nslab_length = 0.05\ndt = 0.05\n"
-        with pytest.raises(ConfigError, match="CFL"):
-            parse_config(text)
+    def test_dt_above_transport_cfl_runs_in_substeps(self, tmp_path, monkeypatch):
+        # c dt = 0.05 exceeds the smallest cell width h = 1/64, which is no
+        # config error: the transport splits each step into CFL substeps, and
+        # a radiating run on that grid with that dt converges and stays positive
+        assert parse_config(MINIMAL + "\n[run]\nslab_length = 0.05\ndt = 0.05\n").dt == 0.05
+        counts = []
+        real = transport._substeps
+
+        def counted(rad, dt):
+            n_sub, sub = real(rad, dt)
+            counts.append(n_sub)
+            return n_sub, sub
+
+        monkeypatch.setattr(transport, "_substeps", counted)
+        monkeypatch.setenv(runner.OUTPUT_DIR_ENV, str(tmp_path / "out"))
+        summary = runner.run_scenario(parse_config(
+            MINIMAL.replace("t_final = 0.01", "t_final = 0.05")
+            + "slab_length = 0.05\ndt = 0.05\n\n[model]\nkind = constant\nemission0 = 0.05\n"
+            "\n[scenario]\nname = smooth-bump\n"))
+        assert counts and min(counts) > 1
+        assert summary["picard"]["all_converged"] and summary["positivity"]["ok"]
 
     def test_bad_value_type_reported_with_line(self):
         with pytest.raises(ConfigError) as ei:

@@ -599,7 +599,7 @@ class TestMomentumStep:
             return (lub, piv, x, 3) if "singular" in tried else (lub, piv, 2.0 * x, info)
 
         def krylov(info):
-            return lambda operator, b, *args, **kwargs: (np.zeros_like(b), info)
+            return lambda matvec, x0, *args: (np.zeros_like(x0), info)
 
         monkeypatch.setattr(fluid.lapack, "dgbsv", fake_dgbsv)
         monkeypatch.setattr(fluid, "_cg", krylov(7))
@@ -620,8 +620,8 @@ class TestMomentumStep:
     def test_solver_error_iterations_unknown(self, visc, monkeypatch, info):
         # a routine that claims convergence (0) or breaks down (< 0) gives no
         # iteration count
-        monkeypatch.setattr(fluid, "_cg",
-                            lambda matvec, b, x0, psolve, r0: (np.zeros_like(b), info))
+        monkeypatch.setattr(fluid, "_cg", lambda matvec, x0, psolve, r0, atol, limit:
+                            (np.zeros_like(x0), info))
         grid = SpatialGrid.periodic((8, 8), (1.0, 1.0))
         u_n = np.ones((2, 8, 8))
         with pytest.raises(SolverError) as err:
@@ -691,9 +691,9 @@ class TestMomentumStep:
         def recording(name):
             routine = getattr(fluid, "_" + name)
 
-            def solve(matvec, b, x0, diag, *r0):
+            def solve(matvec, x0, *args):
                 starts[name] = x0.copy()
-                return routine(matvec, b, x0, diag, *r0)
+                return routine(matvec, x0, *args)
             return solve
 
         for name in ("cg", "bicgstab"):
@@ -726,9 +726,9 @@ class TestMomentumStep:
 
     @pytest.mark.parametrize("cells", [(32, 32), (8, 8, 8)])
     @pytest.mark.parametrize("with_w", [False, True])
-    def test_vacuum_core_jacobi_krylov(self, visc, rng, cells, with_w):
-        # a far-field grid whose center ball is vacuum: the Jacobi-preconditioned
-        # cg/bicgstab meets the residual bound
+    def test_vacuum_core_lame_krylov(self, visc, rng, cells, with_w):
+        # a far-field grid whose center ball is vacuum: cg/bicgstab
+        # preconditioned by (c I + L)^-1 meets the residual bound
         grid = SpatialGrid.farfield(cells, (1.0,) * len(cells), 1.0)
         r2 = sum((x - 0.5) ** 2 for x in grid.coords())
         rho = np.where(r2 < 0.2 ** 2, 0.0, 1.0)
@@ -888,8 +888,9 @@ def test_krylov_routines_are_scipys_bit_for_bit(grid, seed, mu, lam_excess, dt, 
                                                 vacuum, start, maxiter):
     # _matvec is csr_matrix @ x, and _cg/_bicgstab return scipy's cg/bicgstab
     # (x, info) to the byte with the same tolerances, cap and preconditioner
-    # (the apply of (c I + L)^-1 as scipy's M), from a zero, u_n or w start;
-    # maxiter 3 checks the capped return
+    # (the apply of (c I + L)^-1 as scipy's M), from a zero, u_n or w start,
+    # when handed the bounds momentum_step sets, KRYLOV_RTOL |b| and
+    # DIVERGENCE |b|; maxiter 3 checks the capped return
     import scipy.sparse.linalg as spla
     rng = np.random.default_rng(seed)
     visc = ViscosityParams(mu=mu, lam=lam_excess - 2.0 * mu / 3.0)
@@ -904,6 +905,7 @@ def test_krylov_routines_are_scipys_bit_for_bit(grid, seed, mu, lam_excess, dt, 
     x = rng.normal(size=A.shape[0])
     assert fluid._matvec(lay, data, x).tobytes() == (A @ x).tobytes()
     b = rng.normal(size=A.shape[0])
+    bnorm = np.linalg.norm(b)
     x0 = {"zero": np.zeros(b.size), "u_n": u_n.reshape(-1), "w": w.reshape(-1)}[start]
     kept = x0.copy()
     psolve = fluid._lame_inverse(lay.modes, float(np.mean(rho)) / dt)
@@ -914,7 +916,8 @@ def test_krylov_routines_are_scipys_bit_for_bit(grid, seed, mu, lam_excess, dt, 
         for ours, theirs in ((fluid._cg, spla.cg), (fluid._bicgstab, spla.bicgstab)):
             # each routine is handed the start's residual, as momentum_step does
             r0 = b - fluid._matvec(lay, data, x0) if x0.any() else b.copy()
-            got, info = ours(lambda v: fluid._matvec(lay, data, v), b, x0, psolve, r0)
+            got, info = ours(lambda v: fluid._matvec(lay, data, v), x0, psolve, r0,
+                             fluid.KRYLOV_RTOL * bnorm, fluid.DIVERGENCE * bnorm)
             want, want_info = theirs(A, b, x0=x0, rtol=fluid.KRYLOV_RTOL, atol=0.0,
                                      maxiter=fluid.MAXITER, M=precond)
             assert (got.tobytes(), info) == (want.tobytes(), want_info), ours.__name__
@@ -1004,8 +1007,10 @@ def test_krylov_routines_stop_at_first_non_finite_residual(routine):
         return out if len(calls) < 3 else np.full_like(v, np.nan)
 
     b = np.random.default_rng(0).normal(size=20)
+    bnorm = np.linalg.norm(b)
     # b - A 0 is b
-    _, info = routine(matvec, b, np.zeros(20), lambda v: v / 2.5, b.copy())
+    _, info = routine(matvec, np.zeros(20), lambda v: v / 2.5, b.copy(),
+                      fluid.KRYLOV_RTOL * bnorm, fluid.DIVERGENCE * bnorm)
     assert (info, len(calls)) == (fluid.NONFINITE, 3)
 
 
@@ -1023,7 +1028,9 @@ def test_krylov_routines_stop_when_the_residual_diverges(routine, eps):
         return np.array([1.0, -1.0 + eps]) * v
 
     b = np.ones(2)
-    x, info = routine(matvec, b, np.zeros(2), lambda v: v.copy(), b.copy())
+    bnorm = np.linalg.norm(b)
+    x, info = routine(matvec, np.zeros(2), lambda v: v.copy(), b.copy(),
+                      fluid.KRYLOV_RTOL * bnorm, fluid.DIVERGENCE * bnorm)
     assert (info, len(calls)) == (fluid.DIVERGED, 1)
     assert np.isfinite(x).all()
 
@@ -1083,7 +1090,7 @@ def test_band_map_unfolds_to_matrix(grid, seed, mu, lam_excess, dt, convect, vac
     ids=["farfield1d", "periodic1d", "farfield2d", "periodic2d"])
 def test_momentum_step_is_scale_free(visc, grid, with_w, k):
     # with p = f = 0 the right-hand side is rho u / dt, and at these scales
-    # its b . b under- or overflows: band LU and Jacobi-Krylov alike solve
+    # its b . b under- or overflows: band LU and Lame-Krylov alike solve
     # 2^k u as 2^k times the solve of u, bit for bit, with no warning
     rng = np.random.default_rng(0)
     shape = (grid.dim,) + grid.extents

@@ -153,6 +153,8 @@ class TestEquationOfState:
     @example(([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 4.0, 9.0]))       # used to give p(1e103) NaN
     @example(([0.0, 1e200, 2e200, 3e200], [0.0, 1.0, 2.0, 3.0]))
     @example(([0.0, 1.0, 2.0, 3.0], [0.0, 1e308, -1e308, 1e308]))
+    @example(([0.0, 1.0, 3.0, 4.0], [0.0, 0.0, 5e-324, 0.0]))    # used to jump by 5e-324 at 3
+    @example(([0.0, 1e50, 3e50, 4e50], [0.0, 1e-270, 0.0, 2e-270]))   # used to lose c0, c1
     def test_finite_table_builds_a_finite_c1_law_or_is_rejected(self, table):
         # any finite table with densities rising strictly from 0 is either
         # refused for its interpolant or builds a law that is never NaN, finite

@@ -75,20 +75,22 @@ def test_one_radiation_record_per_slab_solve(name, records, tmp_path, monkeypatc
      dict(momentum_step=120, _band_solve=120, _cg=0, _bicgstab=0, _matvec=120)),
     ("w2-farfield2d", 30, 10, 0, 0,
      dict(momentum_step=30, _band_solve=0, _cg=5, _bicgstab=25, _matvec=238)),
+    ("w3-vacuum3d", 2, 1, 0, 0,
+     dict(momentum_step=2, _band_solve=0, _cg=1, _bicgstab=1, _matvec=33)),
     ("w4-vacuum1d-continuation", 0, 40, 12, 180,
      dict(momentum_step=120, _band_solve=120, _cg=0, _bicgstab=0, _matvec=120))])
 def test_dark_sweeps_make_no_transport_step(name, steps, streams, traces, interps,
                                             solves, tmp_path, monkeypatch):
     # w4 has no emission and I0 = 0, so none of its 120 sweep steps (12
-    # sweeps x 10 steps) is stepped; w1 and w2 emit, and keep theirs.  The
+    # sweeps x 10 steps) is stepped; w1, w2 and w3 emit, and keep theirs.  The
     # free streaming of iterate 0 and the characteristics traces do not change.
     # The 8 of w4's 12 traces that move interpolate 21 times each (once at the
     # start, twice per substep) and every trace once more for the density;
     # each 1D momentum step is one band LU solve and one residual product,
-    # and w2's 30 Krylov solves make 238 products in all, their start
-    # residuals and verdicts included (959 under the Jacobi preconditioner
-    # the exact inverse of c I + L replaced).  Short of a new algorithm, a
-    # faster fluid half comes from cheaper calls, not from fewer
+    # and the Krylov solves make 238 products in all on w2 (30 solves) and
+    # 33 on w3 (2 solves, one 3D step per sweep), their start residuals and
+    # verdicts included.  Short of a new algorithm, a faster fluid half
+    # comes from cheaper calls, not from fewer
     calls = {}
 
     def count(owner, attr):
